@@ -32,7 +32,6 @@ from repro.errors import ConfigurationError
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.comm import Communicator
 from repro.types import VERTEX_DTYPE
-from repro.utils.arrays import in_sorted
 from repro.utils.segmented import gather_segments, segmented_unique
 
 
@@ -68,9 +67,8 @@ class Bfs2DEngine(LevelSyncEngine):
         )
         self._col_groups = [self.grid.col_members(j) for j in range(self.grid.cols)]
         self._row_groups = [self.grid.row_members(i) for i in range(self.grid.rows)]
-        # Pair-keyed expand filters are only needed by the collective
-        # fallback paths (faulted runs, MS-BFS) — built lazily, because
-        # the eager build is O(C^3) in group size.
+        # Pair-keyed expand filters are only needed by MS-BFS — built
+        # lazily, because the eager build is O(C^3) in group size.
         self._expand_filters_cache: dict[tuple[int, int], np.ndarray] | None = None
         self._expand_filter_cat_cache: (
             dict[int, tuple[list[int], np.ndarray, np.ndarray]] | None
@@ -126,11 +124,7 @@ class Bfs2DEngine(LevelSyncEngine):
         #: like the direct step's messages so a searchsorted indexes it
         self._expand_pop_keys: np.ndarray | None = None
         self._expand_population = None
-        if (
-            self._expand.name == "direct"
-            and opts.use_expand_filter
-            and comm.faults is None
-        ):
+        if self._expand.name == "direct" and opts.use_expand_filter:
             self._prime_expand_population()
 
     # ------------------------------------------------------------------ #
@@ -326,11 +320,7 @@ class Bfs2DEngine(LevelSyncEngine):
     def _expand_level(self) -> tuple[np.ndarray, np.ndarray]:
         obs = self.comm.obs
         with obs.span("expand", cat="phase"):
-            if (
-                self._expand.name == "direct"
-                and self.opts.use_expand_filter
-                and self.comm.faults is None
-            ):
+            if self._expand.name == "direct" and self.opts.use_expand_filter:
                 fbar_flat, fbar_bounds = self._expand_step_direct()
             else:
                 fbar_flat, fbar_bounds = self._expand_step()
@@ -348,55 +338,18 @@ class Bfs2DEngine(LevelSyncEngine):
         All processor-columns run their collective rounds in lockstep
         (``expand_many``), so their messages contend for the torus in the
         same simulated round — as they would on the real machine.  This
-        is the fallback for forwarding collectives and faulted runs; the
-        plain direct expand takes :meth:`_expand_step_direct`.
+        serves the forwarding collectives and the unfiltered direct expand;
+        the filtered direct expand takes :meth:`_expand_step_direct`.
         """
         frontier = self.frontier
         contributions_per_group = [
             [frontier[rank] for rank in group] for group in self._col_groups
         ]
-        dest_filters = None
-        if self._expand.name == "direct" and self.opts.use_expand_filter:
-            filter_cat = self._expand_filter_cat
-
-            def make_filter(group, contributions):
-                # All destinations of one source share a single membership
-                # test of the concatenated filters against its frontier;
-                # each (src, dst) result is the intersection the scalar
-                # per-pair test produced.
-                cache: dict[int, dict[int, np.ndarray]] = {}
-
-                def dest_filter(g: int, d: int) -> np.ndarray:
-                    payload = contributions[g]
-                    if payload.size == 0:
-                        return payload
-                    src = group[g]
-                    per_dst = cache.get(src)
-                    if per_dst is None:
-                        dsts, merged, bounds = filter_cat[src]
-                        mask = in_sorted(merged, payload)
-                        per_dst = {
-                            dst: merged[bounds[k] : bounds[k + 1]][
-                                mask[bounds[k] : bounds[k + 1]]
-                            ]
-                            for k, dst in enumerate(dsts)
-                        }
-                        cache[src] = per_dst
-                    return per_dst[group[d]]
-
-                return dest_filter
-
-            dest_filters = [
-                make_filter(group, contributions)
-                for group, contributions in zip(self._col_groups, contributions_per_group)
-            ]
-
         received_per_group = self._expand.expand_many(
             self.comm,
             self._col_groups,
             contributions_per_group,
             phase="expand",
-            dest_filters=dest_filters,
         )
         nranks = self.comm.nranks
         fbar: list[np.ndarray] = [None] * nranks  # type: ignore[list-item]
@@ -442,8 +395,8 @@ class Bfs2DEngine(LevelSyncEngine):
         stable sort produces the messages in the lockstep driver's merged
         outbox order (column groups ascending — which is ascending owned
         block, then destination, then vertex), one array exchange, one
-        segmented union for the per-rank merges.  Fault injection decides
-        deliveries per chunk, so faulted runs keep the collective path.
+        segmented union for the per-rank merges.  Chunks a fault withheld
+        are dropped before the merge.
         """
         nranks = self.comm.nranks
         R, C = self.grid.rows, self.grid.cols
@@ -493,7 +446,7 @@ class Bfs2DEngine(LevelSyncEngine):
             msg_bounds = np.zeros(1, dtype=np.int64)
             population = None
             pop_idx = None
-        self.comm.exchange_arrays(
+        arrived = self.comm.exchange_arrays(
             msg_src,
             msg_dst,
             payload,
@@ -503,6 +456,13 @@ class Bfs2DEngine(LevelSyncEngine):
             population=population,
             pop_idx=pop_idx,
         )
+        if arrived is not None:
+            msg, starts, stops = arrived
+            msg_dst, msg_sizes = msg_dst[msg], stops - starts
+            payload = np.concatenate(
+                [payload[:0]]
+                + [payload[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+            )
         self.comm.stats.record_delivery_bulk(msg_dst, msg_sizes, "expand")
 
         inc_sizes = np.zeros(nranks, dtype=np.int64)

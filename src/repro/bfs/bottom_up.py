@@ -24,12 +24,13 @@ Communication pattern (charged through the simulated
   bitmaps travel along processor **columns** (so each rank knows which
   stored columns still need a parent), then every found vertex is sent
   to its owner *within the processor column* — a real
-  :meth:`~repro.runtime.comm.Communicator.exchange`, so wire codecs,
+  :meth:`~repro.runtime.comm.Communicator.exchange_arrays`, so wire codecs,
   chunking, and contention pricing all apply — where owners de-duplicate
   multi-finder hits and label.
 
 The bitmap broadcasts are charged as raw byte transfers on the routed
-network (the MS-BFS mask-word pattern); because they bypass the
+network (:meth:`~repro.runtime.comm.Communicator.exchange_summaries`, the
+sieve-summary pattern); because they bypass the
 droppable-message path, direction policies that can reach bottom-up are
 rejected when a fault schedule is attached (see ``LevelSyncEngine.start``).
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.types import UNREACHED, VERTEX_DTYPE
-from repro.utils.segmented import pack_segments, segmented_unique
+from repro.utils.segmented import segmented_unique
 
 __all__ = ["bottom_up_level_1d", "bottom_up_level_2d"]
 
@@ -88,24 +89,6 @@ def _first_hit_scan(
     return found, edges
 
 
-def _charge_bitmap_round(
-    comm, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray
-) -> None:
-    """Charge one synchronous round of raw bitmap transfers.
-
-    Bitmaps are fixed-size bitsets, not vertex payloads, so they skip the
-    wire codec and are priced directly on the routed network — the same
-    accounting the MS-BFS mask words use."""
-    if src.size == 0:
-        comm.barrier()
-        return
-    send, recv, _ = comm.network.round_times_arrays(src, dst, nbytes)
-    comm.clock.advance_many(np.maximum(send, recv), kind="comm")
-    total = int(nbytes.sum())
-    comm.stats.record_message_bulk(int(src.size), 0, total, total)
-    comm.barrier()
-
-
 def bottom_up_level_1d(engine) -> tuple[np.ndarray, np.ndarray]:
     """One bottom-up level of :class:`~repro.bfs.bfs_1d.Bfs1DEngine`.
 
@@ -128,7 +111,7 @@ def bottom_up_level_1d(engine) -> tuple[np.ndarray, np.ndarray]:
             src = np.arange(nranks, dtype=np.int64)
             dst = (src + 1) % nranks
             nbytes = int(span_bytes.sum()) - span_bytes[dst]
-            _charge_bitmap_round(comm, src, dst, nbytes)
+            comm.exchange_summaries(src, dst, nbytes, phase=None)
 
     with obs.span("bottom-up-scan", cat="phase"):
         frontier_mask = levels == engine.level
@@ -197,7 +180,7 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
         col_src, col_dst = group_pairs(engine._col_groups)
         src = np.concatenate([row_src, col_src])
         dst = np.concatenate([row_dst, col_dst])
-        _charge_bitmap_round(comm, src, dst, span_bytes[src])
+        comm.exchange_summaries(src, dst, span_bytes[src], phase=None)
 
     with obs.span("bottom-up-scan", cat="phase"):
         frontier_mask = levels == engine.level
@@ -231,40 +214,25 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
     # Found vertices go to their owners (always within the finder's
     # processor column).  Real messages: codec, chunking, contention.
     with obs.span("bottom-up-fold", cat="phase"):
-        outbox: dict[int, dict[int, np.ndarray]] = {}
-        arrived: list[tuple[int, np.ndarray]] = []
-        if found_v.size:
-            pair = finder * nranks + owner
-            order = np.argsort(pair, kind="stable")
-            sv, sf, so = found_v[order], finder[order], owner[order]
-            cut = np.flatnonzero(np.diff(pair[order])) + 1
-            bounds = np.concatenate(([0], cut, [sv.size]))
-            for b, e in zip(bounds[:-1], bounds[1:]):
-                f, o = int(sf[b]), int(so[b])
-                payload = sv[b:e]
-                if f == o:
-                    arrived.append((o, payload))
-                else:
-                    outbox.setdefault(f, {})[o] = payload
-        inbox = comm.exchange(outbox, "fold")
-        dsts: list[int] = []
-        counts: list[int] = []
-        for dest, items in inbox.items():
-            for _, chunk in items:
-                if chunk.size:
-                    arrived.append((dest, chunk))
-                    dsts.append(dest)
-                    counts.append(int(chunk.size))
-        if dsts:
-            comm.stats.record_delivery_bulk(
-                np.array(dsts, dtype=np.int64),
-                np.array(counts, dtype=np.int64),
-                "fold",
-            )
+        # Sorted by (finder, owner), the found vertices are the round's
+        # messages back to back, in outbox order; self-addressed segments
+        # are local hand-offs and stay off the wire.  Every chunk arrives:
+        # engines reject bottom-up under a fault schedule.
+        pair = finder * nranks + owner
+        order = np.argsort(pair, kind="stable")
+        values, vsegs, sender = found_v[order], owner[order], finder[order]
+        _, starts = np.unique(pair[order], return_index=True)
+        stops = np.append(starts[1:], values.size)
+        wire = sender[starts] != vsegs[starts]
+        starts, stops = starts[wire], stops[wire]
+        comm.exchange_arrays(
+            sender[starts], vsegs[starts], values, starts, stops, "fold"
+        )
+        if starts.size:
+            comm.stats.record_delivery_bulk(vsegs[starts], stops - starts, "fold")
         # Owner-side dedup (several column peers can find the same
         # vertex) and labelling — one segmented unique over every owner's
         # arrivals at once.
-        values, vsegs = pack_segments(arrived)
         flat, fresh_bounds, dups, _ = segmented_unique(values, vsegs, nranks, n)
         incoming_counts = np.bincount(vsegs, minlength=nranks)
         fresh_counts = np.diff(fresh_bounds)

@@ -65,12 +65,7 @@ class DirectExpand(ExpandCollective):
         dest_filters: list | None = None,
     ) -> list[list[list[np.ndarray]]]:
         # Single-round collective: the whole lockstep run is one merged
-        # exchange, so build its message arrays directly.  Fault injection
-        # decides deliveries per chunk — that needs the generator path.
-        if comm.faults is not None:
-            return super().expand_many(
-                comm, groups, contributions_per_group, phase, dest_filters
-            )
+        # exchange, so build its message arrays directly.
         _validate_disjoint(groups, len(contributions_per_group))
         received: list[list[list[np.ndarray]]] = []
         srcs: list[int] = []
@@ -101,7 +96,7 @@ class DirectExpand(ExpandCollective):
         bounds = np.concatenate(([0], np.cumsum(sizes)))
         flat = np.concatenate(payloads) if payloads else np.empty(0, VERTEX_DTYPE)
         dst_arr = np.array(dsts, dtype=np.int64)
-        comm.exchange_arrays(
+        arrived = comm.exchange_arrays(
             np.array(srcs, dtype=np.int64),
             dst_arr,
             flat,
@@ -110,5 +105,18 @@ class DirectExpand(ExpandCollective):
             phase,
             participants=sorted(rank for group in groups for rank in group),
         )
+        if arrived is not None:
+            # a fault withheld chunks: hand over only the ones that arrived
+            msg, starts, stops = arrived
+            slot_of = {
+                rank: slot
+                for group, slots in zip(groups, received)
+                for rank, slot in zip(group, slots)
+            }
+            for slot in slot_of.values():
+                slot.clear()
+            for m, a, b in zip(msg.tolist(), starts.tolist(), stops.tolist()):
+                slot_of[dsts[m]].append(flat[a:b])
+            dst_arr, sizes = dst_arr[msg], stops - starts
         comm.stats.record_delivery_bulk(dst_arr, sizes, phase)
         return received

@@ -3,9 +3,12 @@
 This is the library's stand-in for an MPI communicator.  BFS drivers and
 collective algorithms talk to it exclusively through:
 
-* :meth:`Communicator.exchange` — one synchronous round of point-to-point
-  messages (payloads are int64 vertex arrays, chunked to the fixed buffer
-  capacity of Section 3.1),
+* :meth:`Communicator.exchange_arrays` / :meth:`Communicator.exchange` —
+  one synchronous round of point-to-point messages (payloads are int64
+  vertex arrays, chunked to the fixed buffer capacity of Section 3.1),
+  given as flat arrays or as an outbox dict; both run the same round, so
+  every configuration is chunked, priced, faulted, charged and traced by
+  the same code,
 * :meth:`Communicator.allreduce_sum` / :meth:`allreduce_flag` — the global
   termination check of the level-synchronous loop,
 * :meth:`Communicator.charge_compute` — local-work cost accounting.
@@ -23,8 +26,8 @@ When a :class:`~repro.faults.FaultSchedule` is attached, every wire chunk
 consults it: transient drops are retried with exponential backoff (each
 wasted transmission and timeout charges simulated *fault* time), degraded
 links multiply wire cost, and stragglers multiply compute cost.  A chunk
-that exhausts its retries is lost — the inbox never sees it — and the
-round is flagged so the BFS engine can roll the level back to its
+that exhausts its retries is lost — the round reports it, the inbox never
+sees it — and the level is flagged so the BFS engine can roll the level back to its
 checkpoint.  Without a schedule every path below is byte-identical to the
 fault-free runtime.
 
@@ -45,13 +48,12 @@ import math
 
 import numpy as np
 
-from repro.errors import CommunicationError, FaultError
+from repro.errors import BufferOverflowError, CommunicationError, FaultError
 from repro.faults import CrashEvent, FaultReport, FaultSchedule, FaultSpec
 from repro.machine.bluegene import MachineModel
 from repro.machine.mapping import TaskMapping
 from repro.observability.spans import NULL_RECORDER, ObserveSpec, SpanRecorder
 from repro.runtime.clock import SimClock
-from repro.runtime.message import chunk_payload
 from repro.runtime.network import Network
 from repro.runtime.stats import CommStats
 from repro.types import VERTEX_DTYPE, as_vertex_array
@@ -121,6 +123,9 @@ class Communicator:
         self.observe = ObserveSpec.parse(observe)
         #: span recorder — the shared no-op singleton when spans are off
         self.obs = SpanRecorder(self.clock) if self.observe.spans else NULL_RECORDER
+        #: installed :class:`~repro.runtime.trace.TraceRecorder` objects; every
+        #: round hands them its chunks
+        self.recorders: list = []
         #: per-message event capture (installed only for observe "messages"/"full")
         self.obs_trace = None
         if self.observe.messages:
@@ -141,134 +146,44 @@ class Communicator:
     ) -> Inbox:
         """Execute one synchronous round of point-to-point messages.
 
-        Every payload is chunked to ``buffer_capacity`` (each chunk is a
-        separate message paying its own latency — the cost of the paper's
-        fixed-length buffers).  Participants are barrier-synchronised after
-        the round unless ``sync=False``.
-
-        With a fault schedule attached, each chunk may be dropped and
-        retried (see the module docstring); a chunk lost for good is
-        withheld from the returned inbox and flags the current level as
-        failed.
+        The dict form of :meth:`exchange_arrays`, for callers that need an
+        inbox (generator collectives, MS-BFS): the outbox is flattened in
+        iteration order, run through the same round, and every chunk that
+        arrived is handed back under its destination.  Participants are
+        barrier-synchronised after the round unless ``sync=False``.
         """
-        obs = self.obs
-        span = obs.begin("exchange", cat="exchange", phase=phase) if obs.enabled else None
-        faults = self.faults
-        dead: frozenset[int] | None = None
-        if faults is not None:
-            self._fire_crashes("exchange")
-            if faults.dead_ranks:
-                dead = faults.dead_ranks
-        wire = self.wire
-        raw_wire = wire.name == "raw"
-        bpv = self.model.bytes_per_vertex
-        capacity = self.buffer_capacity
-        codec_seconds: np.ndarray | None = None
-        src_list: list[int] = []
-        dst_list: list[int] = []
-        nbytes_list: list[int] = []
-        plans: list[tuple[int, bool]] = []
-        inbox: Inbox = {}
-        msg_count = msg_vertices = msg_raw_bytes = msg_enc_bytes = 0
+        srcs: list[int] = []
+        dsts: list[int] = []
+        payloads: list[np.ndarray] = []
         for src, dests in outbox.items():
             self._check_rank(src)
             for dst, payload in dests.items():
                 self._check_rank(dst)
                 payload = _as_payload(payload)
-                if capacity is None:
-                    chunks = (payload,) if payload.size else ()
-                else:
-                    chunks = chunk_payload(payload, capacity)
-                for chunk in chunks:
-                    size = chunk.size
-                    raw_nbytes = size * bpv
-                    # self-sends are local hand-offs — never encoded
-                    if raw_wire or src == dst:
-                        enc_nbytes = raw_nbytes
-                    else:
-                        enc_nbytes = wire.encoded_nbytes(chunk)
-                    src_list.append(src)
-                    dst_list.append(dst)
-                    nbytes_list.append(enc_nbytes)
-                    msg_count += 1
-                    msg_vertices += size
-                    msg_raw_bytes += raw_nbytes
-                    msg_enc_bytes += enc_nbytes
-                    delivered = True
-                    if faults is not None and src != dst:
-                        transmissions, delivered = faults.transmission_plan(src, dst)
-                        plans.append((transmissions, delivered))
-                        drops = transmissions - 1 if delivered else transmissions
-                        if drops:
-                            self.stats.record_fault(drops, transmissions - 1)
-                        if not delivered:
-                            self._level_failed = True
-                    elif faults is not None:
-                        plans.append((1, True))
-                    if delivered and (
-                        dead is None or (src not in dead and dst not in dead)
-                    ):
-                        inbox.setdefault(dst, []).append((src, chunk))
-                    if not raw_wire and src != dst:
-                        if codec_seconds is None:
-                            codec_seconds = np.zeros(self.nranks, dtype=np.float64)
-                        # one encode per chunk (retransmissions reuse the
-                        # buffer); decode only where the chunk arrived
-                        codec_seconds[src] += wire.encode_seconds(chunk)
-                        if delivered:
-                            codec_seconds[dst] += wire.decode_seconds(chunk)
-        self.stats.record_message_bulk(
-            msg_count, msg_vertices, msg_raw_bytes, msg_enc_bytes, phase=phase
+                if payload.size:
+                    srcs.append(src)
+                    dsts.append(dst)
+                    payloads.append(payload)
+        bounds = np.zeros(len(payloads) + 1, dtype=np.int64)
+        np.cumsum([p.size for p in payloads], out=bounds[1:])
+        flat = np.concatenate(payloads) if payloads else np.empty(0, VERTEX_DTYPE)
+        msg, starts, stops, arrived = self._round(
+            np.array(srcs, dtype=np.int64),
+            np.array(dsts, dtype=np.int64),
+            flat,
+            bounds[:-1],
+            bounds[1:],
+            phase,
+            participants,
+            sync,
         )
-
-        count = len(src_list)
-        src_arr = np.array(src_list, dtype=np.int64)
-        dst_arr = np.array(dst_list, dtype=np.int64)
-        nbytes_arr = np.array(nbytes_list, dtype=np.int64)
-        if faults is None:
-            send_time, recv_time, _ = self.network.round_times_arrays(
-                src_arr, dst_arr, nbytes_arr
-            )
-            self.clock.advance_many(np.maximum(send_time, recv_time), kind="comm")
-        else:
-            multipliers = np.fromiter(
-                (faults.link_multiplier(s, d) for s, d in zip(src_list, dst_list)),
-                dtype=np.float64,
-                count=count,
-            )
-            send_time, recv_time, per_transfer = self.network.round_times_arrays(
-                src_arr, dst_arr, nbytes_arr, multipliers
-            )
-            fault_send = np.zeros(self.nranks, dtype=np.float64)
-            fault_recv = np.zeros(self.nranks, dtype=np.float64)
-            for src, dst, (transmissions, delivered), seconds in zip(
-                src_list, dst_list, plans, per_transfer
-            ):
-                drops = transmissions - 1 if delivered else transmissions
-                if drops == 0:
-                    continue
-                # wasted retransmissions plus the backoff timeouts that
-                # detected each loss; the first transmission is already in
-                # the base round times
-                extra = (transmissions - 1) * seconds + faults.retry_penalty(drops)
-                fault_send[src] += extra
-                fault_recv[dst] += extra
-            base = np.maximum(send_time, recv_time)
-            total = np.maximum(send_time + fault_send, recv_time + fault_recv)
-            self.clock.advance_many(base, kind="comm")
-            self.clock.advance_many(total - base, kind="fault")
-        if codec_seconds is not None and codec_seconds.any():
-            self.clock.advance_many(codec_seconds, kind="compute")
-        if sync:
-            self.barrier(participants)
-        if span is not None:
-            obs.end(
-                span,
-                messages=msg_count,
-                vertices=msg_vertices,
-                raw_bytes=msg_raw_bytes,
-                encoded_bytes=msg_enc_bytes,
-            )
+        if msg is None:
+            msg = np.arange(len(payloads))
+        if arrived is not None:
+            msg, starts, stops = msg[arrived], starts[arrived], stops[arrived]
+        inbox: Inbox = {}
+        for m, a, b in zip(msg.tolist(), starts.tolist(), stops.tolist()):
+            inbox.setdefault(dsts[m], []).append((srcs[m], flat[a:b]))
         return inbox
 
     def exchange_arrays(
@@ -282,74 +197,194 @@ class Communicator:
         participants: list[int] | None = None,
         population=None,
         pop_idx: np.ndarray | None = None,
-    ) -> None:
-        """Array form of :meth:`exchange` for batched collectives (no inbox).
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Execute one synchronous round of point-to-point messages.
 
         Message ``k`` carries ``flat[starts[k]:stops[k]]`` from ``src[k]``
         to ``dst[k]``; messages must be non-empty, in the order the
         equivalent outbox dict would iterate, with each ``(src, dst)``
-        pair appearing at most once.  With chunking, a non-raw wire codec,
-        or fault injection active, this rebuilds the outbox and defers to
-        :meth:`exchange` — the fast path below is reserved for the
-        byte-identical plain case.
+        pair appearing at most once.  Every payload is chunked to
+        ``buffer_capacity`` (each chunk is a separate message paying its
+        own latency — the cost of the paper's fixed-length buffers) and
+        participants are barrier-synchronised after the round.
+
+        With a fault schedule attached, each chunk may be dropped and
+        retried (see the module docstring); a chunk lost for good flags
+        the current level as failed.  Returns ``None`` when every chunk
+        arrived, else ``(msg, starts, stops)`` of the chunks that did:
+        chunk ``j`` is ``flat[starts[j]:stops[j]]`` of message ``msg[j]``.
 
         ``population``/``pop_idx`` forward to
         :meth:`~repro.runtime.network.Network.round_times_arrays` — the
-        prepared-pair-population contention shortcut (ignored on the
-        dict-outbox fallback, which re-analyses from scratch).
+        prepared-pair-population contention shortcut (dropped for a round
+        the buffer cap splits: its chunks repeat pairs).
         """
-        if (
-            self.faults is not None
-            or self.buffer_capacity is not None
-            or self.wire.name != "raw"
-            # an instance-level exchange override (e.g. an installed
-            # TraceRecorder) must see every message
-            or "exchange" in self.__dict__
-        ):
-            outbox: Outbox = {}
-            for k in range(src.size):
-                outbox.setdefault(int(src[k]), {})[int(dst[k])] = flat[
-                    starts[k] : stops[k]
-                ]
-            self.exchange(outbox, phase, participants)
-            return
+        msg, starts, stops, arrived = self._round(
+            src, dst, flat, starts, stops, phase, participants, True,
+            population, pop_idx,
+        )
+        if arrived is None:
+            return None
+        if msg is None:
+            msg = np.arange(src.size)
+        return msg[arrived], starts[arrived], stops[arrived]
+
+    def _round(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        flat: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        phase: str,
+        participants: list[int] | None,
+        sync: bool,
+        population=None,
+        pop_idx: np.ndarray | None = None,
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
+        """The message round behind :meth:`exchange` and :meth:`exchange_arrays`.
+
+        Each knob is a step that does nothing when the knob is off.
+        Returns the round's chunks as ``(msg, starts, stops, arrived)``:
+        ``msg[k]`` is the message chunk ``k`` was cut from (``None``: no
+        message was split, chunk ``k`` is message ``k``) and ``arrived``
+        masks the chunks that reached their destination (``None``: all).
+        """
         obs = self.obs
         span = obs.begin("exchange", cat="exchange", phase=phase) if obs.enabled else None
+        # messages are stamped with the sender's clock on entry, before a
+        # crash detection can advance it
+        stamps = self.clock.time[src] if self.recorders else None
+        faults = self.faults
+        if faults is not None:
+            self._fire_crashes("exchange")
+
+        msg = None
+        capacity = self.buffer_capacity
+        if capacity is not None:
+            if capacity < 1:
+                raise BufferOverflowError(
+                    f"buffer capacity must be positive, got {capacity}"
+                )
+            nchunks = -((starts - stops) // capacity)
+            if nchunks.sum() != src.size:
+                msg = np.repeat(np.arange(src.size), nchunks)
+                within = np.arange(msg.size) - (np.cumsum(nchunks) - nchunks)[msg]
+                starts = starts[msg] + within * capacity
+                stops = np.minimum(starts + capacity, stops[msg])
+                src, dst = src[msg], dst[msg]
+                population = pop_idx = None
+        count = src.size
         sizes = stops - starts
-        nbytes = sizes * self.model.bytes_per_vertex
-        total_bytes = int(nbytes.sum())
+        raw_nbytes = sizes * self.model.bytes_per_vertex
+
+        # one pricing call per chunk; self-sends are local hand-offs —
+        # never encoded
+        nbytes = raw_nbytes
+        wire = self.wire
+        encode_s = decode_s = None
+        if wire.name != "raw":
+            nbytes = raw_nbytes.copy()
+            encode_s = np.zeros(count, dtype=np.float64)
+            decode_s = np.zeros(count, dtype=np.float64)
+            for k, (s, d, a, b) in enumerate(
+                zip(src.tolist(), dst.tolist(), starts.tolist(), stops.tolist())
+            ):
+                if s != d:
+                    nbytes[k], encode_s[k], decode_s[k] = wire.price(flat[a:b])
+
+        # each wire chunk's fate: transmissions, final delivery, link cost
+        arrived = delivered = multipliers = None
+        if faults is not None:
+            transmissions = np.ones(count, dtype=np.int64)
+            delivered = np.ones(count, dtype=bool)
+            multipliers = np.ones(count, dtype=np.float64)
+            for k, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+                if s != d:
+                    transmissions[k], delivered[k] = faults.transmission_plan(s, d)
+                    multipliers[k] = faults.link_multiplier(s, d)
+            drops = transmissions - delivered
+            self.stats.record_fault(int(drops.sum()), int((transmissions - 1).sum()))
+            arrived = delivered
+            if not delivered.all():
+                self._level_failed = True
+            if faults.dead_ranks:
+                dead = np.fromiter(faults.dead_ranks, dtype=np.int64)
+                arrived = delivered & ~(np.isin(src, dead) | np.isin(dst, dead))
+            if arrived.all():
+                arrived = None
+
+        vertices = int(sizes.sum())
+        total_raw = int(raw_nbytes.sum())
+        total_enc = total_raw if nbytes is raw_nbytes else int(nbytes.sum())
         self.stats.record_message_bulk(
-            src.size, int(sizes.sum()), total_bytes, total_bytes, phase=phase
+            count, vertices, total_raw, total_enc, phase=phase
         )
-        send_time, recv_time, _ = self.network.round_times_arrays(
-            src, dst, nbytes, population=population, pop_idx=pop_idx
+        send_time, recv_time, per_transfer = self.network.round_times_arrays(
+            src, dst, nbytes, multipliers, population=population, pop_idx=pop_idx
         )
-        self.clock.advance_many(np.maximum(send_time, recv_time), kind="comm")
-        self.barrier(participants)
+        base = np.maximum(send_time, recv_time)
+        self.clock.advance_many(base, kind="comm")
+        if faults is not None:
+            # wasted retransmissions plus the backoff timeouts that
+            # detected each loss; the first transmission is already in the
+            # base round times
+            fault_send = np.zeros(self.nranks, dtype=np.float64)
+            fault_recv = np.zeros(self.nranks, dtype=np.float64)
+            faulty = np.flatnonzero(drops)
+            extra = (transmissions[faulty] - 1) * per_transfer[faulty] + [
+                faults.retry_penalty(n) for n in drops[faulty].tolist()
+            ]
+            np.add.at(fault_send, src[faulty], extra)
+            np.add.at(fault_recv, dst[faulty], extra)
+            total = np.maximum(send_time + fault_send, recv_time + fault_recv)
+            self.clock.advance_many(total - base, kind="fault")
+        if encode_s is not None:
+            # one encode per chunk (retransmissions reuse the buffer);
+            # decode only where the chunk was delivered.  Chunk by chunk,
+            # sender before receiver — the accumulation order per rank.
+            if delivered is not None:
+                decode_s = decode_s * delivered
+            codec_seconds = np.zeros(self.nranks, dtype=np.float64)
+            np.add.at(
+                codec_seconds,
+                np.column_stack((src, dst)).ravel(),
+                np.column_stack((encode_s, decode_s)).ravel(),
+            )
+            self.clock.advance_many(codec_seconds, kind="compute")
+        if sync:
+            self.barrier(participants)
         if span is not None:
             obs.end(
                 span,
-                messages=int(src.size),
-                vertices=int(sizes.sum()),
-                raw_bytes=total_bytes,
-                encoded_bytes=total_bytes,
+                messages=count,
+                vertices=vertices,
+                raw_bytes=total_raw,
+                encoded_bytes=total_enc,
             )
+        for recorder in self.recorders:
+            recorder.record_round(
+                stamps if msg is None else stamps[msg],
+                src, dst, sizes, raw_nbytes, nbytes, phase,
+            )
+        return msg, starts, stops, arrived
 
     def exchange_summaries(
         self,
         src: np.ndarray,
         dst: np.ndarray,
         nbytes: np.ndarray,
-        phase: str = "sieve",
+        phase: str | None = "sieve",
     ) -> None:
-        """Ship pre-sized control messages (the sieve's visited summaries).
+        """Ship pre-sized control messages (visited summaries, bitmaps).
 
         Message ``k`` carries ``nbytes[k]`` bytes from ``src[k]`` to
         ``dst[k]``.  Summaries are fixed-size bitmaps, not vertex lists:
         they bypass the wire codec (raw == encoded), carry zero frontier
         vertices, and are charged to the network and statistics under
         ``phase`` so the sieve's overhead stays visible next to the fold
-        bytes it saves.  Summaries ride the reliable control plane: fault
+        bytes it saves (``phase=None``: counted in the totals only, the
+        bottom-up bitmap rounds).  Summaries ride the reliable control plane: fault
         schedules never drop them, and because the exchange runs inside
         the retried level body, a rollback replays the broadcast against
         the restored shadows deterministically.
@@ -526,8 +561,8 @@ class Communicator:
     # ------------------------------------------------------------------ #
     # reductions (termination checks)
     # ------------------------------------------------------------------ #
-    def allreduce_sum(self, values: np.ndarray) -> float:
-        """Global sum of one scalar per rank; charges a log2(P)-deep tree.
+    def _allreduce(self, values: np.ndarray) -> np.ndarray:
+        """Validate and charge one reduction; returns the per-rank values.
 
         Reductions are assumed reliable even under fault injection (the
         real machine runs them on a dedicated collective network) —
@@ -545,7 +580,11 @@ class Communicator:
         cost = depth * self.model.message_time(1, hops=1)
         self.clock.advance_many(np.full(self.nranks, cost), kind="comm")
         self.barrier()
-        return float(values.sum())
+        return values
+
+    def allreduce_sum(self, values: np.ndarray) -> float:
+        """Global sum of one scalar per rank; charges a log2(P)-deep tree."""
+        return float(self._allreduce(values).sum())
 
     def allreduce_flag(self, flags: np.ndarray) -> bool:
         """Global logical OR of one flag per rank."""
@@ -553,17 +592,7 @@ class Communicator:
 
     def allreduce_min(self, values: np.ndarray) -> float:
         """Global minimum of one scalar per rank (same cost as a sum)."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.nranks,):
-            raise CommunicationError(
-                f"allreduce expects one value per rank ({self.nranks}), got {values.shape}"
-            )
-        self._maybe_collective_crash()
-        depth = max(1, math.ceil(math.log2(self.nranks))) if self.nranks > 1 else 0
-        cost = depth * self.model.message_time(1, hops=1)
-        self.clock.advance_many(np.full(self.nranks, cost), kind="comm")
-        self.barrier()
-        return float(values.min())
+        return float(self._allreduce(values).min())
 
     def _maybe_collective_crash(self) -> None:
         """Fire allreduce-phase crashes on the level's armed reduction."""

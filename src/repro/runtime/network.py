@@ -58,21 +58,6 @@ class PairPopulation:
     disjoint: bool
 
 
-@dataclass(frozen=True, slots=True)
-class Transfer:
-    """One point-to-point message within a round (lengths in vertices).
-
-    ``nbytes`` is the encoded on-wire size when a :mod:`repro.wire` codec
-    is in play; ``None`` means the uncompressed default
-    (``num_vertices * bytes_per_vertex``).
-    """
-
-    src: int
-    dst: int
-    num_vertices: int
-    nbytes: int | None = None
-
-
 def _dim_steps(
     a: np.ndarray, b: np.ndarray, dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -113,52 +98,6 @@ class Network:
     def hops(self, src: int, dst: int) -> int:
         """Physical hop distance between logical ranks."""
         return self.mapping.hops(src, dst)
-
-    def round_times(
-        self,
-        transfers: list[Transfer],
-        multipliers: list[float] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-rank (send_time, recv_time) for one round of ``transfers``.
-
-        ``multipliers`` (parallel to ``transfers``) scale individual
-        transfer costs — the fault layer's degraded-link / detour factors.
-        Self-sends cost nothing on the wire (they are local memcpys whose
-        processing cost is charged by the compute model).
-        """
-        send_time, recv_time, _ = self.round_times_detailed(transfers, multipliers)
-        return send_time, recv_time
-
-    def round_times_detailed(
-        self,
-        transfers: list[Transfer],
-        multipliers: list[float] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-        """Like :meth:`round_times`, plus each transfer's own seconds.
-
-        The third element is parallel to ``transfers`` (self-sends get
-        0.0) — callers use it to price retransmissions of a specific
-        transfer without re-running contention analysis.
-        """
-        if multipliers is not None and len(multipliers) != len(transfers):
-            raise ValueError("multipliers must be parallel to transfers")
-        count = len(transfers)
-        src = np.fromiter((t.src for t in transfers), dtype=np.int64, count=count)
-        dst = np.fromiter((t.dst for t in transfers), dtype=np.int64, count=count)
-        bpv = self.model.bytes_per_vertex
-        nbytes = np.fromiter(
-            (
-                t.num_vertices * bpv if t.nbytes is None else t.nbytes
-                for t in transfers
-            ),
-            dtype=np.int64,
-            count=count,
-        )
-        mult = None if multipliers is None else np.asarray(multipliers, dtype=np.float64)
-        send_time, recv_time, per_transfer = self.round_times_arrays(
-            src, dst, nbytes, mult
-        )
-        return send_time, recv_time, per_transfer.tolist()
 
     def round_times_arrays(
         self,

@@ -7,12 +7,13 @@ the aggregate counters in :class:`~repro.runtime.stats.CommStats`:
 per-rank load profiles, busiest links, phase overlap, per-link
 compression.  Export to CSV/JSON for external tooling.
 
-Events mirror the communicator's accounting one-for-one: payloads are
-chunked to the buffer capacity exactly as :meth:`Communicator.exchange`
-does, ``raw_bytes`` is ``num_vertices * bytes_per_vertex``, and
-``encoded_bytes`` is what the attached :mod:`repro.wire` codec puts on
-the wire for that chunk (equal to ``raw_bytes`` under the ``"raw"``
-codec and for self-sends, which are local hand-offs).
+Events are the communicator's own accounting: every message round hands
+its recorders the per-chunk arrays it charged — payloads already chunked
+to the buffer capacity, ``raw_bytes`` is ``num_vertices *
+bytes_per_vertex``, and ``encoded_bytes`` is what the attached
+:mod:`repro.wire` codec put on the wire for that chunk (equal to
+``raw_bytes`` under the ``"raw"`` codec and for self-sends, which are
+local hand-offs).
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from repro.runtime.message import chunk_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.comm import Communicator
@@ -49,54 +48,40 @@ class MessageEvent:
 class TraceRecorder:
     """Captures every wire message passing through one communicator.
 
-    Installed by wrapping :meth:`Communicator.exchange`; detach with
+    :meth:`install` registers the recorder with the communicator, whose
+    message round then calls :meth:`record_round`; detach with
     :meth:`uninstall`.  Usable as a context manager.
     """
 
     def __init__(self, comm: "Communicator") -> None:
         self.comm = comm
         self.events: list[MessageEvent] = []
-        self._original_exchange = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def install(self) -> "TraceRecorder":
         """Start capturing (idempotent)."""
-        if self._original_exchange is not None:
-            return self
-        original = self.comm.exchange
-
-        def traced_exchange(outbox, phase, participants=None, *, sync=True):
-            comm = self.comm
-            wire = comm.wire
-            raw_wire = wire.name == "raw"
-            bytes_per_vertex = comm.model.bytes_per_vertex
-            for src, dests in outbox.items():
-                stamp = float(comm.clock.time[src])
-                for dst, payload in dests.items():
-                    payload = np.asarray(payload)
-                    for chunk in chunk_payload(payload, comm.buffer_capacity):
-                        size = int(chunk.size)
-                        raw_nbytes = size * bytes_per_vertex
-                        if raw_wire or src == dst:
-                            enc_nbytes = raw_nbytes
-                        else:
-                            enc_nbytes = wire.encoded_nbytes(chunk)
-                        self.events.append(MessageEvent(
-                            stamp, src, dst, size, raw_nbytes, enc_nbytes, phase
-                        ))
-            return original(outbox, phase, participants, sync=sync)
-
-        self.comm.exchange = traced_exchange  # type: ignore[method-assign]
-        self._original_exchange = original
+        if self not in self.comm.recorders:
+            self.comm.recorders.append(self)
         return self
 
     def uninstall(self) -> None:
-        """Stop capturing and restore the communicator."""
-        if self._original_exchange is not None:
-            self.comm.exchange = self._original_exchange  # type: ignore[method-assign]
-            self._original_exchange = None
+        """Stop capturing."""
+        if self in self.comm.recorders:
+            self.comm.recorders.remove(self)
+
+    def record_round(
+        self, time, src, dst, num_vertices, raw_bytes, encoded_bytes, phase: str
+    ) -> None:
+        """Append one event per chunk of a round (parallel per-chunk arrays)."""
+        self.events.extend(
+            MessageEvent(*fields, phase)
+            for fields in zip(
+                time.tolist(), src.tolist(), dst.tolist(), num_vertices.tolist(),
+                raw_bytes.tolist(), encoded_bytes.tolist(),
+            )
+        )
 
     def __enter__(self) -> "TraceRecorder":
         return self.install()

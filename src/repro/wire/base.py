@@ -12,9 +12,9 @@ describes.
 Codecs are consulted in two places:
 
 * the **simulated** runtime (:class:`~repro.runtime.comm.Communicator`)
-  charges the network for :meth:`WireCodec.encoded_nbytes` instead of
-  ``num_vertices * bytes_per_vertex``, plus a calibrated per-vertex
-  encode/decode CPU cost on the clock;
+  asks :meth:`WireCodec.price` once per chunk and charges the network for
+  the encoded bytes instead of ``num_vertices * bytes_per_vertex``, plus
+  the calibrated per-vertex encode/decode CPU cost on the clock;
 * the **SPMD** multiprocessing backend round-trips real encoded buffers
   (:meth:`encode` on send, :meth:`decode` on receive), so every codec is
   exercised under true parallelism.
@@ -76,6 +76,20 @@ class WireCodec(abc.ABC):
     def decode_seconds(self, payload: np.ndarray) -> float:
         """Simulated receiver-side CPU seconds to decode ``payload``."""
         return self.decode_cost_per_vertex * int(np.size(payload))
+
+    def price(self, payload: np.ndarray) -> tuple[int, float, float]:
+        """``(encoded bytes, encode seconds, decode seconds)`` of ``payload``.
+
+        Everything the simulated runtime needs to know about a chunk, in
+        the one call it makes per chunk — codecs that must inspect the
+        payload to answer (:class:`~repro.wire.codecs.AdaptiveCodec`)
+        override it to inspect once.
+        """
+        return (
+            self.encoded_nbytes(payload),
+            self.encode_seconds(payload),
+            self.decode_seconds(payload),
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -250,18 +250,20 @@ class AdaptiveCodec(WireCodec):
         self._varint = DeltaVarintCodec()
         self._bitmap = BitmapCodec()
 
-    def _choose(self, payload: np.ndarray) -> WireCodec:
-        if not _is_bitmap_eligible(payload):
-            return self._varint
-        if self._bitmap.encoded_nbytes(payload) < self._varint.encoded_nbytes(payload):
-            return self._bitmap
-        return self._varint
+    def _choose(self, payload: np.ndarray) -> tuple[WireCodec, int]:
+        """The inner codec that ships ``payload`` and its encoded size."""
+        varint = self._varint.encoded_nbytes(payload)
+        if _is_bitmap_eligible(payload):
+            bitmap = self._bitmap.encoded_nbytes(payload)
+            if bitmap < varint:
+                return self._bitmap, bitmap
+        return self._varint, varint
 
     def encode(self, payload: np.ndarray) -> bytes:
         payload = as_vertex_array(payload)
         if payload.size == 0:
             return b""
-        codec = self._choose(payload)
+        codec, _ = self._choose(payload)
         tag = _ADAPTIVE_BITMAP_TAG if codec is self._bitmap else _ADAPTIVE_VARINT_TAG
         return bytes([tag]) + codec.encode(payload)
 
@@ -275,13 +277,21 @@ class AdaptiveCodec(WireCodec):
         raise CodecError(f"unknown adaptive-codec tag byte {data[0]}")
 
     def encoded_nbytes(self, payload: np.ndarray) -> int:
-        payload = as_vertex_array(payload)
-        if payload.size == 0:
-            return 0
-        return 1 + self._choose(payload).encoded_nbytes(payload)
+        return self.price(payload)[0]
 
     def encode_seconds(self, payload: np.ndarray) -> float:
-        return self._choose(as_vertex_array(payload)).encode_seconds(payload)
+        return self.price(payload)[1]
 
     def decode_seconds(self, payload: np.ndarray) -> float:
-        return self._choose(as_vertex_array(payload)).decode_seconds(payload)
+        return self.price(payload)[2]
+
+    def price(self, payload: np.ndarray) -> tuple[int, float, float]:
+        payload = as_vertex_array(payload)
+        if payload.size == 0:
+            return 0, 0.0, 0.0
+        codec, nbytes = self._choose(payload)
+        return (
+            1 + nbytes,
+            codec.encode_seconds(payload),
+            codec.decode_seconds(payload),
+        )

@@ -83,15 +83,15 @@ def test_clock_decomposes_exactly(size, seed):
 @SLOW
 def test_contention_is_monotone_in_load(seed, scale):
     """Adding more traffic over the same link never reduces anyone's time."""
-    from repro.runtime.network import Network, Transfer
+    from repro.runtime.network import Network
 
     grid = GridShape(1, 4)
     net = Network(row_major_mapping(grid, Torus3D(4, 1, 1)), BLUEGENE_L)
     rng = np.random.default_rng(seed)
-    base = [Transfer(0, 1, int(rng.integers(1, 10_000)))]
-    extra = base + [Transfer(0, 1, int(rng.integers(1, 10_000))) for _ in range(scale)]
-    base_send, _ = net.round_times(base)
-    extra_send, _ = net.round_times(extra)
+    nbytes = rng.integers(1, 10_000, size=1 + scale) * BLUEGENE_L.bytes_per_vertex
+    src = np.zeros(1 + scale, dtype=np.int64)
+    base_send, _, _ = net.round_times_arrays(src[:1], src[:1] + 1, nbytes[:1])
+    extra_send, _, _ = net.round_times_arrays(src, src + 1, nbytes)
     assert extra_send[0] >= base_send[0]
 
 

@@ -13,7 +13,7 @@ from repro.graph.csr import CsrGraph
 from repro.machine.bluegene import BLUEGENE_L
 from repro.machine.cluster import flat_network_for
 from repro.runtime.comm import Communicator
-from repro.runtime.network import Network, Transfer
+from repro.runtime.network import Network
 from repro.types import GridShape, UNREACHED
 
 
@@ -57,7 +57,9 @@ class TestCommunicatorEdges:
 class TestNetworkEdges:
     def test_empty_round_times(self):
         net = Network(flat_network_for(GridShape(1, 2)), BLUEGENE_L)
-        send, recv = net.round_times([])
+        empty = np.empty(0, dtype=np.int64)
+        send, recv, per_transfer = net.round_times_arrays(empty, empty, empty)
+        assert per_transfer.size == 0
         assert send.sum() == 0 and recv.sum() == 0
 
     def test_route_cache_consistency(self):
@@ -68,7 +70,9 @@ class TestNetworkEdges:
 
     def test_zero_length_transfer_still_pays_latency(self):
         net = Network(flat_network_for(GridShape(1, 2)), BLUEGENE_L)
-        send, _ = net.round_times([Transfer(0, 1, 0)])
+        send, _, _ = net.round_times_arrays(
+            np.array([0]), np.array([1]), np.array([0])
+        )
         assert send[0] >= BLUEGENE_L.alpha
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BufferOverflowError, CommunicationError
+from repro.faults import FaultSpec
 from repro.machine.bluegene import BLUEGENE_L
 from repro.machine.cluster import flat_network_for
 from repro.machine.mapping import row_major_mapping
@@ -13,9 +14,11 @@ from repro.machine.torus import Torus3D
 from repro.runtime.clock import SimClock
 from repro.runtime.comm import Communicator
 from repro.runtime.message import MessageBuffer, chunk_payload
-from repro.runtime.network import Network, Transfer
+from repro.runtime.network import Network
 from repro.runtime.stats import CommStats
+from repro.runtime.trace import TraceRecorder
 from repro.types import GridShape
+from repro.wire import get_codec
 
 
 def make_comm(p: int = 4, buffer_capacity=None) -> Communicator:
@@ -106,18 +109,27 @@ class TestMessageBuffers:
             buf.append(np.array([1, 2, 3]))
 
 
+def round_times(net: Network, *transfers: tuple[int, int, int]):
+    """Per-rank (send, recv) times of one round of (src, dst, vertices) transfers."""
+    src, dst, vertices = np.array(transfers, dtype=np.int64).T
+    send, recv, _ = net.round_times_arrays(
+        src, dst, vertices * BLUEGENE_L.bytes_per_vertex
+    )
+    return send, recv
+
+
 class TestNetwork:
     def test_self_send_free(self):
         grid = GridShape(1, 2)
         net = Network(flat_network_for(grid), BLUEGENE_L)
-        send, recv = net.round_times([Transfer(0, 0, 100)])
+        send, recv = round_times(net, (0, 0, 100))
         assert send.sum() == 0 and recv.sum() == 0
 
     def test_longer_messages_cost_more(self):
         grid = GridShape(1, 2)
         net = Network(flat_network_for(grid), BLUEGENE_L)
-        s1, _ = net.round_times([Transfer(0, 1, 10)])
-        s2, _ = net.round_times([Transfer(0, 1, 10_000)])
+        s1, _ = round_times(net, (0, 1, 10))
+        s2, _ = round_times(net, (0, 1, 10_000))
         assert s2[0] > s1[0]
 
     def test_contention_on_shared_link(self):
@@ -125,11 +137,11 @@ class TestNetwork:
         grid = GridShape(1, 3)
         mapping = row_major_mapping(grid, Torus3D(3, 1, 1))
         net = Network(mapping, BLUEGENE_L)
-        lone, _ = net.round_times([Transfer(0, 1, 50_000)])
+        lone, _ = round_times(net, (0, 1, 50_000))
         # 0->2 routes through node 1 on a 3-ring? No: wrap 0->2 is one hop.
         # Use 0->1 and 0->1-style overlap instead: both 0->1 and 2->1 share
         # no link, so use two transfers over the same directed link 0->1.
-        shared, _ = net.round_times([Transfer(0, 1, 50_000), Transfer(0, 1, 50_000)])
+        shared, _ = round_times(net, (0, 1, 50_000), (0, 1, 50_000))
         assert shared[0] > lone[0] * 1.5
 
     def test_hops_reflected(self):
@@ -137,8 +149,8 @@ class TestNetwork:
         mapping = row_major_mapping(grid, Torus3D(8, 1, 1))
         net = Network(mapping, BLUEGENE_L)
         assert net.hops(0, 4) == 4
-        near, _ = net.round_times([Transfer(0, 1, 0)])
-        far, _ = net.round_times([Transfer(0, 4, 0)])
+        near, _ = round_times(net, (0, 1, 0))
+        far, _ = round_times(net, (0, 4, 0))
         assert far[0] > near[0]
 
 
@@ -203,6 +215,159 @@ class TestCommunicator:
         inbox = comm.exchange({0: {1: np.array([], dtype=np.int64)}}, "fold")
         assert 1 not in inbox
         assert comm.stats.total_messages == 0
+
+
+DROP_HEAVY = "drop=0.45,retries=1,degrade=0.3x3,seed=5"
+
+
+def torus_comm(**knobs) -> Communicator:
+    grid = GridShape(2, 4)
+    return Communicator(row_major_mapping(grid, Torus3D(2, 2, 2)), BLUEGENE_L, **knobs)
+
+
+def random_round(rng, nranks: int = 8):
+    """One round's messages in outbox order: (src, dst, sorted unique ids),
+    each (src, dst) pair at most once, a self-send among them."""
+    pairs = [(s, d) for s in range(nranks) for d in range(nranks) if rng.random() < 0.3]
+    pairs.append((nranks - 1, nranks - 1))
+    return [
+        (s, d, np.unique(rng.integers(0, 400, size=rng.integers(1, 40))))
+        for s, d in sorted(set(pairs))
+    ]
+
+
+def as_arrays(messages):
+    src = np.array([s for s, _d, _p in messages], dtype=np.int64)
+    dst = np.array([d for _s, d, _p in messages], dtype=np.int64)
+    bounds = np.concatenate(([0], np.cumsum([p.size for _s, _d, p in messages])))
+    flat = np.concatenate([p for _s, _d, p in messages])
+    return src, dst, flat, bounds[:-1], bounds[1:]
+
+
+def stats_fields(stats: CommStats) -> dict:
+    fields = {k: v for k, v in vars(stats).items() if k != "recv_by_rank"}
+    fields["recv_by_rank"] = {k: v.tolist() for k, v in stats.recv_by_rank.items()}
+    return fields
+
+
+class TestOneRound:
+    """`exchange` and `exchange_arrays` are two entries to one round."""
+
+    @pytest.mark.parametrize("observe", ["off", "messages"])
+    @pytest.mark.parametrize("capacity", [None, 7])
+    @pytest.mark.parametrize("faults", [None, "mild", DROP_HEAVY])
+    @pytest.mark.parametrize("wire", ["raw", "delta-varint", "bitmap", "adaptive"])
+    def test_dict_and_array_forms_agree(self, wire, faults, capacity, observe):
+        def fresh():
+            return torus_comm(
+                wire=wire, faults=faults and FaultSpec.parse(faults),
+                buffer_capacity=capacity, observe=observe,
+            )
+
+        by_dict, by_arrays = fresh(), fresh()
+        rng = np.random.default_rng(11)
+        lost = 0
+        for level in range(4):
+            by_dict.begin_level(level)
+            by_arrays.begin_level(level)
+            messages = random_round(rng)
+            outbox: dict = {}
+            for s, d, payload in messages:
+                outbox.setdefault(s, {})[d] = payload
+            inbox = by_dict.exchange(outbox, "fold")
+            src, dst, flat, starts, stops = as_arrays(messages)
+            arrived = by_arrays.exchange_arrays(src, dst, flat, starts, stops, "fold")
+            # the chunks the dict form would have to deliver, cut here by
+            # hand, less the ones the array form reports lost
+            step = capacity or flat.size
+            chunks = [
+                (m, a, min(a + step, int(stops[m])))
+                for m in range(src.size)
+                for a in range(int(starts[m]), int(stops[m]), step)
+            ]
+            if arrived is not None:
+                reported = list(zip(*(col.tolist() for col in arrived)))
+                assert len(reported) < len(chunks)
+                kept = set(reported)
+                lost += len(chunks) - len(reported)
+                chunks = [c for c in chunks if c in kept]
+                assert reported == chunks
+            expected: dict = {}
+            for m, a, b in chunks:
+                expected.setdefault(int(dst[m]), []).append(
+                    (int(src[m]), flat[a:b].tolist())
+                )
+            got = {
+                d: [(s, chunk.tolist()) for s, chunk in items]
+                for d, items in inbox.items()
+            }
+            assert got == expected
+            assert list(got) == list(expected)
+            assert by_dict.consume_level_failure() == by_arrays.consume_level_failure()
+            by_dict.stats.end_level(0)
+            by_arrays.stats.end_level(0)
+        assert (lost > 0) == (faults == DROP_HEAVY)
+        for bucket in ("time", "comm_time", "compute_time", "fault_time"):
+            a, b = getattr(by_dict.clock, bucket), getattr(by_arrays.clock, bucket)
+            assert a.tobytes() == b.tobytes(), bucket
+        assert by_dict.clock.elapsed > 0
+        assert stats_fields(by_dict.stats) == stats_fields(by_arrays.stats)
+        assert by_dict.fault_report() == by_arrays.fault_report()
+        if observe == "messages":
+            events = by_dict.obs_trace.events
+            assert events == by_arrays.obs_trace.events
+            assert len(events) == by_dict.stats.total_messages
+            assert sum(e.encoded_bytes for e in events) == by_dict.stats.total_encoded_bytes
+
+    @pytest.mark.parametrize("capacity", [None, 7])
+    @pytest.mark.parametrize(
+        "name, sizing", [("delta-varint", "encoded_nbytes"), ("adaptive", "_choose")]
+    )
+    def test_each_chunk_is_priced_once(self, name, sizing, capacity):
+        """One `price` call per wire chunk, which sizes the payload once."""
+        calls = {"price": 0, sizing: 0}
+
+        def counted(method):
+            def wrapper(self, payload):
+                calls[method] += 1
+                return getattr(base, method)(self, payload)
+
+            return wrapper
+
+        base = type(get_codec(name))
+        counting = type("Counting", (base,), {m: counted(m) for m in calls})
+        comm = torus_comm(
+            wire=counting(), buffer_capacity=capacity, observe="messages",
+            faults=FaultSpec.parse("mild"),
+        )
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            comm.exchange_arrays(*as_arrays(random_round(rng)), "fold")
+        wire_chunks = sum(e.src != e.dst for e in comm.obs_trace.events)
+        assert wire_chunks > 0
+        assert calls == {"price": wire_chunks, sizing: wire_chunks}
+
+    def test_recorder_registers_without_patching(self):
+        comm = torus_comm()
+        before = set(vars(comm))
+        recorder = TraceRecorder(comm).install()
+        assert recorder.install() is recorder  # idempotent
+        assert set(vars(comm)) == before and "exchange" not in vars(comm)
+        rng = np.random.default_rng(5)
+        messages = random_round(rng)
+        comm.exchange_arrays(*as_arrays(messages), "expand")
+        assert [(e.src, e.dst, e.num_vertices, e.phase) for e in recorder.events] == [
+            (s, d, p.size, "expand") for s, d, p in messages
+        ]
+        recorder.uninstall()
+        recorder.uninstall()
+        comm.exchange_arrays(*as_arrays(messages), "expand")
+        assert len(recorder.events) == len(messages)
+
+    def test_bad_capacity_rejected(self):
+        comm = make_comm(2, buffer_capacity=0)
+        with pytest.raises(BufferOverflowError):
+            comm.exchange({0: {1: np.arange(3)}}, "fold")
 
 
 class TestCommStats:
