@@ -9,8 +9,8 @@ part in the fold collective, which is exactly the scalability weakness the
 
 The per-level work of all P virtual ranks is executed as batched NumPy
 kernels over the pooled frontier CSR: one gather over the concatenated
-frontiers, one segmented unique for the per-rank neighbour sets, one
-segmented pass of the pooled sent cache, and one owner bincount that
+frontiers, one slot-space pass of the pooled sent cache for the per-rank
+neighbour sets and the sent filter, and one owner bincount that
 feeds the fold's CSR driver directly — numerically identical to looping
 over ranks, but with per-level cost proportional to the touched data,
 not to P.
@@ -31,7 +31,6 @@ from repro.partition.indexing import VertexIndexMap
 from repro.partition.one_d import OneDPartition
 from repro.runtime.comm import Communicator
 from repro.types import VERTEX_DTYPE
-from repro.utils.segmented import segmented_unique
 
 
 class Bfs1DEngine(LevelSyncEngine):
@@ -92,6 +91,9 @@ class Bfs1DEngine(LevelSyncEngine):
             if adjacency_parts
             else np.empty(0, dtype=VERTEX_DTYPE)
         )
+        #: sent-pool slot of every entry of ``_cat_adjacency``: discovery
+        #: dedups and filters in slot space, never on global ids
+        self._adjacency_slots = self._sent_pool.entry_slots(adjacency_parts)
 
     # ------------------------------------------------------------------ #
     # layout hooks
@@ -140,41 +142,46 @@ class Bfs1DEngine(LevelSyncEngine):
     # ------------------------------------------------------------------ #
     # one level (Algorithm 1, steps 7-16)
     # ------------------------------------------------------------------ #
+    def _gather_slots(
+        self, frontier_flat: np.ndarray, frontier_bounds: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Steps 7-10's lookup: the frontiers' edge lists, as pool slots.
+
+        One CSR gather over the concatenated frontiers.  Returns
+        ``(slots, raw_sizes, lengths)``: ``lengths`` is each frontier
+        vertex's degree (how many of ``slots`` it contributed) and
+        ``raw_sizes`` the per-rank edge count — the running sum of
+        lengths cut at the frontier's rank bounds.
+        """
+        starts = self._cat_indptr[frontier_flat]
+        lengths = self._cat_indptr[frontier_flat + 1] - starts
+        out_offsets = np.concatenate(([0], np.cumsum(lengths)))
+        gather = np.arange(out_offsets[-1], dtype=np.int64)
+        gather += np.repeat(starts - out_offsets[:-1], lengths)
+        return (
+            self._adjacency_slots[gather],
+            np.diff(out_offsets[frontier_bounds]),
+            lengths,
+        )
+
     def _expand_level(self) -> tuple[np.ndarray, np.ndarray]:
         nranks = self.comm.nranks
-        n = self.n
         obs = self.comm.obs
         offsets = self.partition.dist.offsets
 
         # Steps 7-10: local discovery — one CSR gather over the concatenated
-        # frontiers, one segmented unique, then owner bucketing.
+        # frontiers, one slot-space dedup + sent filter, then owner bucketing.
         discover_span = obs.begin("compute", cat="phase") if obs.enabled else None
-        fsizes = np.diff(self._frontier_bounds)
-        frontier_cat = self._frontier_flat
-        starts = self._cat_indptr[frontier_cat]
-        lengths = self._cat_indptr[frontier_cat + 1] - starts
-        total = int(lengths.sum())
-        if total:
-            out_offsets = np.concatenate(([0], np.cumsum(lengths)))
-            gather = np.arange(total, dtype=np.int64)
-            gather += np.repeat(starts - out_offsets[:-1], lengths)
-            raw = self._cat_adjacency[gather]
-            raw_segs = np.repeat(
-                np.repeat(np.arange(nranks, dtype=np.int64), fsizes), lengths
-            )
-        else:
-            raw = np.empty(0, dtype=VERTEX_DTYPE)
-            raw_segs = np.empty(0, dtype=np.int64)
-        raw_sizes = np.bincount(raw_segs, minlength=nranks)
+        slots, raw_sizes, _ = self._gather_slots(
+            self._frontier_flat, self._frontier_bounds
+        )
         self.comm.charge_compute_many(edges_scanned=raw_sizes, hash_lookups=raw_sizes)
-        uniq_flat, uniq_bounds, _, _ = segmented_unique(raw, raw_segs, nranks, n)
-        if self.opts.use_sent_cache:
-            self.comm.charge_compute_many(hash_lookups=np.diff(uniq_bounds))
-            send_flat, send_bounds = self._sent_pool.filter_unsent_segmented(
-                uniq_flat, uniq_bounds
-            )
-        else:
-            send_flat, send_bounds = uniq_flat, uniq_bounds
+        filter_sent = self.opts.use_sent_cache
+        send_flat, send_bounds, uniq_sizes = self._sent_pool.discover(
+            slots, filter_sent=filter_sent
+        )
+        if filter_sent:
+            self.comm.charge_compute_many(hash_lookups=uniq_sizes)
         csr_fold = self._fold.supports_csr
         if csr_fold:
             # Owners are monotone in vertex id (block distribution); the

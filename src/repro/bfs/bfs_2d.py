@@ -119,6 +119,9 @@ class Bfs2DEngine(LevelSyncEngine):
         self._col_starts = np.concatenate(start_parts)
         self._col_stops = np.concatenate(stop_parts)
         self._rows_cat = np.concatenate(row_parts)
+        #: sent-pool slot of every entry of ``_rows_cat``: discovery
+        #: dedups and filters in slot space, never on global ids
+        self._row_slots = self._sent_pool.entry_slots(row_parts)
         #: pre-routed expand pair population (direct fast path only):
         #: every (owner, holder) wire pair any expand round can use, keyed
         #: like the direct step's messages so a searchsorted indexes it
@@ -465,8 +468,9 @@ class Bfs2DEngine(LevelSyncEngine):
             )
         self.comm.stats.record_delivery_bulk(msg_dst, msg_sizes, "expand")
 
-        inc_sizes = np.zeros(nranks, dtype=np.int64)
-        np.add.at(inc_sizes, msg_dst, msg_sizes)
+        inc_sizes = np.bincount(
+            msg_dst, weights=msg_sizes, minlength=nranks
+        ).astype(np.int64)
         self.comm.charge_compute_many(hash_lookups=inc_sizes)
         with_inc = np.flatnonzero(inc_sizes)
         if with_inc.size == 0:
@@ -490,18 +494,21 @@ class Bfs2DEngine(LevelSyncEngine):
         idx += np.repeat(sel_starts - out_bounds[:-1], sel_sizes)
         return bank[idx], out_bounds
 
-    def _discover_step(
+    def _gather_slots(
         self, fbar_flat: np.ndarray, fbar_bounds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Step 12: merge partial edge lists; returns fold candidates as CSR."""
-        nranks = self.comm.nranks
-        n = self.n
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Step 12's lookup: the partial edge lists of F-bar, as pool slots.
 
-        # One keyed lookup into the concatenated column-CSR resolves every
-        # rank's partial edge lists; one gather merges them.
-        fb_sizes = np.diff(fbar_bounds)
-        qsegs = np.repeat(np.arange(nranks, dtype=np.int64), fb_sizes)
-        qkeys = qsegs * n + fbar_flat
+        One keyed lookup into the concatenated column-CSR resolves every
+        rank's partial edge lists; one gather reads their entries' slots.
+        Returns ``(slots, raw_sizes, hit, lengths)``: ``hit`` marks the
+        F-bar entries holding a partial list here, ``lengths`` (parallel
+        to the hits) is how many of ``slots`` each contributed, and
+        ``raw_sizes`` is the per-rank edge count.
+        """
+        nranks = self.comm.nranks
+        qsegs = np.repeat(np.arange(nranks, dtype=np.int64), np.diff(fbar_bounds))
+        qkeys = qsegs * self.n + fbar_flat
         pos = np.searchsorted(self._col_keys, qkeys)
         pos_c = np.minimum(pos, max(self._col_keys.size - 1, 0))
         hit = (
@@ -511,25 +518,35 @@ class Bfs2DEngine(LevelSyncEngine):
         )
         starts = self._col_starts[pos_c[hit]]
         lengths = self._col_stops[pos_c[hit]] - starts
-        total = int(lengths.sum())
-        if total:
-            out_offsets = np.concatenate(([0], np.cumsum(lengths)))
-            gather = np.arange(total, dtype=np.int64)
-            gather += np.repeat(starts - out_offsets[:-1], lengths)
-            raw = self._rows_cat[gather]
-            raw_segs = np.repeat(qsegs[hit], lengths)
-        else:
-            raw = np.empty(0, dtype=VERTEX_DTYPE)
-            raw_segs = np.empty(0, dtype=np.int64)
-        raw_sizes = np.bincount(raw_segs, minlength=nranks)
-        self.comm.charge_compute_many(
-            edges_scanned=raw_sizes, hash_lookups=raw_sizes + fb_sizes
+        out_offsets = np.concatenate(([0], np.cumsum(lengths)))
+        gather = np.arange(out_offsets[-1], dtype=np.int64)
+        gather += np.repeat(starts - out_offsets[:-1], lengths)
+        # Per-rank edge counts: the running sum of lengths cut where the
+        # hit list changes rank.
+        hit_bounds = np.concatenate(([0], np.cumsum(hit)))[fbar_bounds]
+        return (
+            self._row_slots[gather],
+            np.diff(out_offsets[hit_bounds]),
+            hit,
+            lengths,
         )
-        uniq_flat, uniq_bounds, _, _ = segmented_unique(raw, raw_segs, nranks, n)
-        if self.opts.use_sent_cache:
-            self.comm.charge_compute_many(hash_lookups=np.diff(uniq_bounds))
-            return self._sent_pool.filter_unsent_segmented(uniq_flat, uniq_bounds)
-        return uniq_flat, uniq_bounds
+
+    def _discover_step(
+        self, fbar_flat: np.ndarray, fbar_bounds: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Step 12: merge partial edge lists; returns fold candidates as CSR."""
+        slots, raw_sizes, _, _ = self._gather_slots(fbar_flat, fbar_bounds)
+        self.comm.charge_compute_many(
+            edges_scanned=raw_sizes,
+            hash_lookups=raw_sizes + np.diff(fbar_bounds),
+        )
+        filter_sent = self.opts.use_sent_cache
+        send_flat, send_bounds, uniq_sizes = self._sent_pool.discover(
+            slots, filter_sent=filter_sent
+        )
+        if filter_sent:
+            self.comm.charge_compute_many(hash_lookups=uniq_sizes)
+        return send_flat, send_bounds
 
     def _fold_step(
         self, send_flat: np.ndarray, send_bounds: np.ndarray

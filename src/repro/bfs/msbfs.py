@@ -568,36 +568,13 @@ class _MsBfsRun:
 
         # --- discover: one keyed lookup into the concatenated column-CSR
         with obs.span("compute", cat="phase"):
-            fb_sizes = np.diff(fb_bounds)
-            qsegs = np.repeat(np.arange(nranks, dtype=np.int64), fb_sizes)
-            qkeys = qsegs * n + fb_v
-            pos = np.searchsorted(engine._col_keys, qkeys)
-            pos_c = np.minimum(pos, max(engine._col_keys.size - 1, 0))
-            hit = (
-                engine._col_keys[pos_c] == qkeys
-                if engine._col_keys.size
-                else np.zeros(qkeys.shape, dtype=bool)
-            )
-            starts = engine._col_starts[pos_c[hit]]
-            lengths = engine._col_stops[pos_c[hit]] - starts
-            total = int(lengths.sum())
-            if total:
-                out_offsets = np.concatenate(([0], np.cumsum(lengths)))
-                gather = np.arange(total, dtype=np.int64)
-                gather += np.repeat(starts - out_offsets[:-1], lengths)
-                raw_v = engine._rows_cat[gather]
-                raw_m = np.repeat(fb_m[hit], lengths)
-                raw_segs = np.repeat(qsegs[hit], lengths)
-            else:
-                raw_v = np.empty(0, dtype=VERTEX_DTYPE)
-                raw_m = np.empty(0, dtype=MASK_DTYPE)
-                raw_segs = np.empty(0, dtype=np.int64)
-            raw_sizes = np.bincount(raw_segs, minlength=nranks)
+            slots, raw_sizes, hit, lengths = engine._gather_slots(fb_v, fb_bounds)
             comm.charge_compute_many(
-                edges_scanned=raw_sizes, hash_lookups=raw_sizes + fb_sizes
+                edges_scanned=raw_sizes,
+                hash_lookups=raw_sizes + np.diff(fb_bounds),
             )
-            nb_v, nb_m, nb_bounds = _or_reduce_segmented(
-                raw_v, raw_m, raw_segs, nranks, n
+            nb_v, nb_m, nb_bounds = engine._sent_pool.discover_masks(
+                slots, np.repeat(fb_m[hit], lengths)
             )
 
             # --- bucket by processor-row member (mesh column owner blocks)
@@ -634,36 +611,20 @@ class _MsBfsRun:
     def _level_1d(self, frontier, seen, levels, t):
         engine = self.engine
         comm = self.comm
-        nranks, n = self.nranks, self.n
+        nranks = self.nranks
         obs = comm.obs
         offsets = engine.partition.dist.offsets
 
         with obs.span("compute", cat="phase"):
             parts_v = [frontier[r][0] for r in range(nranks)]
             parts_m = [frontier[r][1] for r in range(nranks)]
-            fsizes = np.array([p.size for p in parts_v], dtype=np.int64)
-            f_v = np.concatenate(parts_v)
-            f_m = np.concatenate(parts_m)
-            starts = engine._cat_indptr[f_v]
-            lengths = engine._cat_indptr[f_v + 1] - starts
-            total = int(lengths.sum())
-            if total:
-                out_offsets = np.concatenate(([0], np.cumsum(lengths)))
-                gather = np.arange(total, dtype=np.int64)
-                gather += np.repeat(starts - out_offsets[:-1], lengths)
-                raw_v = engine._cat_adjacency[gather]
-                raw_m = np.repeat(f_m, lengths)
-                raw_segs = np.repeat(
-                    np.repeat(np.arange(nranks, dtype=np.int64), fsizes), lengths
-                )
-            else:
-                raw_v = np.empty(0, dtype=VERTEX_DTYPE)
-                raw_m = np.empty(0, dtype=MASK_DTYPE)
-                raw_segs = np.empty(0, dtype=np.int64)
-            raw_sizes = np.bincount(raw_segs, minlength=nranks)
+            f_bounds = np.concatenate(([0], np.cumsum([p.size for p in parts_v])))
+            slots, raw_sizes, lengths = engine._gather_slots(
+                np.concatenate(parts_v), f_bounds
+            )
             comm.charge_compute_many(edges_scanned=raw_sizes, hash_lookups=raw_sizes)
-            nb_v, nb_m, nb_bounds = _or_reduce_segmented(
-                raw_v, raw_m, raw_segs, nranks, n
+            nb_v, nb_m, nb_bounds = engine._sent_pool.discover_masks(
+                slots, np.repeat(np.concatenate(parts_m), lengths)
             )
 
             vert_out: dict[int, dict[int, np.ndarray]] = {}

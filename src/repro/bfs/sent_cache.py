@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.partition.indexing import VertexIndexMap
-from repro.types import as_vertex_array
+from repro.types import VERTEX_DTYPE, as_vertex_array
 
 
 class SentCache:
@@ -71,30 +71,34 @@ class PooledSentCache:
     """All P ranks' sent filters in one flat bitset over pooled universes.
 
     Semantically identical to a list of per-rank :class:`SentCache`
-    objects, but the flags live in a single array and the per-level
-    filter runs as one segmented kernel over every rank's candidates at
-    once — per-level cost scales with the candidates (active ranks),
-    never with P.  Universes are immutable, so one pool serves every
-    search of an engine's lifetime; :meth:`reset` rewinds it per run.
+    objects, but the flags live in a single array whose index — the
+    *slot* — is the address space of discovery (Section 2.4.2's local
+    index).  Slots are ordered by ``(rank, vertex)``, so the distinct
+    slots a level touches, read off a flag array in index order, *are*
+    every rank's sorted duplicate-free neighbour set: :meth:`discover`
+    needs no sort and no search, and costs O(edges gathered + slots).
+    Universes are immutable, so one pool serves every search of an
+    engine's lifetime; :meth:`reset` rewinds it per run.
     """
 
-    __slots__ = ("_universes", "_keys", "bounds", "_sent", "_nranks", "_domain")
+    __slots__ = ("_universes", "_domain", "bounds", "vertex", "_sent", "_mark", "_acc")
 
     def __init__(self, universes: list[VertexIndexMap], domain: int) -> None:
         self._universes = universes
-        self._nranks = len(universes)
         self._domain = int(domain)
         sizes = np.array([len(u) for u in universes], dtype=np.int64)
         #: per-rank slice bounds into the pooled flag array
         self.bounds = np.concatenate(([0], np.cumsum(sizes)))
-        self._keys = (
-            np.concatenate(
-                [r * self._domain + u.ids for r, u in enumerate(universes)]
-            )
+        #: slot -> global vertex id (each rank's sorted universe, in rank order)
+        self.vertex = (
+            np.concatenate([u.ids for u in universes])
             if universes
-            else np.empty(0, dtype=np.int64)
+            else np.empty(0, dtype=VERTEX_DTYPE)
         )
-        self._sent = np.zeros(self._keys.size, dtype=bool)
+        self._sent = np.zeros(self.vertex.size, dtype=bool)
+        # scratch of the discover kernel; all-clear between calls
+        self._mark = np.zeros(self.vertex.size, dtype=bool)
+        self._acc: np.ndarray | None = None
 
     def view(self, rank: int) -> SentCache:
         """A :class:`SentCache` aliasing rank ``rank``'s slice of the pool."""
@@ -103,27 +107,73 @@ class PooledSentCache:
         cache._sent = self._sent[self.bounds[rank] : self.bounds[rank + 1]]
         return cache
 
-    def filter_unsent_segmented(
-        self, flat: np.ndarray, bounds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-rank ``filter_unsent`` over CSR-packed candidates.
+    def entry_slots(self, entries: list[np.ndarray]) -> np.ndarray:
+        """Slots of every rank's adjacency entries, concatenated in rank order.
 
-        Segment ``r`` of ``(flat, bounds)`` holds rank ``r``'s sorted
-        duplicate-free candidates, all drawn from its universe.  Returns
-        the not-yet-sent subset in the same CSR form and marks it sent —
-        element-for-element what P per-rank :meth:`SentCache.filter_unsent`
-        calls produce.
+        ``entries[r]`` holds rank ``r``'s stored neighbour ids (duplicates
+        and any order allowed), all drawn from its universe.  Built once
+        per engine: one dense global→local table is refilled per rank, so
+        the cost is O(entries + slots) with no search.
         """
-        if flat.size == 0:
-            return flat, np.zeros(self._nranks + 1, dtype=np.int64)
-        segs = np.repeat(
-            np.arange(self._nranks, dtype=np.int64), np.diff(bounds)
-        )
-        pos = np.searchsorted(self._keys, segs * self._domain + flat)
-        fresh_mask = ~self._sent[pos]
-        self._sent[pos[fresh_mask]] = True
-        out_counts = np.bincount(segs[fresh_mask], minlength=self._nranks)
-        return flat[fresh_mask], np.concatenate(([0], np.cumsum(out_counts)))
+        total = sum(int(e.size) for e in entries)
+        slots = np.empty(total, dtype=np.int64)
+        local = np.empty(self._domain, dtype=np.int64)
+        at = 0
+        for universe, ids, base in zip(self._universes, entries, self.bounds):
+            local[universe.ids] = np.arange(base, base + len(universe))
+            slots[at : at + ids.size] = local[ids]
+            at += ids.size
+        return slots
+
+    def _distinct(self, slots: np.ndarray) -> np.ndarray:
+        """The distinct values of ``slots``, ascending."""
+        mark = self._mark
+        mark[slots] = True
+        hit = np.flatnonzero(mark)
+        mark[hit] = False
+        return hit
+
+    def discover(
+        self, slots: np.ndarray, *, filter_sent: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One level's neighbour dedup (and sent filter) over every rank.
+
+        ``slots`` are the gathered slot ids of the edges scanned this
+        level, duplicates included.  Returns ``(flat, bounds, counts)``:
+        rank ``r``'s sorted duplicate-free neighbours are
+        ``flat[bounds[r]:bounds[r+1]]`` — with ``filter_sent`` only the
+        not-yet-sent ones, which are then marked sent, element-for-element
+        what per-rank ``np.unique`` + :meth:`SentCache.filter_unsent`
+        produce — and ``counts[r]`` is the size of rank ``r``'s neighbour
+        set *before* the filter (the lookups the filter is charged for).
+        """
+        hit = self._distinct(slots)
+        bounds = np.searchsorted(hit, self.bounds)
+        counts = np.diff(bounds)
+        if filter_sent:
+            hit = hit[~self._sent[hit]]
+            self._sent[hit] = True
+            bounds = np.searchsorted(hit, self.bounds)
+        return self.vertex[hit], bounds, counts
+
+    def discover_masks(
+        self, slots: np.ndarray, masks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`discover` at width W: per-rank dedup with mask OR-merge.
+
+        ``masks`` is parallel to ``slots``.  Returns ``(flat, masks,
+        bounds)`` where each distinct neighbour's mask is the OR of its
+        occurrences within its rank.  The sent flags are neither read
+        nor written (MS-BFS keeps no sent state).
+        """
+        if self._acc is None:
+            self._acc = np.zeros(self.vertex.size, dtype=masks.dtype)
+        acc = self._acc
+        hit = self._distinct(slots)
+        np.bitwise_or.at(acc, slots, masks)
+        merged = acc[hit]
+        acc[hit] = 0
+        return self.vertex[hit], merged, np.searchsorted(hit, self.bounds)
 
     def reset(self) -> None:
         """Forget all sent marks (start of a new search)."""

@@ -6,9 +6,13 @@ in O(n/P) arrays.  This implementation keeps the same contract and the same
 asymptotic storage but uses a sorted id array + binary search
 (``np.searchsorted``) instead of a hash table: lookups vectorise over whole
 frontiers, which is the idiomatic NumPy replacement for a per-element hash
-probe (see DESIGN.md).  The paper's profiling note — that hashing received
-vertices dominates runtime — is modelled in the machine cost model as a
-per-lookup charge, so the *simulated* cost is still hash-like.
+probe (see DESIGN.md).  Ids a rank *stores* — its adjacency entries —
+never pay even that at run time: the engines resolve their local index
+once at build (:meth:`repro.bfs.sent_cache.PooledSentCache.entry_slots`)
+and discover in that index space.  The paper's profiling note — that
+hashing received vertices dominates runtime — is modelled in the machine
+cost model as a per-lookup charge, so the *simulated* cost is still
+hash-like.
 """
 
 from __future__ import annotations

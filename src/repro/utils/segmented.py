@@ -21,7 +21,7 @@ from repro.types import VERTEX_DTYPE
 
 def segmented_unique(
     values: np.ndarray, segs: np.ndarray, nseg: int, domain: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Per-segment sorted unique of ``values`` tagged with segment ids.
 
     ``values`` must be non-negative and < ``domain``; ``segs`` is parallel

@@ -119,6 +119,28 @@ class TestBfs2D:
         with pytest.raises(ConfigurationError):
             Bfs2DEngine(part, comm)
 
+    def test_expand_merge_never_sees_a_duplicate(self, small_graph, monkeypatch):
+        """The direct expand's merge is a union of *disjoint* sets.
+
+        A rank's own frontier holds vertices it owns; what column peers
+        send it they own — owners are disjoint, so the segmented unique
+        there only orders, never drops.  (Discovery, where duplicates do
+        occur, dedups in the sent pool's slot space instead.)
+        """
+        from repro.bfs import bfs_2d
+
+        dropped = []
+
+        def spy(values, segs, nseg, domain):
+            out = bfs_2d_unique(values, segs, nseg, domain)
+            dropped.append(out[2])
+            return out
+
+        bfs_2d_unique = bfs_2d.segmented_unique
+        monkeypatch.setattr(bfs_2d, "segmented_unique", spy)
+        run_and_compare(small_graph, GridShape(4, 2))
+        assert dropped and not any(dropped)
+
     def test_engine_restartable(self, small_graph):
         engine = build_engine(small_graph, GridShape(2, 2))
         first = run_bfs(engine, 0)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import build_engine
 from repro.bfs.level_sync import run_bfs
@@ -71,59 +73,222 @@ class TestSentCache:
 
 
 class TestPooledSentCache:
+    """The slot-space discover kernel on a two-rank pool.
+
+    Rank 0's universe is {0, 2, 4} (slots 0-2), rank 1's {1, 2, 3}
+    (slots 3-5); ``_slots`` turns per-rank edge multisets into gathered
+    slot ids the way an engine's adjacency gather does.
+    """
+
     def _pool(self):
         universes = [VertexIndexMap([0, 2, 4]), VertexIndexMap([1, 2, 3])]
         return PooledSentCache(universes, domain=5)
 
-    def test_empty_segmented_filter(self):
-        """A fully-empty candidate set is a no-op with well-formed bounds."""
+    @staticmethod
+    def _slots(pool, *edges):
+        return pool.entry_slots([np.array(e, dtype=np.int64) for e in edges])
+
+    def test_entry_slots_follow_rank_then_vertex(self):
         pool = self._pool()
-        flat = np.empty(0, dtype=np.int64)
-        bounds = np.zeros(3, dtype=np.int64)
-        out_flat, out_bounds = pool.filter_unsent_segmented(flat, bounds)
-        assert out_flat.size == 0
-        assert out_bounds.tolist() == [0, 0, 0]
+        assert self._slots(pool, [4, 0, 4], [3, 1]).tolist() == [2, 0, 2, 5, 3]
+        assert pool.vertex.tolist() == [0, 2, 4, 1, 2, 3]
+
+    def test_empty_level(self):
+        """No edges at all is a no-op with well-formed bounds."""
+        pool = self._pool()
+        flat, bounds, counts = pool.discover(self._slots(pool, [], []), filter_sent=True)
+        assert flat.size == 0 and flat.dtype == np.int64
+        assert bounds.tolist() == [0, 0, 0]
+        assert counts.tolist() == [0, 0]
         assert pool.snapshot().sum() == 0
 
-    def test_empty_segment_between_active_ranks(self):
+    def test_idle_rank_between_active_ranks(self):
         """Rank 0 active, rank 1 idle: the idle segment stays empty."""
         pool = self._pool()
-        flat = np.array([0, 4], dtype=np.int64)
-        bounds = np.array([0, 2, 2], dtype=np.int64)
-        out_flat, out_bounds = pool.filter_unsent_segmented(flat, bounds)
-        assert out_flat.tolist() == [0, 4]
-        assert out_bounds.tolist() == [0, 2, 2]
+        flat, bounds, counts = pool.discover(
+            self._slots(pool, [4, 0, 4, 0], []), filter_sent=True
+        )
+        assert flat.tolist() == [0, 4]
+        assert bounds.tolist() == [0, 2, 2]
+        assert counts.tolist() == [2, 0]
 
-    def test_full_universe_saturation_segmented(self):
+    def test_full_universe_saturation(self):
         pool = self._pool()
-        flat = np.array([0, 2, 4, 1, 2, 3], dtype=np.int64)
-        bounds = np.array([0, 3, 6], dtype=np.int64)
-        out_flat, _ = pool.filter_unsent_segmented(flat, bounds)
-        assert out_flat.size == 6
-        out_flat, out_bounds = pool.filter_unsent_segmented(flat, bounds)
-        assert out_flat.size == 0
-        assert out_bounds.tolist() == [0, 0, 0]
+        slots = self._slots(pool, [0, 2, 4], [1, 2, 3])
+        flat, _, _ = pool.discover(slots, filter_sent=True)
+        assert flat.tolist() == [0, 2, 4, 1, 2, 3]
+        flat, bounds, counts = pool.discover(slots, filter_sent=True)
+        assert flat.size == 0
+        assert bounds.tolist() == [0, 0, 0]
+        # the filter is still charged for every candidate it looked up
+        assert counts.tolist() == [3, 3]
 
-    def test_views_share_pool_flags(self):
-        """Marks through a per-rank view are visible to the segmented path."""
+    def test_num_sent_monotone_under_discover(self):
+        pool = self._pool()
+        rng = np.random.default_rng(0)
+        seen = 0
+        for _ in range(8):
+            slots = rng.integers(0, 6, size=3)
+            pool.discover(slots, filter_sent=True)
+            assert pool.snapshot().sum() >= seen
+            seen = int(pool.snapshot().sum())
+        pool.reset()
+        assert pool.snapshot().sum() == 0
+
+    def test_unfiltered_discover_leaves_flags_alone(self):
+        """``filter_sent=False`` is the dedup alone: nothing read, nothing marked."""
         pool = self._pool()
         pool.view(0).filter_unsent(np.array([2]))
-        flat = np.array([0, 2], dtype=np.int64)
-        bounds = np.array([0, 2, 2], dtype=np.int64)
-        out_flat, _ = pool.filter_unsent_segmented(flat, bounds)
-        assert out_flat.tolist() == [0]
+        before = pool.snapshot()
+        flat, bounds, counts = pool.discover(
+            self._slots(pool, [2, 0, 2], [3]), filter_sent=False
+        )
+        assert flat.tolist() == [0, 2, 3]
+        assert bounds.tolist() == [0, 2, 3]
+        assert counts.tolist() == [2, 1]
+        assert np.array_equal(pool.snapshot(), before)
+
+    def test_views_share_pool_flags(self):
+        """Marks through a per-rank view are visible to the kernel."""
+        pool = self._pool()
+        pool.view(0).filter_unsent(np.array([2]))
+        flat, _, _ = pool.discover(self._slots(pool, [0, 2], []), filter_sent=True)
+        assert flat.tolist() == [0]
         # rank 1's own vertex 2 is a different flag
         assert pool.view(1).filter_unsent(np.array([2])).tolist() == [2]
 
     def test_snapshot_restore_round_trip(self):
         pool = self._pool()
         before = pool.snapshot()
-        pool.view(0).filter_unsent(np.array([0, 4]))
+        pool.discover(self._slots(pool, [0, 4], []), filter_sent=True)
         after = pool.snapshot()
         pool.restore(before)
         assert pool.view(0).filter_unsent(np.array([0])).tolist() == [0]
         pool.restore(after)
         assert pool.view(0).filter_unsent(np.array([4])).size == 0
+
+    def test_one_edge_level_on_a_large_pool(self):
+        """Far fewer edges than slots, then every slot at once."""
+        universes = [VertexIndexMap(range(0, 200, 2)), VertexIndexMap(range(200))]
+        pool = PooledSentCache(universes, domain=200)
+        flat, bounds, counts = pool.discover(
+            pool.entry_slots([np.array([], dtype=np.int64), np.array([7, 7, 3])]),
+            filter_sent=True,
+        )
+        assert flat.tolist() == [3, 7]
+        assert bounds.tolist() == [0, 0, 2]
+        assert counts.tolist() == [0, 2]
+        dense = [np.arange(0, 200, 2), np.arange(200)]
+        flat, bounds, counts = pool.discover(pool.entry_slots(dense), filter_sent=True)
+        assert flat.size == 298 and 3 not in flat[100:] and 7 not in flat[100:]
+        assert counts.tolist() == [100, 200]
+
+    def test_masks_or_merge_per_rank(self):
+        pool = self._pool()
+        slots = self._slots(pool, [2, 4, 2], [2])
+        masks = np.array([1, 2, 4, 8], dtype=np.uint64)
+        flat, merged, bounds = pool.discover_masks(slots, masks)
+        assert flat.tolist() == [2, 4, 2]
+        assert merged.tolist() == [5, 2, 8]
+        assert bounds.tolist() == [0, 2, 3]
+        assert pool.snapshot().sum() == 0
+        # the accumulator is clear again: a second level starts from zero
+        _, merged, _ = pool.discover_masks(slots[:1], masks[3:])
+        assert merged.tolist() == [8]
+
+
+@st.composite
+def _pool_histories(draw):
+    """Universes for a few ranks plus a history of levels and rollbacks."""
+    nranks = draw(st.integers(1, 4))
+    domain = draw(st.integers(1, 48))
+    universes = [
+        sorted(draw(st.sets(st.integers(0, domain - 1), max_size=domain)))
+        for _ in range(nranks)
+    ]
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["level", "level", "level", "snapshot", "restore"]))
+        if kind != "level":
+            steps.append((kind, None))
+            continue
+        steps.append((
+            "level",
+            [
+                draw(st.lists(st.sampled_from(u), max_size=3 * len(u))) if u else []
+                for u in universes
+            ],
+        ))
+    return domain, universes, steps
+
+
+class TestDiscoverAgainstPerRankOracle:
+    """The kernel vs. ``np.unique`` + :meth:`SentCache.filter_unsent` per rank.
+
+    Histories include ranks with no edges (or an empty universe), levels
+    where everything is already sent, one-edge levels on a large pool
+    next to dense ones, and snapshot/restore between levels.
+    """
+
+    @given(history=_pool_histories(), filter_sent=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, history, filter_sent):
+        domain, universes, steps = history
+        maps = [VertexIndexMap(u) for u in universes]
+        pool = PooledSentCache(maps, domain)
+        oracle = [SentCache(m) for m in maps]
+        saved = None
+        for kind, edges in steps:
+            if kind == "snapshot":
+                saved = (pool.snapshot(), [c.snapshot() for c in oracle])
+                continue
+            if kind == "restore":
+                if saved is not None:
+                    pool.restore(saved[0])
+                    for cache, snap in zip(oracle, saved[1]):
+                        cache.restore(snap)
+                continue
+            edges = [np.array(e, dtype=np.int64) for e in edges]
+            uniq = [np.unique(e) for e in edges]
+            want = [
+                c.filter_unsent(u) if filter_sent else u
+                for c, u in zip(oracle, uniq)
+            ]
+            flat, bounds, counts = pool.discover(
+                pool.entry_slots(edges), filter_sent=filter_sent
+            )
+            assert counts.tolist() == [u.size for u in uniq]
+            assert bounds.tolist() == np.concatenate(
+                ([0], np.cumsum([w.size for w in want]))
+            ).tolist()
+            assert flat.tolist() == np.concatenate(want).tolist()
+            assert np.array_equal(
+                pool.snapshot(), np.concatenate([c.snapshot() for c in oracle])
+            )
+
+    @given(history=_pool_histories(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_masks_match_oracle(self, history, seed):
+        domain, universes, steps = history
+        pool = PooledSentCache([VertexIndexMap(u) for u in universes], domain)
+        rng = np.random.default_rng(seed)
+        for kind, edges in steps:
+            if kind != "level":
+                continue
+            edges = [np.array(e, dtype=np.int64) for e in edges]
+            masks = [
+                rng.integers(1, 2**63, size=e.size).astype(np.uint64) for e in edges
+            ]
+            flat, merged, bounds = pool.discover_masks(
+                pool.entry_slots(edges), np.concatenate(masks)
+            )
+            for r, (e, m) in enumerate(zip(edges, masks)):
+                want = {}
+                for v, bits in zip(e.tolist(), m.tolist()):
+                    want[v] = want.get(v, 0) | bits
+                lo, hi = bounds[r], bounds[r + 1]
+                assert flat[lo:hi].tolist() == sorted(want)
+                assert merged[lo:hi].tolist() == [want[v] for v in sorted(want)]
 
 
 class TestCacheEffectOnTraffic:

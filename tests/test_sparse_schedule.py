@@ -121,6 +121,11 @@ CONFIGS = {
     "poisson-2d-no-cache": lambda: _run(
         POISSON, (4, 4), opts=BfsOptions(use_sent_cache=False)
     ),
+    # captured on the commit before discovery moved to slot space: the
+    # kernel without its sent filter is the old per-rank unique, 1D too
+    "poisson-1d-no-cache": lambda: _run(
+        POISSON, (1, 8), layout="1d", opts=BfsOptions(use_sent_cache=False)
+    ),
     "rmat-1d": lambda: _run(RMAT, (8, 1), layout="1d"),
     "rmat-2d": lambda: _run(RMAT, (4, 4)),
     "rmat-2d-hybrid": lambda: _run(
