@@ -23,7 +23,7 @@ import numpy as np
 from repro.bfs.bottom_up import bottom_up_level_1d
 from repro.bfs.level_sync import LevelSyncEngine
 from repro.bfs.options import BfsOptions
-from repro.bfs.sent_cache import PooledSentCache, SentCache
+from repro.bfs.sent_cache import PooledSentCache
 from repro.bfs.sieve import PooledSieve
 from repro.collectives.base import get_fold
 from repro.errors import ConfigurationError
@@ -31,6 +31,7 @@ from repro.partition.indexing import VertexIndexMap
 from repro.partition.one_d import OneDPartition
 from repro.runtime.comm import Communicator
 from repro.types import VERTEX_DTYPE
+from repro.utils.segmented import range_indices
 
 
 class Bfs1DEngine(LevelSyncEngine):
@@ -104,37 +105,9 @@ class Bfs1DEngine(LevelSyncEngine):
     def owned_slice(self, rank: int) -> tuple[int, int]:
         return self.partition.dist.range_of(rank)
 
-    @property
-    def _sent_caches(self) -> list[SentCache]:
-        """Per-rank views of the pooled sent cache (compat accessor)."""
-        return [self._sent_pool.view(r) for r in range(self.comm.nranks)]
-
-    def _reset_layout_state(self) -> None:
-        self._sent_pool.reset()
-        if self._sieve is not None:
-            self._sieve.reset()
-
-    def _snapshot_layout_state(self):
-        if self._sieve is not None:
-            return self._sent_pool.snapshot(), self._sieve.snapshot()
-        return self._sent_pool.snapshot()
-
-    def _restore_layout_state(self, snapshot) -> None:
-        if self._sieve is not None:
-            sent, shadows = snapshot
-            self._sent_pool.restore(sent)
-            self._sieve.restore(shadows)
-        else:
-            self._sent_pool.restore(snapshot)
-
-    def _layout_checkpoint_nbytes(self) -> np.ndarray:
-        # the sent-neighbours cache travels in the buddy checkpoint as a
-        # bitset over each rank's sent universe (plus the sieve's shadow
-        # bitsets when it is enabled)
-        nbytes = self._sent_pool.checkpoint_nbytes()
-        if self._sieve is not None:
-            nbytes = nbytes + self._sieve.checkpoint_nbytes()
-        return nbytes
+    def _fold_owner(self, vertices: np.ndarray, senders: np.ndarray) -> np.ndarray:
+        # the 1D fold spans the machine: the block owner, whoever sends
+        return np.searchsorted(self.partition.dist.offsets, vertices, side="right") - 1
 
     def _expand_level_bottom_up(self) -> tuple[np.ndarray, np.ndarray]:
         return bottom_up_level_1d(self)
@@ -144,25 +117,21 @@ class Bfs1DEngine(LevelSyncEngine):
     # ------------------------------------------------------------------ #
     def _gather_slots(
         self, frontier_flat: np.ndarray, frontier_bounds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Steps 7-10's lookup: the frontiers' edge lists, as pool slots.
 
-        One CSR gather over the concatenated frontiers.  Returns
-        ``(slots, raw_sizes, lengths)``: ``lengths`` is each frontier
-        vertex's degree (how many of ``slots`` it contributed) and
-        ``raw_sizes`` the per-rank edge count — the running sum of
-        lengths cut at the frontier's rank bounds.
+        One CSR gather over the concatenated frontiers, charged to each
+        rank as its edge count (the running sum of lengths cut at the
+        frontier's rank bounds) in scans and hash probes.  Returns
+        ``(slots, lengths)``: ``lengths`` is each frontier vertex's
+        degree — how many of ``slots`` it contributed.
         """
         starts = self._cat_indptr[frontier_flat]
         lengths = self._cat_indptr[frontier_flat + 1] - starts
-        out_offsets = np.concatenate(([0], np.cumsum(lengths)))
-        gather = np.arange(out_offsets[-1], dtype=np.int64)
-        gather += np.repeat(starts - out_offsets[:-1], lengths)
-        return (
-            self._adjacency_slots[gather],
-            np.diff(out_offsets[frontier_bounds]),
-            lengths,
-        )
+        gather, out_offsets = range_indices(starts, lengths)
+        edges = np.diff(out_offsets[frontier_bounds])
+        self.comm.charge_compute_many(edges_scanned=edges, hash_lookups=edges)
+        return self._adjacency_slots[gather], lengths
 
     def _expand_level(self) -> tuple[np.ndarray, np.ndarray]:
         nranks = self.comm.nranks
@@ -172,10 +141,7 @@ class Bfs1DEngine(LevelSyncEngine):
         # Steps 7-10: local discovery — one CSR gather over the concatenated
         # frontiers, one slot-space dedup + sent filter, then owner bucketing.
         discover_span = obs.begin("compute", cat="phase") if obs.enabled else None
-        slots, raw_sizes, _ = self._gather_slots(
-            self._frontier_flat, self._frontier_bounds
-        )
-        self.comm.charge_compute_many(edges_scanned=raw_sizes, hash_lookups=raw_sizes)
+        slots, _ = self._gather_slots(self._frontier_flat, self._frontier_bounds)
         filter_sent = self.opts.use_sent_cache
         send_flat, send_bounds, uniq_sizes = self._sent_pool.discover(
             slots, filter_sent=filter_sent
@@ -191,7 +157,7 @@ class Bfs1DEngine(LevelSyncEngine):
             seg = np.repeat(
                 np.arange(nranks, dtype=np.int64), np.diff(send_bounds)
             )
-            owner = np.searchsorted(offsets, send_flat, side="right") - 1
+            owner = self._fold_owner(send_flat, seg)
             csizes = np.bincount(seg * nranks + owner, minlength=nranks * nranks)
         else:
             outboxes: list[dict[int, np.ndarray]] = []

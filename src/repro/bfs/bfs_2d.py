@@ -25,14 +25,14 @@ import numpy as np
 from repro.bfs.bottom_up import bottom_up_level_2d
 from repro.bfs.level_sync import LevelSyncEngine
 from repro.bfs.options import BfsOptions
-from repro.bfs.sent_cache import PooledSentCache, SentCache
+from repro.bfs.sent_cache import PooledSentCache
 from repro.bfs.sieve import PooledSieve
 from repro.collectives.base import get_expand, get_fold
 from repro.errors import ConfigurationError
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.comm import Communicator
 from repro.types import VERTEX_DTYPE
-from repro.utils.segmented import gather_segments, segmented_unique
+from repro.utils.segmented import range_indices, segmented_unique
 
 
 class Bfs2DEngine(LevelSyncEngine):
@@ -67,12 +67,9 @@ class Bfs2DEngine(LevelSyncEngine):
         )
         self._col_groups = [self.grid.col_members(j) for j in range(self.grid.cols)]
         self._row_groups = [self.grid.row_members(i) for i in range(self.grid.rows)]
-        # Pair-keyed expand filters are only needed by MS-BFS — built
-        # lazily, because the eager build is O(C^3) in group size.
-        self._expand_filters_cache: dict[tuple[int, int], np.ndarray] | None = None
-        self._expand_filter_cat_cache: (
-            dict[int, tuple[list[int], np.ndarray, np.ndarray]] | None
-        ) = None
+        #: fold buckets within a processor-row are contiguous vertex ranges:
+        #: row member m (mesh column m) owns block rows [m*R, (m+1)*R)
+        self._member_bounds = partition.dist.offsets[:: self.grid.rows]
         #: per-vertex expand-target CSR (lazy): the column-group peers
         #: holding a non-empty partial edge list for each vertex
         self._etarget_indptr: np.ndarray | None = None
@@ -133,92 +130,31 @@ class Bfs2DEngine(LevelSyncEngine):
     # ------------------------------------------------------------------ #
     # expand-side lookup structures
     # ------------------------------------------------------------------ #
-    @property
-    def _expand_filters(self) -> dict[tuple[int, int], np.ndarray] | None:
-        """Owner-side knowledge of peers' non-empty partial edge lists.
-
-        ``filters[(src, dst)]`` is the sorted array of ``src``-owned
-        vertices for which column peer ``dst`` holds a non-empty partial
-        edge list.  The paper stores exactly this (Section 2.2): storage is
-        proportional to the number of owned vertices, hence scalable.
-        """
-        if not self.opts.use_expand_filter:
-            return None
-        if self._expand_filters_cache is None:
-            self._expand_filters_cache = self._build_expand_filters()
-        return self._expand_filters_cache
-
-    @property
-    def _expand_filter_cat(
-        self,
-    ) -> dict[int, tuple[list[int], np.ndarray, np.ndarray]] | None:
-        """Per-source concatenation of the expand filters (lazy)."""
-        if not self.opts.use_expand_filter:
-            return None
-        if self._expand_filter_cat_cache is None:
-            self._expand_filter_cat_cache = self._build_expand_filter_cat()
-        return self._expand_filter_cat_cache
-
-    def _build_expand_filters(self) -> dict[tuple[int, int], np.ndarray]:
-        filters: dict[tuple[int, int], np.ndarray] = {}
-        for group in self._col_groups:
-            # One searchsorted of each dst's column ids against all the
-            # group's owned ranges replaces a probe per (src, dst) pair.
-            los = np.array(
-                [self.partition.local(src).vertex_lo for src in group],
-                dtype=np.int64,
-            )
-            his = np.array(
-                [self.partition.local(src).vertex_hi for src in group],
-                dtype=np.int64,
-            )
-            for dst in group:
-                ids = self.partition.local(dst).col_map.ids
-                b_lo = np.searchsorted(ids, los)
-                b_hi = np.searchsorted(ids, his)
-                for k, src in enumerate(group):
-                    if src != dst:
-                        filters[(src, dst)] = ids[b_lo[k] : b_hi[k]]
-        return filters
-
-    def _build_expand_filter_cat(
-        self,
-    ) -> dict[int, tuple[list[int], np.ndarray, np.ndarray]]:
-        """Per-source concatenation of the expand filters.
-
-        One membership test of the concatenated filters against the
-        source's frontier replaces one test per (src, dst) pair; the
-        per-destination results are slices of the concatenation.
-        """
-        filters = self._expand_filters
-        cat: dict[int, tuple[list[int], np.ndarray, np.ndarray]] = {}
-        for group in self._col_groups:
-            for src in group:
-                dsts = [d for d in group if d != src]
-                segs = [filters[(src, d)] for d in dsts]
-                sizes = np.array([s.size for s in segs], dtype=np.int64)
-                bounds = np.concatenate(([0], np.cumsum(sizes)))
-                merged = (
-                    np.concatenate(segs) if segs else np.empty(0, dtype=VERTEX_DTYPE)
-                )
-                cat[src] = (dsts, merged, bounds)
-        return cat
-
     def _expand_targets(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-vertex expand destinations as a CSR over global vertex ids.
 
         ``_etarget_dst[_etarget_indptr[v]:_etarget_indptr[v+1]]`` lists, in
         ascending rank order, the column-group peers of ``v``'s owner that
         hold a non-empty partial edge list for ``v`` (owner excluded) —
-        the transpose of the pair-keyed expand filters, built once from
-        the keyed column-CSR.  The direct expand gathers each frontier
-        vertex's targets straight from this table, so its per-level cost
-        follows the frontier, not the P x C filter pairs.
+        the owner-side knowledge the paper stores (Section 2.2), kept per
+        vertex and built once from the keyed column-CSR.  Expand messages
+        gather each frontier vertex's targets straight from this table, so
+        their per-level cost follows the frontier, not the P x C rank
+        pairs.  With ``use_expand_filter`` off the owner knows nothing and
+        every vertex lists all ``R - 1`` column peers.
         """
         if self._etarget_indptr is None:
             n = self.n
             nranks = self.comm.nranks
             R, C = self.grid.rows, self.grid.cols
+            if not self.opts.use_expand_filter:
+                block = self.partition.dist.part_of(np.arange(n, dtype=np.int64))
+                peer_row = np.arange(R - 1, dtype=np.int64)
+                # rows of the owner's column, skipping the owner's own
+                peer_row = peer_row + (peer_row >= (block % R)[:, None])
+                self._etarget_indptr = np.arange(n + 1, dtype=np.int64) * (R - 1)
+                self._etarget_dst = (peer_row * C + (block // R)[:, None]).ravel()
+                return self._etarget_indptr, self._etarget_dst
             rank_bounds = np.searchsorted(
                 self._col_keys, np.arange(nranks + 1, dtype=np.int64) * n
             )
@@ -282,37 +218,14 @@ class Bfs2DEngine(LevelSyncEngine):
         loc = self.partition.local(rank)
         return loc.vertex_lo, loc.vertex_hi
 
-    @property
-    def _sent_caches(self) -> list[SentCache]:
-        """Per-rank views of the pooled sent cache (compat accessor)."""
-        return [self._sent_pool.view(r) for r in range(self.comm.nranks)]
+    def _fold_member(self, vertices: np.ndarray) -> np.ndarray:
+        """Which member of a processor-row owns each vertex."""
+        return np.searchsorted(self._member_bounds, vertices, side="right") - 1
 
-    def _reset_layout_state(self) -> None:
-        self._sent_pool.reset()
-        if self._sieve is not None:
-            self._sieve.reset()
-
-    def _snapshot_layout_state(self):
-        if self._sieve is not None:
-            return self._sent_pool.snapshot(), self._sieve.snapshot()
-        return self._sent_pool.snapshot()
-
-    def _restore_layout_state(self, snapshot) -> None:
-        if self._sieve is not None:
-            sent, shadows = snapshot
-            self._sent_pool.restore(sent)
-            self._sieve.restore(shadows)
-        else:
-            self._sent_pool.restore(snapshot)
-
-    def _layout_checkpoint_nbytes(self) -> np.ndarray:
-        # the sent-neighbours cache travels in the buddy checkpoint as a
-        # bitset over each rank's sent universe (plus the sieve's shadow
-        # bitsets when it is enabled)
-        nbytes = self._sent_pool.checkpoint_nbytes()
-        if self._sieve is not None:
-            nbytes = nbytes + self._sieve.checkpoint_nbytes()
-        return nbytes
+    def _fold_owner(self, vertices: np.ndarray, senders: np.ndarray) -> np.ndarray:
+        # fold candidates travel along the sender's processor-row
+        C = self.grid.cols
+        return senders // C * C + self._fold_member(vertices)
 
     def _expand_level_bottom_up(self) -> tuple[np.ndarray, np.ndarray]:
         return bottom_up_level_2d(self)
@@ -389,66 +302,74 @@ class Bfs2DEngine(LevelSyncEngine):
             np.concatenate(([0], np.cumsum(sizes))),
         )
 
+    def _expand_messages(self, fflat: np.ndarray, fbounds: np.ndarray, *columns):
+        """One expand round's messages for a pooled frontier.
+
+        One gather of the expand-target CSR resolves every frontier
+        vertex's destinations; one stable sort puts the entries in the
+        lockstep driver's merged outbox order: column groups ascending,
+        sources ascending within each group — i.e. ascending owned block
+        — then destination, then vertex (the sort is stable, so payloads
+        stay ascending).  Returns ``(payloads, src, dst, bounds,
+        population, pop_idx)``: ``payloads[0]`` is the vertex payload and
+        ``payloads[1:]`` the ``columns`` (arrays parallel to ``fflat``)
+        routed alongside it, message ``m`` carries entries
+        ``bounds[m]:bounds[m+1]`` from ``src[m]`` to ``dst[m]``, and
+        ``population`` / ``pop_idx`` index the pre-routed pairs for
+        :meth:`~repro.runtime.comm.Communicator.exchange_arrays`.
+        """
+        nranks = self.comm.nranks
+        R, C = self.grid.rows, self.grid.cols
+        indptr, target_dst = self._expand_targets()
+        starts = indptr[fflat]
+        lengths = indptr[fflat + 1] - starts
+        gather, _ = range_indices(starts, lengths)
+        if gather.size == 0:
+            none = np.empty(0, dtype=np.int64)
+            payloads = [column[:0] for column in (fflat, *columns)]
+            return payloads, none, none, np.zeros(1, dtype=np.int64), None, None
+        entry_src = np.repeat(
+            np.repeat(np.arange(nranks, dtype=np.int64), np.diff(fbounds)), lengths
+        )
+        src_block = (entry_src % C) * R + entry_src // C
+        key = src_block * nranks + target_dst[gather]
+        order = np.argsort(key, kind="stable")
+        skey = key[order]
+        cut = np.flatnonzero(skey[1:] != skey[:-1]) + 1
+        msg_bounds = np.concatenate(([0], cut, [skey.size]))
+        msg_key = skey[msg_bounds[:-1]]
+        msg_block = msg_key // nranks
+        population = self._expand_population
+        pop_idx = (
+            np.searchsorted(self._expand_pop_keys, msg_key)
+            if population is not None
+            else None
+        )
+        return (
+            [np.repeat(column, lengths)[order] for column in (fflat, *columns)],
+            (msg_block % R) * C + msg_block // R,
+            msg_key % nranks,
+            msg_bounds,
+            population,
+            pop_idx,
+        )
+
     def _expand_step_direct(self) -> tuple[np.ndarray, np.ndarray]:
         """The filtered single-round expand as one batched exchange.
 
         Equivalent to ``DirectExpand.expand_many`` with the per-destination
-        filters, but built straight from the per-vertex expand-target CSR:
-        one gather resolves every frontier vertex's destinations, one
-        stable sort produces the messages in the lockstep driver's merged
-        outbox order (column groups ascending — which is ascending owned
-        block, then destination, then vertex), one array exchange, one
-        segmented union for the per-rank merges.  Chunks a fault withheld
-        are dropped before the merge.
+        filters, but built from :meth:`_expand_messages`: one array
+        exchange, one segmented union for the per-rank merges.  Chunks a
+        fault withheld are dropped before the merge.
         """
         nranks = self.comm.nranks
-        R, C = self.grid.rows, self.grid.cols
         fflat = self._frontier_flat
         fbounds = self._frontier_bounds
         fsizes = np.diff(fbounds)
-        indptr, target_dst = self._expand_targets()
-        starts = indptr[fflat]
-        lengths = indptr[fflat + 1] - starts
-        total = int(lengths.sum())
-        if total:
-            out_offsets = np.concatenate(([0], np.cumsum(lengths)))
-            gather = np.arange(total, dtype=np.int64)
-            gather += np.repeat(starts - out_offsets[:-1], lengths)
-            entry_dst = target_dst[gather]
-            entry_v = np.repeat(fflat, lengths)
-            entry_src = np.repeat(
-                np.repeat(np.arange(nranks, dtype=np.int64), fsizes), lengths
-            )
-            # Dense emission order: column groups ascending, sources
-            # ascending within each group — i.e. ascending owned block —
-            # then destination, then vertex (stable sort keeps the
-            # ascending-vertex payload order within each message).
-            src_block = (entry_src % C) * R + entry_src // C
-            key = src_block * nranks + entry_dst
-            order = np.argsort(key, kind="stable")
-            payload = entry_v[order]
-            skey = key[order]
-            cut = np.flatnonzero(skey[1:] != skey[:-1]) + 1
-            msg_bounds = np.concatenate(([0], cut, [total]))
-            msg_key = skey[msg_bounds[:-1]]
-            msg_dst = msg_key % nranks
-            msg_block = msg_key // nranks
-            msg_src = (msg_block % R) * C + msg_block // R
-            msg_sizes = np.diff(msg_bounds)
-            population = self._expand_population
-            pop_idx = (
-                np.searchsorted(self._expand_pop_keys, msg_key)
-                if population is not None
-                else None
-            )
-        else:
-            payload = np.empty(0, dtype=VERTEX_DTYPE)
-            msg_src = np.empty(0, dtype=np.int64)
-            msg_dst = np.empty(0, dtype=np.int64)
-            msg_sizes = np.empty(0, dtype=np.int64)
-            msg_bounds = np.zeros(1, dtype=np.int64)
-            population = None
-            pop_idx = None
+        (payload,), msg_src, msg_dst, msg_bounds, population, pop_idx = (
+            self._expand_messages(fflat, fbounds)
+        )
+        msg_sizes = np.diff(msg_bounds)
         arrived = self.comm.exchange_arrays(
             msg_src,
             msg_dst,
@@ -462,10 +383,7 @@ class Bfs2DEngine(LevelSyncEngine):
         if arrived is not None:
             msg, starts, stops = arrived
             msg_dst, msg_sizes = msg_dst[msg], stops - starts
-            payload = np.concatenate(
-                [payload[:0]]
-                + [payload[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
-            )
+            payload = payload[range_indices(starts, msg_sizes)[0]]
         self.comm.stats.record_delivery_bulk(msg_dst, msg_sizes, "expand")
 
         inc_sizes = np.bincount(
@@ -475,10 +393,10 @@ class Bfs2DEngine(LevelSyncEngine):
         with_inc = np.flatnonzero(inc_sizes)
         if with_inc.size == 0:
             return fflat, fbounds
-        fvals, _fsegs, fsz = gather_segments(fflat, fbounds, with_inc)
-        values = np.concatenate((fvals, payload))
+        own, _ = range_indices(fbounds[with_inc], fsizes[with_inc])
+        values = np.concatenate((fflat[own], payload))
         segs = np.concatenate(
-            (np.repeat(with_inc, fsz), np.repeat(msg_dst, msg_sizes))
+            (np.repeat(with_inc, fsizes[with_inc]), np.repeat(msg_dst, msg_sizes))
         )
         uniq, ubounds, _, _ = segmented_unique(values, segs, nranks, self.n)
         # Two-bank merge: ranks with incoming take their union segment,
@@ -488,58 +406,48 @@ class Bfs2DEngine(LevelSyncEngine):
         bank = np.concatenate((uniq, fflat))
         sel_starts = np.where(mask, ubounds[:-1], uniq.size + fbounds[:-1])
         sel_sizes = np.where(mask, np.diff(ubounds), fsizes)
-        out_bounds = np.concatenate(([0], np.cumsum(sel_sizes)))
-        out_total = int(out_bounds[-1])
-        idx = np.arange(out_total, dtype=np.int64)
-        idx += np.repeat(sel_starts - out_bounds[:-1], sel_sizes)
+        idx, out_bounds = range_indices(sel_starts, sel_sizes)
         return bank[idx], out_bounds
 
     def _gather_slots(
         self, fbar_flat: np.ndarray, fbar_bounds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Step 12's lookup: the partial edge lists of F-bar, as pool slots.
 
         One keyed lookup into the concatenated column-CSR resolves every
         rank's partial edge lists; one gather reads their entries' slots.
-        Returns ``(slots, raw_sizes, hit, lengths)``: ``hit`` marks the
-        F-bar entries holding a partial list here, ``lengths`` (parallel
-        to the hits) is how many of ``slots`` each contributed, and
-        ``raw_sizes`` is the per-rank edge count.
+        Each rank is charged its edge count in scans, and that plus one
+        keyed probe per F-bar vertex in hash lookups.  Returns ``(slots,
+        lengths)``: ``lengths`` is how many of ``slots`` each F-bar entry
+        contributed — zero where this rank holds no partial list for it.
         """
         nranks = self.comm.nranks
-        qsegs = np.repeat(np.arange(nranks, dtype=np.int64), np.diff(fbar_bounds))
-        qkeys = qsegs * self.n + fbar_flat
-        pos = np.searchsorted(self._col_keys, qkeys)
-        pos_c = np.minimum(pos, max(self._col_keys.size - 1, 0))
-        hit = (
-            self._col_keys[pos_c] == qkeys
-            if self._col_keys.size
-            else np.zeros(qkeys.shape, dtype=bool)
+        fbar_sizes = np.diff(fbar_bounds)
+        qkeys = np.repeat(np.arange(nranks, dtype=np.int64), fbar_sizes) * self.n
+        qkeys += fbar_flat
+        if self._col_keys.size:
+            pos = np.searchsorted(self._col_keys, qkeys)
+            np.minimum(pos, self._col_keys.size - 1, out=pos)
+            starts = self._col_starts[pos]
+            lengths = np.where(
+                self._col_keys[pos] == qkeys, self._col_stops[pos] - starts, 0
+            )
+        else:  # no rank stores an edge
+            starts = lengths = np.zeros(qkeys.size, dtype=np.int64)
+        gather, out_offsets = range_indices(starts, lengths)
+        # Per-rank edge counts: the running sum of lengths cut at the
+        # F-bar's rank bounds.
+        edges = np.diff(out_offsets[fbar_bounds])
+        self.comm.charge_compute_many(
+            edges_scanned=edges, hash_lookups=edges + fbar_sizes
         )
-        starts = self._col_starts[pos_c[hit]]
-        lengths = self._col_stops[pos_c[hit]] - starts
-        out_offsets = np.concatenate(([0], np.cumsum(lengths)))
-        gather = np.arange(out_offsets[-1], dtype=np.int64)
-        gather += np.repeat(starts - out_offsets[:-1], lengths)
-        # Per-rank edge counts: the running sum of lengths cut where the
-        # hit list changes rank.
-        hit_bounds = np.concatenate(([0], np.cumsum(hit)))[fbar_bounds]
-        return (
-            self._row_slots[gather],
-            np.diff(out_offsets[hit_bounds]),
-            hit,
-            lengths,
-        )
+        return self._row_slots[gather], lengths
 
     def _discover_step(
         self, fbar_flat: np.ndarray, fbar_bounds: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Step 12: merge partial edge lists; returns fold candidates as CSR."""
-        slots, raw_sizes, _, _ = self._gather_slots(fbar_flat, fbar_bounds)
-        self.comm.charge_compute_many(
-            edges_scanned=raw_sizes,
-            hash_lookups=raw_sizes + np.diff(fbar_bounds),
-        )
+        slots, _ = self._gather_slots(fbar_flat, fbar_bounds)
         filter_sent = self.opts.use_sent_cache
         send_flat, send_bounds, uniq_sizes = self._sent_pool.discover(
             slots, filter_sent=filter_sent
@@ -560,18 +468,14 @@ class Bfs2DEngine(LevelSyncEngine):
         already in slot order); other folds get per-rank outbox dicts.
         """
         nranks = self.comm.nranks
-        R = self.grid.rows
-        offsets = self.partition.dist.offsets
-        # Destination buckets within a processor-row are contiguous vertex
-        # ranges: row member m (mesh column m) owns block rows [m*R, (m+1)*R).
-        col_bounds = offsets[::R]
         if self._fold.supports_csr:
             C = self.grid.cols
             seg = np.repeat(
                 np.arange(nranks, dtype=np.int64), np.diff(send_bounds)
             )
-            bucket = np.searchsorted(col_bounds, send_flat, side="right") - 1
-            csizes = np.bincount(seg * C + bucket, minlength=nranks * C)
+            csizes = np.bincount(
+                seg * C + self._fold_member(send_flat), minlength=nranks * C
+            )
             incoming, inc_bounds = self._fold.fold_many_csr(
                 self.comm, self._row_groups, csizes, send_flat, "fold",
                 sieve=self._sieve,
@@ -583,7 +487,7 @@ class Bfs2DEngine(LevelSyncEngine):
         outboxes: list[dict[int, np.ndarray]] = []
         for r in range(nranks):
             neighbors = send_flat[send_bounds[r] : send_bounds[r + 1]]
-            bounds = np.searchsorted(neighbors, col_bounds)
+            bounds = np.searchsorted(neighbors, self._member_bounds)
             nonempty = np.flatnonzero(bounds[1:] > bounds[:-1])
             outboxes.append(
                 {int(m): neighbors[bounds[m] : bounds[m + 1]] for m in nonempty}

@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.types import UNREACHED, VERTEX_DTYPE
-from repro.utils.segmented import segmented_unique
+from repro.utils.segmented import range_indices, segmented_unique
 
 __all__ = ["bottom_up_level_1d", "bottom_up_level_2d"]
 
@@ -75,12 +75,11 @@ def _first_hit_scan(
         return found, edges
     nz_starts = starts[nz]
     nz_lengths = lengths[nz]
-    total = int(nz_lengths.sum())
-    out_offsets = np.concatenate(([0], np.cumsum(nz_lengths)))
-    gather = np.arange(total, dtype=np.int64)
-    gather += np.repeat(nz_starts - out_offsets[:-1], nz_lengths)
+    gather, out_offsets = range_indices(nz_starts, nz_lengths)
     hits = frontier_mask[adjacency[gather]]
-    pos = np.arange(total, dtype=np.int64) - np.repeat(out_offsets[:-1], nz_lengths)
+    pos = np.arange(gather.size, dtype=np.int64) - np.repeat(
+        out_offsets[:-1], nz_lengths
+    )
     score = np.where(hits, pos, _NO_HIT)
     first = np.minimum.reduceat(score, out_offsets[:-1])
     nz_found = first < _NO_HIT

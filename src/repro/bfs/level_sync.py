@@ -6,6 +6,11 @@ the frontier, communicate, discover neighbours, communicate, label.  The
 counter, per-level statistics, global termination reduction); subclasses
 implement one level expansion.  Keeping ``step()`` public is what lets the
 bi-directional driver (Section 2.3) interleave two searches.
+
+:func:`run_level` is the one level loop: the checkpoint / retry /
+rollback / crash-replay protocol around a level body.  The engines'
+``step()`` and the batched traversal (:mod:`repro.bfs.msbfs`) both run
+their levels through it.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ class LevelSyncEngine(abc.ABC):
         self._sieve = None
         #: resolved per-level direction policy (opts coerces bare names)
         self._direction_policy: DirectionPolicy = DirectionPolicy.coerce(opts.direction)
-        #: direction the previous level ran (the policy's hysteresis input)
+        #: direction of the level being run, else of the last one run (the
+        #: policy's hysteresis input)
         self._direction = TOP_DOWN
         #: global count of still-unreached vertices (a policy input; every
         #: backend derives the same value from allreduced frontier totals)
@@ -99,20 +105,47 @@ class LevelSyncEngine(abc.ABC):
         )
 
     @abc.abstractmethod
+    def _fold_owner(self, vertices: np.ndarray, senders: np.ndarray) -> np.ndarray:
+        """Fold destination of each candidate: the rank that labels
+        ``vertices[k]``, as seen from sender rank ``senders[k]``.
+
+        The layouts differ only in who a sender's fold peers are — 1D:
+        the block owner, whoever sends; 2D: the member of the *sender's*
+        processor-row standing in the owner's mesh column.
+        """
+
     def _reset_layout_state(self) -> None:
-        """Clear layout-specific per-run state (e.g. sent caches)."""
+        """Clear the per-run caches (sent-neighbours cache, sieve shadows)."""
+        self._sent_pool.reset()
+        if self._sieve is not None:
+            self._sieve.reset()
 
     def _snapshot_layout_state(self):
-        """Capture layout-specific mutable state for a level checkpoint.
-
-        Engines with per-run caches (the sent-neighbours cache) override
-        this together with :meth:`_restore_layout_state`; the default
-        carries nothing.
-        """
-        return None
+        """Capture the per-run caches for a level checkpoint."""
+        if self._sieve is not None:
+            return self._sent_pool.snapshot(), self._sieve.snapshot()
+        return self._sent_pool.snapshot()
 
     def _restore_layout_state(self, snapshot) -> None:
         """Reinstate state captured by :meth:`_snapshot_layout_state`."""
+        if self._sieve is not None:
+            sent, shadows = snapshot
+            self._sent_pool.restore(sent)
+            self._sieve.restore(shadows)
+        else:
+            self._sent_pool.restore(snapshot)
+
+    def _layout_checkpoint_nbytes(self) -> np.ndarray:
+        """Per-rank checkpoint bytes of the per-run caches.
+
+        The sent-neighbours cache travels in the buddy checkpoint as a
+        bitset over each rank's sent universe (plus the sieve's shadow
+        bitsets when it is enabled).
+        """
+        nbytes = self._sent_pool.checkpoint_nbytes()
+        if self._sieve is not None:
+            nbytes = nbytes + self._sieve.checkpoint_nbytes()
+        return nbytes
 
     # ------------------------------------------------------------------ #
     # pooled per-rank state
@@ -137,14 +170,6 @@ class LevelSyncEngine(abc.ABC):
         self._frontier_flat = (
             np.concatenate(parts) if parts else np.empty(0, dtype=VERTEX_DTYPE)
         ).astype(VERTEX_DTYPE, copy=False)
-
-    @property
-    def owned_levels(self) -> list[np.ndarray]:
-        """Per-rank level views over each rank's owned slice (compat)."""
-        lo, hi = self._owned_bounds()
-        return [
-            self._levels_flat[lo[r] : hi[r]] for r in range(self.comm.nranks)
-        ]
 
     def _owned_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Pooled owned-slice bounds, computed once per engine.
@@ -277,35 +302,18 @@ class LevelSyncEngine(abc.ABC):
         """Run one level expansion; returns the global new-frontier size.
 
         A return of 0 means the search has terminated (steps 4-6 of the
-        algorithms: every rank's frontier is empty).
-
-        Under fault injection with checkpointing enabled, a level in
-        which a message chunk was lost for good (retry budget exhausted)
-        is rolled back to its entry state and re-executed — the wasted
-        simulated time stays on the clocks and is tallied in the fault
-        report.  The re-execution draws fresh fault decisions, so it can
-        (and eventually will) succeed.
-
-        Under crash injection the level entry additionally replicates
-        every rank's checkpoint to its buddy
-        (:meth:`~repro.runtime.comm.Communicator.replicate_checkpoint`);
-        a crash detected during the level triggers the failover protocol
-        (spare takeover or shrink absorption) and a replay of the level
-        from that checkpoint.
+        algorithms: every rank's frontier is empty).  The level runs
+        under :func:`run_level`'s checkpoint / rollback / crash-replay
+        protocol.
         """
         if not self._started:
             raise SearchError("engine not started; call start(source) first")
-        stats = self.comm.stats
-        clock = self.comm.clock
         obs = self.comm.obs
         level_span = (
             obs.begin(f"level {self.level}", cat="level", level=self.level)
             if obs.enabled
             else None
         )
-        comm_before = clock.max_comm_time
-        compute_before = clock.max_compute_time
-        fault_before = clock.max_fault_time
         # Direction decision: global counts only (frontier size, unvisited,
         # n), so the SPMD workers reach the identical choice from their
         # allreduced totals.  Charge-free by design — a pure top-down
@@ -324,98 +332,23 @@ class LevelSyncEngine(abc.ABC):
                 to=direction,
             ):
                 pass
-        faults = self.comm.faults
-        checkpointing = self.opts.checkpoint
-        if checkpointing is None:
-            checkpointing = faults is not None and faults.spec.needs_checkpoint
-        if checkpointing and faults is not None and faults.spec.buddy_checkpointing:
-            # buddy replication makes the level-entry snapshot crash-proof:
-            # each rank's O(n/P) state streams to its ring partner
-            self.comm.replicate_checkpoint(self._checkpoint_nbytes())
-        attempts_left = faults.spec.max_level_retries if faults is not None else 0
-        rollbacks = 0
-        replays = 0
-        replay_span = None
-        while True:
-            snapshot = self._checkpoint() if checkpointing else None
-            elapsed_before = clock.elapsed
-            self.comm.begin_level(self.level)
-            if direction == BOTTOM_UP:
-                new_flat, new_bounds = self._expand_level_bottom_up()
-            else:
-                new_flat, new_bounds = self._expand_level()
-            sizes = np.diff(new_bounds).astype(np.float64)
-            total_new = int(self.comm.allreduce_sum(sizes))
-            if replay_span is not None:
-                obs.end(replay_span)
-                replay_span = None
-            crashes = self.comm.consume_crashes()
-            failed = self.comm.consume_level_failure()
-            if not crashes and not failed:
-                break
-            if snapshot is None:
-                raise FaultError(
-                    f"state lost at level {self.level} and checkpointing is "
-                    "disabled (BfsOptions.checkpoint=False)",
-                    report=self.comm.fault_report(),
-                )
-            if attempts_left <= 0:
-                raise FaultError(
-                    f"level {self.level} still failing after "
-                    f"{faults.spec.max_level_retries} rollbacks",
-                    report=self.comm.fault_report(),
-                )
-            attempts_left -= 1
-            if crashes:
-                replays += 1
-                with obs.span(
-                    "crash-recovery",
-                    cat="phase",
-                    level=self.level,
-                    ranks=[event.rank for event in crashes],
-                ):
-                    stats.abort_level()
-                    self._restore(snapshot)
-                    self.comm.recover_crashes(crashes, self._checkpoint_nbytes())
-                    faults.record_replay(clock.elapsed - elapsed_before)
-                if obs.enabled:
-                    replay_span = obs.begin("replay", cat="phase", level=self.level)
-                logger.debug(
-                    "level %d replayed after rank crash(es) %s",
-                    self.level,
-                    [event.rank for event in crashes],
-                )
-            else:
-                rollbacks += 1
-                with obs.span("fault-recovery", cat="phase", level=self.level):
-                    stats.abort_level()
-                    self._restore(snapshot)
-                    faults.record_rollback(clock.elapsed - elapsed_before)
-                logger.debug(
-                    "level %d rolled back after an unrecovered loss", self.level
-                )
+        self._direction = direction
+        (new_flat, new_bounds), total_new, rollbacks, replays = run_level(
+            self.comm, self.opts, self.level, self, direction=direction
+        )
         self._frontier_flat = new_flat
         self._frontier_bounds = new_bounds
-        self._direction = direction
         self._unvisited -= total_new
-        level_stats = stats.end_level(
-            total_new,
-            comm_seconds=clock.max_comm_time - comm_before,
-            compute_seconds=clock.max_compute_time - compute_before,
-            fault_seconds=clock.max_fault_time - fault_before,
-            direction=direction,
-        )
         if level_span is not None:
             obs.end(level_span, frontier=total_new, rollbacks=rollbacks, replays=replays)
-        logger.debug(
-            "level %d: frontier=%d delivered=%d messages=%d",
-            self.level,
-            total_new,
-            level_stats.total_received,
-            level_stats.messages,
-        )
         self.level += 1
         return total_new
+
+    def _attempt(self) -> tuple[np.ndarray, np.ndarray]:
+        """One attempt at the current level, in the decided direction."""
+        if self._direction == BOTTOM_UP:
+            return self._expand_level_bottom_up()
+        return self._expand_level()
 
     # ------------------------------------------------------------------ #
     # level-boundary checkpointing (fault recovery)
@@ -440,10 +373,6 @@ class LevelSyncEngine(abc.ABC):
             + self._layout_checkpoint_nbytes()
         )
 
-    def _layout_checkpoint_nbytes(self) -> np.ndarray | int:
-        """Layout-specific extra checkpoint bytes per rank (default none)."""
-        return 0
-
     def _checkpoint(self):
         """Snapshot every mutable per-search structure at a level boundary."""
         return (
@@ -457,7 +386,7 @@ class LevelSyncEngine(abc.ABC):
         """Roll the search back to a :meth:`_checkpoint` snapshot.
 
         The flat level array is restored *in place* so any outstanding
-        ``owned_levels`` views stay valid.
+        views of it stay valid.
         """
         levels_flat, frontier_flat, frontier_bounds, layout = snapshot
         self._levels_flat[:] = levels_flat
@@ -475,6 +404,136 @@ class LevelSyncEngine(abc.ABC):
     def level_of(self, vertex: int) -> int:
         """Current label of ``vertex`` (``UNREACHED`` if not labelled yet)."""
         return int(self._levels_flat[vertex])
+
+
+def run_level(
+    comm: Communicator,
+    opts: BfsOptions,
+    level: int,
+    body,
+    *,
+    prefix: str = "",
+    direction: str = TOP_DOWN,
+):
+    """Run one level of ``body`` under the checkpoint / retry protocol.
+
+    ``body`` is anything with ``_attempt()`` (run the level once from the
+    body's entry state and return the next frontier as a pooled tuple
+    whose last element is the per-rank bounds — the entry frontier is
+    left untouched), ``_checkpoint()`` / ``_restore(snapshot)`` (every
+    structure an attempt mutates) and ``_checkpoint_nbytes()`` (per-rank
+    size of that state plus the entry frontier): a layout engine at
+    width 1, the batched traversal at width W.
+
+    Under fault injection with checkpointing enabled, a level in which a
+    message chunk was lost for good (retry budget exhausted) is rolled
+    back to its entry state and re-executed — the wasted simulated time
+    stays on the clocks and is tallied in the fault report.  The
+    re-execution draws fresh fault decisions, so it can (and eventually
+    will) succeed.
+
+    Under crash injection the level entry additionally replicates every
+    rank's checkpoint to its buddy
+    (:meth:`~repro.runtime.comm.Communicator.replicate_checkpoint`); a
+    crash detected during the level triggers the failover protocol (spare
+    takeover or shrink absorption) and a replay of the level from that
+    checkpoint.
+
+    Closes the level's statistics row and returns ``(frontier,
+    total_new, rollbacks, replays)``.  ``prefix`` leads the
+    :class:`FaultError` texts (``"batch "`` for a batched traversal).
+    """
+    stats = comm.stats
+    clock = comm.clock
+    obs = comm.obs
+    faults = comm.faults
+    comm_before = clock.max_comm_time
+    compute_before = clock.max_compute_time
+    fault_before = clock.max_fault_time
+    checkpointing = opts.checkpoint
+    if checkpointing is None:
+        checkpointing = faults is not None and faults.spec.needs_checkpoint
+    if checkpointing and faults is not None and faults.spec.buddy_checkpointing:
+        # buddy replication makes the level-entry snapshot crash-proof:
+        # each rank's O(n/P) state streams to its ring partner
+        comm.replicate_checkpoint(body._checkpoint_nbytes())
+    attempts_left = faults.spec.max_level_retries if faults is not None else 0
+    rollbacks = 0
+    replays = 0
+    replay_span = None
+    while True:
+        snapshot = body._checkpoint() if checkpointing else None
+        elapsed_before = clock.elapsed
+        comm.begin_level(level)
+        frontier = body._attempt()
+        total_new = int(
+            comm.allreduce_sum(np.diff(frontier[-1]).astype(np.float64))
+        )
+        if replay_span is not None:
+            obs.end(replay_span)
+            replay_span = None
+        crashes = comm.consume_crashes()
+        failed = comm.consume_level_failure()
+        if not crashes and not failed:
+            break
+        if snapshot is None:
+            raise FaultError(
+                f"{prefix}state lost at level {level} and checkpointing is "
+                "disabled (BfsOptions.checkpoint=False)",
+                report=comm.fault_report(),
+            )
+        if attempts_left <= 0:
+            raise FaultError(
+                f"{prefix}level {level} still failing after "
+                f"{faults.spec.max_level_retries} rollbacks",
+                report=comm.fault_report(),
+            )
+        attempts_left -= 1
+        if crashes:
+            replays += 1
+            with obs.span(
+                "crash-recovery",
+                cat="phase",
+                level=level,
+                ranks=[event.rank for event in crashes],
+            ):
+                stats.abort_level()
+                body._restore(snapshot)
+                comm.recover_crashes(crashes, body._checkpoint_nbytes())
+                faults.record_replay(clock.elapsed - elapsed_before)
+            if obs.enabled:
+                replay_span = obs.begin("replay", cat="phase", level=level)
+            logger.debug(
+                "%slevel %d replayed after rank crash(es) %s",
+                prefix,
+                level,
+                [event.rank for event in crashes],
+            )
+        else:
+            rollbacks += 1
+            with obs.span("fault-recovery", cat="phase", level=level):
+                stats.abort_level()
+                body._restore(snapshot)
+                faults.record_rollback(clock.elapsed - elapsed_before)
+            logger.debug(
+                "%slevel %d rolled back after an unrecovered loss", prefix, level
+            )
+    level_stats = stats.end_level(
+        total_new,
+        comm_seconds=clock.max_comm_time - comm_before,
+        compute_seconds=clock.max_compute_time - compute_before,
+        fault_seconds=clock.max_fault_time - fault_before,
+        direction=direction,
+    )
+    logger.debug(
+        "%slevel %d: frontier=%d delivered=%d messages=%d",
+        prefix,
+        level,
+        total_new,
+        level_stats.total_received,
+        level_stats.messages,
+    )
+    return frontier, total_new, rollbacks, replays
 
 
 def run_bfs(

@@ -13,13 +13,20 @@ the visited bit widened to a visited *word*.
 
 The traversal rides the existing engines: :func:`run_ms_bfs` wraps a
 constructed :class:`~repro.bfs.bfs_1d.Bfs1DEngine` or
-:class:`~repro.bfs.bfs_2d.Bfs2DEngine` and reuses its immutable caches
-(concatenated CSR tables, expand filters, partition geometry) and its
-communicator — vertex payloads travel through the normal
-:meth:`~repro.runtime.comm.Communicator.exchange` path (so wire codecs,
-chunking, contention, and observability all apply), while the parallel
-mask words are charged to the wire uncompressed (8 bytes per entry;
-dense bitmasks are what the sparse-frontier codecs do *not* target).
+:class:`~repro.bfs.bfs_2d.Bfs2DEngine` and is the width-W body of the
+same level loop.  The loop and its recovery are
+:func:`~repro.bfs.level_sync.run_level`; the batch level is *one* array
+body over a pooled ``(flat, masks, bounds)`` frontier that takes from the
+engine its immutable lookup tables, its expand messages (the per-vertex
+expand-target CSR the single-source direct expand uses), its discovery
+kernel and its fold-owner hook — the layouts differ only in whether
+there are expand peers and who the fold peers are.  Every ``(vertex,
+mask)`` round enters the wire through
+:meth:`~repro.runtime.comm.Communicator.exchange_arrays` (so wire codecs,
+chunking, contention, faults and observability all apply to the vertex
+ids), while the parallel mask words are charged to the wire uncompressed
+(8 bytes per entry; dense bitmasks are what the sparse-frontier codecs do
+*not* target) and re-join their vertices by position on arrival.
 
 Level semantics are bit-for-bit those of the sequential loop: a source's
 level row after :func:`run_ms_bfs` is byte-identical to the ``levels``
@@ -47,13 +54,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bfs.bfs_2d import Bfs2DEngine
-from repro.bfs.level_sync import LevelSyncEngine
+from repro.bfs.level_sync import LevelSyncEngine, run_level
 from repro.bfs.result import QueryResult
-from repro.errors import ConfigurationError, FaultError, SearchError
+from repro.errors import ConfigurationError, SearchError
 from repro.faults.report import FaultReport
 from repro.runtime.stats import CommStats
 from repro.types import LEVEL_DTYPE, UNREACHED, VERTEX_DTYPE
-from repro.utils.arrays import in_sorted
+from repro.utils.segmented import range_indices
 
 #: dtype of the per-vertex source masks (one bit per batched source)
 MASK_DTYPE = np.uint64
@@ -125,6 +132,13 @@ class MsBfsResult:
         )
 
 
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in ``key``."""
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def _or_reduce_segmented(
     verts: np.ndarray,
     masks: np.ndarray,
@@ -138,18 +152,9 @@ def _or_reduce_segmented(
     ``verts[bounds[r]:bounds[r+1]]`` sorted ascending and each vertex's
     mask is the OR of its occurrences within the segment.
     """
-    if verts.size == 0:
-        bounds = np.zeros(nranks + 1, dtype=np.int64)
-        return (
-            np.empty(0, dtype=VERTEX_DTYPE),
-            np.empty(0, dtype=MASK_DTYPE),
-            bounds,
-        )
     key = segs * n + verts
     order = np.argsort(key, kind="stable")
-    k = key[order]
-    first = np.concatenate(([True], k[1:] != k[:-1]))
-    idx = np.flatnonzero(first)
+    idx = _run_starts(key[order])
     uv = verts[order][idx]
     us = segs[order][idx]
     um = np.bitwise_or.reduceat(masks[order], idx)
@@ -158,8 +163,23 @@ def _or_reduce_segmented(
     return uv, um, bounds
 
 
+def _keep(
+    flat: np.ndarray, masks: np.ndarray, bounds: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of a pooled ``(flat, masks, bounds)`` frontier that ``keep`` marks."""
+    return flat[keep], masks[keep], np.concatenate(([0], np.cumsum(keep)))[bounds]
+
+
 class _MsBfsRun:
-    """One batched traversal over a wrapped engine's immutable caches."""
+    """One batched traversal: the width-W level body over a wrapped engine.
+
+    Holds only what is batch-specific — the per-source level rows, the
+    visited mask words, the pooled ``(flat, masks, bounds)`` frontier
+    (rank ``r`` holds ``flat[bounds[r]:bounds[r+1]]``, sorted, with the
+    parallel mask words) and target retirement.  The level loop and its
+    recovery are :func:`~repro.bfs.level_sync.run_level`; lookup tables,
+    expand and fold routing are the engine's.
+    """
 
     def __init__(
         self,
@@ -199,66 +219,19 @@ class _MsBfsRun:
         self.bits = np.left_shift(
             np.ones(self.B, dtype=MASK_DTYPE), np.arange(self.B, dtype=MASK_DTYPE)
         )
-        self.is_2d = isinstance(engine, Bfs2DEngine)
-
-    # ------------------------------------------------------------------ #
-    # wire helpers
-    # ------------------------------------------------------------------ #
-    def _exchange_pairs(
-        self,
-        vert_outbox: dict[int, dict[int, np.ndarray]],
-        mask_outbox: dict[int, dict[int, np.ndarray]],
-        phase: str,
-    ) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
-        """One synchronous round of ``(vertex, mask)`` pair messages.
-
-        Vertex ids ride :meth:`Communicator.exchange` (codec-compressed,
-        chunked, contention-priced, traced); the parallel mask words are
-        charged as an uncompressed second round on the same links (8 bytes
-        per entry) and re-paired with their vertices on arrival.
-        """
-        comm = self.comm
-        inbox = comm.exchange(vert_outbox, phase, sync=False)
-        src_l: list[int] = []
-        dst_l: list[int] = []
-        nbytes_l: list[int] = []
-        for src, dests in mask_outbox.items():
-            for dst, masks in dests.items():
-                if masks.size:
-                    src_l.append(src)
-                    dst_l.append(dst)
-                    nbytes_l.append(int(masks.size) * masks.dtype.itemsize)
-        if src_l:
-            src_a = np.array(src_l, dtype=np.int64)
-            dst_a = np.array(dst_l, dtype=np.int64)
-            nb = np.array(nbytes_l, dtype=np.int64)
-            send, recv, _ = comm.network.round_times_arrays(src_a, dst_a, nb)
-            comm.clock.advance_many(np.maximum(send, recv), kind="comm")
-            total = int(nb.sum())
-            comm.stats.record_message_bulk(0, 0, total, total)
-        comm.barrier()
-        paired: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for dst, items in inbox.items():
-            chunks_by_src: dict[int, list[np.ndarray]] = {}
-            order: list[int] = []
-            for src, chunk in items:
-                if src not in chunks_by_src:
-                    order.append(src)
-                chunks_by_src.setdefault(src, []).append(chunk)
-            out = []
-            for src in order:
-                chunks = chunks_by_src[src]
-                verts = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-                sent = vert_outbox[src][dst]
-                masks = mask_outbox[src][dst]
-                if verts.size != sent.size:
-                    # a fault withheld chunks of this message: re-pair the
-                    # surviving vertices (a sorted subset of the sorted
-                    # unique send) with their mask words by position
-                    masks = masks[np.searchsorted(sent, verts)]
-                out.append((verts, masks))
-            paired[dst] = out
-        return paired
+        self.level = 0
+        self.levels = np.full((self.B, n), UNREACHED, dtype=LEVEL_DTYPE)
+        self.levels[np.arange(self.B), self.sources] = 0
+        # initial frontier: each source at its owner rank
+        init_verts = np.array(self.sources, dtype=VERTEX_DTYPE)
+        self.seen = np.zeros(n, dtype=MASK_DTYPE)
+        np.bitwise_or.at(self.seen, init_verts, self.bits)
+        owners = np.array(
+            [engine.owner_rank(s) for s in self.sources], dtype=np.int64
+        )
+        self.frontier = _or_reduce_segmented(
+            init_verts, self.bits, owners, self.nranks, n
+        )
 
     # ------------------------------------------------------------------ #
     # traversal
@@ -266,14 +239,9 @@ class _MsBfsRun:
     def run(self) -> MsBfsResult:
         engine = self.engine
         comm = self.comm
-        n, nranks, B = self.n, self.nranks, self.B
+        B = self.B
         obs = comm.obs
-        stats = comm.stats
-        clock = comm.clock
-
-        levels = np.full((B, n), UNREACHED, dtype=LEVEL_DTYPE)
-        levels[np.arange(B), self.sources] = 0
-        seen = np.zeros(n, dtype=MASK_DTYPE)
+        levels = self.levels
         target_levels: list[int | None] = [
             0 if t is not None and t == s else None
             for s, t in zip(self.sources, self.targets)
@@ -281,151 +249,44 @@ class _MsBfsRun:
         retired_level = np.zeros(B, dtype=np.int64)
         active = np.ones(B, dtype=bool)
 
-        # initial frontier: each source at its owner rank
-        init_verts = np.array(self.sources, dtype=VERTEX_DTYPE)
-        init_masks = self.bits.copy()
-        np.bitwise_or.at(seen, init_verts, init_masks)
-        init_segs = np.array(
-            [engine.owner_rank(s) for s in self.sources], dtype=np.int64
-        )
-        fr_verts, fr_masks, fr_bounds = _or_reduce_segmented(
-            init_verts, init_masks, init_segs, nranks, n
-        )
-        frontier: list[tuple[np.ndarray, np.ndarray]] = [
-            (fr_verts[fr_bounds[r]: fr_bounds[r + 1]],
-             fr_masks[fr_bounds[r]: fr_bounds[r + 1]])
-            for r in range(nranks)
-        ]
-
-        faults = comm.faults
-        checkpointing = engine.opts.checkpoint
-        if checkpointing is None:
-            checkpointing = faults is not None and faults.spec.needs_checkpoint
-
-        any_targets = any(t is not None for t in self.targets)
         run_span = (
             obs.begin("msbfs", cat="run", sources=B) if obs.enabled else None
         )
-        t = 0
         while True:
             level_span = (
-                obs.begin(f"level {t}", cat="level", level=t)
+                obs.begin(f"level {self.level}", cat="level", level=self.level)
                 if obs.enabled
                 else None
             )
-            comm_before = clock.max_comm_time
-            compute_before = clock.max_compute_time
-            fault_before = clock.max_fault_time
-            if checkpointing and faults is not None and faults.spec.buddy_checkpointing:
-                # buddy replication makes the batch-level snapshot
-                # crash-proof: each rank streams its owned level rows,
-                # visited mask words, and (vertex, mask) frontier to its
-                # ring partner
-                comm.replicate_checkpoint(self._checkpoint_nbytes(frontier))
-            attempts_left = faults.spec.max_level_retries if faults is not None else 0
-            rollbacks = 0
-            replays = 0
-            replay_span = None
-            entry_frontier = frontier
-            while True:
-                snapshot = (
-                    (levels.copy(), seen.copy()) if checkpointing else None
-                )
-                elapsed_before = clock.elapsed
-                comm.begin_level(t)
-                if self.is_2d:
-                    frontier, new_entries = self._level_2d(
-                        entry_frontier, seen, levels, t
-                    )
-                else:
-                    frontier, new_entries = self._level_1d(
-                        entry_frontier, seen, levels, t
-                    )
-                total_new = int(comm.allreduce_sum(new_entries.astype(np.float64)))
-                if replay_span is not None:
-                    obs.end(replay_span)
-                    replay_span = None
-                crashes = comm.consume_crashes()
-                failed = comm.consume_level_failure()
-                if not crashes and not failed:
-                    break
-                if snapshot is None:
-                    raise FaultError(
-                        f"batch state lost at level {t} and checkpointing is "
-                        "disabled (BfsOptions.checkpoint=False)",
-                        report=comm.fault_report(),
-                    )
-                if attempts_left <= 0:
-                    raise FaultError(
-                        f"batch level {t} still failing after "
-                        f"{faults.spec.max_level_retries} rollbacks",
-                        report=comm.fault_report(),
-                    )
-                attempts_left -= 1
-                # the entry frontier's arrays are never mutated in place,
-                # so rolling back only restores the level rows and the
-                # visited mask words; the next attempt re-expands
-                # entry_frontier under fresh fault draws
-                if crashes:
-                    replays += 1
-                    with obs.span(
-                        "crash-recovery",
-                        cat="phase",
-                        level=t,
-                        ranks=[event.rank for event in crashes],
-                    ):
-                        stats.abort_level()
-                        levels[:] = snapshot[0]
-                        seen[:] = snapshot[1]
-                        comm.recover_crashes(
-                            crashes, self._checkpoint_nbytes(entry_frontier)
-                        )
-                        faults.record_replay(clock.elapsed - elapsed_before)
-                    if obs.enabled:
-                        replay_span = obs.begin("replay", cat="phase", level=t)
-                else:
-                    rollbacks += 1
-                    with obs.span("fault-recovery", cat="phase", level=t):
-                        stats.abort_level()
-                        levels[:] = snapshot[0]
-                        seen[:] = snapshot[1]
-                        faults.record_rollback(clock.elapsed - elapsed_before)
-            stats.end_level(
-                total_new,
-                comm_seconds=clock.max_comm_time - comm_before,
-                compute_seconds=clock.max_compute_time - compute_before,
-                fault_seconds=clock.max_fault_time - fault_before,
+            self.frontier, total_new, rollbacks, replays = run_level(
+                comm, engine.opts, self.level, self, prefix="batch "
             )
-            t += 1
+            self.level += 1
+            t = self.level
             pending = [
                 i
                 for i in range(B)
                 if active[i] and self.targets[i] is not None
             ]
-            if any_targets and pending:
+            if pending:
                 # one found-check reduction covers every pending target —
                 # the sequential driver pays one per query per level
-                flags = np.zeros(nranks, dtype=np.float64)
-                newly_found = []
+                flags = np.zeros(self.nranks, dtype=np.float64)
+                retired = MASK_DTYPE(0)
                 for i in pending:
                     tgt = self.targets[i]
                     if target_levels[i] is None and levels[i, tgt] != UNREACHED:
                         target_levels[i] = int(levels[i, tgt])
                     if target_levels[i] is not None:
                         flags[engine.owner_rank(tgt)] = 1.0
-                        newly_found.append(i)
-                comm.allreduce_flag(flags)
-                if newly_found:
-                    retire_mask = MASK_DTYPE(0)
-                    for i in newly_found:
                         active[i] = False
                         retired_level[i] = t
-                        retire_mask |= self.bits[i]
-                    keep_mask = ~retire_mask
-                    frontier = [
-                        ((v[(m & keep_mask) != 0]), (m & keep_mask)[(m & keep_mask) != 0])
-                        for v, m in frontier
-                    ]
+                        retired |= self.bits[i]
+                comm.allreduce_flag(flags)
+                if retired:
+                    flat, masks, bounds = self.frontier
+                    masks = masks & ~retired
+                    self.frontier = _keep(flat, masks, bounds, masks != 0)
             if level_span is not None:
                 obs.end(
                     level_span,
@@ -452,6 +313,7 @@ class _MsBfsRun:
                 num_levels[i] = min(ecc + 1, t) if self.max_levels is None else min(
                     ecc + 1, t, self.max_levels
                 )
+        clock = comm.clock
         return MsBfsResult(
             sources=tuple(self.sources),
             targets=tuple(self.targets),
@@ -462,14 +324,14 @@ class _MsBfsRun:
             elapsed=clock.elapsed,
             comm_time=clock.max_comm_time,
             compute_time=clock.max_compute_time,
-            stats=stats,
+            stats=comm.stats,
             faults=comm.fault_report(),
         )
 
     # ------------------------------------------------------------------ #
-    # level-boundary checkpointing (fault recovery)
+    # level-boundary checkpointing (the run_level body protocol)
     # ------------------------------------------------------------------ #
-    def _checkpoint_nbytes(self, frontier) -> np.ndarray:
+    def _checkpoint_nbytes(self) -> np.ndarray:
         """Per-rank byte size of the buddy-replicated batch checkpoint.
 
         The O(n/P) state a partner must hold to resurrect a rank inside a
@@ -478,244 +340,153 @@ class _MsBfsRun:
         mask words (8 bytes per vertex), and the rank's current frontier
         as ``(vertex, mask)`` pairs.
         """
-        engine = self.engine
-        engine._owned_bounds()
-        spans = engine._owned_spans
-        frontier_sizes = np.array(
-            [verts.size for verts, _ in frontier], dtype=np.int64
+        lo, hi = self.engine._owned_bounds()
+        per_vertex = (
+            self.B * np.dtype(LEVEL_DTYPE).itemsize + np.dtype(MASK_DTYPE).itemsize
         )
-        level_bytes = spans * (self.B * np.dtype(LEVEL_DTYPE).itemsize)
-        mask_bytes = spans * np.dtype(MASK_DTYPE).itemsize
-        frontier_bytes = frontier_sizes * (
-            np.dtype(VERTEX_DTYPE).itemsize + np.dtype(MASK_DTYPE).itemsize
-        )
-        return level_bytes + mask_bytes + frontier_bytes
+        per_entry = np.dtype(VERTEX_DTYPE).itemsize + np.dtype(MASK_DTYPE).itemsize
+        return (hi - lo) * per_vertex + np.diff(self.frontier[-1]) * per_entry
+
+    def _checkpoint(self) -> tuple[np.ndarray, np.ndarray]:
+        """Snapshot what an attempt mutates: level rows and visited words."""
+        return self.levels.copy(), self.seen.copy()
+
+    def _restore(self, snapshot: tuple[np.ndarray, np.ndarray]) -> None:
+        """Mask-aware rollback: the next attempt re-expands the untouched
+        entry frontier under fresh fault draws."""
+        self.levels[:], self.seen[:] = snapshot
 
     # ------------------------------------------------------------------ #
-    # one batch level — 2D (expand / discover / fold)
+    # one batch level (expand / discover / fold / label)
     # ------------------------------------------------------------------ #
-    def _level_2d(self, frontier, seen, levels, t):
+    def _exchange_pairs(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        verts: np.ndarray,
+        masks: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        phase: str,
+        population=None,
+        pop_idx: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One synchronous round of ``(vertex, mask)`` pair messages.
+
+        Message ``k`` carries ``verts[starts[k]:stops[k]]`` and the
+        parallel mask words from ``src[k]`` to ``dst[k]``.  Vertex ids
+        ride :meth:`Communicator.exchange_arrays` (codec-compressed,
+        chunked, contention-priced, faulted, traced); the mask words are
+        charged as an uncompressed second round on the same links (8
+        bytes per entry) ahead of the barrier.  Returns the delivered
+        entries as ``(verts, masks, segs)``, ``segs`` tagging each with
+        its destination rank: arrived chunks slice both columns by
+        position, so whichever chunks a fault withheld, every surviving
+        vertex keeps its own mask word.
+        """
+        comm = self.comm
+        arrived = comm.exchange_arrays(
+            src, dst, verts, starts, stops, phase,
+            population=population, pop_idx=pop_idx, sync=False,
+        )
+        if src.size:
+            nbytes = (stops - starts) * masks.dtype.itemsize
+            send, recv, _ = comm.network.round_times_arrays(src, dst, nbytes)
+            comm.clock.advance_many(np.maximum(send, recv), kind="comm")
+            total = int(nbytes.sum())
+            comm.stats.record_message_bulk(0, 0, total, total)
+        comm.barrier()
+        if arrived is not None:
+            msg, starts, stops = arrived
+            dst = dst[msg]
+        sizes = stops - starts
+        idx, _ = range_indices(starts, sizes)
+        return verts[idx], masks[idx], np.repeat(dst, sizes)
+
+    def _attempt(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One batch level from the entry frontier; returns the next one.
+
+        The layouts share this body: a 2D engine adds the expand phase
+        and answers the fold's "who owns ``v``, seen from sender ``s``"
+        within the sender's processor-row; 1D is the degenerate mesh with
+        no expand peers and the whole machine as fold peers.
+        """
         engine = self.engine
         comm = self.comm
         nranks, n = self.nranks, self.n
-        grid = engine.grid
-        R = grid.rows
         obs = comm.obs
+        ranks = np.arange(nranks, dtype=np.int64)
+        flat, masks, bounds = self.frontier
 
-        # --- expand: frontier (vertex, mask) pairs to processor-column peers
-        with obs.span("expand", cat="phase"):
-            vert_out: dict[int, dict[int, np.ndarray]] = {}
-            mask_out: dict[int, dict[int, np.ndarray]] = {}
-            filter_cat = engine._expand_filter_cat
-            for group in engine._col_groups:
-                for src in group:
-                    fv, fm = frontier[src]
-                    if fv.size == 0:
-                        continue
-                    if filter_cat is not None:
-                        dsts, merged, bounds = filter_cat[src]
-                        if merged.size == 0:
-                            continue
-                        sel = in_sorted(merged, fv)
-                        for k, dst in enumerate(dsts):
-                            seg = merged[bounds[k]: bounds[k + 1]]
-                            seg_sel = sel[bounds[k]: bounds[k + 1]]
-                            verts = seg[seg_sel]
-                            if verts.size:
-                                pos = np.searchsorted(fv, verts)
-                                vert_out.setdefault(src, {})[dst] = verts
-                                mask_out.setdefault(src, {})[dst] = fm[pos]
-                    else:
-                        for dst in group:
-                            if dst != src:
-                                vert_out.setdefault(src, {})[dst] = fv
-                                mask_out.setdefault(src, {})[dst] = fm
-            inbox = self._exchange_pairs(vert_out, mask_out, "expand")
-
-            inc_counts = np.zeros(nranks, dtype=np.int64)
-            fbar_parts_v: list[np.ndarray] = []
-            fbar_parts_m: list[np.ndarray] = []
-            fbar_segs: list[np.ndarray] = []
-            for r in range(nranks):
-                fv, fm = frontier[r]
-                if fv.size:
-                    fbar_parts_v.append(fv)
-                    fbar_parts_m.append(fm)
-                    fbar_segs.append(np.full(fv.size, r, dtype=np.int64))
-                for v, m in inbox.get(r, []):
-                    if v.size:
-                        inc_counts[r] += v.size
-                        fbar_parts_v.append(v)
-                        fbar_parts_m.append(m)
-                        fbar_segs.append(np.full(v.size, r, dtype=np.int64))
-            comm.charge_compute_many(hash_lookups=inc_counts)
-            if fbar_parts_v:
-                fb_v, fb_m, fb_bounds = _or_reduce_segmented(
-                    np.concatenate(fbar_parts_v),
-                    np.concatenate(fbar_parts_m),
-                    np.concatenate(fbar_segs),
-                    nranks,
-                    n,
+        if isinstance(engine, Bfs2DEngine):
+            # frontier pairs to the processor-column peers holding the
+            # vertices' partial edge lists, merged into F-bar per rank
+            with obs.span("expand", cat="phase"):
+                (verts, words), src, dst, msg_bounds, population, pop_idx = (
+                    engine._expand_messages(flat, bounds, masks)
                 )
-            else:
-                fb_v, fb_m, fb_bounds = _or_reduce_segmented(
-                    np.empty(0, dtype=VERTEX_DTYPE),
-                    np.empty(0, dtype=MASK_DTYPE),
-                    np.empty(0, dtype=np.int64),
+                inc_v, inc_m, inc_s = self._exchange_pairs(
+                    src, dst, verts, words,
+                    msg_bounds[:-1], msg_bounds[1:], "expand",
+                    population, pop_idx,
+                )
+                comm.charge_compute_many(
+                    hash_lookups=np.bincount(inc_s, minlength=nranks)
+                )
+                flat, masks, bounds = _or_reduce_segmented(
+                    np.concatenate((flat, inc_v)),
+                    np.concatenate((masks, inc_m)),
+                    np.concatenate((np.repeat(ranks, np.diff(bounds)), inc_s)),
                     nranks,
                     n,
                 )
 
-        # --- discover: one keyed lookup into the concatenated column-CSR
         with obs.span("compute", cat="phase"):
-            slots, raw_sizes, hit, lengths = engine._gather_slots(fb_v, fb_bounds)
-            comm.charge_compute_many(
-                edges_scanned=raw_sizes,
-                hash_lookups=raw_sizes + np.diff(fb_bounds),
-            )
+            slots, lengths = engine._gather_slots(flat, bounds)
             nb_v, nb_m, nb_bounds = engine._sent_pool.discover_masks(
-                slots, np.repeat(fb_m[hit], lengths)
+                slots, np.repeat(masks, lengths)
             )
-
-            # --- bucket by processor-row member (mesh column owner blocks)
-            col_bounds = engine.partition.dist.offsets[::R]
-            vert_out = {}
-            mask_out = {}
-            own_parts: list[tuple[int, np.ndarray, np.ndarray]] = []
-            for r in range(nranks):
-                verts = nb_v[nb_bounds[r]: nb_bounds[r + 1]]
-                masks = nb_m[nb_bounds[r]: nb_bounds[r + 1]]
-                if verts.size == 0:
-                    continue
-                row = r // grid.cols
-                bounds = np.searchsorted(verts, col_bounds)
-                nonempty = np.flatnonzero(bounds[1:] > bounds[:-1])
-                for m_idx in nonempty:
-                    dst = grid.rank_of(row, int(m_idx))
-                    v_slice = verts[bounds[m_idx]: bounds[m_idx + 1]]
-                    m_slice = masks[bounds[m_idx]: bounds[m_idx + 1]]
-                    if dst == r:
-                        own_parts.append((r, v_slice, m_slice))
-                    else:
-                        vert_out.setdefault(r, {})[dst] = v_slice
-                        mask_out.setdefault(r, {})[dst] = m_slice
-
-        # --- fold: deliver across processor-rows, then label
-        with obs.span("fold", cat="phase"):
-            inbox = self._exchange_pairs(vert_out, mask_out, "fold")
-        return self._label(inbox, own_parts, seen, levels, t)
-
-    # ------------------------------------------------------------------ #
-    # one batch level — 1D (discover / fold)
-    # ------------------------------------------------------------------ #
-    def _level_1d(self, frontier, seen, levels, t):
-        engine = self.engine
-        comm = self.comm
-        nranks = self.nranks
-        obs = comm.obs
-        offsets = engine.partition.dist.offsets
-
-        with obs.span("compute", cat="phase"):
-            parts_v = [frontier[r][0] for r in range(nranks)]
-            parts_m = [frontier[r][1] for r in range(nranks)]
-            f_bounds = np.concatenate(([0], np.cumsum([p.size for p in parts_v])))
-            slots, raw_sizes, lengths = engine._gather_slots(
-                np.concatenate(parts_v), f_bounds
-            )
-            comm.charge_compute_many(edges_scanned=raw_sizes, hash_lookups=raw_sizes)
-            nb_v, nb_m, nb_bounds = engine._sent_pool.discover_masks(
-                slots, np.repeat(np.concatenate(parts_m), lengths)
-            )
-
-            vert_out: dict[int, dict[int, np.ndarray]] = {}
-            mask_out: dict[int, dict[int, np.ndarray]] = {}
-            own_parts: list[tuple[int, np.ndarray, np.ndarray]] = []
-            for r in range(nranks):
-                verts = nb_v[nb_bounds[r]: nb_bounds[r + 1]]
-                masks = nb_m[nb_bounds[r]: nb_bounds[r + 1]]
-                if verts.size == 0:
-                    continue
-                bounds = np.searchsorted(verts, offsets)
-                nonempty = np.flatnonzero(bounds[1:] > bounds[:-1])
-                for q in nonempty:
-                    dst = int(q)
-                    v_slice = verts[bounds[q]: bounds[q + 1]]
-                    m_slice = masks[bounds[q]: bounds[q + 1]]
-                    if dst == r:
-                        own_parts.append((r, v_slice, m_slice))
-                    else:
-                        vert_out.setdefault(r, {})[dst] = v_slice
-                        mask_out.setdefault(r, {})[dst] = m_slice
+            # Fold messages are the runs of equal (sender, owner): each
+            # sender's neighbours are sorted and its fold peers own
+            # ascending vertex ranges, so runs come out sender ascending,
+            # then owner, then vertex.  Own-rank runs skip the wire.
+            sender = np.repeat(ranks, np.diff(nb_bounds))
+            owner = engine._fold_owner(nb_v, sender)
+            run_starts = _run_starts(sender * nranks + owner)
+            run_sizes = np.diff(np.append(run_starts, sender.size))
+            wire = sender[run_starts] != owner[run_starts]
+            local, _ = range_indices(run_starts[~wire], run_sizes[~wire])
+            run_starts, run_sizes = run_starts[wire], run_sizes[wire]
 
         with obs.span("fold", cat="phase"):
-            inbox = self._exchange_pairs(vert_out, mask_out, "fold")
-        return self._label(inbox, own_parts, seen, levels, t)
+            inc_v, inc_m, inc_s = self._exchange_pairs(
+                sender[run_starts], owner[run_starts], nb_v, nb_m,
+                run_starts, run_starts + run_sizes, "fold",
+            )
 
-    # ------------------------------------------------------------------ #
-    # label newly reached (vertex, bit) pairs, build the next frontier
-    # ------------------------------------------------------------------ #
-    def _label(self, inbox, own_parts, seen, levels, t):
-        comm = self.comm
-        nranks, n = self.nranks, self.n
-        parts_v: list[np.ndarray] = []
-        parts_m: list[np.ndarray] = []
-        parts_s: list[np.ndarray] = []
-        inc_counts = np.zeros(nranks, dtype=np.int64)
-        for r, v, m in own_parts:
-            parts_v.append(v)
-            parts_m.append(m)
-            parts_s.append(np.full(v.size, r, dtype=np.int64))
-            inc_counts[r] += v.size
-        for dst, items in inbox.items():
-            for v, m in items:
-                if v.size:
-                    parts_v.append(v)
-                    parts_m.append(m)
-                    parts_s.append(np.full(v.size, dst, dtype=np.int64))
-                    inc_counts[dst] += v.size
-        comm.charge_compute_many(hash_lookups=inc_counts)
-        if parts_v:
-            cand_v, cand_m, cand_bounds = _or_reduce_segmented(
-                np.concatenate(parts_v),
-                np.concatenate(parts_m),
-                np.concatenate(parts_s),
-                nranks,
-                n,
-            )
-        else:
-            cand_v, cand_m, cand_bounds = _or_reduce_segmented(
-                np.empty(0, dtype=VERTEX_DTYPE),
-                np.empty(0, dtype=MASK_DTYPE),
-                np.empty(0, dtype=np.int64),
-                nranks,
-                n,
-            )
+        # label newly reached (vertex, bit) pairs, build the next frontier
+        cand_s = np.concatenate((owner[local], inc_s))
+        comm.charge_compute_many(hash_lookups=np.bincount(cand_s, minlength=nranks))
+        cand_v, cand_m, cand_bounds = _or_reduce_segmented(
+            np.concatenate((nb_v[local], inc_v)),
+            np.concatenate((nb_m[local], inc_m)),
+            cand_s,
+            nranks,
+            n,
+        )
         # freshness is evaluated against the *level-entry* visited words for
         # every rank at once (the engines' flat-array semantics), then all
         # updates apply together — duplicate candidates across ranks each
         # enter their rank's frontier, exactly as in the sequential engines
-        new_m = cand_m & ~seen[cand_v]
-        keep = new_m != 0
-        kept_v = cand_v[keep]
-        kept_m = new_m[keep]
-        np.bitwise_or.at(seen, kept_v, kept_m)
+        new_m = cand_m & ~self.seen[cand_v]
+        kept_v, kept_m, kept_bounds = _keep(cand_v, new_m, cand_bounds, new_m != 0)
+        np.bitwise_or.at(self.seen, kept_v, kept_m)
         for b in range(self.B):
             sel = (kept_m >> MASK_DTYPE(b)) & MASK_DTYPE(1) != 0
             if sel.any():
-                levels[b, kept_v[sel]] = t + 1
-        kept_counts = np.zeros(nranks, dtype=np.int64)
-        cand_segs = np.repeat(
-            np.arange(nranks, dtype=np.int64), np.diff(cand_bounds)
-        )
-        np.add.at(kept_counts, cand_segs[keep], 1)
-        comm.charge_compute_many(updates=kept_counts)
-        kept_bounds = np.concatenate(([0], np.cumsum(kept_counts)))
-        frontier = [
-            (kept_v[kept_bounds[r]: kept_bounds[r + 1]],
-             kept_m[kept_bounds[r]: kept_bounds[r + 1]])
-            for r in range(nranks)
-        ]
-        return frontier, kept_counts
+                self.levels[b, kept_v[sel]] = self.level + 1
+        comm.charge_compute_many(updates=np.diff(kept_bounds))
+        return kept_v, kept_m, kept_bounds
 
 
 def run_ms_bfs(

@@ -147,7 +147,7 @@ class Communicator:
         """Execute one synchronous round of point-to-point messages.
 
         The dict form of :meth:`exchange_arrays`, for callers that need an
-        inbox (generator collectives, MS-BFS): the outbox is flattened in
+        inbox (the generator collectives): the outbox is flattened in
         iteration order, run through the same round, and every chunk that
         arrived is handed back under its destination.  Participants are
         barrier-synchronised after the round unless ``sync=False``.
@@ -197,6 +197,8 @@ class Communicator:
         participants: list[int] | None = None,
         population=None,
         pop_idx: np.ndarray | None = None,
+        *,
+        sync: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Execute one synchronous round of point-to-point messages.
 
@@ -206,7 +208,8 @@ class Communicator:
         pair appearing at most once.  Every payload is chunked to
         ``buffer_capacity`` (each chunk is a separate message paying its
         own latency — the cost of the paper's fixed-length buffers) and
-        participants are barrier-synchronised after the round.
+        participants are barrier-synchronised after the round unless
+        ``sync=False``.
 
         With a fault schedule attached, each chunk may be dropped and
         retried (see the module docstring); a chunk lost for good flags
@@ -220,7 +223,7 @@ class Communicator:
         the buffer cap splits: its chunks repeat pairs).
         """
         msg, starts, stops, arrived = self._round(
-            src, dst, flat, starts, stops, phase, participants, True,
+            src, dst, flat, starts, stops, phase, participants, sync,
             population, pop_idx,
         )
         if arrived is None:

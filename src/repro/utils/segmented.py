@@ -56,29 +56,21 @@ def segmented_unique(
     return flat, bounds, values.size - uk.size, seg_of
 
 
-def gather_segments(
-    flat: np.ndarray, bounds: np.ndarray, select: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather one source segment per output segment from a CSR-packed array.
+def range_indices(
+    starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the concatenated ranges ``[starts[k], starts[k] + lengths[k])``.
 
-    ``select[s]`` names the segment of ``(flat, bounds)`` whose values
-    become output segment ``s``.  Returns ``(values, segs, sizes)`` where
-    ``segs`` tags each gathered value with its output segment id.
+    The gather behind every CSR lookup in the engines: ``values[idx]``
+    is the ranges' contents back to back, and any column parallel to
+    ``values`` rides the same ``idx``.  Returns ``(idx, offsets)`` where
+    range ``k`` occupies ``idx[offsets[k]:offsets[k+1]]``; zero-length
+    ranges are allowed.
     """
-    starts = bounds[select]
-    sizes = bounds[select + 1] - starts
-    total = int(sizes.sum())
-    if total == 0:
-        return (
-            np.empty(0, dtype=flat.dtype),
-            np.empty(0, dtype=np.int64),
-            sizes,
-        )
-    out_offsets = np.concatenate(([0], np.cumsum(sizes)))
-    idx = np.arange(total, dtype=np.int64)
-    idx += np.repeat(starts - out_offsets[:-1], sizes)
-    segs = np.repeat(np.arange(select.size, dtype=np.int64), sizes)
-    return flat[idx], segs, sizes
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    idx = np.arange(offsets[-1], dtype=np.int64)
+    idx += np.repeat(starts - offsets[:-1], lengths)
+    return idx, offsets
 
 
 def pack_segments(

@@ -119,6 +119,27 @@ class TestBfs2D:
         with pytest.raises(ConfigurationError):
             Bfs2DEngine(part, comm)
 
+    @pytest.mark.parametrize("grid", [GridShape(4, 4), GridShape(3, 2), GridShape(1, 4)], ids=str)
+    def test_expand_targets_follow_the_filter(self, small_graph, grid):
+        """Filter off: every column peer of the owner, ascending.  Filter
+        on: only those holding a partial edge list for the vertex."""
+        dense = build_engine(
+            small_graph, grid, opts=BfsOptions(use_expand_filter=False)
+        )
+        filtered = build_engine(small_graph, grid)
+        indptr, dst = dense._expand_targets()
+        f_indptr, f_dst = filtered._expand_targets()
+        for v in range(small_graph.n):
+            owner = dense.owner_rank(v)
+            peers = [
+                r for r in dense.grid.col_members(owner % grid.cols) if r != owner
+            ]
+            assert dst[indptr[v] : indptr[v + 1]].tolist() == peers
+            holders = [
+                r for r in peers if v in filtered.partition.local(r).col_map.ids
+            ]
+            assert f_dst[f_indptr[v] : f_indptr[v + 1]].tolist() == holders
+
     def test_expand_merge_never_sees_a_duplicate(self, small_graph, monkeypatch):
         """The direct expand's merge is a union of *disjoint* sets.
 

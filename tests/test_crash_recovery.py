@@ -13,16 +13,21 @@ import repro.faults.schedule
 import repro.faults.spec
 from repro.api import bidirectional_bfs, distributed_bfs
 from repro.backends.spmd import spmd_bfs
+from repro.bfs.level_sync import run_level
 from repro.bfs.options import BfsOptions
 from repro.bfs.serial import serial_bfs
 from repro.errors import CommunicationError, ConfigurationError, FaultError
 from repro.faults import FAULT_PRESETS, FaultReport, FaultSpec
 from repro.faults.chaos import run_chaos, sample_chaos_spec
+from repro.faults.crash import CrashEvent
 from repro.faults.validate import validate_run
 from repro.graph.generators import poisson_random_graph
+from repro.machine.bluegene import BLUEGENE_L
+from repro.machine.cluster import flat_network_for
 from repro.observability.digest import result_digests
 from repro.observability.metrics import MetricsRegistry
-from repro.types import GraphSpec
+from repro.runtime.comm import Communicator
+from repro.types import GraphSpec, GridShape
 
 #: seeds probed once against the fixture graph: seed 0 fires exactly one
 #: crash on a (2,2) grid; seed 7 fires three (exhausting two spares);
@@ -123,6 +128,98 @@ class TestCrashRecovery:
             )
             assert result.faults.checkpoint_bytes > 0
             assert np.array_equal(result.levels, serial_bfs(small_graph, 0))
+
+
+class _ScriptedBody:
+    """A :func:`run_level` body whose attempts fail as scripted.
+
+    ``"loss"`` flags the level failed (an unrecovered chunk), ``"crash"``
+    queues a rank crash, ``"ok"`` does neither; every protocol call is
+    logged with the body's state counter at the time.
+    """
+
+    def __init__(self, comm: Communicator, script: list[str]) -> None:
+        self.comm = comm
+        self.script = list(script)
+        self.state = 0
+        self.log: list = []
+
+    def _attempt(self):
+        outcome = self.script.pop(0)
+        self.state += 1
+        self.log.append(("attempt", outcome))
+        if outcome == "loss":
+            self.comm._level_failed = True
+        elif outcome == "crash":
+            self.comm._crash_pending.append(CrashEvent(1, 3, "exchange"))
+        bounds = np.zeros(self.comm.nranks + 1, dtype=np.int64)
+        bounds[3:] = 2  # rank 2 labelled two vertices
+        return np.array([5, 9]), bounds
+
+    def _checkpoint(self):
+        self.log.append(("checkpoint", self.state))
+        return self.state
+
+    def _restore(self, snapshot) -> None:
+        self.log.append(("restore", snapshot))
+        self.state = snapshot
+
+    def _checkpoint_nbytes(self) -> np.ndarray:
+        self.log.append("nbytes")
+        return np.full(self.comm.nranks, 64, dtype=np.int64)
+
+
+@pytest.mark.parametrize("prefix", ["", "batch "])
+def test_run_level_sequencing(prefix):
+    """The one level loop, driven bare: both callers' prefixes, one protocol."""
+    spec = FaultSpec(
+        seed=0, drop_rate=0.01, crash_rate=1e-9, recovery="shrink",
+        max_level_retries=2,
+    )
+
+    def fresh(script):
+        comm = Communicator(flat_network_for(GridShape(1, 4)), BLUEGENE_L, faults=spec)
+        return comm, _ScriptedBody(comm, script)
+
+    # a loss rolls back, a crash replays, the third attempt stands
+    comm, body = fresh(["loss", "crash", "ok"])
+    frontier, total_new, rollbacks, replays = run_level(
+        comm, BfsOptions(), 3, body, prefix=prefix
+    )
+    assert frontier[0].tolist() == [5, 9]
+    assert (total_new, rollbacks, replays) == (2, 1, 1)
+    assert body.log == [
+        "nbytes",  # buddy replication at level entry
+        ("checkpoint", 0), ("attempt", "loss"), ("restore", 0),
+        ("checkpoint", 0), ("attempt", "crash"), ("restore", 0),
+        "nbytes",  # the failover streams the restored checkpoint
+        ("checkpoint", 0), ("attempt", "ok"),
+    ]
+    assert [(row.level, row.frontier_size) for row in comm.stats.levels] == [(3, 2)]
+    assert comm.stats.total_rollbacks == 2
+    report = comm.fault_report()
+    assert (report.rollbacks, report.replayed_levels) == (1, 1)
+    assert report.shrink_failovers == 1 and report.checkpoint_bytes == 4 * 64
+
+    # the retry budget is per level, and spent loudly
+    comm, body = fresh(["loss"] * 5)
+    with pytest.raises(FaultError) as excinfo:
+        run_level(comm, BfsOptions(), 3, body, prefix=prefix)
+    assert str(excinfo.value) == f"{prefix}level 3 still failing after 2 rollbacks"
+    assert excinfo.value.report.rollbacks == 2
+    assert [entry for entry in body.log if entry[0] == "attempt"] == [
+        ("attempt", "loss")
+    ] * 3
+
+    # without checkpoints the first failure is final
+    comm, body = fresh(["crash", "ok"])
+    with pytest.raises(FaultError) as excinfo:
+        run_level(comm, BfsOptions(checkpoint=False), 3, body, prefix=prefix)
+    assert str(excinfo.value) == (
+        f"{prefix}state lost at level 3 and checkpointing is disabled "
+        "(BfsOptions.checkpoint=False)"
+    )
+    assert body.log == [("attempt", "crash")]
 
 
 class TestCrossBackendDeterminism:

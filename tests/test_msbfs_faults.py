@@ -12,9 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bfs.msbfs import _MsBfsRun
+from repro.bfs.options import BfsOptions
 from repro.errors import FaultError
 from repro.faults import FaultSpec
 from repro.faults.validate import validate_run
+from repro.runtime.comm import Communicator
 from repro.session import BfsSession
 from repro.types import GridShape, SystemSpec
 
@@ -64,6 +67,61 @@ class TestFaultedByteIdentity:
         assert validate_run(small_graph, SOURCES[0], result, baseline) == []
         # and without an explicit baseline (serial oracle per row)
         assert validate_run(small_graph, SOURCES[0], result) == []
+
+
+@pytest.mark.parametrize("layout,grid", LAYOUTS)
+def test_withheld_middle_chunk_keeps_masks_paired(
+    small_graph, layout, grid, monkeypatch
+):
+    """Buffered + lossy: a message split into chunks loses a *middle* one.
+
+    The surviving vertices must come back with their own mask words —
+    checked entry for entry against plain Python slices of what was sent
+    — and the rows must still equal fault-free sequential runs.
+    """
+    rounds: list = []
+    real_round = Communicator.exchange_arrays
+
+    def spy_round(self, src, dst, flat, starts, stops, phase, **kwargs):
+        arrived = real_round(self, src, dst, flat, starts, stops, phase, **kwargs)
+        rounds.append((starts, stops, arrived))
+        return arrived
+
+    middle_losses = 0
+    real_pairs = _MsBfsRun._exchange_pairs
+
+    def checked_pairs(self, src, dst, verts, masks, starts, stops, phase, *pop):
+        nonlocal middle_losses
+        got_v, got_m, got_s = real_pairs(
+            self, src, dst, verts, masks, starts, stops, phase, *pop
+        )
+        _, _, arrived = rounds[-1]
+        if arrived is None:
+            chunks = list(zip(range(src.size), starts.tolist(), stops.tolist()))
+        else:
+            chunks = list(zip(*(col.tolist() for col in arrived)))
+            for m in set(arrived[0].tolist()):
+                nchunks = -(-(int(stops[m]) - int(starts[m])) // 8)
+                index = [(a - int(starts[m])) // 8 for k, a, _ in chunks if k == m]
+                if index[0] == 0 and index[-1] == nchunks - 1 and len(index) < nchunks:
+                    middle_losses += 1
+        assert got_v.tolist() == [v for _, a, b in chunks for v in verts[a:b].tolist()]
+        assert got_m.tolist() == [w for _, a, b in chunks for w in masks[a:b].tolist()]
+        assert got_s.tolist() == [int(dst[m]) for m, a, b in chunks for _ in range(a, b)]
+        return got_v, got_m, got_s
+
+    monkeypatch.setattr(Communicator, "exchange_arrays", spy_round)
+    monkeypatch.setattr(_MsBfsRun, "_exchange_pairs", checked_pairs)
+    faulted = BfsSession(
+        small_graph, grid, opts=BfsOptions(buffer_capacity=8),
+        system=SystemSpec(layout=layout, faults=SPECS["drop-heavy"]),
+    )
+    batched = faulted.bfs_many(SOURCES)
+    assert middle_losses > 0
+    assert batched.faults.rollbacks > 0
+    clean = BfsSession(small_graph, grid, system=SystemSpec(layout=layout))
+    for i, s in enumerate(SOURCES):
+        assert batched.levels[i].tobytes() == clean.bfs(s).levels.tobytes()
 
 
 class TestFaultedBatchBehaviour:

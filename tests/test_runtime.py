@@ -253,11 +253,14 @@ def stats_fields(stats: CommStats) -> dict:
 class TestOneRound:
     """`exchange` and `exchange_arrays` are two entries to one round."""
 
+    @pytest.mark.parametrize("sync", [True, False])
     @pytest.mark.parametrize("observe", ["off", "messages"])
     @pytest.mark.parametrize("capacity", [None, 7])
     @pytest.mark.parametrize("faults", [None, "mild", DROP_HEAVY])
     @pytest.mark.parametrize("wire", ["raw", "delta-varint", "bitmap", "adaptive"])
-    def test_dict_and_array_forms_agree(self, wire, faults, capacity, observe):
+    def test_dict_and_array_forms_agree(self, wire, faults, capacity, observe, sync):
+        """``sync=False`` defers the barrier in both forms alike (MS-BFS
+        charges its mask words between the vertex round and the barrier)."""
         def fresh():
             return torus_comm(
                 wire=wire, faults=faults and FaultSpec.parse(faults),
@@ -274,9 +277,17 @@ class TestOneRound:
             outbox: dict = {}
             for s, d, payload in messages:
                 outbox.setdefault(s, {})[d] = payload
-            inbox = by_dict.exchange(outbox, "fold")
+            inbox = by_dict.exchange(outbox, "fold", sync=sync)
             src, dst, flat, starts, stops = as_arrays(messages)
-            arrived = by_arrays.exchange_arrays(src, dst, flat, starts, stops, "fold")
+            arrived = by_arrays.exchange_arrays(
+                src, dst, flat, starts, stops, "fold", sync=sync
+            )
+            if not sync:
+                unsynced = by_arrays.clock.time
+                assert unsynced.min() < unsynced.max()
+                assert unsynced.tobytes() == by_dict.clock.time.tobytes()
+                by_dict.barrier()
+                by_arrays.barrier()
             # the chunks the dict form would have to deliver, cut here by
             # hand, less the ones the array form reports lost
             step = capacity or flat.size

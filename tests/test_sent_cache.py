@@ -314,6 +314,6 @@ class TestCacheEffectOnTraffic:
         engine = build_engine(small_graph, GridShape(2, 4))
         engine.start(0)
         for rank in range(8):
-            cache = engine._sent_caches[rank]
+            cache = engine._sent_pool.view(rank)
             fp = engine.partition.memory_footprint(rank)
             assert len(cache) == fp["unique_row_vertices"]

@@ -10,7 +10,11 @@ times), clock, trace, and fault-report counters — are byte-identical.
 The matrix spans 1D/2D/bidirectional/hybrid scheduling on Poisson and
 R-MAT graphs, wire codecs, buffered chunking, ring collectives, crash
 recovery (spare and shrink), rollback-heavy wire faults, and the
-paper-scale 64x64 grid on the reference n=20k/k=8 workload.
+paper-scale 64x64 grid on the reference n=20k/k=8 workload.  The
+``msbfs-*`` keys pin the *batched* schedule the same way (widths 1 to
+64, targets, filter off, codecs x chunking, rollbacks, crash recovery);
+like every key, they were captured on the commit before the change they
+guard (``golden_capture.py`` only ever appends).
 """
 
 from __future__ import annotations
@@ -25,7 +29,13 @@ from repro.bfs.level_sync import run_bfs
 from repro.bfs.options import BfsOptions
 from repro.faults import FaultSpec
 from repro.graph.generators import build_graph
-from repro.observability.digest import result_digests
+from repro.observability.digest import (
+    levels_digest,
+    result_digests,
+    stats_digest,
+    trace_digest,
+)
+from repro.session import BfsSession
 from repro.types import GraphSpec, SystemSpec
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "schedule_digests.json"
@@ -101,6 +111,61 @@ def _run_bidirectional(graph_spec: GraphSpec, grid: tuple[int, int]) -> dict:
     }
 
 
+def _run_msbfs(
+    graph_spec: GraphSpec,
+    grid: tuple[int, int],
+    batch: int,
+    *,
+    layout: str = "2d",
+    wire: str = "raw",
+    faults: str | FaultSpec | None = None,
+    observe: str = "off",
+    opts: BfsOptions | None = None,
+    targets: bool = False,
+) -> dict:
+    """One batched traversal, digested.
+
+    The row pins the ``(B, n)`` level matrix, the per-source level
+    counts and target levels, every per-level ``LevelStats`` field
+    (``stats_digest``: floats as hex), the three clocks, the message
+    trace when one was captured, and the fault-report counters.
+    """
+    graph = _graph(graph_spec)
+    session = BfsSession(
+        graph, grid, opts=opts,
+        system=SystemSpec(layout=layout, wire=wire, faults=faults, observe=observe),
+    )
+    sources = [(i * 37) % graph.n for i in range(batch)]
+    # mixed None / target, so retirement runs while other bits stay live
+    wanted = (
+        [None if i % 3 == 0 else (s * 7 + 11) % graph.n
+         for i, s in enumerate(sources)]
+        if targets
+        else None
+    )
+    result = session.bfs_many(sources, wanted)
+    row = {
+        "levels": levels_digest(result.levels),
+        # one line each in the JSON, not one line per source
+        "num_levels": " ".join(map(str, result.num_levels.tolist())),
+        "target_levels": " ".join(
+            "-" if t is None else str(t) for t in result.target_levels
+        ),
+        "batch_levels": result.batch_levels,
+        "stats": stats_digest(result.stats),
+        "elapsed": result.elapsed.hex(),
+        "comm_time": result.comm_time.hex(),
+        "compute_time": result.compute_time.hex(),
+    }
+    trace = session._engine.comm.obs_trace
+    if trace is not None:
+        row["trace"] = trace_digest(trace.events)
+    row.update(_report_counters(result.faults))
+    return row
+
+
+_ROLLBACK_HEAVY = FaultSpec(seed=0, drop_rate=0.3, max_retries=3)
+
 CONFIGS = {
     "poisson-1d": lambda: _run(POISSON, (1, 8), layout="1d"),
     "poisson-2d": lambda: _run(POISSON, (4, 4)),
@@ -156,24 +221,60 @@ CONFIGS = {
         POISSON, (4, 4), faults="mild", opts=BfsOptions(use_sieve=True)
     ),
     "poisson-2d-sieve-rollback-heavy": lambda: _run(
-        POISSON, (4, 4), faults=FaultSpec(seed=0, drop_rate=0.3, max_retries=3),
-        opts=BfsOptions(use_sieve=True),
+        POISSON, (4, 4), faults=_ROLLBACK_HEAVY, opts=BfsOptions(use_sieve=True)
     ),
     "poisson-1d-sieve-rollback-heavy": lambda: _run(
-        POISSON, (1, 8), layout="1d",
-        faults=FaultSpec(seed=0, drop_rate=0.3, max_retries=3),
+        POISSON, (1, 8), layout="1d", faults=_ROLLBACK_HEAVY,
         opts=BfsOptions(use_sieve=True),
     ),
     "poisson-2d-sieve-crash-spare": lambda: _run(
         POISSON, (4, 4), faults="crash-spare", opts=BfsOptions(use_sieve=True)
     ),
     "reference-64x64": lambda: _run(REFERENCE, (64, 64)),
+    # the batched (MS-BFS) schedule, captured on the commit before the
+    # batch level moved onto the engines' pooled arrays
+    "msbfs-2d-64": lambda: _run_msbfs(POISSON, (4, 4), 64),
+    "msbfs-2d-1": lambda: _run_msbfs(POISSON, (4, 4), 1),
+    "msbfs-1d-64": lambda: _run_msbfs(POISSON, (1, 8), 64, layout="1d"),
+    "msbfs-2d-targets": lambda: _run_msbfs(POISSON, (4, 4), 32, targets=True),
+    "msbfs-1d-targets": lambda: _run_msbfs(
+        POISSON, (1, 8), 32, layout="1d", targets=True
+    ),
+    "msbfs-2d-no-filter": lambda: _run_msbfs(
+        POISSON, (4, 4), 32, opts=BfsOptions(use_expand_filter=False)
+    ),
+    "msbfs-2d-adaptive-buffered": lambda: _run_msbfs(
+        POISSON, (4, 4), 32, wire="adaptive", opts=BfsOptions(buffer_capacity=16)
+    ),
+    "msbfs-2d-observed": lambda: _run_msbfs(POISSON, (4, 4), 32, observe="full"),
+    "msbfs-2d-rollback-heavy": lambda: _run_msbfs(
+        POISSON, (4, 4), 32, faults=_ROLLBACK_HEAVY
+    ),
+    "msbfs-1d-rollback-heavy": lambda: _run_msbfs(
+        POISSON, (1, 8), 32, layout="1d", faults=_ROLLBACK_HEAVY
+    ),
+    "msbfs-2d-harsh-buffered-observed": lambda: _run_msbfs(
+        POISSON, (4, 4), 32, faults="harsh", observe="messages",
+        opts=BfsOptions(buffer_capacity=8),
+    ),
+    # withheld chunks of split messages: survivors keep their own mask words
+    "msbfs-2d-lossy-buffered-observed": lambda: _run_msbfs(
+        POISSON, (4, 4), 32,
+        faults=FaultSpec(seed=0, drop_rate=0.2, max_retries=3),
+        observe="messages", opts=BfsOptions(buffer_capacity=8),
+    ),
+    "msbfs-2d-crash-spare": lambda: _run_msbfs(
+        POISSON, (4, 4), 32, faults="crash-spare"
+    ),
+    "msbfs-2d-crash-shrink": lambda: _run_msbfs(
+        POISSON, (4, 4), 32, faults="crash-shrink"
+    ),
+    "msbfs-2d-crash-harsh-targets": lambda: _run_msbfs(
+        POISSON, (4, 4), 32, faults="crash-harsh", targets=True
+    ),
+    "msbfs-rmat-2x8": lambda: _run_msbfs(RMAT, (2, 8), 64),
+    "msbfs-rmat-8x1": lambda: _run_msbfs(RMAT, (8, 1), 64, layout="1d"),
 }
-
-
-def capture_all() -> dict:
-    """Run the whole matrix (used by golden_capture.py)."""
-    return {name: fn() for name, fn in CONFIGS.items()}
 
 
 @pytest.fixture(scope="module")
