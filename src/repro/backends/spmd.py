@@ -126,11 +126,6 @@ def spmd_bfs(
             "(mirroring the simulated engines); use direction='top-down' "
             "with faults"
         )
-    if opts.use_sieve and opts.fold_collective != "union-ring":
-        raise CommunicationError(
-            "the communication sieve requires the union-ring fold "
-            f"(mirroring the simulated engines), not {opts.fold_collective!r}"
-        )
     codec = resolve_wire(wire)
     partition = TwoDPartition(graph, grid)
     nranks = grid.size

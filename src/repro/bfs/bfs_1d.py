@@ -11,7 +11,7 @@ The per-level work of all P virtual ranks is executed as batched NumPy
 kernels over the pooled frontier CSR: one gather over the concatenated
 frontiers, one slot-space pass of the pooled sent cache for the per-rank
 neighbour sets and the sent filter, and one owner bincount that
-feeds the fold's CSR driver directly — numerically identical to looping
+feeds the fold driver directly — numerically identical to looping
 over ranks, but with per-level cost proportional to the touched data,
 not to P.
 """
@@ -63,11 +63,6 @@ class Bfs1DEngine(LevelSyncEngine):
         ]
         self._sent_pool = PooledSentCache(self._sent_universe, partition.n)
         if opts.use_sieve:
-            if not self._fold.supports_csr:
-                raise ConfigurationError(
-                    "the communication sieve requires a CSR-capable fold "
-                    f"collective (union-ring), not {opts.fold_collective!r}"
-                )
             # The 1D fold spans the whole machine, so every rank shadows
             # every other rank's owned block.
             self._sieve = PooledSieve(
@@ -136,8 +131,6 @@ class Bfs1DEngine(LevelSyncEngine):
     def _expand_level(self) -> tuple[np.ndarray, np.ndarray]:
         nranks = self.comm.nranks
         obs = self.comm.obs
-        offsets = self.partition.dist.offsets
-
         # Steps 7-10: local discovery — one CSR gather over the concatenated
         # frontiers, one slot-space dedup + sent filter, then owner bucketing.
         discover_span = obs.begin("compute", cat="phase") if obs.enabled else None
@@ -148,60 +141,25 @@ class Bfs1DEngine(LevelSyncEngine):
         )
         if filter_sent:
             self.comm.charge_compute_many(hash_lookups=uniq_sizes)
-        csr_fold = self._fold.supports_csr
-        if csr_fold:
-            # Owners are monotone in vertex id (block distribution); the
-            # fold's CSR slot for (src, dst) is src * P + dst, and
-            # send_flat is already in slot order (ranks ascending, sorted
-            # values → destinations ascending within each rank).
-            seg = np.repeat(
-                np.arange(nranks, dtype=np.int64), np.diff(send_bounds)
-            )
-            owner = self._fold_owner(send_flat, seg)
-            csizes = np.bincount(seg * nranks + owner, minlength=nranks * nranks)
-        else:
-            outboxes: list[dict[int, np.ndarray]] = []
-            for r in range(nranks):
-                neighbors = send_flat[send_bounds[r] : send_bounds[r + 1]]
-                bounds = np.searchsorted(neighbors, offsets)
-                nonempty = np.flatnonzero(bounds[1:] > bounds[:-1])
-                outboxes.append(
-                    {int(q): neighbors[bounds[q] : bounds[q + 1]] for q in nonempty}
-                )
-
+        # Owners are monotone in vertex id (block distribution); the fold's
+        # slot for (src, dst) is src * P + dst, and send_flat is already in
+        # slot order (ranks ascending, sorted values → destinations
+        # ascending within each rank).
+        seg = np.repeat(np.arange(nranks, dtype=np.int64), np.diff(send_bounds))
+        owner = self._fold_owner(send_flat, seg)
+        csizes = np.bincount(seg * nranks + owner, minlength=nranks * nranks)
         if discover_span is not None:
             obs.end(discover_span)
 
         # Steps 8-13: the fold — neighbours travel to their owners.
         with obs.span("fold", cat="phase"):
-            if csr_fold:
-                incoming, inc_bounds = self._fold.fold_many_csr(
-                    self.comm, [self._group], csizes, send_flat, "fold",
-                    sieve=self._sieve,
-                )
-                inc_segs = np.repeat(
-                    np.arange(nranks, dtype=np.int64), np.diff(inc_bounds)
-                )
-            else:
-                received = self._fold.fold(
-                    self.comm, self._group, outboxes, phase="fold"
-                )
-                parts: list[np.ndarray] = []
-                part_segs: list[int] = []
-                for r in range(nranks):
-                    for arr in received[r]:
-                        if arr.size:
-                            parts.append(arr)
-                            part_segs.append(r)
-                if parts:
-                    incoming = np.concatenate(parts)
-                    inc_segs = np.repeat(
-                        np.array(part_segs, dtype=np.int64),
-                        np.array([p.size for p in parts], dtype=np.int64),
-                    )
-                else:
-                    incoming = np.empty(0, dtype=VERTEX_DTYPE)
-                    inc_segs = np.empty(0, dtype=np.int64)
+            incoming, inc_bounds = self._fold.fold(
+                self.comm, [self._group], csizes, send_flat, "fold",
+                sieve=self._sieve,
+            )
+            inc_segs = np.repeat(
+                np.arange(nranks, dtype=np.int64), np.diff(inc_bounds)
+            )
 
         # Steps 14-16: label newly reached vertices.
         label_span = obs.begin("compute", cat="phase") if obs.enabled else None

@@ -31,7 +31,6 @@ from repro.collectives.base import get_expand, get_fold
 from repro.errors import ConfigurationError
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.comm import Communicator
-from repro.types import VERTEX_DTYPE
 from repro.utils.segmented import range_indices, segmented_unique
 
 
@@ -57,9 +56,15 @@ class Bfs2DEngine(LevelSyncEngine):
         self.partition = partition
         self.grid = partition.grid
         shape = opts.collective_shape
-        self._expand = get_expand(
-            opts.expand_collective,
-            **({"shape": shape} if opts.expand_collective == "two-phase" else {}),
+        #: the forwarding expand program; ``None`` is the direct expand,
+        #: one personalized round built by :meth:`_expand_messages`
+        self._expand = (
+            None
+            if opts.expand_collective == "direct"
+            else get_expand(
+                opts.expand_collective,
+                **({"shape": shape} if opts.expand_collective == "two-phase" else {}),
+            )
         )
         self._fold = get_fold(
             opts.fold_collective,
@@ -80,11 +85,6 @@ class Bfs2DEngine(LevelSyncEngine):
             partition.n,
         )
         if opts.use_sieve:
-            if not self._fold.supports_csr:
-                raise ConfigurationError(
-                    "the communication sieve requires a CSR-capable fold "
-                    f"collective (union-ring), not {opts.fold_collective!r}"
-                )
             # Fold candidates only ever travel along processor-rows, so
             # each rank shadows exactly its row peers' owned blocks.
             spans = np.array(
@@ -119,12 +119,12 @@ class Bfs2DEngine(LevelSyncEngine):
         #: sent-pool slot of every entry of ``_rows_cat``: discovery
         #: dedups and filters in slot space, never on global ids
         self._row_slots = self._sent_pool.entry_slots(row_parts)
-        #: pre-routed expand pair population (direct fast path only):
+        #: pre-routed expand pair population (direct expand only):
         #: every (owner, holder) wire pair any expand round can use, keyed
         #: like the direct step's messages so a searchsorted indexes it
         self._expand_pop_keys: np.ndarray | None = None
         self._expand_population = None
-        if self._expand.name == "direct" and opts.use_expand_filter:
+        if self._expand is None and opts.use_expand_filter:
             self._prime_expand_population()
 
     # ------------------------------------------------------------------ #
@@ -236,10 +236,7 @@ class Bfs2DEngine(LevelSyncEngine):
     def _expand_level(self) -> tuple[np.ndarray, np.ndarray]:
         obs = self.comm.obs
         with obs.span("expand", cat="phase"):
-            if self._expand.name == "direct" and self.opts.use_expand_filter:
-                fbar_flat, fbar_bounds = self._expand_step_direct()
-            else:
-                fbar_flat, fbar_bounds = self._expand_step()
+            fbar_flat, fbar_bounds = self._expand_step()
         with obs.span("compute", cat="phase"):
             send_flat, send_bounds = self._discover_step(fbar_flat, fbar_bounds)
         with obs.span("fold", cat="phase"):
@@ -247,60 +244,6 @@ class Bfs2DEngine(LevelSyncEngine):
         if self._sieve is not None:
             self._sieve_update(*fresh)
         return fresh
-
-    def _expand_step(self) -> tuple[np.ndarray, np.ndarray]:
-        """Steps 7-11 via the collective machinery; returns F-bar as CSR.
-
-        All processor-columns run their collective rounds in lockstep
-        (``expand_many``), so their messages contend for the torus in the
-        same simulated round — as they would on the real machine.  This
-        serves the forwarding collectives and the unfiltered direct expand;
-        the filtered direct expand takes :meth:`_expand_step_direct`.
-        """
-        frontier = self.frontier
-        contributions_per_group = [
-            [frontier[rank] for rank in group] for group in self._col_groups
-        ]
-        received_per_group = self._expand.expand_many(
-            self.comm,
-            self._col_groups,
-            contributions_per_group,
-            phase="expand",
-        )
-        nranks = self.comm.nranks
-        fbar: list[np.ndarray] = [None] * nranks  # type: ignore[list-item]
-        inc_sizes = np.zeros(nranks, dtype=np.int64)
-        parts: list[np.ndarray] = []
-        part_segs: list[int] = []
-        for group, received in zip(self._col_groups, received_per_group):
-            for idx, rank in enumerate(group):
-                incoming = sum(int(a.size) for a in received[idx])
-                inc_sizes[rank] = incoming
-                if incoming:
-                    parts.append(frontier[rank])
-                    part_segs.append(rank)
-                    for a in received[idx]:
-                        if a.size:
-                            parts.append(a)
-                            part_segs.append(rank)
-                else:
-                    fbar[rank] = frontier[rank]
-        self.comm.charge_compute_many(hash_lookups=inc_sizes)
-        if parts:
-            values = np.concatenate(parts)
-            segs = np.repeat(
-                np.array(part_segs, dtype=np.int64),
-                np.array([p.size for p in parts], dtype=np.int64),
-            )
-            flat, bounds, _, _ = segmented_unique(values, segs, nranks, self.n)
-            for rank in range(nranks):
-                if fbar[rank] is None:
-                    fbar[rank] = flat[bounds[rank] : bounds[rank + 1]]
-        sizes = np.array([f.size for f in fbar], dtype=np.int64)
-        return (
-            np.concatenate(fbar) if fbar else np.empty(0, dtype=VERTEX_DTYPE),
-            np.concatenate(([0], np.cumsum(sizes))),
-        )
 
     def _expand_messages(self, fflat: np.ndarray, fbounds: np.ndarray, *columns):
         """One expand round's messages for a pooled frontier.
@@ -354,41 +297,50 @@ class Bfs2DEngine(LevelSyncEngine):
             pop_idx,
         )
 
-    def _expand_step_direct(self) -> tuple[np.ndarray, np.ndarray]:
-        """The filtered single-round expand as one batched exchange.
+    def _expand_step(self) -> tuple[np.ndarray, np.ndarray]:
+        """Steps 7-11: every rank's frontier reaches its column peers; F-bar as CSR.
 
-        Equivalent to ``DirectExpand.expand_many`` with the per-destination
-        filters, but built from :meth:`_expand_messages`: one array
-        exchange, one segmented union for the per-rank merges.  Chunks a
-        fault withheld are dropped before the merge.
+        All processor-columns run in lockstep, so their messages contend
+        for the torus in the same simulated round — as they would on the
+        real machine.  The direct expand is one batched exchange built
+        from :meth:`_expand_messages` (chunks a fault withheld are dropped
+        before the merge); a forwarding program runs through the expand
+        driver.  Either way one segmented union merges what each rank
+        received into its own frontier.
         """
         nranks = self.comm.nranks
         fflat = self._frontier_flat
         fbounds = self._frontier_bounds
         fsizes = np.diff(fbounds)
-        (payload,), msg_src, msg_dst, msg_bounds, population, pop_idx = (
-            self._expand_messages(fflat, fbounds)
-        )
-        msg_sizes = np.diff(msg_bounds)
-        arrived = self.comm.exchange_arrays(
-            msg_src,
-            msg_dst,
-            payload,
-            msg_bounds[:-1],
-            msg_bounds[1:],
-            "expand",
-            population=population,
-            pop_idx=pop_idx,
-        )
-        if arrived is not None:
-            msg, starts, stops = arrived
-            msg_dst, msg_sizes = msg_dst[msg], stops - starts
-            payload = payload[range_indices(starts, msg_sizes)[0]]
-        self.comm.stats.record_delivery_bulk(msg_dst, msg_sizes, "expand")
-
-        inc_sizes = np.bincount(
-            msg_dst, weights=msg_sizes, minlength=nranks
-        ).astype(np.int64)
+        if self._expand is not None:
+            payload, inc_bounds = self._expand.expand(
+                self.comm, self._col_groups, fflat, fbounds, "expand"
+            )
+            inc_sizes = np.diff(inc_bounds)
+            msg_dst, msg_sizes = np.arange(nranks, dtype=np.int64), inc_sizes
+        else:
+            (payload,), msg_src, msg_dst, msg_bounds, population, pop_idx = (
+                self._expand_messages(fflat, fbounds)
+            )
+            msg_sizes = np.diff(msg_bounds)
+            arrived = self.comm.exchange_arrays(
+                msg_src,
+                msg_dst,
+                payload,
+                msg_bounds[:-1],
+                msg_bounds[1:],
+                "expand",
+                population=population,
+                pop_idx=pop_idx,
+            )
+            if arrived is not None:
+                msg, starts, stops = arrived
+                msg_dst, msg_sizes = msg_dst[msg], stops - starts
+                payload = payload[range_indices(starts, msg_sizes)[0]]
+            self.comm.stats.record_delivery_bulk(msg_dst, msg_sizes, "expand")
+            inc_sizes = np.bincount(
+                msg_dst, weights=msg_sizes, minlength=nranks
+            ).astype(np.int64)
         self.comm.charge_compute_many(hash_lookups=inc_sizes)
         with_inc = np.flatnonzero(inc_sizes)
         if with_inc.size == 0:
@@ -461,58 +413,24 @@ class Bfs2DEngine(LevelSyncEngine):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Steps 13-21: deliver neighbours across processor-rows, label fresh ones.
 
-        All processor-rows fold in lockstep so their ring rounds share the
-        wire in the contention model.  With a CSR-capable fold the slot
-        sizes come from one bincount (row-group member ``i*C+j`` sending
-        to member ``d`` is slot ``rank*C + d``, and ``send_flat`` is
-        already in slot order); other folds get per-rank outbox dicts.
+        All processor-rows fold in lockstep so their rounds share the wire
+        in the contention model.  The slot sizes come from one bincount
+        (row-group member ``i*C+j`` sending to member ``d`` is slot
+        ``rank*C + d``, and ``send_flat`` is already in slot order).
         """
         nranks = self.comm.nranks
-        if self._fold.supports_csr:
-            C = self.grid.cols
-            seg = np.repeat(
-                np.arange(nranks, dtype=np.int64), np.diff(send_bounds)
-            )
-            csizes = np.bincount(
-                seg * C + self._fold_member(send_flat), minlength=nranks * C
-            )
-            incoming, inc_bounds = self._fold.fold_many_csr(
-                self.comm, self._row_groups, csizes, send_flat, "fold",
-                sieve=self._sieve,
-            )
-            inc_segs = np.repeat(
-                np.arange(nranks, dtype=np.int64), np.diff(inc_bounds)
-            )
-            return self._label_fresh(incoming, inc_segs)
-        outboxes: list[dict[int, np.ndarray]] = []
-        for r in range(nranks):
-            neighbors = send_flat[send_bounds[r] : send_bounds[r + 1]]
-            bounds = np.searchsorted(neighbors, self._member_bounds)
-            nonempty = np.flatnonzero(bounds[1:] > bounds[:-1])
-            outboxes.append(
-                {int(m): neighbors[bounds[m] : bounds[m + 1]] for m in nonempty}
-            )
-        outboxes_per_group = [
-            [outboxes[rank] for rank in group] for group in self._row_groups
-        ]
-        received_per_group = self._fold.fold_many(
-            self.comm, self._row_groups, outboxes_per_group, phase="fold"
+        C = self.grid.cols
+        seg = np.repeat(
+            np.arange(nranks, dtype=np.int64), np.diff(send_bounds)
         )
-        parts: list[np.ndarray] = []
-        part_segs: list[int] = []
-        for group, group_received in zip(self._row_groups, received_per_group):
-            for idx, rank in enumerate(group):
-                for arr in group_received[idx]:
-                    if arr.size:
-                        parts.append(arr)
-                        part_segs.append(rank)
-        if parts:
-            incoming = np.concatenate(parts)
-            inc_segs = np.repeat(
-                np.array(part_segs, dtype=np.int64),
-                np.array([p.size for p in parts], dtype=np.int64),
-            )
-        else:
-            incoming = np.empty(0, dtype=VERTEX_DTYPE)
-            inc_segs = np.empty(0, dtype=np.int64)
+        csizes = np.bincount(
+            seg * C + self._fold_member(send_flat), minlength=nranks * C
+        )
+        incoming, inc_bounds = self._fold.fold(
+            self.comm, self._row_groups, csizes, send_flat, "fold",
+            sieve=self._sieve,
+        )
+        inc_segs = np.repeat(
+            np.arange(nranks, dtype=np.int64), np.diff(inc_bounds)
+        )
         return self._label_fresh(incoming, inc_segs)

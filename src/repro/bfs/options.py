@@ -43,8 +43,11 @@ class BfsOptions:
         only the fold traffic shrinks.
     use_expand_filter:
         With the ``direct`` expand, only send a frontier vertex to column
-        peers that hold non-empty partial edge lists for it (Section 2.2).
-        Ignored by forwarding collectives (ring / two-phase).
+        peers that hold non-empty partial edge lists for it (Section 2.2);
+        off, every frontier vertex goes to all ``R - 1`` column peers (the
+        dense all-gather the paper warns about) through the same one
+        round.  Ignored by the forwarding collectives (ring / two-phase /
+        recursive-doubling), which cannot filter per destination.
     buffer_capacity:
         Fixed message-buffer length in vertices (Section 3.1); ``None``
         means unbounded.  Oversized payloads are chunked, paying one
@@ -95,6 +98,11 @@ class BfsOptions:
             raise ConfigurationError(
                 f"unknown fold collective {self.fold_collective!r}; "
                 f"choose from {sorted(_FOLD_NAMES)}"
+            )
+        if self.use_sieve and self.fold_collective != "union-ring":
+            raise ConfigurationError(
+                "the communication sieve requires a CSR-capable fold "
+                f"collective (union-ring), not {self.fold_collective!r}"
             )
         if self.buffer_capacity is not None and self.buffer_capacity < 1:
             raise ConfigurationError(

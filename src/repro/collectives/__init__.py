@@ -3,25 +3,21 @@
 Two families, matching the two communication steps of Algorithm 2:
 
 * **expand** (all-gather-like): every group member contributes one array and
-  everyone must end up with all contributions (optionally filtered per
-  destination — the sparse-frontier optimisation of Section 2.2).
+  everyone must end up with all contributions.
 * **fold** (all-to-all / reduce-scatter-like): every member holds one array
   per destination; each destination must end up with the (optionally
   union-reduced) contributions addressed to it.
 
-Implementations: direct single-round, single-ring, ring reduce-scatter with
-set-union, and the paper's two-phase grouped-ring schemes (Section 3.2.2,
-Figures 2 and 3).
+Every algorithm is a routing program run by its family's array driver
+(:mod:`repro.collectives.base`): direct, single-ring, union-fold ring,
+the paper's two-phase grouped rings (Section 3.2.2), log-round baselines.
 """
 
 from repro.collectives.base import ExpandCollective, FoldCollective, get_expand, get_fold
 from repro.collectives.alltoallv import DirectFold
-from repro.collectives.allgatherv import DirectExpand
-from repro.collectives.ring import RingExpand, RingFold
-from repro.collectives.reduce_scatter import UnionRingFold
+from repro.collectives.ring import RingExpand, RingFold, UnionRingFold
 from repro.collectives.two_phase import TwoPhaseExpand, TwoPhaseFold, subgrid_shape
 from repro.collectives.bruck import BruckFold, RecursiveDoublingExpand
-from repro.collectives.union import union_merge, count_duplicates
 
 __all__ = [
     "BruckFold",
@@ -31,13 +27,10 @@ __all__ = [
     "get_expand",
     "get_fold",
     "DirectFold",
-    "DirectExpand",
     "RingExpand",
     "RingFold",
     "UnionRingFold",
     "TwoPhaseExpand",
     "TwoPhaseFold",
     "subgrid_shape",
-    "union_merge",
-    "count_duplicates",
 ]

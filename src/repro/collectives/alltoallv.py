@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.collectives.base import FoldCollective, Schedule, register_fold
-from repro.runtime.stats import CommStats
+from repro.collectives.base import FoldCollective, register_fold
 
 
 @register_fold
@@ -18,31 +17,10 @@ class DirectFold(FoldCollective):
     """Single-round personalized all-to-all (alltoallv)."""
 
     name = "direct"
+    #: one hop: a withheld wire chunk is simply not handed over
+    lossy = True
 
-    def _schedule(
-        self,
-        stats: CommStats,
-        group: list[int],
-        outboxes: list[dict[int, np.ndarray]],
-        phase: str,
-    ) -> Schedule:
-        size = len(group)
-        received: list[list[np.ndarray]] = [[] for _ in range(size)]
-        outbox: dict[int, dict[int, np.ndarray]] = {}
-        for g, per_dest in enumerate(outboxes):
-            for d, payload in per_dest.items():
-                if not (0 <= d < size):
-                    raise IndexError(f"destination index {d} outside group of size {size}")
-                if np.size(payload) == 0:
-                    continue
-                if d == g:
-                    received[g].append(np.asarray(payload))  # local hand-off
-                    continue
-                outbox.setdefault(group[g], {})[group[d]] = payload
-        inbox = yield outbox
-        rank_to_index = {rank: idx for idx, rank in enumerate(group)}
-        for dst_rank, deliveries in inbox.items():
-            for _src, payload in deliveries:
-                received[rank_to_index[dst_rank]].append(payload)
-                stats.record_delivery(dst_rank, int(payload.size), phase)
-        return received
+    def _rounds(self, size: int):
+        origin, dest = np.divmod(np.arange(size * size, dtype=np.int64), size)
+        wire = origin != dest  # self-addressed blocks are local hand-offs
+        yield origin[wire], dest[wire], np.flatnonzero(wire)

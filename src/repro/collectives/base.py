@@ -1,244 +1,361 @@
-"""Collective interfaces, the lockstep round driver, and the name registry.
+"""Collective interfaces, the two array drivers, and the name registry.
 
-Every collective algorithm is written as a *schedule*: a generator that
-yields one outbox per communication round (``{src_rank: {dst_rank:
-payload}}``), receives that round's inbox for its group, and finally
-returns the per-member received arrays.  The base classes drive schedules
-in two modes:
+Every collective is a *routing program*: for a group of ``G`` members, a
+few lines of index arithmetic naming, round by round, which block travels
+from which member to which (``_rounds``), plus — for the reducing folds —
+the shape of the set-union rings that run first (``_rings``).  Routing is
+data-independent, so a program never sees a payload.
 
-* **single group** (:meth:`FoldCollective.fold` /
-  :meth:`ExpandCollective.expand`) — one exchange per round;
-* **many groups in lockstep** (:meth:`fold_many` / :meth:`expand_many`) —
-  all groups' round-``r`` messages merge into *one* exchange, so disjoint
-  communicator groups (all processor-rows of the mesh, say) contend for
-  torus links simultaneously, exactly as they would on the real machine.
-  The BFS engines use this mode.
+The drivers own everything else.  All groups run in *lockstep*: round
+``r`` of every group is one merged exchange, so disjoint communicator
+groups (all processor-rows of the mesh, say) contend for torus links in
+the same simulated round, exactly as they would on the real machine.
+State is pooled: every payload of every group sits in one flat array with
+CSR bounds, a round's wire messages are ``(src, dst, starts, stops)``
+arrays in the lockstep order — groups ascending, then source member, then
+destination, empty messages skipped — and results come back as CSR.
 """
 
 from __future__ import annotations
-
-import abc
-from collections.abc import Generator
 
 import numpy as np
 
 from repro.errors import CommunicationError
 from repro.runtime.comm import Communicator
-from repro.runtime.stats import CommStats
-from repro.types import VERTEX_DTYPE
-
-#: one round's sends: {src_rank: {dst_rank: payload}}
-RoundOutbox = dict[int, dict[int, np.ndarray]]
-#: one round's deliveries for a group: {dst_rank: [(src_rank, payload), ...]}
-RoundInbox = dict[int, list[tuple[int, np.ndarray]]]
-#: a schedule yields outboxes, is sent inboxes, and returns received arrays
-Schedule = Generator[RoundOutbox, RoundInbox, list[list[np.ndarray]]]
+from repro.utils.segmented import range_indices, segmented_unique
 
 
-def _run_lockstep(
-    comm: Communicator,
-    phase: str,
-    schedules: list[Schedule],
-    groups: list[list[int]],
-) -> list[list[list[np.ndarray]]]:
-    """Drive ``schedules`` round-by-round, merging each round's exchanges."""
-    results: list[list[list[np.ndarray]] | None] = [None] * len(schedules)
-    pending: dict[int, Schedule] = {}
-    current: dict[int, RoundOutbox] = {}
-    members: list[set[int]] = [set(g) for g in groups]
-    #: rank -> schedule index (groups are disjoint across lockstep runs)
-    owner_schedule = {rank: i for i, g in enumerate(groups) for rank in g}
-    for i, schedule in enumerate(schedules):
-        try:
-            current[i] = schedule.send(None)
-            pending[i] = schedule
-        except StopIteration as stop:
-            results[i] = stop.value
+class _Lockstep:
+    """One collective run over equal-size disjoint groups: member ``g`` of
+    group ``i`` is segment ``i * size + g``, held by rank ``ranks[.]``."""
 
-    obs = comm.obs
-    round_idx = 0
-    while pending:
-        merged: RoundOutbox = {}
-        for i in pending:
-            for src, dests in current[i].items():
-                merged.setdefault(src, {}).update(dests)
-        participants = sorted({rank for i in pending for rank in members[i]})
-        round_span = (
-            obs.begin(
-                f"round {round_idx}", cat="round", phase=phase, groups=len(pending)
+    def __init__(self, comm: Communicator, groups: list[list[int]], phase: str) -> None:
+        self.comm, self.phase = comm, phase
+        sizes = {len(group) for group in groups}
+        if len(sizes) != 1:
+            raise CommunicationError(
+                f"lockstep groups must share one size, got {sorted(sizes)}"
             )
-            if obs.enabled
-            else None
+        self.ranks = np.asarray(groups, dtype=np.int64).ravel()
+        self.ngroups = len(groups)
+        self.size = len(groups[0])
+        self.nseg = self.ranks.size
+        ordered = np.sort(self.ranks)
+        if (
+            self.nseg and (ordered[0] < 0 or ordered[-1] >= comm.nranks)
+        ) or (ordered[1:] == ordered[:-1]).any():
+            raise CommunicationError(
+                f"lockstep groups must hold distinct ranks in [0, {comm.nranks})"
+            )
+        #: barrier set of a round — ``None`` (no participant indexing)
+        #: when the groups cover the whole machine, as the engines' do
+        self.participants = None if self.nseg == comm.nranks else ordered
+
+    def round(self, index: int, ngroups: int, *messages, **route):
+        """One lockstep round: its ``round`` span around one exchange."""
+        comm, phase = self.comm, self.phase
+        with comm.obs.span(f"round {index}", cat="round", phase=phase, groups=ngroups):
+            return comm.exchange_arrays(*messages, phase, **route)
+
+
+def _forward(
+    lock: _Lockstep,
+    program: _Program,
+    rounds,
+    bflat: np.ndarray,
+    bstarts: np.ndarray,
+    bsizes: np.ndarray,
+    first_round: int = 0,
+):
+    """Run a program's forwarding rounds over pooled, immutable blocks.
+
+    Block ``i * nblocks + k`` (group ``i``'s block ``k``) is ``bsizes[.]``
+    entries of ``bflat`` from ``bstarts[.]``; blocks never change, a round
+    only names which of them each message carries, so a message is one
+    gather of its non-empty blocks in table order — and where every block
+    ends up is known without running a round.  Blocks travel *on
+    schedule*: a chunk the fault layer withheld still moves on (the level
+    is rolled back anyway).  Only a ``lossy`` program that had chunks
+    withheld returns the ones that did arrive, as ``(destination
+    segments, payload, starts, stops)``; ``None``: all were delivered.
+    """
+    size, ngroups = lock.size, lock.ngroups
+    nblocks = bsizes.size // ngroups
+    group_base = np.arange(ngroups, dtype=np.int64)[:, None] * nblocks
+    survivors = None
+    for index, (src, dst, block) in enumerate(rounds, first_round):
+        blk = (group_base + block).ravel()
+        keep = np.flatnonzero(bsizes[blk])
+        group, entry = np.divmod(keep, max(src.size, 1))
+        blk = blk[keep]
+        sizes = bsizes[blk]
+        src_seg = group * size + src[entry]
+        dst_seg = group * size + dst[entry]
+        participants, active = lock.participants, ngroups
+        if program.idle_groups_leave:
+            busy = np.flatnonzero(np.bincount(group, minlength=ngroups))
+            if busy.size == 0:
+                break
+            if busy.size < ngroups:
+                active = busy.size
+                participants = np.sort(lock.ranks.reshape(ngroups, size)[busy].ravel())
+        # one wire message per run of equal (src, dst): [head, tail) entries
+        pair = src_seg * size + dst[entry]
+        cut = np.flatnonzero(pair[1:] != pair[:-1]) + 1
+        head = np.concatenate(([0], cut))[: keep.size]
+        tail = np.concatenate((cut, [keep.size]))[: keep.size]
+        idx, offsets = range_indices(bstarts[blk], sizes)
+        payload = bflat[idx]
+        arrived = lock.round(
+            index, active, lock.ranks[src_seg[head]], lock.ranks[dst_seg[head]],
+            payload, offsets[head], offsets[tail], participants=participants,
         )
-        inbox = comm.exchange(merged, phase, participants=participants)
-        if round_span is not None:
-            obs.end(round_span)
-        round_idx += 1
-        # Split the inbox per schedule in one pass (not one inbox scan per
-        # schedule), preserving delivery order within each sub-inbox.
-        sub_inboxes: dict[int, RoundInbox] = {i: {} for i in pending}
-        for dst, msgs in inbox.items():
-            i = owner_schedule.get(dst)
-            if i in sub_inboxes:
-                sub_inboxes[i][dst] = msgs
-        advanced: dict[int, RoundOutbox] = {}
-        finished: list[int] = []
-        for i, schedule in pending.items():
-            try:
-                advanced[i] = schedule.send(sub_inboxes[i])
-            except StopIteration as stop:
-                results[i] = stop.value
-                finished.append(i)
-        for i in finished:
-            pending.pop(i)
-        current = advanced
-    return results  # type: ignore[return-value]
+        if program.lossy and arrived is not None:
+            msg, starts, stops = arrived
+            survivors = dst_seg[head][msg], payload, starts, stops
+    return survivors
 
 
-class FoldCollective(abc.ABC):
+def _regroup(
+    flat: np.ndarray, dest: np.ndarray, starts: np.ndarray, sizes: np.ndarray, ndest: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks ``flat[starts[k]:starts[k] + sizes[k]]`` -> CSR by ``dest[k]``."""
+    live = np.flatnonzero(sizes)
+    order = live[np.argsort(dest[live], kind="stable")]
+    idx, offsets = range_indices(starts[order], sizes[order])
+    return flat[idx], offsets[np.searchsorted(dest[order], np.arange(ndest + 1))]
+
+
+def _union_rings(
+    lock: _Lockstep, shape: tuple[int, int], csizes: np.ndarray, cflat: np.ndarray,
+    deliver: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce-scatter over rings with set-union as the reduction.
+
+    Every group is an ``a x b`` subgrid (member ``r * b + c``) whose rows
+    are rings of ``b`` members.  The *bundle* for column ``k`` — one lane
+    per final destination ``(r', k)`` — starts at the member in column
+    ``k + 1`` and travels its row's ring exactly once; every member it
+    visits unions its own contributions in, eliminating duplicate vertex
+    ids while the message is in flight.  Each member sends exactly one
+    bundle per round, ``b - 1`` rounds in all, and all groups' per-round
+    unions collapse into one segmented unique.  Returns CSR over chunk
+    ``seg * a + r'``: member ``(r, c)`` ends up holding, reduced over its
+    row, the chunk for every ``(r', c)``.  ``shape = (1, G)`` is the
+    paper's union-fold ring, whose last round *is* the delivery
+    (``deliver``).
+    """
+    a, b = shape
+    comm, size, nseg, ranks = lock.comm, lock.size, lock.nseg, lock.ranks
+    stats = comm.stats
+    domain = int(cflat.max()) + 1 if cflat.size else 1
+    seg_ids = np.arange(nseg, dtype=np.int64)
+    col = seg_ids % b
+    succ_seg = seg_ids - col + (col + 1) % b
+    # a member receives the bundle its ring predecessor held
+    pred_seg = seg_ids - col + (col - 1) % b
+    #: chunk ids after one hop: same lane, next holder
+    hop = (succ_seg[:, None] * a + np.arange(a, dtype=np.int64)).ravel()
+
+    def batched_union(values, chunks):
+        flat, bounds, dups, chunk_of = segmented_unique(values, chunks, nseg * a, domain)
+        stats.record_duplicates(int(dups))
+        return flat, bounds, chunk_of
+
+    # Pre-slice every contribution by the round that unions it in: the
+    # bundle for column k reaches column c after (c - k - 1) % b hops, so
+    # member (r, c) folds its payload for destination (r', k) in at
+    # consumption round rk = (c - k - 1) % b (0 = priming, t + 1 = ring
+    # round t).  One stable sort by (rk, seg) replaces a per-round gather.
+    slot_e = np.repeat(np.arange(nseg * size, dtype=np.int64), csizes)
+    seg_e = slot_e // size
+    rk_e = (seg_e % b - slot_e % b - 1) % b
+    order = np.argsort(rk_e * nseg + seg_e, kind="stable")
+    own_flat = cflat[order]
+    own_chunk = (slot_e // b)[order]  # seg * a + r': slots are seg * a * b + r' * b + k
+    round_off = np.searchsorted(rk_e[order], np.arange(b + 1, dtype=np.int64))
+
+    primed = round_off[1]
+    flat, bounds, chunk_of = batched_union(own_flat[:primed], own_chunk[:primed])
+    # Every round's wire pairs come from the fixed member -> successor
+    # rings; pre-analyse their routes once so rounds charge the network
+    # by indexing the population (no per-round route resolution).
+    succ_rank = ranks[succ_seg]
+    population = comm.network.prepare_pairs(ranks, succ_rank) if b > 1 else None
+    for round_idx in range(b - 1):
+        held = bounds[::a]
+        sent = np.diff(held)
+        # No empty bundle (the heavy rounds): the round is the whole ring
+        # population in order — no subset indexing at all.
+        pick = slice(None) if sent.all() else np.flatnonzero(sent)
+        lock.round(
+            round_idx, lock.ngroups,
+            ranks[pick], succ_rank[pick], flat, held[:-1][pick], held[1:][pick],
+            participants=lock.participants, population=population,
+            pop_idx=None if isinstance(pick, slice) else pick,
+        )
+        if deliver and round_idx == b - 2:
+            stats.record_delivery_bulk(ranks, sent[pred_seg], lock.phase)
+        # Received bundles need no gather: every element lands on its
+        # holder's successor, so only the chunk tags change.
+        lo, hi = round_off[round_idx + 1], round_off[round_idx + 2]
+        with comm.obs.span("union", cat="phase"):
+            flat, bounds, chunk_of = batched_union(
+                np.concatenate((flat, own_flat[lo:hi])),
+                np.concatenate((hop[chunk_of], own_chunk[lo:hi])),
+            )
+    return flat, bounds
+
+
+class _Program:
+    """What both families share: a registry name, rounds, two switches."""
+
+    name: str = "base"
+    #: a group with nothing in flight sits out the remaining rounds
+    idle_groups_leave: bool = False
+    #: rounds hand over only the wire chunks that arrived (single-hop
+    #: programs); forwarding programs deliver on schedule
+    lossy: bool = False
+
+    def _rounds(self, size: int):
+        """The forwarding rounds, in order, as ``(src, dst, block)`` arrays
+        of in-group member indices: entry ``k`` moves block ``block[k]``
+        from member ``src[k]`` to member ``dst[k]``.  Entries are in the
+        sender's carry order; one wire message is a run of equal pairs."""
+        return ()
+
+
+class FoldCollective(_Program):
     """All-to-all / reduce-scatter-like collective for the fold step.
 
-    ``outboxes[g][d]`` is the array member index ``g`` wants delivered to
-    member index ``d`` (``d`` indexes *within the group*).  The result has
-    one list of received arrays per member index, including any
-    self-addressed payload (a local hand-off).
+    A fold program is an optional set-union ring phase (:meth:`_rings`)
+    followed by forwarding rounds (:meth:`_rounds`) over the blocks
+    ``o * G + d`` — what member ``o`` holds for member ``d``.
     """
 
-    name: str = "fold-base"
-    #: True when the collective accepts pre-packed CSR outboxes via a
-    #: ``fold_many_csr`` method (see :class:`UnionRingFold`); engines use
-    #: it to skip dict packing on their hot paths
-    supports_csr: bool = False
-
-    @abc.abstractmethod
-    def _schedule(
-        self,
-        stats: CommStats,
-        group: list[int],
-        outboxes: list[dict[int, np.ndarray]],
-        phase: str,
-    ) -> Schedule:
-        """The algorithm as a round generator (see module docstring)."""
+    def _rings(self, size: int) -> tuple[int, int] | None:
+        """``(a, b)`` subgrid of the union rings run first, if any."""
+        return None
 
     def fold(
         self,
         comm: Communicator,
-        group: list[int],
-        outboxes: list[dict[int, np.ndarray]],
-        phase: str = "fold",
-    ) -> list[list[np.ndarray]]:
-        """Run the collective on one ``group`` (global rank ids)."""
-        _validate_group(group, len(outboxes))
-        return _run_lockstep(
-            comm, phase, [self._schedule(comm.stats, group, outboxes, phase)], [group]
-        )[0]
-
-    def fold_many(
-        self,
-        comm: Communicator,
         groups: list[list[int]],
-        outboxes_per_group: list[list[dict[int, np.ndarray]]],
+        csizes: np.ndarray,
+        cflat: np.ndarray,
         phase: str = "fold",
-    ) -> list[list[list[np.ndarray]]]:
-        """Run the collective on several *disjoint* groups in lockstep."""
-        _validate_disjoint(groups, len(outboxes_per_group))
-        schedules = []
-        for group, outboxes in zip(groups, outboxes_per_group):
-            _validate_group(group, len(outboxes))
-            schedules.append(self._schedule(comm.stats, group, outboxes, phase))
-        return _run_lockstep(comm, phase, schedules, groups)
+        sieve=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Run the collective on equal-size disjoint ``groups`` in lockstep.
+
+        ``csizes[(i * size + g) * size + d]`` is the payload length member
+        ``g`` of group ``i`` sends to in-group destination ``d``, and
+        ``cflat`` holds the payloads back to back in slot order (values
+        must be non-negative, e.g. vertex ids).  Returns what every member
+        ends up with as CSR ``(flat, bounds)`` over segment ``i * size +
+        g``, local hand-offs included: the sorted set-union for the
+        reducing programs, every arrival (duplicates too) for the others.
+
+        ``sieve`` is an optional :class:`repro.bfs.sieve.PooledSieve`:
+        every contribution is probed against its sender's shadow of the
+        destination's visited set before the first round; what the
+        destination already visited never enters a chunk, and could only
+        have been a duplicate there — the result's *fresh* content stays.
+        """
+        lock = _Lockstep(comm, groups, phase)
+        size, nseg = lock.size, lock.nseg
+        if csizes.size != nseg * size:
+            raise CommunicationError(
+                f"{nseg} members of {size}-member groups need {nseg * size} "
+                f"payload slots, got {csizes.size}"
+            )
+        if sieve is not None and cflat.size:
+            slot_all = np.repeat(np.arange(nseg * size, dtype=np.int64), csizes)
+            senders = lock.ranks[slot_all // size]
+            keep = sieve.keep_mask(senders, cflat)
+            comm.charge_compute_many(hash_lookups=np.bincount(senders, minlength=comm.nranks))
+            dropped = int(keep.size - keep.sum())
+            if dropped:
+                comm.stats.record_sieved(dropped)
+                cflat = cflat[keep]
+                csizes = np.bincount(slot_all[keep], minlength=csizes.size)
+        rounds = list(self._rounds(size))
+        shape = self._rings(size)
+        first_round = 0
+        if shape is not None:
+            a, b = shape
+            cflat, bounds = _union_rings(lock, shape, csizes, cflat, deliver=not rounds)
+            if not rounds:
+                return cflat, bounds
+            # member (r, c) now holds lane r': its block for (r', c)
+            holder, lane = np.divmod(np.arange(nseg * a, dtype=np.int64), a)
+            csizes = np.zeros(nseg * size, dtype=np.int64)
+            csizes[holder * size + lane * b + holder % b] = np.diff(bounds)
+            first_round = b - 1
+        bstarts = np.cumsum(csizes) - csizes
+        survivors = _forward(lock, self, rounds, cflat, bstarts, csizes, first_round)
+        # Whatever the route, every block ends up at its destination;
+        # self-addressed ones are local hand-offs, not deliveries.
+        holder, dest = np.divmod(np.arange(nseg * size, dtype=np.int64), size)
+        dest += holder - holder % size
+        handed = holder == dest
+        if survivors is not None:
+            arrived_to, payload, starts, stops = survivors
+            dest = np.concatenate((dest[handed], arrived_to))
+            bstarts = np.concatenate((bstarts[handed], cflat.size + starts))
+            csizes = np.concatenate((csizes[handed], stops - starts))
+            cflat = np.concatenate((cflat, payload))
+            handed = np.arange(dest.size) < nseg
+        sent = np.flatnonzero(~handed & (csizes > 0))
+        if sent.size:
+            comm.stats.record_delivery_bulk(lock.ranks[dest[sent]], csizes[sent], phase)
+        return _regroup(cflat, dest, bstarts, csizes, nseg)
 
 
-class ExpandCollective(abc.ABC):
+class ExpandCollective(_Program):
     """All-gather-like collective for the expand step.
 
-    ``contributions[g]`` is the array group member index ``g`` contributes
-    (its frontier).  ``dest_filter``, when given, maps ``(src_index,
-    dst_index)`` to the filtered array that actually needs to reach ``dst``
-    — the sparse-frontier optimisation of Section 2.2.  Forwarding schemes
-    (rings, recursive doubling) cannot apply per-destination filtering and
-    ignore it.  A member's own contribution is *not* included in its
-    received list.
+    Every member contributes one block — the ``block`` a round names is
+    the origin member index — and ends up with every peer's.  (The
+    engines' *direct* expand, one personalized round filtered per
+    destination, is not a forwarding program; it lives in
+    ``Bfs2DEngine._expand_messages``.)
     """
-
-    name: str = "expand-base"
-
-    @abc.abstractmethod
-    def _schedule(
-        self,
-        stats: CommStats,
-        group: list[int],
-        contributions: list[np.ndarray],
-        phase: str,
-        dest_filter,
-    ) -> Schedule:
-        """The algorithm as a round generator (see module docstring)."""
 
     def expand(
         self,
         comm: Communicator,
-        group: list[int],
-        contributions: list[np.ndarray],
-        phase: str = "expand",
-        dest_filter=None,
-    ) -> list[list[np.ndarray]]:
-        """Run the collective on one ``group`` (global rank ids)."""
-        _validate_group(group, len(contributions))
-        return _run_lockstep(
-            comm,
-            phase,
-            [self._schedule(comm.stats, group, contributions, phase, dest_filter)],
-            [group],
-        )[0]
-
-    def expand_many(
-        self,
-        comm: Communicator,
         groups: list[list[int]],
-        contributions_per_group: list[list[np.ndarray]],
+        flat: np.ndarray,
+        bounds: np.ndarray,
         phase: str = "expand",
-        dest_filters: list | None = None,
-    ) -> list[list[list[np.ndarray]]]:
-        """Run the collective on several *disjoint* groups in lockstep."""
-        _validate_disjoint(groups, len(contributions_per_group))
-        schedules = []
-        for idx, (group, contributions) in enumerate(
-            zip(groups, contributions_per_group)
-        ):
-            _validate_group(group, len(contributions))
-            dest_filter = dest_filters[idx] if dest_filters is not None else None
-            schedules.append(
-                self._schedule(comm.stats, group, contributions, phase, dest_filter)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Run the collective on equal-size disjoint ``groups`` in lockstep.
+
+        ``(flat, bounds)`` is a CSR over the communicator's *ranks* (the
+        engines' pooled frontier): rank ``r`` contributes
+        ``flat[bounds[r]:bounds[r + 1]]``.  Returns, as CSR over ranks
+        again, what every rank received — each group peer's non-empty
+        block exactly once, its own not included.
+        """
+        lock = _Lockstep(comm, groups, phase)
+        if bounds.size != comm.nranks + 1:
+            raise CommunicationError(
+                f"expected CSR bounds over {comm.nranks} ranks, got {bounds.size - 1}"
             )
-        return _run_lockstep(comm, phase, schedules, groups)
-
-
-def _validate_group(group: list[int], payload_len: int) -> None:
-    if len(group) != payload_len:
-        raise CommunicationError(
-            f"group has {len(group)} members but {payload_len} payload slots were given"
-        )
-    if len(set(group)) != len(group):
-        raise CommunicationError("collective group contains duplicate ranks")
-
-
-def _validate_disjoint(groups: list[list[int]], payload_groups: int) -> None:
-    if len(groups) != payload_groups:
-        raise CommunicationError(
-            f"{len(groups)} groups but {payload_groups} payload groups were given"
-        )
-    seen: set[int] = set()
-    for group in groups:
-        for rank in group:
-            if rank in seen:
-                raise CommunicationError(
-                    f"rank {rank} appears in more than one lockstep group"
-                )
-            seen.add(rank)
-
-
-def _empty() -> np.ndarray:
-    return np.empty(0, dtype=VERTEX_DTYPE)
+        size, ranks, sizes = lock.size, lock.ranks, np.diff(bounds)
+        _forward(lock, self, self._rounds(size), flat, bounds[ranks], sizes[ranks])
+        # Whatever the route, every member ends up with each peer's block,
+        # and every receipt is a delivery.
+        member, origin = np.divmod(np.arange(size * size, dtype=np.int64), size)
+        peers = member != origin
+        base = np.arange(lock.ngroups, dtype=np.int64)[:, None] * size
+        dest = ranks[(base + member[peers]).ravel()]
+        origin = ranks[(base + origin[peers]).ravel()]
+        sizes = sizes[origin]
+        if sizes.any():
+            comm.stats.record_delivery_bulk(dest, sizes, phase)
+        return _regroup(flat, dest, bounds[origin], sizes, comm.nranks)
 
 
 # ---------------------------------------------------------------------- #
@@ -260,21 +377,20 @@ def register_fold(cls: type) -> type:
     return cls
 
 
-def get_expand(name: str, **kwargs) -> ExpandCollective:
-    """Instantiate the expand collective registered under ``name``."""
+def _instantiate(table: dict[str, type], family: str, name: str, kwargs: dict):
     try:
-        return _EXPANDS[name](**kwargs)
+        return table[name](**kwargs)
     except KeyError:
         raise CommunicationError(
-            f"unknown expand collective {name!r}; available: {sorted(_EXPANDS)}"
+            f"unknown {family} collective {name!r}; available: {sorted(table)}"
         ) from None
+
+
+def get_expand(name: str, **kwargs) -> ExpandCollective:
+    """Instantiate the expand collective registered under ``name``."""
+    return _instantiate(_EXPANDS, "expand", name, kwargs)
 
 
 def get_fold(name: str, **kwargs) -> FoldCollective:
     """Instantiate the fold collective registered under ``name``."""
-    try:
-        return _FOLDS[name](**kwargs)
-    except KeyError:
-        raise CommunicationError(
-            f"unknown fold collective {name!r}; available: {sorted(_FOLDS)}"
-        ) from None
+    return _instantiate(_FOLDS, "fold", name, kwargs)

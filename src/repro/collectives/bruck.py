@@ -4,11 +4,9 @@ The paper's ring collectives pay O(G) rounds with nearest-neighbour
 traffic — ideal on a torus when bandwidth dominates.  The classic
 alternative trades volume for latency: the Bruck algorithm finishes a
 personalized all-to-all in ceil(log2 G) rounds (each message is forwarded
-up to log G times), and recursive doubling finishes an all-gather in the
-same number of rounds.  Both work for any group size, not just powers of
-two.  They are included as *ablation baselines*: on BlueGene/L-sized
-messages the paper's bandwidth-friendly rings should win, and the
-collective ablation benchmark shows exactly that trade-off.
+up to log G times), and recursive doubling an all-gather in as many, for
+any group size.  They are *ablation baselines*: on BlueGene/L-sized
+messages the paper's bandwidth-friendly rings should win.
 """
 
 from __future__ import annotations
@@ -18,11 +16,9 @@ import numpy as np
 from repro.collectives.base import (
     ExpandCollective,
     FoldCollective,
-    Schedule,
     register_expand,
     register_fold,
 )
-from repro.runtime.stats import CommStats
 
 
 @register_fold
@@ -30,62 +26,25 @@ class BruckFold(FoldCollective):
     """Bruck personalized all-to-all: ceil(log2 G) rounds of combined messages.
 
     Round ``j`` moves, from rank ``i`` to rank ``(i + 2^j) mod G``, every
-    chunk whose remaining hop count has bit ``j`` set — after all rounds
-    each chunk has travelled ``(d - src) mod G`` positions in binary.
+    chunk whose hop count ``(d - src) mod G`` has bit ``j`` set — after all
+    rounds each chunk has travelled its hop count in binary.  A member
+    carries what it kept before what it was sent, so its carry order is
+    by distance already travelled, then destination.
     """
 
     name = "bruck"
 
-    def _schedule(
-        self,
-        stats: CommStats,
-        group: list[int],
-        outboxes: list[dict[int, np.ndarray]],
-        phase: str,
-    ) -> Schedule:
-        size = len(group)
-        received: list[list[np.ndarray]] = [[] for _ in range(size)]
-        # carrying[g] = list of (remaining_hops, payload)
-        carrying: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(size)]
-        for g, per_dest in enumerate(outboxes):
-            for d, payload in per_dest.items():
-                if not (0 <= d < size):
-                    raise IndexError(f"destination index {d} outside group of size {size}")
-                if np.size(payload) == 0:
-                    continue
-                hops = (d - g) % size
-                if hops == 0:
-                    received[g].append(np.asarray(payload))
-                else:
-                    carrying[g].append((hops, np.asarray(payload)))
-
+    def _rounds(self, size: int):
+        origin, dest = np.divmod(np.arange(size * size, dtype=np.int64), size)
+        hops = (dest - origin) % size
         step = 1
         while step < size:
-            outbox: dict[int, dict[int, np.ndarray]] = {}
-            moving: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(size)]
-            staying: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(size)]
-            for g in range(size):
-                to_send = [(h, p) for h, p in carrying[g] if h & step]
-                staying[g] = [(h, p) for h, p in carrying[g] if not h & step]
-                if to_send:
-                    dst = (g + step) % size
-                    outbox.setdefault(group[g], {})[group[dst]] = np.concatenate(
-                        [p for _h, p in to_send]
-                    )
-                    moving[dst].extend((h - step, p) for h, p in to_send)
-            yield outbox
-            for g in range(size):
-                carrying[g] = staying[g]
-                for hops, payload in moving[g]:
-                    if hops == 0:
-                        received[g].append(payload)
-                        stats.record_delivery(group[g], int(payload.size), phase)
-                    else:
-                        carrying[g].append((hops, payload))
+            travelled = hops & (step - 1)
+            holder = (origin + travelled) % size
+            order = np.lexsort((dest, travelled, holder))
+            order = order[(hops[order] & step) != 0]
+            yield holder[order], (holder[order] + step) % size, order
             step <<= 1
-        if any(carrying):  # pragma: no cover - binary schedule is exhaustive
-            raise RuntimeError("bruck fold finished with undelivered chunks")
-        return received
 
 
 @register_expand
@@ -93,49 +52,17 @@ class RecursiveDoublingExpand(ExpandCollective):
     """All-gather by recursive doubling (Bruck variant for any group size).
 
     Round ``j``: rank ``i`` sends the first ``min(2^j, G - 2^j)`` of its
-    gathered blocks to ``(i - 2^j) mod G`` — the gathered set doubles every
-    round, completing in ceil(log2 G) rounds.
+    gathered blocks (origins ``i, i+1, ...``) to ``(i - 2^j) mod G`` — the
+    gathered set doubles every round, completing in ceil(log2 G) rounds.
     """
 
     name = "recursive-doubling"
 
-    def _schedule(
-        self,
-        stats: CommStats,
-        group: list[int],
-        contributions: list[np.ndarray],
-        phase: str,
-        dest_filter,  # forwarding scheme: per-destination filter unusable
-    ) -> Schedule:
-        size = len(group)
-        received: list[list[np.ndarray]] = [[] for _ in range(size)]
-        if size == 1:
-            return received
-        # gathered[g] = payloads in origin order g, g+1, g+2, ... (mod size).
-        # Invariant: every rank holds the same count `have` of consecutive
-        # origins starting at itself.
-        gathered: list[list[np.ndarray]] = [
-            [np.asarray(contributions[g])] for g in range(size)
-        ]
+    def _rounds(self, size: int):
         step = 1
         while step < size:
-            have = min(step, size)
-            count = min(have, size - have)  # what the receiver still lacks
-            outbox: dict[int, dict[int, np.ndarray]] = {}
-            incoming: list[list[np.ndarray]] = [[] for _ in range(size)]
-            for g in range(size):
-                dst = (g - step) % size
-                to_send = gathered[g][:count]
-                payloads = [p for p in to_send if np.size(p)]
-                if payloads:
-                    outbox.setdefault(group[g], {})[group[dst]] = np.concatenate(payloads)
-                incoming[dst] = to_send
-            yield outbox
-            for g in range(size):
-                for payload in incoming[g]:
-                    gathered[g].append(payload)
-                    if np.size(payload):
-                        received[g].append(payload)
-                        stats.record_delivery(group[g], int(np.size(payload)), phase)
+            count = min(step, size - step)  # what the receiver still lacks
+            member = np.repeat(np.arange(size, dtype=np.int64), count)
+            ahead = np.tile(np.arange(count, dtype=np.int64), size)
+            yield member, (member - step) % size, (member + ahead) % size
             step <<= 1
-        return received

@@ -4,10 +4,10 @@ Ring communication is the natural point-to-point pattern on a torus
 (Section 3.2.2): every member talks only to its ring successor, so each
 round is contention-free nearest-neighbour traffic when the mapping is
 good.  :class:`RingExpand` is a classic all-gather ring;
-:class:`RingFold` forwards personalized chunks around the ring *without*
-in-flight reduction (the union-free baseline for Figure 7's comparison —
-see :class:`repro.collectives.reduce_scatter.UnionRingFold` for the
-paper's union variant).
+:class:`UnionRingFold` is the paper's *union-fold*, a ring reduce-scatter
+with set-union as the reduction; :class:`RingFold` forwards personalized
+chunks around the ring *without* in-flight reduction (the union-free
+baseline for Figure 7's comparison).
 
 Note on statistics: vertices are counted as *processed* at every hop,
 including pure forwarding hops — the paper's Figure 7 accounting ("each
@@ -23,11 +23,9 @@ import numpy as np
 from repro.collectives.base import (
     ExpandCollective,
     FoldCollective,
-    Schedule,
     register_expand,
     register_fold,
 )
-from repro.runtime.stats import CommStats
 
 
 @register_expand
@@ -36,33 +34,11 @@ class RingExpand(ExpandCollective):
 
     name = "ring"
 
-    def _schedule(
-        self,
-        stats: CommStats,
-        group: list[int],
-        contributions: list[np.ndarray],
-        phase: str,
-        dest_filter,  # rings forward through intermediaries: filter unusable
-    ) -> Schedule:
-        size = len(group)
-        received: list[list[np.ndarray]] = [[] for _ in range(size)]
-        if size == 1:
-            return received
-        in_hand: list[np.ndarray] = [np.asarray(c) for c in contributions]
-        for _round in range(size - 1):
-            outbox: dict[int, dict[int, np.ndarray]] = {}
-            for g in range(size):
-                nxt = (g + 1) % size
-                if np.size(in_hand[g]):
-                    outbox.setdefault(group[g], {})[group[nxt]] = in_hand[g]
-            yield outbox
-            # Shift: everyone now holds its predecessor's previous chunk.
-            in_hand = [in_hand[(g - 1) % size] for g in range(size)]
-            for g in range(size):
-                if np.size(in_hand[g]):
-                    received[g].append(in_hand[g])
-                    stats.record_delivery(group[g], int(np.size(in_hand[g])), phase)
-        return received
+    def _rounds(self, size: int):
+        member = np.arange(size, dtype=np.int64)
+        for hops in range(size - 1):
+            # everyone holds its hops-th predecessor's block
+            yield member, (member + 1) % size, (member - hops) % size
 
 
 @register_fold
@@ -70,55 +46,40 @@ class RingFold(FoldCollective):
     """Personalized ring fold: chunks hop forward until they reach their target.
 
     No in-flight reduction — duplicates survive until the receiving rank
-    merges them.  Round ``t`` moves every not-yet-delivered chunk one hop,
-    so the schedule finishes after G-1 rounds.
+    merges them.  Round ``t`` moves every not-yet-delivered chunk one hop
+    (a member forwards what its ``t``-th predecessor addressed further
+    on, by destination), so a group is done after at most G-1 rounds —
+    earlier when its long-haul chunks are all empty.
     """
 
     name = "ring"
+    idle_groups_leave = True
 
-    def _schedule(
-        self,
-        stats: CommStats,
-        group: list[int],
-        outboxes: list[dict[int, np.ndarray]],
-        phase: str,
-    ) -> Schedule:
-        size = len(group)
-        received: list[list[np.ndarray]] = [[] for _ in range(size)]
-        # carrying[g] = list of (dest_index, payload) currently held by g
-        carrying: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(size)]
-        for g, per_dest in enumerate(outboxes):
-            for d, payload in per_dest.items():
-                if not (0 <= d < size):
-                    raise IndexError(f"destination index {d} outside group of size {size}")
-                if np.size(payload) == 0:
-                    continue
-                if d == g:
-                    received[g].append(np.asarray(payload))
-                else:
-                    carrying[g].append((d, np.asarray(payload)))
+    def _rounds(self, size: int):
+        holder, dest = np.divmod(np.arange(size * size, dtype=np.int64), size)
+        for hops in range(size - 1):
+            origin = (holder - hops) % size
+            moving = (dest - origin) % size > hops
+            yield (
+                holder[moving],
+                (holder[moving] + 1) % size,
+                (origin * size + dest)[moving],
+            )
 
-        for _round in range(size - 1):
-            if not any(carrying):
-                break
-            outbox: dict[int, dict[int, np.ndarray]] = {}
-            moving: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(size)]
-            for g in range(size):
-                if not carrying[g]:
-                    continue
-                nxt = (g + 1) % size
-                combined = np.concatenate([p for _, p in carrying[g]])
-                outbox.setdefault(group[g], {})[group[nxt]] = combined
-                moving[nxt].extend(carrying[g])
-                carrying[g] = []
-            yield outbox
-            for g in range(size):
-                for d, payload in moving[g]:
-                    if d == g:
-                        received[g].append(payload)
-                        stats.record_delivery(group[g], int(payload.size), phase)
-                    else:
-                        carrying[g].append((d, payload))
-        if any(carrying):  # pragma: no cover - schedule guarantees delivery
-            raise RuntimeError("ring fold finished with undelivered chunks")
-        return received
+
+@register_fold
+class UnionRingFold(FoldCollective):
+    """Reduce-scatter over a ring with set-union as the reduction operation.
+
+    Each destination's chunk travels the full ring exactly once, starting
+    at the destination's successor; every rank it visits unions its own
+    contribution in, eliminating duplicate vertex ids while the message
+    is in flight (Sections 2.2 and 3.2.2).  Each rank sends exactly one
+    chunk per round — perfectly balanced: G-1 rounds of one message each.
+    """
+
+    name = "union-ring"
+
+    def _rings(self, size: int) -> tuple[int, int]:
+        # one union ring spanning the whole group; its last round delivers
+        return 1, size

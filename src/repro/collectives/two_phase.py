@@ -21,16 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.collectives.base import (
-    ExpandCollective,
-    FoldCollective,
-    Schedule,
-    _empty,
-    register_expand,
-    register_fold,
-)
-from repro.collectives.union import union_merge
-from repro.runtime.stats import CommStats
+from repro.collectives.alltoallv import DirectFold
+from repro.collectives.base import ExpandCollective, register_expand, register_fold
 
 
 def subgrid_shape(size: int) -> tuple[int, int]:
@@ -44,183 +36,48 @@ def subgrid_shape(size: int) -> tuple[int, int]:
 
 
 class _Subgrid:
-    """Row/column bookkeeping for a group arranged as an ``a x b`` grid."""
-
-    def __init__(self, size: int, shape: tuple[int, int] | None = None) -> None:
-        self.a, self.b = shape if shape is not None else subgrid_shape(size)
-        if self.a * self.b != size:
-            raise ValueError(f"subgrid {self.a}x{self.b} does not cover group of {size}")
-
-    def coords(self, member: int) -> tuple[int, int]:
-        return divmod(member, self.b)
-
-    def member(self, row: int, col: int) -> int:
-        return row * self.b + col
-
-    def row_members(self, row: int) -> list[int]:
-        return [self.member(row, c) for c in range(self.b)]
-
-    def col_members(self, col: int) -> list[int]:
-        return [self.member(r, col) for r in range(self.a)]
-
-
-@register_fold
-class TwoPhaseFold(FoldCollective):
-    """Figure 2: row-ring union reduction, then column-group delivery."""
-
-    name = "two-phase"
+    """An explicit ``(a, b)`` subgrid, or the most-square one."""
 
     def __init__(self, shape: tuple[int, int] | None = None) -> None:
         self.shape = shape
 
-    def _schedule(
-        self,
-        stats: CommStats,
-        group: list[int],
-        outboxes: list[dict[int, np.ndarray]],
-        phase: str,
-    ) -> Schedule:
-        size = len(group)
-        sub = _Subgrid(size, self.shape)
-        a, b = sub.a, sub.b
-        received: list[list[np.ndarray]] = [[] for _ in range(size)]
+    def _subgrid(self, size: int) -> tuple[int, int]:
+        a, b = self.shape if self.shape is not None else subgrid_shape(size)
+        if a * b != size:
+            raise ValueError(f"subgrid {a}x{b} does not cover group of {size}")
+        return a, b
 
-        def contribution(g: int, d: int) -> np.ndarray:
-            return np.asarray(outboxes[g].get(d, _empty()))
 
-        # ---------------- phase 1: row-wise union rings ---------------- #
-        # The bundle for column group gc circulates the row ring starting
-        # at the member in column (gc + 1) % b of each row; each holder
-        # unions its own per-final-destination sub-chunks in.
-        in_hand: list[tuple[int, dict[int, np.ndarray]]] = [(-1, {})] * size
-        for row in range(a):
-            for gc in range(b):
-                starter = sub.member(row, (gc + 1) % b)
-                bundle: dict[int, np.ndarray] = {}
-                for final_dest in sub.col_members(gc):
-                    merged, dups = union_merge(contribution(starter, final_dest))
-                    stats.record_duplicates(dups)
-                    if merged.size:
-                        bundle[final_dest] = merged
-                in_hand[starter] = (gc, bundle)
+@register_fold
+class TwoPhaseFold(_Subgrid, DirectFold):
+    """Figure 2: row-ring union reduction, then column-group delivery.
 
-        for _round in range(b - 1):
-            outbox: dict[int, dict[int, np.ndarray]] = {}
-            for g in range(size):
-                row, col = sub.coords(g)
-                _gc, bundle = in_hand[g]
-                if bundle:
-                    nxt = sub.member(row, (col + 1) % b)
-                    outbox.setdefault(group[g], {})[group[nxt]] = np.concatenate(
-                        list(bundle.values())
-                    )
-            yield outbox
-            nxt_hand: list[tuple[int, dict[int, np.ndarray]]] = [(-1, {})] * size
-            for g in range(size):
-                row, col = sub.coords(g)
-                prev = sub.member(row, (col - 1) % b)
-                gc, bundle = in_hand[prev]
-                if gc < 0:
-                    nxt_hand[g] = (-1, {})
-                    continue
-                new_bundle: dict[int, np.ndarray] = {}
-                for final_dest in sub.col_members(gc):
-                    merged, dups = union_merge(
-                        bundle.get(final_dest, _empty()), contribution(g, final_dest)
-                    )
-                    stats.record_duplicates(dups)
-                    if merged.size:
-                        new_bundle[final_dest] = merged
-                nxt_hand[g] = (gc, new_bundle)
-            in_hand = nxt_hand
+    Phase 1 is the union-fold ring run inside every subgrid row; what is
+    left for phase 2 is a direct fold whose only non-empty blocks stay
+    within a column group.
+    """
 
-        # After b-1 rounds, member (row, gc) holds the bundle for its own
-        # column group gc, reduced over all of row `row`.
-        # ------------- phase 2: column-group point-to-point ------------- #
-        outbox2: dict[int, dict[int, np.ndarray]] = {}
-        for g in range(size):
-            gc, bundle = in_hand[g]
-            if gc < 0:
-                continue
-            _row, col = sub.coords(g)
-            if gc != col:  # pragma: no cover - schedule invariant
-                raise RuntimeError("two-phase fold bundle ended at the wrong column group")
-            for final_dest, chunk in bundle.items():
-                if final_dest == g:
-                    received[g].append(chunk)
-                elif chunk.size:
-                    outbox2.setdefault(group[g], {})[group[final_dest]] = chunk
-        inbox = yield outbox2
-        rank_to_index = {rank: idx for idx, rank in enumerate(group)}
-        for dst_rank, deliveries in inbox.items():
-            for _src, payload in deliveries:
-                received[rank_to_index[dst_rank]].append(payload)
-                stats.record_delivery(dst_rank, int(payload.size), phase)
-        return received
+    name = "two-phase"
+    _rings = _Subgrid._subgrid
 
 
 @register_expand
-class TwoPhaseExpand(ExpandCollective):
+class TwoPhaseExpand(_Subgrid, ExpandCollective):
     """Figure 3: column-group exchange, then row-ring circulation."""
 
     name = "two-phase"
 
-    def __init__(self, shape: tuple[int, int] | None = None) -> None:
-        self.shape = shape
-
-    def _schedule(
-        self,
-        stats: CommStats,
-        group: list[int],
-        contributions: list[np.ndarray],
-        phase: str,
-        dest_filter,  # forwarding scheme: per-destination filter unusable
-    ) -> Schedule:
-        size = len(group)
-        sub = _Subgrid(size, self.shape)
-        a, b = sub.a, sub.b
-        received: list[list[np.ndarray]] = [[] for _ in range(size)]
-
-        # ------------- phase 1: exchange within column groups ------------ #
-        outbox1: dict[int, dict[int, np.ndarray]] = {}
-        for g in range(size):
-            payload = np.asarray(contributions[g])
-            if payload.size == 0:
-                continue
-            _row, col = sub.coords(g)
-            for peer in sub.col_members(col):
-                if peer != g:
-                    outbox1.setdefault(group[g], {})[group[peer]] = payload
-        yield outbox1
-        # bundle[g] = contributions of g's whole column group (self included)
-        bundles: list[list[np.ndarray]] = []
-        for g in range(size):
-            _row, col = sub.coords(g)
-            bundles.append([np.asarray(contributions[peer]) for peer in sub.col_members(col)])
-            for peer in sub.col_members(col):
-                if peer != g and np.size(contributions[peer]):
-                    received[g].append(np.asarray(contributions[peer]))
-                    stats.record_delivery(group[g], int(np.size(contributions[peer])), phase)
-
-        # --------------- phase 2: circulate around row rings ------------- #
-        in_hand = bundles
-        for _round in range(b - 1):
-            outbox: dict[int, dict[int, np.ndarray]] = {}
-            for g in range(size):
-                row, col = sub.coords(g)
-                payloads = [p for p in in_hand[g] if np.size(p)]
-                if payloads:
-                    nxt = sub.member(row, (col + 1) % b)
-                    outbox.setdefault(group[g], {})[group[nxt]] = np.concatenate(payloads)
-            yield outbox
-            shifted: list[list[np.ndarray]] = [[] for _ in range(size)]
-            for g in range(size):
-                row, col = sub.coords(g)
-                prev = sub.member(row, (col - 1) % b)
-                shifted[g] = in_hand[prev]
-                for payload in in_hand[prev]:
-                    if np.size(payload):
-                        received[g].append(payload)
-                        stats.record_delivery(group[g], int(np.size(payload)), phase)
-            in_hand = shifted
-        return received
+    def _rounds(self, size: int):
+        a, b = self._subgrid(size)
+        # one entry per (member, subgrid row): member (r, c) = r * b + c
+        member = np.repeat(np.arange(size, dtype=np.int64), a)
+        row = np.tile(np.arange(a, dtype=np.int64), size)
+        col = member % b
+        # phase 1: everyone sends its block to its column-group peers
+        peer = row * b + col
+        apart = peer != member
+        yield member[apart], peer[apart], member[apart]
+        # phase 2: the column-group bundles circulate the row rings
+        succ = member - col + (col + 1) % b
+        for hops in range(b - 1):
+            yield member, succ, row * b + (col - hops) % b

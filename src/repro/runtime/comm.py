@@ -3,12 +3,11 @@
 This is the library's stand-in for an MPI communicator.  BFS drivers and
 collective algorithms talk to it exclusively through:
 
-* :meth:`Communicator.exchange_arrays` / :meth:`Communicator.exchange` —
-  one synchronous round of point-to-point messages (payloads are int64
-  vertex arrays, chunked to the fixed buffer capacity of Section 3.1),
-  given as flat arrays or as an outbox dict; both run the same round, so
-  every configuration is chunked, priced, faulted, charged and traced by
-  the same code,
+* :meth:`Communicator.exchange_arrays` — one synchronous round of
+  point-to-point messages (payloads are int64 vertex arrays, chunked to
+  the fixed buffer capacity of Section 3.1), given as flat arrays; every
+  configuration is chunked, priced, faulted, charged and traced by the
+  same code,
 * :meth:`Communicator.allreduce_sum` / :meth:`allreduce_flag` — the global
   termination check of the level-synchronous loop,
 * :meth:`Communicator.charge_compute` — local-work cost accounting.
@@ -26,8 +25,8 @@ When a :class:`~repro.faults.FaultSchedule` is attached, every wire chunk
 consults it: transient drops are retried with exponential backoff (each
 wasted transmission and timeout charges simulated *fault* time), degraded
 links multiply wire cost, and stragglers multiply compute cost.  A chunk
-that exhausts its retries is lost — the round reports it, the inbox never
-sees it — and the level is flagged so the BFS engine can roll the level back to its
+that exhausts its retries is lost — the round reports it withheld —
+and the level is flagged so the BFS engine can roll the level back to its
 checkpoint.  Without a schedule every path below is byte-identical to the
 fault-free runtime.
 
@@ -56,25 +55,7 @@ from repro.observability.spans import NULL_RECORDER, ObserveSpec, SpanRecorder
 from repro.runtime.clock import SimClock
 from repro.runtime.network import Network
 from repro.runtime.stats import CommStats
-from repro.types import VERTEX_DTYPE, as_vertex_array
 from repro.wire import WireCodec, resolve_wire
-
-
-def _as_payload(values) -> np.ndarray:
-    """Cheap :func:`as_vertex_array` for the common already-conforming case."""
-    if (
-        type(values) is np.ndarray
-        and values.dtype == VERTEX_DTYPE
-        and values.ndim == 1
-        and values.flags.c_contiguous
-    ):
-        return values
-    return as_vertex_array(values)
-
-#: payload type of one round: {src_rank: {dst_rank: vertex-array}}
-Outbox = dict[int, dict[int, np.ndarray]]
-#: delivery type of one round: {dst_rank: [(src_rank, vertex-array), ...]}
-Inbox = dict[int, list[tuple[int, np.ndarray]]]
 
 
 class Communicator:
@@ -136,56 +117,6 @@ class Communicator:
     # ------------------------------------------------------------------ #
     # point-to-point rounds
     # ------------------------------------------------------------------ #
-    def exchange(
-        self,
-        outbox: Outbox,
-        phase: str,
-        participants: list[int] | None = None,
-        *,
-        sync: bool = True,
-    ) -> Inbox:
-        """Execute one synchronous round of point-to-point messages.
-
-        The dict form of :meth:`exchange_arrays`, for callers that need an
-        inbox (the generator collectives): the outbox is flattened in
-        iteration order, run through the same round, and every chunk that
-        arrived is handed back under its destination.  Participants are
-        barrier-synchronised after the round unless ``sync=False``.
-        """
-        srcs: list[int] = []
-        dsts: list[int] = []
-        payloads: list[np.ndarray] = []
-        for src, dests in outbox.items():
-            self._check_rank(src)
-            for dst, payload in dests.items():
-                self._check_rank(dst)
-                payload = _as_payload(payload)
-                if payload.size:
-                    srcs.append(src)
-                    dsts.append(dst)
-                    payloads.append(payload)
-        bounds = np.zeros(len(payloads) + 1, dtype=np.int64)
-        np.cumsum([p.size for p in payloads], out=bounds[1:])
-        flat = np.concatenate(payloads) if payloads else np.empty(0, VERTEX_DTYPE)
-        msg, starts, stops, arrived = self._round(
-            np.array(srcs, dtype=np.int64),
-            np.array(dsts, dtype=np.int64),
-            flat,
-            bounds[:-1],
-            bounds[1:],
-            phase,
-            participants,
-            sync,
-        )
-        if msg is None:
-            msg = np.arange(len(payloads))
-        if arrived is not None:
-            msg, starts, stops = msg[arrived], starts[arrived], stops[arrived]
-        inbox: Inbox = {}
-        for m, a, b in zip(msg.tolist(), starts.tolist(), stops.tolist()):
-            inbox.setdefault(dsts[m], []).append((srcs[m], flat[a:b]))
-        return inbox
-
     def exchange_arrays(
         self,
         src: np.ndarray,
@@ -203,9 +134,9 @@ class Communicator:
         """Execute one synchronous round of point-to-point messages.
 
         Message ``k`` carries ``flat[starts[k]:stops[k]]`` from ``src[k]``
-        to ``dst[k]``; messages must be non-empty, in the order the
-        equivalent outbox dict would iterate, with each ``(src, dst)``
-        pair appearing at most once.  Every payload is chunked to
+        to ``dst[k]``; messages must be non-empty, with each ``(src, dst)``
+        pair appearing at most once (their order is the order of the
+        trace and of per-rank float accumulation).  Every payload is chunked to
         ``buffer_capacity`` (each chunk is a separate message paying its
         own latency — the cost of the paper's fixed-length buffers) and
         participants are barrier-synchronised after the round unless
@@ -245,7 +176,7 @@ class Communicator:
         population=None,
         pop_idx: np.ndarray | None = None,
     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
-        """The message round behind :meth:`exchange` and :meth:`exchange_arrays`.
+        """The message round behind :meth:`exchange_arrays`.
 
         Each knob is a step that does nothing when the knob is off.
         Returns the round's chunks as ``(msg, starts, stops, arrived)``:

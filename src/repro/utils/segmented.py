@@ -71,19 +71,3 @@ def range_indices(
     idx = np.arange(offsets[-1], dtype=np.int64)
     idx += np.repeat(starts - offsets[:-1], lengths)
     return idx, offsets
-
-
-def pack_segments(
-    parts: list[tuple[int, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate ``(segment id, array)`` parts into parallel arrays.
-
-    Empty arrays are skipped; returns ``(values, segs)`` ready for
-    :func:`segmented_unique`.
-    """
-    arrs = [a for _s, a in parts if a.size]
-    if not arrs:
-        return np.empty(0, dtype=VERTEX_DTYPE), np.empty(0, dtype=np.int64)
-    seg_ids = np.array([s for s, a in parts if a.size], dtype=np.int64)
-    sizes = np.array([a.size for a in arrs], dtype=np.int64)
-    return np.concatenate(arrs), np.repeat(seg_ids, sizes)

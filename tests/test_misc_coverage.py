@@ -44,14 +44,18 @@ class TestCommunicatorEdges:
 
     def test_exchange_without_sync(self):
         comm = Communicator(flat_network_for(GridShape(1, 2)), BLUEGENE_L)
-        comm.exchange({0: {1: np.array([1, 2])}}, "fold", sync=False)
+        one = np.array([1], dtype=np.int64)
+        comm.exchange_arrays(
+            one - 1, one, np.array([1, 2]), one - 1, one + 1, "fold", sync=False
+        )
         # without the barrier, rank 1's receive cost may differ from rank 0's
         assert comm.clock.time[0] > 0
 
     def test_empty_round(self):
         comm = Communicator(flat_network_for(GridShape(1, 2)), BLUEGENE_L)
-        inbox = comm.exchange({}, "fold")
-        assert inbox == {}
+        none = np.empty(0, dtype=np.int64)
+        assert comm.exchange_arrays(none, none, none, none, none, "fold") is None
+        assert comm.stats.total_messages == 0
 
 
 class TestNetworkEdges:

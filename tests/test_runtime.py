@@ -21,9 +21,9 @@ from repro.types import GridShape
 from repro.wire import get_codec
 
 
-def make_comm(p: int = 4, buffer_capacity=None) -> Communicator:
+def make_comm(p: int = 4, **knobs) -> Communicator:
     grid = GridShape(1, p)
-    return Communicator(flat_network_for(grid), BLUEGENE_L, buffer_capacity=buffer_capacity)
+    return Communicator(flat_network_for(grid), BLUEGENE_L, **knobs)
 
 
 class TestSimClock:
@@ -155,29 +155,26 @@ class TestNetwork:
 
 
 class TestCommunicator:
-    def test_exchange_delivers_exact_payloads(self):
-        comm = make_comm(3)
-        inbox = comm.exchange({0: {1: np.array([5, 6])}, 2: {1: np.array([7])}}, "fold")
-        got = sorted((src, arr.tolist()) for src, arr in inbox[1])
-        assert got == [(0, [5, 6]), (2, [7])]
+    def test_exchange_counts_exact_payloads(self):
+        comm = make_comm(3, observe="messages")
+        messages = [(0, 1, np.array([5, 6])), (2, 1, np.array([7]))]
+        assert comm.exchange_arrays(*as_arrays(messages), "fold") is None
+        assert [(e.src, e.dst, e.num_vertices) for e in comm.obs_trace.events] == [
+            (0, 1, 2), (2, 1, 1)
+        ]
+        assert comm.stats.total_processed == 3
 
     def test_exchange_charges_time(self):
         comm = make_comm(2)
-        comm.exchange({0: {1: np.arange(1000)}}, "fold")
+        comm.exchange_arrays(*as_arrays([(0, 1, np.arange(1000))]), "fold")
         assert comm.clock.elapsed > 0
         assert comm.clock.max_comm_time > 0
 
     def test_exchange_chunked_by_capacity(self):
-        comm = make_comm(2, buffer_capacity=10)
-        inbox = comm.exchange({0: {1: np.arange(25)}}, "fold")
-        assert len(inbox[1]) == 3  # 10 + 10 + 5
+        comm = make_comm(2, buffer_capacity=10, observe="messages")
+        comm.exchange_arrays(*as_arrays([(0, 1, np.arange(25))]), "fold")
+        assert [e.num_vertices for e in comm.obs_trace.events] == [10, 10, 5]
         assert comm.stats.total_messages == 3
-
-    def test_chunking_preserves_content(self):
-        comm = make_comm(2, buffer_capacity=7)
-        inbox = comm.exchange({0: {1: np.arange(20)}}, "fold")
-        merged = np.concatenate([arr for _src, arr in inbox[1]])
-        assert merged.tolist() == list(range(20))
 
     def test_barrier_syncs(self):
         comm = make_comm(2)
@@ -208,13 +205,7 @@ class TestCommunicator:
     def test_bad_rank_rejected(self):
         comm = make_comm(2)
         with pytest.raises(CommunicationError):
-            comm.exchange({5: {0: np.array([1])}}, "fold")
-
-    def test_empty_payload_not_sent(self):
-        comm = make_comm(2)
-        inbox = comm.exchange({0: {1: np.array([], dtype=np.int64)}}, "fold")
-        assert 1 not in inbox
-        assert comm.stats.total_messages == 0
+            comm.charge_compute(5, hash_lookups=1)
 
 
 DROP_HEAVY = "drop=0.45,retries=1,degrade=0.3x3,seed=5"
@@ -251,84 +242,74 @@ def stats_fields(stats: CommStats) -> dict:
 
 
 class TestOneRound:
-    """`exchange` and `exchange_arrays` are two entries to one round."""
+    """Every knob is a step of the one round behind `exchange_arrays`."""
 
     @pytest.mark.parametrize("sync", [True, False])
     @pytest.mark.parametrize("observe", ["off", "messages"])
     @pytest.mark.parametrize("capacity", [None, 7])
     @pytest.mark.parametrize("faults", [None, "mild", DROP_HEAVY])
     @pytest.mark.parametrize("wire", ["raw", "delta-varint", "bitmap", "adaptive"])
-    def test_dict_and_array_forms_agree(self, wire, faults, capacity, observe, sync):
-        """``sync=False`` defers the barrier in both forms alike (MS-BFS
-        charges its mask words between the vertex round and the barrier)."""
+    def test_round_reports_the_hand_cut_chunks(self, wire, faults, capacity, observe, sync):
+        """Whatever the knobs, the chunks a round reports are the ones cut
+        here by hand less the lost ones, and two runs agree to the bit.
+        ``sync=False`` defers the barrier (MS-BFS charges its mask words
+        between the vertex round and the barrier)."""
         def fresh():
             return torus_comm(
                 wire=wire, faults=faults and FaultSpec.parse(faults),
                 buffer_capacity=capacity, observe=observe,
             )
 
-        by_dict, by_arrays = fresh(), fresh()
+        comm, twin = fresh(), fresh()
         rng = np.random.default_rng(11)
-        lost = 0
+        lost = chunk_count = 0
         for level in range(4):
-            by_dict.begin_level(level)
-            by_arrays.begin_level(level)
-            messages = random_round(rng)
-            outbox: dict = {}
-            for s, d, payload in messages:
-                outbox.setdefault(s, {})[d] = payload
-            inbox = by_dict.exchange(outbox, "fold", sync=sync)
-            src, dst, flat, starts, stops = as_arrays(messages)
-            arrived = by_arrays.exchange_arrays(
+            comm.begin_level(level)
+            twin.begin_level(level)
+            src, dst, flat, starts, stops = as_arrays(random_round(rng))
+            arrived = comm.exchange_arrays(
+                src, dst, flat, starts, stops, "fold", sync=sync
+            )
+            again = twin.exchange_arrays(
                 src, dst, flat, starts, stops, "fold", sync=sync
             )
             if not sync:
-                unsynced = by_arrays.clock.time
+                unsynced = comm.clock.time
                 assert unsynced.min() < unsynced.max()
-                assert unsynced.tobytes() == by_dict.clock.time.tobytes()
-                by_dict.barrier()
-                by_arrays.barrier()
-            # the chunks the dict form would have to deliver, cut here by
-            # hand, less the ones the array form reports lost
+                comm.barrier()
+                twin.barrier()
             step = capacity or flat.size
             chunks = [
                 (m, a, min(a + step, int(stops[m])))
                 for m in range(src.size)
                 for a in range(int(starts[m]), int(stops[m]), step)
             ]
+            chunk_count += len(chunks)
+            assert (arrived is None) == (again is None)
             if arrived is not None:
                 reported = list(zip(*(col.tolist() for col in arrived)))
+                assert reported == list(zip(*(col.tolist() for col in again)))
                 assert len(reported) < len(chunks)
                 kept = set(reported)
                 lost += len(chunks) - len(reported)
-                chunks = [c for c in chunks if c in kept]
-                assert reported == chunks
-            expected: dict = {}
-            for m, a, b in chunks:
-                expected.setdefault(int(dst[m]), []).append(
-                    (int(src[m]), flat[a:b].tolist())
-                )
-            got = {
-                d: [(s, chunk.tolist()) for s, chunk in items]
-                for d, items in inbox.items()
-            }
-            assert got == expected
-            assert list(got) == list(expected)
-            assert by_dict.consume_level_failure() == by_arrays.consume_level_failure()
-            by_dict.stats.end_level(0)
-            by_arrays.stats.end_level(0)
+                assert reported == [c for c in chunks if c in kept]
+            assert comm.consume_level_failure() == (arrived is not None)
+            twin.consume_level_failure()
+            comm.stats.end_level(0)
+            twin.stats.end_level(0)
         assert (lost > 0) == (faults == DROP_HEAVY)
         for bucket in ("time", "comm_time", "compute_time", "fault_time"):
-            a, b = getattr(by_dict.clock, bucket), getattr(by_arrays.clock, bucket)
+            a, b = getattr(comm.clock, bucket), getattr(twin.clock, bucket)
             assert a.tobytes() == b.tobytes(), bucket
-        assert by_dict.clock.elapsed > 0
-        assert stats_fields(by_dict.stats) == stats_fields(by_arrays.stats)
-        assert by_dict.fault_report() == by_arrays.fault_report()
+        assert comm.clock.elapsed > 0
+        assert comm.stats.total_messages == chunk_count
+        assert stats_fields(comm.stats) == stats_fields(twin.stats)
+        assert comm.fault_report() == twin.fault_report()
         if observe == "messages":
-            events = by_dict.obs_trace.events
-            assert events == by_arrays.obs_trace.events
-            assert len(events) == by_dict.stats.total_messages
-            assert sum(e.encoded_bytes for e in events) == by_dict.stats.total_encoded_bytes
+            events = comm.obs_trace.events
+            assert events == twin.obs_trace.events
+            assert len(events) == comm.stats.total_messages
+            assert sum(e.encoded_bytes for e in events) == comm.stats.total_encoded_bytes
 
     @pytest.mark.parametrize("capacity", [None, 7])
     @pytest.mark.parametrize(
@@ -378,7 +359,7 @@ class TestOneRound:
     def test_bad_capacity_rejected(self):
         comm = make_comm(2, buffer_capacity=0)
         with pytest.raises(BufferOverflowError):
-            comm.exchange({0: {1: np.arange(3)}}, "fold")
+            comm.exchange_arrays(*as_arrays([(0, 1, np.arange(3))]), "fold")
 
 
 class TestCommStats:

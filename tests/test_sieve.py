@@ -22,7 +22,7 @@ from repro.api import build_engine, distributed_bfs
 from repro.backends.spmd import spmd_bfs
 from repro.bfs.options import BfsOptions
 from repro.bfs.sieve import PooledSieve
-from repro.errors import CommunicationError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.faults import FaultSpec
 from repro.graph.generators import build_graph
 from repro.machine.bluegene import BLUEGENE_L
@@ -181,13 +181,17 @@ class TestFaultComposition:
 
 
 class TestRejections:
-    @pytest.mark.parametrize("fold", ["ring", "two-phase"])
-    def test_non_csr_fold_rejected(self, graph, fold):
-        opts = BfsOptions(use_sieve=True, fold_collective=fold)
+    @pytest.mark.parametrize("fold", ["direct", "ring", "two-phase", "bruck"])
+    def test_non_union_ring_fold_rejected(self, graph, fold):
+        """One place rejects sieve x fold — the options, for every backend
+        and however the sieve was switched on."""
         with pytest.raises(ConfigurationError, match="union-ring"):
-            build_engine(graph, (2, 2), opts=opts)
-        with pytest.raises(CommunicationError, match="union-ring"):
-            spmd_bfs(graph, (2, 2), 0, opts=opts)
+            BfsOptions(use_sieve=True, fold_collective=fold)
+        with pytest.raises(ConfigurationError, match="union-ring"):
+            build_engine(
+                graph, (2, 2), opts=BfsOptions(fold_collective=fold),
+                system=SystemSpec(sieve=True),
+            )
 
     def test_system_spec_validates_sieve(self):
         with pytest.raises(Exception, match="sieve must be a bool"):

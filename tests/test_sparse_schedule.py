@@ -14,7 +14,10 @@ paper-scale 64x64 grid on the reference n=20k/k=8 workload.  The
 ``msbfs-*`` keys pin the *batched* schedule the same way (widths 1 to
 64, targets, filter off, codecs x chunking, rollbacks, crash recovery);
 like every key, they were captured on the commit before the change they
-guard (``golden_capture.py`` only ever appends).
+guard (``golden_capture.py`` only ever appends).  The last twelve keys pin
+the non-default collectives (ring, two-phase, bruck / recursive doubling,
+direct fold, the unfiltered direct expand) in both layouts, under faults,
+chunking with a content-dependent codec, and an explicit subgrid shape.
 """
 
 from __future__ import annotations
@@ -274,6 +277,60 @@ CONFIGS = {
     ),
     "msbfs-rmat-2x8": lambda: _run_msbfs(RMAT, (2, 8), 64),
     "msbfs-rmat-8x1": lambda: _run_msbfs(RMAT, (8, 1), 64, layout="1d"),
+    # the non-default collectives, captured on the commit before every
+    # fold and expand became a routing program run by one array driver
+    "poisson-1d-ring": lambda: _run(
+        POISSON, (1, 8), layout="1d", opts=BfsOptions(fold_collective="ring")
+    ),
+    "poisson-1d-two-phase": lambda: _run(
+        POISSON, (1, 8), layout="1d", opts=BfsOptions(fold_collective="two-phase")
+    ),
+    "poisson-1d-direct-fold": lambda: _run(
+        POISSON, (1, 8), layout="1d", opts=BfsOptions(fold_collective="direct")
+    ),
+    "poisson-2d-direct-fold": lambda: _run(
+        POISSON, (4, 4), opts=BfsOptions(fold_collective="direct")
+    ),
+    "poisson-2d-bruck": lambda: _run(
+        POISSON, (4, 4),
+        opts=BfsOptions(
+            expand_collective="recursive-doubling", fold_collective="bruck"
+        ),
+    ),
+    "poisson-2d-no-filter": lambda: _run(
+        POISSON, (4, 4), opts=BfsOptions(use_expand_filter=False)
+    ),
+    "poisson-2d-two-phase-mild-faults": lambda: _run(
+        POISSON, (4, 4), faults="mild",
+        opts=BfsOptions(expand_collective="two-phase", fold_collective="two-phase"),
+    ),
+    "poisson-2d-ring-rollback-heavy": lambda: _run(
+        POISSON, (4, 4), faults=_ROLLBACK_HEAVY,
+        opts=BfsOptions(expand_collective="ring", fold_collective="ring"),
+    ),
+    "poisson-2d-direct-fold-crash-spare": lambda: _run(
+        POISSON, (4, 4), faults="crash-spare",
+        opts=BfsOptions(fold_collective="direct"),
+    ),
+    # chunking x a content-dependent codec: pins the payload order
+    # *within* a forwarded message, not just its size
+    "poisson-2d-ring-adaptive-buffered": lambda: _run(
+        POISSON, (4, 4), wire="adaptive",
+        opts=BfsOptions(
+            expand_collective="ring", fold_collective="ring", buffer_capacity=16
+        ),
+    ),
+    "rmat-2d-two-phase-observed": lambda: _run(
+        RMAT, (4, 4), observe="full",
+        opts=BfsOptions(expand_collective="two-phase", fold_collective="two-phase"),
+    ),
+    "poisson-2d-two-phase-shape": lambda: _run(
+        POISSON, (6, 6),
+        opts=BfsOptions(
+            expand_collective="two-phase", fold_collective="two-phase",
+            collective_shape=(3, 2),
+        ),
+    ),
 }
 
 
