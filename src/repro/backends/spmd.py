@@ -303,7 +303,7 @@ class _WorkerFaults:
         self.failed = False
 
     def plan_send(self, src: int, dst: int) -> bool:
-        """Decide one chunk's fate; tallies mirror FaultSchedule.transmission_plan."""
+        """Decide one chunk's fate; tallies mirror FaultSchedule.plan_round."""
         transmissions, delivered = self.stream.plan(src, dst)
         drops = transmissions - 1 if delivered else transmissions
         if drops:

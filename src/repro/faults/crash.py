@@ -19,26 +19,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-_MASK = (1 << 64) - 1
+import numpy as np
+
 #: stream tag separating drop draws from any other keyed consumer
 _DROP_TAG = 0x9E6B_1F2A_D7C3_5E81
 
+# uint64 arrays wrap on overflow, which is the reference arithmetic
+# ``& (2**64 - 1)``; every constant is an explicit ``np.uint64`` so that no
+# NumPy version promotes a term to float64.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_B = np.uint64(0x94D049BB133111EB)
+_11, _27, _30, _31, _32 = (np.uint64(n) for n in (11, 27, 30, 31, 32))
 
-def _mix64(x: int) -> int:
-    """The splitmix64 finalizer: a high-quality 64-bit mixing function."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
 
-
-def keyed_uniform(seed: int, src: int, dst: int, k: int) -> float:
-    """Deterministic uniform in ``[0, 1)`` for transmission ``k`` on a link."""
-    h = _mix64(seed ^ _DROP_TAG)
-    h = _mix64(h ^ src)
-    h = _mix64(h ^ dst)
-    h = _mix64(h ^ k)
-    return (h >> 11) * (1.0 / (1 << 53))
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer — a high-quality 64-bit mixing function —
+    over a ``uint64`` array."""
+    x = x + _GOLDEN
+    x = (x ^ (x >> _30)) * _MIX_A
+    x = (x ^ (x >> _27)) * _MIX_B
+    return x ^ (x >> _31)
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,39 +60,114 @@ class KeyedDropStream:
     Each ``(src, dst)`` pair carries a monotone counter of draws made, so
     the decision sequence on a link is a pure function of the spec seed
     and how many transmissions that link has attempted — independent of
-    every other link and of which process asks.
+    every other link and of which process asks.  The counters live in one
+    key-sorted ``(src << 32 | dst, count)`` table that grows by the pairs
+    a round is first to use; beside each counter sits the pair's hash
+    state, so a draw only has to mix in the transmission index.
     """
 
-    __slots__ = ("seed", "drop_rate", "max_retries", "_counters")
+    __slots__ = ("drop_rate", "max_retries", "_seeded", "_keys", "_counts",
+                 "_hashes", "_last")
 
     def __init__(self, seed: int, drop_rate: float, max_retries: int) -> None:
-        self.seed = int(seed)
         self.drop_rate = float(drop_rate)
         self.max_retries = int(max_retries)
-        self._counters: dict[tuple[int, int], int] = {}
+        #: the hash state every draw starts from
+        self._seeded = _mix64(
+            np.array([(int(seed) ^ _DROP_TAG) & (2**64 - 1)], dtype=np.uint64)
+        )
+        self._keys = np.empty(0, dtype=np.uint64)
+        self._counts = np.empty(0, dtype=np.uint64)
+        self._hashes = np.empty(0, dtype=np.uint64)
+        #: scratch, one entry per pair: the last chunk of a round to use it
+        self._last = np.empty(0, dtype=np.int64)
 
-    def plan(self, src: int, dst: int) -> tuple[int, bool]:
-        """Fate of one chunk ``src -> dst``: ``(transmissions, delivered)``.
+    def plan_many(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fates of a round's chunks ``src[i] -> dst[i]``, in order:
+        ``(transmissions, delivered)``.
 
         Each transmission is dropped independently with ``drop_rate``; a
         drop triggers a retransmission until the chunk arrives or
         ``max_retries`` retries are spent.  Every draw advances the
         pair's counter (a successful transmission consumes one draw too).
+        A pair that appears several times in the round (the chunks of a
+        message the buffer cap split) is drawn occurrence by occurrence,
+        each seeing the counter its predecessors left — the fates of
+        asking chunk by chunk.
         """
-        if self.drop_rate <= 0.0:
-            return 1, True
-        key = (src, dst)
-        k = self._counters.get(key, 0)
-        drops = 0
-        while (
-            drops <= self.max_retries
-            and keyed_uniform(self.seed, src, dst, k + drops) < self.drop_rate
-        ):
-            drops += 1
+        count = src.size
+        drops = np.zeros(count, dtype=np.int64)
+        if self.drop_rate > 0.0 and count:
+            slot = self._slots(src.astype(np.uint64), dst.astype(np.uint64))
+            chunk = np.arange(count)
+            self._last[slot] = chunk
+            if (self._last[slot] == chunk).all():
+                drops = self._draw(slot)
+            else:
+                # occurrence rank of each chunk among those of its pair
+                by_pair = np.argsort(slot, kind="stable")
+                ordered = slot[by_pair]
+                first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+                rank = np.empty(count, dtype=np.int64)
+                rank[by_pair] = chunk - np.repeat(
+                    first, np.diff(np.append(first, count))
+                )
+                for r in range(int(rank.max()) + 1):
+                    nth = np.flatnonzero(rank == r)
+                    drops[nth] = self._draw(slot[nth])
         delivered = drops <= self.max_retries
-        transmissions = drops + 1 if delivered else drops
-        self._counters[key] = k + transmissions
-        return transmissions, delivered
+        return drops + delivered, delivered
+
+    def plan(self, src: int, dst: int) -> tuple[int, bool]:
+        """:meth:`plan_many` of the one chunk ``src -> dst``."""
+        transmissions, delivered = self.plan_many(
+            np.array([src], dtype=np.int64), np.array([dst], dtype=np.int64)
+        )
+        return int(transmissions[0]), bool(delivered[0])
+
+    def _slots(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Table position of each pair; unseen pairs join the table with a
+        zero counter."""
+        pairs = (src << _32) | dst
+        keys = self._keys
+        slot = np.searchsorted(keys, pairs)
+        unseen = np.ones(pairs.size, dtype=bool)
+        if keys.size:
+            unseen = keys[np.minimum(slot, keys.size - 1)] != pairs
+        if unseen.any():
+            # one chunk of each unseen pair, in key order
+            at = np.flatnonzero(unseen)
+            at = at[np.unique(pairs[at], return_index=True)[1]]
+            self._keys = np.insert(keys, slot[at], pairs[at])
+            self._counts = np.insert(self._counts, slot[at], 0)
+            self._hashes = np.insert(
+                self._hashes, slot[at], _mix64(_mix64(self._seeded ^ src[at]) ^ dst[at])
+            )
+            self._last = np.empty(self._keys.size, dtype=np.int64)
+            slot = np.searchsorted(self._keys, pairs)
+        return slot
+
+    def _draw(self, slot: np.ndarray) -> np.ndarray:
+        """Drops suffered by one chunk on each of the distinct pairs at
+        ``slot``: one vector draw per drop depth over the chunks still
+        being dropped.  Advances the pairs' counters by the transmissions
+        made."""
+        first = self._counts[slot]
+        state = self._hashes[slot]
+        drops = np.zeros(slot.size, dtype=np.int64)
+        live = np.arange(slot.size)
+        for depth in range(self.max_retries + 1):
+            h = _mix64(state[live] ^ (first[live] + np.uint64(depth)))
+            uniform = (h >> _11).astype(np.float64) * (1.0 / (1 << 53))
+            live = live[uniform < self.drop_rate]
+            if not live.size:
+                break
+            drops[live] += 1
+        transmissions = drops + (drops <= self.max_retries)
+        self._counts[slot] = first + transmissions.astype(np.uint64)
+        return drops
 
 
-__all__ = ["CrashEvent", "KeyedDropStream", "keyed_uniform"]
+__all__ = ["CrashEvent", "KeyedDropStream"]

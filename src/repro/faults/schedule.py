@@ -1,7 +1,8 @@
 """Per-run sampled fault decisions: :class:`FaultSchedule`.
 
-The schedule is the stateful object the communicator consults on every
-wire message and at every crash/recovery boundary.  Link degradation,
+The schedule is the stateful object the communicator consults once per
+message round — every chunk's fate and link cost answered as arrays —
+and at every crash/recovery boundary.  Link degradation,
 stragglers, the dying link, and the crash plan are sampled once at
 construction from named streams (stable in ``spec.seed`` and ``nranks``
 only).  Transient drops come from the keyed
@@ -22,12 +23,15 @@ from repro.faults.spec import FaultSpec
 
 from dataclasses import replace
 
+#: uniforms drawn at a time while sampling degraded links
+_LINK_BLOCK = 1 << 20
+
 
 class FaultSchedule:
     """Per-run sampled fault decisions, consulted by the communicator."""
 
-    __slots__ = ("spec", "nranks", "report", "_drops", "_link_multipliers",
-                 "_compute_multipliers", "_down_pair", "_level",
+    __slots__ = ("spec", "nranks", "report", "_drops", "_degraded",
+                 "_retry_penalties", "_compute_multipliers", "_down_pair", "_level",
                  "_crash_events", "_crash_fired", "_dead", "_spares_used",
                  "_host", "_has_cohosting")
 
@@ -43,17 +47,32 @@ class FaultSchedule:
         self.report = FaultReport()
         factory = RngFactory(spec.seed)
         self._drops = KeyedDropStream(spec.seed, spec.drop_rate, spec.max_retries)
+        #: timeout seconds spent detecting 0 .. max_retries + 1 losses of a chunk
+        self._retry_penalties = np.array([
+            spec.retry_timeout * sum(spec.backoff**i for i in range(drops))
+            for drops in range(spec.max_retries + 2)
+        ])
         self._level = 0
 
-        #: degraded directed rank pairs -> wire-cost multiplier
-        self._link_multipliers: dict[tuple[int, int], float] = {}
+        #: degraded directed rank pairs as sorted ``src * P + dst`` keys
+        #: (every one costs ``spec.degradation_factor``)
+        self._degraded = np.empty(0, dtype=np.int64)
         if spec.degraded_link_rate > 0 and spec.degradation_factor > 1:
+            # one uniform per ordered pair in (src, dst != src) order, drawn
+            # a block of source rows at a time so that P**2 floats never
+            # exist at once
             link_rng = factory.named("faults:links")
-            for src in range(nranks):
-                for dst in range(nranks):
-                    if src != dst and link_rng.random() < spec.degraded_link_rate:
-                        self._link_multipliers[(src, dst)] = spec.degradation_factor
-        self.report.degraded_links = len(self._link_multipliers)
+            rows = max(1, _LINK_BLOCK // nranks)
+            blocks = []
+            for lo in range(0, nranks, rows):
+                hi = min(lo + rows, nranks)
+                src, col = np.nonzero(
+                    link_rng.random((hi - lo, nranks - 1)) < spec.degraded_link_rate
+                )
+                src += lo
+                blocks.append(src * nranks + col + (col >= src))
+            self._degraded = np.concatenate(blocks)
+        self.report.degraded_links = int(self._degraded.size)
 
         self._compute_multipliers = np.ones(nranks, dtype=np.float64)
         if spec.straggler_rate > 0 and spec.straggler_slowdown > 1:
@@ -102,15 +121,20 @@ class FaultSchedule:
         """Tell the schedule which BFS level is executing (link-down gate)."""
         self._level = int(level)
 
-    def link_multiplier(self, src: int, dst: int) -> float:
-        """Wire-cost multiplier for messages ``src -> dst`` at the current level."""
-        if (
-            self._down_pair == (src, dst)
-            and self.spec.down_level is not None
-            and self._level >= self.spec.down_level
-        ):
-            return self.spec.down_detour_factor
-        return self._link_multipliers.get((src, dst), 1.0)
+    def link_multipliers(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Wire-cost multiplier of each message ``src[i] -> dst[i]`` at the
+        current level (1.0 on a healthy link and for self-sends)."""
+        out = np.ones(src.size, dtype=np.float64)
+        degraded = self._degraded
+        if degraded.size and src.size:
+            keys = src * self.nranks + dst
+            pos = np.minimum(np.searchsorted(degraded, keys), degraded.size - 1)
+            out[degraded[pos] == keys] = self.spec.degradation_factor
+        spec = self.spec
+        if self._down_pair is not None and self._level >= spec.down_level:
+            down_src, down_dst = self._down_pair
+            out[(src == down_src) & (dst == down_dst)] = spec.down_detour_factor
+        return out
 
     def compute_multiplier(self, rank: int) -> float:
         """Compute-time multiplier of ``rank`` (> 1 for stragglers)."""
@@ -142,28 +166,36 @@ class FaultSchedule:
         """Physical host of logical ``rank`` (differs after shrink recovery)."""
         return int(self._host[rank])
 
-    def transmission_plan(self, src: int, dst: int) -> tuple[int, bool]:
-        """Decide the fate of one chunk ``src -> dst``.
+    def plan_round(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Decide the fate of every chunk ``src[i] -> dst[i]`` of a round.
 
-        Returns ``(transmissions, delivered)`` and tallies the report;
-        the decision comes from the keyed drop stream (see the module
-        docstring).
+        Returns per-chunk ``(transmissions, delivered)`` and tallies the
+        report; the decisions come from the keyed drop stream (see the
+        module docstring).  Self-sends are local hand-offs: they never
+        draw and always arrive.
         """
-        transmissions, delivered = self._drops.plan(src, dst)
-        drops = transmissions - 1 if delivered else transmissions
-        if drops:
-            self.report.injected += drops
-            self.report.retries += transmissions - 1
-            if delivered:
-                self.report.recovered += 1
-            else:
-                self.report.unrecovered += 1
+        transmissions = np.ones(src.size, dtype=np.int64)
+        delivered = np.ones(src.size, dtype=bool)
+        wired = src != dst
+        transmissions[wired], delivered[wired] = self._drops.plan_many(
+            src[wired], dst[wired]
+        )
+        drops = transmissions - delivered
+        injected = int(drops.sum())
+        if injected:
+            report = self.report
+            report.injected += injected
+            report.retries += int((transmissions - 1).sum())
+            report.recovered += int((delivered & (drops > 0)).sum())
+            report.unrecovered += int((~delivered).sum())
         return transmissions, delivered
 
-    def retry_penalty(self, drops: int) -> float:
-        """Timeout seconds the sender waits to detect ``drops`` losses."""
-        spec = self.spec
-        return spec.retry_timeout * sum(spec.backoff**i for i in range(drops))
+    def retry_penalty(self, drops):
+        """Timeout seconds a sender waits to detect ``drops`` losses of one
+        chunk (an int, or an array of per-chunk counts)."""
+        return self._retry_penalties[drops]
 
     # ------------------------------------------------------------------ #
     # crash lifecycle

@@ -10,6 +10,7 @@ harness path that writes whichever artifact files were requested.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -29,8 +30,10 @@ class ObservabilityData:
 
     #: hierarchical span timeline (empty when spans were off)
     spans: list[Span] = field(default_factory=list)
-    #: per-wire-message events (empty when message capture was off)
-    messages: "list[MessageEvent]" = field(default_factory=list)
+    #: per-wire-message events (empty when message capture was off): a
+    #: sequence backed by the trace's column arrays, which builds its
+    #: :class:`~repro.runtime.trace.MessageEvent` objects only when read
+    messages: "Sequence[MessageEvent]" = field(default_factory=list)
     #: number of virtual ranks (sizes the per-rank Perfetto tracks)
     nranks: int = 0
 
@@ -59,7 +62,7 @@ def collect_observability(comm: "Communicator") -> ObservabilityData | None:
     if not comm.observe.active:
         return None
     spans = list(comm.obs.spans)
-    messages = list(comm.obs_trace.events) if comm.obs_trace is not None else []
+    messages = comm.obs_trace.events.snapshot() if comm.obs_trace is not None else []
     return ObservabilityData(spans=spans, messages=messages, nranks=comm.nranks)
 
 

@@ -21,14 +21,14 @@ CPU cost lands on the clock's compute bucket, and the statistics carry
 both raw and encoded byte counts.  The default ``"raw"`` codec reproduces
 the uncompressed runtime byte-for-byte.
 
-When a :class:`~repro.faults.FaultSchedule` is attached, every wire chunk
-consults it: transient drops are retried with exponential backoff (each
-wasted transmission and timeout charges simulated *fault* time), degraded
-links multiply wire cost, and stragglers multiply compute cost.  A chunk
-that exhausts its retries is lost — the round reports it withheld —
-and the level is flagged so the BFS engine can roll the level back to its
-checkpoint.  Without a schedule every path below is byte-identical to the
-fault-free runtime.
+When a :class:`~repro.faults.FaultSchedule` is attached, every round asks
+it for the fates of its wire chunks: transient drops are retried with
+exponential backoff (each wasted transmission and timeout charges
+simulated *fault* time), degraded links multiply wire cost, and
+stragglers multiply compute cost.  A chunk that exhausts its retries is
+lost — the round reports it withheld — and the level is flagged so the
+BFS engine can roll the level back to its checkpoint.  Without a schedule
+every path below is byte-identical to the fault-free runtime.
 
 Rank crashes ride the same machinery: the schedule fires scheduled
 crashes at the first exchange of their level (or, with
@@ -212,7 +212,7 @@ class Communicator:
         sizes = stops - starts
         raw_nbytes = sizes * self.model.bytes_per_vertex
 
-        # one pricing call per chunk; self-sends are local hand-offs —
+        # one pricing call per round; self-sends are local hand-offs —
         # never encoded
         nbytes = raw_nbytes
         wire = self.wire
@@ -221,22 +221,16 @@ class Communicator:
             nbytes = raw_nbytes.copy()
             encode_s = np.zeros(count, dtype=np.float64)
             decode_s = np.zeros(count, dtype=np.float64)
-            for k, (s, d, a, b) in enumerate(
-                zip(src.tolist(), dst.tolist(), starts.tolist(), stops.tolist())
-            ):
-                if s != d:
-                    nbytes[k], encode_s[k], decode_s[k] = wire.price(flat[a:b])
+            wired = src != dst
+            nbytes[wired], encode_s[wired], decode_s[wired] = wire.price_many(
+                flat, starts[wired], stops[wired]
+            )
 
-        # each wire chunk's fate: transmissions, final delivery, link cost
+        # every wire chunk's fate: transmissions, final delivery, link cost
         arrived = delivered = multipliers = None
         if faults is not None:
-            transmissions = np.ones(count, dtype=np.int64)
-            delivered = np.ones(count, dtype=bool)
-            multipliers = np.ones(count, dtype=np.float64)
-            for k, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
-                if s != d:
-                    transmissions[k], delivered[k] = faults.transmission_plan(s, d)
-                    multipliers[k] = faults.link_multiplier(s, d)
+            transmissions, delivered = faults.plan_round(src, dst)
+            multipliers = faults.link_multipliers(src, dst)
             drops = transmissions - delivered
             self.stats.record_fault(int(drops.sum()), int((transmissions - 1).sum()))
             arrived = delivered
@@ -266,9 +260,9 @@ class Communicator:
             fault_send = np.zeros(self.nranks, dtype=np.float64)
             fault_recv = np.zeros(self.nranks, dtype=np.float64)
             faulty = np.flatnonzero(drops)
-            extra = (transmissions[faulty] - 1) * per_transfer[faulty] + [
-                faults.retry_penalty(n) for n in drops[faulty].tolist()
-            ]
+            extra = (transmissions[faulty] - 1) * per_transfer[faulty] + (
+                faults.retry_penalty(drops[faulty])
+            )
             np.add.at(fault_send, src[faulty], extra)
             np.add.at(fault_recv, dst[faulty], extra)
             total = np.maximum(send_time + fault_send, recv_time + fault_recv)

@@ -12,9 +12,11 @@ describes.
 Codecs are consulted in two places:
 
 * the **simulated** runtime (:class:`~repro.runtime.comm.Communicator`)
-  asks :meth:`WireCodec.price` once per chunk and charges the network for
-  the encoded bytes instead of ``num_vertices * bytes_per_vertex``, plus
-  the calibrated per-vertex encode/decode CPU cost on the clock;
+  asks :meth:`WireCodec.price_many` once per message round — every chunk
+  of the round priced segment-wise over the round's flat buffer — and
+  charges the network for the encoded bytes instead of ``num_vertices *
+  bytes_per_vertex``, plus the calibrated per-vertex encode/decode CPU
+  cost on the clock;
 * the **SPMD** multiprocessing backend round-trips real encoded buffers
   (:meth:`encode` on send, :meth:`decode` on receive), so every codec is
   exercised under true parallelism.
@@ -32,6 +34,7 @@ import abc
 import numpy as np
 
 from repro.errors import CodecError
+from repro.types import as_vertex_array
 
 
 class WireCodec(abc.ABC):
@@ -58,37 +61,48 @@ class WireCodec(abc.ABC):
     def decode(self, data: bytes) -> np.ndarray:
         """Inverse of :meth:`encode`; returns a 1-D int64 array."""
 
+    def encoded_nbytes_many(
+        self, flat: np.ndarray, starts: np.ndarray, stops: np.ndarray
+    ) -> np.ndarray:
+        """Wire bytes of each payload ``flat[starts[k]:stops[k]]`` (int64).
+
+        Row ``k`` equals ``len(encode(flat[starts[k]:stops[k]]))`` for
+        every payload :meth:`encode` accepts; ranges must be non-empty
+        and may overlap or leave gaps.  This default really encodes each
+        range; the built-in codecs override it with closed forms over
+        the whole buffer — the simulated runtime calls it once per
+        message round, never per chunk.
+        """
+        return np.array(
+            [len(self.encode(flat[a:b])) for a, b in zip(starts.tolist(), stops.tolist())],
+            dtype=np.int64,
+        )
+
     def encoded_nbytes(self, payload: np.ndarray) -> int:
-        """Wire bytes :meth:`encode` would produce, without building them.
+        """Wire bytes :meth:`encode` would produce, without building them:
+        :meth:`encoded_nbytes_many` on the one range that is ``payload``."""
+        payload = as_vertex_array(payload)
+        if payload.size == 0:
+            return len(self.encode(payload))
+        whole = np.array([0, payload.size], dtype=np.int64)
+        return int(self.encoded_nbytes_many(payload, whole[:1], whole[1:])[0])
 
-        Subclasses override this with a vectorised computation — the
-        simulated runtime calls it on every message, so it must be cheap.
+    def price_many(
+        self, flat: np.ndarray, starts: np.ndarray, stops: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(encoded bytes, encode seconds, decode seconds)`` per range.
+
+        Everything the simulated runtime needs to know about a round's
+        chunks, in the one call it makes per round.  Seconds are the
+        per-vertex costs times the range sizes; codecs whose cost depends
+        on the payload (:class:`~repro.wire.codecs.AdaptiveCodec`)
+        override it to inspect the buffer once.
         """
-        return len(self.encode(payload))
-
-    # ------------------------------------------------------------------ #
-    # simulated CPU cost
-    # ------------------------------------------------------------------ #
-    def encode_seconds(self, payload: np.ndarray) -> float:
-        """Simulated sender-side CPU seconds to encode ``payload``."""
-        return self.encode_cost_per_vertex * int(np.size(payload))
-
-    def decode_seconds(self, payload: np.ndarray) -> float:
-        """Simulated receiver-side CPU seconds to decode ``payload``."""
-        return self.decode_cost_per_vertex * int(np.size(payload))
-
-    def price(self, payload: np.ndarray) -> tuple[int, float, float]:
-        """``(encoded bytes, encode seconds, decode seconds)`` of ``payload``.
-
-        Everything the simulated runtime needs to know about a chunk, in
-        the one call it makes per chunk — codecs that must inspect the
-        payload to answer (:class:`~repro.wire.codecs.AdaptiveCodec`)
-        override it to inspect once.
-        """
+        sizes = stops - starts
         return (
-            self.encoded_nbytes(payload),
-            self.encode_seconds(payload),
-            self.decode_seconds(payload),
+            self.encoded_nbytes_many(flat, starts, stops),
+            self.encode_cost_per_vertex * sizes,
+            self.decode_cost_per_vertex * sizes,
         )
 
     def __repr__(self) -> str:

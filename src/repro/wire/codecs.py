@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.errors import CodecError
 from repro.types import VERTEX_DTYPE, as_vertex_array
+from repro.utils.segmented import range_indices
 from repro.wire.base import WireCodec, register_codec
 
 #: LEB128 length thresholds: a zigzagged value needs ``1 + #(thresholds <= u)``
@@ -87,21 +88,47 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _deltas(payload: np.ndarray) -> np.ndarray:
-    """First value then consecutive differences (wrapping int64 arithmetic)."""
-    deltas = np.empty(payload.size, dtype=np.int64)
-    deltas[0] = payload[0]
-    np.subtract(payload[1:], payload[:-1], out=deltas[1:])
+#: range offsets of a buffer that is one payload
+_WHOLE = np.zeros(1, dtype=np.int64)
+
+
+def _tiled(
+    flat: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``flat[starts[k]:stops[k]]`` back to back.
+
+    Returns ``(values, offsets)``: range ``k`` begins at ``values[offsets[k]]``
+    and ends where range ``k + 1`` begins (the last one at the end) — the
+    form ``ufunc.reduceat`` reduces segment-wise.  Ranges that already
+    tile a stretch of ``flat`` (a round's chunks, the common case) are a
+    slice; anything else is gathered.
+    """
+    if starts.size and (starts[1:] == stops[:-1]).all():
+        return flat[starts[0] : stops[-1]], starts - starts[0]
+    index, offsets = range_indices(starts, stops - starts)
+    return flat[index], offsets[:-1]
+
+
+def _deltas(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per range: first value, then consecutive differences (wrapping int64)."""
+    deltas = np.empty(values.size, dtype=np.int64)
+    np.subtract(values[1:], values[:-1], out=deltas[1:])
+    deltas[offsets] = values[offsets]
     return deltas
 
 
+def _bitmap_eligible_many(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Which ranges are sets a bitmap can represent: sorted,
+    duplicate-free, non-negative ids."""
+    rising = np.empty(values.size, dtype=bool)
+    np.greater(values[1:], values[:-1], out=rising[1:])
+    rising[offsets] = values[offsets] >= 0
+    return np.logical_and.reduceat(rising, offsets)
+
+
 def _is_bitmap_eligible(payload: np.ndarray) -> bool:
-    """Bitmaps represent sets: sorted, duplicate-free, non-negative ids."""
-    if payload.size == 0:
-        return True
-    if payload[0] < 0:
-        return False
-    return payload.size == 1 or bool(np.all(np.diff(payload) > 0))
+    """:func:`_bitmap_eligible_many` of one payload (the empty set is a set)."""
+    return payload.size == 0 or bool(_bitmap_eligible_many(payload, _WHOLE)[0])
 
 
 # ---------------------------------------------------------------------- #
@@ -121,8 +148,8 @@ class RawCodec(WireCodec):
     def decode(self, data: bytes) -> np.ndarray:
         return np.frombuffer(data, dtype="<i8").astype(VERTEX_DTYPE)
 
-    def encoded_nbytes(self, payload: np.ndarray) -> int:
-        return 8 * int(np.size(payload))
+    def encoded_nbytes_many(self, flat, starts, stops) -> np.ndarray:
+        return 8 * (stops - starts)
 
 
 @register_codec
@@ -146,7 +173,7 @@ class DeltaVarintCodec(WireCodec):
         out = bytearray()
         _append_varint(out, payload.size)
         if payload.size:
-            for value in zigzag(_deltas(payload)).tolist():
+            for value in zigzag(_deltas(payload, _WHOLE)).tolist():
                 _append_varint(out, value)
         return bytes(out)
 
@@ -162,12 +189,10 @@ class DeltaVarintCodec(WireCodec):
         deltas = np.where(values & np.uint64(1), ~halved, halved).astype(np.int64)
         return np.cumsum(deltas, dtype=np.int64)
 
-    def encoded_nbytes(self, payload: np.ndarray) -> int:
-        payload = as_vertex_array(payload)
-        header = int(varint_nbytes(payload.size))
-        if payload.size == 0:
-            return header
-        return header + int(varint_nbytes(zigzag(_deltas(payload))).sum())
+    def encoded_nbytes_many(self, flat, starts, stops) -> np.ndarray:
+        values, offsets = _tiled(flat, starts, stops)
+        per_delta = varint_nbytes(zigzag(_deltas(values, offsets)))
+        return varint_nbytes(stops - starts) + np.add.reduceat(per_delta, offsets)
 
 
 @register_codec
@@ -223,13 +248,12 @@ class BitmapCodec(WireCodec):
         )[:span]
         return np.flatnonzero(bits).astype(VERTEX_DTYPE) + base
 
-    def encoded_nbytes(self, payload: np.ndarray) -> int:
-        payload = as_vertex_array(payload)
-        if payload.size == 0:
-            return 0
-        base = int(payload.min())
-        span = int(payload.max()) - base + 1
-        header = int(varint_nbytes(max(base, 0))) + int(varint_nbytes(span))
+    def encoded_nbytes_many(self, flat, starts, stops) -> np.ndarray:
+        # min/max, not first/last: forwarding collectives concatenate buckets
+        values, offsets = _tiled(flat, starts, stops)
+        base = np.minimum.reduceat(values, offsets)
+        span = np.maximum.reduceat(values, offsets) - base + 1
+        header = varint_nbytes(np.maximum(base, 0)) + varint_nbytes(span)
         return header + (span + 7) // 8
 
 
@@ -250,22 +274,24 @@ class AdaptiveCodec(WireCodec):
         self._varint = DeltaVarintCodec()
         self._bitmap = BitmapCodec()
 
-    def _choose(self, payload: np.ndarray) -> tuple[WireCodec, int]:
-        """The inner codec that ships ``payload`` and its encoded size."""
-        varint = self._varint.encoded_nbytes(payload)
-        if _is_bitmap_eligible(payload):
-            bitmap = self._bitmap.encoded_nbytes(payload)
-            if bitmap < varint:
-                return self._bitmap, bitmap
-        return self._varint, varint
+    def _choose_many(self, flat, starts, stops) -> tuple[np.ndarray, np.ndarray]:
+        """``(inner encoded bytes, bitmap ships it)`` of each range: the
+        bitmap wherever it can represent the range and is strictly smaller."""
+        values, offsets = _tiled(flat, starts, stops)
+        stops = offsets + (stops - starts)
+        varint = self._varint.encoded_nbytes_many(values, offsets, stops)
+        bitmap = self._bitmap.encoded_nbytes_many(values, offsets, stops)
+        use_bitmap = _bitmap_eligible_many(values, offsets) & (bitmap < varint)
+        return np.where(use_bitmap, bitmap, varint), use_bitmap
 
     def encode(self, payload: np.ndarray) -> bytes:
         payload = as_vertex_array(payload)
         if payload.size == 0:
             return b""
-        codec, _ = self._choose(payload)
-        tag = _ADAPTIVE_BITMAP_TAG if codec is self._bitmap else _ADAPTIVE_VARINT_TAG
-        return bytes([tag]) + codec.encode(payload)
+        _, use_bitmap = self._choose_many(payload, _WHOLE, _WHOLE + payload.size)
+        if use_bitmap[0]:
+            return bytes([_ADAPTIVE_BITMAP_TAG]) + self._bitmap.encode(payload)
+        return bytes([_ADAPTIVE_VARINT_TAG]) + self._varint.encode(payload)
 
     def decode(self, data: bytes) -> np.ndarray:
         if not data:
@@ -276,22 +302,19 @@ class AdaptiveCodec(WireCodec):
             return self._varint.decode(data[1:])
         raise CodecError(f"unknown adaptive-codec tag byte {data[0]}")
 
-    def encoded_nbytes(self, payload: np.ndarray) -> int:
-        return self.price(payload)[0]
+    def encoded_nbytes_many(self, flat, starts, stops) -> np.ndarray:
+        return 1 + self._choose_many(flat, starts, stops)[0]
 
-    def encode_seconds(self, payload: np.ndarray) -> float:
-        return self.price(payload)[1]
-
-    def decode_seconds(self, payload: np.ndarray) -> float:
-        return self.price(payload)[2]
-
-    def price(self, payload: np.ndarray) -> tuple[int, float, float]:
-        payload = as_vertex_array(payload)
-        if payload.size == 0:
-            return 0, 0.0, 0.0
-        codec, nbytes = self._choose(payload)
+    def price_many(self, flat, starts, stops):
+        inner, use_bitmap = self._choose_many(flat, starts, stops)
+        sizes = stops - starts
+        varint, bitmap = self._varint, self._bitmap
         return (
-            1 + nbytes,
-            codec.encode_seconds(payload),
-            codec.decode_seconds(payload),
+            1 + inner,
+            np.where(
+                use_bitmap, bitmap.encode_cost_per_vertex, varint.encode_cost_per_vertex
+            ) * sizes,
+            np.where(
+                use_bitmap, bitmap.decode_cost_per_vertex, varint.decode_cost_per_vertex
+            ) * sizes,
         )

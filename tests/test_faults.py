@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import distributed_bfs
 from repro.bfs.options import BfsOptions
 from repro.bfs.serial import serial_bfs
 from repro.errors import ConfigurationError, FaultError
-from repro.faults import FAULT_PRESETS, FaultSchedule, FaultSpec
+from repro.faults import (
+    FAULT_PRESETS, FaultReport, FaultSchedule, FaultSpec, KeyedDropStream,
+)
+from repro.utils.rng import RngFactory
 
 
 class TestFaultSpec:
@@ -60,28 +67,186 @@ class TestFaultSpec:
             FaultSpec.parse("justaword")
 
 
+def ranks(values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
 class TestFaultSchedule:
     def test_identical_seeds_identical_samples(self):
         a = FaultSchedule(FAULT_PRESETS["harsh"], 16)
         b = FaultSchedule(FAULT_PRESETS["harsh"], 16)
-        assert a._link_multipliers == b._link_multipliers
+        assert a._degraded.size and np.array_equal(a._degraded, b._degraded)
         assert np.array_equal(a._compute_multipliers, b._compute_multipliers)
         assert a._down_pair == b._down_pair
+
+    @pytest.mark.parametrize("preset", sorted(FAULT_PRESETS))
+    @pytest.mark.parametrize("nranks", [1, 2, 7, 64])
+    def test_degraded_links_are_the_pair_loops(self, preset, nranks):
+        """Block sampling draws the stream the per-pair double loop drew."""
+        spec = FAULT_PRESETS[preset]
+        link_rng = RngFactory(spec.seed).named("faults:links")
+        looped = [
+            src * nranks + dst
+            for src in range(nranks)
+            for dst in range(nranks)
+            if src != dst and link_rng.random() < spec.degraded_link_rate
+        ]
+        sched = FaultSchedule(spec, nranks)
+        if not (spec.degraded_link_rate > 0 and spec.degradation_factor > 1):
+            looped = []
+        assert sched._degraded.tolist() == looped
+        assert sched.report.degraded_links == len(looped)
+
+    def test_big_machine_constructs_fast(self):
+        t0 = time.perf_counter()
+        sched = FaultSchedule(FAULT_PRESETS["mild"], 4096)
+        assert time.perf_counter() - t0 < 1.0
+        assert sched.report.degraded_links > 0
 
     def test_down_link_gated_by_level(self):
         spec = FaultSpec(down_level=3, down_detour_factor=5.0)
         sched = FaultSchedule(spec, 4)
         src, dst = sched.report.link_down
+        # the down pair, its reverse, and a self-send
+        pairs = ranks([src, dst, src]), ranks([dst, src, src])
         sched.begin_level(2)
-        assert sched.link_multiplier(src, dst) == 1.0
+        assert sched.link_multipliers(*pairs).tolist() == [1.0, 1.0, 1.0]
         sched.begin_level(3)
-        assert sched.link_multiplier(src, dst) == 5.0
+        assert sched.link_multipliers(*pairs).tolist() == [5.0, 1.0, 1.0]
+
+    def test_link_multipliers_of_a_round(self):
+        spec = FaultSpec(
+            seed=5, degraded_link_rate=0.3, degradation_factor=4.0,
+            down_level=1, down_detour_factor=9.0,
+        )
+        nranks = 6
+        sched = FaultSchedule(spec, nranks)
+        degraded = {divmod(int(key), nranks) for key in sched._degraded}
+        assert degraded and all(s != d for s, d in degraded)
+        src, dst = (a.ravel() for a in np.indices((nranks, nranks)))
+        for level in (0, 1):
+            sched.begin_level(level)
+            expected = [
+                9.0 if level >= 1 and pair == sched.report.link_down
+                else 4.0 if pair in degraded else 1.0
+                for pair in zip(src.tolist(), dst.tolist())
+            ]
+            assert sched.link_multipliers(src, dst).tolist() == expected
+        none = ranks([])
+        assert sched.link_multipliers(none, none).size == 0
 
     def test_retry_penalty_backoff(self):
         spec = FaultSpec(retry_timeout=1.0, backoff=2.0)
         sched = FaultSchedule(spec, 2)
         assert sched.retry_penalty(0) == 0.0
         assert sched.retry_penalty(3) == pytest.approx(1.0 + 2.0 + 4.0)
+        assert sched.retry_penalty(ranks([0, 3, 1])).tolist() == [
+            sched.retry_penalty(n) for n in (0, 3, 1)
+        ]
+
+
+# ---------------------------------------------------------------------- #
+# the drop stream: a round at once == chunk by chunk
+# ---------------------------------------------------------------------- #
+_MASK = (1 << 64) - 1
+
+
+def _mix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
+class SequentialDrops:
+    """Reference: the chunk-by-chunk drop stream in plain Python integers,
+    as the schedule drew it before rounds were drawn as arrays."""
+
+    def __init__(self, seed: int, drop_rate: float, max_retries: int) -> None:
+        self.seeded = _mix64(seed ^ 0x9E6B_1F2A_D7C3_5E81)
+        self.drop_rate, self.max_retries = drop_rate, max_retries
+        self.counters: dict[tuple[int, int], int] = {}
+
+    def plan(self, src: int, dst: int) -> tuple[int, bool]:
+        if self.drop_rate <= 0.0:
+            return 1, True
+        k, drops = self.counters.get((src, dst), 0), 0
+        while drops <= self.max_retries:
+            h = _mix64(_mix64(_mix64(self.seeded ^ src) ^ dst) ^ (k + drops))
+            if (h >> 11) * (1.0 / (1 << 53)) >= self.drop_rate:
+                break
+            drops += 1
+        delivered = drops <= self.max_retries
+        self.counters[(src, dst)] = k + drops + delivered
+        return drops + delivered, delivered
+
+
+#: consecutive rounds over 5 ranks: few enough that pairs repeat inside a
+#: round (a message the buffer cap split) and self-sends turn up
+drawn_rounds = st.lists(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40),
+    min_size=1, max_size=5,
+)
+
+
+class TestDropStream:
+    @pytest.mark.parametrize("max_retries", [0, 3])
+    @pytest.mark.parametrize("drop_rate", [0.0, 0.01, 0.5, 1.0])
+    @settings(max_examples=30, deadline=None)
+    @given(rounds=drawn_rounds, seed=st.integers(0, 2**63))
+    def test_round_at_once_equals_chunk_by_chunk(
+        self, drop_rate, max_retries, rounds, seed
+    ):
+        stream = KeyedDropStream(seed, drop_rate, max_retries)
+        reference = SequentialDrops(seed, drop_rate, max_retries)
+        for pairs in rounds:
+            transmissions, delivered = stream.plan_many(
+                ranks([s for s, _ in pairs]), ranks([d for _, d in pairs])
+            )
+            assert transmissions.dtype == np.int64 and delivered.dtype == bool
+            assert list(zip(transmissions.tolist(), delivered.tolist())) == [
+                reference.plan(s, d) for s, d in pairs
+            ]
+        # every transmission, successful or not, advanced its pair's counter
+        # — and a stream that never drops keeps none
+        counters = {
+            (int(key) >> 32, int(key) & 0xFFFFFFFF): int(count)
+            for key, count in zip(stream._keys, stream._counts)
+        }
+        assert counters == reference.counters
+        assert drop_rate > 0.0 or not counters
+
+    @pytest.mark.parametrize("max_retries", [0, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(rounds=drawn_rounds, seed=st.integers(0, 2**63))
+    def test_schedule_skips_self_sends_and_tallies_sums(
+        self, max_retries, rounds, seed
+    ):
+        spec = FaultSpec(seed=seed, drop_rate=0.5, max_retries=max_retries)
+        sched = FaultSchedule(spec, 5)
+        reference = SequentialDrops(seed, 0.5, max_retries)
+        tally = FaultReport()
+        for pairs in rounds:
+            fates = [
+                reference.plan(s, d) if s != d else (1, True) for s, d in pairs
+            ]
+            for transmissions, delivered in fates:
+                tally.injected += transmissions - delivered
+                tally.retries += transmissions - 1
+                tally.recovered += delivered and transmissions > 1
+                tally.unrecovered += not delivered
+            transmissions, delivered = sched.plan_round(
+                ranks([s for s, _ in pairs]), ranks([d for _, d in pairs])
+            )
+            assert list(zip(transmissions.tolist(), delivered.tolist())) == fates
+            assert sched.report == tally
+
+    def test_one_chunk_is_the_one_pair_round(self):
+        spec = FAULT_PRESETS["harsh"]
+        a, b = FaultSchedule(spec, 4)._drops, FaultSchedule(spec, 4)._drops
+        for _ in range(50):
+            transmissions, delivered = a.plan_many(ranks([2]), ranks([1]))
+            assert b.plan(2, 1) == (int(transmissions[0]), bool(delivered[0]))
 
 
 class TestFaultedRuns:

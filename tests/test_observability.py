@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ from repro.observability import (
     levels_digest,
     result_digests,
     to_chrome_trace,
+    trace_digest,
     validate_chrome_trace,
 )
-from repro.runtime.trace import MessageEvent
+from repro.runtime.trace import MessageEvent, TraceRecorder
 from repro.session import BfsSession
 from repro.types import SYSTEM_PRESETS, GraphSpec, GridShape, SystemSpec, resolve_system
 
@@ -227,6 +229,87 @@ class TestEngineSpans:
         assert len(obs.messages) == small_observed.stats.total_messages
         total = sum(e.num_vertices for e in obs.messages)
         assert total == small_observed.stats.total_processed
+
+
+class TestColumnarMessages:
+    """The message trace is column arrays; events exist once read."""
+
+    def test_unread_trace_builds_no_events(self, monkeypatch):
+        built = []
+
+        class Counted(MessageEvent):
+            __slots__ = ()
+
+            def __init__(self, *args) -> None:
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr("repro.runtime.trace.MessageEvent", Counted)
+        graph = poisson_random_graph(GraphSpec(n=400, k=8, seed=11))
+        result = distributed_bfs(graph, (2, 2), 0, observe="messages")
+        messages = result.observability.messages
+        assert len(messages) == result.stats.total_messages > 0
+        assert messages and not built
+        assert sum(e.num_vertices for e in messages) == result.stats.total_processed
+        assert len(built) == len(messages)
+        # read again: the same objects, none rebuilt
+        assert messages[0] is next(iter(messages)) and messages[-1] is messages[len(messages) - 1]
+        assert len(built) == len(messages)
+
+    def test_reads_like_a_list(self, small_observed):
+        messages = small_observed.observability.messages
+        events = list(messages)
+        assert messages == events and events == list(messages.snapshot())
+        assert messages != events[:-1] and messages != events[::-1]
+        assert messages[3] == events[3] and messages[2:5] == events[2:5]
+        assert all(isinstance(e, MessageEvent) for e in events)
+        assert trace_digest(messages) == trace_digest(events)
+
+    def test_snapshot_does_not_grow(self):
+        comm = build_communicator(GridShape(1, 2), observe="messages")
+        one = np.array([0]), np.array([1]), np.arange(3), np.array([0]), np.array([3])
+        comm.exchange_arrays(*one, "fold")
+        taken = comm.obs_trace.events.snapshot()
+        comm.exchange_arrays(*one, "expand")
+        assert len(taken) == 1 and len(comm.obs_trace.events) == 2
+        assert [e.phase for e in comm.obs_trace.events] == ["fold", "expand"]
+
+    def test_helpers_equal_the_event_loops(self, tmp_path):
+        """Analyses and exports computed from the columns say what the
+        loops over event objects said — ties between pairs included."""
+        comm = build_communicator(GridShape(2, 2))
+        trace = TraceRecorder(comm).install()
+        rng = np.random.default_rng(4)
+        for phase in ("expand", "fold", "expand"):
+            # equal sizes: the busiest pair is a tie, broken by appearance
+            pairs = rng.permutation(16)[:9]
+            bounds = np.arange(0, 50, 5)
+            comm.exchange_arrays(
+                pairs // 4, pairs % 4, np.arange(45), bounds[:-1], bounds[1:], phase
+            )
+        events = list(trace.events)
+        sent = np.zeros(4, dtype=np.int64)
+        volumes: dict[str, int] = {}
+        totals: dict[tuple[int, int], int] = {}
+        for e in events:
+            sent[e.src] += e.num_vertices
+            volumes[e.phase] = volumes.get(e.phase, 0) + e.num_vertices
+            totals[(e.src, e.dst)] = totals.get((e.src, e.dst), 0) + e.num_vertices
+        (src, dst), volume = max(totals.items(), key=lambda item: item[1])
+        assert trace.per_rank_sent().tolist() == sent.tolist()
+        assert list(trace.per_phase_volume().items()) == list(volumes.items())
+        assert trace.busiest_pair() == (src, dst, volume)
+        assert sorted(totals.values())[-2] == volume  # it was a tie
+        trace.to_csv(tmp_path / "t.csv")
+        trace.to_json(tmp_path / "t.json")
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+            f"{e.time:.9f},{e.src},{e.dst},{e.num_vertices},{e.raw_bytes},"
+            f"{e.encoded_bytes},{e.phase}"
+            for e in events
+        ]
+        assert (tmp_path / "t.json").read_text() == json.dumps(
+            [asdict(e) for e in events], indent=0
+        )
 
 
 class TestPerfettoExport:

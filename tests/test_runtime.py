@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+import collections
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
 from repro.errors import BufferOverflowError, CommunicationError
-from repro.faults import FaultSpec
+from repro.faults import FaultSchedule, FaultSpec, KeyedDropStream
 from repro.machine.bluegene import BLUEGENE_L
 from repro.machine.cluster import flat_network_for
 from repro.machine.mapping import row_major_mapping
@@ -18,7 +23,7 @@ from repro.runtime.network import Network
 from repro.runtime.stats import CommStats
 from repro.runtime.trace import TraceRecorder
 from repro.types import GridShape
-from repro.wire import get_codec
+from repro.wire import WIRE_CODECS, get_codec
 
 
 def make_comm(p: int = 4, **knobs) -> Communicator:
@@ -312,32 +317,55 @@ class TestOneRound:
             assert sum(e.encoded_bytes for e in events) == comm.stats.total_encoded_bytes
 
     @pytest.mark.parametrize("capacity", [None, 7])
-    @pytest.mark.parametrize(
-        "name, sizing", [("delta-varint", "encoded_nbytes"), ("adaptive", "_choose")]
-    )
-    def test_each_chunk_is_priced_once(self, name, sizing, capacity):
-        """One `price` call per wire chunk, which sizes the payload once."""
-        calls = {"price": 0, sizing: 0}
+    @pytest.mark.parametrize("name", ["delta-varint", "adaptive"])
+    def test_one_pricing_call_per_round(self, name, capacity, monkeypatch):
+        """Whatever the chunk count, a round asks the codec, the fault
+        schedule and the recorder once each — no Python per chunk."""
+        calls = collections.Counter()
 
-        def counted(method):
-            def wrapper(self, payload):
+        def count(owner, method):
+            original = getattr(owner, method)
+
+            def wrapper(self, *args):
                 calls[method] += 1
-                return getattr(base, method)(self, payload)
+                return original(self, *args)
 
-            return wrapper
+            monkeypatch.setattr(owner, method, wrapper)
 
-        base = type(get_codec(name))
-        counting = type("Counting", (base,), {m: counted(m) for m in calls})
+        count(type(get_codec(name)), "price_many")
+        for codec in WIRE_CODECS.values():
+            count(codec, "encoded_nbytes_many")
+        for method in ("plan_round", "link_multipliers", "retry_penalty"):
+            count(FaultSchedule, method)
+        count(KeyedDropStream, "plan_many")
+        count(TraceRecorder, "record_round")
         comm = torus_comm(
-            wire=counting(), buffer_capacity=capacity, observe="messages",
-            faults=FaultSpec.parse("mild"),
+            wire=name, buffer_capacity=capacity, observe="messages",
+            faults=FaultSpec.parse(DROP_HEAVY),
         )
         rng = np.random.default_rng(3)
-        for _ in range(3):
+        rounds = 3
+        for _ in range(rounds):
             comm.exchange_arrays(*as_arrays(random_round(rng)), "fold")
-        wire_chunks = sum(e.src != e.dst for e in comm.obs_trace.events)
-        assert wire_chunks > 0
-        assert calls == {"price": wire_chunks, sizing: wire_chunks}
+        assert len(comm.obs_trace.events) > (10 if capacity is None else 40) * rounds
+        assert comm.stats.total_drops > 0
+        # adaptive sizes a round once per inner format
+        sizing = calls.pop("encoded_nbytes_many")
+        assert sizing == (2 if name == "adaptive" else 1) * rounds
+        assert calls == dict.fromkeys(
+            ("price_many", "plan_round", "link_multipliers", "retry_penalty",
+             "plan_many", "record_round"),
+            rounds,
+        )
+
+    def test_round_has_no_loop_over_chunks(self):
+        """The only loop left in the round's source is over recorders."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(Communicator._round)))
+        loops = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.For, ast.While, ast.comprehension))
+        ]
+        assert [ast.unparse(loop.iter) for loop in loops] == ["self.recorders"]
 
     def test_recorder_registers_without_patching(self):
         comm = torus_comm()

@@ -32,6 +32,7 @@ from repro.wire import (
     BitmapCodec,
     DeltaVarintCodec,
     RawCodec,
+    WireCodec,
     get_codec,
     resolve_wire,
     varint_nbytes,
@@ -151,11 +152,117 @@ class TestCompression:
 
     def test_codec_time_costs(self):
         payload = np.arange(1000, dtype=VERTEX_DTYPE)
-        raw = RawCodec()
-        assert raw.encode_seconds(payload) == 0.0 == raw.decode_seconds(payload)
-        varint = DeltaVarintCodec()
-        assert varint.encode_seconds(payload) > 0.0
-        assert varint.decode_seconds(payload) > 0.0
+        whole = np.array([0]), np.array([payload.size])
+        _, encode_s, decode_s = RawCodec().price_many(payload, *whole)
+        assert encode_s[0] == 0.0 == decode_s[0]
+        _, encode_s, decode_s = DeltaVarintCodec().price_many(payload, *whole)
+        assert encode_s[0] > 0.0
+        assert decode_s[0] > 0.0
+
+
+#: how a drawn id list becomes a message: the sorted set every collective
+#: ships, its arrival order (unsorted, maybe negative, maybe repeated — what
+#: forwarding collectives concatenate), or a set with one id sent twice
+_MESSAGE_SHAPES = (
+    lambda ids: sorted(set(ids)),
+    lambda ids: ids,
+    lambda ids: sorted(ids + ids[:1]),
+)
+
+#: a round: messages back to back in one flat buffer, each cut into chunks
+#: by its buffer capacity, and every n-th chunk left out (0: none) the way
+#: a round leaves out its self-sends
+rounds = st.tuples(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(-50, 5000), min_size=1, max_size=60),
+            st.sampled_from(_MESSAGE_SHAPES),
+            st.integers(1, 70),
+        ),
+        min_size=1, max_size=6,
+    ),
+    st.sampled_from((0, 2, 3)),
+)
+
+
+def cut_round(messages, skip):
+    """``(flat, starts, stops)`` of a drawn round's chunks."""
+    flat, bounds = [], []
+    for ids, shape, capacity in messages:
+        payload = shape(ids)
+        bounds += [
+            (len(flat) + a, len(flat) + min(a + capacity, len(payload)))
+            for a in range(0, len(payload), capacity)
+        ]
+        flat += payload
+    kept = [b for k, b in enumerate(bounds) if not skip or k % skip] or bounds
+    starts, stops = np.array(kept, dtype=np.int64).T
+    return np.array(flat, dtype=VERTEX_DTYPE), starts, stops
+
+
+class TestPriceMany:
+    """A round is priced in one call: row k is what pricing chunk k alone
+    would say, and what really encoding it would produce."""
+
+    @pytest.mark.parametrize("name", ALL_CODECS)
+    @FAST
+    @given(drawn=rounds)
+    def test_rows_match_real_encodings(self, name, drawn):
+        codec = get_codec(name)
+        flat, starts, stops = cut_round(*drawn)
+        nbytes, encode_s, decode_s = codec.price_many(flat, starts, stops)
+        assert nbytes.dtype == np.int64
+        assert nbytes.tolist() == codec.encoded_nbytes_many(flat, starts, stops).tolist()
+        for k, (a, b) in enumerate(zip(starts.tolist(), stops.tolist())):
+            payload = flat[a:b]
+            try:
+                expected = len(codec.encode(payload))
+            except CodecError:
+                # only the bitmap restricts its domain; it prices what a
+                # real sender would ship after a dedup: the value range
+                assert name == "bitmap"
+                span = int(payload.max()) - int(payload.min()) + 1
+                header = varint_nbytes(np.array([max(int(payload.min()), 0), span]))
+                expected = int(header.sum()) + (span + 7) // 8
+            assert nbytes[k] == expected == codec.encoded_nbytes(payload)
+        if name != "adaptive":
+            sizes = stops - starts
+            assert encode_s.tolist() == [codec.encode_cost_per_vertex * int(n) for n in sizes]
+            assert decode_s.tolist() == [codec.decode_cost_per_vertex * int(n) for n in sizes]
+
+    @FAST
+    @given(drawn=rounds)
+    def test_adaptive_takes_the_bitmap_iff_eligible_and_smaller(self, drawn):
+        flat, starts, stops = cut_round(*drawn)
+        varint, bitmap = DeltaVarintCodec(), BitmapCodec()
+        nbytes, encode_s, decode_s = AdaptiveCodec().price_many(flat, starts, stops)
+        for k, (a, b) in enumerate(zip(starts.tolist(), stops.tolist())):
+            payload = flat[a:b]
+            eligible = payload[0] >= 0 and bool(np.all(payload[1:] > payload[:-1]))
+            sizes = varint.encoded_nbytes(payload), bitmap.encoded_nbytes(payload)
+            winner = bitmap if eligible and sizes[1] < sizes[0] else varint
+            assert nbytes[k] == 1 + winner.encoded_nbytes(payload)
+            assert AdaptiveCodec().encode(payload)[0] == (winner is bitmap)
+            assert encode_s[k] == winner.encode_cost_per_vertex * int(payload.size)
+            assert decode_s[k] == winner.decode_cost_per_vertex * int(payload.size)
+
+    @pytest.mark.parametrize("name", ALL_CODECS)
+    def test_closed_forms_agree_with_the_encoding_default(self, name):
+        """The base class sizes a range by really encoding it; every
+        built-in closed form must say the same."""
+        codec = get_codec(name)
+        flat = np.array([3, 4, 9, 200, 0, 1, 2, 3, 70000, 70001, 5], dtype=VERTEX_DTYPE)
+        starts, stops = np.array([0, 4, 8, 10, 1]), np.array([4, 8, 10, 11, 3])
+        assert (
+            codec.encoded_nbytes_many(flat, starts, stops).tolist()
+            == WireCodec.encoded_nbytes_many(codec, flat, starts, stops).tolist()
+        )
+
+    @pytest.mark.parametrize("name", ALL_CODECS)
+    def test_no_ranges(self, name):
+        none = np.empty(0, dtype=np.int64)
+        for column in get_codec(name).price_many(none, none, none):
+            assert column.size == 0
 
 
 class TestResolution:
