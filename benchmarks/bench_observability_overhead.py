@@ -66,7 +66,7 @@ def _best_wall(graph, grid: tuple[int, int], observe: str, repeats: int):
     # timing identical in shape across both trees.
     kwargs = {} if observe == "off" else {"observe": observe}
     for _ in range(repeats):
-        engine = build_engine(graph, grid, layout="2d", **kwargs)
+        engine = build_engine(graph, grid, **kwargs)
         t0 = time.perf_counter()
         result = run_bfs(engine, 0)
         wall = time.perf_counter() - t0

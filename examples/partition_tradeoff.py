@@ -20,15 +20,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.crossover import crossover_degree
-from repro.harness.figures import fig6_partition_volume
+from repro.harness import FIGURES
 from repro.harness.report import format_table
 
-N = 30_000
-P = 100
-DEGREES = [5.0, 10.0, 20.0, 40.0, 80.0]
+#: Figure 6.a's own graph size and mesh, swept over more degrees than its two
+FIG6A = FIGURES["fig6a"]
+POINTS = FIG6A.points["full"] | {"k": [5.0, 10.0, 20.0, 40.0, 80.0]}
 
 
 def main() -> None:
+    N, P = POINTS["n"], POINTS["p"]
     k_star = crossover_degree(N, P)
     print(f"analytic 1D/2D crossover for n={N}, P={P}: k = {k_star:.1f}")
     print(f"(paper's design point: k = 34 for n=4e7, P=400)\n")
@@ -36,9 +37,10 @@ def main() -> None:
     rows = []
     measured_crossover = None
     previous_sign = None
-    for k in DEGREES:
-        series = fig6_partition_volume(N, k, P, seed=3)
-        v1, v2 = int(series["1d"].sum()), int(series["2d"].sum())
+    levels = FIG6A.sweep(POINTS, 3)
+    for k in POINTS["k"]:
+        v1 = sum(r["volume_1d"] for r in levels if r["k"] == k)
+        v2 = sum(r["volume_2d"] for r in levels if r["k"] == k)
         winner = "1D" if v1 < v2 else "2D"
         rows.append([k, v1, v2, f"{v1 / v2:.2f}", winner])
         sign = v1 < v2

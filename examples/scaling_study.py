@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Weak- and strong-scaling study — Figures 4.a and 5 in miniature.
 
-Sweeps the virtual machine size, runs the paper's BFS configuration at
-each point, and fits the paper's claimed scaling laws:
+Regenerates the two scaling entries of the reproduction table
+(``repro.harness.FIGURES``) at their quick design points and fits the
+paper's claimed scaling laws:
 
 * weak scaling (|V|/rank fixed): time ~ a * log2(P) + b,
 * strong scaling (graph fixed):  speedup ~ a * sqrt(P).
@@ -14,44 +15,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.scaling import log_fit, speedup_curve, sqrt_fit
-from repro.harness.figures import PAPER_OPTS, fig4a_weak_scaling, fig5_strong_scaling
-from repro.harness.report import format_table
+from repro.analysis.scaling import log_fit, sqrt_fit
+from repro.harness import FIGURES, views
 
 
-def weak_scaling_study() -> None:
-    p_values = [1, 4, 16, 64]
-    points = fig4a_weak_scaling(p_values, 800, 10.0, searches=2, opts=PAPER_OPTS)
-    rows = [
-        [p.p, p.n, f"{p.mean_time * 1e3:.3f}", f"{p.comm_time * 1e3:.3f}"]
-        for p in points
-    ]
-    print("Weak scaling (|V|/rank = 800, k = 10):")
-    print(format_table(["P", "n", "time (ms)", "comm (ms)"], rows))
-    times = np.array([p.mean_time for p in points])
-    a, b, r2 = log_fit(np.array(p_values), times)
-    print(f"fit: time = {a * 1e3:.3f} ms * log2(P) + {b * 1e3:.3f} ms   (R^2 = {r2:.3f})")
-    print("paper's shape: execution time grows in proportion to log P\n")
-
-
-def strong_scaling_study() -> None:
-    p_values = [1, 4, 16, 36, 64]
-    rows_raw = fig5_strong_scaling(32_000, 10.0, p_values, searches=2, opts=PAPER_OPTS)
-    times = np.array([t for _p, t in rows_raw])
-    speedups = speedup_curve(times)
-    rows = [
-        [p, f"{t * 1e3:.3f}", f"{s:.2f}"] for (p, t), s in zip(rows_raw, speedups)
-    ]
-    print("Strong scaling (n = 32000, k = 10):")
-    print(format_table(["P", "time (ms)", "speedup"], rows))
-    a, r2 = sqrt_fit(np.array(p_values), speedups)
-    print(f"fit: speedup = {a:.2f} * sqrt(P)   (R^2 = {r2:.3f})")
-    print("paper's shape: speedup grows ~ sqrt(P) for small P, then tapers\n")
+def study(name: str) -> list[dict]:
+    fig = FIGURES[name]
+    rows = fig.rows("quick")
+    print(views.render(fig, rows, "quick"))
+    return rows
 
 
 def main() -> None:
-    weak_scaling_study()
-    strong_scaling_study()
+    rows = study("fig4a")
+    a, b, r2 = log_fit(
+        np.array([r["p"] for r in rows]), np.array([r["mean_time_s"] for r in rows])
+    )
+    print(f"fit: time = {a * 1e3:.3f} ms * log2(P) + {b * 1e3:.3f} ms   (R^2 = {r2:.3f})")
+    print("paper's shape: execution time grows in proportion to log P\n")
+
+    rows = study("fig5")
+    a, r2 = sqrt_fit(
+        np.array([r["p"] for r in rows]), np.array([r["speedup"] for r in rows])
+    )
+    print(f"fit: speedup = {a:.2f} * sqrt(P)   (R^2 = {r2:.3f})")
+    print("paper's shape: speedup grows ~ sqrt(P) for small P, then tapers\n")
 
 
 if __name__ == "__main__":

@@ -7,18 +7,13 @@ Every piece remains individually constructible for finer control.
 
 The system a search runs on is described by one
 :class:`~repro.types.SystemSpec` value (or a preset name like
-``"bluegene-2d"``), passed as ``system=``.  This is the one recommended
-way to describe the target system.  The pre-``SystemSpec`` keyword
-arguments (``machine=``, ``mapping=``, ``layout=``) remain a thin,
-*deprecated* compatibility path: every entry point funnels them through
-:func:`resolve_entry_system`, which merges them over the spec via
-:func:`repro.types.resolve_system` and emits a :class:`DeprecationWarning`
-when they are used.
+``"bluegene-2d"``), passed as ``system=``; every entry point resolves it
+through :func:`repro.types.resolve_system`, with ``wire=`` / ``faults=`` /
+``observe=`` as first-class overrides of the spec's fields.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 from repro.bfs.bfs_1d import Bfs1DEngine
@@ -37,46 +32,6 @@ from repro.partition.one_d import OneDPartition
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.comm import Communicator
 from repro.types import GridShape, SystemSpec, resolve_system
-
-#: legacy keyword arguments that predate :class:`SystemSpec` and now warn
-_DEPRECATED_KWARGS = ("machine", "mapping", "layout")
-
-
-def resolve_entry_system(
-    system: SystemSpec | str | None = None,
-    *,
-    machine: str | MachineModel | None = None,
-    mapping: str | TaskMapping | None = None,
-    layout: str | None = None,
-    wire: str | object | None = None,
-    faults: FaultSpec | str | None = None,
-    observe: str | object | None = None,
-    sieve: bool | None = None,
-) -> SystemSpec:
-    """The one resolver path behind every public ``system=`` entry point.
-
-    Thin wrapper over :func:`repro.types.resolve_system` that additionally
-    emits a :class:`DeprecationWarning` whenever one of the pre-``SystemSpec``
-    keyword arguments (``machine=``, ``mapping=``, ``layout=``) is used.
-    ``build_communicator``, ``build_engine``, ``distributed_bfs``,
-    ``bidirectional_bfs``, and :class:`repro.session.BfsSession` all call
-    this instead of duplicating the merge logic.
-    """
-    legacy = {"machine": machine, "mapping": mapping, "layout": layout}
-    used = [name for name, value in legacy.items() if value is not None]
-    if used:
-        warnings.warn(
-            f"the {', '.join(used)} keyword argument(s) are deprecated; "
-            f"pass system=SystemSpec({', '.join(f'{u}=...' for u in used)}) "
-            "or a preset name instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return resolve_system(
-        system, machine=machine, mapping=mapping, layout=layout, wire=wire,
-        faults=faults, observe=observe, sieve=sieve,
-    )
-
 
 def resolve_machine_model(spec: SystemSpec) -> MachineModel:
     """The :class:`MachineModel` a resolved spec simulates."""
@@ -117,8 +72,6 @@ def build_communicator(
     grid: GridShape,
     *,
     system: SystemSpec | str | None = None,
-    machine: str | MachineModel | None = None,
-    mapping: str | TaskMapping | None = None,
     buffer_capacity: int | None = None,
     wire: str | None = None,
     faults: FaultSpec | str | None = None,
@@ -126,23 +79,17 @@ def build_communicator(
 ) -> Communicator:
     """Create a virtual communicator for ``grid`` on the requested system.
 
-    ``system`` is a :class:`SystemSpec` or a preset name — the recommended
-    path.  The deprecated ``machine``/``mapping`` keywords still override
-    its fields (with a :class:`DeprecationWarning`); ``wire``/``faults``/
-    ``observe`` overrides remain first-class.  ``machine`` resolves to
-    ``"bluegene"``, ``"mcr"``, or a custom :class:`MachineModel`;
-    ``mapping`` to ``"planar"`` (the paper's Figure 1 scheme),
-    ``"row-major"`` (naive baseline), or a prebuilt :class:`TaskMapping`;
-    ``wire`` to a :mod:`repro.wire` codec name (``"raw"``,
-    ``"delta-varint"``, ``"bitmap"``, ``"adaptive"``) or instance;
-    ``observe`` to an observability preset (``"off"``, ``"spans"``,
-    ``"messages"``, ``"full"``).  The MCR machine always uses its flat
-    network.
+    ``system`` is a :class:`SystemSpec` or a preset name; the ``wire`` /
+    ``faults`` / ``observe`` overrides replace its fields.  Its ``machine``
+    is ``"bluegene"``, ``"mcr"``, or a custom :class:`MachineModel`; its
+    ``mapping`` ``"planar"`` (the paper's Figure 1 scheme), ``"row-major"``
+    (naive baseline), or a prebuilt :class:`TaskMapping`; ``wire`` a
+    :mod:`repro.wire` codec name (``"raw"``, ``"delta-varint"``,
+    ``"bitmap"``, ``"adaptive"``) or instance; ``observe`` an observability
+    preset (``"off"``, ``"spans"``, ``"messages"``, ``"full"``).  The MCR
+    machine always uses its flat network.
     """
-    spec = resolve_entry_system(
-        system, machine=machine, mapping=mapping, wire=wire, faults=faults,
-        observe=observe,
-    )
+    spec = resolve_system(system, wire=wire, faults=faults, observe=observe)
     model = resolve_machine_model(spec)
     task_mapping = resolve_task_mapping(grid, spec, model)
     schedule = FaultSchedule(spec.faults, grid.size) if spec.faults is not None else None
@@ -158,9 +105,6 @@ def build_engine(
     *,
     opts: BfsOptions | None = None,
     system: SystemSpec | str | None = None,
-    machine: str | MachineModel | None = None,
-    mapping: str | TaskMapping | None = None,
-    layout: str | None = None,
     wire: str | None = None,
     faults: FaultSpec | str | None = None,
     observe: str | None = None,
@@ -168,17 +112,14 @@ def build_engine(
 ) -> LevelSyncEngine:
     """Partition ``graph`` over ``grid`` and build a ready-to-run engine.
 
-    ``layout="2d"`` (the default) uses Algorithm 2 on a
-    :class:`TwoDPartition`; ``layout="1d"`` uses Algorithm 1 on a
+    A ``"2d"`` system layout (the default) uses Algorithm 2 on a
+    :class:`TwoDPartition`; ``"1d"`` uses Algorithm 1 on a
     :class:`OneDPartition` (the grid must then be ``P x 1`` or ``1 x P``).
     A prebuilt ``comm`` wins over the spec's machine/mapping/wire/faults.
     """
     if not isinstance(grid, GridShape):
         grid = GridShape(*grid)
-    spec = resolve_entry_system(
-        system, machine=machine, mapping=mapping, layout=layout, wire=wire,
-        faults=faults, observe=observe,
-    )
+    spec = resolve_system(system, wire=wire, faults=faults, observe=observe)
     opts = opts or BfsOptions()
     if spec.sieve and not opts.use_sieve:
         # The spec's sieve axis is the system-level switch; the engines
@@ -190,7 +131,7 @@ def build_engine(
         return Bfs2DEngine(TwoDPartition(graph, grid), comm, opts)
     if spec.layout == "1d":
         if not grid.is_1d:
-            raise ConfigurationError(f"layout='1d' needs a 1-D grid, got {grid}")
+            raise ConfigurationError(f"the 1d layout needs a 1-D grid, got {grid}")
         partition = OneDPartition(graph, grid.size, as_row=grid.cols == 1)
         return Bfs1DEngine(partition, comm, opts)
     raise ConfigurationError(f"unknown layout {spec.layout!r}; use '1d' or '2d'")
@@ -204,19 +145,13 @@ def distributed_bfs(
     target: int | None = None,
     opts: BfsOptions | None = None,
     system: SystemSpec | str | None = None,
-    machine: str | MachineModel | None = None,
-    mapping: str | TaskMapping | None = None,
-    layout: str | None = None,
     wire: str | None = None,
     faults: FaultSpec | str | None = None,
     observe: str | None = None,
     max_levels: int | None = None,
 ) -> BfsResult:
     """One-call distributed BFS: partition, simulate, return the result."""
-    spec = resolve_entry_system(
-        system, machine=machine, mapping=mapping, layout=layout, wire=wire,
-        faults=faults, observe=observe,
-    )
+    spec = resolve_system(system, wire=wire, faults=faults, observe=observe)
     engine = build_engine(graph, grid, opts=opts, system=spec)
     return run_bfs(engine, source, target=target, max_levels=max_levels)
 
@@ -229,9 +164,6 @@ def bidirectional_bfs(
     *,
     opts: BfsOptions | None = None,
     system: SystemSpec | str | None = None,
-    machine: str | MachineModel | None = None,
-    mapping: str | TaskMapping | None = None,
-    layout: str | None = None,
     wire: str | None = None,
     faults: FaultSpec | str | None = None,
     observe: str | None = None,
@@ -239,10 +171,7 @@ def bidirectional_bfs(
     """One-call bi-directional s-t search (Section 2.3)."""
     if not isinstance(grid, GridShape):
         grid = GridShape(*grid)
-    spec = resolve_entry_system(
-        system, machine=machine, mapping=mapping, layout=layout, wire=wire,
-        faults=faults, observe=observe,
-    )
+    spec = resolve_system(system, wire=wire, faults=faults, observe=observe)
     opts = opts or BfsOptions()
     comm = build_communicator(grid, system=spec, buffer_capacity=opts.buffer_capacity)
     forward = build_engine(graph, grid, opts=opts, system=spec, comm=comm)

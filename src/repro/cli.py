@@ -8,7 +8,9 @@ Subcommands::
     repro-bfs serve      --graph graph.npz --grid 4x4 --port 7475
     repro-bfs digest     --n 20000 --k 8 --seed 7 --grid 4x4
     repro-bfs crossover  --n 4e7 --p 400
-    repro-bfs figure     --name fig4a|fig4b|fig4c|fig5|fig6|fig7
+    repro-bfs figure     --name fig4a|...|distgen [--tier quick|full] [--out DIR]
+    repro-bfs scorecard
+    repro-bfs reproduce  --out results/
 
 `bfs` and `bidir` accept either a stored graph (``--graph``) or generation
 parameters (``--n/--k/--seed``) to build one on the fly; ``bfs
@@ -32,8 +34,9 @@ from repro.graph.csr import CsrGraph
 from repro.graph.generators import build_graph, poisson_random_graph, rmat_edges
 from repro.faults import FaultSpec
 from repro.graph.io import read_edge_list, write_edge_list
-from repro.harness import figures as figs
-from repro.harness.report import format_series, format_table
+from repro.harness import views
+from repro.harness.figures import FIGURES
+from repro.harness.report import format_series
 from repro.observability import OBSERVE_PRESETS, export_artifacts, result_digests
 from repro.types import SYSTEM_PRESETS, GraphSpec, GridShape, SystemSpec, resolve_system
 from repro.utils.logging import configure_logging
@@ -354,38 +357,26 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_scorecard(args) -> int:
-    from repro.harness.scorecard import format_scorecard, run_scorecard
-
-    checks = run_scorecard(seed=args.seed)
-    print(format_scorecard(checks))
-    return 0 if all(c.passed for c in checks) else 1
+    verdicts = views.evaluate("quick", seed=args.seed)
+    print(views.format_scorecard(verdicts))
+    return 0 if all(v.passed for v in verdicts) else 1
 
 
 def cmd_figure(args) -> int:
-    name = args.name
-    if name == "fig4a":
-        points = figs.fig4a_weak_scaling([1, 4, 16, 64], 500, 10.0, searches=2)
-        rows = [[p.p, p.n, f"{p.mean_time:.6f}", f"{p.comm_time:.6f}"] for p in points]
-        print(format_table(["P", "n", "time(s)", "comm(s)"], rows))
-    elif name == "fig4b":
-        series = figs.fig4b_message_volume(30_000, 10.0, 16)
-        print(format_series("volume", [d for d, _ in series], [v for _, v in series]))
-    elif name == "fig4c":
-        rows = figs.fig4c_bidirectional([4, 16], 300, 10.0, searches=2)
-        print(format_table(["P", "uni(s)", "bi(s)"],
-                           [[p, f"{u:.6f}", f"{b:.6f}"] for p, u, b in rows]))
-    elif name == "fig5":
-        rows = figs.fig5_strong_scaling(16_000, 10.0, [1, 4, 16, 64], searches=2)
-        print(format_table(["P", "time(s)"], [[p, f"{t:.6f}"] for p, t in rows]))
-    elif name == "fig6":
-        series = figs.fig6_partition_volume(20_000, 10.0, 16)
-        for label, volume in series.items():
-            print(format_series(label, range(len(volume)), volume.tolist()))
-    elif name == "fig7":
-        rows = figs.fig7_redundancy([4, 16, 64], 300, 10.0)
-        print(format_table(["P", "redundancy %"], [[p, f"{r:.1f}"] for p, r in rows]))
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown figure {name}")
+    fig = FIGURES[args.name]
+    if args.out:
+        views.write_figure(fig, args.out, args.tier)
+        print(f"wrote {args.out}/{fig.id}.txt, .csv, .vl.json")
+    else:
+        print(views.render(fig, fig.rows(args.tier), args.tier))
+    return 0
+
+
+def cmd_reproduce(args) -> int:
+    for fig in FIGURES.values():
+        views.write_figure(fig, args.out, args.tier)
+        print(f"wrote {fig.id}")
+    print(f"\nall artifacts in {args.out}/")
     return 0
 
 
@@ -475,12 +466,23 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--seed", type=int, default=0)
     score.set_defaults(func=cmd_scorecard)
 
-    fig = sub.add_parser("figure", help="regenerate a paper figure (scaled down)")
-    fig.add_argument(
-        "--name", required=True,
-        choices=["fig4a", "fig4b", "fig4c", "fig5", "fig6", "fig7"],
-    )
+    fig = sub.add_parser("figure", help="regenerate one entry of the reproduction table")
+    fig.add_argument("--name", required=True, choices=list(FIGURES))
+    fig.add_argument("--out", default=None, metavar="DIR",
+                     help="write <name>.txt/.csv/.vl.json here instead of printing")
     fig.set_defaults(func=cmd_figure)
+
+    rep = sub.add_parser(
+        "reproduce", help="regenerate every figure as text, CSV and Vega-Lite files"
+    )
+    rep.add_argument("--out", default="results", metavar="DIR")
+    rep.set_defaults(func=cmd_reproduce)
+    for view in (fig, rep):
+        view.add_argument(
+            "--tier", choices=["quick", "full"], default="quick",
+            help="design points: quick (seconds; what the scorecard checks) or "
+                 "full (what benchmarks/bench_reproduction.py asserts)",
+        )
     return parser
 
 

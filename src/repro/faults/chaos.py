@@ -160,7 +160,6 @@ def run_chaos(
     seeds,
     *,
     opts: BfsOptions | None = None,
-    layout: str | None = None,
     batch_sources: list[int] | None = None,
 ) -> ChaosReport:
     """Run every seed's sampled schedule and classify the outcomes.
@@ -181,25 +180,21 @@ def run_chaos(
     if batch_sources is not None:
         source = int(batch_sources[0])
         baseline_rows = np.stack([
-            distributed_bfs(graph, grid, s, opts=opts, layout=layout).levels
+            distributed_bfs(graph, grid, s, opts=opts).levels
             for s in batch_sources
         ])
     else:
-        baseline = distributed_bfs(graph, grid, source, opts=opts, layout=layout)
+        baseline = distributed_bfs(graph, grid, source, opts=opts)
     report = ChaosReport(n=graph.n, grid=(grid.rows, grid.cols), source=source)
     for seed in seeds:
         spec = sample_chaos_spec(int(seed))
         case = ChaosCase(seed=int(seed), spec=repr(spec), outcome="ok")
         try:
             if batch_sources is not None:
-                engine = build_engine(
-                    graph, grid, opts=opts, layout=layout, faults=spec
-                )
+                engine = build_engine(graph, grid, opts=opts, faults=spec)
                 result = run_ms_bfs(engine, list(batch_sources))
             else:
-                result = distributed_bfs(
-                    graph, grid, source, opts=opts, layout=layout, faults=spec
-                )
+                result = distributed_bfs(graph, grid, source, opts=opts, faults=spec)
         except FaultError as exc:
             # A loud, structured failure is an acceptable chaos outcome —
             # but only when the error carries the fault report.

@@ -1,7 +1,8 @@
-"""Experiment harness: configs, sweeps, text reports, per-figure data builders."""
+"""Reproduction harness: one runner, one table of figures, its views, fault sweeps."""
 
-from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.harness.sweep import sweep
+from repro.harness.runner import Outcome, Run, execute, write_csv, write_json
+from repro.harness.figures import FIGURES, Claim, Figure
+from repro.harness.views import Verdict, evaluate, format_scorecard, write_figure
 from repro.harness.fault_sweep import (
     FaultSweepPoint,
     drop_rate_sweep,
@@ -9,24 +10,24 @@ from repro.harness.fault_sweep import (
     format_fault_sweep,
 )
 from repro.harness.report import format_table, format_series
-from repro.harness.export import results_to_rows, write_csv, write_json
-from repro.harness.scorecard import Check, run_scorecard, format_scorecard
 
 __all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-    "sweep",
+    "Run",
+    "Outcome",
+    "execute",
+    "write_csv",
+    "write_json",
+    "FIGURES",
+    "Figure",
+    "Claim",
+    "Verdict",
+    "evaluate",
+    "format_scorecard",
+    "write_figure",
     "FaultSweepPoint",
     "fault_sweep",
     "drop_rate_sweep",
     "format_fault_sweep",
     "format_table",
     "format_series",
-    "results_to_rows",
-    "write_csv",
-    "write_json",
-    "Check",
-    "run_scorecard",
-    "format_scorecard",
 ]

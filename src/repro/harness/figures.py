@@ -1,330 +1,890 @@
-"""Data-series builders, one per figure/table of the paper's evaluation.
+"""``FIGURES``: the paper's evaluation as one table.
 
-Every builder regenerates the corresponding figure's series at the scaled-
-down design points recorded in DESIGN.md's experiment index (the paper ran
-on up to 32,768 BlueGene/L nodes; we run the same algorithms on virtual
-ranks and report simulated time).  The benchmarks call these builders,
-print the series, and assert the paper's qualitative shape.
+One entry per figure / table / ablation: the paper reference, a status
+(*executed* at the design point the claim is about, the paper's experiment
+*scaled-down* to virtual-rank size, or the paper's closed forms at paper
+scale, *analytic-only*), its design points at two tiers — ``quick`` (seconds;
+what ``repro-bfs scorecard`` and tier-1 run) and ``full`` (what
+``benchmarks/bench_reproduction.py`` asserts) — a sweep over the shared
+runner (:mod:`repro.harness.runner`), the printed columns and the paper's
+claims as predicates over the rows.  ``repro-bfs figure | scorecard |
+reproduce`` and the asserted bench are views of this table
+(:mod:`repro.harness.views`); nothing else writes a design point.
+
+The paper ran on up to 32,768 BlueGene/L nodes; the scaled-down entries
+run the same algorithms on virtual ranks and report simulated time, so
+shapes are comparable and absolute seconds are not (EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import build_communicator, build_engine
-from repro.analysis.crossover import crossover_degree
-from repro.bfs.bidirectional import run_bidirectional_bfs
-from repro.bfs.level_sync import run_bfs
+from repro.analysis.crossover import crossover_degree, partition_message_gap
+from repro.analysis.memory import (
+    BLUEGENE_L_NODE_MEMORY,
+    MemoryModel,
+    fits_in_memory,
+    max_vertices_per_rank,
+)
+from repro.analysis.model import MessageLengthModel, expected_fold_length_1d
+from repro.analysis.scaling import log_fit, speedup_curve, sqrt_fit
 from repro.bfs.options import BfsOptions
 from repro.bfs.serial import serial_bfs
-from repro.collectives.two_phase import subgrid_shape
 from repro.graph.csr import CsrGraph
-from repro.graph.generators import poisson_random_graph
-from repro.types import GraphSpec, GridShape
+from repro.graph.distributed_gen import DistributedGraphBuilder
+from repro.graph.generators import build_graph
+from repro.harness.runner import PAPER_OPTS, Run, draw_pairs, execute, mean_ci, square_grid
+from repro.machine.bluegene import bluegene_l_torus_for
+from repro.machine.mapping import planar_mapping, row_major_mapping
+from repro.partition.two_d import TwoDPartition
+from repro.types import GraphSpec, GridShape, SystemSpec
 from repro.utils.rng import RngFactory
 
-#: the paper's BlueGene/L configuration: two-phase grouped-ring collectives
-#: (Figures 2-3) with the sent-neighbours cache; the fold's phase-1 rings
-#: apply the set-union reduction.
-PAPER_OPTS = BfsOptions(expand_collective="two-phase", fold_collective="two-phase")
+Rows = list[dict[str, object]]
 
 
-def square_grid(p: int) -> GridShape:
-    """Most-square ``R x C`` mesh for ``p`` ranks."""
-    a, b = subgrid_shape(p)
-    return GridShape(a, b)
+@dataclass(frozen=True, slots=True)
+class Claim:
+    """One paper claim: ``check(rows) -> (passed, measured)`` on the tiers it holds on."""
+
+    id: str
+    text: str
+    check: Callable[[Rows], tuple[bool, str]]
+    tiers: tuple[str, ...] = ("full",)
 
 
-def _random_search_pair(n: int, rng) -> tuple[int, int]:
-    source = int(rng.integers(n))
-    target = int(rng.integers(n))
-    while target == source and n > 1:
-        target = int(rng.integers(n))
-    return source, target
+@dataclass(frozen=True, slots=True)
+class Figure:
+    """One table entry; ``rows(tier)`` regenerates it from ``sweep`` and ``points``."""
+
+    id: str
+    source: str
+    title: str
+    status: str
+    points: dict[str, dict]
+    sweep: Callable[[dict, int], Rows]
+    #: printed columns: (header, row key, format spec)
+    columns: tuple[tuple[str, str, str], ...]
+    claims: tuple[Claim, ...] = ()
+
+    def rows(self, tier: str, seed: int = 0) -> Rows:
+        """Sweep this entry's ``tier`` design points."""
+        return self.sweep(self.points[tier], seed)
+
+
+def _col(rows: Rows, key: str) -> np.ndarray:
+    return np.array([row[key] for row in rows])
+
+
+def _both(points: dict) -> dict[str, dict]:
+    return {"quick": points, "full": points}
 
 
 # ---------------------------------------------------------------------- #
 # Figure 4.a — weak scaling
 # ---------------------------------------------------------------------- #
-@dataclass(slots=True)
-class WeakScalingPoint:
-    """One (P, |V|/rank, k) weak-scaling measurement."""
+def _weak_cell(p: int, vpr: int, k: float, searches: int, seed: int) -> dict:
+    """One weak-scaling point.  Each search traverses the whole component
+    (the drawn target is discarded), which removes the variance of random
+    target distances while keeping the paper's shape: time follows the
+    level count, i.e. the O(log n) diameter."""
+    spec = GraphSpec(n=vpr * p, k=k, seed=seed)
+    pairs = tuple((s, None) for s, _t in draw_pairs(spec, f"fig4a:{p}:{k}", searches))
+    run = Run(f"P={p}", spec, square_grid(p), opts=PAPER_OPTS, pairs=pairs)
+    return execute(run).row() | {"vpr": vpr}
 
-    p: int
-    n: int
-    k: float
-    mean_time: float
-    comm_time: float
-    compute_time: float
+
+def _fig4a(pt: dict, seed: int) -> Rows:
+    return [_weak_cell(p, pt["vpr"], pt["k"], pt["searches"], seed) for p in pt["p"]]
 
 
-def fig4a_weak_scaling(
-    p_values: list[int],
-    vertices_per_rank: int,
-    k: float,
-    *,
-    seed: int = 0,
-    searches: int = 3,
-    opts: BfsOptions = PAPER_OPTS,
-    full_traversal: bool = True,
-) -> list[WeakScalingPoint]:
-    """Mean search time as P grows with |V|/rank fixed (one Figure 4.a curve).
+def _fig4a_degrees(pt: dict, seed: int) -> Rows:
+    return [_weak_cell(pt["p"], vpr, k, pt["searches"], seed) for vpr, k in pt["ladder"]]
 
-    By default each search traverses the whole component (an s-t search
-    with an unreachable/absent target), which removes the heavy variance
-    of random target distances while keeping the paper's shape: the time
-    is dominated by the level count, i.e. the O(log n) diameter.  Pass
-    ``full_traversal=False`` for the paper's literal random s-t searches.
-    """
-    points: list[WeakScalingPoint] = []
-    for p in p_values:
-        n = vertices_per_rank * p
-        graph = poisson_random_graph(GraphSpec(n=n, k=k, seed=seed))
-        rng = RngFactory(seed).named(f"fig4a:{p}:{k}")
-        times, comms, computes = [], [], []
-        for _ in range(searches):
-            source, target = _random_search_pair(n, rng)
-            if full_traversal:
-                target = None
-            engine = build_engine(graph, square_grid(p), opts=opts)
-            result = run_bfs(engine, source, target=target)
-            times.append(result.elapsed)
-            comms.append(result.comm_time)
-            computes.append(result.compute_time)
-        points.append(
-            WeakScalingPoint(
-                p=p,
-                n=n,
-                k=k,
-                mean_time=float(np.mean(times)),
-                comm_time=float(np.mean(comms)),
-                compute_time=float(np.mean(computes)),
-            )
-        )
-    return points
+
+def _fig4a_p256(pt: dict, seed: int) -> Rows:
+    """One more weak-scaling decade on a graph generated cell by cell by the
+    distributed generator (its exactness is the ``distgen`` entry)."""
+    grid = GridShape(*pt["grid"])
+    spec = GraphSpec(n=pt["vpr"] * grid.size, k=pt["k"], seed=seed)
+    graph = DistributedGraphBuilder(spec, grid).reference_graph()
+    out = execute(Run(f"P={grid.size}", spec, grid, opts=PAPER_OPTS), graph)
+    return [out.row() | {"levels": out.results[0].num_levels}]
+
+
+def _log_p(rows: Rows) -> tuple[bool, str]:
+    t = _col(rows, "mean_time_s")
+    slope, _b, r2 = log_fit(_col(rows, "p"), t)
+    return (slope > 0 and r2 > 0.7 and t[-1] < 20 * t[0],
+            f"log2 slope {slope * 1e3:.2f} ms, R^2 {r2:.2f}")
+
+
+def _log_p_parallel(rows: Rows) -> tuple[bool, str]:
+    slope, _b, r2 = log_fit(_col(rows, "p")[1:], _col(rows, "mean_time_s")[1:])
+    return slope > 0 and r2 > 0.7, f"log2 slope {slope * 1e3:.2f} ms over P > 1, R^2 {r2:.2f}"
+
+
+def _sublinear(rows: Rows) -> tuple[bool, str]:
+    t = _col(rows, "mean_time_s")
+    return t[0] < t[-1] < 30 * t[0], f"time x{t[-1] / t[0]:.1f} from P=1 to P={rows[-1]['p']}"
+
+
+def _comm_minor(rows: Rows) -> tuple[bool, str]:
+    ratios = [r["mean_comm_s"] / r["mean_compute_s"] for r in rows if r["p"] > 1]
+    return max(ratios) < 1, f"worst comm/compute {max(ratios):.2f}"
+
+
+def _denser_faster(rows: Rows) -> tuple[bool, str]:
+    by_k = {r["k"]: r["mean_time_s"] for r in rows}
+    return (by_k[200.0] < by_k[10.0],
+            f"k=200 {by_k[200.0] * 1e3:.2f} ms vs k=10 {by_k[10.0] * 1e3:.2f} ms")
+
+
+def _continues_curve(rows: Rows) -> tuple[bool, str]:
+    # the P=144 point lands near 0.017 s; one more ~2x in P adds roughly one
+    # log2 step, so expect < 1.6x, far below the 1.78x of linear-in-P
+    t = rows[0]["mean_time_s"]
+    return 0.012 < t < 0.028, f"{t * 1e3:.2f} ms at P={rows[0]['p']}"
+
+
+_TIME_COLUMNS = (
+    ("time(s)", "mean_time_s", ".6f"), ("+-95%", "mean_time_s_ci", ".6f"),
+    ("comm(s)", "mean_comm_s", ".6f"), ("compute(s)", "mean_compute_s", ".6f"),
+)
 
 
 # ---------------------------------------------------------------------- #
 # Figure 4.b — message volume vs search-path length
 # ---------------------------------------------------------------------- #
-def fig4b_message_volume(
-    n: int,
-    k: float,
-    p: int,
-    *,
-    seed: int = 0,
-    opts: BfsOptions = PAPER_OPTS,
-) -> list[tuple[int, int]]:
-    """Total message volume of an s-t search as a function of path length.
-
-    Picks one source, then one target at every available BFS distance, and
-    measures the total vertices received during each terminated search —
-    the Figure 4.b curve (volume rises until the path length nears the
-    graph diameter, then flattens).
-    """
-    graph = poisson_random_graph(GraphSpec(n=n, k=k, seed=seed))
+def _fig4b(pt: dict, seed: int) -> Rows:
+    """One source, one target at every available BFS distance; the volume is
+    the total vertices received during each terminated search."""
+    spec = GraphSpec(n=pt["n"], k=pt["k"], seed=seed)
+    graph = build_graph(spec)
     rng = RngFactory(seed).named("fig4b")
-    source = int(rng.integers(n))
+    source = int(rng.integers(spec.n))
     levels = serial_bfs(graph, source)
-    reachable_levels = sorted(set(levels[levels > 0].tolist()))
-    series: list[tuple[int, int]] = []
-    for distance in reachable_levels:
+    distances = sorted(set(levels[levels > 0].tolist()))
+    targets = []
+    for distance in distances:
         candidates = np.where(levels == distance)[0]
-        target = int(candidates[rng.integers(candidates.size)])
-        engine = build_engine(graph, square_grid(p), opts=opts)
-        result = run_bfs(engine, source, target=target)
-        volume = int(result.stats.volume_per_level().sum())
-        series.append((distance, volume))
-    return series
+        targets.append(int(candidates[rng.integers(candidates.size)]))
+    run = Run("fig4b", spec, square_grid(pt["p"]), opts=PAPER_OPTS,
+              pairs=tuple((source, t) for t in targets))
+    return [
+        {"n": spec.n, "k": spec.k, "p": pt["p"], "seed": seed, "searches": 1,
+         "path_length": d, "volume": int(r.stats.volume_per_level().sum())}
+        for d, r in zip(distances, execute(run, graph).results)
+    ]
+
+
+def _explosive_then_flat(rows: Rows) -> tuple[bool, str]:
+    v = _col(rows, "volume").astype(float)
+    early = v[: max(2, len(v) // 2)]
+    return (bool(np.all(np.diff(early) > 0)) and early[-1] > 10 * early[0]
+            and v[-1] < 1.5 * v[-2],
+            f"early growth x{early[-1] / early[0]:.0f}, last level x{v[-1] / v[-2]:.2f}")
 
 
 # ---------------------------------------------------------------------- #
-# Figure 4.c — bi-directional vs uni-directional weak scaling
+# Figure 4.c — bi-directional vs uni-directional
 # ---------------------------------------------------------------------- #
-def fig4c_bidirectional(
-    p_values: list[int],
-    vertices_per_rank: int,
-    k: float,
-    *,
-    seed: int = 0,
-    searches: int = 3,
-    opts: BfsOptions = PAPER_OPTS,
-) -> list[tuple[int, float, float]]:
-    """(P, uni-directional time, bi-directional time) triples."""
-    rows: list[tuple[int, float, float]] = []
-    for p in p_values:
-        n = vertices_per_rank * p
-        graph = poisson_random_graph(GraphSpec(n=n, k=k, seed=seed))
-        rng = RngFactory(seed).named(f"fig4c:{p}")
-        uni_times, bi_times = [], []
-        for _ in range(searches):
-            source, target = _random_search_pair(n, rng)
-            grid = square_grid(p)
-            engine = build_engine(graph, grid, opts=opts)
-            uni_times.append(run_bfs(engine, source, target=target).elapsed)
-            comm = build_communicator(grid, buffer_capacity=opts.buffer_capacity)
-            forward = build_engine(graph, grid, opts=opts, comm=comm)
-            backward = build_engine(graph, grid, opts=opts, comm=comm)
-            bi_times.append(
-                run_bidirectional_bfs(forward, backward, source, target).elapsed
-            )
-        rows.append((p, float(np.mean(uni_times)), float(np.mean(bi_times))))
+def _fig4c(pt: dict, seed: int) -> Rows:
+    rows = []
+    for p in pt["p"]:
+        spec = GraphSpec(n=pt["vpr"] * p, k=pt["k"], seed=seed)
+        pairs = tuple(draw_pairs(spec, f"fig4c:{p}", pt["searches"]))
+        out = execute(Run(f"P={p}", spec, square_grid(p), opts=PAPER_OPTS, pairs=pairs))
+        bi, bi_ci = mean_ci([out.session.bidirectional(s, t).elapsed for s, t in pairs])
+        row = out.row()
+        rows.append(row | {"bi_s": bi, "bi_s_ci": bi_ci, "bi_over_uni": bi / row["mean_time_s"]})
     return rows
+
+
+def _bi_wins(rows: Rows) -> tuple[bool, str]:
+    ratios = _col(rows, "bi_over_uni")
+    return ratios.max() < 1.0, f"bi/uni ratios {', '.join(f'{r:.2f}' for r in ratios)}"
+
+
+def _bi_substantial(rows: Rows) -> tuple[bool, str]:
+    uni = _col(rows, "mean_time_s")
+    best = _col(rows, "bi_over_uni").min()
+    return best < 0.75 and uni[-1] > uni[0], f"best bi/uni {best:.2f}; uni grows with P"
 
 
 # ---------------------------------------------------------------------- #
 # Figure 5 — strong scaling
 # ---------------------------------------------------------------------- #
-def fig5_strong_scaling(
-    n: int,
-    k: float,
-    p_values: list[int],
-    *,
-    seed: int = 0,
-    searches: int = 3,
-    opts: BfsOptions = PAPER_OPTS,
-) -> list[tuple[int, float]]:
-    """(P, mean time) with the graph fixed; speedups follow via scaling.speedup_curve."""
-    graph = poisson_random_graph(GraphSpec(n=n, k=k, seed=seed))
-    rng = RngFactory(seed).named("fig5")
-    pairs = [_random_search_pair(n, rng) for _ in range(searches)]
-    rows: list[tuple[int, float]] = []
-    for p in p_values:
-        times = []
-        for source, target in pairs:
-            engine = build_engine(graph, square_grid(p), opts=opts)
-            times.append(run_bfs(engine, source, target=target).elapsed)
-        rows.append((p, float(np.mean(times))))
+def _fig5(pt: dict, seed: int) -> Rows:
+    spec = GraphSpec(n=pt["n"], k=pt["k"], seed=seed)
+    graph = build_graph(spec)
+    pairs = tuple(draw_pairs(spec, "fig5", pt["searches"]))
+    rows = [
+        execute(Run(f"P={p}", spec, square_grid(p), opts=PAPER_OPTS, pairs=pairs), graph).row()
+        for p in pt["p"]
+    ]
+    for row, speedup in zip(rows, speedup_curve(_col(rows, "mean_time_s"))):
+        row |= {"speedup": float(speedup), "sqrt_p": row["p"] ** 0.5}
     return rows
+
+
+def _sqrt_p(rows: Rows, taper: float) -> tuple[bool, str]:
+    """sqrt(P) fit over the small-P regime (P <= 64), then far from linear."""
+    p, s = _col(rows, "p"), _col(rows, "speedup")
+    a, r2 = sqrt_fit(p[p <= 64], s[p <= 64])
+    return (a > 0.3 and r2 > 0.6 and s[-1] < taper * p[-1],
+            f"speedup({p[-1]}) = {s[-1]:.1f}, sqrt-fit R^2 {r2:.2f}")
+
+
+def _speedup_monotone(rows: Rows) -> tuple[bool, str]:
+    s = _col(rows, "speedup")
+    return s[0] < s[1] < s[2], f"speedups {s[0]:.1f} < {s[1]:.1f} < {s[2]:.1f}"
 
 
 # ---------------------------------------------------------------------- #
 # Table 1 — 1D vs 2D processor topologies
 # ---------------------------------------------------------------------- #
-@dataclass(slots=True)
-class TopologyRow:
-    """One row of Table 1."""
-
-    vertices_per_rank: int
-    k: float
-    grid: GridShape
-    exec_time: float
-    comm_time: float
-    expand_length: float
-    fold_length: float
-
-
-def table1_topologies(
-    vertices_per_rank: int,
-    k: float,
-    grids: list[GridShape],
-    *,
-    seed: int = 0,
-    searches: int = 2,
-    opts: BfsOptions = PAPER_OPTS,
-) -> list[TopologyRow]:
-    """Execution/communication time and mean expand/fold message lengths per topology.
-
-    All grids share the same P, so the same graph is partitioned four ways
-    — exactly Table 1's setup (the 1D rows are the degenerate meshes
-    ``P x 1`` and ``1 x P``).
-    """
-    p = grids[0].size
-    if any(g.size != p for g in grids):
+def _table1(pt: dict, seed: int) -> Rows:
+    """Every grid of a block partitions the same graph and runs the same
+    pairs; the 1D rows are the degenerate meshes ``P x 1`` and ``1 x P``."""
+    grids = [GridShape(*g) for g in pt["grids"]]
+    if len({g.size for g in grids}) != 1:
         raise ValueError("all grids in a Table 1 block must have the same P")
-    n = vertices_per_rank * p
-    graph = poisson_random_graph(GraphSpec(n=n, k=k, seed=seed))
-    rng = RngFactory(seed).named(f"table1:{k}")
-    pairs = [_random_search_pair(n, rng) for _ in range(searches)]
-    rows: list[TopologyRow] = []
-    for grid in grids:
-        times, comms, expands, folds = [], [], [], []
-        for source, target in pairs:
-            engine = build_engine(graph, grid, opts=opts)
-            result = run_bfs(engine, source, target=target)
-            times.append(result.elapsed)
-            comms.append(result.comm_time)
-            expands.append(result.stats.mean_message_length_per_level("expand", p))
-            folds.append(result.stats.mean_message_length_per_level("fold", p))
-        rows.append(
-            TopologyRow(
-                vertices_per_rank=vertices_per_rank,
-                k=k,
-                grid=grid,
-                exec_time=float(np.mean(times)),
-                comm_time=float(np.mean(comms)),
-                expand_length=float(np.mean(expands)),
-                fold_length=float(np.mean(folds)),
-            )
-        )
+    rows = []
+    for vpr, k in pt["blocks"]:
+        spec = GraphSpec(n=vpr * grids[0].size, k=k, seed=seed)
+        graph = build_graph(spec)
+        pairs = tuple(draw_pairs(spec, f"table1:{k}", pt["searches"]))
+        for grid in grids:
+            run = Run(f"{grid.rows}x{grid.cols}", spec, grid, opts=PAPER_OPTS, pairs=pairs)
+            rows.append(execute(run, graph).row() | {"vpr": vpr})
     return rows
 
 
+def _blocks(rows: Rows) -> list[tuple[Rows, Rows]]:
+    """Per (|V|/rank, k) block: its (2D rows, 1D rows)."""
+    out = []
+    for k in dict.fromkeys(r["k"] for r in rows):
+        block = [r for r in rows if r["k"] == k]
+        one_d = [r for r in block if 1 in (r["rows"], r["cols"])]
+        out.append(([r for r in block if r not in one_d], one_d))
+    return out
+
+
+def _comm_1d_exceeds_2d(rows: Rows) -> tuple[bool, str]:
+    gaps = [min(_col(one, "mean_comm_s")) / max(_col(two, "mean_comm_s"))
+            for two, one in _blocks(rows)]
+    return min(gaps) > 1, f"min 1D comm / max 2D comm = {', '.join(f'{g:.2f}' for g in gaps)}"
+
+
+def _one_phase_each(rows: Rows) -> tuple[bool, str]:
+    ok = all(
+        (r["fold_msg_len"] == 0.0 and r["expand_msg_len"] > 0.0) if r["cols"] == 1
+        else (r["expand_msg_len"] == 0.0 and r["fold_msg_len"] > 0.0)
+        for _two, one in _blocks(rows) for r in one
+    ) and all(
+        r["expand_msg_len"] > 0 and r["fold_msg_len"] > 0
+        for two, _one in _blocks(rows) for r in two
+    )
+    return ok, "P x 1 is expand-only, 1 x P fold-only, 2D meshes use both"
+
+
+def _2d_wins_dense(rows: Rows) -> tuple[bool, str]:
+    two, one = _blocks(rows)[-1]
+    best2, best1 = min(_col(two, "mean_time_s")), min(_col(one, "mean_time_s"))
+    return (best2 < best1,
+            f"k={two[0]['k']:g}: best 2D {best2 * 1e3:.2f} ms vs 1D {best1 * 1e3:.2f} ms")
+
+
 # ---------------------------------------------------------------------- #
-# Figure 6 — per-level message volume, 1D vs 2D, and the crossover degree
+# Figure 6 — per-level volume, 1D vs 2D, and the crossover degree
 # ---------------------------------------------------------------------- #
-def _with_isolated_target(graph: CsrGraph) -> tuple[CsrGraph, int]:
-    """Append one isolated vertex to serve as the unreachable target."""
-    n = graph.n + 1
-    indptr = np.concatenate([graph.indptr, graph.indptr[-1:]])
-    extended = CsrGraph(n, indptr, graph.indices)
-    return extended, n - 1
+def _partition_volumes(spec: GraphSpec, p: int) -> dict[str, np.ndarray]:
+    """Per-level received volume on the square 2D mesh and on ``1 x P``.
 
-
-def fig6_partition_volume(
-    n: int,
-    k: float,
-    p: int,
-    *,
-    seed: int = 0,
-    opts: BfsOptions = PAPER_OPTS,
-) -> dict[str, np.ndarray]:
-    """Per-level received volume for 2D (square mesh) vs 1D, unreachable target.
-
-    The unreachable target forces the search to exhaust the component —
-    the paper's worst-case setup for Figure 6.
+    The target is an isolated vertex appended to the graph: unreachable, so
+    the search exhausts the component — the paper's worst case for Figure 6.
     """
-    base = poisson_random_graph(GraphSpec(n=n, k=k, seed=seed))
-    graph, target = _with_isolated_target(base)
-    rng = RngFactory(seed).named(f"fig6:{k}")
-    source = int(rng.integers(n))
-    series: dict[str, np.ndarray] = {}
-    for label, grid in (("2d", square_grid(p)), ("1d", GridShape(1, p))):
-        engine = build_engine(graph, grid, opts=opts)
-        result = run_bfs(engine, source, target=target)
-        series[label] = result.stats.volume_per_level()
-    return series
+    base = build_graph(spec)
+    graph = CsrGraph(base.n + 1, np.concatenate([base.indptr, base.indptr[-1:]]), base.indices)
+    source = int(RngFactory(spec.seed).named(f"fig6:{spec.k}").integers(spec.n))
+    return {
+        label: execute(
+            Run(label, spec, grid, opts=PAPER_OPTS, pairs=((source, base.n),)), graph
+        ).results[0].stats.volume_per_level()
+        for label, grid in (("2d", square_grid(p)), ("1d", GridShape(1, p)))
+    }
 
 
-def fig6b_crossover(n: int, p: int, *, seed: int = 0) -> dict[str, object]:
-    """Solve the crossover degree for (n, P) and measure both layouts at it."""
+def _fig6a(pt: dict, seed: int) -> Rows:
+    rows = []
+    for k in pt["k"]:
+        vol = _partition_volumes(GraphSpec(n=pt["n"], k=k, seed=seed), pt["p"])
+        depth = max(len(v) for v in vol.values())
+        one, two = (np.pad(vol[key], (0, depth - len(vol[key]))) for key in ("1d", "2d"))
+        rows += [
+            {"n": pt["n"], "k": k, "p": pt["p"], "seed": seed, "searches": 1, "level": level,
+             "volume_1d": int(one[level]), "volume_2d": int(two[level])}
+            for level in range(depth)
+        ]
+    return rows
+
+
+def _fig6b(pt: dict, seed: int) -> Rows:
+    n, p = pt["n"], pt["p"]
     k = crossover_degree(n, p)
-    series = fig6_partition_volume(n, k, p, seed=seed)
-    return {"k": k, "volumes": series}
+    vol = _partition_volumes(GraphSpec(n=n, k=k, seed=seed), p)
+    one, two = int(vol["1d"].sum()), int(vol["2d"].sum())
+    return [{"n": n, "p": p, "k_star": k, "seed": seed, "searches": 1,
+             "gap_below": partition_message_gap(k / 2, n, p),
+             "gap_above": partition_message_gap(k * 2, n, p),
+             "volume_1d": one, "volume_2d": two, "ratio": one / two}]
+
+
+def _fig6b_paper(pt: dict, seed: int) -> Rows:
+    return [{"n": pt["n"], "p": pt["p"], "k_star": crossover_degree(pt["n"], pt["p"])}]
+
+
+def _layout_crossover(rows: Rows) -> tuple[bool, str]:
+    ks = list(dict.fromkeys(r["k"] for r in rows))
+    ratio = {
+        k: sum(r["volume_1d"] for r in rows if r["k"] == k)
+        / sum(r["volume_2d"] for r in rows if r["k"] == k)
+        for k in (ks[0], ks[-1])
+    }
+    return (ratio[ks[0]] < 1 < ratio[ks[-1]],
+            f"k={ks[0]:g}: 1D/2D {ratio[ks[0]]:.2f}; k={ks[-1]:g}: {ratio[ks[-1]]:.2f}")
+
+
+def _paper_root(rows: Rows) -> tuple[bool, str]:
+    n, p, k = (rows[0][key] for key in ("n", "p", "k_star"))
+    return 28 <= k <= 37, f"solved k = {k:.2f} at n={f'{n:g}'.replace('e+0', 'e')}, P={p}"
 
 
 # ---------------------------------------------------------------------- #
 # Figure 7 — union-fold redundancy ratio
 # ---------------------------------------------------------------------- #
-def fig7_redundancy(
-    p_values: list[int],
-    vertices_per_rank: int,
-    k: float,
-    *,
-    seed: int = 0,
-    opts: BfsOptions | None = None,
-) -> list[tuple[int, float]]:
-    """(P, redundancy ratio %) for the union-fold in a weak-scaling sweep."""
-    opts = opts or BfsOptions(fold_collective="union-ring")
-    rows: list[tuple[int, float]] = []
-    for p in p_values:
-        n = vertices_per_rank * p
-        graph = poisson_random_graph(GraphSpec(n=n, k=k, seed=seed))
-        rng = RngFactory(seed).named(f"fig7:{p}:{k}")
-        source = int(rng.integers(n))
-        engine = build_engine(graph, square_grid(p), opts=opts)
-        result = run_bfs(engine, source)
-        rows.append((p, 100.0 * result.stats.redundancy_ratio))
+#: the single-ring union-fold: its ring grows with P, which is the paper's
+#: own explanation for the declining ratio (the two-phase variant's shorter
+#: rings appear in the ``fold`` ablation)
+UNION_OPTS = BfsOptions(fold_collective="union-ring")
+
+
+def _fig7(pt: dict, seed: int) -> Rows:
+    rows = []
+    for vpr, k in pt["designs"]:
+        for p in pt["p"]:
+            spec = GraphSpec(n=vpr * p, k=k, seed=seed)
+            source = int(RngFactory(seed).named(f"fig7:{p}:{k}").integers(spec.n))
+            run = Run(f"P={p}", spec, square_grid(p), opts=UNION_OPTS, pairs=((source, None),))
+            row = execute(run).row()
+            rows.append(row | {"vpr": vpr, "redundancy_pct": 100.0 * row["redundancy"]})
     return rows
+
+
+def _sparse_dense(rows: Rows) -> tuple[np.ndarray, np.ndarray, float, float]:
+    ks = sorted({r["k"] for r in rows})
+    low, high = (_col([r for r in rows if r["k"] == k], "redundancy_pct") for k in (ks[0], ks[-1]))
+    return low, high, ks[0], ks[-1]
+
+
+def _redundancy_quick(rows: Rows) -> tuple[bool, str]:
+    low, high, k_low, k_high = _sparse_dense(rows)
+    return (high[0] > low[0] and high[-1] < high[0],
+            f"k={k_high:g}: {high[0]:.1f}% -> {high[-1]:.1f}%; k={k_low:g}: {low[0]:.1f}%")
+
+
+def _redundancy_dense_higher(rows: Rows) -> tuple[bool, str]:
+    low, high, _k_low, k_high = _sparse_dense(rows)
+    return (bool((high > low).all()) and high.max() > 20.0,
+            f"k={k_high:g} peaks at {high.max():.1f}%")
+
+
+def _redundancy_declines(rows: Rows) -> tuple[bool, str]:
+    low, high, _k_low, _k_high = _sparse_dense(rows)
+    return (high[-1] < high[0] and low[-1] < low[0],
+            f"dense {high[0]:.1f}% -> {high[-1]:.1f}%, sparse {low[0]:.1f}% -> {low[-1]:.1f}%")
+
+
+# ---------------------------------------------------------------------- #
+# Section 3.1 bounds and Section 2.4 memory — analytic, at paper scale
+# ---------------------------------------------------------------------- #
+#: the (|V|/rank, k) design points of the paper's weak-scaling runs
+PAPER_DESIGNS = [(100_000, 10.0), (20_000, 50.0), (10_000, 100.0), (5_000, 200.0)]
+#: the paper's P = 32768 mesh
+PAPER_GRID = (128, 256)
+
+
+def _bounds(pt: dict, seed: int) -> Rows:
+    """Every design at the paper's mesh, then the first design on smaller
+    meshes with |V|/rank fixed (the O(n/P) scalability rows)."""
+    meshes = [(pt["grid"], design) for design in pt["designs"]]
+    meshes += [(mesh, pt["designs"][0]) for mesh in pt["scaling"]]
+    rows = []
+    for (r, c), (vpr, k) in meshes:
+        model = MessageLengthModel(n=vpr * r * c, k=k, rows=r, cols=c)
+        rows.append({
+            "grid": f"{r}x{c}", "vpr": vpr, "k": k, "fold_1d": model.fold_1d,
+            "expand_2d": model.expand_2d, "fold_2d": model.fold_2d,
+            "expand_2d_dense": model.expand_2d_dense,
+            "per_processor_bound": model.per_processor_bound,
+        })
+    return rows
+
+
+def _bounds_sim(pt: dict, seed: int) -> Rows:
+    spec, p = pt["graph"], pt["p"]
+    out = execute(Run("1d", spec, GridShape(p, 1), system="bluegene-1d"))
+    measured = float(out.results[0].stats.volume_per_level("fold").sum())
+    predicted = expected_fold_length_1d(spec.n, spec.k, p) * p
+    return [out.row() | {"measured": measured, "predicted": predicted,
+                         "ratio": measured / predicted}]
+
+
+def _memory(pt: dict, seed: int) -> Rows:
+    grid = GridShape(*pt["grid"])
+    rows = []
+    for vpr, k in pt["designs"]:
+        model = MemoryModel(n=vpr * grid.size, k=k, grid=grid)
+        rows.append({
+            "vpr": vpr, "k": k, "total_mb": model.total_bytes / 2**20,
+            "edges_mb": model.edge_bytes / 2**20, "indices_mb": model.index_bytes / 2**20,
+            "buffers_mb": model.buffer_bytes / 2**20, "fits": fits_in_memory(model),
+            "max_vpr": max_vertices_per_rank(k, grid),
+        })
+    return rows
+
+
+def _sparse_beats_dense(rows: Rows) -> tuple[bool, str]:
+    worst = max(r["expand_2d"] / r["expand_2d_dense"] for r in rows)
+    return worst <= 1, f"worst sparse/dense expand {worst:.2f}"
+
+
+def _bound_scales(rows: Rows) -> tuple[bool, str]:
+    same = [r for r in rows if (r["vpr"], r["k"]) == (rows[0]["vpr"], rows[0]["k"])]
+    lengths = _col(same, "expand_2d") + _col(same, "fold_2d")
+    return (lengths.max() < 2.5 * lengths.min(),
+            f"expand+fold x{lengths.max() / lengths.min():.2f} over {len(same)} meshes")
+
+
+_NODE_MB = BLUEGENE_L_NODE_MEMORY / 2**20
+
+
+# ---------------------------------------------------------------------- #
+# Ablations and substrate checks: one graph, one axis varied, source 0
+# ---------------------------------------------------------------------- #
+def _variants(pt: dict, variants: list[tuple[str, dict]]) -> Rows:
+    """One row per ``(name, Run overrides)``; ``same_levels`` compares each
+    variant's level array with the first one's."""
+    spec, grid = pt["graph"], GridShape(*pt["grid"])
+    graph = build_graph(spec)
+    rows, reference = [], None
+    for name, overrides in variants:
+        out = execute(Run(name, spec, **({"grid": grid} | overrides)), graph)
+        result = out.results[0]
+        reference = result.levels if reference is None else reference
+        rows.append(out.row() | {
+            "messages": result.stats.total_messages,
+            "wire_vertices": result.stats.total_processed,
+            "fold_volume": int(result.stats.volume_per_level("fold").sum()),
+            "same_levels": bool(np.array_equal(result.levels, reference)),
+        })
+    return rows
+
+
+def _collectives(pt: dict, seed: int) -> Rows:
+    return _variants(pt, [(name, {"opts": BfsOptions(**{pt["axis"]: name})})
+                          for name in pt["names"]])
+
+
+def _platform(pt: dict, seed: int) -> Rows:
+    return _variants(pt, [(m, {"opts": PAPER_OPTS, "system": SystemSpec(machine=m)})
+                          for m in ("bluegene", "mcr")])
+
+
+def _mapping(pt: dict, seed: int) -> Rows:
+    rows = _variants(pt, [(m, {"opts": PAPER_OPTS, "system": SystemSpec(mapping=m)})
+                          for m in ("planar", "row-major")])
+    grid = GridShape(*pt["grid"])
+    torus = bluegene_l_torus_for(grid.size)
+    for row, build in zip(rows, (planar_mapping, row_major_mapping)):
+        placed = build(grid, torus)
+        row |= {"expand_ring_hops": placed.column_ring_hops(),
+                "fold_ring_hops": placed.row_ring_hops()}
+    return rows
+
+
+def _sent_cache(pt: dict, seed: int) -> Rows:
+    """The cache is per rank, so its power depends on the layout: under 1D
+    every rediscovery is local; under 2D another rank of the processor-row
+    can rediscover the vertex, so the cut is partial.  The direct fold
+    isolates the cache (the union-fold would dedupe the same redundancy)."""
+    p = GridShape(*pt["grid"]).size
+    cells = (("2d", {}), ("1d", {"grid": GridShape(p, 1), "system": "bluegene-1d"}))
+    return _variants(pt, [
+        (f"{layout} {'on' if cached else 'off'}",
+         cell | {"opts": BfsOptions(use_sent_cache=cached, fold_collective="direct")})
+        for layout, cell in cells for cached in (True, False)
+    ])
+
+
+def _buffers(pt: dict, seed: int) -> Rows:
+    return _variants(pt, [
+        ("unbounded" if cap is None else str(cap), {"opts": BfsOptions(buffer_capacity=cap)})
+        for cap in (None, 4096, 256, 32)
+    ])
+
+
+def _distgen(pt: dict, seed: int) -> Rows:
+    """Per-rank generation against centrally partitioning the same graph."""
+    grid = GridShape(*pt["grid"])
+    builder = DistributedGraphBuilder(pt["graph"], grid)
+    locals_ = builder.build_all()
+    central = TwoDPartition(builder.reference_graph(), grid)
+    exact = all(
+        np.array_equal(central.local(rank).col_map.ids, local.col_map.ids)
+        and np.array_equal(central.local(rank).col_indptr, local.col_indptr)
+        and central.local(rank).num_stored_entries == local.num_stored_entries
+        for rank, local in enumerate(locals_)
+    )
+    entries = np.array([local.num_stored_entries for local in locals_])
+    cells = [len(builder.cells_for_rank(rank)) for rank in range(grid.size)]
+    return [{"n": pt["graph"].n, "p": grid.size, "seed": pt["graph"].seed,
+             "total_entries": int(entries.sum()), "entries_mean": float(entries.mean()),
+             "entries_max": int(entries.max()), "cells_min": min(cells),
+             "cells_max": max(cells), "cells_bound": 2 * grid.size, "exact": exact}]
+
+
+def _same_levels(rows: Rows) -> tuple[bool, str]:
+    return all(r["same_levels"] for r in rows), f"{len(rows)} variants, identical level arrays"
+
+
+def _named(rows: Rows, key: str) -> dict[str, object]:
+    return {r["name"]: r[key] for r in rows}
+
+
+def _fold_shapes(rows: Rows) -> tuple[bool, str]:
+    wire, msgs = _named(rows, "wire_vertices"), _named(rows, "messages")
+    return (wire["union-ring"] < wire["ring"] and msgs["two-phase"] < msgs["ring"]
+            and msgs["bruck"] < msgs["ring"],
+            f"union cuts ring volume {100 * (1 - wire['union-ring'] / wire['ring']):.0f}%; "
+            f"messages bruck {msgs['bruck']}, two-phase {msgs['two-phase']}, ring {msgs['ring']}")
+
+
+def _filtered_expand(rows: Rows) -> tuple[bool, str]:
+    wire = _named(rows, "wire_vertices")
+    return (wire["direct"] <= wire["ring"],
+            f"direct {wire['direct']} vs ring {wire['ring']} vertices")
+
+
+def _mcr_faster_cores(rows: Rows) -> tuple[bool, str]:
+    compute, msgs = _named(rows, "mean_compute_s"), _named(rows, "messages")
+    return (compute["mcr"] < compute["bluegene"] and msgs["mcr"] == msgs["bluegene"],
+            f"compute x{compute['bluegene'] / compute['mcr']:.1f} faster, "
+            f"same {msgs['mcr']} messages")
+
+
+def _planar_tighter(rows: Rows) -> tuple[bool, str]:
+    hops = {r["name"]: r["expand_ring_hops"] + r["fold_ring_hops"] for r in rows}
+    comm = _named(rows, "mean_comm_s")
+    # hop terms are small next to bandwidth, so demand only "not worse"
+    return (hops["planar"] <= hops["row-major"] and comm["planar"] <= 1.05 * comm["row-major"],
+            f"ring hops {hops['planar']:.0f} vs {hops['row-major']:.0f}; "
+            f"comm {comm['planar'] * 1e3:.3f} vs {comm['row-major'] * 1e3:.3f} ms")
+
+
+def _cache_cuts_fold(rows: Rows) -> tuple[bool, str]:
+    fold = _named(rows, "fold_volume")
+    return (fold["1d on"] < fold["1d off"] and fold["2d on"] < 0.75 * fold["2d off"],
+            f"2D fold volume {fold['2d off']} -> {fold['2d on']}, "
+            f"1D {fold['1d off']} -> {fold['1d on']}")
+
+
+def _caps_cost_latency_only(rows: Rows) -> tuple[bool, str]:
+    msgs, time = _named(rows, "messages"), _named(rows, "mean_time_s")
+    return (msgs["32"] > msgs["unbounded"] and time["32"] < 5 * time["unbounded"],
+            f"cap 32: messages {msgs['unbounded']} -> {msgs['32']}, "
+            f"time x{time['32'] / time['unbounded']:.2f}")
+
+
+_ABLATION_COLUMNS = (
+    ("time(s)", "mean_time_s", ".6f"), ("comm(s)", "mean_comm_s", ".6f"),
+    ("messages", "messages", ""), ("wire vertices", "wire_vertices", ""),
+    ("same levels", "same_levels", ""),
+)
+
+
+def _ablation_points(quick: tuple[GraphSpec, tuple], full: tuple[GraphSpec, tuple], **extra):
+    return {tier: {"graph": graph, "grid": grid, **extra}
+            for tier, (graph, grid) in (("quick", quick), ("full", full))}
+
+
+_COLLECTIVE_POINTS = (
+    (GraphSpec(n=4_000, k=12, seed=6), (4, 4)), (GraphSpec(n=16_000, k=12, seed=6), (8, 8)),
+)
+_CACHE_POINTS = (
+    # dense enough to rediscover a lot
+    (GraphSpec(n=1_800, k=40, seed=9), (3, 3)), (GraphSpec(n=7_200, k=40, seed=9), (6, 6)),
+)
+
+
+# ---------------------------------------------------------------------- #
+# the table
+# ---------------------------------------------------------------------- #
+FIGURES: dict[str, Figure] = {fig.id: fig for fig in (
+    Figure(
+        "fig4a", "Fig 4.a", "weak scaling: mean search time vs P", "scaled-down",
+        {"quick": dict(p=[1, 4, 16, 64], vpr=500, k=10.0, searches=2),
+         "full": dict(p=[1, 4, 16, 64, 144], vpr=1000, k=10.0, searches=2)},
+        _fig4a, (("P", "p", ""), ("n", "n", "")) + _TIME_COLUMNS,
+        (Claim("fig4a.log-p", "weak-scaling time grows ~ log P", _log_p, ("quick",)),
+         Claim("fig4a.comm-minor", "communication small next to computation", _comm_minor,
+               ("quick", "full")),
+         Claim("fig4a.sublinear", "time grows with P, far slower than linearly", _sublinear),
+         Claim("fig4a.log-fit", "log2 fit over P > 1 has positive slope, R^2 > 0.7",
+               _log_p_parallel)),
+    ),
+    Figure(
+        "fig4a-degrees", "Fig 4.a", "degree ladder at fixed P (same n*k per rank)",
+        "scaled-down",
+        {"quick": dict(p=16, searches=2,
+                       ladder=[(500, 10.0), (100, 50.0), (50, 100.0), (25, 200.0)]),
+         "full": dict(p=16, searches=2,
+                      ladder=[(1000, 10.0), (200, 50.0), (100, 100.0), (50, 200.0)])},
+        _fig4a_degrees, (("k", "k", "g"), ("|V|/rank", "vpr", "")) + _TIME_COLUMNS,
+        (Claim("fig4a-degrees.denser-faster",
+               "higher average degree gives shorter searches", _denser_faster),),
+    ),
+    Figure(
+        "fig4a-p256", "Fig 4.a", "one more decade on a distributed-generator graph",
+        "scaled-down",
+        {"quick": dict(grid=(4, 4), vpr=500, k=10.0),
+         "full": dict(grid=(16, 16), vpr=1000, k=10.0)},
+        _fig4a_p256, (("P", "p", ""), ("n", "n", "")) + _TIME_COLUMNS + (("levels", "levels", ""),),
+        (Claim("fig4a-p256.continues", "P = 256 continues the log-P curve", _continues_curve),
+         Claim("fig4a-p256.comm-minor", "communication small next to computation",
+               _comm_minor)),
+    ),
+    Figure(
+        "fig4b", "Fig 4.b", "total message volume vs search-path length", "scaled-down",
+        {"quick": dict(n=30_000, k=10.0, p=16), "full": dict(n=120_000, k=10.0, p=16)},
+        _fig4b, (("path length", "path_length", ""), ("volume (vertices)", "volume", "")),
+        (Claim("fig4b.explosive-then-flat",
+               "volume grows explosively with path length, then flattens at the diameter",
+               _explosive_then_flat),),
+    ),
+    Figure(
+        "fig4c", "Fig 4.c", "bi-directional vs uni-directional search", "scaled-down",
+        {"quick": dict(p=[4, 16], vpr=400, k=10.0, searches=3),
+         "full": dict(p=[4, 16, 64], vpr=500, k=10.0, searches=4)},
+        _fig4c,
+        (("P", "p", ""), ("uni(s)", "mean_time_s", ".6f"), ("+-95%", "mean_time_s_ci", ".6f"),
+         ("bi(s)", "bi_s", ".6f"), ("+-95%", "bi_s_ci", ".6f"), ("bi/uni", "bi_over_uni", ".2f")),
+        (Claim("fig4c.bi-wins", "bi-directional beats uni-directional", _bi_wins,
+               ("quick", "full")),
+         Claim("fig4c.substantial", "the saving is substantial and both curves grow with P",
+               _bi_substantial)),
+    ),
+    Figure(
+        "fig5", "Fig 5", "strong scaling: speedup vs P", "scaled-down",
+        {"quick": dict(n=16_000, k=10.0, p=[1, 4, 16, 64], searches=2),
+         "full": dict(n=48_000, k=10.0, p=[1, 4, 16, 36, 64, 144], searches=2)},
+        _fig5,
+        (("P", "p", ""), ("time(s)", "mean_time_s", ".6f"), ("+-95%", "mean_time_s_ci", ".6f"),
+         ("speedup", "speedup", ".2f"), ("sqrt(P)", "sqrt_p", ".2f")),
+        (Claim("fig5.sqrt-p", "strong-scaling speedup ~ sqrt(P), tapering",
+               lambda rows: _sqrt_p(rows, 0.6), ("quick",)),
+         Claim("fig5.monotone", "parallelism helps over the small-P regime", _speedup_monotone),
+         Claim("fig5.sqrt-fit", "sqrt(P) fit over P <= 64, under half of linear at the largest P",
+               lambda rows: _sqrt_p(rows, 0.5))),
+    ),
+    Figure(
+        "table1", "Table 1", "1D vs 2D processor topologies", "scaled-down",
+        {"quick": dict(grids=[(4, 8), (8, 4), (32, 1), (1, 32)], searches=2,
+                       blocks=[(300, 10.0), (30, 100.0)]),
+         "full": dict(grids=[(8, 16), (16, 8), (128, 1), (1, 128)], searches=2,
+                      blocks=[(500, 10.0), (50, 100.0)])},
+        _table1,
+        (("R x C", "name", ""), ("|V|/rank", "vpr", ""), ("k", "k", "g"),
+         ("exec(s)", "mean_time_s", ".6f"), ("+-95%", "mean_time_s_ci", ".6f"),
+         ("comm(s)", "mean_comm_s", ".6f"), ("expand len", "expand_msg_len", ".1f"),
+         ("fold len", "fold_msg_len", ".1f")),
+        (Claim("table1.comm-1d-exceeds-2d", "1D communication time exceeds 2D",
+               _comm_1d_exceeds_2d),
+         Claim("table1.one-phase-each", "degenerate meshes put all traffic in one phase",
+               _one_phase_each),
+         Claim("table1.2d-wins-dense", "2D beats 1D on total time for the high-degree graph",
+               _2d_wins_dense)),
+    ),
+    Figure(
+        "fig6a", "Fig 6.a", "per-level message volume, 1D vs 2D, unreachable target",
+        "scaled-down",
+        {"quick": dict(n=20_000, p=16, k=[5.0, 50.0]),
+         "full": dict(n=40_000, p=100, k=[10.0, 50.0])},
+        _fig6a,
+        (("level", "level", ""), ("k", "k", "g"), ("1d volume", "volume_1d", ""),
+         ("2d volume", "volume_2d", "")),
+        (Claim("fig6a.layout-crossover", "1D wins at low degree, 2D at high degree",
+               _layout_crossover, ("quick", "full")),),
+    ),
+    Figure(
+        "fig6b", "Fig 6.b", "both layouts at the analytic crossover degree", "scaled-down",
+        {"quick": dict(n=20_000, p=16), "full": dict(n=40_000, p=100)},
+        _fig6b,
+        (("n", "n", ""), ("P", "p", ""), ("k*", "k_star", ".2f"), ("1d volume", "volume_1d", ""),
+         ("2d volume", "volume_2d", ""), ("1d/2d", "ratio", ".2f")),
+        (Claim("fig6b.brackets", "analytic crossover brackets correctly",
+               lambda rows: (rows[0]["gap_below"] < 0 < rows[0]["gap_above"],
+                             f"k* = {rows[0]['k_star']:.1f}"), ("quick",)),
+         Claim("fig6b.between", "the crossover lies between the two Figure 6.a degrees",
+               lambda rows: (10.0 < rows[0]["k_star"] < 50.0, f"k* = {rows[0]['k_star']:.1f}")),
+         Claim("fig6b.near-identical", "at the crossover the layouts move nearly the same volume",
+               lambda rows: (0.7 < rows[0]["ratio"] < 1.3, f"1D/2D {rows[0]['ratio']:.2f}"))),
+    ),
+    Figure(
+        "fig6b-paper", "Fig 6.b", "the crossover equation at the paper's own (n, P)",
+        "analytic-only", _both(dict(n=4e7, p=400)), _fig6b_paper,
+        (("n", "n", "g"), ("P", "p", ""), ("k*", "k_star", ".3f")),
+        (Claim("fig6b-paper.root", "paper-scale crossover near the reported k = 34",
+               _paper_root, ("quick", "full")),),
+    ),
+    Figure(
+        "fig7", "Fig 7", "union-fold redundancy ratio vs P", "scaled-down",
+        {"quick": dict(p=[9, 36], designs=[(400, 10.0), (60, 60.0)]),
+         "full": dict(p=[9, 36, 144], designs=[(500, 10.0), (50, 100.0)])},
+        _fig7,
+        (("P", "p", ""), ("|V|/rank", "vpr", ""), ("k", "k", "g"),
+         ("redundancy %", "redundancy_pct", ".1f")),
+        (Claim("fig7.redundancy", "union-fold removes more on denser graphs, declines with P",
+               _redundancy_quick, ("quick",)),
+         Claim("fig7.dense-higher", "the high-degree graph eliminates a larger, substantial share",
+               _redundancy_dense_higher),
+         Claim("fig7.declines", "the ratio declines as P grows", _redundancy_declines)),
+    ),
+    Figure(
+        "bounds", "§3.1", "expected per-processor message lengths at paper scale",
+        "analytic-only",
+        _both(dict(designs=PAPER_DESIGNS, grid=PAPER_GRID, scaling=[(32, 32), (64, 64)])),
+        _bounds,
+        (("mesh", "grid", ""), ("|V|/rank", "vpr", ""), ("k", "k", "g"),
+         ("1D fold", "fold_1d", ".0f"), ("2D expand", "expand_2d", ".0f"),
+         ("2D fold", "fold_2d", ".0f"), ("2D dense expand", "expand_2d_dense", ".0f"),
+         ("n/P", "per_processor_bound", ".0f")),
+        (Claim("bounds.sparse-beats-dense", "the sparse expand never exceeds the dense all-gather",
+               _sparse_beats_dense),
+         Claim("bounds.scales", "growing P with n/P fixed does not grow the bound", _bound_scales)),
+    ),
+    Figure(
+        "bounds-sim", "§3.1", "gamma model vs simulated total 1D fold volume", "executed",
+        _both(dict(graph=GraphSpec(n=6000, k=8.0, seed=4), p=8)), _bounds_sim,
+        (("n", "n", ""), ("k", "k", "g"), ("P", "p", ""), ("measured", "measured", ".0f"),
+         ("model bound", "predicted", ".0f"), ("ratio", "ratio", ".2f")),
+        (Claim("bounds-sim.obeys-model", "simulated fold traffic obeys the gamma model",
+               lambda rows: (0.2 <= rows[0]["ratio"] <= 1.25,
+                             f"measured/model {rows[0]['ratio']:.2f}")),),
+    ),
+    Figure(
+        "memory", "abstract / §2.4", "per-rank memory at P = 32768 and the capacity frontier",
+        "analytic-only", _both(dict(designs=PAPER_DESIGNS, grid=PAPER_GRID)), _memory,
+        (("|V|/rank", "vpr", ""), ("k", "k", "g"), ("total MB", "total_mb", ".1f"),
+         ("edges MB", "edges_mb", ".1f"), ("indices MB", "indices_mb", ".1f"),
+         ("buffers MB", "buffers_mb", ".1f"), ("fits", "fits", ""),
+         ("max |V|/rank", "max_vpr", "")),
+        (Claim("memory.headline", "3.2B vertices fit 32768 x 512 MB nodes",
+               lambda rows: (rows[0]["fits"],
+                             f"{rows[0]['total_mb']:.1f} MB/rank of {_NODE_MB:.0f} MB"),
+               ("quick",)),
+         Claim("memory.all-fit", "every design point the paper ran fits, the headline under 25 %",
+               lambda rows: (all(r["fits"] for r in rows)
+                             and rows[0]["total_mb"] < 0.25 * _NODE_MB,
+                             f"headline uses {rows[0]['total_mb'] / _NODE_MB:.0%} of a node")),
+         Claim("memory.frontier", "the node admits the paper's 100000 |V|/rank, and not 100x more",
+               lambda rows: (100_000 <= rows[0]["max_vpr"] <= 10_000_000,
+                             f"max |V|/rank = {rows[0]['max_vpr']} at k=10"))),
+    ),
+    Figure(
+        "platform", "§4.1", "BlueGene/L torus vs MCR flat cluster", "scaled-down",
+        _ablation_points((GraphSpec(n=3_600, k=10, seed=12), (6, 6)),
+                         (GraphSpec(n=14_400, k=10, seed=12), (6, 6))),
+        _platform,
+        (("machine", "name", ""), ("time(s)", "mean_time_s", ".6f"),
+         ("comm(s)", "mean_comm_s", ".6f"), ("compute(s)", "mean_compute_s", ".6f"),
+         ("messages", "messages", ""), ("same levels", "same_levels", "")),
+        (Claim("platform.same-levels", "the machine model only affects time", _same_levels),
+         Claim("platform.mcr-faster-cores", "MCR computes faster on identical traffic",
+               _mcr_faster_cores)),
+    ),
+    Figure(
+        "fold", "DESIGN §5", "fold collective ablation", "executed",
+        _ablation_points(*_COLLECTIVE_POINTS, axis="fold_collective",
+                         names=["direct", "ring", "union-ring", "two-phase", "bruck"]),
+        _collectives, (("fold", "name", ""),) + _ABLATION_COLUMNS,
+        (Claim("fold.same-levels", "every fold returns the same levels", _same_levels),
+         Claim("fold.shapes",
+               "union reduction cuts volume; grouped and log-round folds cut messages",
+               _fold_shapes)),
+    ),
+    Figure(
+        "expand", "DESIGN §5", "expand collective ablation", "executed",
+        _ablation_points(*_COLLECTIVE_POINTS, axis="expand_collective",
+                         names=["direct", "ring", "two-phase", "recursive-doubling"]),
+        _collectives, (("expand", "name", ""),) + _ABLATION_COLUMNS,
+        (Claim("expand.same-levels", "every expand returns the same levels", _same_levels),
+         Claim("expand.filtered-direct",
+               "the filtered direct expand ships no more than the forwarding ring",
+               _filtered_expand)),
+    ),
+    Figure(
+        "mapping", "Fig 1 / §3.2.1", "planar vs row-major task mapping on the torus", "executed",
+        # 8x8 maps onto the 4x4x4 torus at both tiers
+        _ablation_points((GraphSpec(n=4_000, k=10, seed=8), (8, 8)),
+                         (GraphSpec(n=16_000, k=10, seed=8), (8, 8))),
+        _mapping,
+        (("mapping", "name", ""), ("expand ring (col)", "expand_ring_hops", ".1f"),
+         ("fold ring (row)", "fold_ring_hops", ".1f"), ("time(s)", "mean_time_s", ".6f"),
+         ("comm(s)", "mean_comm_s", ".6f"), ("same levels", "same_levels", "")),
+        (Claim("mapping.same-levels", "the mapping only affects time", _same_levels),
+         Claim("mapping.planar-tighter", "planar groups are physically tighter and no slower",
+               _planar_tighter)),
+    ),
+    Figure(
+        "sent-cache", "§2.4.3", "sent-neighbours cache on/off under both layouts", "executed",
+        _ablation_points(*_CACHE_POINTS), _sent_cache,
+        (("layout / cache", "name", ""), ("time(s)", "mean_time_s", ".6f"),
+         ("fold volume", "fold_volume", ""), ("wire vertices", "wire_vertices", ""),
+         ("same levels", "same_levels", "")),
+        (Claim("sent-cache.same-levels", "the cache never changes results", _same_levels),
+         Claim("sent-cache.cuts-fold", "the cache cuts fold traffic, decisively under 2D",
+               _cache_cuts_fold)),
+    ),
+    Figure(
+        "buffers", "§3.1", "fixed-length message buffers", "executed",
+        _ablation_points(*_CACHE_POINTS), _buffers,
+        (("capacity (vertices)", "name", ""), ("time(s)", "mean_time_s", ".6f"),
+         ("messages", "messages", ""), ("same levels", "same_levels", "")),
+        (Claim("buffers.same-levels", "capping the buffer never changes results", _same_levels),
+         Claim("buffers.latency-only", "tighter caps add chunks at a modest latency cost",
+               _caps_cost_latency_only)),
+    ),
+    Figure(
+        "distgen", "§2 substrate", "per-rank generation without a global graph", "executed",
+        _ablation_points((GraphSpec(n=10_000, k=8, seed=17), (3, 3)),
+                         (GraphSpec(n=100_000, k=8, seed=17), (6, 6))),
+        _distgen,
+        (("n", "n", ""), ("P", "p", ""), ("total entries", "total_entries", ""),
+         ("entries/rank mean", "entries_mean", ".0f"), ("entries/rank max", "entries_max", ""),
+         ("cells/rank max", "cells_max", ""), ("cells bound (2P)", "cells_bound", ""),
+         ("exact", "exact", "")),
+        (Claim("distgen.exact", "per-rank generation reproduces the central partition exactly",
+               lambda rows: (rows[0]["exact"], f"{rows[0]['p']} ranks compared")),
+         Claim("distgen.proportional", "each rank touches at most 2P cells and stays balanced",
+               lambda rows: (rows[0]["cells_max"] <= rows[0]["cells_bound"]
+                             and rows[0]["entries_max"] < 1.2 * rows[0]["entries_mean"],
+                             f"{rows[0]['cells_max']} cells; max/mean entries "
+                             f"{rows[0]['entries_max'] / rows[0]['entries_mean']:.2f}"))),
+    ),
+)}

@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.api import resolve_entry_system, resolve_machine_model, resolve_task_mapping
+from repro.api import resolve_machine_model, resolve_task_mapping
 from repro.bfs.bfs_1d import Bfs1DEngine
 from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.bidirectional import run_bidirectional_bfs
@@ -40,14 +40,13 @@ from repro.bfs.result import BfsResult, BidirectionalResult
 from repro.errors import ConfigurationError, SearchError
 from repro.faults import FaultSchedule, FaultSpec
 from repro.graph.csr import CsrGraph
-from repro.machine.bluegene import MachineModel
 from repro.partition.degree_aware import degree_aware_relabeling
 from repro.partition.one_d import OneDPartition
 from repro.partition.permutation import VertexRelabeling
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.comm import Communicator
 from repro.runtime.network import Network
-from repro.types import GridShape, SystemSpec, UNREACHED
+from repro.types import GridShape, SystemSpec, UNREACHED, resolve_system
 
 __all__ = ["BfsSession", "extract_path"]
 
@@ -56,8 +55,7 @@ class BfsSession:
     """A reusable query context over one graph and one layout.
 
     The target system is a :class:`SystemSpec` (or preset name) passed as
-    ``system=`` — the recommended path; the deprecated ``machine``/
-    ``mapping``/``layout`` keywords still override its fields, as
+    ``system=``; ``wire``/``faults``/``observe`` override its fields, as
     everywhere else in the API.
 
     Everything expensive is resolved once at construction and shared by
@@ -77,9 +75,6 @@ class BfsSession:
         *,
         opts: BfsOptions | None = None,
         system: SystemSpec | str | None = None,
-        machine: str | MachineModel | None = None,
-        mapping: str | None = None,
-        layout: str | None = None,
         wire: str | None = None,
         faults: FaultSpec | None = None,
         observe: str | None = None,
@@ -98,10 +93,7 @@ class BfsSession:
             self.relabeling.apply(graph) if self.relabeling is not None else graph
         )
         #: the resolved system description this session simulates
-        self.system = resolve_entry_system(
-            system, machine=machine, mapping=mapping, layout=layout, wire=wire,
-            faults=faults, observe=observe,
-        )
+        self.system = resolve_system(system, wire=wire, faults=faults, observe=observe)
         if self.system.sieve and not self.opts.use_sieve:
             # The spec's sieve axis is the system-level switch; engines
             # only read BfsOptions (mirrors repro.api.build_engine).
@@ -115,7 +107,7 @@ class BfsSession:
             self.partition = TwoDPartition(search_graph, grid)
         else:
             if not grid.is_1d:
-                raise ConfigurationError(f"layout='1d' needs a 1-D grid, got {grid}")
+                raise ConfigurationError(f"the 1d layout needs a 1-D grid, got {grid}")
             self.partition = OneDPartition(search_graph, grid.size, as_row=grid.cols == 1)
         # Resolved once; _new_comm only allocates fresh clocks/stats per
         # query instead of re-deriving torus, mapping, and routes.

@@ -28,8 +28,8 @@ def graph():
 @pytest.mark.parametrize("fold", ["direct", "union-ring"])
 def test_fold_volumes_identical(graph, fold):
     opts = BfsOptions(fold_collective=fold)
-    one_d = run_bfs(build_engine(graph, GridShape(1, 6), layout="1d", opts=opts), 0)
-    two_d = run_bfs(build_engine(graph, GridShape(1, 6), layout="2d", opts=opts), 0)
+    one_d = run_bfs(build_engine(graph, GridShape(1, 6), system="bluegene-1d", opts=opts), 0)
+    two_d = run_bfs(build_engine(graph, GridShape(1, 6), system="bluegene-2d", opts=opts), 0)
     assert np.array_equal(one_d.levels, two_d.levels)
     assert np.array_equal(
         one_d.stats.volume_per_level("fold"), two_d.stats.volume_per_level("fold")
@@ -62,6 +62,6 @@ def test_simulated_times_close(graph):
     """Same traffic + same machine model => near-identical simulated time.
     (Small differences come from the degenerate expand's empty rounds.)"""
     opts = BfsOptions(fold_collective="direct")
-    one_d = run_bfs(build_engine(graph, GridShape(1, 6), layout="1d", opts=opts), 0)
-    two_d = run_bfs(build_engine(graph, GridShape(1, 6), layout="2d", opts=opts), 0)
+    one_d = run_bfs(build_engine(graph, GridShape(1, 6), system="bluegene-1d", opts=opts), 0)
+    two_d = run_bfs(build_engine(graph, GridShape(1, 6), system="bluegene-2d", opts=opts), 0)
     assert two_d.elapsed == pytest.approx(one_d.elapsed, rel=0.15)

@@ -175,9 +175,7 @@ class TestModelAgainstMeasurement:
 
         n, k, p = 3000, 8, 4
         graph = poisson_random_graph(GraphSpec(n=n, k=k, seed=2))
-        engine = build_engine(
-            graph, GridShape(p, 1), layout="1d",
-        )
+        engine = build_engine(graph, GridShape(p, 1), system="bluegene-1d")
         engine.start(0)
         # Run to exhaustion and accumulate total fold deliveries; the model
         # bounds the *sum over levels* because every vertex is on the

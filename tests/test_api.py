@@ -11,8 +11,10 @@ from repro.bfs.bfs_1d import Bfs1DEngine
 from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.serial import serial_bfs
 from repro.errors import ConfigurationError
+from repro.faults.chaos import run_chaos
 from repro.machine.bluegene import BLUEGENE_L
-from repro.types import GridShape
+from repro.session import BfsSession
+from repro.types import GridShape, SystemSpec, resolve_system
 
 
 class TestBuildCommunicator:
@@ -22,26 +24,26 @@ class TestBuildCommunicator:
         assert comm.model.name == "BlueGene/L"
 
     def test_mcr_flat(self):
-        comm = build_communicator(GridShape(2, 2), machine="mcr")
+        comm = build_communicator(GridShape(2, 2), system="mcr-2d")
         assert comm.model.name == "MCR"
         assert comm.mapping.hops(0, 3) == 1
 
     def test_custom_model(self):
         model = BLUEGENE_L.with_overrides(alpha=1e-5)
-        comm = build_communicator(GridShape(2, 2), machine=model)
+        comm = build_communicator(GridShape(2, 2), system=SystemSpec(machine=model))
         assert comm.model.alpha == 1e-5
 
     def test_row_major_mapping(self):
-        comm = build_communicator(GridShape(2, 2), mapping="row-major")
+        comm = build_communicator(GridShape(2, 2), system="bluegene-row-major")
         assert comm.mapping.node_of(3) == 3
 
     def test_unknown_machine_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_communicator(GridShape(2, 2), machine="cray")
+            build_communicator(GridShape(2, 2), system=SystemSpec(machine="cray"))
 
     def test_unknown_mapping_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_communicator(GridShape(2, 2), mapping="hilbert")
+            build_communicator(GridShape(2, 2), system=SystemSpec(mapping="hilbert"))
 
     def test_buffer_capacity_threaded_through(self):
         comm = build_communicator(GridShape(2, 2), buffer_capacity=64)
@@ -54,7 +56,7 @@ class TestBuildEngine:
         assert isinstance(engine, Bfs2DEngine)
 
     def test_1d(self, small_graph):
-        engine = build_engine(small_graph, (4, 1), layout="1d")
+        engine = build_engine(small_graph, (4, 1), system="bluegene-1d")
         assert isinstance(engine, Bfs1DEngine)
 
     def test_tuple_grid_accepted(self, small_graph):
@@ -63,11 +65,11 @@ class TestBuildEngine:
 
     def test_1d_needs_degenerate_grid(self, small_graph):
         with pytest.raises(ConfigurationError):
-            build_engine(small_graph, (2, 2), layout="1d")
+            build_engine(small_graph, (2, 2), system="bluegene-1d")
 
     def test_unknown_layout_rejected(self, small_graph):
         with pytest.raises(ConfigurationError):
-            build_engine(small_graph, (2, 2), layout="3d")
+            build_engine(small_graph, (2, 2), system=SystemSpec(layout="3d"))
 
 
 class TestOneCallApis:
@@ -76,7 +78,7 @@ class TestOneCallApis:
         assert np.array_equal(result.levels, serial_bfs(small_graph, 0))
 
     def test_distributed_bfs_mcr(self, small_graph):
-        result = distributed_bfs(small_graph, (2, 2), 0, machine="mcr")
+        result = distributed_bfs(small_graph, (2, 2), 0, system="mcr-2d")
         assert np.array_equal(result.levels, serial_bfs(small_graph, 0))
 
     def test_bidirectional(self, small_graph):
@@ -94,26 +96,23 @@ class TestOneCallApis:
 
 
 class TestDeprecatedKwargs:
-    """Legacy machine/mapping/layout kwargs warn; system= is silent."""
+    """The PR 6 machine/mapping/layout kwargs are gone; system= is the only road."""
 
-    def test_distributed_bfs_layout_warns(self, small_graph):
-        with pytest.warns(DeprecationWarning, match="layout"):
-            distributed_bfs(small_graph, (4, 1), 0, layout="1d")
-
-    def test_build_engine_machine_warns(self, small_graph):
-        with pytest.warns(DeprecationWarning, match="machine"):
-            build_engine(small_graph, (2, 2), machine="mcr")
-
-    def test_build_communicator_mapping_warns(self):
-        with pytest.warns(DeprecationWarning, match="mapping"):
-            build_communicator(GridShape(2, 2), mapping="row-major")
-
-    def test_warning_lists_every_kwarg(self, small_graph):
-        with pytest.warns(DeprecationWarning, match="machine, mapping, layout"):
-            build_engine(
-                small_graph, (2, 2),
-                machine="bluegene", mapping="planar", layout="2d",
-            )
+    def test_legacy_kwargs_raise_type_error(self, small_graph):
+        calls = [
+            lambda **kw: build_communicator(GridShape(2, 2), **kw),
+            lambda **kw: build_engine(small_graph, (2, 2), **kw),
+            lambda **kw: distributed_bfs(small_graph, (2, 2), 0, **kw),
+            lambda **kw: bidirectional_bfs(small_graph, (2, 2), 0, 5, **kw),
+            lambda **kw: BfsSession(small_graph, (2, 2), **kw),
+            lambda **kw: run_chaos(small_graph, (2, 2), 0, range(1), **kw),
+        ]
+        legacy = [{"machine": "bluegene"}, {"mapping": "planar"}, {"layout": "2d"}]
+        for call in calls:
+            for kwarg in legacy:
+                with pytest.raises(TypeError, match="unexpected keyword"):
+                    call(**kwarg)
+        assert not hasattr(repro.api, "resolve_entry_system")
 
     def test_system_path_is_silent(self, small_graph):
         import warnings
@@ -130,8 +129,8 @@ class TestDeprecatedKwargs:
             bidirectional_bfs(small_graph, (2, 2), 0, 5, system="bluegene-2d")
 
     def test_legacy_kwargs_still_override(self, small_graph):
-        with pytest.warns(DeprecationWarning):
-            result = distributed_bfs(
-                small_graph, (4, 1), 0, system="bluegene-2d", layout="1d"
-            )
+        """The per-axis overrides live on in ``resolve_system`` (the CLI's flags)."""
+        result = distributed_bfs(
+            small_graph, (4, 1), 0, system=resolve_system("bluegene-2d", layout="1d")
+        )
         assert np.array_equal(result.levels, serial_bfs(small_graph, 0))

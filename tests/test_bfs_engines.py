@@ -18,8 +18,8 @@ from repro.partition.two_d import TwoDPartition
 from repro.types import GridShape, UNREACHED
 
 
-def run_and_compare(graph, grid, layout="2d", source=0, opts=None):
-    result = run_bfs(build_engine(graph, grid, layout=layout, opts=opts), source)
+def run_and_compare(graph, grid, system=None, source=0, opts=None):
+    result = run_bfs(build_engine(graph, grid, system=system, opts=opts), source)
     assert np.array_equal(result.levels, serial_bfs(graph, source))
     return result
 
@@ -27,27 +27,29 @@ def run_and_compare(graph, grid, layout="2d", source=0, opts=None):
 class TestBfs1D:
     @pytest.mark.parametrize("p", [1, 2, 4, 7, 8])
     def test_matches_serial(self, small_graph, p):
-        run_and_compare(small_graph, GridShape(p, 1), layout="1d")
+        run_and_compare(small_graph, GridShape(p, 1), system="bluegene-1d")
 
     @pytest.mark.parametrize("fold", ["direct", "ring", "union-ring", "two-phase", "bruck"])
     def test_all_folds(self, small_graph, fold):
         run_and_compare(
-            small_graph, GridShape(6, 1), layout="1d", opts=BfsOptions(fold_collective=fold)
+            small_graph, GridShape(6, 1), system="bluegene-1d",
+            opts=BfsOptions(fold_collective=fold),
         )
 
     def test_column_orientation(self, small_graph):
-        run_and_compare(small_graph, GridShape(1, 6), layout="1d")
+        run_and_compare(small_graph, GridShape(1, 6), system="bluegene-1d")
 
     def test_disconnected_graph(self, sparse_graph):
-        run_and_compare(sparse_graph, GridShape(4, 1), layout="1d", source=17)
+        run_and_compare(sparse_graph, GridShape(4, 1), system="bluegene-1d", source=17)
 
     def test_path_graph_levels(self, path_graph):
-        result = run_and_compare(path_graph, GridShape(3, 1), layout="1d")
+        result = run_and_compare(path_graph, GridShape(3, 1), system="bluegene-1d")
         assert result.num_levels == 10  # 9 expansion levels + final empty one
 
     def test_sent_cache_off(self, small_graph):
         run_and_compare(
-            small_graph, GridShape(4, 1), layout="1d", opts=BfsOptions(use_sent_cache=False)
+            small_graph, GridShape(4, 1), system="bluegene-1d",
+            opts=BfsOptions(use_sent_cache=False),
         )
 
     def test_rank_mismatch_rejected(self, small_graph):
@@ -57,12 +59,12 @@ class TestBfs1D:
             Bfs1DEngine(part, comm)
 
     def test_step_before_start_rejected(self, small_graph):
-        engine = build_engine(small_graph, GridShape(4, 1), layout="1d")
+        engine = build_engine(small_graph, GridShape(4, 1), system="bluegene-1d")
         with pytest.raises(SearchError):
             engine.step()
 
     def test_bad_source_rejected(self, small_graph):
-        engine = build_engine(small_graph, GridShape(4, 1), layout="1d")
+        engine = build_engine(small_graph, GridShape(4, 1), system="bluegene-1d")
         with pytest.raises(SearchError):
             engine.start(small_graph.n)
 

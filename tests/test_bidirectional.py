@@ -53,7 +53,7 @@ class TestCorrectness:
         assert not result.found
 
     def test_1d_layout(self, small_graph):
-        result = bidirectional_bfs(small_graph, (4, 1), 0, 200, layout="1d")
+        result = bidirectional_bfs(small_graph, (4, 1), 0, 200, system="bluegene-1d")
         assert result.path_length == nx_distance(small_graph, 0, 200)
 
     @given(st.integers(0, 10_000))

@@ -119,9 +119,9 @@ class TestFigure:
 
 class TestFigureExtra:
     def test_fig6(self, capsys):
-        assert main(["figure", "--name", "fig6"]) == 0
+        assert main(["figure", "--name", "fig6a"]) == 0
         out = capsys.readouterr().out
-        assert "1d" in out and "2d" in out
+        assert "1d volume" in out and "2d volume" in out
 
     def test_fig5(self, capsys):
         assert main(["figure", "--name", "fig5"]) == 0
@@ -129,7 +129,27 @@ class TestFigureExtra:
 
     def test_fig4a(self, capsys):
         assert main(["figure", "--name", "fig4a"]) == 0
-        assert "comm(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "comm(s)" in out and "tier quick; seed 0" in out
+
+    def test_any_table_id_at_either_tier(self, capsys, tmp_path):
+        assert main(["figure", "--name", "memory", "--tier", "full"]) == 0
+        assert "[analytic-only; tier full]" in capsys.readouterr().out
+        assert main(["figure", "--name", "buffers", "--out", str(tmp_path)]) == 0
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "buffers.txt", "buffers.csv", "buffers.vl.json"
+        }
+
+
+class TestReproduce:
+    def test_every_figure_becomes_three_files(self, capsys, tmp_path):
+        from repro.harness.figures import FIGURES
+
+        assert main(["reproduce", "--out", str(tmp_path)]) == 0
+        assert {p.name for p in tmp_path.iterdir()} == {
+            f"{name}{suffix}" for name in FIGURES for suffix in (".txt", ".csv", ".vl.json")
+        }
+        assert f"all artifacts in {tmp_path}/" in capsys.readouterr().out
 
 
 class TestScorecard:

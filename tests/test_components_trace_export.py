@@ -18,8 +18,7 @@ from repro.graph.components import (
     sample_unreachable_pair,
 )
 from repro.graph.csr import CsrGraph
-from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.export import results_to_rows, write_csv, write_json
+from repro.harness.runner import Run, execute, write_csv, write_json
 from repro.runtime.trace import TraceRecorder
 from repro.types import GraphSpec, GridShape
 
@@ -157,23 +156,18 @@ class TestTraceRecorder:
 
 
 class TestExport:
-    def _results(self):
-        config = ExperimentConfig(
-            name="export-test",
-            graph=GraphSpec(n=150, k=5, seed=1),
-            grid=GridShape(2, 2),
-            num_searches=1,
-        )
-        return [run_experiment(config)]
+    def _rows(self):
+        run = Run("export-test", GraphSpec(n=150, k=5, seed=1), GridShape(2, 2))
+        return [execute(run).row()]
 
     def test_rows(self):
-        rows = results_to_rows(self._results())
+        rows = self._rows()
         assert rows[0]["name"] == "export-test"
         assert rows[0]["mean_time_s"] > 0
 
     def test_csv(self, tmp_path):
         path = tmp_path / "results.csv"
-        write_csv(self._results(), path)
+        write_csv(self._rows(), path)
         with path.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
@@ -181,7 +175,7 @@ class TestExport:
 
     def test_json(self, tmp_path):
         path = tmp_path / "results.json"
-        write_json(self._results(), path)
+        write_json(self._rows(), path)
         data = json.loads(path.read_text())
         assert data[0]["layout"] == "2d"
 

@@ -65,7 +65,7 @@ class TestCrashRecovery:
 
     def test_crash_recovery_1d_layout(self, small_graph):
         result = distributed_bfs(
-            small_graph, (4, 1), 0, layout="1d", faults=_SPARE
+            small_graph, (4, 1), 0, system="bluegene-1d", faults=_SPARE
         )
         assert result.faults.crashes == 1
         assert result.faults.failovers == 1
@@ -346,22 +346,19 @@ class TestObservabilityParity:
         )
 
     def test_export_rows_carry_crash_columns(self):
-        from repro.harness.experiment import ExperimentConfig, run_experiment
-        from repro.harness.export import results_to_rows
-        from repro.types import GridShape
+        from repro.harness.runner import Run, execute
+        from repro.types import GridShape, SystemSpec
 
-        config = ExperimentConfig(
-            name="crashy",
-            graph=GraphSpec(n=400, k=8.0, seed=11),
-            grid=GridShape(2, 2),
-            source=0,
-            faults=_SPARE,
+        run = Run(
+            "crashy", GraphSpec(n=400, k=8.0, seed=11), GridShape(2, 2),
+            system=SystemSpec(faults=_SPARE),
         )
-        rows = results_to_rows([run_experiment(config)])
-        assert rows[0]["crashes"] == 1
-        assert rows[0]["failovers"] == 1
-        assert rows[0]["replayed_levels"] == 1
-        assert rows[0]["checkpoint_bytes"] > 0
+        row = execute(run).row()
+        assert row["crashes"] == 1
+        assert row["failovers"] == 1
+        assert row["replayed_levels"] == 1
+        assert row["checkpoint_bytes"] > 0
+        assert row["faults"] == "custom"
 
     def test_fault_sweep_table_has_crash_columns(self, small_graph):
         from repro.harness.fault_sweep import fault_sweep, format_fault_sweep

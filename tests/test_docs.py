@@ -59,8 +59,22 @@ class TestOtherDocs:
                     "Table 1", "Figure 6", "Figure 7"):
             assert exp in experiments, exp
 
-    def test_every_bench_file_mentioned_in_experiments_or_design(self):
+    def test_experiments_status_table_is_the_tables_own(self):
+        """The status table is generated from FIGURES, never retyped."""
+        from repro.harness.views import status_table
+
         experiments = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
-        design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+        embedded = experiments.split("<!-- status-table:begin -->")[1]
+        assert embedded.split("<!-- status-table:end -->")[0].strip() == status_table()
+
+    def test_every_bench_file_mentioned_in_experiments_or_design(self):
+        """...and every id of the reproduction table, as `id`."""
+        from repro.harness.figures import FIGURES
+
+        docs = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8") + (
+            ROOT / "DESIGN.md"
+        ).read_text(encoding="utf-8")
         for bench in sorted((ROOT / "benchmarks").glob("bench_*.py")):
-            assert bench.name in experiments + design, bench.name
+            assert bench.name in docs, bench.name
+        for name in FIGURES:
+            assert f"`{name}`" in docs, name

@@ -22,7 +22,7 @@ def test_examples_exist():
     names = {p.name for p in ALL_EXAMPLES}
     assert {"quickstart.py", "semantic_path_search.py", "scaling_study.py",
             "partition_tradeoff.py", "graph500_style.py", "machine_planner.py",
-            "distributed_generation.py", "reproduce_all.py"} <= names
+            "distributed_generation.py"} <= names
 
 
 @pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda p: p.name)

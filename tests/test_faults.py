@@ -260,7 +260,7 @@ class TestFaultedRuns:
 
     def test_levels_match_serial_1d(self, small_graph):
         result = distributed_bfs(
-            small_graph, (4, 1), 0, layout="1d",
+            small_graph, (4, 1), 0, system="bluegene-1d",
             faults=FaultSpec(seed=2, drop_rate=0.08),
         )
         assert np.array_equal(result.levels, serial_bfs(small_graph, 0))

@@ -1,78 +1,78 @@
-"""Tests for the experiment harness: configs, sweeps, reports."""
+"""Tests for the reproduction harness: the runner, sweeps over it, reports."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 from repro.bfs.options import BfsOptions
-from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.report import format_series, format_table
-from repro.harness.sweep import sweep
+from repro.harness.runner import Run, draw_pairs, execute
 from repro.types import GraphSpec, GridShape
 
 
-def tiny_config(**overrides) -> ExperimentConfig:
+def tiny_run(**overrides) -> Run:
+    graph = GraphSpec(n=200, k=6, seed=1)
     defaults = dict(
-        name="tiny",
-        graph=GraphSpec(n=200, k=6, seed=1),
-        grid=GridShape(2, 2),
-        num_searches=2,
+        name="tiny", graph=graph, grid=GridShape(2, 2),
+        pairs=tuple(draw_pairs(graph, "tiny", 2)),
     )
     defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+    return Run(**defaults)
 
 
 class TestRunExperiment:
     def test_basic_run(self):
-        result = run_experiment(tiny_config())
-        assert len(result.runs) == 2
-        assert result.mean_time > 0
-        assert result.mean_comm_time >= 0
-        assert result.mean_compute_time > 0
+        outcome = execute(tiny_run())
+        row = outcome.row()
+        assert len(outcome.results) == row["searches"] == 2
+        assert row["mean_time_s"] > 0
+        assert row["mean_comm_s"] >= 0
+        assert row["mean_compute_s"] > 0
+        assert row["mean_time_s_ci"] > 0 and row["seed"] == 1
 
     def test_deterministic(self):
-        a = run_experiment(tiny_config())
-        b = run_experiment(tiny_config())
-        assert a.mean_time == b.mean_time
-        assert a.mean_message_length("fold") == b.mean_message_length("fold")
+        a = execute(tiny_run()).row()
+        b = execute(tiny_run()).row()
+        assert a == b
 
     def test_pinned_source_target(self):
-        config = tiny_config(source=0, target=5, num_searches=1)
-        result = run_experiment(config)
-        assert result.runs[0].source == 0
-        assert result.runs[0].target == 5
+        result = execute(tiny_run(pairs=((0, 5),))).results[0]
+        assert result.source == 0
+        assert result.target == 5
 
     def test_pinned_source_full_search(self):
-        config = tiny_config(source=3, num_searches=1)
-        result = run_experiment(config)
-        assert result.runs[0].target is None
+        outcome = execute(tiny_run(pairs=((3, None),)))
+        assert outcome.results[0].target is None
+        assert outcome.row()["mean_time_s_ci"] == 0.0  # one search: no spread
 
     def test_1d_layout(self):
-        config = tiny_config(grid=GridShape(4, 1), layout="1d")
-        result = run_experiment(config)
-        assert result.mean_time > 0
+        row = execute(tiny_run(grid=GridShape(4, 1), system="bluegene-1d")).row()
+        assert row["mean_time_s"] > 0 and row["layout"] == "1d"
 
     def test_redundancy_metric(self):
-        config = tiny_config(opts=BfsOptions(fold_collective="union-ring"))
-        result = run_experiment(config)
-        assert 0.0 <= result.mean_redundancy < 1.0
+        row = execute(tiny_run(opts=BfsOptions(fold_collective="union-ring"))).row()
+        assert 0.0 <= row["redundancy"] < 1.0
 
 
 class TestSweep:
+    """A sweep is a comprehension over ``dataclasses.replace`` of one Run."""
+
     def test_graph_overrides(self):
-        results = sweep(tiny_config(), [{"n": 100}, {"n": 300}])
-        assert results[0].config.graph.n == 100
-        assert results[1].config.graph.n == 300
-        assert results[0].config.graph.k == 6  # untouched
+        base = tiny_run(pairs=((0, None),))
+        rows = [
+            execute(replace(base, graph=replace(base.graph, n=n))).row() for n in (100, 300)
+        ]
+        assert [r["n"] for r in rows] == [100, 300]
+        assert rows[0]["k"] == 6  # untouched
 
     def test_field_overrides(self):
-        results = sweep(tiny_config(), [{"grid": GridShape(1, 4), "layout": "1d"}])
-        assert results[0].config.layout == "1d"
+        row = execute(replace(tiny_run(), grid=GridShape(1, 4), system="bluegene-1d")).row()
+        assert (row["rows"], row["cols"], row["layout"]) == (1, 4, "1d")
 
     def test_names(self):
-        results = sweep(tiny_config(), [{"name": "a"}, {}])
-        assert results[0].config.name == "a"
-        assert results[1].config.name == "tiny[1]"
+        assert execute(replace(tiny_run(), name="a")).row()["name"] == "a"
 
 
 class TestReport:

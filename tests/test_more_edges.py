@@ -9,10 +9,7 @@ from repro.backends.spmd import spmd_bfs
 from repro.bfs.options import BfsOptions
 from repro.bfs.serial import serial_bfs
 from repro.errors import PartitionError
-from repro.harness.experiment import ExperimentConfig
-from repro.harness.export import results_to_rows
-from repro.harness.figures import fig4a_weak_scaling
-from repro.harness.sweep import sweep
+from repro.harness.runner import PAPER_OPTS, Run, draw_pairs, execute
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.clock import SimClock
 from repro.runtime.message import chunk_payload
@@ -23,11 +20,14 @@ from repro.types import GraphSpec, GridShape
 class TestFiguresStMode:
     def test_fig4a_st_searches(self):
         """The paper's literal random s-t protocol (early termination)."""
-        points = fig4a_weak_scaling([4], 300, 8.0, searches=3, full_traversal=False)
-        assert points[0].mean_time > 0
+        spec = GraphSpec(n=1200, k=8.0, seed=0)
+        pairs = tuple(draw_pairs(spec, "fig4a:4:8.0", 3))
+        st, full = (
+            execute(Run("fig4a", spec, GridShape(2, 2), opts=PAPER_OPTS, pairs=searches)).row()
+            for searches in (pairs, tuple((s, None) for s, _t in pairs))
+        )
         # early-terminated searches are cheaper than full traversals
-        full = fig4a_weak_scaling([4], 300, 8.0, searches=3, full_traversal=True)
-        assert points[0].mean_time <= full[0].mean_time
+        assert 0 < st["mean_time_s"] <= full["mean_time_s"]
 
 
 class TestSmallPieces:
@@ -48,7 +48,7 @@ class TestSmallPieces:
         assert [len(c) for c in chunks] == [4, 4]
 
     def test_session_on_mcr(self, small_graph):
-        session = BfsSession(small_graph, (2, 2), machine="mcr")
+        session = BfsSession(small_graph, (2, 2), system="mcr-2d")
         result = session.bfs(0)
         assert np.array_equal(result.levels, serial_bfs(small_graph, 0))
 
@@ -74,23 +74,19 @@ class TestSpmdDegenerateGrids:
 
 class TestSweepExportIntegration:
     def test_sweep_to_rows(self):
-        base = ExperimentConfig(
-            name="sweep-export",
-            graph=GraphSpec(n=120, k=4, seed=1),
-            grid=GridShape(2, 2),
-            num_searches=1,
-        )
-        results = sweep(base, [{"n": 100}, {"n": 140}])
-        rows = results_to_rows(results)
+        rows = [
+            execute(Run("sweep-export", GraphSpec(n=n, k=4, seed=1), GridShape(2, 2))).row()
+            for n in (100, 140)
+        ]
         assert [r["n"] for r in rows] == [100, 140]
         assert all(r["mean_time_s"] > 0 for r in rows)
 
     def test_machine_variation_in_sweep(self):
-        base = ExperimentConfig(
-            name="machines",
-            graph=GraphSpec(n=120, k=4, seed=1),
-            grid=GridShape(2, 2),
-            num_searches=1,
+        bluegene, mcr = (
+            execute(
+                Run("machines", GraphSpec(n=120, k=4, seed=1), GridShape(2, 2), system=system)
+            ).row()
+            for system in ("bluegene-2d", "mcr-2d")
         )
-        results = sweep(base, [{"machine": "bluegene"}, {"machine": "mcr"}])
-        assert results[0].mean_compute_time > results[1].mean_compute_time
+        assert (bluegene["machine"], mcr["machine"]) == ("bluegene", "mcr")
+        assert bluegene["mean_compute_s"] > mcr["mean_compute_s"]

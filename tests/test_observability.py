@@ -12,8 +12,7 @@ from repro.api import build_communicator, distributed_bfs
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
 from repro.graph.generators import poisson_random_graph
-from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.export import results_to_rows
+from repro.harness.runner import Run, execute
 from repro.observability import (
     NULL_RECORDER,
     OBSERVE_PRESETS,
@@ -195,7 +194,9 @@ class TestEngineSpans:
         assert all(f > 0 for f in frontiers[:-1]) and frontiers[-1] == 0
 
     def test_1d_engine_spans(self, small_graph):
-        result = distributed_bfs(small_graph, (4, 1), 0, layout="1d", observe="spans")
+        result = distributed_bfs(
+            small_graph, (4, 1), 0, system="bluegene-1d", observe="spans"
+        )
         names = {s.name for s in result.observability.spans if s.cat == "phase"}
         assert {"compute", "fold"} <= names
         assert result.observability.messages == []
@@ -511,14 +512,13 @@ class TestSystemSpecObserve:
         assert result.observability.spans and not result.observability.messages
 
     def test_experiment_observe_column(self):
-        config = ExperimentConfig(
-            name="obs", graph=GraphSpec(n=150, k=5, seed=1),
-            grid=GridShape(2, 2), observe="spans",
+        run = Run(
+            "obs", GraphSpec(n=150, k=5, seed=1), GridShape(2, 2),
+            system=SystemSpec(observe="spans"),
         )
-        result = run_experiment(config)
-        assert result.runs[0].observability is not None
-        rows = results_to_rows([result])
-        assert rows[0]["observe"] == "spans"
+        outcome = execute(run)
+        assert outcome.results[0].observability is not None
+        assert outcome.row()["observe"] == "spans"
 
 
 class TestArtifacts:

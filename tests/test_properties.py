@@ -69,7 +69,7 @@ def test_1d_bfs_equals_serial(seed, n, density, p, fold, as_row):
     source = (seed * 7) % n
     grid = GridShape(p, 1) if as_row else GridShape(1, p)
     opts = BfsOptions(fold_collective=fold)
-    engine = build_engine(graph, grid, layout="1d", opts=opts)
+    engine = build_engine(graph, grid, system="bluegene-1d", opts=opts)
     result = run_bfs(engine, source)
     assert np.array_equal(result.levels, serial_bfs(graph, source))
 
@@ -115,8 +115,8 @@ def test_machine_model_never_changes_levels(seed):
     graph = poisson_random_graph(GraphSpec(n=200, k=6, seed=seed % 13))
     source = seed % graph.n
     results = [
-        run_bfs(build_engine(graph, (2, 4), machine=m, mapping=mp), source)
-        for m, mp in (("bluegene", "planar"), ("bluegene", "row-major"), ("mcr", "planar"))
+        run_bfs(build_engine(graph, (2, 4), system=system), source)
+        for system in ("bluegene-2d", "bluegene-row-major", "mcr-2d")
     ]
     for other in results[1:]:
         assert np.array_equal(results[0].levels, other.levels)

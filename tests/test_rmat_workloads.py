@@ -235,17 +235,13 @@ class TestSessionRelabel:
 class TestHarnessRmat:
     def test_experiment_and_export_carry_kind(self):
         from repro.bfs.options import BfsOptions
-        from repro.harness.experiment import ExperimentConfig, run_experiment
-        from repro.harness.export import results_to_rows
+        from repro.harness.runner import Run, execute
 
-        config = ExperimentConfig(
-            name="rmat-hybrid",
-            graph=GraphSpec.rmat(9, edge_factor=8, seed=2),
-            grid=GridShape(2, 2),
-            opts=BfsOptions(direction="hybrid"),
-            source=3,
+        run = Run(
+            "rmat-hybrid", GraphSpec.rmat(9, edge_factor=8, seed=2), GridShape(2, 2),
+            opts=BfsOptions(direction="hybrid"), pairs=((3, None),),
         )
-        row = results_to_rows([run_experiment(config)])[0]
+        row = execute(run).row()
         assert row["kind"] == "rmat"
         assert row["scale"] == 9
         assert row["edge_factor"] == 8

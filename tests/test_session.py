@@ -10,6 +10,7 @@ from repro.bfs.serial import serial_bfs
 from repro.errors import ConfigurationError, SearchError
 from repro.graph.csr import CsrGraph
 from repro.session import BfsSession, extract_path
+from repro.types import SystemSpec
 
 
 def to_networkx(graph: CsrGraph) -> nx.Graph:
@@ -43,17 +44,17 @@ class TestBfsSession:
             assert session.distance(s, t) == expected
 
     def test_1d_layout(self, small_graph):
-        session = BfsSession(small_graph, (4, 1), layout="1d")
+        session = BfsSession(small_graph, (4, 1), system="bluegene-1d")
         result = session.bfs(7)
         assert np.array_equal(result.levels, serial_bfs(small_graph, 7))
 
     def test_1d_needs_degenerate_grid(self, small_graph):
         with pytest.raises(ConfigurationError):
-            BfsSession(small_graph, (2, 2), layout="1d")
+            BfsSession(small_graph, (2, 2), system="bluegene-1d")
 
     def test_unknown_layout_rejected(self, small_graph):
         with pytest.raises(ConfigurationError):
-            BfsSession(small_graph, (2, 2), layout="hex")
+            BfsSession(small_graph, (2, 2), system=SystemSpec(layout="hex"))
 
     def test_queries_are_independent(self, small_graph):
         """Each query gets fresh statistics: same query twice, same cost."""
@@ -140,14 +141,8 @@ class TestSessionCaching:
         assert session.queries_served == 16
         assert session.total_simulated_time == pytest.approx(8.0)
 
-    def test_legacy_kwargs_warn(self, small_graph):
-        with pytest.warns(DeprecationWarning, match="layout"):
-            BfsSession(small_graph, (4, 1), layout="1d")
-
     def test_system_spec_path_does_not_warn(self, small_graph):
         import warnings
-
-        from repro.types import SystemSpec
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -11,6 +11,8 @@ counts across backends.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,14 +39,9 @@ def graph():
     return build_graph(SPEC)
 
 
-def _pair(graph, grid, *, layout="2d", wire="raw", opts=None):
-    off = distributed_bfs(
-        graph, grid, 0, opts=opts, system=SystemSpec(layout=layout, wire=wire)
-    )
-    on = distributed_bfs(
-        graph, grid, 0, opts=opts,
-        system=SystemSpec(layout=layout, wire=wire, sieve=True),
-    )
+def _pair(graph, grid, system=SystemSpec(), opts=None):
+    off = distributed_bfs(graph, grid, 0, opts=opts, system=system)
+    on = distributed_bfs(graph, grid, 0, opts=opts, system=replace(system, sieve=True))
     return off, on
 
 
@@ -54,7 +51,7 @@ class TestLevelsIdentity:
         "grid,layout", [((4, 4), "2d"), ((1, 8), "1d")]
     )
     def test_sieved_levels_match_unsieved(self, graph, grid, layout, wire):
-        off, on = _pair(graph, grid, layout=layout, wire=wire)
+        off, on = _pair(graph, grid, SystemSpec(layout=layout, wire=wire))
         assert np.array_equal(off.levels, on.levels)
         assert off.num_levels == on.num_levels
         frontier = [s.frontier_size for s in off.stats.levels]

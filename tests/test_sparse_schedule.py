@@ -39,7 +39,7 @@ from repro.observability.digest import (
     trace_digest,
 )
 from repro.session import BfsSession
-from repro.types import GraphSpec, SystemSpec
+from repro.types import GraphSpec, resolve_system
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "schedule_digests.json"
 
@@ -78,7 +78,7 @@ def _run(
     graph_spec: GraphSpec,
     grid: tuple[int, int],
     *,
-    layout: str = "2d",
+    system: str = "bluegene-2d",
     wire: str = "raw",
     faults: str | FaultSpec | None = None,
     observe: str = "off",
@@ -86,12 +86,9 @@ def _run(
     source: int = 0,
     target: int | None = None,
 ) -> dict:
-    system = SystemSpec(
-        layout=layout, wire=wire, faults=faults, observe=observe
-    )
     result = distributed_bfs(
-        _graph(graph_spec), grid, source, target=target,
-        opts=opts, system=system,
+        _graph(graph_spec), grid, source, target=target, opts=opts,
+        system=resolve_system(system, wire=wire, faults=faults, observe=observe),
     )
     row = dict(result_digests(result))
     row["num_levels"] = result.num_levels
@@ -119,7 +116,7 @@ def _run_msbfs(
     grid: tuple[int, int],
     batch: int,
     *,
-    layout: str = "2d",
+    system: str = "bluegene-2d",
     wire: str = "raw",
     faults: str | FaultSpec | None = None,
     observe: str = "off",
@@ -136,7 +133,7 @@ def _run_msbfs(
     graph = _graph(graph_spec)
     session = BfsSession(
         graph, grid, opts=opts,
-        system=SystemSpec(layout=layout, wire=wire, faults=faults, observe=observe),
+        system=resolve_system(system, wire=wire, faults=faults, observe=observe),
     )
     sources = [(i * 37) % graph.n for i in range(batch)]
     # mixed None / target, so retirement runs while other bits stay live
@@ -170,7 +167,7 @@ def _run_msbfs(
 _ROLLBACK_HEAVY = FaultSpec(seed=0, drop_rate=0.3, max_retries=3)
 
 CONFIGS = {
-    "poisson-1d": lambda: _run(POISSON, (1, 8), layout="1d"),
+    "poisson-1d": lambda: _run(POISSON, (1, 8), system="bluegene-1d"),
     "poisson-2d": lambda: _run(POISSON, (4, 4)),
     "poisson-2d-target": lambda: _run(POISSON, (4, 4), target=POISSON.n - 1),
     "poisson-2d-observed": lambda: _run(POISSON, (4, 4), observe="full"),
@@ -192,21 +189,21 @@ CONFIGS = {
     # captured on the commit before discovery moved to slot space: the
     # kernel without its sent filter is the old per-rank unique, 1D too
     "poisson-1d-no-cache": lambda: _run(
-        POISSON, (1, 8), layout="1d", opts=BfsOptions(use_sent_cache=False)
+        POISSON, (1, 8), system="bluegene-1d", opts=BfsOptions(use_sent_cache=False)
     ),
-    "rmat-1d": lambda: _run(RMAT, (8, 1), layout="1d"),
+    "rmat-1d": lambda: _run(RMAT, (8, 1), system="bluegene-1d"),
     "rmat-2d": lambda: _run(RMAT, (4, 4)),
     "rmat-2d-hybrid": lambda: _run(
         RMAT, (4, 4), opts=BfsOptions(direction="hybrid")
     ),
     "rmat-1d-hybrid": lambda: _run(
-        RMAT, (8, 1), layout="1d", opts=BfsOptions(direction="hybrid")
+        RMAT, (8, 1), system="bluegene-1d", opts=BfsOptions(direction="hybrid")
     ),
     "poisson-2d-sieve": lambda: _run(
         POISSON, (4, 4), opts=BfsOptions(use_sieve=True)
     ),
     "poisson-1d-sieve": lambda: _run(
-        POISSON, (1, 8), layout="1d", opts=BfsOptions(use_sieve=True)
+        POISSON, (1, 8), system="bluegene-1d", opts=BfsOptions(use_sieve=True)
     ),
     "poisson-2d-sieve-adaptive": lambda: _run(
         POISSON, (4, 4), wire="adaptive", opts=BfsOptions(use_sieve=True)
@@ -227,7 +224,7 @@ CONFIGS = {
         POISSON, (4, 4), faults=_ROLLBACK_HEAVY, opts=BfsOptions(use_sieve=True)
     ),
     "poisson-1d-sieve-rollback-heavy": lambda: _run(
-        POISSON, (1, 8), layout="1d", faults=_ROLLBACK_HEAVY,
+        POISSON, (1, 8), system="bluegene-1d", faults=_ROLLBACK_HEAVY,
         opts=BfsOptions(use_sieve=True),
     ),
     "poisson-2d-sieve-crash-spare": lambda: _run(
@@ -238,10 +235,10 @@ CONFIGS = {
     # batch level moved onto the engines' pooled arrays
     "msbfs-2d-64": lambda: _run_msbfs(POISSON, (4, 4), 64),
     "msbfs-2d-1": lambda: _run_msbfs(POISSON, (4, 4), 1),
-    "msbfs-1d-64": lambda: _run_msbfs(POISSON, (1, 8), 64, layout="1d"),
+    "msbfs-1d-64": lambda: _run_msbfs(POISSON, (1, 8), 64, system="bluegene-1d"),
     "msbfs-2d-targets": lambda: _run_msbfs(POISSON, (4, 4), 32, targets=True),
     "msbfs-1d-targets": lambda: _run_msbfs(
-        POISSON, (1, 8), 32, layout="1d", targets=True
+        POISSON, (1, 8), 32, system="bluegene-1d", targets=True
     ),
     "msbfs-2d-no-filter": lambda: _run_msbfs(
         POISSON, (4, 4), 32, opts=BfsOptions(use_expand_filter=False)
@@ -254,7 +251,7 @@ CONFIGS = {
         POISSON, (4, 4), 32, faults=_ROLLBACK_HEAVY
     ),
     "msbfs-1d-rollback-heavy": lambda: _run_msbfs(
-        POISSON, (1, 8), 32, layout="1d", faults=_ROLLBACK_HEAVY
+        POISSON, (1, 8), 32, system="bluegene-1d", faults=_ROLLBACK_HEAVY
     ),
     "msbfs-2d-harsh-buffered-observed": lambda: _run_msbfs(
         POISSON, (4, 4), 32, faults="harsh", observe="messages",
@@ -276,17 +273,17 @@ CONFIGS = {
         POISSON, (4, 4), 32, faults="crash-harsh", targets=True
     ),
     "msbfs-rmat-2x8": lambda: _run_msbfs(RMAT, (2, 8), 64),
-    "msbfs-rmat-8x1": lambda: _run_msbfs(RMAT, (8, 1), 64, layout="1d"),
+    "msbfs-rmat-8x1": lambda: _run_msbfs(RMAT, (8, 1), 64, system="bluegene-1d"),
     # the non-default collectives, captured on the commit before every
     # fold and expand became a routing program run by one array driver
     "poisson-1d-ring": lambda: _run(
-        POISSON, (1, 8), layout="1d", opts=BfsOptions(fold_collective="ring")
+        POISSON, (1, 8), system="bluegene-1d", opts=BfsOptions(fold_collective="ring")
     ),
     "poisson-1d-two-phase": lambda: _run(
-        POISSON, (1, 8), layout="1d", opts=BfsOptions(fold_collective="two-phase")
+        POISSON, (1, 8), system="bluegene-1d", opts=BfsOptions(fold_collective="two-phase")
     ),
     "poisson-1d-direct-fold": lambda: _run(
-        POISSON, (1, 8), layout="1d", opts=BfsOptions(fold_collective="direct")
+        POISSON, (1, 8), system="bluegene-1d", opts=BfsOptions(fold_collective="direct")
     ),
     "poisson-2d-direct-fold": lambda: _run(
         POISSON, (4, 4), opts=BfsOptions(fold_collective="direct")

@@ -148,12 +148,15 @@ class TestEntryPoints:
         assert engine.comm.model.name == "MCR"
 
     def test_layout_kwarg_overrides_spec(self, small_graph):
-        engine = build_engine(small_graph, (4, 1), system="bluegene-2d", layout="1d")
+        engine = build_engine(
+            small_graph, (4, 1), system=resolve_system("bluegene-2d", layout="1d")
+        )
         assert isinstance(engine, Bfs1DEngine)
 
     def test_old_and_new_roads_identical(self, small_graph):
         old = distributed_bfs(
-            small_graph, (2, 2), 0, machine="mcr", mapping="row-major", layout="2d"
+            small_graph, (2, 2), 0,
+            system=resolve_system(machine="mcr", mapping="row-major", layout="2d"),
         )
         new = distributed_bfs(
             small_graph, (2, 2), 0,
@@ -165,7 +168,9 @@ class TestEntryPoints:
 
     def test_preset_equals_kwargs_road(self, small_graph):
         by_preset = distributed_bfs(small_graph, (4, 1), 0, system="bluegene-1d")
-        by_kwargs = distributed_bfs(small_graph, (4, 1), 0, layout="1d")
+        by_kwargs = distributed_bfs(
+            small_graph, (4, 1), 0, system=resolve_system(layout="1d")
+        )
         assert np.array_equal(by_preset.levels, by_kwargs.levels)
         assert by_preset.elapsed == by_kwargs.elapsed
 
@@ -177,7 +182,9 @@ class TestEntryPoints:
         assert result.levels[0] == 0
 
     def test_session_legacy_kwargs_still_work(self, small_graph):
-        session = BfsSession(small_graph, (4, 1), layout="1d", mapping="row-major")
+        session = BfsSession(
+            small_graph, (4, 1), system=resolve_system(layout="1d", mapping="row-major")
+        )
         assert session.layout == "1d"
         assert session.mapping == "row-major"
         old = session.bfs(1)

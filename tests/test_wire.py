@@ -292,7 +292,9 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("name", ALL_CODECS)
     @pytest.mark.parametrize("layout,grid", [("2d", (2, 2)), ("1d", (4, 1))])
     def test_levels_match_serial(self, small_graph, name, layout, grid):
-        result = distributed_bfs(small_graph, grid, 0, layout=layout, wire=name)
+        result = distributed_bfs(
+            small_graph, grid, 0, system=SystemSpec(layout=layout, wire=name)
+        )
         np.testing.assert_array_equal(result.levels, serial_bfs(small_graph, 0))
 
     @pytest.mark.parametrize("name", ALL_CODECS)
