@@ -7,13 +7,12 @@ algorithm), and label the freshly received vertices.  All ``P`` ranks take
 part in the fold collective, which is exactly the scalability weakness the
 2D layout attacks.
 
-The per-level work of all P virtual ranks is executed as batched NumPy
-kernels over the pooled frontier CSR: one gather over the concatenated
-frontiers, one slot-space pass of the pooled sent cache for the per-rank
-neighbour sets and the sent filter, and one owner bincount that
-feeds the fold driver directly — numerically identical to looping
-over ranks, but with per-level cost proportional to the touched data,
-not to P.
+The level itself is the shared top-down body
+(:meth:`~repro.bfs.level_sync.LevelSyncEngine._top_down`); this module
+supplies the layout: no expand peers, one fold group spanning the
+machine, block owners as fold destinations, and one gather over the
+concatenated per-rank CSR as the edge-list lookup — per-level cost
+proportional to the touched data, not to P.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ class Bfs1DEngine(LevelSyncEngine):
             {"shape": opts.collective_shape} if opts.fold_collective == "two-phase" else {}
         )
         self._fold = get_fold(opts.fold_collective, **shape_kwargs)
-        self._group = list(range(partition.nranks))
+        self._fold_groups = [list(range(partition.nranks))]
         # Sent-neighbours universe: unique vertices in each rank's edge
         # lists, pooled into one flat bitset shared by every search.
         self._sent_universe = [
@@ -66,7 +65,7 @@ class Bfs1DEngine(LevelSyncEngine):
             # The 1D fold spans the whole machine, so every rank shadows
             # every other rank's owned block.
             self._sieve = PooledSieve(
-                [self._group], np.diff(partition.dist.offsets), partition.n
+                self._fold_groups, np.diff(partition.dist.offsets), partition.n
             )
         # Concatenated CSR over every rank's local block (the blocks tile
         # [0, n) in rank order, so this is the global CSR re-assembled) —
@@ -100,16 +99,13 @@ class Bfs1DEngine(LevelSyncEngine):
     def owned_slice(self, rank: int) -> tuple[int, int]:
         return self.partition.dist.range_of(rank)
 
-    def _fold_owner(self, vertices: np.ndarray, senders: np.ndarray) -> np.ndarray:
+    def _fold_member(self, vertices: np.ndarray) -> np.ndarray:
         # the 1D fold spans the machine: the block owner, whoever sends
         return np.searchsorted(self.partition.dist.offsets, vertices, side="right") - 1
 
     def _expand_level_bottom_up(self) -> tuple[np.ndarray, np.ndarray]:
         return bottom_up_level_1d(self)
 
-    # ------------------------------------------------------------------ #
-    # one level (Algorithm 1, steps 7-16)
-    # ------------------------------------------------------------------ #
     def _gather_slots(
         self, frontier_flat: np.ndarray, frontier_bounds: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -127,45 +123,3 @@ class Bfs1DEngine(LevelSyncEngine):
         edges = np.diff(out_offsets[frontier_bounds])
         self.comm.charge_compute_many(edges_scanned=edges, hash_lookups=edges)
         return self._adjacency_slots[gather], lengths
-
-    def _expand_level(self) -> tuple[np.ndarray, np.ndarray]:
-        nranks = self.comm.nranks
-        obs = self.comm.obs
-        # Steps 7-10: local discovery — one CSR gather over the concatenated
-        # frontiers, one slot-space dedup + sent filter, then owner bucketing.
-        discover_span = obs.begin("compute", cat="phase") if obs.enabled else None
-        slots, _ = self._gather_slots(self._frontier_flat, self._frontier_bounds)
-        filter_sent = self.opts.use_sent_cache
-        send_flat, send_bounds, uniq_sizes = self._sent_pool.discover(
-            slots, filter_sent=filter_sent
-        )
-        if filter_sent:
-            self.comm.charge_compute_many(hash_lookups=uniq_sizes)
-        # Owners are monotone in vertex id (block distribution); the fold's
-        # slot for (src, dst) is src * P + dst, and send_flat is already in
-        # slot order (ranks ascending, sorted values → destinations
-        # ascending within each rank).
-        seg = np.repeat(np.arange(nranks, dtype=np.int64), np.diff(send_bounds))
-        owner = self._fold_owner(send_flat, seg)
-        csizes = np.bincount(seg * nranks + owner, minlength=nranks * nranks)
-        if discover_span is not None:
-            obs.end(discover_span)
-
-        # Steps 8-13: the fold — neighbours travel to their owners.
-        with obs.span("fold", cat="phase"):
-            incoming, inc_bounds = self._fold.fold(
-                self.comm, [self._group], csizes, send_flat, "fold",
-                sieve=self._sieve,
-            )
-            inc_segs = np.repeat(
-                np.arange(nranks, dtype=np.int64), np.diff(inc_bounds)
-            )
-
-        # Steps 14-16: label newly reached vertices.
-        label_span = obs.begin("compute", cat="phase") if obs.enabled else None
-        result = self._label_fresh(incoming, inc_segs)
-        if label_span is not None:
-            obs.end(label_span)
-        if self._sieve is not None:
-            self._sieve_update(*result)
-        return result

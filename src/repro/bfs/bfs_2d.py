@@ -10,12 +10,13 @@ Each level has two communication steps:
 Only ``R`` (resp. ``C``) ranks take part in each collective instead of all
 ``P`` — the paper's key communication-scalability argument.
 
-All per-rank work of a level runs as batched NumPy kernels over the
-pooled per-rank CSR state (frontier pool, per-vertex expand-target CSR,
-keyed concatenated column-CSR, pooled sent cache, the fold's CSR driver)
-— numerically identical to iterating the P virtual ranks in Python, but
-with per-level cost proportional to active ranks plus touched data, not
-to P.
+The level itself is the shared top-down body
+(:meth:`~repro.bfs.level_sync.LevelSyncEngine._top_down`); this module
+supplies the layout — the expand over processor-columns (per-vertex
+expand-target CSR, or a forwarding program), the keyed concatenated
+column-CSR lookup, and the processor-rows as fold groups — all batched
+NumPy kernels over pooled per-rank state, with per-level cost
+proportional to active ranks plus touched data, not to P.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.collectives.base import get_expand, get_fold
 from repro.errors import ConfigurationError
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.comm import Communicator
-from repro.utils.segmented import range_indices, segmented_unique
+from repro.utils.segmented import range_indices, segmented_union
 
 
 class Bfs2DEngine(LevelSyncEngine):
@@ -72,6 +73,7 @@ class Bfs2DEngine(LevelSyncEngine):
         )
         self._col_groups = [self.grid.col_members(j) for j in range(self.grid.cols)]
         self._row_groups = [self.grid.row_members(i) for i in range(self.grid.rows)]
+        self._fold_groups = self._row_groups
         #: fold buckets within a processor-row are contiguous vertex ranges:
         #: row member m (mesh column m) owns block rows [m*R, (m+1)*R)
         self._member_bounds = partition.dist.offsets[:: self.grid.rows]
@@ -222,30 +224,15 @@ class Bfs2DEngine(LevelSyncEngine):
         """Which member of a processor-row owns each vertex."""
         return np.searchsorted(self._member_bounds, vertices, side="right") - 1
 
-    def _fold_owner(self, vertices: np.ndarray, senders: np.ndarray) -> np.ndarray:
-        # fold candidates travel along the sender's processor-row
-        C = self.grid.cols
-        return senders // C * C + self._fold_member(vertices)
-
     def _expand_level_bottom_up(self) -> tuple[np.ndarray, np.ndarray]:
         return bottom_up_level_2d(self)
 
     # ------------------------------------------------------------------ #
-    # one level (Algorithm 2, steps 7-21)
+    # one level (Algorithm 2, steps 7-12): expand and lookup
     # ------------------------------------------------------------------ #
-    def _expand_level(self) -> tuple[np.ndarray, np.ndarray]:
-        obs = self.comm.obs
-        with obs.span("expand", cat="phase"):
-            fbar_flat, fbar_bounds = self._expand_step()
-        with obs.span("compute", cat="phase"):
-            send_flat, send_bounds = self._discover_step(fbar_flat, fbar_bounds)
-        with obs.span("fold", cat="phase"):
-            fresh = self._fold_step(send_flat, send_bounds)
-        if self._sieve is not None:
-            self._sieve_update(*fresh)
-        return fresh
-
-    def _expand_messages(self, fflat: np.ndarray, fbounds: np.ndarray, *columns):
+    def _expand_messages(
+        self, fflat: np.ndarray, fbounds: np.ndarray, fmasks: np.ndarray | None = None
+    ):
         """One expand round's messages for a pooled frontier.
 
         One gather of the expand-target CSR resolves every frontier
@@ -253,10 +240,10 @@ class Bfs2DEngine(LevelSyncEngine):
         lockstep driver's merged outbox order: column groups ascending,
         sources ascending within each group — i.e. ascending owned block
         — then destination, then vertex (the sort is stable, so payloads
-        stay ascending).  Returns ``(payloads, src, dst, bounds,
-        population, pop_idx)``: ``payloads[0]`` is the vertex payload and
-        ``payloads[1:]`` the ``columns`` (arrays parallel to ``fflat``)
-        routed alongside it, message ``m`` carries entries
+        stay ascending).  Returns ``(payload, words, src, dst, bounds,
+        population, pop_idx)``: ``payload`` is the vertex payload and
+        ``words`` the mask column ``fmasks`` routed alongside it (``None``
+        without one), message ``m`` carries entries
         ``bounds[m]:bounds[m+1]`` from ``src[m]`` to ``dst[m]``, and
         ``population`` / ``pop_idx`` index the pre-routed pairs for
         :meth:`~repro.runtime.comm.Communicator.exchange_arrays`.
@@ -269,8 +256,8 @@ class Bfs2DEngine(LevelSyncEngine):
         gather, _ = range_indices(starts, lengths)
         if gather.size == 0:
             none = np.empty(0, dtype=np.int64)
-            payloads = [column[:0] for column in (fflat, *columns)]
-            return payloads, none, none, np.zeros(1, dtype=np.int64), None, None
+            words = None if fmasks is None else fmasks[:0]
+            return fflat[:0], words, none, none, np.zeros(1, dtype=np.int64), None, None
         entry_src = np.repeat(
             np.repeat(np.arange(nranks, dtype=np.int64), np.diff(fbounds)), lengths
         )
@@ -289,7 +276,8 @@ class Bfs2DEngine(LevelSyncEngine):
             else None
         )
         return (
-            [np.repeat(column, lengths)[order] for column in (fflat, *columns)],
+            np.repeat(fflat, lengths)[order],
+            None if fmasks is None else np.repeat(fmasks, lengths)[order],
             (msg_block % R) * C + msg_block // R,
             msg_key % nranks,
             msg_bounds,
@@ -297,7 +285,9 @@ class Bfs2DEngine(LevelSyncEngine):
             pop_idx,
         )
 
-    def _expand_step(self) -> tuple[np.ndarray, np.ndarray]:
+    def _expand_step(
+        self, fflat: np.ndarray, fbounds: np.ndarray, fmasks: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Steps 7-11: every rank's frontier reaches its column peers; F-bar as CSR.
 
         All processor-columns run in lockstep, so their messages contend
@@ -305,61 +295,67 @@ class Bfs2DEngine(LevelSyncEngine):
         real machine.  The direct expand is one batched exchange built
         from :meth:`_expand_messages` (chunks a fault withheld are dropped
         before the merge); a forwarding program runs through the expand
-        driver.  Either way one segmented union merges what each rank
-        received into its own frontier.
+        driver.  Either way the mask column, when there is one, rides
+        beside the vertex ids, and one segmented union merges what each
+        rank received into its own frontier, OR-ing the masks.
         """
-        nranks = self.comm.nranks
-        fflat = self._frontier_flat
-        fbounds = self._frontier_bounds
+        comm = self.comm
+        nranks = comm.nranks
         fsizes = np.diff(fbounds)
-        if self._expand is not None:
-            payload, inc_bounds = self._expand.expand(
-                self.comm, self._col_groups, fflat, fbounds, "expand"
+        with comm.obs.span("expand", cat="phase"):
+            if self._expand is not None:
+                payload, inc_bounds, words = self._expand.expand(
+                    comm, self._col_groups, fflat, fbounds, "expand", masks=fmasks
+                )
+                inc_sizes = np.diff(inc_bounds)
+                msg_dst, msg_sizes = np.arange(nranks, dtype=np.int64), inc_sizes
+            else:
+                payload, words, msg_src, msg_dst, msg_bounds, population, pop_idx = (
+                    self._expand_messages(fflat, fbounds, fmasks)
+                )
+                msg_sizes = np.diff(msg_bounds)
+                arrived = comm.exchange_arrays(
+                    msg_src,
+                    msg_dst,
+                    payload,
+                    msg_bounds[:-1],
+                    msg_bounds[1:],
+                    "expand",
+                    population=population,
+                    pop_idx=pop_idx,
+                    masks=words,
+                )
+                if arrived is not None:
+                    msg, starts, stops = arrived
+                    msg_dst, msg_sizes = msg_dst[msg], stops - starts
+                    idx, _ = range_indices(starts, msg_sizes)
+                    payload = payload[idx]
+                    words = None if words is None else words[idx]
+                comm.stats.record_delivery_bulk(msg_dst, msg_sizes, "expand")
+                inc_sizes = np.bincount(
+                    msg_dst, weights=msg_sizes, minlength=nranks
+                ).astype(np.int64)
+            comm.charge_compute_many(hash_lookups=inc_sizes)
+            with_inc = np.flatnonzero(inc_sizes)
+            if with_inc.size == 0:
+                return fflat, fbounds, fmasks
+            own, _ = range_indices(fbounds[with_inc], fsizes[with_inc])
+            segs = np.concatenate(
+                (np.repeat(with_inc, fsizes[with_inc]), np.repeat(msg_dst, msg_sizes))
             )
-            inc_sizes = np.diff(inc_bounds)
-            msg_dst, msg_sizes = np.arange(nranks, dtype=np.int64), inc_sizes
-        else:
-            (payload,), msg_src, msg_dst, msg_bounds, population, pop_idx = (
-                self._expand_messages(fflat, fbounds)
+            uniq, ubounds, umasks = segmented_union(
+                np.concatenate((fflat[own], payload)), segs, nranks, self.n,
+                None if fmasks is None else np.concatenate((fmasks[own], words)),
             )
-            msg_sizes = np.diff(msg_bounds)
-            arrived = self.comm.exchange_arrays(
-                msg_src,
-                msg_dst,
-                payload,
-                msg_bounds[:-1],
-                msg_bounds[1:],
-                "expand",
-                population=population,
-                pop_idx=pop_idx,
-            )
-            if arrived is not None:
-                msg, starts, stops = arrived
-                msg_dst, msg_sizes = msg_dst[msg], stops - starts
-                payload = payload[range_indices(starts, msg_sizes)[0]]
-            self.comm.stats.record_delivery_bulk(msg_dst, msg_sizes, "expand")
-            inc_sizes = np.bincount(
-                msg_dst, weights=msg_sizes, minlength=nranks
-            ).astype(np.int64)
-        self.comm.charge_compute_many(hash_lookups=inc_sizes)
-        with_inc = np.flatnonzero(inc_sizes)
-        if with_inc.size == 0:
-            return fflat, fbounds
-        own, _ = range_indices(fbounds[with_inc], fsizes[with_inc])
-        values = np.concatenate((fflat[own], payload))
-        segs = np.concatenate(
-            (np.repeat(with_inc, fsizes[with_inc]), np.repeat(msg_dst, msg_sizes))
-        )
-        uniq, ubounds, _, _ = segmented_unique(values, segs, nranks, self.n)
-        # Two-bank merge: ranks with incoming take their union segment,
-        # the rest keep their frontier segment — one gather, no per-rank
-        # assembly loop.
-        mask = inc_sizes > 0
-        bank = np.concatenate((uniq, fflat))
-        sel_starts = np.where(mask, ubounds[:-1], uniq.size + fbounds[:-1])
-        sel_sizes = np.where(mask, np.diff(ubounds), fsizes)
-        idx, out_bounds = range_indices(sel_starts, sel_sizes)
-        return bank[idx], out_bounds
+            # Two-bank merge: ranks with incoming take their union segment,
+            # the rest keep their frontier segment — one gather, no per-rank
+            # assembly loop.
+            has = inc_sizes > 0
+            sel_starts = np.where(has, ubounds[:-1], uniq.size + fbounds[:-1])
+            sel_sizes = np.where(has, np.diff(ubounds), fsizes)
+            idx, out_bounds = range_indices(sel_starts, sel_sizes)
+            out_masks = None if fmasks is None else np.concatenate((umasks, fmasks))[idx]
+            return np.concatenate((uniq, fflat))[idx], out_bounds, out_masks
 
     def _gather_slots(
         self, fbar_flat: np.ndarray, fbar_bounds: np.ndarray
@@ -394,43 +390,3 @@ class Bfs2DEngine(LevelSyncEngine):
             edges_scanned=edges, hash_lookups=edges + fbar_sizes
         )
         return self._row_slots[gather], lengths
-
-    def _discover_step(
-        self, fbar_flat: np.ndarray, fbar_bounds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Step 12: merge partial edge lists; returns fold candidates as CSR."""
-        slots, _ = self._gather_slots(fbar_flat, fbar_bounds)
-        filter_sent = self.opts.use_sent_cache
-        send_flat, send_bounds, uniq_sizes = self._sent_pool.discover(
-            slots, filter_sent=filter_sent
-        )
-        if filter_sent:
-            self.comm.charge_compute_many(hash_lookups=uniq_sizes)
-        return send_flat, send_bounds
-
-    def _fold_step(
-        self, send_flat: np.ndarray, send_bounds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Steps 13-21: deliver neighbours across processor-rows, label fresh ones.
-
-        All processor-rows fold in lockstep so their rounds share the wire
-        in the contention model.  The slot sizes come from one bincount
-        (row-group member ``i*C+j`` sending to member ``d`` is slot
-        ``rank*C + d``, and ``send_flat`` is already in slot order).
-        """
-        nranks = self.comm.nranks
-        C = self.grid.cols
-        seg = np.repeat(
-            np.arange(nranks, dtype=np.int64), np.diff(send_bounds)
-        )
-        csizes = np.bincount(
-            seg * C + self._fold_member(send_flat), minlength=nranks * C
-        )
-        incoming, inc_bounds = self._fold.fold(
-            self.comm, self._row_groups, csizes, send_flat, "fold",
-            sieve=self._sieve,
-        )
-        inc_segs = np.repeat(
-            np.arange(nranks, dtype=np.int64), np.diff(inc_bounds)
-        )
-        return self._label_fresh(incoming, inc_segs)

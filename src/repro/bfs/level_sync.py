@@ -3,9 +3,17 @@
 Both Algorithm 1 (1D) and Algorithm 2 (2D) proceed level by level: build
 the frontier, communicate, discover neighbours, communicate, label.  The
 :class:`LevelSyncEngine` base class owns the loop bookkeeping (level
-counter, per-level statistics, global termination reduction); subclasses
-implement one level expansion.  Keeping ``step()`` public is what lets the
-bi-directional driver (Section 2.3) interleave two searches.
+counter, per-level statistics, global termination reduction) and the one
+top-down level body (:meth:`LevelSyncEngine._top_down`); subclasses
+supply the layout hooks — expand peers, partial-edge-list lookup, fold
+groups.  Keeping ``step()`` public is what lets the bi-directional driver
+(Section 2.3) interleave two searches.
+
+A top-down level runs over a ``(vertex[, mask])`` frontier, the
+linear-algebraic form of Buluç & Madduri (arXiv:1104.4518): a batch of W
+sources carries one mask word per frontier entry, and single-source is
+W = 1 with the mask column left out — the same expand, merge, discover,
+fold and label, not a second function.
 
 :func:`run_level` is the one level loop: the checkpoint / retry /
 rollback / crash-replay protocol around a level body.  The engines'
@@ -27,7 +35,7 @@ from repro.observability.artifacts import collect_observability
 from repro.runtime.comm import Communicator
 from repro.types import LEVEL_DTYPE, UNREACHED, VERTEX_DTYPE
 from repro.utils.logging import get_logger
-from repro.utils.segmented import segmented_unique
+from repro.utils.segmented import segmented_union
 
 logger = get_logger("bfs")
 
@@ -72,6 +80,11 @@ class LevelSyncEngine(abc.ABC):
     # ------------------------------------------------------------------ #
     # abstract per-layout hooks
     # ------------------------------------------------------------------ #
+    #: the layout's fold groups: equal-size, tiling the ranks in order (so
+    #: fold segment ``s`` is rank ``s``) — 1D: the whole machine, 2D: the
+    #: processor-rows
+    _fold_groups: list[list[int]]
+
     @abc.abstractmethod
     def owner_rank(self, vertex: int) -> int:
         """Owning rank of a single vertex."""
@@ -80,21 +93,11 @@ class LevelSyncEngine(abc.ABC):
     def owned_slice(self, rank: int) -> tuple[int, int]:
         """Global vertex range ``[lo, hi)`` owned by ``rank``."""
 
-    @abc.abstractmethod
-    def _expand_level(self) -> tuple[np.ndarray, np.ndarray]:
-        """Run one level's communication + discovery.
-
-        Returns the next frontier as pooled CSR ``(flat, bounds)``: rank
-        ``r``'s sorted duplicate-free newly labelled vertices are
-        ``flat[bounds[r]:bounds[r+1]]``.  Implementations must write the
-        new labels into ``_levels_flat`` themselves and charge
-        compute/comm costs.
-        """
-
     def _expand_level_bottom_up(self) -> tuple[np.ndarray, np.ndarray]:
         """Run one *bottom-up* level (unvisited vertices probe the frontier).
 
-        Same contract as :meth:`_expand_level`.  Layouts that support
+        Returns the next frontier as pooled CSR ``(flat, bounds)`` and
+        writes the new labels into ``_levels_flat``.  Layouts that support
         direction-optimizing traversal override this (see
         :mod:`repro.bfs.bottom_up`); the default refuses so a policy that
         reaches bottom-up on an unsupported engine fails loudly.
@@ -104,14 +107,26 @@ class LevelSyncEngine(abc.ABC):
             f"use direction='top-down'"
         )
 
-    @abc.abstractmethod
-    def _fold_owner(self, vertices: np.ndarray, senders: np.ndarray) -> np.ndarray:
-        """Fold destination of each candidate: the rank that labels
-        ``vertices[k]``, as seen from sender rank ``senders[k]``.
+    def _expand_step(
+        self, flat: np.ndarray, bounds: np.ndarray, masks: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The expand: every rank's frontier merged with what its expand
+        peers hold of theirs (F-bar).  1D has no expand peers."""
+        return flat, bounds, masks
 
-        The layouts differ only in who a sender's fold peers are — 1D:
-        the block owner, whoever sends; 2D: the member of the *sender's*
-        processor-row standing in the owner's mesh column.
+    @abc.abstractmethod
+    def _gather_slots(
+        self, flat: np.ndarray, bounds: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Discovery's lookup: the (partial) edge lists of a pooled
+        frontier as sent-pool slots, charged to each rank.  Returns
+        ``(slots, lengths)``, ``lengths[k]`` the entries ``flat[k]`` gave."""
+
+    @abc.abstractmethod
+    def _fold_member(self, vertices: np.ndarray) -> np.ndarray:
+        """In-group fold destination of each candidate vertex: the member
+        of the sender's fold group that labels it — 1D: the block owner,
+        2D: the processor-row member standing in the owner's mesh column.
         """
 
     def _reset_layout_state(self) -> None:
@@ -150,27 +165,6 @@ class LevelSyncEngine(abc.ABC):
     # ------------------------------------------------------------------ #
     # pooled per-rank state
     # ------------------------------------------------------------------ #
-    @property
-    def frontier(self) -> list[np.ndarray]:
-        """Per-rank frontier views over the pooled CSR storage.
-
-        Compatibility accessor: materialises P views, so hot paths should
-        read ``_frontier_flat`` / ``_frontier_bounds`` directly.
-        """
-        bounds = self._frontier_bounds
-        flat = self._frontier_flat
-        return [
-            flat[bounds[r] : bounds[r + 1]] for r in range(self.comm.nranks)
-        ]
-
-    @frontier.setter
-    def frontier(self, parts: list[np.ndarray]) -> None:
-        sizes = np.array([p.size for p in parts], dtype=np.int64)
-        self._frontier_bounds = np.concatenate(([0], np.cumsum(sizes)))
-        self._frontier_flat = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=VERTEX_DTYPE)
-        ).astype(VERTEX_DTYPE, copy=False)
-
     def _owned_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Pooled owned-slice bounds, computed once per engine.
 
@@ -188,34 +182,81 @@ class LevelSyncEngine(abc.ABC):
             self._owned_spans = hi - lo
         return self._owned_lo, self._owned_hi
 
-    def _label_fresh(
-        self, incoming: np.ndarray, inc_segs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Owner-side labelling shared by the fold epilogues.
+    # ------------------------------------------------------------------ #
+    # one top-down level, at every width
+    # ------------------------------------------------------------------ #
+    def _top_down(
+        self,
+        flat: np.ndarray,
+        bounds: np.ndarray,
+        masks: np.ndarray | None = None,
+        *,
+        fold,
+        filter_sent: bool,
+        sieve,
+        label,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """One top-down level (Algorithm 1/2) over a ``(vertex[, mask])`` frontier.
 
-        ``incoming`` holds every delivered candidate vertex, tagged by
-        owner rank in ``inc_segs``.  Charges the per-owner hash probes,
-        dedups per owner, labels the still-unreached vertices with
-        ``level + 1``, charges the updates, and returns the new frontier
-        as pooled CSR ``(flat, bounds)``.
+        ``(flat, bounds)`` is the pooled frontier CSR — rank ``r`` holds
+        ``flat[bounds[r]:bounds[r+1]]``, sorted — and ``masks`` its
+        mask-word column: ``None`` for a single source, one bit per source
+        for a batch.  Expand (2D only), discover, fold and the owner-side
+        union run the same at every width; the caller picks the fold
+        program, the sent filter and the sieve, and ``label`` is the state
+        holder's hook that keeps the still-unvisited candidates and
+        records their level.  Returns the next frontier as ``(flat,
+        bounds, masks)``.
         """
-        nranks = self.comm.nranks
-        self.comm.charge_compute_many(
-            hash_lookups=np.bincount(inc_segs, minlength=nranks)
-        )
-        cand_flat, cand_bounds, _, _ = segmented_unique(
-            incoming, inc_segs, nranks, self.n
-        )
-        cand_segs = np.repeat(
-            np.arange(nranks, dtype=np.int64), np.diff(cand_bounds)
-        )
-        fresh_mask = self._levels_flat[cand_flat] == UNREACHED
-        fresh_flat = cand_flat[fresh_mask]
-        self._levels_flat[fresh_flat] = self.level + 1
-        fresh_counts = np.bincount(cand_segs[fresh_mask], minlength=nranks)
-        self.comm.charge_compute_many(updates=fresh_counts)
-        fresh_bounds = np.concatenate(([0], np.cumsum(fresh_counts)))
-        return fresh_flat, fresh_bounds
+        comm = self.comm
+        nranks = comm.nranks
+        obs = comm.obs
+        ranks = np.arange(nranks, dtype=np.int64)
+        flat, bounds, masks = self._expand_step(flat, bounds, masks)
+        with obs.span("compute", cat="phase"):
+            slots, lengths = self._gather_slots(flat, bounds)
+            flat, bounds, masks, counts = self._sent_pool.discover(
+                slots,
+                None if masks is None else np.repeat(masks, lengths),
+                filter_sent=filter_sent,
+            )
+            # one slot per edge scanned: not held through the fold (peak memory)
+            del slots
+            if filter_sent:
+                comm.charge_compute_many(hash_lookups=counts)
+            # A sender's candidates are sorted and its fold peers own
+            # ascending vertex ranges, so ``flat`` is already in slot order
+            # (sender, then in-group destination).
+            size = len(self._fold_groups[0])
+            slot = np.repeat(ranks, np.diff(bounds)) * size + self._fold_member(flat)
+            csizes = np.bincount(slot, minlength=nranks * size)
+        with obs.span("fold", cat="phase"):
+            flat, bounds, masks = fold.fold(
+                comm, self._fold_groups, csizes, flat, "fold", sieve=sieve, masks=masks
+            )
+        with obs.span("compute", cat="phase"):
+            # owner side: one probe per delivered candidate, dedup, label
+            arrived = np.diff(bounds)
+            comm.charge_compute_many(hash_lookups=arrived)
+            flat, bounds, masks = label(
+                *segmented_union(flat, np.repeat(ranks, arrived), nranks, self.n, masks)
+            )
+            comm.charge_compute_many(updates=np.diff(bounds))
+        if sieve is not None:
+            self._sieve_update(flat, bounds)
+        return flat, bounds, masks
+
+    def _label(
+        self, flat: np.ndarray, bounds: np.ndarray, masks: None
+    ) -> tuple[np.ndarray, np.ndarray, None]:
+        """Width-1 label: the candidates still unreached take ``level + 1``.
+
+        Freshness is read for every rank at once, then all labels apply.
+        """
+        fresh = self._levels_flat[flat] == UNREACHED
+        flat = flat[fresh]
+        self._levels_flat[flat] = self.level + 1
+        return flat, np.concatenate(([0], np.cumsum(fresh)))[bounds], None
 
     def _sieve_update(
         self, fresh_flat: np.ndarray, fresh_bounds: np.ndarray
@@ -333,7 +374,7 @@ class LevelSyncEngine(abc.ABC):
             ):
                 pass
         self._direction = direction
-        (new_flat, new_bounds), total_new, rollbacks, replays = run_level(
+        (new_flat, new_bounds, _), total_new, rollbacks, replays = run_level(
             self.comm, self.opts, self.level, self, direction=direction
         )
         self._frontier_flat = new_flat
@@ -344,11 +385,18 @@ class LevelSyncEngine(abc.ABC):
         self.level += 1
         return total_new
 
-    def _attempt(self) -> tuple[np.ndarray, np.ndarray]:
+    def _attempt(self) -> tuple[np.ndarray, np.ndarray, None]:
         """One attempt at the current level, in the decided direction."""
         if self._direction == BOTTOM_UP:
-            return self._expand_level_bottom_up()
-        return self._expand_level()
+            return (*self._expand_level_bottom_up(), None)
+        return self._top_down(
+            self._frontier_flat,
+            self._frontier_bounds,
+            fold=self._fold,
+            filter_sent=self.opts.use_sent_cache,
+            sieve=self._sieve,
+            label=self._label,
+        )
 
     # ------------------------------------------------------------------ #
     # level-boundary checkpointing (fault recovery)
@@ -418,9 +466,9 @@ def run_level(
     """Run one level of ``body`` under the checkpoint / retry protocol.
 
     ``body`` is anything with ``_attempt()`` (run the level once from the
-    body's entry state and return the next frontier as a pooled tuple
-    whose last element is the per-rank bounds — the entry frontier is
-    left untouched), ``_checkpoint()`` / ``_restore(snapshot)`` (every
+    body's entry state and return the next frontier as a pooled
+    ``(flat, bounds, masks)`` — the entry frontier is left untouched),
+    ``_checkpoint()`` / ``_restore(snapshot)`` (every
     structure an attempt mutates) and ``_checkpoint_nbytes()`` (per-rank
     size of that state plus the entry frontier): a layout engine at
     width 1, the batched traversal at width W.
@@ -467,7 +515,7 @@ def run_level(
         comm.begin_level(level)
         frontier = body._attempt()
         total_new = int(
-            comm.allreduce_sum(np.diff(frontier[-1]).astype(np.float64))
+            comm.allreduce_sum(np.diff(frontier[1]).astype(np.float64))
         )
         if replay_span is not None:
             obs.end(replay_span)

@@ -13,20 +13,22 @@ the visited bit widened to a visited *word*.
 
 The traversal rides the existing engines: :func:`run_ms_bfs` wraps a
 constructed :class:`~repro.bfs.bfs_1d.Bfs1DEngine` or
-:class:`~repro.bfs.bfs_2d.Bfs2DEngine` and is the width-W body of the
-same level loop.  The loop and its recovery are
-:func:`~repro.bfs.level_sync.run_level`; the batch level is *one* array
-body over a pooled ``(flat, masks, bounds)`` frontier that takes from the
-engine its immutable lookup tables, its expand messages (the per-vertex
-expand-target CSR the single-source direct expand uses), its discovery
-kernel and its fold-owner hook — the layouts differ only in whether
-there are expand peers and who the fold peers are.  Every ``(vertex,
-mask)`` round enters the wire through
+:class:`~repro.bfs.bfs_2d.Bfs2DEngine`, and a batch level is the
+engines' *one* top-down body
+(:meth:`~repro.bfs.level_sync.LevelSyncEngine._top_down`) — expand,
+merge, discover, fold — over a pooled ``(flat, bounds, masks)`` frontier:
+single-source is the same body with the mask column left out.  This
+module keeps only the batch's state (per-source level rows, visited mask
+words, target retirement, the level checkpoint) and its label, and fixes
+the batch's settings in one place (``_MsBfsRun._attempt``).  The loop and its
+recovery are :func:`~repro.bfs.level_sync.run_level`.  The mask words
+ride every round and both collective drivers beside the vertex ids: the
+vertex ids enter the wire through
 :meth:`~repro.runtime.comm.Communicator.exchange_arrays` (so wire codecs,
-chunking, contention, faults and observability all apply to the vertex
-ids), while the parallel mask words are charged to the wire uncompressed
-(8 bytes per entry; dense bitmasks are what the sparse-frontier codecs do
-*not* target) and re-join their vertices by position on arrival.
+chunking, contention, faults and observability all apply to them), while
+the mask words are charged uncompressed (8 bytes per entry; dense
+bitmasks are what the sparse-frontier codecs do *not* target) and re-join
+their vertices by position on arrival.
 
 Level semantics are bit-for-bit those of the sequential loop: a source's
 level row after :func:`run_ms_bfs` is byte-identical to the ``levels``
@@ -53,20 +55,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.level_sync import LevelSyncEngine, run_level
 from repro.bfs.result import QueryResult
+from repro.collectives.base import get_fold
 from repro.errors import ConfigurationError, SearchError
 from repro.faults.report import FaultReport
 from repro.runtime.stats import CommStats
 from repro.types import LEVEL_DTYPE, UNREACHED, VERTEX_DTYPE
-from repro.utils.segmented import range_indices
+from repro.utils.segmented import segmented_union
 
 #: dtype of the per-vertex source masks (one bit per batched source)
 MASK_DTYPE = np.uint64
 
 #: widest batch one traversal can carry (bits in a mask word)
 MAX_BATCH = 64
+
+#: a batch level's fold, whatever the engine's options say: the set-union
+#: rings merge vertex ids, not mask words
+_BATCH_FOLD = get_fold("direct")
 
 __all__ = ["MAX_BATCH", "MsBfsResult", "run_ms_bfs"]
 
@@ -132,53 +138,24 @@ class MsBfsResult:
         )
 
 
-def _run_starts(key: np.ndarray) -> np.ndarray:
-    """Start index of every run of equal values in ``key``."""
-    first = np.ones(key.size, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    return np.flatnonzero(first)
-
-
-def _or_reduce_segmented(
-    verts: np.ndarray,
-    masks: np.ndarray,
-    segs: np.ndarray,
-    nranks: int,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-segment duplicate elimination with mask OR-merge.
-
-    Returns ``(verts, masks, bounds)`` where segment ``r`` is
-    ``verts[bounds[r]:bounds[r+1]]`` sorted ascending and each vertex's
-    mask is the OR of its occurrences within the segment.
-    """
-    key = segs * n + verts
-    order = np.argsort(key, kind="stable")
-    idx = _run_starts(key[order])
-    uv = verts[order][idx]
-    us = segs[order][idx]
-    um = np.bitwise_or.reduceat(masks[order], idx)
-    counts = np.bincount(us, minlength=nranks)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    return uv, um, bounds
-
-
 def _keep(
-    flat: np.ndarray, masks: np.ndarray, bounds: np.ndarray, keep: np.ndarray
+    flat: np.ndarray, bounds: np.ndarray, masks: np.ndarray, keep: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of a pooled ``(flat, masks, bounds)`` frontier that ``keep`` marks."""
-    return flat[keep], masks[keep], np.concatenate(([0], np.cumsum(keep)))[bounds]
+    """The entries of a pooled ``(flat, bounds, masks)`` frontier that ``keep`` marks."""
+    return flat[keep], np.concatenate(([0], np.cumsum(keep)))[bounds], masks[keep]
 
 
 class _MsBfsRun:
-    """One batched traversal: the width-W level body over a wrapped engine.
+    """One batched traversal's state over a wrapped engine.
 
     Holds only what is batch-specific — the per-source level rows, the
-    visited mask words, the pooled ``(flat, masks, bounds)`` frontier
+    visited mask words, the pooled ``(flat, bounds, masks)`` frontier
     (rank ``r`` holds ``flat[bounds[r]:bounds[r+1]]``, sorted, with the
-    parallel mask words) and target retirement.  The level loop and its
-    recovery are :func:`~repro.bfs.level_sync.run_level`; lookup tables,
-    expand and fold routing are the engine's.
+    parallel mask words), target retirement and the level checkpoint.
+    The level loop and its recovery are
+    :func:`~repro.bfs.level_sync.run_level`; the level itself is the
+    engine's top-down body with the batch's settings (:meth:`_attempt`),
+    labelled by :meth:`_label`.
     """
 
     def __init__(
@@ -229,8 +206,8 @@ class _MsBfsRun:
         owners = np.array(
             [engine.owner_rank(s) for s in self.sources], dtype=np.int64
         )
-        self.frontier = _or_reduce_segmented(
-            init_verts, self.bits, owners, self.nranks, n
+        self.frontier = segmented_union(
+            init_verts, owners, self.nranks, n, self.bits
         )
 
     # ------------------------------------------------------------------ #
@@ -284,9 +261,9 @@ class _MsBfsRun:
                         retired |= self.bits[i]
                 comm.allreduce_flag(flags)
                 if retired:
-                    flat, masks, bounds = self.frontier
+                    flat, bounds, masks = self.frontier
                     masks = masks & ~retired
-                    self.frontier = _keep(flat, masks, bounds, masks != 0)
+                    self.frontier = _keep(flat, bounds, masks, masks != 0)
             if level_span is not None:
                 obs.end(
                     level_span,
@@ -345,7 +322,7 @@ class _MsBfsRun:
             self.B * np.dtype(LEVEL_DTYPE).itemsize + np.dtype(MASK_DTYPE).itemsize
         )
         per_entry = np.dtype(VERTEX_DTYPE).itemsize + np.dtype(MASK_DTYPE).itemsize
-        return (hi - lo) * per_vertex + np.diff(self.frontier[-1]) * per_entry
+        return (hi - lo) * per_vertex + np.diff(self.frontier[1]) * per_entry
 
     def _checkpoint(self) -> tuple[np.ndarray, np.ndarray]:
         """Snapshot what an attempt mutates: level rows and visited words."""
@@ -357,136 +334,36 @@ class _MsBfsRun:
         self.levels[:], self.seen[:] = snapshot
 
     # ------------------------------------------------------------------ #
-    # one batch level (expand / discover / fold / label)
+    # one batch level: the engines' top-down body, labelled per source bit
     # ------------------------------------------------------------------ #
-    def _exchange_pairs(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        verts: np.ndarray,
-        masks: np.ndarray,
-        starts: np.ndarray,
-        stops: np.ndarray,
-        phase: str,
-        population=None,
-        pop_idx: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One synchronous round of ``(vertex, mask)`` pair messages.
-
-        Message ``k`` carries ``verts[starts[k]:stops[k]]`` and the
-        parallel mask words from ``src[k]`` to ``dst[k]``.  Vertex ids
-        ride :meth:`Communicator.exchange_arrays` (codec-compressed,
-        chunked, contention-priced, faulted, traced); the mask words are
-        charged as an uncompressed second round on the same links (8
-        bytes per entry) ahead of the barrier.  Returns the delivered
-        entries as ``(verts, masks, segs)``, ``segs`` tagging each with
-        its destination rank: arrived chunks slice both columns by
-        position, so whichever chunks a fault withheld, every surviving
-        vertex keeps its own mask word.
-        """
-        comm = self.comm
-        arrived = comm.exchange_arrays(
-            src, dst, verts, starts, stops, phase,
-            population=population, pop_idx=pop_idx, sync=False,
-        )
-        if src.size:
-            nbytes = (stops - starts) * masks.dtype.itemsize
-            send, recv, _ = comm.network.round_times_arrays(src, dst, nbytes)
-            comm.clock.advance_many(np.maximum(send, recv), kind="comm")
-            total = int(nbytes.sum())
-            comm.stats.record_message_bulk(0, 0, total, total)
-        comm.barrier()
-        if arrived is not None:
-            msg, starts, stops = arrived
-            dst = dst[msg]
-        sizes = stops - starts
-        idx, _ = range_indices(starts, sizes)
-        return verts[idx], masks[idx], np.repeat(dst, sizes)
-
     def _attempt(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One batch level from the entry frontier; returns the next one.
 
-        The layouts share this body: a 2D engine adds the expand phase
-        and answers the fold's "who owns ``v``, seen from sender ``s``"
-        within the sender's processor-row; 1D is the degenerate mesh with
-        no expand peers and the whole machine as fold peers.
+        The batch's settings, whatever ``engine.opts`` say (see
+        :func:`run_ms_bfs`): the direct fold, no sent cache, no sieve.
         """
-        engine = self.engine
-        comm = self.comm
-        nranks, n = self.nranks, self.n
-        obs = comm.obs
-        ranks = np.arange(nranks, dtype=np.int64)
-        flat, masks, bounds = self.frontier
-
-        if isinstance(engine, Bfs2DEngine):
-            # frontier pairs to the processor-column peers holding the
-            # vertices' partial edge lists, merged into F-bar per rank
-            with obs.span("expand", cat="phase"):
-                (verts, words), src, dst, msg_bounds, population, pop_idx = (
-                    engine._expand_messages(flat, bounds, masks)
-                )
-                inc_v, inc_m, inc_s = self._exchange_pairs(
-                    src, dst, verts, words,
-                    msg_bounds[:-1], msg_bounds[1:], "expand",
-                    population, pop_idx,
-                )
-                comm.charge_compute_many(
-                    hash_lookups=np.bincount(inc_s, minlength=nranks)
-                )
-                flat, masks, bounds = _or_reduce_segmented(
-                    np.concatenate((flat, inc_v)),
-                    np.concatenate((masks, inc_m)),
-                    np.concatenate((np.repeat(ranks, np.diff(bounds)), inc_s)),
-                    nranks,
-                    n,
-                )
-
-        with obs.span("compute", cat="phase"):
-            slots, lengths = engine._gather_slots(flat, bounds)
-            nb_v, nb_m, nb_bounds = engine._sent_pool.discover_masks(
-                slots, np.repeat(masks, lengths)
-            )
-            # Fold messages are the runs of equal (sender, owner): each
-            # sender's neighbours are sorted and its fold peers own
-            # ascending vertex ranges, so runs come out sender ascending,
-            # then owner, then vertex.  Own-rank runs skip the wire.
-            sender = np.repeat(ranks, np.diff(nb_bounds))
-            owner = engine._fold_owner(nb_v, sender)
-            run_starts = _run_starts(sender * nranks + owner)
-            run_sizes = np.diff(np.append(run_starts, sender.size))
-            wire = sender[run_starts] != owner[run_starts]
-            local, _ = range_indices(run_starts[~wire], run_sizes[~wire])
-            run_starts, run_sizes = run_starts[wire], run_sizes[wire]
-
-        with obs.span("fold", cat="phase"):
-            inc_v, inc_m, inc_s = self._exchange_pairs(
-                sender[run_starts], owner[run_starts], nb_v, nb_m,
-                run_starts, run_starts + run_sizes, "fold",
-            )
-
-        # label newly reached (vertex, bit) pairs, build the next frontier
-        cand_s = np.concatenate((owner[local], inc_s))
-        comm.charge_compute_many(hash_lookups=np.bincount(cand_s, minlength=nranks))
-        cand_v, cand_m, cand_bounds = _or_reduce_segmented(
-            np.concatenate((nb_v[local], inc_v)),
-            np.concatenate((nb_m[local], inc_m)),
-            cand_s,
-            nranks,
-            n,
+        return self.engine._top_down(
+            *self.frontier, fold=_BATCH_FOLD, filter_sent=False, sieve=None,
+            label=self._label,
         )
-        # freshness is evaluated against the *level-entry* visited words for
-        # every rank at once (the engines' flat-array semantics), then all
-        # updates apply together — duplicate candidates across ranks each
-        # enter their rank's frontier, exactly as in the sequential engines
-        new_m = cand_m & ~self.seen[cand_v]
-        kept_v, kept_m, kept_bounds = _keep(cand_v, new_m, cand_bounds, new_m != 0)
-        np.bitwise_or.at(self.seen, kept_v, kept_m)
+
+    def _label(
+        self, flat: np.ndarray, bounds: np.ndarray, masks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Width-W label: each candidate keeps the source bits that have not
+        visited it yet, and those (vertex, bit) pairs take ``level + 1``.
+
+        Freshness is read against the level-entry visited words for every
+        rank at once, then all updates apply together.
+        """
+        masks = masks & ~self.seen[flat]
+        flat, bounds, masks = _keep(flat, bounds, masks, masks != 0)
+        np.bitwise_or.at(self.seen, flat, masks)
         for b in range(self.B):
-            sel = (kept_m >> MASK_DTYPE(b)) & MASK_DTYPE(1) != 0
-            if sel.any():
-                self.levels[b, kept_v[sel]] = self.level + 1
-        comm.charge_compute_many(updates=np.diff(kept_bounds))
-        return kept_v, kept_m, kept_bounds
+            hit = (masks >> MASK_DTYPE(b)) & MASK_DTYPE(1) != 0
+            if hit.any():
+                self.levels[b, flat[hit]] = self.level + 1
+        return flat, bounds, masks
 
 
 def run_ms_bfs(
@@ -505,5 +382,14 @@ def run_ms_bfs(
     sequential driver's early-termination semantics.  Returns an
     :class:`MsBfsResult` whose per-source rows are byte-identical to
     dedicated :func:`~repro.bfs.level_sync.run_bfs` runs.
+
+    A batch level is the engine's own top-down body
+    (:meth:`~repro.bfs.level_sync.LevelSyncEngine._top_down`) over the
+    ``(vertex, mask)`` frontier, with the engine's expand collective and
+    these settings, whatever ``engine.opts`` say: the ``direct`` fold
+    (the set-union rings merge vertex ids, not mask words), no sent cache
+    and no sieve (both keep per-vertex state, and a vertex already sent
+    or visited for one source is not for another), top-down at every
+    level.
     """
     return _MsBfsRun(engine, list(sources), targets, max_levels).run()

@@ -17,7 +17,13 @@ class BfsOptions:
 
     The defaults correspond to the paper's recommended configuration:
     sparse per-destination expand (Section 2.2), union-fold reduce-scatter
-    (Section 3.2.2), and the sent-neighbours cache (Section 2.4.3).
+    (Section 3.2.2), and the sent-neighbours cache (Section 2.4.3).  A
+    batched traversal (:func:`~repro.bfs.msbfs.run_ms_bfs`) keeps the
+    expand collective but runs every level top-down with the ``direct``
+    fold, no sent cache and no sieve, whatever these options say, because
+    its frontier carries a mask word per vertex that the set-union rings
+    do not merge and that per-vertex state (sent flags, sieve shadows,
+    bottom-up's unvisited scan) cannot track source by source.
 
     Parameters
     ----------

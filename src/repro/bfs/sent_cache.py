@@ -134,46 +134,39 @@ class PooledSentCache:
         return hit
 
     def discover(
-        self, slots: np.ndarray, *, filter_sent: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, slots: np.ndarray, masks: np.ndarray | None = None, *, filter_sent: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
         """One level's neighbour dedup (and sent filter) over every rank.
 
         ``slots`` are the gathered slot ids of the edges scanned this
-        level, duplicates included.  Returns ``(flat, bounds, counts)``:
-        rank ``r``'s sorted duplicate-free neighbours are
+        level, duplicates included, and ``masks`` an optional mask-word
+        column parallel to them.  Returns ``(flat, bounds, masks,
+        counts)``: rank ``r``'s sorted duplicate-free neighbours are
         ``flat[bounds[r]:bounds[r+1]]`` — with ``filter_sent`` only the
         not-yet-sent ones, which are then marked sent, element-for-element
         what per-rank ``np.unique`` + :meth:`SentCache.filter_unsent`
-        produce — and ``counts[r]`` is the size of rank ``r``'s neighbour
-        set *before* the filter (the lookups the filter is charged for).
+        produce — each carrying the OR of its occurrences' mask words
+        (``None`` without a column), and ``counts[r]`` is the size of
+        rank ``r``'s neighbour set *before* the filter (the lookups the
+        filter is charged for).  Sent flags are per vertex, not per mask
+        bit, so a mask column is only taken with ``filter_sent=False``.
         """
         hit = self._distinct(slots)
         bounds = np.searchsorted(hit, self.bounds)
         counts = np.diff(bounds)
+        merged = None
+        if masks is not None:
+            if self._acc is None:
+                self._acc = np.zeros(self.vertex.size, dtype=masks.dtype)
+            np.bitwise_or.at(self._acc, slots, masks)
+            merged = self._acc[hit]
+            self._acc[hit] = 0
         if filter_sent:
-            hit = hit[~self._sent[hit]]
+            fresh = ~self._sent[hit]
+            hit = hit[fresh]
             self._sent[hit] = True
             bounds = np.searchsorted(hit, self.bounds)
-        return self.vertex[hit], bounds, counts
-
-    def discover_masks(
-        self, slots: np.ndarray, masks: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`discover` at width W: per-rank dedup with mask OR-merge.
-
-        ``masks`` is parallel to ``slots``.  Returns ``(flat, masks,
-        bounds)`` where each distinct neighbour's mask is the OR of its
-        occurrences within its rank.  The sent flags are neither read
-        nor written (MS-BFS keeps no sent state).
-        """
-        if self._acc is None:
-            self._acc = np.zeros(self.vertex.size, dtype=masks.dtype)
-        acc = self._acc
-        hit = self._distinct(slots)
-        np.bitwise_or.at(acc, slots, masks)
-        merged = acc[hit]
-        acc[hit] = 0
-        return self.vertex[hit], merged, np.searchsorted(hit, self.bounds)
+        return self.vertex[hit], bounds, merged, counts
 
     def reset(self) -> None:
         """Forget all sent marks (start of a new search)."""

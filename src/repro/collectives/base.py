@@ -66,6 +66,7 @@ def _forward(
     bstarts: np.ndarray,
     bsizes: np.ndarray,
     first_round: int = 0,
+    bmasks: np.ndarray | None = None,
 ):
     """Run a program's forwarding rounds over pooled, immutable blocks.
 
@@ -73,11 +74,14 @@ def _forward(
     entries of ``bflat`` from ``bstarts[.]``; blocks never change, a round
     only names which of them each message carries, so a message is one
     gather of its non-empty blocks in table order — and where every block
-    ends up is known without running a round.  Blocks travel *on
-    schedule*: a chunk the fault layer withheld still moves on (the level
-    is rolled back anyway).  Only a ``lossy`` program that had chunks
-    withheld returns the ones that did arrive, as ``(destination
-    segments, payload, starts, stops)``; ``None``: all were delivered.
+    ends up is known without running a round.  A mask column ``bmasks``
+    (parallel to ``bflat``) is gathered with the same index and rides
+    each round beside the vertex ids.  Blocks travel *on schedule*: a
+    chunk the fault layer withheld still moves on (the level is rolled
+    back anyway).  Only a ``lossy`` program that had chunks withheld
+    returns the ones that did arrive, as ``(destination segments,
+    payload, payload masks, starts, stops)``; ``None``: all were
+    delivered.
     """
     size, ngroups = lock.size, lock.ngroups
     nblocks = bsizes.size // ngroups
@@ -106,24 +110,33 @@ def _forward(
         tail = np.concatenate((cut, [keep.size]))[: keep.size]
         idx, offsets = range_indices(bstarts[blk], sizes)
         payload = bflat[idx]
+        words = None if bmasks is None else bmasks[idx]
         arrived = lock.round(
             index, active, lock.ranks[src_seg[head]], lock.ranks[dst_seg[head]],
             payload, offsets[head], offsets[tail], participants=participants,
+            masks=words,
         )
         if program.lossy and arrived is not None:
             msg, starts, stops = arrived
-            survivors = dst_seg[head][msg], payload, starts, stops
+            survivors = dst_seg[head][msg], payload, words, starts, stops
     return survivors
 
 
 def _regroup(
-    flat: np.ndarray, dest: np.ndarray, starts: np.ndarray, sizes: np.ndarray, ndest: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks ``flat[starts[k]:starts[k] + sizes[k]]`` -> CSR by ``dest[k]``."""
+    flat: np.ndarray,
+    dest: np.ndarray,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    ndest: int,
+    masks: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Blocks ``flat[starts[k]:starts[k] + sizes[k]]`` -> CSR by ``dest[k]``,
+    the mask column (parallel to ``flat``, if any) gathered alike."""
     live = np.flatnonzero(sizes)
     order = live[np.argsort(dest[live], kind="stable")]
     idx, offsets = range_indices(starts[order], sizes[order])
-    return flat[idx], offsets[np.searchsorted(dest[order], np.arange(ndest + 1))]
+    bounds = offsets[np.searchsorted(dest[order], np.arange(ndest + 1))]
+    return flat[idx], bounds, None if masks is None else masks[idx]
 
 
 def _union_rings(
@@ -245,16 +258,21 @@ class FoldCollective(_Program):
         cflat: np.ndarray,
         phase: str = "fold",
         sieve=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        masks: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Run the collective on equal-size disjoint ``groups`` in lockstep.
 
         ``csizes[(i * size + g) * size + d]`` is the payload length member
         ``g`` of group ``i`` sends to in-group destination ``d``, and
         ``cflat`` holds the payloads back to back in slot order (values
         must be non-negative, e.g. vertex ids).  Returns what every member
-        ends up with as CSR ``(flat, bounds)`` over segment ``i * size +
-        g``, local hand-offs included: the sorted set-union for the
+        ends up with as CSR ``(flat, bounds, masks)`` over segment ``i *
+        size + g``, local hand-offs included: the sorted set-union for the
         reducing programs, every arrival (duplicates too) for the others.
+        ``masks`` is an optional mask-word column parallel to ``cflat``
+        that travels with its vertices (``None`` in, ``None`` out); the
+        set-union rings and the sieve act on vertices alone, so they
+        refuse one.
 
         ``sieve`` is an optional :class:`repro.bfs.sieve.PooledSieve`:
         every contribution is probed against its sender's shadow of the
@@ -269,6 +287,12 @@ class FoldCollective(_Program):
                 f"{nseg} members of {size}-member groups need {nseg * size} "
                 f"payload slots, got {csizes.size}"
             )
+        shape = self._rings(size)
+        if masks is not None and (sieve is not None or shape is not None):
+            raise CommunicationError(
+                f"the {self.name!r} fold cannot carry a mask column"
+                + (" through a sieve" if sieve is not None else "")
+            )
         if sieve is not None and cflat.size:
             slot_all = np.repeat(np.arange(nseg * size, dtype=np.int64), csizes)
             senders = lock.ranks[slot_all // size]
@@ -280,36 +304,39 @@ class FoldCollective(_Program):
                 cflat = cflat[keep]
                 csizes = np.bincount(slot_all[keep], minlength=csizes.size)
         rounds = list(self._rounds(size))
-        shape = self._rings(size)
         first_round = 0
         if shape is not None:
             a, b = shape
             cflat, bounds = _union_rings(lock, shape, csizes, cflat, deliver=not rounds)
             if not rounds:
-                return cflat, bounds
+                return cflat, bounds, None
             # member (r, c) now holds lane r': its block for (r', c)
             holder, lane = np.divmod(np.arange(nseg * a, dtype=np.int64), a)
             csizes = np.zeros(nseg * size, dtype=np.int64)
             csizes[holder * size + lane * b + holder % b] = np.diff(bounds)
             first_round = b - 1
         bstarts = np.cumsum(csizes) - csizes
-        survivors = _forward(lock, self, rounds, cflat, bstarts, csizes, first_round)
+        survivors = _forward(
+            lock, self, rounds, cflat, bstarts, csizes, first_round, masks
+        )
         # Whatever the route, every block ends up at its destination;
         # self-addressed ones are local hand-offs, not deliveries.
         holder, dest = np.divmod(np.arange(nseg * size, dtype=np.int64), size)
         dest += holder - holder % size
         handed = holder == dest
         if survivors is not None:
-            arrived_to, payload, starts, stops = survivors
+            arrived_to, payload, words, starts, stops = survivors
             dest = np.concatenate((dest[handed], arrived_to))
             bstarts = np.concatenate((bstarts[handed], cflat.size + starts))
             csizes = np.concatenate((csizes[handed], stops - starts))
             cflat = np.concatenate((cflat, payload))
+            if masks is not None:
+                masks = np.concatenate((masks, words))
             handed = np.arange(dest.size) < nseg
         sent = np.flatnonzero(~handed & (csizes > 0))
         if sent.size:
             comm.stats.record_delivery_bulk(lock.ranks[dest[sent]], csizes[sent], phase)
-        return _regroup(cflat, dest, bstarts, csizes, nseg)
+        return _regroup(cflat, dest, bstarts, csizes, nseg, masks)
 
 
 class ExpandCollective(_Program):
@@ -329,14 +356,16 @@ class ExpandCollective(_Program):
         flat: np.ndarray,
         bounds: np.ndarray,
         phase: str = "expand",
-    ) -> tuple[np.ndarray, np.ndarray]:
+        masks: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Run the collective on equal-size disjoint ``groups`` in lockstep.
 
         ``(flat, bounds)`` is a CSR over the communicator's *ranks* (the
         engines' pooled frontier): rank ``r`` contributes
-        ``flat[bounds[r]:bounds[r + 1]]``.  Returns, as CSR over ranks
-        again, what every rank received — each group peer's non-empty
-        block exactly once, its own not included.
+        ``flat[bounds[r]:bounds[r + 1]]``, with the optional mask-word
+        column ``masks`` beside it.  Returns, as CSR ``(flat, bounds,
+        masks)`` over ranks again, what every rank received — each group
+        peer's non-empty block exactly once, its own not included.
         """
         lock = _Lockstep(comm, groups, phase)
         if bounds.size != comm.nranks + 1:
@@ -344,7 +373,10 @@ class ExpandCollective(_Program):
                 f"expected CSR bounds over {comm.nranks} ranks, got {bounds.size - 1}"
             )
         size, ranks, sizes = lock.size, lock.ranks, np.diff(bounds)
-        _forward(lock, self, self._rounds(size), flat, bounds[ranks], sizes[ranks])
+        _forward(
+            lock, self, self._rounds(size), flat, bounds[ranks], sizes[ranks],
+            bmasks=masks,
+        )
         # Whatever the route, every member ends up with each peer's block,
         # and every receipt is a delivery.
         member, origin = np.divmod(np.arange(size * size, dtype=np.int64), size)
@@ -355,7 +387,7 @@ class ExpandCollective(_Program):
         sizes = sizes[origin]
         if sizes.any():
             comm.stats.record_delivery_bulk(dest, sizes, phase)
-        return _regroup(flat, dest, bounds[origin], sizes, comm.nranks)
+        return _regroup(flat, dest, bounds[origin], sizes, comm.nranks, masks)
 
 
 # ---------------------------------------------------------------------- #

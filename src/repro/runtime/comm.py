@@ -128,8 +128,7 @@ class Communicator:
         participants: list[int] | None = None,
         population=None,
         pop_idx: np.ndarray | None = None,
-        *,
-        sync: bool = True,
+        masks: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Execute one synchronous round of point-to-point messages.
 
@@ -139,8 +138,16 @@ class Communicator:
         trace and of per-rank float accumulation).  Every payload is chunked to
         ``buffer_capacity`` (each chunk is a separate message paying its
         own latency — the cost of the paper's fixed-length buffers) and
-        participants are barrier-synchronised after the round unless
-        ``sync=False``.
+        participants are barrier-synchronised after the round.
+
+        ``masks``, a batched traversal's mask-word column parallel to
+        ``flat``, rides the same messages uncompressed (dense bitmasks
+        are what the frontier codecs do *not* target): one more transfer
+        over the unsplit messages at the words' item size per entry,
+        charged before the barrier and counted in the byte totals only —
+        no messages, vertices or phase split.  The words re-join their
+        vertices by position: the chunk bounds returned index both
+        columns.
 
         With a fault schedule attached, each chunk may be dropped and
         retried (see the module docstring); a chunk lost for good flags
@@ -154,8 +161,8 @@ class Communicator:
         the buffer cap splits: its chunks repeat pairs).
         """
         msg, starts, stops, arrived = self._round(
-            src, dst, flat, starts, stops, phase, participants, sync,
-            population, pop_idx,
+            src, dst, flat, starts, stops, phase, participants,
+            population, pop_idx, masks,
         )
         if arrived is None:
             return None
@@ -172,9 +179,9 @@ class Communicator:
         stops: np.ndarray,
         phase: str,
         participants: list[int] | None,
-        sync: bool,
         population=None,
         pop_idx: np.ndarray | None = None,
+        masks: np.ndarray | None = None,
     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
         """The message round behind :meth:`exchange_arrays`.
 
@@ -192,6 +199,8 @@ class Communicator:
         faults = self.faults
         if faults is not None:
             self._fire_crashes("exchange")
+        # the mask column's transfer: the messages as given, before chunking
+        side = None if masks is None else (src, dst, (stops - starts) * masks.itemsize)
 
         msg = None
         capacity = self.buffer_capacity
@@ -280,8 +289,12 @@ class Communicator:
                 np.column_stack((encode_s, decode_s)).ravel(),
             )
             self.clock.advance_many(codec_seconds, kind="compute")
-        if sync:
-            self.barrier(participants)
+        if side is not None and side[0].size:
+            send_time, recv_time, _ = self.network.round_times_arrays(*side)
+            self.clock.advance_many(np.maximum(send_time, recv_time), kind="comm")
+            total = int(side[2].sum())
+            self.stats.record_message_bulk(0, 0, total, total)
+        self.barrier(participants)
         if span is not None:
             obs.end(
                 span,

@@ -56,6 +56,35 @@ def segmented_unique(
     return flat, bounds, values.size - uk.size, seg_of
 
 
+def segmented_union(
+    values: np.ndarray,
+    segs: np.ndarray,
+    nseg: int,
+    domain: int,
+    masks: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Per-segment sorted union of a frontier, OR-merging its mask column.
+
+    Returns ``(flat, bounds, masks)``: ``flat``/``bounds`` are
+    :func:`segmented_unique`'s, and each kept vertex carries the OR of
+    its occurrences' mask words within its segment (``None`` without a
+    mask column — single-source is the width-1 case with the column left
+    out).
+    """
+    if masks is None:
+        flat, bounds, _, _ = segmented_unique(values, segs, nseg, domain)
+        return flat, bounds, None
+    keys = segs * domain + values
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    seg_of, flat = np.divmod(keys[starts], domain)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(seg_of, minlength=nseg))))
+    return flat, bounds, np.bitwise_or.reduceat(masks[order], starts)
+
+
 def range_indices(
     starts: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,16 @@ Recompute an existing key only when an intentional simulated-behaviour
 change lands, and name it:
 
     PYTHONPATH=src python tests/golden_capture.py --recapture KEY [KEY ...]
+
+When the change is meant to move only some fields of a row (say the
+``stats`` digest, because a counter started counting), name them too:
+
+    PYTHONPATH=src python tests/golden_capture.py --recapture KEY [KEY ...] \\
+        --fields stats
+
+Only the named fields are rewritten, each printed as ``old -> new``; if
+any *other* field of a recaptured row changed, the script names it, writes
+nothing and exits non-zero — the change moved more than it claimed.
 """
 
 from __future__ import annotations
@@ -31,7 +41,11 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "data" / "schedule_digests.json"
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(
+    argv: list[str] | None = None, *, configs: dict | None = None, path: Path = GOLDEN
+) -> None:
+    """Run the capture; ``configs`` / ``path`` default to the real matrix
+    and JSON (a test passes its own)."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--add", nargs="+", metavar="KEY", default=None,
@@ -41,12 +55,20 @@ def main(argv: list[str] | None = None) -> None:
         "--recapture", nargs="+", metavar="KEY", default=[],
         help="recompute these existing keys in place",
     )
+    parser.add_argument(
+        "--fields", nargs="+", metavar="FIELD", default=None,
+        help="with --recapture: rewrite only these fields of each row and "
+        "fail if any other field changed",
+    )
     args = parser.parse_args(argv)
+    if args.fields is not None and not args.recapture:
+        parser.error("--fields only applies to --recapture")
 
-    sys.path.insert(0, str(HERE))
-    from test_sparse_schedule import CONFIGS
+    if configs is None:
+        sys.path.insert(0, str(HERE))
+        from test_sparse_schedule import CONFIGS as configs
 
-    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    golden = json.loads(path.read_text()) if path.exists() else {}
     if args.add is not None:
         present = [key for key in args.add if key in golden]
         if present:
@@ -55,22 +77,37 @@ def main(argv: list[str] | None = None) -> None:
     elif args.recapture:
         new = []
     else:
-        new = [key for key in CONFIGS if key not in golden]
+        new = [key for key in configs if key not in golden]
     absent = [key for key in args.recapture if key not in golden]
     if absent:
         parser.error(f"not captured yet (use --add): {absent}")
-    unknown = [key for key in [*new, *args.recapture] if key not in CONFIGS]
+    unknown = [key for key in [*new, *args.recapture] if key not in configs]
     if unknown:
         parser.error(f"no such configuration: {unknown}")
 
     # dicts keep insertion order: recaptured keys stay in place, new keys
     # land at the end, every other entry is written back as it was read
+    moved = []
     for key in [*args.recapture, *new]:
-        golden[key] = CONFIGS[key]()
+        row = configs[key]()
+        if args.fields is not None and key in args.recapture:
+            old = golden[key]
+            moved += [
+                f"{key}.{field}: {old.get(field)!r} -> {row.get(field)!r}"
+                for field in sorted(set(old) | set(row))
+                if field not in args.fields and old.get(field) != row.get(field)
+            ]
+            for field in args.fields:
+                print(f"{key}.{field}: {old.get(field)!r} -> {row.get(field)!r}")
+            row = {**old, **{f: row[f] for f in args.fields if f in row}}
+        golden[key] = row
         print(f"captured {key}")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
-    print(f"wrote {GOLDEN} ({len(new)} added, {len(args.recapture)} recaptured)")
+    if moved:
+        print("fields outside --fields changed; nothing written:", *moved, sep="\n  ")
+        raise SystemExit(1)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"wrote {path} ({len(new)} added, {len(args.recapture)} recaptured)")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ def _discover_charges(graph, grid, layout, source, use_sent_cache):
     from unittest import mock
 
     from repro.api import build_engine
-    from repro.bfs.bfs_2d import Bfs2DEngine
     from repro.bfs.options import BfsOptions
     from repro.bfs.sent_cache import PooledSentCache
 
@@ -64,27 +63,30 @@ def _discover_charges(graph, grid, layout, source, use_sent_cache):
     events: list[tuple] = []
     real_charge = Communicator.charge_compute_many
     real_discover = PooledSentCache.discover
-    real_step = Bfs2DEngine._discover_step
+    real_gather = type(engine)._gather_slots
 
     def charge(self, **work):
         events.append(("charge", work))
         return real_charge(self, **work)
 
-    def discover(self, slots, **kwargs):
+    def discover(self, slots, *args, **kwargs):
         events.append(("discover", None))
-        return real_discover(self, slots, **kwargs)
+        return real_discover(self, slots, *args, **kwargs)
 
-    def discover_step(self, fbar_flat, fbar_bounds):
+    def gather(self, fbar_flat, fbar_bounds):
         events.append(("fbar", (fbar_flat, fbar_bounds)))
-        return real_step(self, fbar_flat, fbar_bounds)
+        return real_gather(self, fbar_flat, fbar_bounds)
 
     pairs = []
     with mock.patch.object(Communicator, "charge_compute_many", charge), \
             mock.patch.object(PooledSentCache, "discover", discover), \
-            mock.patch.object(Bfs2DEngine, "_discover_step", discover_step):
+            mock.patch.object(type(engine), "_gather_slots", gather):
         engine.start(source)
         while True:
-            frontier = engine.frontier
+            bounds = engine._frontier_bounds
+            frontier = [
+                engine._frontier_flat[bounds[r]: bounds[r + 1]] for r in range(nranks)
+            ]
             del events[:]
             fresh = engine.step()
             at = [e[0] for e in events].index("discover")

@@ -146,7 +146,7 @@ class TestBfs2D:
         """The direct expand's merge is a union of *disjoint* sets.
 
         A rank's own frontier holds vertices it owns; what column peers
-        send it they own — owners are disjoint, so the segmented unique
+        send it they own — owners are disjoint, so the segmented union
         there only orders, never drops.  (Discovery, where duplicates do
         occur, dedups in the sent pool's slot space instead.)
         """
@@ -154,13 +154,13 @@ class TestBfs2D:
 
         dropped = []
 
-        def spy(values, segs, nseg, domain):
-            out = bfs_2d_unique(values, segs, nseg, domain)
-            dropped.append(out[2])
+        def spy(values, segs, nseg, domain, masks=None):
+            out = bfs_2d_union(values, segs, nseg, domain, masks)
+            dropped.append(values.size - out[0].size)
             return out
 
-        bfs_2d_unique = bfs_2d.segmented_unique
-        monkeypatch.setattr(bfs_2d, "segmented_unique", spy)
+        bfs_2d_union = bfs_2d.segmented_union
+        monkeypatch.setattr(bfs_2d, "segmented_union", spy)
         run_and_compare(small_graph, GridShape(4, 2))
         assert dropped and not any(dropped)
 

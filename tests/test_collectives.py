@@ -56,7 +56,7 @@ def pack(outboxes_per_group: list[Outboxes]) -> tuple[np.ndarray, np.ndarray]:
 
 def run_fold(name, comm, groups, outboxes_per_group, **kwargs) -> list[np.ndarray]:
     """Fold dict outboxes; what each member received, by segment."""
-    flat, bounds = get_fold(name, **kwargs).fold(
+    flat, bounds, _ = get_fold(name, **kwargs).fold(
         comm, groups, *pack(outboxes_per_group)
     )
     return [flat[bounds[s] : bounds[s + 1]] for s in range(bounds.size - 1)]
@@ -186,7 +186,7 @@ def test_expand_delivers_every_peer_block(expand_name, ngroups, size, seed):
     bounds = np.concatenate(([0], np.cumsum([blk.size for blk in blocks])))
     comm = torus_comm(nranks, observe="spans")
     comm.stats.begin_level(0)
-    flat, inc_bounds = get_expand(expand_name).expand(
+    flat, inc_bounds, _ = get_expand(expand_name).expand(
         comm, groups, np.concatenate(blocks), bounds
     )
     level = comm.stats.end_level(0)
@@ -208,6 +208,68 @@ def test_expand_delivers_every_peer_block(expand_name, ngroups, size, seed):
         "recursive-doubling": math.ceil(math.log2(size)),
         "two-phase": subgrid_shape(size)[1],
     }[expand_name]
+
+
+class TestMaskColumn:
+    """A batch's mask words ride every forwarding program beside their
+    vertex ids: each word still sits next to its own vertex on arrival,
+    and every hop charges 8 more bytes per entry (no more messages)."""
+
+    @pytest.mark.parametrize("fold_name", ["direct", "ring", "bruck"])
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=8, deadline=None)
+    def test_fold_carries_masks(self, fold_name, seed):
+        size = 5
+        nranks, groups = scattered_groups(2, size, seed)
+        csizes, cflat = pack([random_outboxes(size, seed + i) for i in range(2)])
+        # word k names entry k, so a word that drifted off its vertex shows
+        masks = np.arange(cflat.size, dtype=np.uint64)
+        plain, masked = torus_comm(nranks), torus_comm(nranks)
+        get_fold(fold_name).fold(plain, groups, csizes, cflat)
+        flat, bounds, words = get_fold(fold_name).fold(
+            masked, groups, csizes, cflat, masks=masks
+        )
+        entry = words.astype(np.int64)
+        assert np.array_equal(cflat[entry], flat)
+        slot = np.repeat(np.arange(csizes.size), csizes)
+        holder = slot // size
+        dest = holder - holder % size + slot % size
+        for seg in range(2 * size):
+            got = np.sort(entry[bounds[seg] : bounds[seg + 1]])
+            assert np.array_equal(got, np.flatnonzero(dest == seg))
+        extra = masked.stats.total_bytes - plain.stats.total_bytes
+        assert extra == 8 * plain.stats.total_processed
+        assert masked.stats.total_messages == plain.stats.total_messages
+
+    @pytest.mark.parametrize("expand_name", EXPAND_NAMES)
+    def test_expand_carries_masks(self, expand_name):
+        nranks, groups = scattered_groups(2, 6, seed=4)
+        rng = np.random.default_rng(4)
+        sizes = rng.integers(0, 6, nranks)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        flat = rng.integers(0, 30, bounds[-1]).astype(VERTEX_DTYPE)
+        masks = np.arange(flat.size, dtype=np.uint64)
+        plain, masked = torus_comm(nranks), torus_comm(nranks)
+        want, want_bounds, none = get_expand(expand_name).expand(plain, groups, flat, bounds)
+        got, got_bounds, words = get_expand(expand_name).expand(
+            masked, groups, flat, bounds, masks=masks
+        )
+        assert none is None
+        assert np.array_equal(got, want) and np.array_equal(got_bounds, want_bounds)
+        assert np.array_equal(flat[words.astype(np.int64)], got)
+        extra = masked.stats.total_bytes - plain.stats.total_bytes
+        assert extra == 8 * plain.stats.total_processed
+
+    def test_set_union_and_sieve_refuse_masks(self):
+        csizes, cflat = pack([random_outboxes(4, 0)])
+        masks = np.ones(cflat.size, dtype=np.uint64)
+        for name in ("union-ring", "two-phase"):
+            with pytest.raises(CommunicationError, match="mask column"):
+                get_fold(name).fold(torus_comm(4), [list(range(4))], csizes, cflat, masks=masks)
+        with pytest.raises(CommunicationError, match="through a sieve"):
+            get_fold("direct").fold(
+                torus_comm(4), [list(range(4))], csizes, cflat, sieve=object(), masks=masks
+            )
 
 
 class TestTwoPhaseShape:

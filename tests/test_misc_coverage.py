@@ -42,14 +42,22 @@ class TestCommunicatorEdges:
         assert comm.allreduce_sum(np.array([5.0])) == 5.0
         assert comm.allreduce_min(np.array([5.0])) == 5.0
 
-    def test_exchange_without_sync(self):
-        comm = Communicator(flat_network_for(GridShape(1, 2)), BLUEGENE_L)
-        one = np.array([1], dtype=np.int64)
-        comm.exchange_arrays(
-            one - 1, one, np.array([1, 2]), one - 1, one + 1, "fold", sync=False
-        )
-        # without the barrier, rank 1's receive cost may differ from rank 0's
-        assert comm.clock.time[0] > 0
+    def test_exchange_with_mask_column(self):
+        def round_with(masks):
+            comm = Communicator(flat_network_for(GridShape(1, 2)), BLUEGENE_L)
+            one = np.array([1], dtype=np.int64)
+            comm.exchange_arrays(
+                one - 1, one, np.array([1, 2]), one - 1, one + 1, "fold", masks=masks
+            )
+            return comm
+
+        plain, masked = round_with(None), round_with(np.array([5, 6], dtype=np.uint64))
+        # the two mask words ride the same message: 16 more bytes, more
+        # time, no more messages, and the barrier still closes the round
+        assert masked.stats.total_bytes == plain.stats.total_bytes + 16
+        assert masked.stats.total_messages == plain.stats.total_messages == 1
+        assert masked.clock.elapsed > plain.clock.elapsed
+        assert masked.clock.time[0] == masked.clock.time[1]
 
     def test_empty_round(self):
         comm = Communicator(flat_network_for(GridShape(1, 2)), BLUEGENE_L)

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.bfs import MAX_BATCH, run_bfs, run_ms_bfs
+from repro.bfs.options import BfsOptions
 from repro.errors import ConfigurationError, FaultError, SearchError
 from repro.faults import FaultSpec
-from repro.graph.generators import poisson_random_graph
+from repro.graph.generators import build_graph, poisson_random_graph
 from repro.observability.digest import levels_digest
 from repro.session import BfsSession
 from repro.types import GraphSpec, GridShape, SystemSpec
@@ -196,3 +197,61 @@ class TestValidation:
         )
         batched = session.bfs_many([0, 7])
         assert np.array_equal(batched.levels[0], session.bfs(0).levels)
+
+
+#: the batch's own level settings for a single source: direct fold, no
+#: sent cache (and no sieve, top-down) — under them a width-1 batch and a
+#: single-source run are one level body, up to the batch's mask words
+BATCH_LEVEL = BfsOptions(fold_collective="direct", use_sent_cache=False)
+POISSON = GraphSpec(n=600, k=6.0, seed=3)
+RMAT = GraphSpec.rmat(9, edge_factor=8, seed=5)
+
+
+def per_level(stats, field: str) -> list[int]:
+    return [getattr(level, field) for level in stats.levels]
+
+
+class TestOneLevelBody:
+    def test_batch_counts_its_deliveries(self):
+        stats = BfsSession(build_graph(POISSON), (4, 4)).bfs_many([0, 37]).stats
+        for phase in ("expand", "fold"):
+            received = stats.volume_per_level(phase)
+            assert (received[:-1] > 0).all()
+            assert stats.recv_by_rank[phase].sum() == received.sum()
+
+    @pytest.mark.parametrize(
+        "spec,layout,grid",
+        [(POISSON, "1d", (1, 8)), (POISSON, "2d", (4, 4)), (RMAT, "2d", (2, 8))],
+        ids=["poisson-1d-1x8", "poisson-2d-4x4", "rmat-2d-2x8"],
+    )
+    def test_width_one_batch_is_the_single_source_level(self, spec, layout, grid):
+        session = BfsSession(
+            build_graph(spec), grid, system=SystemSpec(layout=layout), opts=BATCH_LEVEL
+        )
+        single, batch = session.bfs(0), session.bfs_many([0])
+        assert single.num_levels > 2
+        assert batch.levels[0].tobytes() == single.levels.tobytes()
+        for field in ("messages", "edges_scanned", "expand_received", "fold_received"):
+            assert per_level(batch.stats, field) == per_level(single.stats, field), field
+        assert batch.stats.raw_bytes_by_phase == single.stats.raw_bytes_by_phase
+        # the mask words: 8 B beside every vertex entry on the wire
+        extra = batch.stats.total_bytes - single.stats.total_bytes
+        assert extra == 8 * single.stats.total_processed
+
+    @pytest.mark.parametrize("expand", ["ring", "two-phase", "recursive-doubling"])
+    @pytest.mark.parametrize("grid", [(4, 4), (2, 8)], ids=["4x4", "2x8"])
+    def test_batches_forward_through_the_expand_collective(self, small_graph, expand, grid):
+        opts = BfsOptions(
+            expand_collective=expand, fold_collective="direct", use_sent_cache=False
+        )
+        session = BfsSession(small_graph, grid, opts=opts)
+        sources = [0, 1, 5, 17, 113, 399]
+        batched = session.bfs_many(sources)
+        for i, s in enumerate(sources):
+            assert batched.levels[i].tobytes() == session.bfs(s).levels.tobytes()
+        # the width-1 batch forwards exactly what the single source does
+        single, batch = session.bfs(5), session.bfs_many([5])
+        assert per_level(batch.stats, "expand_received") == per_level(
+            single.stats, "expand_received"
+        )
+        assert batch.stats.raw_bytes_by_phase == single.stats.raw_bytes_by_phase

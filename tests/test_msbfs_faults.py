@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bfs.msbfs import _MsBfsRun
+from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.options import BfsOptions
+from repro.collectives.base import FoldCollective
 from repro.errors import FaultError
 from repro.faults import FaultSpec
 from repro.faults.validate import validate_run
@@ -75,50 +76,88 @@ def test_withheld_middle_chunk_keeps_masks_paired(
 ):
     """Buffered + lossy: a message split into chunks loses a *middle* one.
 
-    The surviving vertices must come back with their own mask words —
-    checked entry for entry against plain Python slices of what was sent
-    — and the rows must still equal fault-free sequential runs.
+    What the 2D expand merges into each rank's frontier and what the fold
+    driver hands each owner — the rank's own entries plus the chunks that
+    arrived — must come back with their own mask words, checked entry for
+    entry against plain Python slices of what the one round sent, and the
+    rows must still equal fault-free sequential runs.
     """
     rounds: list = []
     real_round = Communicator.exchange_arrays
 
     def spy_round(self, src, dst, flat, starts, stops, phase, **kwargs):
         arrived = real_round(self, src, dst, flat, starts, stops, phase, **kwargs)
-        rounds.append((starts, stops, arrived))
+        rounds.append((dst, flat, kwargs.get("masks"), starts, stops, arrived))
         return arrived
 
-    middle_losses = 0
-    real_pairs = _MsBfsRun._exchange_pairs
+    middle_losses = {"expand": 0, "fold": 0}
 
-    def checked_pairs(self, src, dst, verts, masks, starts, stops, phase, *pop):
-        nonlocal middle_losses
-        got_v, got_m, got_s = real_pairs(
-            self, src, dst, verts, masks, starts, stops, phase, *pop
-        )
-        _, _, arrived = rounds[-1]
+    def arrived_entries(phase):
+        """``(rank, vertex, mask)`` of every entry the one round delivered."""
+        (dst, sent_v, sent_m, starts, stops, arrived), = rounds
         if arrived is None:
-            chunks = list(zip(range(src.size), starts.tolist(), stops.tolist()))
+            chunks = list(zip(range(dst.size), starts.tolist(), stops.tolist()))
         else:
             chunks = list(zip(*(col.tolist() for col in arrived)))
             for m in set(arrived[0].tolist()):
                 nchunks = -(-(int(stops[m]) - int(starts[m])) // 8)
                 index = [(a - int(starts[m])) // 8 for k, a, _ in chunks if k == m]
                 if index[0] == 0 and index[-1] == nchunks - 1 and len(index) < nchunks:
-                    middle_losses += 1
-        assert got_v.tolist() == [v for _, a, b in chunks for v in verts[a:b].tolist()]
-        assert got_m.tolist() == [w for _, a, b in chunks for w in masks[a:b].tolist()]
-        assert got_s.tolist() == [int(dst[m]) for m, a, b in chunks for _ in range(a, b)]
-        return got_v, got_m, got_s
+                    middle_losses[phase] += 1
+        return [
+            (int(dst[m]), v, w)
+            for m, a, b in chunks
+            for v, w in zip(sent_v[a:b].tolist(), sent_m[a:b].tolist())
+        ]
+
+    def triples(flat, bounds, masks):
+        seg = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+        return sorted(zip(seg.tolist(), flat.tolist(), masks.tolist()))
+
+    real_expand = Bfs2DEngine._expand_step
+
+    def checked_expand(self, fflat, fbounds, fmasks):
+        del rounds[:]
+        got = real_expand(self, fflat, fbounds, fmasks)
+        # each rank's F-bar: its own entries united with what arrived,
+        # one entry per vertex carrying the OR of its mask words
+        union: dict = {}
+        for r, v, w in triples(fflat, fbounds, fmasks) + arrived_entries("expand"):
+            union[r, v] = union.get((r, v), 0) | w
+        assert triples(*got) == sorted((r, v, w) for (r, v), w in union.items())
+        return got
+
+    real_fold = FoldCollective.fold
+
+    def checked_fold(self, comm, groups, csizes, cflat, phase="fold", sieve=None,
+                     masks=None):
+        del rounds[:]
+        got = real_fold(self, comm, groups, csizes, cflat, phase, sieve, masks)
+        # fold segments are ranks: local hand-offs never touch the wire
+        size = len(groups[0])
+        slot = np.repeat(np.arange(csizes.size), csizes)
+        owner = slot // size - slot // size % size + slot % size
+        handed = owner == slot // size
+        want = sorted(
+            list(zip(owner[handed].tolist(), cflat[handed].tolist(), masks[handed].tolist()))
+            + arrived_entries("fold")
+        )
+        assert triples(*got) == want
+        return got
 
     monkeypatch.setattr(Communicator, "exchange_arrays", spy_round)
-    monkeypatch.setattr(_MsBfsRun, "_exchange_pairs", checked_pairs)
+    monkeypatch.setattr(Bfs2DEngine, "_expand_step", checked_expand)
+    monkeypatch.setattr(FoldCollective, "fold", checked_fold)
     faulted = BfsSession(
         small_graph, grid, opts=BfsOptions(buffer_capacity=8),
         system=SystemSpec(layout=layout, faults=SPECS["drop-heavy"]),
     )
     batched = faulted.bfs_many(SOURCES)
-    assert middle_losses > 0
+    assert middle_losses["fold"] > 0
+    # 1D has no expand round
+    assert (middle_losses["expand"] > 0) == (layout == "2d")
     assert batched.faults.rollbacks > 0
+    monkeypatch.undo()
     clean = BfsSession(small_graph, grid, system=SystemSpec(layout=layout))
     for i, s in enumerate(SOURCES):
         assert batched.levels[i].tobytes() == clean.bfs(s).levels.tobytes()

@@ -249,16 +249,19 @@ def stats_fields(stats: CommStats) -> dict:
 class TestOneRound:
     """Every knob is a step of the one round behind `exchange_arrays`."""
 
-    @pytest.mark.parametrize("sync", [True, False])
+    @pytest.mark.parametrize("with_masks", [True, False])
     @pytest.mark.parametrize("observe", ["off", "messages"])
     @pytest.mark.parametrize("capacity", [None, 7])
     @pytest.mark.parametrize("faults", [None, "mild", DROP_HEAVY])
     @pytest.mark.parametrize("wire", ["raw", "delta-varint", "bitmap", "adaptive"])
-    def test_round_reports_the_hand_cut_chunks(self, wire, faults, capacity, observe, sync):
+    def test_round_reports_the_hand_cut_chunks(
+        self, wire, faults, capacity, observe, with_masks
+    ):
         """Whatever the knobs, the chunks a round reports are the ones cut
         here by hand less the lost ones, and two runs agree to the bit.
-        ``sync=False`` defers the barrier (MS-BFS charges its mask words
-        between the vertex round and the barrier)."""
+        A mask column (a batch's per-source words) leaves the chunks alone
+        and adds exactly its 8 B per entry to the byte totals — no
+        messages, no phase split — before the barrier closes the round."""
         def fresh():
             return torus_comm(
                 wire=wire, faults=faults and FaultSpec.parse(faults),
@@ -267,22 +270,20 @@ class TestOneRound:
 
         comm, twin = fresh(), fresh()
         rng = np.random.default_rng(11)
-        lost = chunk_count = 0
+        lost = chunk_count = mask_bytes = 0
         for level in range(4):
             comm.begin_level(level)
             twin.begin_level(level)
             src, dst, flat, starts, stops = as_arrays(random_round(rng))
+            masks = np.arange(flat.size, dtype=np.uint64) if with_masks else None
             arrived = comm.exchange_arrays(
-                src, dst, flat, starts, stops, "fold", sync=sync
+                src, dst, flat, starts, stops, "fold", masks=masks
             )
             again = twin.exchange_arrays(
-                src, dst, flat, starts, stops, "fold", sync=sync
+                src, dst, flat, starts, stops, "fold", masks=masks
             )
-            if not sync:
-                unsynced = comm.clock.time
-                assert unsynced.min() < unsynced.max()
-                comm.barrier()
-                twin.barrier()
+            assert comm.clock.time.min() == comm.clock.time.max()
+            mask_bytes += 8 * flat.size if with_masks else 0
             step = capacity or flat.size
             chunks = [
                 (m, a, min(a + step, int(stops[m])))
@@ -308,13 +309,17 @@ class TestOneRound:
             assert a.tobytes() == b.tobytes(), bucket
         assert comm.clock.elapsed > 0
         assert comm.stats.total_messages == chunk_count
+        assert comm.stats.total_bytes - comm.stats.raw_bytes_by_phase["fold"] == mask_bytes
         assert stats_fields(comm.stats) == stats_fields(twin.stats)
         assert comm.fault_report() == twin.fault_report()
         if observe == "messages":
             events = comm.obs_trace.events
             assert events == twin.obs_trace.events
             assert len(events) == comm.stats.total_messages
-            assert sum(e.encoded_bytes for e in events) == comm.stats.total_encoded_bytes
+            assert (
+                sum(e.encoded_bytes for e in events) + mask_bytes
+                == comm.stats.total_encoded_bytes
+            )
 
     @pytest.mark.parametrize("capacity", [None, 7])
     @pytest.mark.parametrize("name", ["delta-varint", "adaptive"])

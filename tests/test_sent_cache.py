@@ -96,7 +96,7 @@ class TestPooledSentCache:
     def test_empty_level(self):
         """No edges at all is a no-op with well-formed bounds."""
         pool = self._pool()
-        flat, bounds, counts = pool.discover(self._slots(pool, [], []), filter_sent=True)
+        flat, bounds, _, counts = pool.discover(self._slots(pool, [], []), filter_sent=True)
         assert flat.size == 0 and flat.dtype == np.int64
         assert bounds.tolist() == [0, 0, 0]
         assert counts.tolist() == [0, 0]
@@ -105,7 +105,7 @@ class TestPooledSentCache:
     def test_idle_rank_between_active_ranks(self):
         """Rank 0 active, rank 1 idle: the idle segment stays empty."""
         pool = self._pool()
-        flat, bounds, counts = pool.discover(
+        flat, bounds, _, counts = pool.discover(
             self._slots(pool, [4, 0, 4, 0], []), filter_sent=True
         )
         assert flat.tolist() == [0, 4]
@@ -115,9 +115,9 @@ class TestPooledSentCache:
     def test_full_universe_saturation(self):
         pool = self._pool()
         slots = self._slots(pool, [0, 2, 4], [1, 2, 3])
-        flat, _, _ = pool.discover(slots, filter_sent=True)
+        flat, _, _, _ = pool.discover(slots, filter_sent=True)
         assert flat.tolist() == [0, 2, 4, 1, 2, 3]
-        flat, bounds, counts = pool.discover(slots, filter_sent=True)
+        flat, bounds, _, counts = pool.discover(slots, filter_sent=True)
         assert flat.size == 0
         assert bounds.tolist() == [0, 0, 0]
         # the filter is still charged for every candidate it looked up
@@ -140,7 +140,7 @@ class TestPooledSentCache:
         pool = self._pool()
         pool.view(0).filter_unsent(np.array([2]))
         before = pool.snapshot()
-        flat, bounds, counts = pool.discover(
+        flat, bounds, _, counts = pool.discover(
             self._slots(pool, [2, 0, 2], [3]), filter_sent=False
         )
         assert flat.tolist() == [0, 2, 3]
@@ -152,7 +152,7 @@ class TestPooledSentCache:
         """Marks through a per-rank view are visible to the kernel."""
         pool = self._pool()
         pool.view(0).filter_unsent(np.array([2]))
-        flat, _, _ = pool.discover(self._slots(pool, [0, 2], []), filter_sent=True)
+        flat, _, _, _ = pool.discover(self._slots(pool, [0, 2], []), filter_sent=True)
         assert flat.tolist() == [0]
         # rank 1's own vertex 2 is a different flag
         assert pool.view(1).filter_unsent(np.array([2])).tolist() == [2]
@@ -171,7 +171,7 @@ class TestPooledSentCache:
         """Far fewer edges than slots, then every slot at once."""
         universes = [VertexIndexMap(range(0, 200, 2)), VertexIndexMap(range(200))]
         pool = PooledSentCache(universes, domain=200)
-        flat, bounds, counts = pool.discover(
+        flat, bounds, _, counts = pool.discover(
             pool.entry_slots([np.array([], dtype=np.int64), np.array([7, 7, 3])]),
             filter_sent=True,
         )
@@ -179,7 +179,7 @@ class TestPooledSentCache:
         assert bounds.tolist() == [0, 0, 2]
         assert counts.tolist() == [0, 2]
         dense = [np.arange(0, 200, 2), np.arange(200)]
-        flat, bounds, counts = pool.discover(pool.entry_slots(dense), filter_sent=True)
+        flat, bounds, _, counts = pool.discover(pool.entry_slots(dense), filter_sent=True)
         assert flat.size == 298 and 3 not in flat[100:] and 7 not in flat[100:]
         assert counts.tolist() == [100, 200]
 
@@ -187,13 +187,13 @@ class TestPooledSentCache:
         pool = self._pool()
         slots = self._slots(pool, [2, 4, 2], [2])
         masks = np.array([1, 2, 4, 8], dtype=np.uint64)
-        flat, merged, bounds = pool.discover_masks(slots, masks)
+        flat, bounds, merged, _ = pool.discover(slots, masks, filter_sent=False)
         assert flat.tolist() == [2, 4, 2]
         assert merged.tolist() == [5, 2, 8]
         assert bounds.tolist() == [0, 2, 3]
         assert pool.snapshot().sum() == 0
         # the accumulator is clear again: a second level starts from zero
-        _, merged, _ = pool.discover_masks(slots[:1], masks[3:])
+        _, _, merged, _ = pool.discover(slots[:1], masks[3:], filter_sent=False)
         assert merged.tolist() == [8]
 
 
@@ -254,7 +254,7 @@ class TestDiscoverAgainstPerRankOracle:
                 c.filter_unsent(u) if filter_sent else u
                 for c, u in zip(oracle, uniq)
             ]
-            flat, bounds, counts = pool.discover(
+            flat, bounds, _, counts = pool.discover(
                 pool.entry_slots(edges), filter_sent=filter_sent
             )
             assert counts.tolist() == [u.size for u in uniq]
@@ -279,8 +279,8 @@ class TestDiscoverAgainstPerRankOracle:
             masks = [
                 rng.integers(1, 2**63, size=e.size).astype(np.uint64) for e in edges
             ]
-            flat, merged, bounds = pool.discover_masks(
-                pool.entry_slots(edges), np.concatenate(masks)
+            flat, bounds, merged, _ = pool.discover(
+                pool.entry_slots(edges), np.concatenate(masks), filter_sent=False
             )
             for r, (e, m) in enumerate(zip(edges, masks)):
                 want = {}
