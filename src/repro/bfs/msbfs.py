@@ -18,9 +18,9 @@ engines' *one* top-down body
 (:meth:`~repro.bfs.level_sync.LevelSyncEngine._top_down`) — expand,
 merge, discover, fold — over a pooled ``(flat, bounds, masks)`` frontier:
 single-source is the same body with the mask column left out.  This
-module keeps only the batch's state (per-source level rows, visited mask
-words, target retirement, the level checkpoint) and its label, and fixes
-the batch's settings in one place (``_MsBfsRun._attempt``).  The loop and its
+module keeps only the batch's state (bit-sliced level planes, visited
+mask words, target retirement, the level checkpoint) and its label, and
+fixes the batch's settings in one place (``_MsBfsRun._attempt``).  The loop and its
 recovery are :func:`~repro.bfs.level_sync.run_level`.  The mask words
 ride every round and both collective drivers beside the vertex ids: the
 vertex ids enter the wire through
@@ -39,11 +39,12 @@ driver stops).  The test suite asserts this property across seeds,
 layouts, and codecs.
 
 Fault injection rides the same level-boundary checkpoint/replay protocol
-as the sequential loop: each batch level snapshots the per-source level
-rows, the per-vertex visited mask words, and the ``(vertex, mask)``
-frontier, and buddy-replicates the per-rank slice of that state when
-crashes are possible.  A lost chunk or a rank crash rolls the batch level
-back to its entry state and re-executes it (mask-aware rollback), so
+as the sequential loop: each batch level snapshots the level planes,
+the per-vertex visited mask words and the per-level reached words (the
+``(vertex, mask)`` entry frontier is never mutated), and buddy-replicates
+the per-rank slice of that state when crashes are possible.  A lost
+chunk or a rank crash rolls the batch level back to its entry state and
+re-executes it (mask-aware rollback), so
 crash-spare/crash-shrink recovery and wire-drop retry work inside a
 batched traversal — per-source rows stay byte-identical to fault-free
 sequential runs.
@@ -148,7 +149,8 @@ def _keep(
 class _MsBfsRun:
     """One batched traversal's state over a wrapped engine.
 
-    Holds only what is batch-specific — the per-source level rows, the
+    Holds only what is batch-specific — the bit-sliced level planes (the
+    ``(B, n)`` rows are built once, at the end of :meth:`run`), the
     visited mask words, the pooled ``(flat, bounds, masks)`` frontier
     (rank ``r`` holds ``flat[bounds[r]:bounds[r+1]]``, sorted, with the
     parallel mask words), target retirement and the level checkpoint.
@@ -197,8 +199,13 @@ class _MsBfsRun:
             np.ones(self.B, dtype=MASK_DTYPE), np.arange(self.B, dtype=MASK_DTYPE)
         )
         self.level = 0
-        self.levels = np.full((self.B, n), UNREACHED, dtype=LEVEL_DTYPE)
-        self.levels[np.arange(self.B), self.sources] = 0
+        # bit-sliced levels: bit b of planes[p][v] is bit p of source b's
+        # level at v, meaningful only where seen[v] has bit b set; a
+        # plane is added when the first level that needs its bit is
+        # labelled (every source starts at level 0, all planes clear)
+        self.planes: list[np.ndarray] = []
+        # reached[l]: the sources that labelled at least one vertex at l
+        self.reached = [np.bitwise_or.reduce(self.bits)]
         # initial frontier: each source at its owner rank
         init_verts = np.array(self.sources, dtype=VERTEX_DTYPE)
         self.seen = np.zeros(n, dtype=MASK_DTYPE)
@@ -218,7 +225,6 @@ class _MsBfsRun:
         comm = self.comm
         B = self.B
         obs = comm.obs
-        levels = self.levels
         target_levels: list[int | None] = [
             0 if t is not None and t == s else None
             for s, t in zip(self.sources, self.targets)
@@ -252,8 +258,8 @@ class _MsBfsRun:
                 retired = MASK_DTYPE(0)
                 for i in pending:
                     tgt = self.targets[i]
-                    if target_levels[i] is None and levels[i, tgt] != UNREACHED:
-                        target_levels[i] = int(levels[i, tgt])
+                    if target_levels[i] is None and self.seen[tgt] & self.bits[i]:
+                        target_levels[i] = self._level_at(i, tgt)
                     if target_levels[i] is not None:
                         flags[engine.owner_rank(tgt)] = 1.0
                         active[i] = False
@@ -279,22 +285,19 @@ class _MsBfsRun:
         if run_span is not None:
             obs.end(run_span, levels=t, sources=B)
 
-        # per-source level counts, matching the sequential driver
-        num_levels = np.zeros(B, dtype=np.int64)
-        for i in range(B):
-            if target_levels[i] is not None and not active[i]:
-                num_levels[i] = retired_level[i]
-            else:
-                row = levels[i]
-                ecc = int(row.max())
-                num_levels[i] = min(ecc + 1, t) if self.max_levels is None else min(
-                    ecc + 1, t, self.max_levels
-                )
+        # per-source level counts, matching the sequential driver: a
+        # retired source stops where its target was labelled, any other at
+        # its eccentricity + 1 (the last level whose word holds its bit)
+        reached = np.array(self.reached, dtype=MASK_DTYPE)
+        hit = (reached[:, None] >> np.arange(B, dtype=MASK_DTYPE)) & MASK_DTYPE(1)
+        ecc = len(reached) - 1 - np.argmax(hit[::-1] != 0, axis=0)
+        cap = t if self.max_levels is None else min(t, self.max_levels)
+        num_levels = np.where(active, np.minimum(ecc + 1, cap), retired_level)
         clock = comm.clock
         return MsBfsResult(
             sources=tuple(self.sources),
             targets=tuple(self.targets),
-            levels=levels,
+            levels=self._rows(),
             num_levels=num_levels,
             target_levels=tuple(target_levels),
             batch_levels=t,
@@ -316,6 +319,12 @@ class _MsBfsRun:
         (``B`` level words per vertex), the owned slice of the visited
         mask words (8 bytes per vertex), and the rank's current frontier
         as ``(vertex, mask)`` pairs.
+
+        The host holds the levels as ``bit_length(depth)`` bit-sliced
+        planes, but this prices what the modelled machine checkpoints: a
+        rank keeps each source's level row for its owned vertices, so the
+        size stays ``B`` level words per vertex — and the simulated crash
+        time and bytes do not depend on how the host stores levels.
         """
         lo, hi = self.engine._owned_bounds()
         per_vertex = (
@@ -324,17 +333,23 @@ class _MsBfsRun:
         per_entry = np.dtype(VERTEX_DTYPE).itemsize + np.dtype(MASK_DTYPE).itemsize
         return (hi - lo) * per_vertex + np.diff(self.frontier[1]) * per_entry
 
-    def _checkpoint(self) -> tuple[np.ndarray, np.ndarray]:
-        """Snapshot what an attempt mutates: level rows and visited words."""
-        return self.levels.copy(), self.seen.copy()
+    def _checkpoint(self) -> tuple[list[np.ndarray], np.ndarray, int]:
+        """Snapshot what an attempt mutates: the level planes, the visited
+        words and the length of the per-level reached list (the simulated
+        size is :meth:`_checkpoint_nbytes`, not this host copy)."""
+        return [plane.copy() for plane in self.planes], self.seen.copy(), len(
+            self.reached
+        )
 
-    def _restore(self, snapshot: tuple[np.ndarray, np.ndarray]) -> None:
+    def _restore(self, snapshot: tuple[list[np.ndarray], np.ndarray, int]) -> None:
         """Mask-aware rollback: the next attempt re-expands the untouched
-        entry frontier under fresh fault draws."""
-        self.levels[:], self.seen[:] = snapshot
+        entry frontier under fresh fault draws.  ``run_level`` takes a new
+        snapshot before every attempt, so this one is adopted, not copied."""
+        self.planes, self.seen, depth = snapshot
+        del self.reached[depth:]
 
     # ------------------------------------------------------------------ #
-    # one batch level: the engines' top-down body, labelled per source bit
+    # one batch level: the engines' top-down body, labelled word-wide
     # ------------------------------------------------------------------ #
     def _attempt(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One batch level from the entry frontier; returns the next one.
@@ -354,16 +369,44 @@ class _MsBfsRun:
         visited it yet, and those (vertex, bit) pairs take ``level + 1``.
 
         Freshness is read against the level-entry visited words for every
-        rank at once, then all updates apply together.
+        rank at once, then all updates apply together: one OR into the
+        visited words and one into each plane whose bit ``level + 1`` sets.
         """
         masks = masks & ~self.seen[flat]
         flat, bounds, masks = _keep(flat, bounds, masks, masks != 0)
-        np.bitwise_or.at(self.seen, flat, masks)
-        for b in range(self.B):
-            hit = (masks >> MASK_DTYPE(b)) & MASK_DTYPE(1) != 0
-            if hit.any():
-                self.levels[b, flat[hit]] = self.level + 1
+        # the owner-side union leaves each vertex once: plain fancy ORs
+        self.seen[flat] |= masks
+        label = self.level + 1
+        for p in range(label.bit_length()):
+            if p == len(self.planes):
+                self.planes.append(np.zeros(self.n, dtype=MASK_DTYPE))
+            if label >> p & 1:
+                self.planes[p][flat] |= masks
+        self.reached.append(np.bitwise_or.reduce(masks, initial=MASK_DTYPE(0)))
         return flat, bounds, masks
+
+    def _level_at(self, i: int, v: int) -> int:
+        """Source ``i``'s level at ``v``, decoded from the planes (``v``
+        must hold ``i``'s visited bit)."""
+        return sum(
+            (int(plane[v]) >> i & 1) << p for p, plane in enumerate(self.planes)
+        )
+
+    def _rows(self) -> np.ndarray:
+        """The ``(B, n)`` C-ordered level rows, built once from the planes."""
+        B, n = self.B, self.n
+
+        def unpack(words: np.ndarray) -> np.ndarray:
+            """``(n, B)`` 0/1 bytes: column ``b`` is bit ``b`` of each word."""
+            octets = words.astype("<u8", copy=False).view(np.uint8).reshape(n, 8)
+            return np.unpackbits(octets, axis=1, bitorder="little")[:, :B]
+
+        acc = np.zeros((n, B), dtype=np.min_scalar_type((1 << len(self.planes)) - 1))
+        for p, plane in enumerate(self.planes):
+            acc |= unpack(plane).astype(acc.dtype) << acc.dtype.type(p)
+        levels = acc.T.astype(LEVEL_DTYPE, order="C")
+        levels[unpack(self.seen).T == 0] = UNREACHED
+        return levels
 
 
 def run_ms_bfs(

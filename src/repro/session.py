@@ -250,7 +250,9 @@ class BfsSession:
             ),
         )
         if self.relabeling is not None:
-            result.levels = result.levels[:, self.relabeling.to_new]
+            # take keeps the rows C-ordered (a fancy column index returns
+            # them F-ordered, and every row view would then be strided)
+            result.levels = np.take(result.levels, self.relabeling.to_new, axis=1)
             result.sources = tuple(sources)
             result.targets = (
                 tuple(targets) if targets is not None else result.targets

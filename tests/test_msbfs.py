@@ -15,6 +15,7 @@ from repro.bfs import MAX_BATCH, run_bfs, run_ms_bfs
 from repro.bfs.options import BfsOptions
 from repro.errors import ConfigurationError, FaultError, SearchError
 from repro.faults import FaultSpec
+from repro.graph.csr import CsrGraph
 from repro.graph.generators import build_graph, poisson_random_graph
 from repro.observability.digest import levels_digest
 from repro.session import BfsSession
@@ -146,6 +147,73 @@ class TestBatchSemantics:
         session = BfsSession(small_graph, (2, 2))
         batched = session.bfs_many([0, 7])
         assert np.array_equal(batched.levels_of(1), batched.levels[1])
+
+
+class TestRowLayout:
+    """Rows come back C-ordered: a digest or reply reads each row in place
+    (an F-ordered matrix made every row view a strided copy)."""
+
+    @pytest.mark.parametrize("relabel", [None, "degree"])
+    def test_rows_are_c_contiguous(self, small_graph, relabel):
+        session = BfsSession(small_graph, (2, 2), relabel=relabel)
+        batched = session.bfs_many(list(range(0, 128, 2)))
+        assert batched.levels.flags.c_contiguous
+        assert batched.levels.shape == (MAX_BATCH, small_graph.n)
+        for i in (0, 37, MAX_BATCH - 1):
+            row = batched.levels_of(i)
+            assert row.flags.c_contiguous
+            assert row.base is not None
+            assert np.shares_memory(row, batched.levels)
+
+
+def long_path(n: int = 700, isolated: int = 10, seed: int = 7):
+    """A path over ``n - isolated`` shuffled vertices (so consecutive
+    steps cross ranks) plus ``isolated`` vertices off it; returns the
+    graph and the path's vertex order."""
+    order = np.random.default_rng(seed).permutation(n)[: n - isolated]
+    graph = CsrGraph.from_edges(n, np.column_stack((order[:-1], order[1:])))
+    return graph, [int(v) for v in order]
+
+
+@pytest.mark.parametrize(
+    "layout,grid", [("1d", GridShape(1, 4)), ("2d", GridShape(2, 2))], ids=["1d", "2d"]
+)
+class TestLongDiameter:
+    """Levels past 15 and 255: the batch grows level planes and widens the
+    row accumulator, and every row still equals a sequential run."""
+
+    def test_rows_match_sequential(self, layout, grid):
+        graph, order = long_path()
+        isolated = sorted(set(range(graph.n)) - set(order))[0]
+        mid = len(order) // 2
+        sources = [order[0], order[-1], order[mid], order[0], isolated]
+        targets = [None, None, None, order[400], None]
+        session = make_session(graph, layout, grid)
+        batched = session.bfs_many(sources, targets=targets)
+        assert batched.batch_levels > 256
+        for i, (s, t) in enumerate(zip(sources, targets)):
+            sequential = session.bfs(s, target=t)
+            assert batched.levels[i].tobytes() == sequential.levels.tobytes()
+            assert int(batched.num_levels[i]) == sequential.num_levels
+            assert batched.target_levels[i] == sequential.target_level
+        assert batched.target_levels[3] == 400
+
+    def test_max_levels_cut(self, layout, grid):
+        graph, order = long_path()
+        session = make_session(graph, layout, grid)
+        sources = [order[0], order[-1], order[0], order[len(order) // 2]]
+        targets = [order[280], None, None, order[-1]]
+        batched = run_ms_bfs(
+            session._new_engine(session._new_comm()), sources, targets, max_levels=300
+        )
+        assert batched.batch_levels == 300
+        for i, (s, t) in enumerate(zip(sources, targets)):
+            sequential = run_bfs(
+                session._new_engine(session._new_comm()), s, target=t, max_levels=300
+            )
+            assert batched.levels[i].tobytes() == sequential.levels.tobytes()
+            assert int(batched.num_levels[i]) == sequential.num_levels
+            assert batched.target_levels[i] == sequential.target_level
 
 
 class TestValidation:

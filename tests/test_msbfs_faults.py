@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bfs.bfs_2d import Bfs2DEngine
+from repro.bfs.msbfs import _MsBfsRun
 from repro.bfs.options import BfsOptions
 from repro.collectives.base import FoldCollective
 from repro.errors import FaultError
@@ -172,6 +173,31 @@ class TestFaultedBatchBehaviour:
         result = session.bfs_many(SOURCES)
         assert result.faults.rollbacks > 0
         assert result.stats.total_rollbacks == result.faults.rollbacks
+
+    @pytest.mark.parametrize("layout,grid", LAYOUTS)
+    def test_rollback_after_planes_were_written(
+        self, small_graph, layout, grid, monkeypatch
+    ):
+        """A rollback deep in the batch restores the level planes, the
+        visited words and the per-level reached list together."""
+        rolled_back: list[tuple[int, int]] = []
+        real_restore = _MsBfsRun._restore
+
+        def spy_restore(self, snapshot):
+            rolled_back.append((self.level, len(snapshot[0])))
+            real_restore(self, snapshot)
+
+        monkeypatch.setattr(_MsBfsRun, "_restore", spy_restore)
+        faulted, clean = _sessions(small_graph, layout, grid, SPECS["drop-heavy"])
+        batched = faulted.bfs_many(SOURCES)
+        monkeypatch.undo()
+        # level >= 2 enters with planes 0 and 1 already written
+        assert any(level >= 2 and planes >= 2 for level, planes in rolled_back)
+        fault_free = clean.bfs_many(SOURCES)
+        assert batched.levels.tobytes() == fault_free.levels.tobytes()
+        assert batched.num_levels.tolist() == fault_free.num_levels.tolist()
+        for i, s in enumerate(SOURCES):
+            assert int(batched.num_levels[i]) == clean.bfs(s).num_levels
 
     def test_crashes_actually_replay(self, small_graph):
         session = BfsSession(
