@@ -13,10 +13,12 @@ Only ``R`` (resp. ``C``) ranks take part in each collective instead of all
 The level itself is the shared top-down body
 (:meth:`~repro.bfs.level_sync.LevelSyncEngine._top_down`); this module
 supplies the layout — the expand over processor-columns (per-vertex
-expand-target CSR, or a forwarding program), the keyed concatenated
-column-CSR lookup, and the processor-rows as fold groups — all batched
-NumPy kernels over pooled per-rank state, with per-level cost
-proportional to active ranks plus touched data, not to P.
+expand-target CSR, or a forwarding program), F-bar spliced from the
+column peers' disjoint blocks, the partial-edge-list lookup by direct
+index into each rank's column chunk, and the processor-rows as fold
+groups — all batched NumPy kernels over pooled per-rank state, with
+per-level cost proportional to active ranks plus touched data, not to P,
+and no per-level sort or search over an owner range.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.collectives.base import get_expand, get_fold
 from repro.errors import ConfigurationError
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.comm import Communicator
-from repro.utils.segmented import range_indices, segmented_union
+from repro.utils.segmented import range_indices
 
 
 class Bfs2DEngine(LevelSyncEngine):
@@ -81,6 +83,10 @@ class Bfs2DEngine(LevelSyncEngine):
         #: holding a non-empty partial edge list for each vertex
         self._etarget_indptr: np.ndarray | None = None
         self._etarget_dst: np.ndarray | None = None
+        self._etarget_row: np.ndarray | None = None
+        #: the expand outbox key, sender block * R + destination mesh row,
+        #: in the narrowest dtype that holds it (a radix sort up to 16 bits)
+        self._outbox_key_dtype = np.min_scalar_type(partition.nranks * self.grid.rows - 1)
         #: pooled sent-neighbours cache over every rank's row universe
         self._sent_pool = PooledSentCache(
             [partition.local(r).row_map for r in range(partition.nranks)],
@@ -97,26 +103,36 @@ class Bfs2DEngine(LevelSyncEngine):
                 dtype=np.int64,
             )
             self._sieve = PooledSieve(self._row_groups, spans, partition.n)
-        # Concatenated column-CSR of every rank, keyed by rank * n + column
-        # id (ascending: ranks ascend, ids are sorted per rank) — one
-        # searchsorted resolves all ranks' partial-edge-list lookups.
+        # Rank (i, j) stores partial edge lists only for column chunk j, so
+        # its lookup slot for vertex v is ``_slot_shift[r] + v``: the ranks'
+        # chunks back to back, R * n slots in all, in ``_rows_cat`` order.
+        # ``_slot_indptr`` is the CSR over those slots into ``_rows_cat`` —
+        # a direct index, no search.  Built in place, in int32 unless the
+        # stored entries overflow it: no int64 copies of an R * n table.
+        # ``_col_keys`` lists the stored
+        # columns as rank * n + id (ascending: ranks ascend, ids are sorted
+        # per rank).
         n = partition.n
+        R, C = self.grid.rows, self.grid.cols
+        mesh_col = np.arange(partition.nranks) % C
+        chunk_spans = np.diff(self._member_bounds)[mesh_col]
+        self._slot_shift = (
+            np.cumsum(chunk_spans) - chunk_spans - self._member_bounds[mesh_col]
+        )
+        stored = sum(partition.local(r).num_stored_entries for r in range(partition.nranks))
+        indptr = np.zeros(
+            R * n + 1, dtype=np.int32 if stored <= np.iinfo(np.int32).max else np.int64
+        )
         key_parts: list[np.ndarray] = []
-        start_parts: list[np.ndarray] = []
-        stop_parts: list[np.ndarray] = []
         row_parts: list[np.ndarray] = []
-        rows_base = 0
         for r in range(partition.nranks):
             loc = partition.local(r)
             key_parts.append(r * n + loc.col_map.ids)
-            indptr = loc.col_indptr.astype(np.int64)
-            start_parts.append(indptr[:-1] + rows_base)
-            stop_parts.append(indptr[1:] + rows_base)
+            indptr[self._slot_shift[r] + 1 + loc.col_map.ids] = np.diff(loc.col_indptr)
             row_parts.append(loc.rows)
-            rows_base += loc.rows.shape[0]
+        np.cumsum(indptr, dtype=indptr.dtype, out=indptr)
+        self._slot_indptr = indptr
         self._col_keys = np.concatenate(key_parts)
-        self._col_starts = np.concatenate(start_parts)
-        self._col_stops = np.concatenate(stop_parts)
         self._rows_cat = np.concatenate(row_parts)
         #: sent-pool slot of every entry of ``_rows_cat``: discovery
         #: dedups and filters in slot space, never on global ids
@@ -139,11 +155,12 @@ class Bfs2DEngine(LevelSyncEngine):
         ascending rank order, the column-group peers of ``v``'s owner that
         hold a non-empty partial edge list for ``v`` (owner excluded) —
         the owner-side knowledge the paper stores (Section 2.2), kept per
-        vertex and built once from the keyed column-CSR.  Expand messages
+        vertex and built once from the stored-column list.  Expand messages
         gather each frontier vertex's targets straight from this table, so
         their per-level cost follows the frontier, not the P x C rank
         pairs.  With ``use_expand_filter`` off the owner knows nothing and
-        every vertex lists all ``R - 1`` column peers.
+        every vertex lists all ``R - 1`` column peers.  ``_etarget_row``
+        is each target's mesh row, in the outbox key's dtype.
         """
         if self._etarget_indptr is None:
             n = self.n
@@ -154,31 +171,28 @@ class Bfs2DEngine(LevelSyncEngine):
                 peer_row = np.arange(R - 1, dtype=np.int64)
                 # rows of the owner's column, skipping the owner's own
                 peer_row = peer_row + (peer_row >= (block % R)[:, None])
-                self._etarget_indptr = np.arange(n + 1, dtype=np.int64) * (R - 1)
-                self._etarget_dst = (peer_row * C + (block // R)[:, None]).ravel()
-                return self._etarget_indptr, self._etarget_dst
-            rank_bounds = np.searchsorted(
-                self._col_keys, np.arange(nranks + 1, dtype=np.int64) * n
-            )
-            holder = np.repeat(
-                np.arange(nranks, dtype=np.int64), np.diff(rank_bounds)
-            )
-            vertex = self._col_keys - holder * n
-            if vertex.size:
-                block = self.partition.dist.part_of(vertex)
-                owner = (block % R) * C + (block // R)
-                keep = holder != owner
-                v = vertex[keep]
-                d = holder[keep]
-                order = np.argsort(v * nranks + d, kind="stable")
-                v, d = v[order], d[order]
+                indptr = np.arange(n + 1, dtype=np.int64) * (R - 1)
+                d = (peer_row * C + (block // R)[:, None]).ravel()
             else:
-                v = vertex
+                rank_bounds = np.searchsorted(
+                    self._col_keys, np.arange(nranks + 1, dtype=np.int64) * n
+                )
+                holder = np.repeat(
+                    np.arange(nranks, dtype=np.int64), np.diff(rank_bounds)
+                )
+                v = self._col_keys - holder * n
                 d = holder
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(v, minlength=n), out=indptr[1:])
+                if v.size:
+                    block = self.partition.dist.part_of(v)
+                    keep = holder != (block % R) * C + (block // R)
+                    v, d = v[keep], d[keep]
+                    order = np.argsort(v * nranks + d, kind="stable")
+                    v, d = v[order], d[order]
+                indptr = np.zeros(n + 1, dtype=np.int64)
+                np.cumsum(np.bincount(v, minlength=n), out=indptr[1:])
             self._etarget_indptr = indptr
             self._etarget_dst = d
+            self._etarget_row = (d // C).astype(self._outbox_key_dtype)
         return self._etarget_indptr, self._etarget_dst
 
     def _prime_expand_population(self) -> None:
@@ -194,20 +208,18 @@ class Bfs2DEngine(LevelSyncEngine):
         indptr, target_dst = self._expand_targets()
         if target_dst.size == 0:
             return
-        nranks = self.comm.nranks
         R, C = self.grid.rows, self.grid.cols
         v = np.repeat(
             np.arange(self.n, dtype=np.int64), np.diff(indptr)
         )
         block = self.partition.dist.part_of(v)
         # Same key space as the direct step's messages: owned block (the
-        # dense emission order) then destination rank.
-        keys = np.unique(block * nranks + target_dst)
-        blk = keys // nranks
-        src = (blk % R) * C + blk // R
+        # dense emission order) then destination mesh row.
+        keys = np.unique(block * R + target_dst // C)
+        blk, row = np.divmod(keys, R)
         self._expand_pop_keys = keys
         self._expand_population = self.comm.network.prepare_pairs(
-            src, keys % nranks
+            (blk % R) * C + blk // R, row * C + blk // R
         )
 
     # ------------------------------------------------------------------ #
@@ -240,17 +252,21 @@ class Bfs2DEngine(LevelSyncEngine):
         lockstep driver's merged outbox order: column groups ascending,
         sources ascending within each group — i.e. ascending owned block
         — then destination, then vertex (the sort is stable, so payloads
-        stay ascending).  Returns ``(payload, words, src, dst, bounds,
-        population, pop_idx)``: ``payload`` is the vertex payload and
-        ``words`` the mask column ``fmasks`` routed alongside it (``None``
-        without one), message ``m`` carries entries
-        ``bounds[m]:bounds[m+1]`` from ``src[m]`` to ``dst[m]``, and
-        ``population`` / ``pop_idx`` index the pre-routed pairs for
+        stay ascending).  A destination always sits in its sender's mesh
+        column, so the sort key is ``sender block * R + destination mesh
+        row`` in the narrowest dtype that holds it — the same order as a
+        ``block * P + destination`` key, and a radix sort up to 16 bits.
+        Returns ``(payload, words, src, dst, bounds, population,
+        pop_idx)``: ``payload`` is the vertex payload and ``words`` the
+        mask column ``fmasks`` routed alongside it (``None`` without one),
+        message ``m`` carries entries ``bounds[m]:bounds[m+1]`` from
+        ``src[m]`` to ``dst[m]``, and ``population`` / ``pop_idx`` index
+        the pre-routed pairs for
         :meth:`~repro.runtime.comm.Communicator.exchange_arrays`.
         """
         nranks = self.comm.nranks
         R, C = self.grid.rows, self.grid.cols
-        indptr, target_dst = self._expand_targets()
+        indptr, _ = self._expand_targets()
         starts = indptr[fflat]
         lengths = indptr[fflat + 1] - starts
         gather, _ = range_indices(starts, lengths)
@@ -258,17 +274,16 @@ class Bfs2DEngine(LevelSyncEngine):
             none = np.empty(0, dtype=np.int64)
             words = None if fmasks is None else fmasks[:0]
             return fflat[:0], words, none, none, np.zeros(1, dtype=np.int64), None, None
-        entry_src = np.repeat(
-            np.repeat(np.arange(nranks, dtype=np.int64), np.diff(fbounds)), lengths
-        )
-        src_block = (entry_src % C) * R + entry_src // C
-        key = src_block * nranks + target_dst[gather]
+        ranks = np.arange(nranks, dtype=np.int64)
+        rank_key = (((ranks % C) * R + ranks // C) * R).astype(self._outbox_key_dtype)
+        key = np.repeat(np.repeat(rank_key, np.diff(fbounds)), lengths)
+        key += self._etarget_row[gather]
         order = np.argsort(key, kind="stable")
         skey = key[order]
         cut = np.flatnonzero(skey[1:] != skey[:-1]) + 1
         msg_bounds = np.concatenate(([0], cut, [skey.size]))
-        msg_key = skey[msg_bounds[:-1]]
-        msg_block = msg_key // nranks
+        msg_key = skey[msg_bounds[:-1]].astype(np.int64)
+        msg_block, msg_row = np.divmod(msg_key, R)
         population = self._expand_population
         pop_idx = (
             np.searchsorted(self._expand_pop_keys, msg_key)
@@ -279,7 +294,7 @@ class Bfs2DEngine(LevelSyncEngine):
             np.repeat(fflat, lengths)[order],
             None if fmasks is None else np.repeat(fmasks, lengths)[order],
             (msg_block % R) * C + msg_block // R,
-            msg_key % nranks,
+            msg_row * C + msg_block // R,
             msg_bounds,
             population,
             pop_idx,
@@ -296,11 +311,17 @@ class Bfs2DEngine(LevelSyncEngine):
         from :meth:`_expand_messages` (chunks a fault withheld are dropped
         before the merge); a forwarding program runs through the expand
         driver.  Either way the mask column, when there is one, rides
-        beside the vertex ids, and one segmented union merges what each
-        rank received into its own frontier, OR-ing the masks.
+        beside the vertex ids.
+
+        F-bar is a splice, not a union: column peers own disjoint blocks,
+        and what a rank receives comes in sender order — ascending mesh
+        row, so ascending block and vertex.  Each rank's own frontier goes
+        in at its own row, between the arrivals from the peers above and
+        below it, and one gather reads every rank's F-bar, masks alike.
         """
         comm = self.comm
         nranks = comm.nranks
+        R, C = self.grid.rows, self.grid.cols
         fsizes = np.diff(fbounds)
         with comm.obs.span("expand", cat="phase"):
             if self._expand is not None:
@@ -308,18 +329,26 @@ class Bfs2DEngine(LevelSyncEngine):
                     comm, self._col_groups, fflat, fbounds, "expand", masks=fmasks
                 )
                 inc_sizes = np.diff(inc_bounds)
-                msg_dst, msg_sizes = np.arange(nranks, dtype=np.int64), inc_sizes
+                # every column peer's block arrives, peers in row order: the
+                # rank's own frontier follows the blocks of the rows above it
+                grid_sizes = fsizes.reshape(R, C)
+                above = (np.cumsum(grid_sizes, axis=0) - grid_sizes).ravel()
+                starts = np.stack(
+                    (inc_bounds[:-1], payload.size + fbounds[:-1], inc_bounds[:-1] + above),
+                    axis=1,
+                ).ravel()
+                sizes = np.stack((above, fsizes, inc_sizes - above), axis=1).ravel()
             else:
                 payload, words, msg_src, msg_dst, msg_bounds, population, pop_idx = (
                     self._expand_messages(fflat, fbounds, fmasks)
                 )
-                msg_sizes = np.diff(msg_bounds)
+                starts, stops = msg_bounds[:-1], msg_bounds[1:]
                 arrived = comm.exchange_arrays(
                     msg_src,
                     msg_dst,
                     payload,
-                    msg_bounds[:-1],
-                    msg_bounds[1:],
+                    starts,
+                    stops,
                     "expand",
                     population=population,
                     pop_idx=pop_idx,
@@ -327,66 +356,53 @@ class Bfs2DEngine(LevelSyncEngine):
                 )
                 if arrived is not None:
                     msg, starts, stops = arrived
-                    msg_dst, msg_sizes = msg_dst[msg], stops - starts
-                    idx, _ = range_indices(starts, msg_sizes)
-                    payload = payload[idx]
-                    words = None if words is None else words[idx]
-                comm.stats.record_delivery_bulk(msg_dst, msg_sizes, "expand")
+                    msg_src, msg_dst = msg_src[msg], msg_dst[msg]
+                sizes = stops - starts
+                comm.stats.record_delivery_bulk(msg_dst, sizes, "expand")
                 inc_sizes = np.bincount(
-                    msg_dst, weights=msg_sizes, minlength=nranks
+                    msg_dst, weights=sizes, minlength=nranks
                 ).astype(np.int64)
+                # Messages leave in ascending sender block; a stable regroup
+                # by destination keeps the senders in row order, and one
+                # search per rank finds where its own row goes.
+                order = np.argsort(msg_dst, kind="stable")
+                row_key = msg_dst[order] * R + msg_src[order] // C
+                ranks = np.arange(nranks, dtype=np.int64)
+                at = np.searchsorted(row_key, ranks * R + ranks // C)
+                starts = np.insert(starts[order], at, payload.size + fbounds[:-1])
+                sizes = np.insert(sizes[order], at, fsizes)
             comm.charge_compute_many(hash_lookups=inc_sizes)
-            with_inc = np.flatnonzero(inc_sizes)
-            if with_inc.size == 0:
+            if not inc_sizes.any():
                 return fflat, fbounds, fmasks
-            own, _ = range_indices(fbounds[with_inc], fsizes[with_inc])
-            segs = np.concatenate(
-                (np.repeat(with_inc, fsizes[with_inc]), np.repeat(msg_dst, msg_sizes))
-            )
-            uniq, ubounds, umasks = segmented_union(
-                np.concatenate((fflat[own], payload)), segs, nranks, self.n,
-                None if fmasks is None else np.concatenate((fmasks[own], words)),
-            )
-            # Two-bank merge: ranks with incoming take their union segment,
-            # the rest keep their frontier segment — one gather, no per-rank
-            # assembly loop.
-            has = inc_sizes > 0
-            sel_starts = np.where(has, ubounds[:-1], uniq.size + fbounds[:-1])
-            sel_sizes = np.where(has, np.diff(ubounds), fsizes)
-            idx, out_bounds = range_indices(sel_starts, sel_sizes)
-            out_masks = None if fmasks is None else np.concatenate((umasks, fmasks))[idx]
-            return np.concatenate((uniq, fflat))[idx], out_bounds, out_masks
+            idx, _ = range_indices(starts, sizes)
+            out_bounds = np.zeros(nranks + 1, dtype=np.int64)
+            np.cumsum(fsizes + inc_sizes, out=out_bounds[1:])
+            out_masks = None if fmasks is None else np.concatenate((words, fmasks))[idx]
+            return np.concatenate((payload, fflat))[idx], out_bounds, out_masks
 
     def _gather_slots(
         self, fbar_flat: np.ndarray, fbar_bounds: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Step 12's lookup: the partial edge lists of F-bar, as pool slots.
 
-        One keyed lookup into the concatenated column-CSR resolves every
-        rank's partial edge lists; one gather reads their entries' slots.
-        Each rank is charged its edge count in scans, and that plus one
-        keyed probe per F-bar vertex in hash lookups.  Returns ``(slots,
-        lengths)``: ``lengths`` is how many of ``slots`` each F-bar entry
-        contributed — zero where this rank holds no partial list for it.
+        Every F-bar vertex of rank ``r`` lies in ``r``'s column chunk, so
+        its partial edge list is found by direct index — slot
+        ``_slot_shift[r] + v`` of ``_slot_indptr`` — with no search; one
+        gather reads the lists' entries' slots.  Each rank is charged its
+        edge count in scans, and that plus one probe per F-bar vertex in
+        hash lookups.  Returns ``(slots, lengths)``: ``lengths`` is how
+        many of ``slots`` each F-bar entry contributed — zero where this
+        rank holds no partial list for it.
         """
-        nranks = self.comm.nranks
-        fbar_sizes = np.diff(fbar_bounds)
-        qkeys = np.repeat(np.arange(nranks, dtype=np.int64), fbar_sizes) * self.n
-        qkeys += fbar_flat
-        if self._col_keys.size:
-            pos = np.searchsorted(self._col_keys, qkeys)
-            np.minimum(pos, self._col_keys.size - 1, out=pos)
-            starts = self._col_starts[pos]
-            lengths = np.where(
-                self._col_keys[pos] == qkeys, self._col_stops[pos] - starts, 0
-            )
-        else:  # no rank stores an edge
-            starts = lengths = np.zeros(qkeys.size, dtype=np.int64)
+        slot = np.repeat(self._slot_shift, np.diff(fbar_bounds))
+        slot += fbar_flat
+        starts = self._slot_indptr[slot]
+        lengths = self._slot_indptr[1:][slot] - starts
         gather, out_offsets = range_indices(starts, lengths)
         # Per-rank edge counts: the running sum of lengths cut at the
         # F-bar's rank bounds.
         edges = np.diff(out_offsets[fbar_bounds])
         self.comm.charge_compute_many(
-            edges_scanned=edges, hash_lookups=edges + fbar_sizes
+            edges_scanned=edges, hash_lookups=edges + np.diff(fbar_bounds)
         )
         return self._row_slots[gather], lengths

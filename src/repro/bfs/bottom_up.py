@@ -26,7 +26,7 @@ Communication pattern (charged through the simulated
   to its owner *within the processor column* — a real
   :meth:`~repro.runtime.comm.Communicator.exchange_arrays`, so wire codecs,
   chunking, and contention pricing all apply — where owners de-duplicate
-  multi-finder hits and label.
+  multi-finder hits with one mark pass and label.
 
 The bitmap broadcasts are charged as raw byte transfers on the routed
 network (:meth:`~repro.runtime.comm.Communicator.exchange_summaries`, the
@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.types import UNREACHED, VERTEX_DTYPE
-from repro.utils.segmented import range_indices, segmented_unique
+from repro.utils.segmented import range_indices
 
 __all__ = ["bottom_up_level_1d", "bottom_up_level_2d"]
 
@@ -183,8 +183,9 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
 
     with obs.span("bottom-up-scan", cat="phase"):
         frontier_mask = levels == engine.level
-        # stored columns, tagged by holder rank (the keyed concatenated
-        # column-CSR is sorted by rank then vertex id)
+        # stored columns, tagged by holder rank (the stored-column keys
+        # are sorted by rank then vertex id); their partial edge lists
+        # come from the direct-index table, as in the top-down lookup
         rank_bounds = np.searchsorted(
             engine._col_keys, np.arange(nranks + 1, dtype=np.int64) * n
         )
@@ -192,12 +193,13 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
         col_rank = np.repeat(np.arange(nranks, dtype=np.int64), cols_per_rank)
         col_vertex = engine._col_keys - col_rank * n
         scan_idx = np.flatnonzero(levels[col_vertex] == UNREACHED)
-        starts = engine._col_starts[scan_idx]
-        lengths = engine._col_stops[scan_idx] - starts
+        scan_rank = col_rank[scan_idx]
+        slot = col_vertex[scan_idx] + engine._slot_shift[scan_rank]
+        starts = engine._slot_indptr[slot]
+        lengths = engine._slot_indptr[1:][slot] - starts
         found, edges = _first_hit_scan(
             starts, lengths, engine._rows_cat, frontier_mask
         )
-        scan_rank = col_rank[scan_idx]
         per_rank_edges = np.zeros(nranks, dtype=np.int64)
         np.add.at(per_rank_edges, scan_rank, edges)
         # one unvisited-bitmap probe per stored column plus one frontier
@@ -230,13 +232,13 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
         if starts.size:
             comm.stats.record_delivery_bulk(vsegs[starts], stops - starts, "fold")
         # Owner-side dedup (several column peers can find the same
-        # vertex) and labelling — one segmented unique over every owner's
+        # vertex) and labelling — one mark pass over every owner's
         # arrivals at once.
-        flat, fresh_bounds, dups, _ = segmented_unique(values, vsegs, nranks, n)
+        flat, fresh_bounds, _ = engine._owned_union(values)
         incoming_counts = np.bincount(vsegs, minlength=nranks)
         fresh_counts = np.diff(fresh_bounds)
         levels[flat] = engine.level + 1
-        comm.stats.record_duplicates(int(dups))
+        comm.stats.record_duplicates(values.size - flat.size)
         comm.charge_compute_many(
             hash_lookups=incoming_counts, updates=fresh_counts
         )

@@ -35,7 +35,7 @@ from repro.observability.artifacts import collect_observability
 from repro.runtime.comm import Communicator
 from repro.types import LEVEL_DTYPE, UNREACHED, VERTEX_DTYPE
 from repro.utils.logging import get_logger
-from repro.utils.segmented import segmented_union
+from repro.utils.segmented import range_indices
 
 logger = get_logger("bfs")
 
@@ -64,6 +64,11 @@ class LevelSyncEngine(abc.ABC):
         self._owned_lo: np.ndarray | None = None
         self._owned_hi: np.ndarray | None = None
         self._owned_spans: np.ndarray | None = None
+        #: :meth:`_owned_union`'s scratch over every vertex, allocated on
+        #: first use and left all clear between calls: a presence mark
+        #: (width 1) and a mask-word OR accumulator (a batch)
+        self._mark: np.ndarray | None = None
+        self._mask_or: np.ndarray | None = None
         self._started = False
         #: communication sieve (``repro.bfs.sieve``): a layout engine that
         #: supports it installs a PooledSieve here when opts.use_sieve
@@ -238,13 +243,48 @@ class LevelSyncEngine(abc.ABC):
             # owner side: one probe per delivered candidate, dedup, label
             arrived = np.diff(bounds)
             comm.charge_compute_many(hash_lookups=arrived)
-            flat, bounds, masks = label(
-                *segmented_union(flat, np.repeat(ranks, arrived), nranks, self.n, masks)
-            )
+            flat, bounds, masks = label(*self._owned_union(flat, masks))
             comm.charge_compute_many(updates=np.diff(bounds))
         if sieve is not None:
             self._sieve_update(flat, bounds)
         return flat, bounds, masks
+
+    def _owned_union(
+        self, values: np.ndarray, masks: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Each owner's sorted union of vertices that lie in its own block.
+
+        Every vertex of ``values`` goes to the rank owning it (a fold's or
+        a bottom-up round's arrivals, a batch's sources), and the owned
+        blocks tile ``[0, n)``, so a mark pass over engine-held scratch
+        replaces a per-rank sort: scatter, read back with ``flatnonzero``
+        (ascending vertex, i.e. block order), clear.  One search of the
+        owned bounds cuts the result into per-rank runs, gathered back in
+        rank order (2D rank order is not block order).  With a mask column
+        the scratch is an OR accumulator, and each kept vertex carries the
+        OR of its occurrences' words — which relies on no word being zero
+        (a zero word would drop its vertex): frontier words never are, as
+        labelling and retirement drop zero words.  Returns ``(flat,
+        bounds, masks)``, ``masks`` ``None`` without a mask column.
+        """
+        if masks is None:
+            if self._mark is None:
+                self._mark = np.zeros(self.n, dtype=bool)
+            self._mark[values] = True
+            flat = np.flatnonzero(self._mark)
+            self._mark[flat] = False
+            words = None
+        else:
+            if self._mask_or is None:
+                self._mask_or = np.zeros(self.n, dtype=masks.dtype)
+            np.bitwise_or.at(self._mask_or, values, masks)
+            flat = np.flatnonzero(self._mask_or)
+            words = self._mask_or[flat]
+            self._mask_or[flat] = 0
+        lo, hi = self._owned_bounds()
+        starts = np.searchsorted(flat, lo)
+        idx, bounds = range_indices(starts, np.searchsorted(flat, hi) - starts)
+        return flat[idx], bounds, None if words is None else words[idx]
 
     def _label(
         self, flat: np.ndarray, bounds: np.ndarray, masks: None

@@ -63,7 +63,6 @@ from repro.errors import ConfigurationError, SearchError
 from repro.faults.report import FaultReport
 from repro.runtime.stats import CommStats
 from repro.types import LEVEL_DTYPE, UNREACHED, VERTEX_DTYPE
-from repro.utils.segmented import segmented_union
 
 #: dtype of the per-vertex source masks (one bit per batched source)
 MASK_DTYPE = np.uint64
@@ -210,12 +209,7 @@ class _MsBfsRun:
         init_verts = np.array(self.sources, dtype=VERTEX_DTYPE)
         self.seen = np.zeros(n, dtype=MASK_DTYPE)
         np.bitwise_or.at(self.seen, init_verts, self.bits)
-        owners = np.array(
-            [engine.owner_rank(s) for s in self.sources], dtype=np.int64
-        )
-        self.frontier = segmented_union(
-            init_verts, owners, self.nranks, n, self.bits
-        )
+        self.frontier = engine._owned_union(init_verts, self.bits)
 
     # ------------------------------------------------------------------ #
     # traversal
@@ -374,7 +368,7 @@ class _MsBfsRun:
         """
         masks = masks & ~self.seen[flat]
         flat, bounds, masks = _keep(flat, bounds, masks, masks != 0)
-        # the owner-side union leaves each vertex once: plain fancy ORs
+        # the owners' mark pass leaves each vertex once: plain fancy ORs
         self.seen[flat] |= masks
         label = self.level + 1
         for p in range(label.bit_length()):

@@ -1,15 +1,17 @@
 """Segmented (per-virtual-rank) NumPy kernels for the batched BFS hot paths.
 
-The simulator advances P virtual ranks in one process, and the scalar
-engines paid one Python iteration — and one small ``np.unique`` — per
-rank per level.  These helpers collapse such loops into single fused
-array operations over *concatenated* per-rank data: values from every
-segment are packed into one array, each element tagged with its segment
-id, and a segment-offset key (``seg * domain + value``) makes one global
-``np.unique`` equivalent to a per-segment unique.  Each segment's result
-is byte-identical to ``np.unique`` over that segment alone (same sorted
-order, same int64 dtype), which is what lets the batched engines keep
-simulated clocks and statistics bit-for-bit equal to the scalar loops.
+The simulator advances P virtual ranks in one process, so per-rank work
+is done as single fused array operations over *concatenated* per-rank
+data.  :func:`segmented_unique` is the per-segment sorted unique for
+segments whose values may overlap — the fold's set-union rings, where one
+bundle carries many destinations' lanes: each element is tagged with its
+segment id, and a segment-offset key (``seg * domain + value``) makes one
+global sort equivalent to a per-segment ``np.unique``, byte for byte.
+Where every segment's values fall in a range of their own — a rank's
+owned block, its column chunk — the engines need no sort at all and use
+index arithmetic instead (``LevelSyncEngine._owned_union``, the 2D
+engine's direct-index lookup and F-bar splice).  :func:`range_indices` is
+the gather behind every CSR lookup.
 """
 
 from __future__ import annotations
@@ -54,35 +56,6 @@ def segmented_unique(
     bounds[0] = 0
     np.cumsum(np.bincount(seg_of, minlength=nseg), out=bounds[1:])
     return flat, bounds, values.size - uk.size, seg_of
-
-
-def segmented_union(
-    values: np.ndarray,
-    segs: np.ndarray,
-    nseg: int,
-    domain: int,
-    masks: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Per-segment sorted union of a frontier, OR-merging its mask column.
-
-    Returns ``(flat, bounds, masks)``: ``flat``/``bounds`` are
-    :func:`segmented_unique`'s, and each kept vertex carries the OR of
-    its occurrences' mask words within its segment (``None`` without a
-    mask column — single-source is the width-1 case with the column left
-    out).
-    """
-    if masks is None:
-        flat, bounds, _, _ = segmented_unique(values, segs, nseg, domain)
-        return flat, bounds, None
-    keys = segs * domain + values
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    seg_of, flat = np.divmod(keys[starts], domain)
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(seg_of, minlength=nseg))))
-    return flat, bounds, np.bitwise_or.reduceat(masks[order], starts)
 
 
 def range_indices(

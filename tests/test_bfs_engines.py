@@ -142,27 +142,111 @@ class TestBfs2D:
             ]
             assert f_dst[f_indptr[v] : f_indptr[v + 1]].tolist() == holders
 
-    def test_expand_merge_never_sees_a_duplicate(self, small_graph, monkeypatch):
-        """The direct expand's merge is a union of *disjoint* sets.
+    def test_expand_merge_never_sees_a_duplicate(self, small_graph):
+        """F-bar is a splice of *disjoint* sets, so it never drops an entry.
 
         A rank's own frontier holds vertices it owns; what column peers
-        send it they own — owners are disjoint, so the segmented union
-        there only orders, never drops.  (Discovery, where duplicates do
-        occur, dedups in the sent pool's slot space instead.)
+        send it they own — owners are disjoint, so each rank's F-bar is
+        strictly increasing and is exactly its own frontier plus what its
+        peers sent, every mask word still beside its vertex.  Covers the
+        direct expand with and without the expand filter and the ring
+        expand, each with and without a mask column.  (Discovery, where
+        duplicates do occur, dedups in the sent pool's slot space instead.)
         """
-        from repro.bfs import bfs_2d
+        grid = GridShape(4, 2)
+        rng = np.random.default_rng(11)
+        n = small_graph.n
+        frontier = np.sort(rng.choice(n, size=n // 3, replace=False))
+        word = rng.integers(1, np.iinfo(np.uint64).max, size=n, dtype=np.uint64)
+        for opts, filtered in (
+            (BfsOptions(), True),
+            (BfsOptions(use_expand_filter=False), False),
+            (BfsOptions(expand_collective="ring"), False),
+        ):
+            for with_masks in (False, True):
+                engine = build_engine(small_graph, grid, opts=opts)
+                nranks = engine.comm.nranks
+                owner = engine.partition.owner_of(frontier)
+                fflat = frontier[np.argsort(owner, kind="stable")]
+                fbounds = np.concatenate(
+                    ([0], np.cumsum(np.bincount(owner, minlength=nranks)))
+                )
+                fmasks = word[fflat] if with_masks else None
+                engine.comm.begin_level(0)
+                flat, bounds, masks = engine._expand_step(fflat, fbounds, fmasks)
+                assert (masks is None) == (not with_masks)
+                received = 0
+                for r in range(nranks):
+                    fbar = flat[bounds[r] : bounds[r + 1]]
+                    own = fflat[fbounds[r] : fbounds[r + 1]]
+                    holds = engine.partition.local(r).col_map.ids
+                    sent = [
+                        v
+                        for p in engine.grid.col_members(r % grid.cols)
+                        if p != r
+                        for v in fflat[fbounds[p] : fbounds[p + 1]]
+                        if not filtered or v in holds
+                    ]
+                    received += len(sent)
+                    assert (np.diff(fbar) > 0).all()
+                    assert np.intersect1d(own, sent).size == 0
+                    assert np.array_equal(fbar, np.union1d(own, sent))
+                    if with_masks:
+                        assert np.array_equal(masks[bounds[r] : bounds[r + 1]], word[fbar])
+                assert received > 0
 
-        dropped = []
-
-        def spy(values, segs, nseg, domain, masks=None):
-            out = bfs_2d_union(values, segs, nseg, domain, masks)
-            dropped.append(values.size - out[0].size)
-            return out
-
-        bfs_2d_union = bfs_2d.segmented_union
-        monkeypatch.setattr(bfs_2d, "segmented_union", spy)
-        run_and_compare(small_graph, GridShape(4, 2))
-        assert dropped and not any(dropped)
+    @pytest.mark.parametrize(
+        "n, grid, edges",
+        [
+            # 37 vertices over 6 blocks: column chunks differ in size by one
+            (37, GridShape(2, 3), "poisson"),
+            # edges only among the lowest vertices: most ranks store no
+            # edge at all, and every other vertex is isolated
+            (37, GridShape(3, 2), "corner"),
+            (37, GridShape(1, 5), "poisson"),
+            (37, GridShape(5, 1), "poisson"),
+            (37, GridShape(1, 5), "corner"),
+            (37, GridShape(5, 1), "corner"),
+        ],
+        ids=str,
+    )
+    def test_direct_index_lookup_matches_a_searched_one(self, n, grid, edges):
+        """``_gather_slots``' direct index returns what a per-rank search of
+        the stored column ids returns, for every vertex of every rank's
+        column chunk — stored or not."""
+        rng = np.random.default_rng(5)
+        span = n if edges == "poisson" else 6
+        pairs = rng.integers(0, span, size=(3 * span, 2))
+        graph = CsrGraph.from_edges(n, pairs)
+        engine = build_engine(graph, grid)
+        part, nranks = engine.partition, engine.comm.nranks
+        if edges == "corner":
+            assert any(part.local(r).num_stored_entries == 0 for r in range(nranks))
+        fbar, bounds, want_slots, want_lengths = [], [0], [], []
+        rows_base = 0
+        for r in range(nranks):
+            loc = part.local(r)
+            lo, hi = part.column_chunk_range(loc.mesh_col)
+            ids, indptr = loc.col_map.ids, loc.col_indptr
+            for v in range(lo, hi):
+                pos = int(np.searchsorted(ids, v))
+                length = 0
+                if pos < ids.size and ids[pos] == v:
+                    start, length = int(indptr[pos]), int(indptr[pos + 1] - indptr[pos])
+                    want_slots.append(
+                        engine._row_slots[rows_base + start : rows_base + start + length]
+                    )
+                fbar.append(v)
+                want_lengths.append(length)
+            rows_base += loc.num_stored_entries
+            bounds.append(len(fbar))
+        slots, lengths = engine._gather_slots(
+            np.array(fbar, dtype=np.int64), np.array(bounds, dtype=np.int64)
+        )
+        assert lengths.tolist() == want_lengths
+        assert np.array_equal(
+            slots, np.concatenate(want_slots) if want_slots else slots[:0]
+        )
 
     def test_engine_restartable(self, small_graph):
         engine = build_engine(small_graph, GridShape(2, 2))
