@@ -51,7 +51,6 @@ from repro.bfs import (
     BfsOptions,
     BfsResult,
     BidirectionalResult,
-    Bfs1DEngine,
     Bfs2DEngine,
     run_bfs,
     run_bidirectional_bfs,
@@ -105,7 +104,6 @@ __all__ = [
     "BfsOptions",
     "BfsResult",
     "BidirectionalResult",
-    "Bfs1DEngine",
     "Bfs2DEngine",
     "run_bfs",
     "run_bidirectional_bfs",

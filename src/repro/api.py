@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.bfs.bfs_1d import Bfs1DEngine
 from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.bidirectional import run_bidirectional_bfs
 from repro.bfs.level_sync import LevelSyncEngine, run_bfs
@@ -28,7 +27,6 @@ from repro.graph.csr import CsrGraph
 from repro.machine.bluegene import BLUEGENE_L, MachineModel, bluegene_l_torus_for
 from repro.machine.cluster import MCR_CLUSTER, flat_network_for
 from repro.machine.mapping import TaskMapping, planar_mapping, row_major_mapping
-from repro.partition.one_d import OneDPartition
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.comm import Communicator
 from repro.types import GridShape, SystemSpec, resolve_system
@@ -46,26 +44,50 @@ def resolve_machine_model(spec: SystemSpec) -> MachineModel:
     )
 
 
+def engine_mesh(grid: GridShape, spec: SystemSpec) -> GridShape:
+    """The ``R x C`` mesh the engine runs on for a requested ``grid``.
+
+    1D partitioning is 2D partitioning with one processor-row (§2.2): the
+    ``"1d"`` layout runs on ``1 x P`` whichever 1-D grid was asked for —
+    ``P x 1`` under Algorithm 2 would be the transpose, an expand with no
+    fold.  ``"2d"`` runs on ``grid`` itself.
+    """
+    if spec.layout == "2d":
+        return grid
+    if not grid.is_1d:
+        raise ConfigurationError(f"the 1d layout needs a 1-D grid, got {grid}")
+    return GridShape(1, grid.size)
+
+
 def resolve_task_mapping(
     grid: GridShape, spec: SystemSpec, model: MachineModel
 ) -> TaskMapping:
-    """The :class:`TaskMapping` (mesh → physical topology) for ``grid``.
+    """The :class:`TaskMapping` (engine mesh → physical topology) for ``grid``.
 
-    Builds the torus (or flat network) exactly once per call — callers
-    that serve many queries over one system should cache the result
+    Ranks are placed on the requested ``grid`` and the placement is then
+    re-gridded onto :func:`engine_mesh`, so a ``"1d"`` run keeps the
+    placement of whichever 1-D grid it asked for — a prebuilt
+    ``TaskMapping`` of ``P x 1`` included.  Builds the
+    torus (or flat network) exactly once per call — callers that serve many
+    queries over one system should cache the result
     (:class:`repro.session.BfsSession` does).
     """
+    mesh = engine_mesh(grid, spec)
     if isinstance(spec.mapping, TaskMapping):
-        return spec.mapping
-    if model.name == "MCR":
-        return flat_network_for(grid)
-    if spec.mapping == "planar":
-        return planar_mapping(grid, bluegene_l_torus_for(grid.size))
-    if spec.mapping == "row-major":
-        return row_major_mapping(grid, bluegene_l_torus_for(grid.size))
-    raise ConfigurationError(  # pragma: no cover - resolve_system validates presets
-        f"unknown mapping {spec.mapping!r}; use 'planar', 'row-major', or a TaskMapping"
-    )
+        placed = spec.mapping
+    elif model.name == "MCR":
+        placed = flat_network_for(grid)
+    elif spec.mapping == "planar":
+        placed = planar_mapping(grid, bluegene_l_torus_for(grid.size))
+    elif spec.mapping == "row-major":
+        placed = row_major_mapping(grid, bluegene_l_torus_for(grid.size))
+    else:
+        raise ConfigurationError(  # pragma: no cover - resolve_system validates presets
+            f"unknown mapping {spec.mapping!r}; use 'planar', 'row-major', or a TaskMapping"
+        )
+    if placed.grid == grid != mesh:
+        placed = TaskMapping(mesh, placed.torus, placed.rank_to_node)
+    return placed
 
 
 def build_communicator(
@@ -112,10 +134,11 @@ def build_engine(
 ) -> LevelSyncEngine:
     """Partition ``graph`` over ``grid`` and build a ready-to-run engine.
 
-    A ``"2d"`` system layout (the default) uses Algorithm 2 on a
-    :class:`TwoDPartition`; ``"1d"`` uses Algorithm 1 on a
-    :class:`OneDPartition` (the grid must then be ``P x 1`` or ``1 x P``).
-    A prebuilt ``comm`` wins over the spec's machine/mapping/wire/faults.
+    Every layout runs Algorithm 2 on a :class:`TwoDPartition` of the
+    :func:`engine_mesh`: ``grid`` itself for ``"2d"`` (the default), and
+    ``1 x P`` for ``"1d"`` (the grid must then be ``P x 1`` or ``1 x P``).
+    A prebuilt ``comm`` wins over the spec's machine/mapping/wire/faults;
+    its grid must be the engine mesh.
     """
     if not isinstance(grid, GridShape):
         grid = GridShape(*grid)
@@ -125,16 +148,10 @@ def build_engine(
         # The spec's sieve axis is the system-level switch; the engines
         # only read BfsOptions, so fold the axis into the options here.
         opts = replace(opts, use_sieve=True)
+    mesh = engine_mesh(grid, spec)
     if comm is None:
         comm = build_communicator(grid, system=spec, buffer_capacity=opts.buffer_capacity)
-    if spec.layout == "2d":
-        return Bfs2DEngine(TwoDPartition(graph, grid), comm, opts)
-    if spec.layout == "1d":
-        if not grid.is_1d:
-            raise ConfigurationError(f"the 1d layout needs a 1-D grid, got {grid}")
-        partition = OneDPartition(graph, grid.size, as_row=grid.cols == 1)
-        return Bfs1DEngine(partition, comm, opts)
-    raise ConfigurationError(f"unknown layout {spec.layout!r}; use '1d' or '2d'")
+    return Bfs2DEngine(TwoDPartition(graph, mesh), comm, opts)
 
 
 def distributed_bfs(

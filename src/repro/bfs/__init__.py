@@ -3,8 +3,8 @@
 Public entry points:
 
 * :func:`repro.bfs.serial.serial_bfs` — single-process oracle.
-* :class:`repro.bfs.bfs_1d.Bfs1DEngine` — Algorithm 1 (1D vertex partitioning).
-* :class:`repro.bfs.bfs_2d.Bfs2DEngine` — Algorithm 2 (2D edge partitioning).
+* :class:`repro.bfs.bfs_2d.Bfs2DEngine` — Algorithm 2 (2D edge partitioning);
+  Algorithm 1 (1D) is its ``1 x P`` mesh (Section 2.2).
 * :func:`repro.bfs.level_sync.run_bfs` — run any engine to completion.
 * :func:`repro.bfs.bidirectional.run_bidirectional_bfs` — Section 2.3.
 * :func:`repro.bfs.msbfs.run_ms_bfs` — batched multi-source traversal.
@@ -16,7 +16,6 @@ from repro.bfs.result import BfsResult, BidirectionalResult, QueryResult
 from repro.bfs.serial import serial_bfs
 from repro.bfs.sent_cache import SentCache
 from repro.bfs.level_sync import LevelSyncEngine, run_bfs
-from repro.bfs.bfs_1d import Bfs1DEngine
 from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.bidirectional import run_bidirectional_bfs
 from repro.bfs.msbfs import MAX_BATCH, MsBfsResult, run_ms_bfs
@@ -35,7 +34,6 @@ __all__ = [
     "SentCache",
     "LevelSyncEngine",
     "run_bfs",
-    "Bfs1DEngine",
     "Bfs2DEngine",
     "run_bidirectional_bfs",
 ]

@@ -8,7 +8,9 @@ Each level has two communication steps:
   processor-*row* to their owners.
 
 Only ``R`` (resp. ``C``) ranks take part in each collective instead of all
-``P`` — the paper's key communication-scalability argument.
+``P`` — the paper's key communication-scalability argument.  Algorithm 1
+(1D) is this engine on a ``1 x P`` mesh (Section 2.2): one processor-row
+folds across the machine, and with no column peers the expand is empty.
 
 The level itself is the shared top-down body
 (:meth:`~repro.bfs.level_sync.LevelSyncEngine._top_down`); this module
@@ -76,6 +78,12 @@ class Bfs2DEngine(LevelSyncEngine):
         self._col_groups = [self.grid.col_members(j) for j in range(self.grid.cols)]
         self._row_groups = [self.grid.row_members(i) for i in range(self.grid.rows)]
         self._fold_groups = self._row_groups
+        #: whether a processor-column has peers (R > 1).  At R = 1 — the
+        #: 1D layout (Section 2.2) — a rank's column chunk is its own
+        #: block: no Section 2.4.1 global-to-local probe per F-bar vertex,
+        #: no unvisited bitmap from column peers, no second finder to
+        #: de-duplicate, so none of the three is charged.
+        self._column_peers = self.grid.rows > 1
         #: fold buckets within a processor-row are contiguous vertex ranges:
         #: row member m (mesh column m) owns block rows [m*R, (m+1)*R)
         self._member_bounds = partition.dist.offsets[:: self.grid.rows]
@@ -389,10 +397,11 @@ class Bfs2DEngine(LevelSyncEngine):
         its partial edge list is found by direct index — slot
         ``_slot_shift[r] + v`` of ``_slot_indptr`` — with no search; one
         gather reads the lists' entries' slots.  Each rank is charged its
-        edge count in scans, and that plus one probe per F-bar vertex in
-        hash lookups.  Returns ``(slots, lengths)``: ``lengths`` is how
-        many of ``slots`` each F-bar entry contributed — zero where this
-        rank holds no partial list for it.
+        edge count in scans, and that plus — with column peers — one
+        Section 2.4.1 probe per F-bar vertex in hash lookups.  Returns
+        ``(slots, lengths)``: ``lengths`` is how many of ``slots`` each
+        F-bar entry contributed — zero where this rank holds no partial
+        list for it.
         """
         slot = np.repeat(self._slot_shift, np.diff(fbar_bounds))
         slot += fbar_flat
@@ -402,7 +411,6 @@ class Bfs2DEngine(LevelSyncEngine):
         # Per-rank edge counts: the running sum of lengths cut at the
         # F-bar's rank bounds.
         edges = np.diff(out_offsets[fbar_bounds])
-        self.comm.charge_compute_many(
-            edges_scanned=edges, hash_lookups=edges + np.diff(fbar_bounds)
-        )
+        probes = edges + np.diff(fbar_bounds) if self._column_peers else edges
+        self.comm.charge_compute_many(edges_scanned=edges, hash_lookups=probes)
         return self._row_slots[gather], lengths

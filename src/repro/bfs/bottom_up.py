@@ -1,4 +1,4 @@
-"""Bottom-up BFS level kernels for the 1D and 2D layouts.
+"""The bottom-up BFS level kernel.
 
 In a *bottom-up* level (Beamer's direction-optimizing traversal, carried
 to distributed memory by arXiv:1104.4518 / arXiv:1705.04590) the roles
@@ -10,25 +10,21 @@ scale-free graphs — almost every scan exits after a handful of edges, so
 the level touches a small fraction of the edges the top-down push would.
 
 Communication pattern (charged through the simulated
-:class:`~repro.runtime.comm.Communicator`):
+:class:`~repro.runtime.comm.Communicator`): rank ``(i, j)`` stores partial
+*column* edge lists for the column chunk of mesh column ``j``, whose rows
+are vertices owned by processor row ``i``.  Three steps: the frontier
+bitmaps are allgathered around each processor **row**'s ring (so each
+rank can test its stored rows; arXiv:1705.04590 §4), unvisited bitmaps
+travel along processor **columns** (so each rank knows which stored
+columns still need a parent), then every found vertex is sent to its
+owner *within the processor column* — a real
+:meth:`~repro.runtime.comm.Communicator.exchange_arrays`, so wire codecs,
+chunking, and contention pricing all apply — where owners de-duplicate
+multi-finder hits with one mark pass and label.  On a ``1 x P`` mesh —
+the 1D layout — processor columns are single ranks: the row ring is the
+whole exchange and every rank labels its own finds.
 
-* **1D**: each rank scans its *owned* vertices against the global
-  frontier, so the frontier membership bitmap is allgathered around the
-  ring first — ``span/8`` bytes per block, the
-  :mod:`~repro.bfs.sent_cache`-style bitset over each rank's owned span.
-  No fold follows: owners label their own vertices.
-* **2D**: rank ``(i, j)`` stores partial *column* edge lists for the
-  column chunk of mesh column ``j``, whose rows are vertices owned by
-  processor row ``i``.  Three steps: frontier bitmaps travel along
-  processor **rows** (so each rank can test its stored rows), unvisited
-  bitmaps travel along processor **columns** (so each rank knows which
-  stored columns still need a parent), then every found vertex is sent
-  to its owner *within the processor column* — a real
-  :meth:`~repro.runtime.comm.Communicator.exchange_arrays`, so wire codecs,
-  chunking, and contention pricing all apply — where owners de-duplicate
-  multi-finder hits with one mark pass and label.
-
-The bitmap broadcasts are charged as raw byte transfers on the routed
+The bitmap exchanges are charged as raw byte transfers on the routed
 network (:meth:`~repro.runtime.comm.Communicator.exchange_summaries`, the
 sieve-summary pattern); because they bypass the
 droppable-message path, direction policies that can reach bottom-up are
@@ -44,10 +40,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.types import UNREACHED, VERTEX_DTYPE
+from repro.types import UNREACHED
 from repro.utils.segmented import range_indices
 
-__all__ = ["bottom_up_level_1d", "bottom_up_level_2d"]
+__all__ = ["bottom_up_level_2d"]
 
 #: sentinel larger than any in-segment position (np.minimum.reduceat seed)
 _NO_HIT = np.iinfo(np.int64).max
@@ -88,62 +84,10 @@ def _first_hit_scan(
     return found, edges
 
 
-def bottom_up_level_1d(engine) -> tuple[np.ndarray, np.ndarray]:
-    """One bottom-up level of :class:`~repro.bfs.bfs_1d.Bfs1DEngine`.
-
-    Ring-allgather of the per-rank frontier bitmaps, then every rank
-    scans its unvisited owned vertices' (full) edge lists with early
-    exit.  Owners label their own finds, so no fold round follows.
-    """
-    comm = engine.comm
-    nranks = comm.nranks
-    obs = comm.obs
-    levels = engine._levels_flat
-    offsets = engine.partition.dist.offsets
-
-    # Frontier-bitmap allgather: P-1 ring rounds aggregated as one
-    # concurrent transfer; rank i forwards every block except the one its
-    # successor owns.
-    with obs.span("bitmap-allgather", cat="phase"):
-        span_bytes = (np.diff(offsets) + 7) // 8
-        if nranks > 1:
-            src = np.arange(nranks, dtype=np.int64)
-            dst = (src + 1) % nranks
-            nbytes = int(span_bytes.sum()) - span_bytes[dst]
-            comm.exchange_summaries(src, dst, nbytes, phase=None)
-
-    with obs.span("bottom-up-scan", cat="phase"):
-        frontier_mask = levels == engine.level
-        unvisited = np.flatnonzero(levels == UNREACHED).astype(VERTEX_DTYPE)
-        starts = engine._cat_indptr[unvisited]
-        lengths = engine._cat_indptr[unvisited + 1] - starts
-        found, edges = _first_hit_scan(
-            starts, lengths, engine._cat_adjacency, frontier_mask
-        )
-        # unvisited is sorted and blocks are contiguous, so one
-        # searchsorted splits it into per-rank segments
-        rank_bounds = np.searchsorted(unvisited, offsets)
-        seg_rank = np.repeat(
-            np.arange(nranks, dtype=np.int64), np.diff(rank_bounds)
-        )
-        per_rank_edges = np.zeros(nranks, dtype=np.int64)
-        np.add.at(per_rank_edges, seg_rank, edges)
-        # each scanned edge is one bitmap probe
-        comm.charge_compute_many(
-            edges_scanned=per_rank_edges, hash_lookups=per_rank_edges
-        )
-        fresh = unvisited[found]
-        levels[fresh] = engine.level + 1
-        fresh_counts = np.bincount(seg_rank[found], minlength=nranks)
-        comm.charge_compute_many(updates=fresh_counts)
-        fresh_bounds = np.concatenate(([0], np.cumsum(fresh_counts)))
-    return fresh, fresh_bounds
-
-
 def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
     """One bottom-up level of :class:`~repro.bfs.bfs_2d.Bfs2DEngine`.
 
-    Frontier bitmaps along processor rows, unvisited bitmaps along
+    Frontier bitmaps around processor rows, unvisited bitmaps along
     processor columns, early-exit scan of the stored partial column
     lists, then found vertices travel to their owners within the
     processor column for de-duplication and labelling.
@@ -157,29 +101,31 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
 
     engine._owned_bounds()
     span_bytes = (engine._owned_spans + 7) // 8
-
-    def group_pairs(groups):
-        src_l: list[np.ndarray] = []
-        dst_l: list[np.ndarray] = []
-        for group in groups:
-            g = np.asarray(group, dtype=np.int64)
-            if g.size < 2:
-                continue
-            src_l.append(np.repeat(g, g.size - 1))
-            dst_l.append(np.concatenate([g[g != s] for s in g]))
-        if not src_l:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(src_l), np.concatenate(dst_l)
+    R, C = engine.grid.rows, engine.grid.cols
 
     # Frontier state of the stored rows lives on processor-row peers;
     # unvisited state of the column chunk lives on processor-column peers.
     with obs.span("bitmap-broadcast", cat="phase"):
-        row_src, row_dst = group_pairs(engine._row_groups)
-        col_src, col_dst = group_pairs(engine._col_groups)
-        src = np.concatenate([row_src, col_src])
-        dst = np.concatenate([row_dst, col_dst])
-        comm.exchange_summaries(src, dst, span_bytes[src], phase=None)
+        # Row ring allgather, its C - 1 rounds aggregated as one transfer
+        # per member: each sends its successor every block of the row but
+        # the successor's own.
+        member = np.arange(nranks if C > 1 else 0, dtype=np.int64)
+        succ = member - member % C + (member + 1) % C
+        row_total = span_bytes.reshape(R, C).sum(axis=1)
+        ring_bytes = row_total[member // C] - span_bytes[succ]
+        # Column pairs, column by column: row i sends its block to every
+        # other row k of the column.
+        i = np.repeat(np.arange(R, dtype=np.int64), R - 1)
+        k = np.tile(np.arange(R - 1, dtype=np.int64), R)
+        j = np.arange(C, dtype=np.int64)[:, None]
+        col_src = (i * C + j).ravel()
+        col_dst = ((k + (k >= i)) * C + j).ravel()
+        comm.exchange_summaries(
+            np.concatenate([member, col_src]),
+            np.concatenate([succ, col_dst]),
+            np.concatenate([ring_bytes, span_bytes[col_src]]),
+            phase=None,
+        )
 
     with obs.span("bottom-up-scan", cat="phase"):
         frontier_mask = levels == engine.level
@@ -202,12 +148,10 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
         )
         per_rank_edges = np.zeros(nranks, dtype=np.int64)
         np.add.at(per_rank_edges, scan_rank, edges)
-        # one unvisited-bitmap probe per stored column plus one frontier
-        # probe per scanned edge
-        comm.charge_compute_many(
-            edges_scanned=per_rank_edges,
-            hash_lookups=per_rank_edges + cols_per_rank,
-        )
+        # one frontier probe per scanned edge, plus — with column peers —
+        # one unvisited-bitmap probe per stored column
+        probes = per_rank_edges + cols_per_rank if engine._column_peers else per_rank_edges
+        comm.charge_compute_many(edges_scanned=per_rank_edges, hash_lookups=probes)
         found_v = col_vertex[scan_idx[found]]
         finder = scan_rank[found]
         owner = part.owner_of(found_v) if found_v.size else found_v
@@ -240,6 +184,7 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
         levels[flat] = engine.level + 1
         comm.stats.record_duplicates(values.size - flat.size)
         comm.charge_compute_many(
-            hash_lookups=incoming_counts, updates=fresh_counts
+            hash_lookups=incoming_counts if engine._column_peers else None,
+            updates=fresh_counts,
         )
     return flat, fresh_bounds

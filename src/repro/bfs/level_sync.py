@@ -1,12 +1,14 @@
 """Shared scaffolding of the level-synchronized BFS loop.
 
-Both Algorithm 1 (1D) and Algorithm 2 (2D) proceed level by level: build
-the frontier, communicate, discover neighbours, communicate, label.  The
-:class:`LevelSyncEngine` base class owns the loop bookkeeping (level
-counter, per-level statistics, global termination reduction) and the one
-top-down level body (:meth:`LevelSyncEngine._top_down`); subclasses
-supply the layout hooks — expand peers, partial-edge-list lookup, fold
-groups.  Keeping ``step()`` public is what lets the bi-directional driver
+Algorithm 2 proceeds level by level — build the frontier, communicate,
+discover neighbours, communicate, label — and Algorithm 1 is the same
+loop on a ``1 x P`` mesh (Section 2.2).  The :class:`LevelSyncEngine`
+base class owns the loop bookkeeping (level counter, per-level
+statistics, global termination reduction) and the one top-down level
+body (:meth:`LevelSyncEngine._top_down`);
+:class:`~repro.bfs.bfs_2d.Bfs2DEngine` supplies the layout hooks — expand
+peers, partial-edge-list lookup, fold groups, the bottom-up level.
+Keeping ``step()`` public is what lets the bi-directional driver
 (Section 2.3) interleave two searches.
 
 A top-down level runs over a ``(vertex[, mask])`` frontier, the
@@ -86,8 +88,8 @@ class LevelSyncEngine(abc.ABC):
     # abstract per-layout hooks
     # ------------------------------------------------------------------ #
     #: the layout's fold groups: equal-size, tiling the ranks in order (so
-    #: fold segment ``s`` is rank ``s``) — 1D: the whole machine, 2D: the
-    #: processor-rows
+    #: fold segment ``s`` is rank ``s``) — the processor-rows, the whole
+    #: machine on a ``1 x P`` mesh
     _fold_groups: list[list[int]]
 
     @abc.abstractmethod
@@ -98,26 +100,19 @@ class LevelSyncEngine(abc.ABC):
     def owned_slice(self, rank: int) -> tuple[int, int]:
         """Global vertex range ``[lo, hi)`` owned by ``rank``."""
 
+    @abc.abstractmethod
     def _expand_level_bottom_up(self) -> tuple[np.ndarray, np.ndarray]:
-        """Run one *bottom-up* level (unvisited vertices probe the frontier).
+        """Run one *bottom-up* level (unvisited vertices probe the frontier;
+        :mod:`repro.bfs.bottom_up`).  Returns the next frontier as pooled
+        CSR ``(flat, bounds)`` and writes the new labels into
+        ``_levels_flat``."""
 
-        Returns the next frontier as pooled CSR ``(flat, bounds)`` and
-        writes the new labels into ``_levels_flat``.  Layouts that support
-        direction-optimizing traversal override this (see
-        :mod:`repro.bfs.bottom_up`); the default refuses so a policy that
-        reaches bottom-up on an unsupported engine fails loudly.
-        """
-        raise ConfigurationError(
-            f"{type(self).__name__} does not implement bottom-up levels; "
-            f"use direction='top-down'"
-        )
-
+    @abc.abstractmethod
     def _expand_step(
         self, flat: np.ndarray, bounds: np.ndarray, masks: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The expand: every rank's frontier merged with what its expand
-        peers hold of theirs (F-bar).  1D has no expand peers."""
-        return flat, bounds, masks
+        peers hold of theirs (F-bar)."""
 
     @abc.abstractmethod
     def _gather_slots(
@@ -130,9 +125,9 @@ class LevelSyncEngine(abc.ABC):
     @abc.abstractmethod
     def _fold_member(self, vertices: np.ndarray) -> np.ndarray:
         """In-group fold destination of each candidate vertex: the member
-        of the sender's fold group that labels it — 1D: the block owner,
-        2D: the processor-row member standing in the owner's mesh column.
-        """
+        of the sender's fold group that labels it: the processor-row
+        member standing in the owner's mesh column (on a ``1 x P`` mesh,
+        the owner)."""
 
     def _reset_layout_state(self) -> None:
         """Clear the per-run caches (sent-neighbours cache, sieve shadows)."""

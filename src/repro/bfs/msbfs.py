@@ -11,10 +11,10 @@ discovery gather, and one fold per *batch* level serve every source at
 once — a natural extension of the existing visited-bitmap machinery, with
 the visited bit widened to a visited *word*.
 
-The traversal rides the existing engines: :func:`run_ms_bfs` wraps a
-constructed :class:`~repro.bfs.bfs_1d.Bfs1DEngine` or
-:class:`~repro.bfs.bfs_2d.Bfs2DEngine`, and a batch level is the
-engines' *one* top-down body
+The traversal rides the existing engine: :func:`run_ms_bfs` wraps a
+constructed :class:`~repro.bfs.bfs_2d.Bfs2DEngine` (on any mesh, the
+1D ``1 x P`` included), and a batch level is the
+engine's *one* top-down body
 (:meth:`~repro.bfs.level_sync.LevelSyncEngine._top_down`) — expand,
 merge, discover, fold — over a pooled ``(flat, bounds, masks)`` frontier:
 single-source is the same body with the mask column left out.  This
@@ -412,8 +412,8 @@ def run_ms_bfs(
     """Run up to :data:`MAX_BATCH` sources through one shared traversal.
 
     ``engine`` is a constructed (and possibly
-    :meth:`~repro.bfs.level_sync.LevelSyncEngine.rebind`-refreshed) 1D or
-    2D engine; its immutable caches drive the batched traversal and its
+    :meth:`~repro.bfs.level_sync.LevelSyncEngine.rebind`-refreshed)
+    engine; its immutable caches drive the batched traversal and its
     communicator carries the traffic.  ``targets[i]``, when given, stops
     source ``i`` at the end of the level that labels its target — the
     sequential driver's early-termination semantics.  Returns an

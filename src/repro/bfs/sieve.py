@@ -8,8 +8,8 @@ the candidate is encoded.
 
 Each rank keeps an exact visited bitmap over its owned vertices; at the
 end of every top-down level it broadcasts a bitmap summary of its freshly
-labelled vertices to its fold-group peers (row peers in the 2D layout,
-all other ranks in 1D).  Every sender therefore holds a *shadow* of each
+labelled vertices to its fold-group peers (its processor-row peers: all
+other ranks on the 1D ``1 x P`` mesh).  Every sender therefore holds a *shadow* of each
 destination's visited set that is complete up to the previous level, and
 fold candidates are filtered against it before encoding: a candidate
 whose owner already knows it is visited never hits the wire.  Same-level

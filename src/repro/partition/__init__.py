@@ -1,8 +1,8 @@
-"""Graph partitioning: 1D vertex partitioning and the paper's 2D edge partitioning."""
+"""Graph partitioning: the paper's 2D edge partitioning (1D is its ``1 x P`` case)."""
 
 from repro.partition.base import BlockDistribution, Partition
 from repro.partition.indexing import VertexIndexMap
-from repro.partition.one_d import OneDPartition, RankLocal1D
+from repro.partition.one_d import OneDPartition
 from repro.partition.two_d import TwoDPartition, RankLocal2D
 from repro.partition.balance import balance_report, BalanceReport
 from repro.partition.degree_aware import degree_aware_relabeling
@@ -16,7 +16,6 @@ __all__ = [
     "Partition",
     "VertexIndexMap",
     "OneDPartition",
-    "RankLocal1D",
     "TwoDPartition",
     "RankLocal2D",
     "balance_report",

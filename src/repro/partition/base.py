@@ -80,7 +80,7 @@ class Partition(abc.ABC):
 
     #: global vertex count
     n: int
-    #: logical processor mesh (1 x P or P x 1 for the 1D layout)
+    #: logical processor mesh (1 x P for the 1D layout)
     grid: GridShape
 
     @property

@@ -1,115 +1,16 @@
-"""1D (vertex) partitioning — the conventional baseline (Section 2.1).
+"""The conventional 1D partitioning, as the 2D layout it is (Section 2.2).
 
-Each of the ``P`` ranks owns a contiguous block of vertices together with
-*all* edges emanating from them (full edge lists, one block row ``A_i`` of
-the adjacency matrix per rank).
+"The conventional 1D partitioning is equivalent to the 2D partitioning
+with R = 1 or C = 1": on a ``1 x P`` mesh each rank's column chunk is its
+own vertex block, so it stores the full edge lists of the vertices it
+owns — Algorithm 1's layout.  ``OneDPartition`` is that partition under
+its old name; build it as ``OneDPartition(graph, GridShape(1, P))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.errors import PartitionError
-from repro.graph.csr import CsrGraph
-from repro.partition.base import BlockDistribution, Partition
-from repro.types import VERTEX_DTYPE, GridShape, as_vertex_array
+from repro.partition.two_d import TwoDPartition
 
 
-@dataclass(frozen=True, slots=True)
-class RankLocal1D:
-    """Per-rank storage for the 1D layout.
-
-    ``indptr``/``adjacency`` form a local CSR over the rank's owned
-    vertices (row ``i`` is owned vertex ``vertex_lo + i``); neighbour ids
-    in ``adjacency`` are *global*.
-    """
-
-    rank: int
-    vertex_lo: int
-    vertex_hi: int
-    indptr: np.ndarray
-    adjacency: np.ndarray
-
-    @property
-    def num_owned(self) -> int:
-        """Number of vertices owned by this rank."""
-        return self.vertex_hi - self.vertex_lo
-
-    @property
-    def num_local_edges(self) -> int:
-        """Number of adjacency entries stored on this rank."""
-        return int(self.adjacency.shape[0])
-
-    def neighbors_of_frontier(self, frontier_global: np.ndarray) -> np.ndarray:
-        """All neighbours (global ids, with duplicates) of owned frontier vertices.
-
-        ``frontier_global`` must contain only vertices owned by this rank.
-        This is step 7 of Algorithm 1: merge the edge lists of the frontier.
-        """
-        frontier_global = as_vertex_array(frontier_global)
-        if frontier_global.size == 0:
-            return np.empty(0, dtype=VERTEX_DTYPE)
-        local = frontier_global - self.vertex_lo
-        if local.min() < 0 or local.max() >= self.num_owned:
-            raise PartitionError(f"rank {self.rank} asked to expand non-owned vertices")
-        starts = self.indptr[local]
-        stops = self.indptr[local + 1]
-        lengths = stops - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=VERTEX_DTYPE)
-        out_offsets = np.concatenate(([0], np.cumsum(lengths)))
-        gather = np.arange(total, dtype=VERTEX_DTYPE)
-        gather += np.repeat(starts - out_offsets[:-1], lengths)
-        return self.adjacency[gather]
-
-
-class OneDPartition(Partition):
-    """A P-way 1D vertex partitioning of an undirected graph."""
-
-    def __init__(self, graph: CsrGraph, nranks: int, *, as_row: bool = True) -> None:
-        """Partition ``graph`` over ``nranks`` ranks.
-
-        ``as_row`` selects the degenerate mesh orientation used for
-        bookkeeping: ``True`` gives a ``P x 1`` mesh (the paper's
-        ``32768 x 1`` row in Table 1), ``False`` gives ``1 x P``
-        (``1 x 32768``).  The data layout is identical; only which
-        communicator (column vs row) carries the fold differs, which is
-        what Table 1's expand/fold message-length split shows.
-        """
-        if nranks < 1:
-            raise PartitionError(f"need at least one rank, got {nranks}")
-        self.n = graph.n
-        self.grid = GridShape(nranks, 1) if as_row else GridShape(1, nranks)
-        self.dist = BlockDistribution(graph.n, nranks)
-        self._locals: list[RankLocal1D] = []
-        for rank in range(nranks):
-            lo, hi = self.dist.range_of(rank)
-            indptr = (graph.indptr[lo : hi + 1] - graph.indptr[lo]).astype(VERTEX_DTYPE)
-            adjacency = graph.indices[graph.indptr[lo] : graph.indptr[hi]].copy()
-            self._locals.append(RankLocal1D(rank, lo, hi, indptr, adjacency))
-
-    # ------------------------------------------------------------------ #
-    # Partition interface
-    # ------------------------------------------------------------------ #
-    def owner_of(self, vertices) -> np.ndarray:
-        return self.dist.part_of(vertices)
-
-    def owned_vertices(self, rank: int) -> np.ndarray:
-        return self.dist.items_of(rank)
-
-    def local(self, rank: int) -> RankLocal1D:
-        """Per-rank storage object."""
-        if not (0 <= rank < self.nranks):
-            raise PartitionError(f"rank {rank} out of range [0, {self.nranks})")
-        return self._locals[rank]
-
-    def memory_footprint(self, rank: int) -> dict[str, int]:
-        loc = self.local(rank)
-        return {
-            "owned_vertices": loc.num_owned,
-            "edge_entries": loc.num_local_edges,
-            "indptr": int(loc.indptr.shape[0]),
-        }
+class OneDPartition(TwoDPartition):
+    """A :class:`TwoDPartition`, named for the ``1 x P`` mesh it is built on."""

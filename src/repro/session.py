@@ -29,8 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.api import resolve_machine_model, resolve_task_mapping
-from repro.bfs.bfs_1d import Bfs1DEngine
+from repro.api import engine_mesh, resolve_machine_model, resolve_task_mapping
 from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.bidirectional import run_bidirectional_bfs
 from repro.bfs.level_sync import run_bfs
@@ -41,7 +40,6 @@ from repro.errors import ConfigurationError, SearchError
 from repro.faults import FaultSchedule, FaultSpec
 from repro.graph.csr import CsrGraph
 from repro.partition.degree_aware import degree_aware_relabeling
-from repro.partition.one_d import OneDPartition
 from repro.partition.permutation import VertexRelabeling
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.comm import Communicator
@@ -103,12 +101,7 @@ class BfsSession:
         self.layout = self.system.layout
         self.wire = self.system.wire
         self.observe = self.system.observe
-        if self.layout == "2d":
-            self.partition = TwoDPartition(search_graph, grid)
-        else:
-            if not grid.is_1d:
-                raise ConfigurationError(f"the 1d layout needs a 1-D grid, got {grid}")
-            self.partition = OneDPartition(search_graph, grid.size, as_row=grid.cols == 1)
+        self.partition = TwoDPartition(search_graph, engine_mesh(grid, self.system))
         # Resolved once; _new_comm only allocates fresh clocks/stats per
         # query instead of re-deriving torus, mapping, and routes.
         self._model = resolve_machine_model(self.system)
@@ -153,10 +146,7 @@ class BfsSession:
     # engines
     # ------------------------------------------------------------------ #
     def _build_engine(self):
-        comm = self._new_comm()
-        if self.layout == "2d":
-            return Bfs2DEngine(self.partition, comm, self.opts)
-        return Bfs1DEngine(self.partition, comm, self.opts)
+        return Bfs2DEngine(self.partition, self._new_comm(), self.opts)
 
     def _new_engine(self, comm):
         """The session's long-lived engine, rebound to a fresh communicator."""

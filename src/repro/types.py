@@ -134,7 +134,8 @@ class SystemSpec:
     machine: str | MachineModel = "bluegene"
     #: ``"planar"`` (Figure 1), ``"row-major"``, or a prebuilt :class:`TaskMapping`
     mapping: str | TaskMapping = "planar"
-    #: ``"2d"`` (Algorithm 2) or ``"1d"`` (Algorithm 1)
+    #: ``"2d"`` (Algorithm 2) or ``"1d"`` (Algorithm 1: Algorithm 2 on a
+    #: ``1 x P`` mesh, see :func:`repro.api.engine_mesh`)
     layout: str = "2d"
     #: frontier compression codec on the wire (``repro.wire``): ``"raw"``,
     #: ``"delta-varint"``, ``"bitmap"``, ``"adaptive"``, or a ``WireCodec``

@@ -7,7 +7,6 @@ import pytest
 
 import repro
 from repro.api import bidirectional_bfs, build_communicator, build_engine, distributed_bfs
-from repro.bfs.bfs_1d import Bfs1DEngine
 from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.serial import serial_bfs
 from repro.errors import ConfigurationError
@@ -56,8 +55,12 @@ class TestBuildEngine:
         assert isinstance(engine, Bfs2DEngine)
 
     def test_1d(self, small_graph):
+        """Algorithm 2 on 1 x P, placed as the requested 4 x 1 grid is."""
         engine = build_engine(small_graph, (4, 1), system="bluegene-1d")
-        assert isinstance(engine, Bfs1DEngine)
+        assert isinstance(engine, Bfs2DEngine)
+        assert engine.partition.grid == engine.comm.grid == GridShape(1, 4)
+        placed = build_communicator(GridShape(4, 1)).mapping.rank_to_node
+        assert np.array_equal(engine.comm.mapping.rank_to_node, placed)
 
     def test_tuple_grid_accepted(self, small_graph):
         engine = build_engine(small_graph, (2, 3))

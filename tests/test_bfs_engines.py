@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from repro.api import build_communicator, build_engine
-from repro.bfs.bfs_1d import Bfs1DEngine
 from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.level_sync import run_bfs
 from repro.bfs.options import BfsOptions
 from repro.bfs.serial import serial_bfs
 from repro.errors import ConfigurationError, SearchError
 from repro.graph.csr import CsrGraph
-from repro.partition.one_d import OneDPartition
 from repro.partition.two_d import TwoDPartition
 from repro.types import GridShape, UNREACHED
 
@@ -53,10 +51,10 @@ class TestBfs1D:
         )
 
     def test_rank_mismatch_rejected(self, small_graph):
-        part = OneDPartition(small_graph, 4)
+        part = TwoDPartition(small_graph, GridShape(1, 4))
         comm = build_communicator(GridShape(8, 1))
         with pytest.raises(ConfigurationError):
-            Bfs1DEngine(part, comm)
+            Bfs2DEngine(part, comm)
 
     def test_step_before_start_rejected(self, small_graph):
         engine = build_engine(small_graph, GridShape(4, 1), system="bluegene-1d")

@@ -14,6 +14,7 @@ from repro.bfs.serial import serial_bfs
 from repro.errors import CommunicationError, ConfigurationError
 from repro.faults import FaultSpec
 from repro.graph.generators import build_graph
+from repro.runtime.comm import Communicator
 from repro.types import GraphSpec, GridShape, SystemSpec
 
 RMAT = GraphSpec.rmat(10, edge_factor=8, seed=3)
@@ -191,6 +192,41 @@ class TestHybridEquality:
         )
         total = reg.value("bfs_direction_levels_total")
         assert total == float(len(result.stats.levels))
+
+
+class TestBottomUpBitmaps:
+    @pytest.mark.parametrize(
+        "grid", [GridShape(1, 4), GridShape(4, 1), GridShape(2, 3), GridShape(3, 2)]
+    )
+    def test_frontier_bitmap_rings_each_processor_row(
+        self, poisson_graph, grid, monkeypatch
+    ):
+        """Each row member sends its successor the row's frontier-bitmap
+        blocks but the successor's own (a ring allgather in one transfer);
+        each column member sends every column peer its unvisited block."""
+        sent = []
+        real = Communicator.exchange_summaries
+
+        def spy(self, src, dst, nbytes, phase="sieve"):
+            sent.append(sorted(zip(src.tolist(), dst.tolist(), nbytes.tolist())))
+            return real(self, src, dst, nbytes, phase)
+
+        monkeypatch.setattr(Communicator, "exchange_summaries", spy)
+        engine = build_engine(poisson_graph, grid, opts=BfsOptions(direction="bottom-up"))
+        run_bfs(engine, 0)
+        R, C = grid.rows, grid.cols
+        block = ((engine._owned_spans + 7) // 8).tolist()
+        row_total = [sum(block[i * C : (i + 1) * C]) for i in range(R)]
+        ring = [
+            (m, m - m % C + (m + 1) % C, row_total[m // C] - block[m - m % C + (m + 1) % C])
+            for m in range(R * C) if C > 1
+        ]
+        column = [
+            (s, d, block[s])
+            for s in range(R * C) for d in range(R * C)
+            if s != d and s % C == d % C
+        ]
+        assert sent and all(level == sorted(ring + column) for level in sent)
 
 
 class TestSpmdHybrid:

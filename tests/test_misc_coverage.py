@@ -130,7 +130,7 @@ class TestReprHelpers:
 
     def test_balance_report_str(self, small_graph):
         from repro.partition.balance import balance_report
-        from repro.partition.one_d import OneDPartition
+        from repro.partition.two_d import TwoDPartition
 
-        text = str(balance_report(OneDPartition(small_graph, 4), "owned_vertices"))
+        text = str(balance_report(TwoDPartition(small_graph, GridShape(1, 4)), "owned_vertices"))
         assert "imbalance" in text

@@ -11,7 +11,6 @@ import pytest
 from repro.harness import views
 from repro.harness.figures import FIGURES
 from repro.harness.runner import Run, execute
-from repro.partition.one_d import OneDPartition
 from repro.partition.two_d import TwoDPartition
 from repro.types import SYSTEM_PRESETS, GraphSpec, GridShape, resolve_system
 
@@ -82,14 +81,13 @@ class TestOnePartitionPerCell:
     def test_table1_partitions_once_per_grid(self, monkeypatch):
         """Three searches on each of four grids of one graph: four partitions."""
         built = []
-        for cls in (TwoDPartition, OneDPartition):
-            init = cls.__init__
+        init = TwoDPartition.__init__
 
-            def counting(self, *args, _init=init, **kwargs):
-                built.append(type(self).__name__)
-                _init(self, *args, **kwargs)
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(TwoDPartition, "__init__", counting)
         grids = [(2, 4), (4, 2), (8, 1), (1, 8)]
         rows = FIGURES["table1"].sweep(dict(grids=grids, blocks=[(100, 8.0)], searches=3), 0)
         assert [row["searches"] for row in rows] == [3] * 4

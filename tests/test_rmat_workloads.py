@@ -13,7 +13,7 @@ from repro.errors import ConfigurationError, PartitionError
 from repro.graph.distributed_gen import DistributedGraphBuilder
 from repro.graph.generators import build_graph, rmat_edges
 from repro.partition import balance_report, degree_aware_relabeling
-from repro.partition.one_d import OneDPartition
+from repro.partition.two_d import TwoDPartition
 from repro.session import BfsSession
 from repro.types import GraphSpec, GridShape
 from repro.utils.rng import RngFactory
@@ -163,9 +163,10 @@ class TestDegreeAwarePartition:
 
     def test_improves_1d_vertex_balance(self, rmat_graph):
         nranks = 4
-        plain = OneDPartition(rmat_graph, nranks)
+        grid = GridShape(1, nranks)
+        plain = TwoDPartition(rmat_graph, grid)
         relabeling = degree_aware_relabeling(rmat_graph, nranks)
-        balanced = OneDPartition(relabeling.apply(rmat_graph), nranks)
+        balanced = TwoDPartition(relabeling.apply(rmat_graph), grid)
         before = balance_report(plain, metric="edge_entries").imbalance
         after = balance_report(balanced, metric="edge_entries").imbalance
         assert after < before

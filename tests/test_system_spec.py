@@ -14,13 +14,20 @@ import pytest
 
 import repro
 from repro.api import build_communicator, build_engine, distributed_bfs
-from repro.bfs.bfs_1d import Bfs1DEngine
 from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.errors import ConfigurationError
 from repro.faults import FaultSpec
 from repro.machine.bluegene import BLUEGENE_L
 from repro.session import BfsSession
 from repro.types import SYSTEM_PRESETS, GridShape, SystemSpec, resolve_system
+
+
+def assert_1d(engine, grid: GridShape, placement_system: str) -> None:
+    """A "1d" engine: Algorithm 2 on ``1 x P``, placed as ``grid`` is."""
+    assert isinstance(engine, Bfs2DEngine)
+    assert engine.partition.grid == engine.comm.grid == GridShape(1, grid.size)
+    placed = build_communicator(grid, system=placement_system).mapping.rank_to_node
+    assert np.array_equal(engine.comm.mapping.rank_to_node, placed)
 
 
 class TestSystemSpec:
@@ -126,7 +133,7 @@ class TestEntryPoints:
 
     def test_build_engine_preset_picks_layout(self, small_graph):
         engine = build_engine(small_graph, (4, 1), system="bluegene-1d")
-        assert isinstance(engine, Bfs1DEngine)
+        assert_1d(engine, GridShape(4, 1), "bluegene-2d")
         engine = build_engine(small_graph, (2, 2), system="bluegene-2d")
         assert isinstance(engine, Bfs2DEngine)
 
@@ -144,14 +151,14 @@ class TestEntryPoints:
     def test_spec_object_accepted(self, small_graph):
         spec = SystemSpec(machine="mcr", layout="1d")
         engine = build_engine(small_graph, (1, 4), system=spec)
-        assert isinstance(engine, Bfs1DEngine)
+        assert_1d(engine, GridShape(1, 4), "mcr-2d")
         assert engine.comm.model.name == "MCR"
 
     def test_layout_kwarg_overrides_spec(self, small_graph):
         engine = build_engine(
             small_graph, (4, 1), system=resolve_system("bluegene-2d", layout="1d")
         )
-        assert isinstance(engine, Bfs1DEngine)
+        assert_1d(engine, GridShape(4, 1), "bluegene-2d")
 
     def test_old_and_new_roads_identical(self, small_graph):
         old = distributed_bfs(
