@@ -18,6 +18,8 @@ destination, empty messages skipped — and results come back as CSR.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import CommunicationError
@@ -50,12 +52,6 @@ class _Lockstep:
         #: barrier set of a round — ``None`` (no participant indexing)
         #: when the groups cover the whole machine, as the engines' do
         self.participants = None if self.nseg == comm.nranks else ordered
-
-    def round(self, index: int, ngroups: int, *messages, **route):
-        """One lockstep round: its ``round`` span around one exchange."""
-        comm, phase = self.comm, self.phase
-        with comm.obs.span(f"round {index}", cat="round", phase=phase, groups=ngroups):
-            return comm.exchange_arrays(*messages, phase, **route)
 
 
 def _forward(
@@ -111,11 +107,12 @@ def _forward(
         idx, offsets = range_indices(bstarts[blk], sizes)
         payload = bflat[idx]
         words = None if bmasks is None else bmasks[idx]
-        arrived = lock.round(
-            index, active, lock.ranks[src_seg[head]], lock.ranks[dst_seg[head]],
-            payload, offsets[head], offsets[tail], participants=participants,
-            masks=words,
-        )
+        with lock.comm.obs.span(f"round {index}", cat="round", phase=lock.phase, groups=active):
+            arrived = lock.comm.exchange_arrays(
+                lock.ranks[src_seg[head]], lock.ranks[dst_seg[head]], payload,
+                offsets[head], offsets[tail], lock.phase, participants=participants,
+                masks=words,
+            )
         if program.lossy and arrived is not None:
             msg, starts, stops = arrived
             survivors = dst_seg[head][msg], payload, words, starts, stops
@@ -151,73 +148,101 @@ def _union_rings(
     ``k + 1`` and travels its row's ring exactly once; every member it
     visits unions its own contributions in, eliminating duplicate vertex
     ids while the message is in flight.  Each member sends exactly one
-    bundle per round, ``b - 1`` rounds in all, and all groups' per-round
-    unions collapse into one segmented unique.  Returns CSR over chunk
+    bundle per round, ``b - 1`` rounds in all.  Returns CSR over chunk
     ``seg * a + r'``: member ``(r, c)`` ends up holding, reduced over its
     row, the chunk for every ``(r', c)``.  ``shape = (1, G)`` is the
     paper's union-fold ring, whose last round *is* the delivery
     (``deliver``).
+
+    Routing is data-independent and a bundle only grows, so the rings run
+    in one pass: one segmented unique keyed by (final chunk, vertex) gives
+    the union and each vertex's *first arrival* round, round ``t``'s
+    bundle sizes are cumulative counts of those, and all ``b - 1`` rounds
+    are one stacked exchange.
     """
     a, b = shape
     comm, size, nseg, ranks = lock.comm, lock.size, lock.nseg, lock.ranks
-    stats = comm.stats
+    nchunk = nseg * a
     domain = int(cflat.max()) + 1 if cflat.size else 1
-    seg_ids = np.arange(nseg, dtype=np.int64)
-    col = seg_ids % b
-    succ_seg = seg_ids - col + (col + 1) % b
-    # a member receives the bundle its ring predecessor held
-    pred_seg = seg_ids - col + (col - 1) % b
-    #: chunk ids after one hop: same lane, next holder
-    hop = (succ_seg[:, None] * a + np.arange(a, dtype=np.int64)).ravel()
-
-    def batched_union(values, chunks):
-        flat, bounds, dups, chunk_of = segmented_unique(values, chunks, nseg * a, domain)
-        stats.record_duplicates(int(dups))
-        return flat, bounds, chunk_of
-
-    # Pre-slice every contribution by the round that unions it in: the
-    # bundle for column k reaches column c after (c - k - 1) % b hops, so
-    # member (r, c) folds its payload for destination (r', k) in at
-    # consumption round rk = (c - k - 1) % b (0 = priming, t + 1 = ring
-    # round t).  One stable sort by (rk, seg) replaces a per-round gather.
-    slot_e = np.repeat(np.arange(nseg * size, dtype=np.int64), csizes)
-    seg_e = slot_e // size
-    rk_e = (seg_e % b - slot_e % b - 1) % b
-    order = np.argsort(rk_e * nseg + seg_e, kind="stable")
-    own_flat = cflat[order]
-    own_chunk = (slot_e // b)[order]  # seg * a + r': slots are seg * a * b + r' * b + k
-    round_off = np.searchsorted(rk_e[order], np.arange(b + 1, dtype=np.int64))
-
-    primed = round_off[1]
-    flat, bounds, chunk_of = batched_union(own_flat[:primed], own_chunk[:primed])
-    # Every round's wire pairs come from the fixed member -> successor
-    # rings; pre-analyse their routes once so rounds charge the network
-    # by indexing the population (no per-round route resolution).
-    succ_rank = ranks[succ_seg]
-    population = comm.network.prepare_pairs(ranks, succ_rank) if b > 1 else None
-    for round_idx in range(b - 1):
-        held = bounds[::a]
-        sent = np.diff(held)
-        # No empty bundle (the heavy rounds): the round is the whole ring
-        # population in order — no subset indexing at all.
-        pick = slice(None) if sent.all() else np.flatnonzero(sent)
-        lock.round(
-            round_idx, lock.ngroups,
-            ranks[pick], succ_rank[pick], flat, held[:-1][pick], held[1:][pick],
-            participants=lock.participants, population=population,
-            pop_idx=None if isinstance(pick, slice) else pick,
-        )
-        if deliver and round_idx == b - 2:
-            stats.record_delivery_bulk(ranks, sent[pred_seg], lock.phase)
-        # Received bundles need no gather: every element lands on its
-        # holder's successor, so only the chunk tags change.
-        lo, hi = round_off[round_idx + 1], round_off[round_idx + 2]
-        with comm.obs.span("union", cat="phase"):
-            flat, bounds, chunk_of = batched_union(
-                np.concatenate((flat, own_flat[lo:hi])),
-                np.concatenate((hop[chunk_of], own_chunk[lo:hi])),
-            )
+    # Slot seg * a * b + r' * b + k of member (r, c) joins the bundle for
+    # (r', k) in round rk = (c - k - 1) % b (0 = priming, t + 1 = ring round
+    # t), and member (r, k) ends up holding it.
+    used = np.flatnonzero(csizes > 0)  # a mask's nonzero is the fast one
+    seg = used // size  # with a product, not divmod: NumPy's divmod is slower
+    dest = used - seg * size
+    col, k = seg % b, dest % b
+    counts = csizes[used]
+    rk = np.repeat((col - k - 1) % b, counts)
+    final = np.repeat((seg - col + k) * a + dest // b, counts)
+    with comm.obs.span("union", cat="phase"):
+        keyed, chunk_of = segmented_unique(cflat * b + rk, final, domain * b)
+        vertex = keyed // b
+        joined = keyed - vertex * b
+        first = np.ones(keyed.size, dtype=bool)
+        first[1:] = (vertex[1:] != vertex[:-1]) | (chunk_of[1:] != chunk_of[:-1])
+        flat, chunk_of, joined = vertex[first], chunk_of[first], joined[first]
+    bounds = np.zeros(nchunk + 1, dtype=np.int64)
+    np.cumsum(np.bincount(chunk_of, minlength=nchunk), out=bounds[1:])
+    comm.stats.record_duplicates(cflat.size - flat.size)
+    if b == 1:
+        return flat, bounds
+    # Bundle F (the one member F ends up holding) carries in round t what
+    # joined by round t.  Bundles with content land in a round-major table
+    # of (round, holder) cells; its non-empty cells are the messages.
+    holder_of = chunk_of // a
+    moving = np.flatnonzero(np.bincount(holder_of, minlength=nseg))
+    bundle = np.searchsorted(moving, holder_of)
+    joined_by = np.bincount(bundle * b + joined, minlength=moving.size * b)
+    sent = np.zeros((b - 1) * nseg, dtype=np.int64)
+    sent[_ring_cells(nseg, b)[moving].ravel()] = np.cumsum(
+        joined_by.reshape(-1, b)[:, :-1], axis=1
+    ).ravel()
+    carried = np.flatnonzero(sent > 0)
+    sizes = sent[carried]
+    del joined_by, sent
+    rounds = np.searchsorted(carried, np.arange(b, dtype=np.int64) * nseg)
+    payload = flat
+    if comm.wire.name != "raw":
+        # a content-pricing codec reads every round's bundles: each lane
+        # of the union holds what had joined by that round, in order
+        round_of = carried // nseg
+        member = carried - round_of * nseg
+        col = member % b
+        lane = (member - col + (col - 1 - round_of) % b)[:, None] * a + np.arange(a)
+        lengths = np.diff(bounds)[lane]
+        idx, _ = range_indices(bounds[lane].ravel(), lengths.ravel())
+        payload = flat[idx[joined[idx] <= np.repeat(round_of, lengths.sum(axis=1))]]
+    # else: the raw codec reads sizes only, so the offsets index no buffer
+    holder = np.subtract(carried, carried // nseg * nseg, out=carried)  # carried % nseg
+    col = np.arange(nseg, dtype=np.int64) % b
+    succ_rank = ranks[np.arange(nseg) - col + (col + 1) % b]
+    if deliver:
+        # the last round hands every member its own chunk
+        last = slice(rounds[b - 2], None)
+        comm.stats.record_delivery_bulk(succ_rank[holder[last]], sizes[last], lock.phase)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    del sizes
+    comm.exchange_arrays(
+        ranks[holder], succ_rank[holder], payload, offsets[:-1], offsets[1:], lock.phase,
+        participants=lock.participants,
+        population=comm.network.prepare_pairs(ranks, succ_rank),
+        pop_idx=holder, rounds=rounds,
+    )
     return flat, bounds
+
+
+@functools.lru_cache(maxsize=16)
+def _ring_cells(nseg: int, b: int) -> np.ndarray:
+    """Where each bundle travels: entry ``[F, t]`` is the round-major cell
+    ``t * nseg + h`` of the ring member ``h`` that holds bundle ``F`` (the
+    one member ``F`` ends up holding) in round ``t`` — for ``F`` in column
+    ``k``, the member in column ``(k + 1 + t) % b`` of ``F``'s ring."""
+    seg = np.arange(nseg, dtype=np.int64)[:, None]
+    t = np.arange(b - 1, dtype=np.int64)
+    k = seg % b
+    cells = t * nseg + seg - k + (k + 1 + t) % b
+    cells.flags.writeable = False
+    return cells
 
 
 class _Program:

@@ -14,7 +14,8 @@ Layout (split from the original single module):
 
 * :mod:`repro.faults.spec` — :class:`FaultSpec`, the frozen declarative
   description of a fault workload, and the named :data:`FAULT_PRESETS`.
-* :mod:`repro.faults.schedule` — :class:`FaultSchedule`, the per-run
+* :mod:`repro.faults.schedule` — :class:`FaultPlan`, what a spec's seed
+  decides, and :class:`FaultSchedule`, the per-run
   stateful object the communicator consults on every wire message and at
   every crash boundary.
 * :mod:`repro.faults.report` — :class:`FaultReport`, the
@@ -59,13 +60,14 @@ from __future__ import annotations
 
 from repro.faults.crash import CrashEvent, KeyedDropStream
 from repro.faults.report import FaultReport
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import FaultPlan, FaultSchedule
 from repro.faults.spec import FAULT_PRESETS, FaultSpec
 
 __all__ = [
     "FAULT_PRESETS",
     "CrashEvent",
     "FaultReport",
+    "FaultPlan",
     "FaultSchedule",
     "FaultSpec",
     "KeyedDropStream",

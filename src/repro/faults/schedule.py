@@ -1,11 +1,11 @@
-"""Per-run sampled fault decisions: :class:`FaultSchedule`.
+"""Sampled fault decisions: :class:`FaultPlan` and the per-run :class:`FaultSchedule`.
 
 The schedule is the stateful object the communicator consults once per
 message round — every chunk's fate and link cost answered as arrays —
 and at every crash/recovery boundary.  Link degradation,
-stragglers, the dying link, and the crash plan are sampled once at
-construction from named streams (stable in ``spec.seed`` and ``nranks``
-only).  Transient drops come from the keyed
+stragglers, the dying link, and the crash plan are sampled once, into a
+:class:`FaultPlan`, from named streams (stable in ``spec.seed`` and
+``nranks`` only).  Transient drops come from the keyed
 :class:`~repro.faults.crash.KeyedDropStream`: deterministic per link and
 transmission index, independent of execution order — which is what makes
 the single-process simulator and the multi-process SPMD backend agree
@@ -21,42 +21,47 @@ from repro.faults.crash import CrashEvent, KeyedDropStream
 from repro.faults.report import FaultReport
 from repro.faults.spec import FaultSpec
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 #: uniforms drawn at a time while sampling degraded links
 _LINK_BLOCK = 1 << 20
 
 
-class FaultSchedule:
-    """Per-run sampled fault decisions, consulted by the communicator."""
+@dataclass(frozen=True, eq=False)
+class FaultPlan:
+    """What a spec's seed decides for ``nranks`` ranks, sampled once.
 
-    __slots__ = ("spec", "nranks", "report", "_drops", "_degraded",
-                 "_retry_penalties", "_compute_multipliers", "_down_pair", "_level",
-                 "_crash_events", "_crash_fired", "_dead", "_spares_used",
-                 "_host", "_has_cohosting")
+    The retry penalties, the degraded links (sorted ``src * P + dst``
+    keys), the stragglers' compute multipliers, the dying link and the
+    crash plan never change during a run, so one plan serves every run of
+    the same ``(spec, nranks)``.  What a run changes (drop counters, fired
+    and dead ranks, hosts, report) lives in :class:`FaultSchedule`.
+    """
 
-    def __init__(self, spec: FaultSpec, nranks: int) -> None:
+    spec: FaultSpec
+    nranks: int
+    retry_penalties: np.ndarray
+    degraded: np.ndarray
+    compute_multipliers: np.ndarray
+    down_pair: tuple[int, int] | None
+    crash_events: tuple[CrashEvent, ...]
+
+    @classmethod
+    def sample(cls, spec: FaultSpec, nranks: int) -> "FaultPlan":
+        """Draw the plan from the spec's named seed streams."""
         # Deferred so that repro.types -> repro.faults does not pull in the
         # repro.utils package (whose __init__ imports repro.types back).
         from repro.utils.rng import RngFactory
 
         if nranks < 1:
             raise ConfigurationError(f"need at least one rank, got {nranks}")
-        self.spec = spec
-        self.nranks = int(nranks)
-        self.report = FaultReport()
         factory = RngFactory(spec.seed)
-        self._drops = KeyedDropStream(spec.seed, spec.drop_rate, spec.max_retries)
-        #: timeout seconds spent detecting 0 .. max_retries + 1 losses of a chunk
-        self._retry_penalties = np.array([
+        retry_penalties = np.array([
             spec.retry_timeout * sum(spec.backoff**i for i in range(drops))
             for drops in range(spec.max_retries + 2)
         ])
-        self._level = 0
 
-        #: degraded directed rank pairs as sorted ``src * P + dst`` keys
-        #: (every one costs ``spec.degradation_factor``)
-        self._degraded = np.empty(0, dtype=np.int64)
+        degraded = np.empty(0, dtype=np.int64)
         if spec.degraded_link_rate > 0 and spec.degradation_factor > 1:
             # one uniform per ordered pair in (src, dst != src) order, drawn
             # a block of source rows at a time so that P**2 floats never
@@ -71,23 +76,20 @@ class FaultSchedule:
                 )
                 src += lo
                 blocks.append(src * nranks + col + (col >= src))
-            self._degraded = np.concatenate(blocks)
-        self.report.degraded_links = int(self._degraded.size)
+            degraded = np.concatenate(blocks)
 
-        self._compute_multipliers = np.ones(nranks, dtype=np.float64)
+        compute_multipliers = np.ones(nranks, dtype=np.float64)
         if spec.straggler_rate > 0 and spec.straggler_slowdown > 1:
             straggler_rng = factory.named("faults:stragglers")
             mask = straggler_rng.random(nranks) < spec.straggler_rate
-            self._compute_multipliers[mask] = spec.straggler_slowdown
-        self.report.straggler_ranks = int((self._compute_multipliers > 1).sum())
+            compute_multipliers[mask] = spec.straggler_slowdown
 
-        self._down_pair: tuple[int, int] | None = None
+        down_pair = None
         if spec.down_level is not None and nranks > 1:
             down_rng = factory.named("faults:down")
             src = int(down_rng.integers(nranks))
             dst = int(down_rng.integers(nranks - 1))
-            self._down_pair = (src, dst if dst < src else dst + 1)
-            self.report.link_down = self._down_pair
+            down_pair = (src, dst if dst < src else dst + 1)
 
         # The crash plan: per-rank coin at crash_rate, a uniform level in
         # [0, crash_max_level], and the phase the crash strikes in (the
@@ -103,8 +105,40 @@ class FaultSchedule:
                     if spec.collective_faults and crash_rng.random() < 0.5:
                         phase = "allreduce"
                     events.append(CrashEvent(rank=rank, level=level, phase=phase))
-        self._crash_events: tuple[CrashEvent, ...] = tuple(
-            sorted(events, key=lambda e: (e.level, e.rank))
+        return cls(
+            spec, int(nranks), retry_penalties, degraded, compute_multipliers,
+            down_pair, tuple(sorted(events, key=lambda e: (e.level, e.rank))),
+        )
+
+
+class FaultSchedule:
+    """Per-run fault state over a :class:`FaultPlan`, consulted by the
+    communicator."""
+
+    __slots__ = ("spec", "nranks", "report", "_drops", "_degraded",
+                 "_retry_penalties", "_compute_multipliers", "_down_pair", "_level",
+                 "_crash_events", "_crash_fired", "_dead", "_spares_used",
+                 "_host", "_has_cohosting")
+
+    def __init__(
+        self, spec: FaultSpec, nranks: int, plan: FaultPlan | None = None
+    ) -> None:
+        """A fresh run of ``spec`` on ``nranks`` ranks, over ``plan`` when
+        the caller already sampled it."""
+        plan = plan or FaultPlan.sample(spec, nranks)
+        self.spec = spec = plan.spec
+        self.nranks = plan.nranks
+        self._drops = KeyedDropStream(spec.seed, spec.drop_rate, spec.max_retries)
+        self._retry_penalties = plan.retry_penalties
+        self._degraded = plan.degraded
+        self._compute_multipliers = plan.compute_multipliers
+        self._down_pair = plan.down_pair
+        self._crash_events = plan.crash_events
+        self._level = 0
+        self.report = FaultReport(
+            degraded_links=int(plan.degraded.size),
+            straggler_ranks=int((plan.compute_multipliers > 1).sum()),
+            link_down=plan.down_pair,
         )
         self._crash_fired: set[int] = set()
         #: ranks currently dead (crashed, recovery not yet executed)
@@ -290,4 +324,4 @@ class FaultSchedule:
         return replace(self.report, overhead_seconds=float(overhead_seconds))
 
 
-__all__ = ["FaultSchedule"]
+__all__ = ["FaultPlan", "FaultSchedule"]

@@ -129,16 +129,20 @@ class Communicator:
         population=None,
         pop_idx: np.ndarray | None = None,
         masks: np.ndarray | None = None,
+        rounds: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Execute one synchronous round of point-to-point messages.
+        """Execute synchronous rounds of point-to-point messages.
 
         Message ``k`` carries ``flat[starts[k]:stops[k]]`` from ``src[k]``
         to ``dst[k]``; messages must be non-empty, with each ``(src, dst)``
-        pair appearing at most once (their order is the order of the
-        trace and of per-rank float accumulation).  Every payload is chunked to
-        ``buffer_capacity`` (each chunk is a separate message paying its
-        own latency — the cost of the paper's fixed-length buffers) and
-        participants are barrier-synchronised after the round.
+        pair appearing at most once per round (their order is the order of
+        the trace and of per-rank float accumulation).  Every payload is
+        chunked to ``buffer_capacity`` (each chunk is a separate message
+        paying its own latency — the cost of the paper's fixed-length
+        buffers) and participants are barrier-synchronised after each
+        round.  ``rounds`` (CSR bounds over the messages) runs several
+        rounds back to back, each in its own ``round t`` span, with every
+        float the single-round calls would give; ``None``: one round.
 
         ``masks``, a batched traversal's mask-word column parallel to
         ``flat``, rides the same messages uncompressed (dense bitmasks
@@ -157,12 +161,12 @@ class Communicator:
 
         ``population``/``pop_idx`` forward to
         :meth:`~repro.runtime.network.Network.round_times_arrays` — the
-        prepared-pair-population contention shortcut (dropped for a round
+        prepared-pair-population contention shortcut (dropped for a call
         the buffer cap splits: its chunks repeat pairs).
         """
         msg, starts, stops, arrived = self._round(
             src, dst, flat, starts, stops, phase, participants,
-            population, pop_idx, masks,
+            population, pop_idx, masks, rounds,
         )
         if arrived is None:
             return None
@@ -182,27 +186,26 @@ class Communicator:
         population=None,
         pop_idx: np.ndarray | None = None,
         masks: np.ndarray | None = None,
+        rounds: np.ndarray | None = None,
     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
-        """The message round behind :meth:`exchange_arrays`.
+        """The message rounds behind :meth:`exchange_arrays`.
 
-        Each knob is a step that does nothing when the knob is off.
-        Returns the round's chunks as ``(msg, starts, stops, arrived)``:
-        ``msg[k]`` is the message chunk ``k`` was cut from (``None``: no
-        message was split, chunk ``k`` is message ``k``) and ``arrived``
-        masks the chunks that reached their destination (``None``: all).
+        Each knob is a step that does nothing when the knob is off and
+        runs once over all rounds; :meth:`_advance_rounds` then replays
+        them on the clocks.  Returns the chunks as ``(msg, starts, stops,
+        arrived)``: ``msg[k]`` is the message chunk ``k`` was cut from
+        (``None``: no message was split, chunk ``k`` is message ``k``) and
+        ``arrived`` masks the chunks that reached their destination
+        (``None``: all).
         """
-        obs = self.obs
-        span = obs.begin("exchange", cat="exchange", phase=phase) if obs.enabled else None
-        # messages are stamped with the sender's clock on entry, before a
-        # crash detection can advance it
-        stamps = self.clock.time[src] if self.recorders else None
-        faults = self.faults
-        if faults is not None:
-            self._fire_crashes("exchange")
+        nranks = self.nranks
+        bounds = np.array([0, src.size]) if rounds is None else rounds
         # the mask column's transfer: the messages as given, before chunking
         side = None if masks is None else (src, dst, (stops - starts) * masks.itemsize)
+        senders = src
 
         msg = None
+        chunk_bounds = bounds
         capacity = self.buffer_capacity
         if capacity is not None:
             if capacity < 1:
@@ -212,17 +215,19 @@ class Communicator:
             nchunks = -((starts - stops) // capacity)
             if nchunks.sum() != src.size:
                 msg = np.repeat(np.arange(src.size), nchunks)
-                within = np.arange(msg.size) - (np.cumsum(nchunks) - nchunks)[msg]
+                ends = np.cumsum(nchunks)
+                within = np.arange(msg.size) - (ends - nchunks)[msg]
                 starts = starts[msg] + within * capacity
                 stops = np.minimum(starts + capacity, stops[msg])
                 src, dst = src[msg], dst[msg]
+                chunk_bounds = np.concatenate(([0], ends))[bounds]
                 population = pop_idx = None
         count = src.size
-        sizes = stops - starts
-        raw_nbytes = sizes * self.model.bytes_per_vertex
+        bytes_per_vertex = self.model.bytes_per_vertex
+        raw_nbytes = stops - starts
+        raw_nbytes *= bytes_per_vertex
 
-        # one pricing call per round; self-sends are local hand-offs —
-        # never encoded
+        # one pricing call; self-sends are local hand-offs — never encoded
         nbytes = raw_nbytes
         wire = self.wire
         encode_s = decode_s = None
@@ -236,79 +241,130 @@ class Communicator:
             )
 
         # every wire chunk's fate: transmissions, final delivery, link cost
-        arrived = delivered = multipliers = None
+        faults = self.faults
+        delivered = multipliers = None
         if faults is not None:
             transmissions, delivered = faults.plan_round(src, dst)
             multipliers = faults.link_multipliers(src, dst)
             drops = transmissions - delivered
             self.stats.record_fault(int(drops.sum()), int((transmissions - 1).sum()))
-            arrived = delivered
             if not delivered.all():
                 self._level_failed = True
-            if faults.dead_ranks:
-                dead = np.fromiter(faults.dead_ranks, dtype=np.int64)
-                arrived = delivered & ~(np.isin(src, dead) | np.isin(dst, dead))
-            if arrived.all():
-                arrived = None
 
-        vertices = int(sizes.sum())
         total_raw = int(raw_nbytes.sum())
+        vertices = total_raw // bytes_per_vertex
         total_enc = total_raw if nbytes is raw_nbytes else int(nbytes.sum())
         self.stats.record_message_bulk(
             count, vertices, total_raw, total_enc, phase=phase
         )
         send_time, recv_time, per_transfer = self.network.round_times_arrays(
-            src, dst, nbytes, multipliers, population=population, pop_idx=pop_idx
+            src, dst, nbytes, multipliers, population=population, pop_idx=pop_idx,
+            rounds=None if rounds is None else chunk_bounds,
         )
-        base = np.maximum(send_time, recv_time)
-        self.clock.advance_many(base, kind="comm")
+        send_time, recv_time = send_time.reshape(-1, nranks), recv_time.reshape(-1, nranks)
+        nrows = send_time.shape[0]
+        # per-rank sums round by round: a chunk's key is round * P + rank
+        key_src, key_dst = src, dst
+        if rounds is not None and (faults is not None or encode_s is not None):
+            row = np.repeat(np.arange(nrows) * nranks, np.diff(chunk_bounds))
+            key_src, key_dst = row + src, row + dst
+        # without faults the send times are not read again: overwrite them
+        base = np.maximum(send_time, recv_time, out=send_time if faults is None else None)
+        charges = [(base, "comm")]
         if faults is not None:
             # wasted retransmissions plus the backoff timeouts that
             # detected each loss; the first transmission is already in the
             # base round times
-            fault_send = np.zeros(self.nranks, dtype=np.float64)
-            fault_recv = np.zeros(self.nranks, dtype=np.float64)
+            fault_send = np.zeros(base.size, dtype=np.float64)
+            fault_recv = np.zeros(base.size, dtype=np.float64)
             faulty = np.flatnonzero(drops)
             extra = (transmissions[faulty] - 1) * per_transfer[faulty] + (
                 faults.retry_penalty(drops[faulty])
             )
-            np.add.at(fault_send, src[faulty], extra)
-            np.add.at(fault_recv, dst[faulty], extra)
-            total = np.maximum(send_time + fault_send, recv_time + fault_recv)
-            self.clock.advance_many(total - base, kind="fault")
+            np.add.at(fault_send, key_src[faulty], extra)
+            np.add.at(fault_recv, key_dst[faulty], extra)
+            total = np.maximum(
+                send_time + fault_send.reshape(nrows, nranks),
+                recv_time + fault_recv.reshape(nrows, nranks),
+            )
+            charges.append((total - base, "fault"))
         if encode_s is not None:
             # one encode per chunk (retransmissions reuse the buffer);
             # decode only where the chunk was delivered.  Chunk by chunk,
             # sender before receiver — the accumulation order per rank.
             if delivered is not None:
                 decode_s = decode_s * delivered
-            codec_seconds = np.zeros(self.nranks, dtype=np.float64)
+            codec_seconds = np.zeros(base.size, dtype=np.float64)
             np.add.at(
                 codec_seconds,
-                np.column_stack((src, dst)).ravel(),
+                np.column_stack((key_src, key_dst)).ravel(),
                 np.column_stack((encode_s, decode_s)).ravel(),
             )
-            self.clock.advance_many(codec_seconds, kind="compute")
+            charges.append((codec_seconds.reshape(nrows, nranks), "compute"))
         if side is not None and side[0].size:
-            send_time, recv_time, _ = self.network.round_times_arrays(*side)
-            self.clock.advance_many(np.maximum(send_time, recv_time), kind="comm")
+            send_time, recv_time, _ = self.network.round_times_arrays(*side, rounds=rounds)
+            charges.append((np.maximum(send_time, recv_time).reshape(-1, nranks), "comm"))
             total = int(side[2].sum())
             self.stats.record_message_bulk(0, 0, total, total)
-        self.barrier(participants)
-        if span is not None:
-            obs.end(
-                span,
-                messages=count,
-                vertices=vertices,
-                raw_bytes=total_raw,
-                encoded_bytes=total_enc,
-            )
+
+        summaries = None
+        if self.obs.enabled:  # each round's messages, vertices and bytes
+            columns = np.vstack((np.ones(count, dtype=np.int64), stops - starts, raw_nbytes, nbytes))
+            summed = np.cumsum(np.hstack((np.zeros((4, 1), dtype=np.int64), columns)), axis=1)
+            summaries = np.diff(summed[:, chunk_bounds], axis=1).T.tolist()
+        stamps = self._advance_rounds(
+            phase, senders, bounds, charges, participants, summaries, rounds is not None
+        )
+
+        arrived = delivered
+        if faults is not None:
+            if faults.dead_ranks:
+                dead = np.fromiter(faults.dead_ranks, dtype=np.int64)
+                arrived = delivered & ~(np.isin(src, dead) | np.isin(dst, dead))
+            if arrived.all():
+                arrived = None
         for recorder in self.recorders:
             recorder.record_round(
                 stamps if msg is None else stamps[msg],
-                src, dst, sizes, raw_nbytes, nbytes, phase,
+                src, dst, stops - starts, raw_nbytes, nbytes, phase,
             )
         return msg, starts, stops, arrived
+
+    def _advance_rounds(
+        self, phase: str, senders: np.ndarray, bounds: np.ndarray, charges: list,
+        participants: list[int] | None, summaries: list | None, named: bool,
+    ) -> np.ndarray | None:
+        """Replay priced rounds on the clocks, one barrier each.
+
+        Round ``t`` (messages ``bounds[t]:bounds[t + 1]``) advances every
+        rank by row ``t`` of each ``(seconds, kind)`` charge in order and
+        synchronises ``participants``, in its ``exchange`` span (inside a
+        ``round t`` span when ``named``).  Scheduled crashes fire in round
+        0, once its messages are stamped.  Returns the senders' clock
+        stamps (``None`` without recorders).
+        """
+        obs, clock = self.obs, self.clock
+        stamps = np.empty(senders.size, dtype=np.float64) if self.recorders else None
+        for t in range(bounds.size - 1):
+            outer = span = None
+            if obs.enabled:
+                if named:
+                    outer = obs.begin(f"round {t}", cat="round", phase=phase)
+                span = obs.begin("exchange", cat="exchange", phase=phase)
+            if stamps is not None:
+                lo, hi = bounds[t], bounds[t + 1]
+                stamps[lo:hi] = clock.time[senders[lo:hi]]
+            if t == 0 and self.faults is not None:
+                self._fire_crashes("exchange")
+            for seconds, kind in charges:
+                clock.advance_many(seconds[t], kind=kind)
+            self.barrier(participants)
+            if span is not None:
+                names = ("messages", "vertices", "raw_bytes", "encoded_bytes")
+                obs.end(span, **dict(zip(names, summaries[t])))
+            if outer is not None:
+                obs.end(outer)
+        return stamps
 
     def exchange_summaries(
         self,

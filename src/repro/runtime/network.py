@@ -27,7 +27,15 @@ from repro.machine.bluegene import MachineModel
 from repro.machine.mapping import TaskMapping
 
 
-@dataclass(frozen=True, slots=True)
+def _padded(row: np.ndarray, values: np.ndarray, nrows: int, pad: int) -> np.ndarray:
+    """``values`` grouped by ascending ``row`` into ``pad``-padded rows."""
+    count = np.bincount(row, minlength=nrows)
+    out = np.full((nrows, max(int(count.max(initial=0)), 1)), pad, dtype=np.int64)
+    out[row, np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)] = values
+    return out
+
+
+@dataclass(eq=False, slots=True)
 class PairPopulation:
     """Pre-analysed routes for a fixed (src, dst) pair population.
 
@@ -36,10 +44,12 @@ class PairPopulation:
     once and then charge each round by *indexing* into it, skipping the
     per-round route resolution entirely:
 
-    * ``hops[k]`` — hop count of input pair ``k``;
+    * ``latency[k]`` — input pair ``k``'s time before its bytes count,
+      ``alpha + hops * per_hop`` under the preparing network's model;
     * ``links[indptr[k]:indptr[k+1]]`` — pair ``k``'s link ids (CSR, so
-      the per-round load analysis touches only real links, no padding);
-    * ``lens[k]`` — pair ``k``'s link count (``np.diff(indptr)``);
+      the per-round load analysis touches only real links);
+    * ``lens[k]`` — pair ``k``'s link count (``np.diff(indptr)``, at
+      least 1: no two ranks share a node);
     * ``full_cont[k]`` — pair ``k``'s contention when the *whole*
       population is in flight at once (the common case in a collective's
       heavy rounds, where no chunk is empty — then the per-round load
@@ -47,15 +57,67 @@ class PairPopulation:
     * ``disjoint`` — no physical link is shared by two pairs of the
       population.  Then *any* subset of pairs in flight together sees a
       per-link load of at most 1, i.e. contention is identically 1.0 and
-      no load analysis is needed at all.
+      no load analysis is needed at all;
+    * ``sets`` — built on the first multi-round call: ``(users, sets_of)``,
+      each distinct set of pairs sharing a link as a row of ``users``, and
+      the rows each pair is in as a row of ``sets_of`` (both padded).
     """
 
-    hops: np.ndarray
+    latency: np.ndarray
     links: np.ndarray
     indptr: np.ndarray
     lens: np.ndarray
     full_cont: np.ndarray
     disjoint: bool
+    sets: tuple[np.ndarray, np.ndarray] | None = None
+
+    def stacked_contention(self, pop_idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Contention of transfer ``j``, pair ``pop_idx[j]``, where the
+        transfers are ``len(counts)`` rounds back to back, ``counts[t]`` in
+        round ``t`` (no pair twice in a round).
+
+        A pair's contention is the most transfers any link of its route
+        carries in its round: 1 on a link only it uses, and on a shared
+        link the number of that link's users in flight.  Rounds are bits,
+        so the sets' in-flight counts are thresholds — "at least ``c``
+        users" — built by one OR/AND pass per user column over every round.
+        """
+        npairs = self.lens.size
+        if self.sets is None:
+            pair = np.repeat(np.arange(npairs), self.lens)
+            shared = np.bincount(self.links)[self.links] > 1
+            order = np.lexsort((pair[shared], self.links[shared]))
+            link = np.unique(self.links[shared][order], return_inverse=True)[1]
+            users = np.unique(_padded(link, pair[shared][order], link.max() + 1, npairs), axis=0)
+            row, col = np.nonzero(users < npairs)
+            order = np.argsort(users[row, col], kind="stable")
+            self.sets = users, _padded(users[row, col][order], row[order], npairs, len(users))
+        users, sets_of = self.sets
+        # round t of pair k is bit t of row k, 64 rounds a word
+        span = 64 * -(-counts.size // 64)
+        key = pop_idx * span
+        key += np.repeat(np.arange(counts.size, dtype=np.min_scalar_type(span)), counts)
+        active = np.zeros((npairs + 1) * span, dtype=bool)
+        active[key] = True
+        bits = np.packbits(active.reshape(-1, span), axis=1, bitorder="little").view(np.uint64)
+        # at_least[c]: the rounds in which a set has more than c users in
+        # flight, with one more row never reached (the padding of sets_of)
+        nusers = users.shape[1]
+        at_least = np.zeros((nusers, len(users) + 1, bits.shape[1]), dtype=np.uint64)
+        for i in range(nusers):
+            x = bits[users[:, i]]
+            for c in range(i, 0, -1):
+                at_least[c, :-1] |= at_least[c - 1, :-1] & x
+            at_least[0, :-1] |= x
+        # a pair's contention is 1 plus the thresholds above 1 that one of
+        # its sets reached
+        contention = np.ones((npairs, span), dtype=np.min_scalar_type(nusers))
+        for c in range(1, nusers):
+            reached = at_least[c][sets_of[:, 0]]
+            for j in range(1, sets_of.shape[1]):
+                reached |= at_least[c][sets_of[:, j]]
+            contention += np.unpackbits(reached.view(np.uint8), axis=1, bitorder="little")
+        return contention.ravel()[key]
 
 
 def _dim_steps(
@@ -72,21 +134,19 @@ def _dim_steps(
 class Network:
     """Charges simulated time for rounds of transfers over a mapped topology."""
 
-    __slots__ = ("mapping", "model", "_route_cache", "_num_links",
+    __slots__ = ("mapping", "model", "_num_links",
                  "_pattern_cache", "_population_cache",
                  "_pair_keys", "_pair_starts", "_pair_lens", "_pair_links")
 
     def __init__(self, mapping: TaskMapping, model: MachineModel) -> None:
         self.mapping = mapping
         self.model = model
-        #: lazy tuple-list routes, kept for inspection/debugging callers only
-        self._route_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
         #: dense directed-link id space: ``node * 6 + dim * 2 + (step > 0)``
         self._num_links = 6 * mapping.torus.num_nodes
         #: (src-seq, dst-seq) -> (hops, contention) per-transfer arrays
         self._pattern_cache: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray]] = {}
         #: (src-seq, dst-seq) -> prepared PairPopulation (ring pair sets
-        #: recur every level; populations are immutable)
+        #: recur every level)
         self._population_cache: dict[tuple[bytes, bytes], PairPopulation] = {}
         #: interned (src * P + dst) pair table: sorted keys with parallel
         #: CSR (start, length) views into one concatenated link-id array
@@ -107,6 +167,7 @@ class Network:
         multipliers: np.ndarray | None = None,
         population: PairPopulation | None = None,
         pop_idx: np.ndarray | None = None,
+        rounds: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Array-native round analysis: per-rank times + per-transfer seconds.
 
@@ -114,96 +175,94 @@ class Network:
         on-wire byte count of each transfer); ``multipliers``, when given,
         is parallel too.  Self-sends (``src == dst``) cost 0.0.
 
+        ``rounds``: CSR bounds over the transfers for a call that prices
+        ``R`` rounds at once — round ``t`` is transfers ``rounds[t]:rounds[t
+        + 1]``, in flight together.  The per-rank times then come back as
+        ``(R, P)`` matrices whose row ``t`` is, bit for bit, what pricing
+        round ``t`` alone returns.  ``None``: one round, per-rank vectors.
+
         ``population``/``pop_idx``: transfer ``k`` is pair ``pop_idx[k]``
-        of a prepared :class:`PairPopulation` (``pop_idx=None`` means the
-        transfers are the whole population in preparation order; no
-        self-sends allowed) —
-        hop counts come from the population table, and contention comes
-        from the padded link matrix, or is identically 1.0 for a
-        link-disjoint population.  Same floats as the generic analysis.
+        of a prepared :class:`PairPopulation` (no self-sends allowed) —
+        latencies come from the population table, and contention from one
+        load count over the round's links, from the population's
+        shared-link sets when several rounds are priced at once, or is
+        identically 1.0 for a link-disjoint population.  Same floats as
+        the generic analysis.
         """
         nranks = self.mapping.grid.size
-        send_time = np.zeros(nranks, dtype=np.float64)
-        recv_time = np.zeros(nranks, dtype=np.float64)
-        per_transfer = np.zeros(src.shape[0], dtype=np.float64)
+        counts = None if rounds is None else np.diff(rounds)
+        wire = None
         if population is not None:
-            if src.size == 0:
-                return send_time, recv_time, per_transfer
-            if pop_idx is None:
-                # The whole population in preparation order — the common
-                # heavy-round case, with zero per-round indexing.
-                hops = population.hops
-                contention = 1.0 if population.disjoint else population.full_cont
-            elif population.disjoint:
-                hops = population.hops[pop_idx]
-                contention = 1.0
-            elif pop_idx.size == population.lens.size:
-                # The whole population is in flight: the load analysis was
-                # done at preparation time.
-                hops = population.hops[pop_idx]
-                contention = population.full_cont[pop_idx]
-            else:
-                hops = population.hops[pop_idx]
-                lens = population.lens[pop_idx]
-                total = int(lens.sum())
-                if total:
-                    out_off = np.concatenate(([0], np.cumsum(lens)))
-                    gidx = np.arange(total, dtype=np.int64)
-                    gidx += np.repeat(
-                        population.indptr[pop_idx] - out_off[:-1], lens
-                    )
-                    act = population.links[gidx]
-                    loads = np.bincount(act)
-                    # per-pair max link load over each CSR run; empty runs
-                    # (ranks sharing a node) keep the generic path's 1.0
-                    red_at = np.minimum(out_off[:-1], total - 1)
-                    cont = np.maximum.reduceat(loads[act], red_at)
-                    cont[lens == 0] = 1
-                    contention = np.maximum(cont.astype(np.float64), 1.0)
-                else:
-                    contention = 1.0
-            model = self.model
-            seconds = (
-                model.alpha
-                + hops * model.per_hop
-                + contention * nbytes.astype(np.float64) / model.bandwidth
-            )
-            if multipliers is not None:
-                seconds = seconds * multipliers
-            per_transfer[:] = seconds
-            # bincount accumulates in traversal order like np.add.at but
-            # runs a single fused pass
-            send_time += np.bincount(src, weights=seconds, minlength=nranks)
-            recv_time += np.bincount(dst, weights=seconds, minlength=nranks)
-            return send_time, recv_time, per_transfer
-        wire_mask = src != dst
-        if not wire_mask.any():
-            return send_time, recv_time, per_transfer
-        if wire_mask.all():
-            wsrc, wdst, wbytes = src, dst, nbytes
-            wmult = multipliers
+            contention = self._population_contention(population, pop_idx, counts)
         else:
-            wsrc, wdst, wbytes = src[wire_mask], dst[wire_mask], nbytes[wire_mask]
-            wmult = None if multipliers is None else multipliers[wire_mask]
-
-        hops, contention = self._pattern(
-            np.ascontiguousarray(wsrc, dtype=np.int64),
-            np.ascontiguousarray(wdst, dtype=np.int64),
-        )
+            wire = src != dst
+            if rounds is None and wire.all():  # one round, no hand-offs
+                hops, contention = self._pattern(
+                    np.ascontiguousarray(src, dtype=np.int64),
+                    np.ascontiguousarray(dst, dtype=np.int64),
+                )
+            else:
+                hops = np.zeros(src.size, dtype=np.float64)
+                contention = np.ones(src.size, dtype=np.float64)
+                # contention is per round: one memoised pattern each
+                cuts = [0, src.size] if rounds is None else rounds.tolist()
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    at = lo + np.flatnonzero(wire[lo:hi])
+                    if at.size:
+                        hops[at], contention[at] = self._pattern(
+                            np.ascontiguousarray(src[at], dtype=np.int64),
+                            np.ascontiguousarray(dst[at], dtype=np.int64),
+                        )
         model = self.model
-        # Mirrors MachineModel.message_time_bytes term by term so the
-        # vectorised floats match the scalar path bit for bit.
-        seconds = (
-            model.alpha
-            + hops * model.per_hop
-            + contention * wbytes.astype(np.float64) / model.bandwidth
-        )
-        if wmult is not None:
-            seconds = seconds * wmult
-        per_transfer[wire_mask] = seconds
-        np.add.at(send_time, wsrc, seconds)
-        np.add.at(recv_time, wdst, seconds)
-        return send_time, recv_time, per_transfer
+        # MachineModel.message_time_bytes term by term, so the floats match
+        # the scalar path: (alpha + hops * per_hop) + contention * nbytes / bandwidth
+        seconds = np.multiply(contention, nbytes, dtype=np.float64)
+        del contention
+        seconds /= model.bandwidth
+        if population is None:
+            latency = hops * model.per_hop  # hops may be the memoised pattern's
+            latency += model.alpha
+            seconds += latency
+        else:
+            seconds += population.latency[pop_idx]
+        if multipliers is not None:
+            seconds *= multipliers
+        if wire is not None and not wire.all():
+            seconds[~wire] = 0.0
+        # bincount accumulates each rank's transfers in traversal order,
+        # round by round, like a per-round np.add.at
+        if rounds is None:
+            send_time = np.bincount(src, weights=seconds, minlength=nranks)
+            return send_time, np.bincount(dst, weights=seconds, minlength=nranks), seconds
+        size = counts.size * nranks
+        key = np.repeat(np.arange(0, size, nranks), counts)
+        key += src
+        send_time = np.bincount(key, weights=seconds, minlength=size).reshape(-1, nranks)
+        key += dst - src
+        recv_time = np.bincount(key, weights=seconds, minlength=size).reshape(-1, nranks)
+        return send_time, recv_time, seconds
+
+    @staticmethod
+    def _population_contention(
+        population: PairPopulation, pop_idx: np.ndarray, counts
+    ) -> np.ndarray | float:
+        """Per-transfer contention of population transfers."""
+        if population.disjoint or pop_idx.size == 0:
+            return 1.0
+        if counts is not None and counts.size > 1:
+            return population.stacked_contention(pop_idx, counts)
+        if pop_idx.size == population.lens.size:
+            # The whole population is in flight: the load analysis was
+            # done at preparation time.
+            return population.full_cont[pop_idx]
+        lens = population.lens[pop_idx]
+        out_off = np.concatenate(([0], np.cumsum(lens)))
+        gidx = np.arange(out_off[-1], dtype=np.int64)
+        gidx += np.repeat(population.indptr[pop_idx] - out_off[:-1], lens)
+        act = population.links[gidx]
+        # per-pair max link load over each CSR run (every run is non-empty)
+        cont = np.maximum.reduceat(np.bincount(act)[act], out_off[:-1])
+        return cont.astype(np.float64)
 
     # ------------------------------------------------------------------ #
     # pattern analysis
@@ -236,31 +295,15 @@ class Network:
             idx = np.searchsorted(self._pair_keys, pair_keys)
         starts = self._pair_starts[idx]
         lengths = self._pair_lens[idx]
-        total = int(lengths.sum())
-        if total:
-            out_offsets = np.concatenate(([0], np.cumsum(lengths)))
-            gather = np.arange(total, dtype=np.int64)
-            gather += np.repeat(starts - out_offsets[:-1], lengths)
-            all_links = self._pair_links[gather]
-        else:
-            all_links = np.empty(0, dtype=np.int64)
+        # every route has at least one link: no two ranks share a node
+        row_starts = np.concatenate(([0], np.cumsum(lengths)))
+        gather = np.arange(row_starts[-1], dtype=np.int64)
+        gather += np.repeat(starts - row_starts[:-1], lengths)
+        all_links = self._pair_links[gather]
         loads = np.bincount(all_links, minlength=self._num_links)
-        contention = np.ones(lengths.size, dtype=np.float64)
-        nonempty = lengths > 0
-        if nonempty.all() and all_links.size:
-            row_starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-            contention = np.maximum.reduceat(
-                loads[all_links], row_starts
-            ).astype(np.float64)
-        elif all_links.size:
-            # Degenerate: some route is empty (ranks sharing a node).
-            offset = 0
-            for i, length in enumerate(lengths):
-                if length:
-                    contention[i] = float(
-                        loads[all_links[offset : offset + length]].max()
-                    )
-                    offset += length
+        contention = np.maximum.reduceat(
+            loads[all_links], row_starts[:-1]
+        ).astype(np.float64)
         cached = (lengths.astype(np.float64), contention)
         self._pattern_cache[key] = cached
         return cached
@@ -294,24 +337,19 @@ class Network:
         idx = np.searchsorted(self._pair_keys, keys)
         starts = self._pair_starts[idx]
         lens = self._pair_lens[idx]
-        total = int(lens.sum())
         indptr = np.concatenate(([0], np.cumsum(lens)))
-        if total:
-            gather = np.arange(total, dtype=np.int64)
-            gather += np.repeat(starts - indptr[:-1], lens)
-            all_links = self._pair_links[gather]
-            loads = np.bincount(all_links)
-            disjoint = int(loads.max()) <= 1
-            red_at = np.minimum(indptr[:-1], total - 1)
-            full_cont = np.maximum.reduceat(loads[all_links], red_at)
-            full_cont[lens == 0] = 1
-            full_cont = np.maximum(full_cont.astype(np.float64), 1.0)
-        else:
-            all_links = np.empty(0, dtype=np.int64)
-            disjoint = True
-            full_cont = np.ones(keys.size, dtype=np.float64)
+        gather = np.arange(indptr[-1], dtype=np.int64)
+        gather += np.repeat(starts - indptr[:-1], lens)
+        all_links = self._pair_links[gather]
+        loads = np.bincount(all_links)
+        disjoint = loads.size == 0 or int(loads.max()) <= 1
+        full_cont = np.empty(0, dtype=np.float64)
+        if keys.size:
+            full_cont = np.maximum.reduceat(
+                loads[all_links], indptr[:-1]
+            ).astype(np.float64)
         population = PairPopulation(
-            hops=lens.astype(np.float64),
+            latency=self.model.alpha + lens.astype(np.float64) * self.model.per_hop,
             links=all_links,
             indptr=indptr,
             lens=lens,
@@ -386,13 +424,3 @@ class Network:
         emit(cy, ay, sy, 1, bx + X * Y * az, X, Y, cx)
         emit(cz, az, sz, 2, bx + X * by, X * Y, Z, cx + cy)
         return out, lens
-
-    def _route(self, src: int, dst: int) -> list[tuple[int, int]]:
-        key = (src, dst)
-        cached = self._route_cache.get(key)
-        if cached is None:
-            cached = self.mapping.torus.route(
-                self.mapping.node_of(src), self.mapping.node_of(dst)
-            )
-            self._route_cache[key] = cached
-        return cached

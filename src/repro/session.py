@@ -37,7 +37,7 @@ from repro.bfs.msbfs import MsBfsResult, run_ms_bfs
 from repro.bfs.options import BfsOptions
 from repro.bfs.result import BfsResult, BidirectionalResult
 from repro.errors import ConfigurationError, SearchError
-from repro.faults import FaultSchedule, FaultSpec
+from repro.faults import FaultPlan, FaultSchedule, FaultSpec
 from repro.graph.csr import CsrGraph
 from repro.partition.degree_aware import degree_aware_relabeling
 from repro.partition.permutation import VertexRelabeling
@@ -107,6 +107,9 @@ class BfsSession:
         self._model = resolve_machine_model(self.system)
         self._task_mapping = resolve_task_mapping(grid, self.system, self._model)
         self._network = Network(self._task_mapping, self._model)
+        #: the last fault plan sampled: one per spec (at 4,096 ranks its
+        #: degraded links alone are P**2 draws)
+        self._fault_plan: FaultPlan | None = None
         self._engine = self._build_engine()
         #: lazily built second engine for bi-directional queries
         self._backward_engine = None
@@ -157,9 +160,10 @@ class BfsSession:
         """A fresh communicator over the cached mapping/model/network.
 
         O(1) in graph and mesh size: only the per-query clocks, statistics,
-        and (when faults are configured) a fresh seeded fault schedule are
-        allocated; the torus, task mapping, and routed link tables are the
-        session's cached instances.  ``fault_seed`` reseeds the schedule
+        and (when faults are configured) a fresh fault schedule over the
+        session's sampled :class:`~repro.faults.FaultPlan` are allocated;
+        the torus, task mapping, and routed link tables are the session's
+        cached instances.  ``fault_seed`` reseeds the schedule
         for this query only — retrying a :class:`FaultError` under the
         spec's own seed replays the identical loss pattern, so callers
         that retry (the server) must vary the seed to draw fresh faults.
@@ -167,9 +171,11 @@ class BfsSession:
         faults = self.system.faults
         if faults is not None and fault_seed is not None:
             faults = replace(faults, seed=int(fault_seed))
-        schedule = (
-            FaultSchedule(faults, self.grid.size) if faults is not None else None
-        )
+        schedule = None
+        if faults is not None:
+            if self._fault_plan is None or self._fault_plan.spec != faults:
+                self._fault_plan = FaultPlan.sample(faults, self.grid.size)
+            schedule = FaultSchedule(faults, self.grid.size, self._fault_plan)
         return Communicator(
             self._task_mapping,
             self._model,

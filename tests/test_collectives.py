@@ -9,7 +9,10 @@ differ only in rounds, messages and what the statistics count.
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -370,6 +373,34 @@ class TestAccounting:
         comm.allreduce_sum(np.zeros(size))
         assert np.allclose(comm.clock.time, comm.clock.comm_time + comm.clock.compute_time)
         assert (comm.clock.time >= 0).all()
+
+
+def test_union_rings_run_in_one_pass(monkeypatch):
+    """A fold's union rings: one segmented unique and one stacked exchange
+    for all b - 1 rounds, and no Python loop over rounds."""
+    from repro.collectives import base
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(base._union_rings)))
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+    ]
+    calls = {"unique": 0, "exchange": 0}
+    unique, exchange = base.segmented_unique, Communicator.exchange_arrays
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(base, "segmented_unique", counted("unique", unique))
+    monkeypatch.setattr(Communicator, "exchange_arrays", counted("exchange", exchange))
+    size = 6
+    comm = torus_comm(size, observe="spans")
+    run_fold("union-ring", comm, [list(range(size))], [random_outboxes(size, 4, dense=True)])
+    assert calls == {"unique": 1, "exchange": 1}
+    assert rounds_of(comm) == size - 1
 
 
 class TestLockstep:

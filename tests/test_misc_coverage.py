@@ -74,12 +74,6 @@ class TestNetworkEdges:
         assert per_transfer.size == 0
         assert send.sum() == 0 and recv.sum() == 0
 
-    def test_route_cache_consistency(self):
-        net = Network(flat_network_for(GridShape(1, 3)), BLUEGENE_L)
-        first = net._route(0, 2)
-        second = net._route(0, 2)
-        assert first is second  # cached object reused
-
     def test_zero_length_transfer_still_pays_latency(self):
         net = Network(flat_network_for(GridShape(1, 2)), BLUEGENE_L)
         send, _, _ = net.round_times_arrays(

@@ -12,9 +12,9 @@ import pytest
 
 from repro.errors import BufferOverflowError, CommunicationError
 from repro.faults import FaultSchedule, FaultSpec, KeyedDropStream
-from repro.machine.bluegene import BLUEGENE_L
+from repro.machine.bluegene import BLUEGENE_L, bluegene_l_torus_for
 from repro.machine.cluster import flat_network_for
-from repro.machine.mapping import row_major_mapping
+from repro.machine.mapping import TaskMapping, planar_mapping, row_major_mapping
 from repro.machine.torus import Torus3D
 from repro.runtime.clock import SimClock
 from repro.runtime.comm import Communicator
@@ -157,6 +157,26 @@ class TestNetwork:
         near, _ = round_times(net, (0, 1, 0))
         far, _ = round_times(net, (0, 4, 0))
         assert far[0] > near[0]
+
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_every_ring_pair_crosses_a_link(self, shuffled):
+        """No two ranks share a node, so every wire pair of a ring — here
+        the fold rings of a 64 x 64 mesh — routes over at least one link."""
+        grid = GridShape(64, 64)
+        torus = bluegene_l_torus_for(grid.size)
+        mapping = planar_mapping(grid, torus)
+        if shuffled:
+            placement = np.random.default_rng(3).permutation(grid.size)
+            mapping = TaskMapping(grid, torus, placement)
+        net = Network(mapping, BLUEGENE_L)
+        ranks = np.arange(grid.size, dtype=np.int64)
+        succ = ranks - ranks % grid.cols + (ranks + 1) % grid.cols
+        assert net.prepare_pairs(ranks, succ).lens.min() >= 1
+        # and so does every pair of the shuffled torus at large
+        nodes = mapping.rank_to_node
+        _, lens = net._batch_route(nodes[ranks], nodes[np.roll(ranks, 7)])
+        assert lens.min() >= 1
 
 
 class TestCommunicator:
@@ -371,6 +391,16 @@ class TestOneRound:
             if isinstance(node, (ast.For, ast.While, ast.comprehension))
         ]
         assert [ast.unparse(loop.iter) for loop in loops] == ["self.recorders"]
+
+    def test_rounds_walked_once_each(self):
+        """A call's rounds are walked in one place, a P-vector step each:
+        the replay's loops run over rounds and the round's charges only."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(Communicator._advance_rounds)))
+        loops = [
+            ast.unparse(node.iter) for node in ast.walk(tree)
+            if isinstance(node, (ast.For, ast.While, ast.comprehension))
+        ]
+        assert loops == ["range(bounds.size - 1)", "charges"]
 
     def test_recorder_registers_without_patching(self):
         comm = torus_comm()

@@ -8,7 +8,9 @@ import pytest
 
 from repro.bfs.serial import serial_bfs
 from repro.errors import ConfigurationError, SearchError
+from repro.faults import FaultPlan
 from repro.graph.csr import CsrGraph
+from repro.observability.digest import result_digests
 from repro.session import BfsSession, extract_path
 from repro.types import SystemSpec
 
@@ -147,3 +149,29 @@ class TestSessionCaching:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             BfsSession(small_graph, (4, 1), system=SystemSpec(layout="1d"))
+
+    @pytest.mark.parametrize("faults", ["mild", "crash-spare"])
+    def test_fault_plan_sampled_once(self, small_graph, faults, monkeypatch):
+        """N queries on one session = N queries on N fresh sessions, digest
+        for digest and counter for counter, with the plan sampled once;
+        a new ``fault_seed`` still draws a plan of its own."""
+        sampled = []
+        real = FaultPlan.sample.__func__
+
+        def counting(cls, spec, nranks):
+            sampled.append(spec.seed)
+            return real(cls, spec, nranks)
+
+        monkeypatch.setattr(FaultPlan, "sample", classmethod(counting))
+        sources = [0, 7, 7, 123]
+        shared = BfsSession(small_graph, (4, 4), faults=faults)
+        reused = [shared.bfs(s) for s in sources]
+        assert len(sampled) == 1
+        fresh = [BfsSession(small_graph, (4, 4), faults=faults).bfs(s) for s in sources]
+        assert [result_digests(r) for r in reused] == [result_digests(r) for r in fresh]
+        assert [r.faults for r in reused] == [r.faults for r in fresh]
+        del sampled[:]
+        reseeded = shared.bfs(0, fault_seed=99)
+        assert len(sampled) == 1 and sampled[0] == 99
+        other = BfsSession(small_graph, (4, 4), faults=faults).bfs(0, fault_seed=99)
+        assert result_digests(reseeded) == result_digests(other)

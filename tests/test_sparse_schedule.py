@@ -14,10 +14,11 @@ paper-scale 64x64 grid on the reference n=20k/k=8 workload.  The
 ``msbfs-*`` keys pin the *batched* schedule the same way (widths 1 to
 64, targets, filter off, codecs x chunking, rollbacks, crash recovery);
 like every key, they were captured on the commit before the change they
-guard (``golden_capture.py`` only ever appends).  The last twelve keys pin
-the non-default collectives (ring, two-phase, bruck / recursive doubling,
+guard (``golden_capture.py`` only ever appends).  Twelve keys pin the
+non-default collectives (ring, two-phase, bruck / recursive doubling,
 direct fold, the unfiltered direct expand) in both layouts, under faults,
 chunking with a content-dependent codec, and an explicit subgrid shape.
+The last one runs a long union ring (15 rounds a fold) with every knob on.
 """
 
 from __future__ import annotations
@@ -327,6 +328,13 @@ CONFIGS = {
             expand_collective="two-phase", fold_collective="two-phase",
             collective_shape=(3, 2),
         ),
+    ),
+    # a long union ring (15 rounds a fold) with every knob on: codec
+    # pricing, drop fates, buffer splits and the message trace, captured
+    # on the commit before a fold's rounds became one stacked exchange
+    "reference-16x16-knobs": lambda: _run(
+        REFERENCE, (16, 16), wire="adaptive", faults="mild", observe="messages",
+        opts=BfsOptions(buffer_capacity=64),
     ),
 }
 
