@@ -7,7 +7,7 @@ adjacency matrix it stores.  This example demonstrates the library's
 deterministic cell-based construction at half a million vertices:
 
 1. every rank independently samples its ~2P pair-space cells,
-2. the resulting per-rank structures are assembled into a 2D partition
+2. the per-rank entries are pooled into one 2D partition
    (the global edge list is never materialised),
 3. a distributed BFS runs on it, and
 4. the measured per-rank memory matches the Section 2.4 analytic model.
@@ -18,8 +18,6 @@ Run:  python examples/distributed_generation.py
 from __future__ import annotations
 
 import time
-
-import numpy as np
 
 from repro.analysis.memory import MemoryModel
 from repro.api import build_communicator
@@ -32,39 +30,38 @@ SPEC = GraphSpec(n=500_000, k=8, seed=33)
 GRID = GridShape(8, 8)
 
 
-def main() -> None:
-    builder = DistributedGraphBuilder(SPEC, GRID)
+def main(spec: GraphSpec, grid: GridShape):
+    """Build ``spec`` rank by rank over ``grid`` and search it from vertex 0."""
+    builder = DistributedGraphBuilder(spec, grid)
     print(
-        f"building n={SPEC.n:,} (k={SPEC.k:g}) across {GRID.size} ranks, "
-        f"~{2 * GRID.size} cells each; no global graph is ever assembled"
+        f"building n={spec.n:,} (k={spec.k:g}) across {grid.size} ranks, "
+        f"~{2 * grid.size} cells each; no global graph is ever assembled"
     )
 
     t0 = time.perf_counter()
-    locals_ = builder.build_all()
+    partition = builder.build_partition()
     build_seconds = time.perf_counter() - t0
-    entries = np.array([loc.num_stored_entries for loc in locals_])
+    entries = partition.memory_footprints()["edge_entries"]
     print(
         f"generated {entries.sum():,} adjacency entries in {build_seconds:.2f}s host time "
         f"(per-rank min {entries.min():,} / max {entries.max():,})"
     )
 
-    model = MemoryModel(n=SPEC.n, k=SPEC.k, grid=GRID)
+    model = MemoryModel(n=spec.n, k=spec.k, grid=grid)
     print(
         f"Section 2.4 model: {model.expected_edge_entries:,.0f} entries/rank expected "
         f"-> measured mean {entries.mean():,.0f}"
     )
 
-    from repro.partition.two_d import TwoDPartition
-
-    partition = TwoDPartition.from_locals(SPEC.n, GRID, locals_)
-    comm = build_communicator(GRID)
+    comm = build_communicator(grid)
     result = run_bfs(Bfs2DEngine(partition, comm), source=0)
     print(result.summary())
     print(
         f"simulated {result.elapsed * 1e3:.1f} ms "
         f"(comm {result.comm_time * 1e3:.1f} ms) over {result.num_levels} levels"
     )
+    return result
 
 
 if __name__ == "__main__":
-    main()
+    main(SPEC, GRID)

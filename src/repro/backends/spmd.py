@@ -245,8 +245,7 @@ def _run_hub(
 
     global_levels = np.full(partition.n, UNREACHED, dtype=LEVEL_DTYPE)
     for rank in range(nranks):
-        loc = partition.local(rank)
-        global_levels[loc.vertex_lo : loc.vertex_hi] = done_levels[rank]
+        global_levels[partition.owned_lo[rank] : partition.owned_hi[rank]] = done_levels[rank]
 
     report: FaultReport | None = None
     if spec is not None:

@@ -95,56 +95,25 @@ class Bfs2DEngine(LevelSyncEngine):
         #: the expand outbox key, sender block * R + destination mesh row,
         #: in the narrowest dtype that holds it (a radix sort up to 16 bits)
         self._outbox_key_dtype = np.min_scalar_type(partition.nranks * self.grid.rows - 1)
+        self._owned_lo, self._owned_hi = partition.owned_lo, partition.owned_hi
+        self._owned_spans = self._owned_hi - self._owned_lo
         #: pooled sent-neighbours cache over every rank's row universe
-        self._sent_pool = PooledSentCache(
-            [partition.local(r).row_map for r in range(partition.nranks)],
-            partition.n,
-        )
+        self._sent_pool = PooledSentCache(partition.row_bounds, partition.row_ids)
         if opts.use_sieve:
             # Fold candidates only ever travel along processor-rows, so
             # each rank shadows exactly its row peers' owned blocks.
-            spans = np.array(
-                [
-                    partition.local(r).vertex_hi - partition.local(r).vertex_lo
-                    for r in range(partition.nranks)
-                ],
-                dtype=np.int64,
-            )
-            self._sieve = PooledSieve(self._row_groups, spans, partition.n)
-        # Rank (i, j) stores partial edge lists only for column chunk j, so
-        # its lookup slot for vertex v is ``_slot_shift[r] + v``: the ranks'
-        # chunks back to back, R * n slots in all, in ``_rows_cat`` order.
-        # ``_slot_indptr`` is the CSR over those slots into ``_rows_cat`` —
-        # a direct index, no search.  Built in place, in int32 unless the
-        # stored entries overflow it: no int64 copies of an R * n table.
-        # ``_col_keys`` lists the stored
-        # columns as rank * n + id (ascending: ranks ascend, ids are sorted
-        # per rank).
-        n = partition.n
-        R, C = self.grid.rows, self.grid.cols
-        mesh_col = np.arange(partition.nranks) % C
-        chunk_spans = np.diff(self._member_bounds)[mesh_col]
-        self._slot_shift = (
-            np.cumsum(chunk_spans) - chunk_spans - self._member_bounds[mesh_col]
-        )
-        stored = sum(partition.local(r).num_stored_entries for r in range(partition.nranks))
-        indptr = np.zeros(
-            R * n + 1, dtype=np.int32 if stored <= np.iinfo(np.int32).max else np.int64
-        )
-        key_parts: list[np.ndarray] = []
-        row_parts: list[np.ndarray] = []
-        for r in range(partition.nranks):
-            loc = partition.local(r)
-            key_parts.append(r * n + loc.col_map.ids)
-            indptr[self._slot_shift[r] + 1 + loc.col_map.ids] = np.diff(loc.col_indptr)
-            row_parts.append(loc.rows)
-        np.cumsum(indptr, dtype=indptr.dtype, out=indptr)
-        self._slot_indptr = indptr
-        self._col_keys = np.concatenate(key_parts)
-        self._rows_cat = np.concatenate(row_parts)
-        #: sent-pool slot of every entry of ``_rows_cat``: discovery
-        #: dedups and filters in slot space, never on global ids
-        self._row_slots = self._sent_pool.entry_slots(row_parts)
+            self._sieve = PooledSieve(self._row_groups, self._owned_spans, partition.n)
+        # The partition's pooled tables, read in place: the stored rows in
+        # (rank, column, row) order, the stored-column keys rank * n + id,
+        # the direct index (rank r's partial edge list of v is slot
+        # ``_slot_shift[r] + v`` of the CSR ``_slot_indptr`` into
+        # ``_rows_cat``), and every entry's sent-pool slot — discovery
+        # dedups and filters in slot space, never on global ids.
+        self._rows_cat = partition.rows
+        self._col_keys = partition.col_keys
+        self._slot_shift = partition.slot_shift
+        self._slot_indptr = partition.slot_indptr
+        self._row_slots = partition.row_slots
         #: pre-routed expand pair population (direct expand only):
         #: every (owner, holder) wire pair any expand round can use, keyed
         #: like the direct step's messages so a searchsorted indexes it
@@ -182,11 +151,8 @@ class Bfs2DEngine(LevelSyncEngine):
                 indptr = np.arange(n + 1, dtype=np.int64) * (R - 1)
                 d = (peer_row * C + (block // R)[:, None]).ravel()
             else:
-                rank_bounds = np.searchsorted(
-                    self._col_keys, np.arange(nranks + 1, dtype=np.int64) * n
-                )
                 holder = np.repeat(
-                    np.arange(nranks, dtype=np.int64), np.diff(rank_bounds)
+                    np.arange(nranks, dtype=np.int64), np.diff(self.partition.col_bounds)
                 )
                 v = self._col_keys - holder * n
                 d = holder
@@ -235,10 +201,6 @@ class Bfs2DEngine(LevelSyncEngine):
     # ------------------------------------------------------------------ #
     def owner_rank(self, vertex: int) -> int:
         return int(self.partition.owner_of(np.array([vertex]))[0])
-
-    def owned_slice(self, rank: int) -> tuple[int, int]:
-        loc = self.partition.local(rank)
-        return loc.vertex_lo, loc.vertex_hi
 
     def _fold_member(self, vertices: np.ndarray) -> np.ndarray:
         """Which member of a processor-row owns each vertex."""

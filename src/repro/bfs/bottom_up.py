@@ -99,7 +99,6 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
     levels = engine._levels_flat
     part = engine.partition
 
-    engine._owned_bounds()
     span_bytes = (engine._owned_spans + 7) // 8
     R, C = engine.grid.rows, engine.grid.cols
 
@@ -132,10 +131,7 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
         # stored columns, tagged by holder rank (the stored-column keys
         # are sorted by rank then vertex id); their partial edge lists
         # come from the direct-index table, as in the top-down lookup
-        rank_bounds = np.searchsorted(
-            engine._col_keys, np.arange(nranks + 1, dtype=np.int64) * n
-        )
-        cols_per_rank = np.diff(rank_bounds)
+        cols_per_rank = np.diff(part.col_bounds)
         col_rank = np.repeat(np.arange(nranks, dtype=np.int64), cols_per_rank)
         col_vertex = engine._col_keys - col_rank * n
         scan_idx = np.flatnonzero(levels[col_vertex] == UNREACHED)

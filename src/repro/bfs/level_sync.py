@@ -61,11 +61,6 @@ class LevelSyncEngine(abc.ABC):
         self._frontier_bounds: np.ndarray = np.zeros(
             comm.nranks + 1, dtype=np.int64
         )
-        #: pooled owned-slice spans (``_owned_lo[r]``, ``_owned_hi[r]``);
-        #: static for the engine's lifetime, built once on first start()
-        self._owned_lo: np.ndarray | None = None
-        self._owned_hi: np.ndarray | None = None
-        self._owned_spans: np.ndarray | None = None
         #: :meth:`_owned_union`'s scratch over every vertex, allocated on
         #: first use and left all clear between calls: a presence mark
         #: (width 1) and a mask-word OR accumulator (a batch)
@@ -91,14 +86,15 @@ class LevelSyncEngine(abc.ABC):
     #: fold segment ``s`` is rank ``s``) — the processor-rows, the whole
     #: machine on a ``1 x P`` mesh
     _fold_groups: list[list[int]]
+    #: the layout's owned vertex ranges: rank ``r`` owns
+    #: ``[_owned_lo[r], _owned_hi[r])``, ``_owned_spans[r]`` vertices
+    _owned_lo: np.ndarray
+    _owned_hi: np.ndarray
+    _owned_spans: np.ndarray
 
     @abc.abstractmethod
     def owner_rank(self, vertex: int) -> int:
         """Owning rank of a single vertex."""
-
-    @abc.abstractmethod
-    def owned_slice(self, rank: int) -> tuple[int, int]:
-        """Global vertex range ``[lo, hi)`` owned by ``rank``."""
 
     @abc.abstractmethod
     def _expand_level_bottom_up(self) -> tuple[np.ndarray, np.ndarray]:
@@ -161,26 +157,6 @@ class LevelSyncEngine(abc.ABC):
         if self._sieve is not None:
             nbytes = nbytes + self._sieve.checkpoint_nbytes()
         return nbytes
-
-    # ------------------------------------------------------------------ #
-    # pooled per-rank state
-    # ------------------------------------------------------------------ #
-    def _owned_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pooled owned-slice bounds, computed once per engine.
-
-        The partition is immutable, so the per-rank ``owned_slice`` spans
-        are static: one pass at first use replaces the per-call Python
-        rebuild the checkpoint sizing used to pay.
-        """
-        if self._owned_lo is None:
-            nranks = self.comm.nranks
-            lo = np.empty(nranks, dtype=np.int64)
-            hi = np.empty(nranks, dtype=np.int64)
-            for rank in range(nranks):
-                lo[rank], hi[rank] = self.owned_slice(rank)
-            self._owned_lo, self._owned_hi = lo, hi
-            self._owned_spans = hi - lo
-        return self._owned_lo, self._owned_hi
 
     # ------------------------------------------------------------------ #
     # one top-down level, at every width
@@ -276,9 +252,8 @@ class LevelSyncEngine(abc.ABC):
             flat = np.flatnonzero(self._mask_or)
             words = self._mask_or[flat]
             self._mask_or[flat] = 0
-        lo, hi = self._owned_bounds()
-        starts = np.searchsorted(flat, lo)
-        idx, bounds = range_indices(starts, np.searchsorted(flat, hi) - starts)
+        starts = np.searchsorted(flat, self._owned_lo)
+        idx, bounds = range_indices(starts, np.searchsorted(flat, self._owned_hi) - starts)
         return flat[idx], bounds, None if words is None else words[idx]
 
     def _label(
@@ -445,7 +420,6 @@ class LevelSyncEngine(abc.ABC):
         whatever layout-specific cache the engine carries (the
         sent-neighbours cache, via :meth:`_layout_checkpoint_nbytes`).
         """
-        self._owned_bounds()
         spans = self._owned_spans
         frontier_sizes = np.diff(self._frontier_bounds)
         levels_bytes = spans * self._levels_flat.dtype.itemsize

@@ -320,12 +320,11 @@ class _MsBfsRun:
         size stays ``B`` level words per vertex — and the simulated crash
         time and bytes do not depend on how the host stores levels.
         """
-        lo, hi = self.engine._owned_bounds()
         per_vertex = (
             self.B * np.dtype(LEVEL_DTYPE).itemsize + np.dtype(MASK_DTYPE).itemsize
         )
         per_entry = np.dtype(VERTEX_DTYPE).itemsize + np.dtype(MASK_DTYPE).itemsize
-        return (hi - lo) * per_vertex + np.diff(self.frontier[1]) * per_entry
+        return self.engine._owned_spans * per_vertex + np.diff(self.frontier[1]) * per_entry
 
     def _checkpoint(self) -> tuple[list[np.ndarray], np.ndarray, int]:
         """Snapshot what an attempt mutates: the level planes, the visited

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.partition.indexing import VertexIndexMap
-from repro.types import VERTEX_DTYPE, as_vertex_array
+from repro.types import as_vertex_array
 
 
 class SentCache:
@@ -77,53 +77,32 @@ class PooledSentCache:
     slots a level touches, read off a flag array in index order, *are*
     every rank's sorted duplicate-free neighbour set: :meth:`discover`
     needs no sort and no search, and costs O(edges gathered + slots).
-    Universes are immutable, so one pool serves every search of an
-    engine's lifetime; :meth:`reset` rewinds it per run.
+    The universes are the partition's pooled row universe
+    (:attr:`~repro.partition.two_d.TwoDPartition.row_ids`, cut by
+    ``row_bounds``), shared, not copied; they are immutable, so one pool
+    serves every search of an engine's lifetime; :meth:`reset` rewinds it
+    per run.
     """
 
-    __slots__ = ("_universes", "_domain", "bounds", "vertex", "_sent", "_mark", "_acc")
+    __slots__ = ("bounds", "vertex", "_sent", "_mark", "_acc")
 
-    def __init__(self, universes: list[VertexIndexMap], domain: int) -> None:
-        self._universes = universes
-        self._domain = int(domain)
-        sizes = np.array([len(u) for u in universes], dtype=np.int64)
+    def __init__(self, bounds: np.ndarray, vertex: np.ndarray) -> None:
         #: per-rank slice bounds into the pooled flag array
-        self.bounds = np.concatenate(([0], np.cumsum(sizes)))
+        self.bounds = bounds
         #: slot -> global vertex id (each rank's sorted universe, in rank order)
-        self.vertex = (
-            np.concatenate([u.ids for u in universes])
-            if universes
-            else np.empty(0, dtype=VERTEX_DTYPE)
-        )
-        self._sent = np.zeros(self.vertex.size, dtype=bool)
+        self.vertex = vertex
+        self._sent = np.zeros(vertex.size, dtype=bool)
         # scratch of the discover kernel; all-clear between calls
-        self._mark = np.zeros(self.vertex.size, dtype=bool)
+        self._mark = np.zeros(vertex.size, dtype=bool)
         self._acc: np.ndarray | None = None
 
     def view(self, rank: int) -> SentCache:
         """A :class:`SentCache` aliasing rank ``rank``'s slice of the pool."""
+        lo, hi = self.bounds[rank], self.bounds[rank + 1]
         cache = SentCache.__new__(SentCache)
-        cache.index = self._universes[rank]
-        cache._sent = self._sent[self.bounds[rank] : self.bounds[rank + 1]]
+        cache.index = VertexIndexMap.of_sorted(self.vertex[lo:hi])
+        cache._sent = self._sent[lo:hi]
         return cache
-
-    def entry_slots(self, entries: list[np.ndarray]) -> np.ndarray:
-        """Slots of every rank's adjacency entries, concatenated in rank order.
-
-        ``entries[r]`` holds rank ``r``'s stored neighbour ids (duplicates
-        and any order allowed), all drawn from its universe.  Built once
-        per engine: one dense global→local table is refilled per rank, so
-        the cost is O(entries + slots) with no search.
-        """
-        total = sum(int(e.size) for e in entries)
-        slots = np.empty(total, dtype=np.int64)
-        local = np.empty(self._domain, dtype=np.int64)
-        at = 0
-        for universe, ids, base in zip(self._universes, entries, self.bounds):
-            local[universe.ids] = np.arange(base, base + len(universe))
-            slots[at : at + ids.size] = local[ids]
-            at += ids.size
-        return slots
 
     def _distinct(self, slots: np.ndarray) -> np.ndarray:
         """The distinct values of ``slots``, ascending."""

@@ -28,8 +28,7 @@ import numpy as np
 
 from repro.graph.csr import CsrGraph
 from repro.partition.base import BlockDistribution
-from repro.partition.indexing import VertexIndexMap
-from repro.partition.two_d import RankLocal2D
+from repro.partition.two_d import TwoDPartition
 from repro.types import VERTEX_DTYPE, GraphSpec, GridShape
 from repro.utils.rng import RngFactory
 
@@ -174,16 +173,14 @@ class DistributedGraphBuilder:
                 cells.add((min(bu, bv), max(bu, bv)))
         return sorted(cells)
 
-    def build_rank(self, rank: int) -> RankLocal2D:
-        """Generate rank ``(i, j)``'s :class:`RankLocal2D` from its cells."""
-        R, C = self.grid.rows, self.grid.cols
+    def build_rank(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """Generate rank ``(i, j)``'s stored entries ``(rows, cols)`` from its cells."""
+        R = self.grid.rows
         i, j = self.grid.coords_of(rank)
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
+        rows_parts = [np.empty(0, dtype=VERTEX_DTYPE)]
+        cols_parts = [np.empty(0, dtype=VERTEX_DTYPE)]
         for bu, bv in self.cells_for_rank(rank):
             edges = self._cell_edges(bu, bv)
-            if edges.size == 0:
-                continue
             u, v = edges[:, 0], edges[:, 1]
             if bu % R == i and bv // R == j:  # orientation (u, v): row u, col v
                 rows_parts.append(u)
@@ -191,40 +188,15 @@ class DistributedGraphBuilder:
             if bv % R == i and bu // R == j:  # orientation (v, u): row v, col u
                 rows_parts.append(v)
                 cols_parts.append(u)
-        if rows_parts:
-            rows = np.concatenate(rows_parts)
-            cols = np.concatenate(cols_parts)
-            order = np.lexsort((rows, cols))
-            rows, cols = rows[order], cols[order]
-        else:
-            rows = np.empty(0, dtype=VERTEX_DTYPE)
-            cols = np.empty(0, dtype=VERTEX_DTYPE)
-        col_ids, col_counts = np.unique(cols, return_counts=True)
-        col_indptr = np.concatenate(([0], np.cumsum(col_counts))).astype(VERTEX_DTYPE)
-        own_block = j * R + i
-        lo, hi = self.dist.range_of(own_block)
-        return RankLocal2D(
-            rank=rank,
-            mesh_row=i,
-            mesh_col=j,
-            vertex_lo=lo,
-            vertex_hi=hi,
-            col_map=VertexIndexMap(col_ids),
-            col_indptr=col_indptr,
-            rows=rows,
-            row_map=VertexIndexMap(np.unique(rows)),
-        )
+        return np.concatenate(rows_parts), np.concatenate(cols_parts)
 
-    def build_all(self) -> list[RankLocal2D]:
-        """All ranks' structures (for testing / simulated runs)."""
-        return [self.build_rank(rank) for rank in range(self.grid.size)]
-
-    def build_partition(self):
+    def build_partition(self) -> TwoDPartition:
         """A ready :class:`~repro.partition.two_d.TwoDPartition` built rank
         by rank — the global adjacency is never materialised."""
-        from repro.partition.two_d import TwoDPartition
-
-        return TwoDPartition.from_locals(self.spec.n, self.grid, self.build_all())
+        rows, cols = zip(*(self.build_rank(rank) for rank in range(self.grid.size)))
+        return TwoDPartition.from_entries(
+            self.spec.n, self.grid, np.concatenate(rows), np.concatenate(cols)
+        )
 
     def reference_graph(self) -> CsrGraph:
         """The same global graph, assembled centrally from all cells.

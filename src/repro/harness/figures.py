@@ -543,15 +543,13 @@ def _distgen(pt: dict, seed: int) -> Rows:
     """Per-rank generation against centrally partitioning the same graph."""
     grid = GridShape(*pt["grid"])
     builder = DistributedGraphBuilder(pt["graph"], grid)
-    locals_ = builder.build_all()
+    built = builder.build_partition()
     central = TwoDPartition(builder.reference_graph(), grid)
     exact = all(
-        np.array_equal(central.local(rank).col_map.ids, local.col_map.ids)
-        and np.array_equal(central.local(rank).col_indptr, local.col_indptr)
-        and central.local(rank).num_stored_entries == local.num_stored_entries
-        for rank, local in enumerate(locals_)
+        np.array_equal(getattr(central, name), getattr(built, name))
+        for name in ("entry_bounds", "rows", "col_keys")
     )
-    entries = np.array([local.num_stored_entries for local in locals_])
+    entries = built.memory_footprints()["edge_entries"]
     cells = [len(builder.cells_for_rank(rank)) for rank in range(grid.size)]
     return [{"n": pt["graph"].n, "p": grid.size, "seed": pt["graph"].seed,
              "total_entries": int(entries.sum()), "entries_mean": float(entries.mean()),

@@ -32,11 +32,8 @@ class BalanceReport:
 
 
 def balance_report(partition: Partition, metric: str = "edge_entries") -> BalanceReport:
-    """Compute the balance of ``metric`` (a :meth:`memory_footprint` key)."""
-    counts = np.array(
-        [partition.memory_footprint(r)[metric] for r in range(partition.nranks)],
-        dtype=np.float64,
-    )
+    """Compute the balance of ``metric`` (a :meth:`memory_footprints` key)."""
+    counts = partition.memory_footprints()[metric].astype(np.float64)
     mean = float(counts.mean()) if counts.size else 0.0
     imbalance = float(counts.max() / mean) if mean > 0 else 1.0
     return BalanceReport(

@@ -97,9 +97,18 @@ class Partition(abc.ABC):
         """Global ids of the vertices owned by ``rank``."""
 
     @abc.abstractmethod
+    def memory_footprints(self) -> dict[str, np.ndarray]:
+        """Per-structure element counts of every rank, one array per structure."""
+
     def memory_footprint(self, rank: int) -> dict[str, int]:
         """Per-structure element counts on ``rank`` (for O(n/P) scalability checks)."""
+        self._check_rank(rank)
+        return {name: int(counts[rank]) for name, counts in self.memory_footprints().items()}
 
     def owned_count(self, rank: int) -> int:
         """Number of vertices owned by ``rank``."""
         return int(self.owned_vertices(rank).shape[0])
+
+    def _check_rank(self, rank: int) -> None:
+        if not (0 <= rank < self.nranks):
+            raise PartitionError(f"rank {rank} out of range [0, {self.nranks})")

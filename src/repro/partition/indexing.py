@@ -7,9 +7,9 @@ asymptotic storage but uses a sorted id array + binary search
 (``np.searchsorted``) instead of a hash table: lookups vectorise over whole
 frontiers, which is the idiomatic NumPy replacement for a per-element hash
 probe (see DESIGN.md).  Ids a rank *stores* — its adjacency entries —
-never pay even that at run time: the engines resolve their local index
-once at build (:meth:`repro.bfs.sent_cache.PooledSentCache.entry_slots`)
-and discover in that index space.  The paper's profiling note — that
+never pay even that at run time: the partition resolves their local index
+once at build (:attr:`repro.partition.two_d.TwoDPartition.row_slots`)
+and the engines discover in that index space.  The paper's profiling note — that
 hashing received vertices dominates runtime — is modelled in the machine
 cost model as a per-lookup charge, so the *simulated* cost is still
 hash-like.
@@ -40,6 +40,13 @@ class VertexIndexMap:
             ids = np.sort(ids)
             ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
         self.ids = ids
+
+    @classmethod
+    def of_sorted(cls, ids: np.ndarray) -> "VertexIndexMap":
+        """A map over ``ids``, already sorted and duplicate-free, kept as is (no copy)."""
+        index = cls.__new__(cls)
+        index.ids = ids
+        return index
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])

@@ -13,6 +13,10 @@ processor-column ``j`` — which is why the *expand* runs down processor
 columns.  The neighbours a rank discovers fall in its stored block rows,
 whose owners all sit in processor-row ``i`` — which is why the *fold* runs
 across processor rows.
+
+Every rank's storage lives in one set of pooled tables, built once from
+one sort of the stored entries by (rank, column, row); a rank's
+:class:`RankLocal2D` is a view sliced from them on demand.
 """
 
 from __future__ import annotations
@@ -30,14 +34,16 @@ from repro.types import VERTEX_DTYPE, GridShape, as_vertex_array
 
 @dataclass(frozen=True, slots=True)
 class RankLocal2D:
-    """Per-rank storage for the 2D layout.
+    """One rank's view of the pooled 2D storage.
 
     The stored blocks are kept as *column edge lists* in CSR-of-columns
     form: ``col_map.ids[c]`` is a global vertex id with a non-empty partial
     edge list on this rank, and ``rows[col_indptr[c]:col_indptr[c+1]]`` are
     the (global) row ids adjacent to it here.  Only non-empty columns are
     indexed — the Section 2.4.1 memory optimisation that keeps storage
-    O(n/P) in expectation.
+    O(n/P) in expectation.  ``rows`` and ``row_map.ids`` are slices of the
+    partition's pooled arrays; ``col_map`` and ``col_indptr`` are read off
+    its column keys and direct index.
     """
 
     rank: int
@@ -59,16 +65,6 @@ class RankLocal2D:
     def num_stored_entries(self) -> int:
         """Number of adjacency-matrix entries stored on this rank."""
         return int(self.rows.shape[0])
-
-    @property
-    def num_nonempty_columns(self) -> int:
-        """Number of non-empty partial edge lists (Section 2.4.1 bound)."""
-        return len(self.col_map)
-
-    @property
-    def num_unique_row_vertices(self) -> int:
-        """Unique vertices appearing in stored edge lists (Section 2.4.1 bound)."""
-        return len(self.row_map)
 
     def partial_neighbors(self, frontier_global: np.ndarray) -> np.ndarray:
         """Merge the stored partial edge lists of the given frontier vertices.
@@ -96,98 +92,109 @@ class RankLocal2D:
 
 
 class TwoDPartition(Partition):
-    """An ``R x C`` 2D edge partitioning of an undirected graph."""
+    """An ``R x C`` 2D edge partitioning of an undirected graph.
+
+    The stored entries of all ranks are held once, pooled in rank order
+    (rank ``r``'s part of a pooled array is cut by the matching
+    ``*_bounds[r]:*_bounds[r+1]``):
+
+    * ``rows`` — every stored entry's row id, in (rank, column, row)
+      order; ``entry_bounds`` cuts it per rank;
+    * ``col_keys`` — ``rank * n + id`` of every non-empty partial edge
+      list, ascending; ``col_bounds`` cuts it per rank;
+    * ``slot_shift`` / ``slot_indptr`` — the direct index: rank ``r``'s
+      partial edge list of vertex ``v`` (in its column chunk) is
+      ``rows[slot_indptr[s]:slot_indptr[s+1]]`` with ``s = slot_shift[r]
+      + v``, the ranks' chunks back to back, ``R * n`` slots in all
+      (int32 unless the entries overflow it);
+    * ``row_ids`` — each rank's sorted distinct row ids (its
+      sent-neighbours universe, Section 2.4.3), cut by ``row_bounds``;
+      ``row_slots`` is every entry's index into it;
+    * ``owned_lo`` / ``owned_hi`` — rank ``(i, j)`` owns block row
+      ``j * R + i``: vertices ``[owned_lo[r], owned_hi[r])``.
+    """
 
     def __init__(self, graph: CsrGraph, grid: GridShape) -> None:
-        self.n = graph.n
-        self.grid = grid
-        #: block-row distribution: n vertices over R*C contiguous block rows
-        self.dist = BlockDistribution(graph.n, grid.size)
-        self._locals: list[RankLocal2D] = self._build_locals(graph)
+        rows = np.repeat(np.arange(graph.n, dtype=VERTEX_DTYPE), np.diff(graph.indptr))
+        self._build(graph.n, grid, rows, graph.indices)
 
     @classmethod
-    def from_locals(
-        cls, n: int, grid: GridShape, locals_: list[RankLocal2D]
-    ) -> "TwoDPartition":
-        """Assemble a partition from pre-built per-rank structures.
+    def from_entries(cls, n: int, grid: GridShape, rows, cols) -> "TwoDPartition":
+        """A partition of the stored entries ``A[rows[e], cols[e]]``, in any order.
 
-        Used by the distributed generator
-        (:class:`repro.graph.distributed_gen.DistributedGraphBuilder`),
-        which produces each rank's blocks without materialising the global
-        graph.
+        Each entry's rank follows from its row and column, so the entries
+        of every rank can be supplied together: the distributed generator
+        (:class:`repro.graph.distributed_gen.DistributedGraphBuilder`)
+        passes each rank's blocks without materialising the global graph.
+        Raises :class:`PartitionError` on an id outside ``[0, n)``.
         """
-        if len(locals_) != grid.size:
-            raise PartitionError(
-                f"need {grid.size} rank structures, got {len(locals_)}"
-            )
+        rows, cols = as_vertex_array(rows), as_vertex_array(cols)
+        if rows.shape != cols.shape:
+            raise PartitionError(f"{rows.size} row ids for {cols.size} column ids")
         partition = cls.__new__(cls)
-        partition.n = int(n)
-        partition.grid = grid
-        partition.dist = BlockDistribution(n, grid.size)
-        for rank, loc in enumerate(locals_):
-            if loc.rank != rank:
-                raise PartitionError(
-                    f"rank structure {loc.rank} supplied at position {rank}"
-                )
-        partition._locals = list(locals_)
+        partition._build(n, grid, rows, cols)
         return partition
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def _build_locals(self, graph: CsrGraph) -> list[RankLocal2D]:
-        R, C = self.grid.rows, self.grid.cols
-        # Every stored directed entry A[u, v]: row u, column v.
-        src = np.repeat(
-            np.arange(graph.n, dtype=VERTEX_DTYPE), np.diff(graph.indptr)
+    def _build(self, n: int, grid: GridShape, rows: np.ndarray, cols: np.ndarray) -> None:
+        self.n = n = int(n)
+        self.grid = grid
+        #: block-row distribution: n vertices over R*C contiguous block rows
+        self.dist = BlockDistribution(n, grid.size)
+        R, C, nranks = grid.rows, grid.cols, grid.size
+        ranks = np.arange(nranks, dtype=np.int64)
+        own_block = (ranks % C) * R + ranks // C
+        self.owned_lo = self.dist.offsets[own_block]
+        self.owned_hi = self.dist.offsets[own_block + 1]
+        # Owning rank of entry (u, v): mesh row i = blockrow(u) mod R, mesh
+        # col j = column chunk of v = blockrow(v) div R.  Ranks are numbered
+        # row-major and the column chunks ascend with v, so (rank, column,
+        # row) order is (i, v, u) order: one sort of (i * n + v) * n + u.
+        if R * n * n > np.iinfo(np.int64).max:
+            raise PartitionError(f"R * n**2 = {R * n * n} overflows the int64 entry key")
+        mesh_row = self.dist.part_of(rows) % R
+        order = np.argsort((mesh_row * n + cols) * n + rows)
+        rank = (mesh_row * C + self.dist.part_of(cols) // R)[order]
+        rows = rows[order]
+        col_key = rank * n + cols[order]
+        # Entry-sized temporaries are dropped once used: they, not the
+        # tables kept, set the build's peak memory.
+        del order, mesh_row
+        self.rows = rows
+        self.entry_bounds = np.searchsorted(rank, np.arange(nranks + 1))
+        # cols are sorted per rank, so the distinct column keys and their
+        # list lengths fall out of the run boundaries
+        key_bounds = np.arange(nranks + 1, dtype=np.int64) * n
+        starts = np.flatnonzero(np.diff(col_key, prepend=-1))
+        self.col_keys = col_key[starts]
+        self.col_bounds = np.searchsorted(self.col_keys, key_bounds)
+        col_rank = rank[starts]
+        # Slots of the row universe are ordered by (rank, vertex), so every
+        # entry's slot is the rank of its rank * n + row key among the
+        # distinct keys.
+        row_key = rank * n + rows
+        del rank, col_key
+        row_keys, self.row_slots = np.unique(row_key, return_inverse=True)
+        del row_key
+        self.row_bounds = np.searchsorted(row_keys, key_bounds)
+        self.row_ids = row_keys - np.repeat(key_bounds[:-1], np.diff(self.row_bounds))
+        # Rank (i, j) stores partial edge lists only for column chunk j,
+        # whose span is that of mesh column j's R block rows.
+        member_bounds = self.dist.offsets[::R]
+        chunk_spans = np.diff(member_bounds)[ranks % C]
+        self.slot_shift = np.cumsum(chunk_spans) - chunk_spans - member_bounds[ranks % C]
+        # Built in place, in int32 unless the stored entries overflow it:
+        # no int64 copy of an R * n table.
+        indptr = np.zeros(
+            R * n + 1, dtype=np.int32 if rows.size <= np.iinfo(np.int32).max else np.int64
         )
-        dst = graph.indices
-        # Owning rank of entry (u, v): mesh row = blockrow(u) mod R,
-        # mesh col = column chunk of v = blockrow(v) div R.
-        u_block = self.dist.part_of(src) if src.size else src
-        v_block = self.dist.part_of(dst) if dst.size else dst
-        mesh_i = u_block % R
-        mesh_j = v_block // R
-        rank_of_entry = mesh_i * C + mesh_j
-
-        order = np.lexsort((src, dst, rank_of_entry)) if src.size else np.empty(0, np.int64)
-        src, dst, rank_of_entry = src[order], dst[order], rank_of_entry[order]
-        boundaries = np.searchsorted(rank_of_entry, np.arange(self.nranks + 1))
-
-        locals_: list[RankLocal2D] = []
-        for rank in range(self.nranks):
-            i, j = self.grid.coords_of(rank)
-            lo_entry, hi_entry = int(boundaries[rank]), int(boundaries[rank + 1])
-            cols = dst[lo_entry:hi_entry]  # sorted (by dst, then src)
-            rows = src[lo_entry:hi_entry]
-            # cols is sorted, so unique + counts fall out of the run
-            # boundaries (identical to np.unique with return_counts).
-            if cols.size:
-                change = np.concatenate(([True], cols[1:] != cols[:-1]))
-                col_ids = cols[change]
-                col_starts = np.flatnonzero(change)
-                col_indptr = np.concatenate(
-                    (col_starts, [cols.size])
-                ).astype(VERTEX_DTYPE)
-            else:
-                col_ids = cols
-                col_indptr = np.zeros(1, dtype=VERTEX_DTYPE)
-            own_block = j * R + i
-            lo, hi = self.dist.range_of(own_block)
-            locals_.append(
-                RankLocal2D(
-                    rank=rank,
-                    mesh_row=i,
-                    mesh_col=j,
-                    vertex_lo=lo,
-                    vertex_hi=hi,
-                    col_map=VertexIndexMap(col_ids),
-                    col_indptr=col_indptr,
-                    rows=rows.copy(),
-                    row_map=VertexIndexMap(rows),
-                )
-            )
-        return locals_
+        indptr[self.col_keys - col_rank * n + self.slot_shift[col_rank] + 1] = np.diff(
+            np.append(starts, rows.size)
+        )
+        np.cumsum(indptr, dtype=indptr.dtype, out=indptr)
+        self.slot_indptr = indptr
 
     # ------------------------------------------------------------------ #
     # ownership
@@ -199,8 +206,8 @@ class TwoDPartition(Partition):
         return (g % R) * C + (g // R)
 
     def owned_vertices(self, rank: int) -> np.ndarray:
-        loc = self.local(rank)
-        return np.arange(loc.vertex_lo, loc.vertex_hi, dtype=VERTEX_DTYPE)
+        self._check_rank(rank)
+        return np.arange(self.owned_lo[rank], self.owned_hi[rank], dtype=VERTEX_DTYPE)
 
     def column_chunk_range(self, mesh_col: int) -> tuple[int, int]:
         """Global vertex range whose edge lists live on processor-column ``mesh_col``."""
@@ -212,16 +219,31 @@ class TwoDPartition(Partition):
         return lo, hi
 
     def local(self, rank: int) -> RankLocal2D:
-        """Per-rank storage object."""
-        if not (0 <= rank < self.nranks):
-            raise PartitionError(f"rank {rank} out of range [0, {self.nranks})")
-        return self._locals[rank]
+        """Rank ``rank``'s view of the pooled storage, built on demand."""
+        self._check_rank(rank)
+        lo, hi = self.entry_bounds[rank], self.entry_bounds[rank + 1]
+        col_ids = self.col_keys[self.col_bounds[rank] : self.col_bounds[rank + 1]]
+        col_ids = col_ids - rank * self.n
+        col_indptr = np.append(self.slot_indptr[self.slot_shift[rank] + col_ids], hi) - lo
+        i, j = self.grid.coords_of(rank)
+        return RankLocal2D(
+            rank=rank,
+            mesh_row=i,
+            mesh_col=j,
+            vertex_lo=int(self.owned_lo[rank]),
+            vertex_hi=int(self.owned_hi[rank]),
+            col_map=VertexIndexMap.of_sorted(col_ids),
+            col_indptr=col_indptr.astype(VERTEX_DTYPE),
+            rows=self.rows[lo:hi],
+            row_map=VertexIndexMap.of_sorted(
+                self.row_ids[self.row_bounds[rank] : self.row_bounds[rank + 1]]
+            ),
+        )
 
-    def memory_footprint(self, rank: int) -> dict[str, int]:
-        loc = self.local(rank)
+    def memory_footprints(self) -> dict[str, np.ndarray]:
         return {
-            "owned_vertices": loc.num_owned,
-            "edge_entries": loc.num_stored_entries,
-            "nonempty_columns": loc.num_nonempty_columns,
-            "unique_row_vertices": loc.num_unique_row_vertices,
+            "owned_vertices": self.owned_hi - self.owned_lo,
+            "edge_entries": np.diff(self.entry_bounds),
+            "nonempty_columns": np.diff(self.col_bounds),
+            "unique_row_vertices": np.diff(self.row_bounds),
         }

@@ -18,14 +18,15 @@ from repro.errors import PartitionError
 from repro.types import GraphSpec, GridShape
 
 
-def assert_locals_equal(a, b):
-    assert a.vertex_lo == b.vertex_lo and a.vertex_hi == b.vertex_hi
-    assert np.array_equal(a.col_map.ids, b.col_map.ids)
-    assert np.array_equal(a.col_indptr, b.col_indptr)
-    for ci in range(len(a.col_map)):
-        ra = np.sort(a.rows[a.col_indptr[ci] : a.col_indptr[ci + 1]])
-        rb = np.sort(b.rows[b.col_indptr[ci] : b.col_indptr[ci + 1]])
-        assert np.array_equal(ra, rb)
+#: every pooled table of a TwoDPartition (its whole storage)
+POOLED = ("owned_lo", "owned_hi", "entry_bounds", "rows", "col_keys", "col_bounds",
+          "slot_shift", "slot_indptr", "row_ids", "row_bounds", "row_slots")
+
+
+def assert_pooled_equal(a, b):
+    for name in POOLED:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 class TestCellSampling:
@@ -77,8 +78,22 @@ class TestBuilderEquivalence:
         spec = GraphSpec(n=900, k=7, seed=4)
         builder = DistributedGraphBuilder(spec, grid)
         central = TwoDPartition(builder.reference_graph(), grid)
-        for rank, local in enumerate(builder.build_all()):
-            assert_locals_equal(central.local(rank), local)
+        assert_pooled_equal(central, builder.build_partition())
+
+    def test_build_rank_returns_the_ranks_entries(self):
+        spec = GraphSpec(n=500, k=6, seed=3)
+        grid = GridShape(2, 3)
+        builder = DistributedGraphBuilder(spec, grid)
+        central = TwoDPartition(builder.reference_graph(), grid)
+        for rank in range(grid.size):
+            rows, cols = builder.build_rank(rank)
+            loc = central.local(rank)
+            want = sorted(
+                (int(u), int(v))
+                for c, v in enumerate(loc.col_map.ids)
+                for u in loc.rows[loc.col_indptr[c] : loc.col_indptr[c + 1]]
+            )
+            assert sorted(zip(rows.tolist(), cols.tolist())) == want
 
     def test_cells_for_rank_cover_storage(self):
         spec = GraphSpec(n=600, k=6, seed=7)
@@ -107,14 +122,11 @@ class TestBuilderEquivalence:
         result = run_bfs(Bfs2DEngine(partition, comm), 0)
         assert np.array_equal(result.levels, serial_bfs(builder.reference_graph(), 0))
 
-    def test_from_locals_validation(self):
-        spec = GraphSpec(n=300, k=4, seed=1)
-        builder = DistributedGraphBuilder(spec, GridShape(2, 2))
-        locals_ = builder.build_all()
-        with pytest.raises(PartitionError):
-            TwoDPartition.from_locals(300, GridShape(2, 2), locals_[:3])
-        with pytest.raises(PartitionError):
-            TwoDPartition.from_locals(300, GridShape(2, 2), list(reversed(locals_)))
+    def test_from_entries_rejects_bad_entries(self):
+        grid = GridShape(2, 2)
+        for rows, cols in (([0, 300], [1, 2]), ([0, 1], [-1, 2]), ([0, 1], [2])):
+            with pytest.raises(PartitionError):
+                TwoDPartition.from_entries(300, grid, rows, cols)
 
     @given(st.integers(0, 500), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=10, deadline=None)
@@ -123,5 +135,4 @@ class TestBuilderEquivalence:
         grid = GridShape(rows, cols)
         builder = DistributedGraphBuilder(spec, grid)
         central = TwoDPartition(builder.reference_graph(), grid)
-        for rank, local in enumerate(builder.build_all()):
-            assert_locals_equal(central.local(rank), local)
+        assert_pooled_equal(central, builder.build_partition())

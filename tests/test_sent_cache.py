@@ -15,6 +15,22 @@ from repro.partition.indexing import VertexIndexMap
 from repro.types import GridShape
 
 
+def pool_of(universes) -> PooledSentCache:
+    """A pool over per-rank sorted universes, laid out as a partition's row universe."""
+    ids = [np.asarray(u, dtype=np.int64) for u in universes]
+    bounds = np.concatenate(([0], np.cumsum([u.size for u in ids]))).astype(np.int64)
+    return PooledSentCache(bounds, np.concatenate([np.empty(0, np.int64), *ids]))
+
+
+def entry_slots(pool: PooledSentCache, edges) -> np.ndarray:
+    """Slots of every rank's edge ids, concatenated in rank order."""
+    parts = [np.empty(0, np.int64)]
+    for r, e in enumerate(edges):
+        lo, hi = pool.bounds[r], pool.bounds[r + 1]
+        parts.append(lo + np.searchsorted(pool.vertex[lo:hi], np.asarray(e, np.int64)))
+    return np.concatenate(parts)
+
+
 class TestSentCache:
     def test_first_pass_all_fresh(self):
         cache = SentCache(VertexIndexMap([10, 20, 30]))
@@ -76,27 +92,17 @@ class TestPooledSentCache:
     """The slot-space discover kernel on a two-rank pool.
 
     Rank 0's universe is {0, 2, 4} (slots 0-2), rank 1's {1, 2, 3}
-    (slots 3-5); ``_slots`` turns per-rank edge multisets into gathered
+    (slots 3-5); :func:`entry_slots` turns per-rank edge multisets into gathered
     slot ids the way an engine's adjacency gather does.
     """
 
     def _pool(self):
-        universes = [VertexIndexMap([0, 2, 4]), VertexIndexMap([1, 2, 3])]
-        return PooledSentCache(universes, domain=5)
-
-    @staticmethod
-    def _slots(pool, *edges):
-        return pool.entry_slots([np.array(e, dtype=np.int64) for e in edges])
-
-    def test_entry_slots_follow_rank_then_vertex(self):
-        pool = self._pool()
-        assert self._slots(pool, [4, 0, 4], [3, 1]).tolist() == [2, 0, 2, 5, 3]
-        assert pool.vertex.tolist() == [0, 2, 4, 1, 2, 3]
+        return pool_of([[0, 2, 4], [1, 2, 3]])
 
     def test_empty_level(self):
         """No edges at all is a no-op with well-formed bounds."""
         pool = self._pool()
-        flat, bounds, _, counts = pool.discover(self._slots(pool, [], []), filter_sent=True)
+        flat, bounds, _, counts = pool.discover(entry_slots(pool, [[], []]), filter_sent=True)
         assert flat.size == 0 and flat.dtype == np.int64
         assert bounds.tolist() == [0, 0, 0]
         assert counts.tolist() == [0, 0]
@@ -106,7 +112,7 @@ class TestPooledSentCache:
         """Rank 0 active, rank 1 idle: the idle segment stays empty."""
         pool = self._pool()
         flat, bounds, _, counts = pool.discover(
-            self._slots(pool, [4, 0, 4, 0], []), filter_sent=True
+            entry_slots(pool, [[4, 0, 4, 0], []]), filter_sent=True
         )
         assert flat.tolist() == [0, 4]
         assert bounds.tolist() == [0, 2, 2]
@@ -114,7 +120,7 @@ class TestPooledSentCache:
 
     def test_full_universe_saturation(self):
         pool = self._pool()
-        slots = self._slots(pool, [0, 2, 4], [1, 2, 3])
+        slots = entry_slots(pool, [[0, 2, 4], [1, 2, 3]])
         flat, _, _, _ = pool.discover(slots, filter_sent=True)
         assert flat.tolist() == [0, 2, 4, 1, 2, 3]
         flat, bounds, _, counts = pool.discover(slots, filter_sent=True)
@@ -141,7 +147,7 @@ class TestPooledSentCache:
         pool.view(0).filter_unsent(np.array([2]))
         before = pool.snapshot()
         flat, bounds, _, counts = pool.discover(
-            self._slots(pool, [2, 0, 2], [3]), filter_sent=False
+            entry_slots(pool, [[2, 0, 2], [3]]), filter_sent=False
         )
         assert flat.tolist() == [0, 2, 3]
         assert bounds.tolist() == [0, 2, 3]
@@ -152,7 +158,7 @@ class TestPooledSentCache:
         """Marks through a per-rank view are visible to the kernel."""
         pool = self._pool()
         pool.view(0).filter_unsent(np.array([2]))
-        flat, _, _, _ = pool.discover(self._slots(pool, [0, 2], []), filter_sent=True)
+        flat, _, _, _ = pool.discover(entry_slots(pool, [[0, 2], []]), filter_sent=True)
         assert flat.tolist() == [0]
         # rank 1's own vertex 2 is a different flag
         assert pool.view(1).filter_unsent(np.array([2])).tolist() == [2]
@@ -160,7 +166,7 @@ class TestPooledSentCache:
     def test_snapshot_restore_round_trip(self):
         pool = self._pool()
         before = pool.snapshot()
-        pool.discover(self._slots(pool, [0, 4], []), filter_sent=True)
+        pool.discover(entry_slots(pool, [[0, 4], []]), filter_sent=True)
         after = pool.snapshot()
         pool.restore(before)
         assert pool.view(0).filter_unsent(np.array([0])).tolist() == [0]
@@ -169,23 +175,21 @@ class TestPooledSentCache:
 
     def test_one_edge_level_on_a_large_pool(self):
         """Far fewer edges than slots, then every slot at once."""
-        universes = [VertexIndexMap(range(0, 200, 2)), VertexIndexMap(range(200))]
-        pool = PooledSentCache(universes, domain=200)
+        pool = pool_of([range(0, 200, 2), range(200)])
         flat, bounds, _, counts = pool.discover(
-            pool.entry_slots([np.array([], dtype=np.int64), np.array([7, 7, 3])]),
-            filter_sent=True,
+            entry_slots(pool, [[], [7, 7, 3]]), filter_sent=True
         )
         assert flat.tolist() == [3, 7]
         assert bounds.tolist() == [0, 0, 2]
         assert counts.tolist() == [0, 2]
         dense = [np.arange(0, 200, 2), np.arange(200)]
-        flat, bounds, _, counts = pool.discover(pool.entry_slots(dense), filter_sent=True)
+        flat, bounds, _, counts = pool.discover(entry_slots(pool, dense), filter_sent=True)
         assert flat.size == 298 and 3 not in flat[100:] and 7 not in flat[100:]
         assert counts.tolist() == [100, 200]
 
     def test_masks_or_merge_per_rank(self):
         pool = self._pool()
-        slots = self._slots(pool, [2, 4, 2], [2])
+        slots = entry_slots(pool, [[2, 4, 2], [2]])
         masks = np.array([1, 2, 4, 8], dtype=np.uint64)
         flat, bounds, merged, _ = pool.discover(slots, masks, filter_sent=False)
         assert flat.tolist() == [2, 4, 2]
@@ -233,9 +237,9 @@ class TestDiscoverAgainstPerRankOracle:
     @given(history=_pool_histories(), filter_sent=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle(self, history, filter_sent):
-        domain, universes, steps = history
+        _, universes, steps = history
         maps = [VertexIndexMap(u) for u in universes]
-        pool = PooledSentCache(maps, domain)
+        pool = pool_of(universes)
         oracle = [SentCache(m) for m in maps]
         saved = None
         for kind, edges in steps:
@@ -255,7 +259,7 @@ class TestDiscoverAgainstPerRankOracle:
                 for c, u in zip(oracle, uniq)
             ]
             flat, bounds, _, counts = pool.discover(
-                pool.entry_slots(edges), filter_sent=filter_sent
+                entry_slots(pool, edges), filter_sent=filter_sent
             )
             assert counts.tolist() == [u.size for u in uniq]
             assert bounds.tolist() == np.concatenate(
@@ -269,8 +273,8 @@ class TestDiscoverAgainstPerRankOracle:
     @given(history=_pool_histories(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_masks_match_oracle(self, history, seed):
-        domain, universes, steps = history
-        pool = PooledSentCache([VertexIndexMap(u) for u in universes], domain)
+        _, universes, steps = history
+        pool = pool_of(universes)
         rng = np.random.default_rng(seed)
         for kind, edges in steps:
             if kind != "level":
@@ -280,7 +284,7 @@ class TestDiscoverAgainstPerRankOracle:
                 rng.integers(1, 2**63, size=e.size).astype(np.uint64) for e in edges
             ]
             flat, bounds, merged, _ = pool.discover(
-                pool.entry_slots(edges), np.concatenate(masks), filter_sent=False
+                entry_slots(pool, edges), np.concatenate(masks), filter_sent=False
             )
             for r, (e, m) in enumerate(zip(edges, masks)):
                 want = {}
