@@ -1,11 +1,12 @@
 """The reproduction, asserted: every ``FIGURES`` claim at its ``full`` points.
 
 Each table entry (Figures 4.a-7, Table 1, the Section 3.1 / 2.4 analytic
-checks, the platform comparison and the DESIGN.md section 5 ablations) is
-regenerated once at the ``full`` tier, printed in the paper's row format
-(``pytest -s``), compared bit for bit with the rows pinned on the parent of
-PR 18 (``tests/data/reproduction_rows.json``) and checked against every
-claim that holds on that tier.  ``repro-bfs figure --name ID --tier full``
+checks, the platform comparison, the DESIGN.md section 5 ablations and the
+codec, sieve, direction, fault and chaos extensions) is regenerated once at
+the ``full`` tier, printed in the paper's row format (``pytest -s``),
+compared bit for bit with its pinned rows
+(``tests/data/reproduction_rows.json``) and checked against every claim
+that holds on that tier.  ``repro-bfs figure --name ID --tier full``
 prints one entry; EXPERIMENTS.md records paper vs. measured.
 """
 

@@ -9,20 +9,8 @@ to match the paper's absolute seconds — see EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import pytest
-
 
 def emit(title: str, body: str) -> None:
     """Print a labelled report block (shown with pytest -s; captured otherwise)."""
     bar = "=" * max(20, len(title))
     print(f"\n{bar}\n{title}\n{bar}\n{body}\n")
-
-
-@pytest.fixture
-def once(benchmark):
-    """Run the measured callable exactly once (simulations are deterministic)."""
-
-    def runner(func, *args, **kwargs):
-        return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return runner

@@ -4,7 +4,7 @@ Each gate wraps one benchmark's CI smoke invocation (the exact commands
 the workflow used to spell inline, per job) behind a registered name, so
 the workflow reduces to a single matrixed job::
 
-    PYTHONPATH=src python benchmarks/run_gates.py --gate sieve
+    PYTHONPATH=src python benchmarks/run_gates.py --gate simulator
     python benchmarks/run_gates.py --all          # local pre-push sweep
     python benchmarks/run_gates.py --list
 
@@ -12,7 +12,7 @@ Gates run from the repo root with ``PYTHONPATH=src`` injected, so the
 runner works from any cwd and without ambient environment.  A gate
 passes when every one of its steps exits 0; the runner exits with the
 number of failed gates.  Report artifacts (``BENCH_*.json``, traces,
-chaos/server reports) land in the repo root where the workflow's upload
+service-chaos/server reports) land in the repo root where the workflow's upload
 step collects them.
 """
 
@@ -42,14 +42,14 @@ class Gate:
 
     name: str
     description: str
-    steps: list[tuple[list[str], dict[str, str]]]
+    steps: list[list[str]]
     #: report files the workflow uploads (informational; missing is fine)
     artifacts: list[str] = field(default_factory=list)
 
     def run(self) -> bool:
-        for cmd, extra_env in self.steps:
+        for cmd in self.steps:
             print(f"[{self.name}] $ {' '.join(cmd)}", flush=True)
-            proc = subprocess.run(cmd, cwd=REPO_ROOT, env=_env(extra_env))
+            proc = subprocess.run(cmd, cwd=REPO_ROOT, env=_env())
             if proc.returncode != 0:
                 print(f"[{self.name}] FAILED (exit {proc.returncode})")
                 return False
@@ -226,40 +226,25 @@ GATES: dict[str, Gate] = {
     gate.name: gate
     for gate in [
         Gate(
-            "compression",
-            "wire-codec benchmark smoke (tiny workloads)",
-            [(_py("-m", "pytest", "benchmarks/bench_compression.py", "-q"),
-              {"REPRO_BENCH_TINY": "1"})],
-        ),
-        Gate(
             "simulator",
             "simulator throughput smoke + regression gate",
-            [(_py("benchmarks/bench_simulator_throughput.py",
-                  "--tiny", "--check"), {})],
+            [_py("benchmarks/bench_simulator_throughput.py", "--tiny", "--check")],
             artifacts=["BENCH_simulator.json", "benchmarks/simulator_baseline.json"],
         ),
         Gate(
             "observability",
             "observability overhead smoke + Perfetto trace",
-            [(_py("benchmarks/bench_observability_overhead.py",
-                  "--tiny", "--check", "--tolerance", "0.35",
-                  "--trace-out", "perfetto-trace-tiny.json"), {})],
+            [_py("benchmarks/bench_observability_overhead.py",
+                 "--tiny", "--check", "--tolerance", "0.35",
+                 "--trace-out", "perfetto-trace-tiny.json")],
             artifacts=["BENCH_observability.json", "perfetto-trace-tiny.json"],
-        ),
-        Gate(
-            "chaos",
-            "seeded chaos sweep + exact fault-resilience baseline",
-            [(_py("src/repro/harness/chaos_sweep.py",
-                  "--tiny", "--seeds", "25", "--out", "chaos-report.json"), {}),
-             (_py("benchmarks/bench_fault_overhead.py", "--tiny", "--check"), {})],
-            artifacts=["chaos-report.json"],
         ),
         ServerGate(
             "server",
             "TCP server boot + probe, loadgen digests, batched-throughput gate",
-            [(_py("-m", "repro.server.loadgen",
-                  "--tiny", "--queries", "100", "--transport", "tcp"), {}),
-             (_py("-m", "repro.server.loadgen", "--tiny", "--check"), {})],
+            [_py("-m", "repro.server.loadgen",
+                 "--tiny", "--queries", "100", "--transport", "tcp"),
+             _py("-m", "repro.server.loadgen", "--tiny", "--check")],
             artifacts=["BENCH_server.json"],
             probe=_SERVER_PROBE,
         ),
@@ -272,20 +257,6 @@ GATES: dict[str, Gate] = {
             probe=_SERVICE_CHAOS_PROBE,
             probe_label="<chaos probe: 96 queries vs fault-free digests>",
             default_port=7493,
-        ),
-        Gate(
-            "hybrid",
-            "direction-optimizing regression gate",
-            [(_py("benchmarks/bench_hybrid_direction.py",
-                  "--tiny", "--check", "--output", "hybrid-report.json"), {})],
-            artifacts=["hybrid-report.json"],
-        ),
-        Gate(
-            "sieve",
-            "communication-sieve traffic gate (reference 25% bar)",
-            [(_py("benchmarks/bench_sieve.py",
-                  "--tiny", "--check", "--output", "sieve-report.json"), {})],
-            artifacts=["sieve-report.json"],
         ),
     ]
 }

@@ -23,8 +23,6 @@ import argparse
 import asyncio
 import sys
 
-import numpy as np
-
 from repro.analysis.crossover import crossover_degree
 from repro.api import bidirectional_bfs, distributed_bfs
 from repro.bfs.direction import DIRECTION_MODES, DirectionPolicy

@@ -26,7 +26,8 @@ Layout (split from the original single module):
   (serial-BFS oracle, parent tree, message conservation, clock
   monotonicity).  Imported on demand; not re-exported here.
 * :mod:`repro.faults.chaos` — randomized fault-schedule sampling and the
-  chaos sweep used by ``harness/chaos_sweep.py``.  Imported on demand.
+  chaos sweep behind the ``chaos`` entry of ``repro.harness.FIGURES``.
+  Imported on demand.
 
 Semantics on the wire (implemented in
 :meth:`repro.runtime.comm.Communicator.exchange`):

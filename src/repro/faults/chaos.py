@@ -13,8 +13,8 @@ structured :class:`~repro.faults.FaultReport` attached to the raised
 classifies every case as ``ok`` (recovered, validated), ``unrecoverable``
 (loud structured failure — an acceptable outcome), or ``invalid`` (wrong
 answer, broken conservation, or an unstructured crash — a bug).  The
-``harness/chaos_sweep.py`` script drives this from the command line and
-from CI.
+``chaos`` entry of :data:`repro.harness.FIGURES` sweeps it (``repro-bfs
+figure --name chaos --tier full``) and pins every case's outcome.
 
 Like :mod:`repro.faults.validate`, this module imports the BFS layer and
 is therefore *not* re-exported from :mod:`repro.faults`.

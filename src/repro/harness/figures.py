@@ -1,6 +1,7 @@
 """``FIGURES``: the paper's evaluation as one table.
 
-One entry per figure / table / ablation: the paper reference, a status
+One entry per figure / table / ablation / extension (the wire codecs, the
+sieve, direction switching, faults and chaos): the reference, a status
 (*executed* at the design point the claim is about, the paper's experiment
 *scaled-down* to virtual-rank size, or the paper's closed forms at paper
 scale, *analytic-only*), its design points at two tiers — ``quick`` (seconds;
@@ -19,7 +20,7 @@ shapes are comparable and absolute seconds are not (EXPERIMENTS.md).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +34,10 @@ from repro.analysis.memory import (
 from repro.analysis.model import MessageLengthModel, expected_fold_length_1d
 from repro.analysis.scaling import log_fit, speedup_curve, sqrt_fit
 from repro.bfs.options import BfsOptions
+from repro.bfs.result import BfsResult
 from repro.bfs.serial import serial_bfs
+from repro.faults import FAULT_PRESETS, FaultReport, FaultSpec
+from repro.faults.chaos import run_chaos
 from repro.graph.csr import CsrGraph
 from repro.graph.distributed_gen import DistributedGraphBuilder
 from repro.graph.generators import build_graph
@@ -477,9 +481,10 @@ _NODE_MB = BLUEGENE_L_NODE_MEMORY / 2**20
 # ---------------------------------------------------------------------- #
 # Ablations and substrate checks: one graph, one axis varied, source 0
 # ---------------------------------------------------------------------- #
-def _variants(pt: dict, variants: list[tuple[str, dict]]) -> Rows:
+def _variants(pt: dict, variants: list[tuple[str, dict]], counters: bool = False) -> Rows:
     """One row per ``(name, Run overrides)``; ``same_levels`` compares each
-    variant's level array with the first one's."""
+    variant's level array with the first one's, and ``counters`` adds
+    :func:`_counters`' columns."""
     spec, grid = pt["graph"], GridShape(*pt["grid"])
     graph = build_graph(spec)
     rows, reference = [], None
@@ -492,7 +497,7 @@ def _variants(pt: dict, variants: list[tuple[str, dict]]) -> Rows:
             "wire_vertices": result.stats.total_processed,
             "fold_volume": int(result.stats.volume_per_level("fold").sum()),
             "same_levels": bool(np.array_equal(result.levels, reference)),
-        })
+        } | (_counters(result) if counters else {}))
     return rows
 
 
@@ -628,6 +633,248 @@ _CACHE_POINTS = (
     # dense enough to rediscover a lot
     (GraphSpec(n=1_800, k=40, seed=9), (3, 3)), (GraphSpec(n=7_200, k=40, seed=9), (6, 6)),
 )
+
+
+# ---------------------------------------------------------------------- #
+# Extensions beyond the paper: wire codecs and the sieve (arXiv:1208.5542),
+# direction switching (arXiv:1705.04590), faults and chaos (DESIGN §7)
+# ---------------------------------------------------------------------- #
+#: every wire codec, the identity first
+WIRES = ("raw", "delta-varint", "bitmap", "adaptive")
+DIRECTIONS = ("top-down", "hybrid", "bottom-up")
+#: the chaos counters every case reports, recovered or not
+_CHAOS_COUNTERS = (
+    "injected", "crashes", "failovers", "replayed_levels", "rollbacks", "checkpoint_bytes",
+)
+
+
+def _counters(result: BfsResult) -> dict[str, object]:
+    """Whole-run counters of one search: levels, bytes by phase, the sieve, faults."""
+    stats, faults = result.stats, result.faults or FaultReport()
+    return {
+        "levels": result.num_levels, "raw_bytes": stats.total_bytes,
+        "fold_bytes": stats.encoded_bytes_by_phase.get("fold", 0),
+        "summary_bytes": stats.encoded_bytes_by_phase.get("sieve", 0),
+        "sieved": stats.total_sieved, "injected": faults.injected, "retries": faults.retries,
+        "rollbacks": faults.rollbacks, "spare_failovers": faults.spare_failovers,
+        "shrink_failovers": faults.shrink_failovers,
+    }
+
+
+def _compression(pt: dict, seed: int) -> Rows:
+    """Every codec per average degree: density drives the frontier through
+    gamma saturation (Section 3.1), which is what the bitmap prices."""
+    return [
+        row for k in pt["k"]
+        for row in _variants(
+            {"graph": GraphSpec(n=pt["n"], k=k, seed=pt["seed"]), "grid": pt["grid"]},
+            [(wire, {"system": SystemSpec(wire=wire)}) for wire in WIRES], counters=True,
+        )
+    ]
+
+
+def _sieve(pt: dict, seed: int) -> Rows:
+    """Every codec with the sieve off, then on, per workload."""
+    return [
+        row | {"workload": name}
+        for name, n, k, grid in pt["workloads"]
+        for row in _variants(
+            {"graph": GraphSpec(n=n, k=k, seed=pt["seed"]), "grid": grid},
+            [(f"{wire} {'on' if on else 'off'}", {"system": SystemSpec(wire=wire, sieve=on)})
+             for wire in WIRES for on in (False, True)],
+            counters=True,
+        )
+    ]
+
+
+def _direction(pt: dict, seed: int) -> Rows:
+    """Three directions per graph and layout; ``same_levels`` is against top-down."""
+    (n, k), (scale, edge_factor) = pt["poisson"], pt["rmat"]
+    specs = (GraphSpec(n=n, k=k, seed=pt["seed"]),
+             GraphSpec.rmat(scale, edge_factor=edge_factor, seed=pt["seed"]))
+    return [
+        row | {"graph": f"{spec.kind}-{layout}"}
+        for spec in specs for layout, grid in pt["layouts"].items()
+        for row in _variants(
+            {"graph": spec, "grid": grid},
+            [(d, {"opts": BfsOptions(direction=d), "system": SystemSpec(layout=layout)})
+             for d in DIRECTIONS],
+            counters=True,
+        )
+    ]
+
+
+def _faults(pt: dict, seed: int) -> Rows:
+    """The fault-free search, then one row per fault schedule with its
+    overhead over the fault-free time."""
+    specs = [("fault-free", None)]
+    specs += [(f"drop={rate}", FaultSpec(seed=11, drop_rate=rate, max_retries=4))
+              for rate in pt["drops"]]
+    specs += [(name, replace(FAULT_PRESETS[name], seed=0)) for name in pt["crashes"]]
+    specs += [(f"straggler x{slow}",
+               FaultSpec(seed=5, straggler_rate=0.25, straggler_slowdown=slow))
+              for slow in pt["stragglers"]]
+    rows = _variants(pt, [(name, {"system": SystemSpec(faults=spec)}) for name, spec in specs],
+                     counters=True)
+    base = rows[0]["mean_time_s"]
+    return [
+        row | {"drop_rate": spec.drop_rate if spec else 0.0,
+               "crash_rate": spec.crash_rate if spec else 0.0,
+               "overhead": (row["mean_time_s"] - base) / base}
+        for row, (_name, spec) in zip(rows, specs)
+    ]
+
+
+def _chaos(pt: dict, seed: int) -> Rows:
+    """One row per sampled schedule (:func:`~repro.faults.chaos.run_chaos`)."""
+    spec, grid = pt["graph"], GridShape(*pt["grid"])
+    report = run_chaos(build_graph(spec), grid, 0, range(pt["seeds"]))
+    return [
+        {"n": spec.n, "k": spec.k, "seed": spec.seed, "p": grid.size, "searches": 1,
+         "schedule": case.seed, "outcome": case.outcome, "problems": len(case.problems)}
+        | {key: getattr(case, key) for key in _CHAOS_COUNTERS}
+        for case in report.cases
+    ]
+
+
+def _cells(rows: Rows, *keys: str) -> dict[tuple, dict]:
+    return {tuple(row[key] for key in keys): row for row in rows}
+
+
+def _raw_identity(rows: Rows) -> tuple[bool, str]:
+    raw = [r for r in rows if r["name"] == "raw"]
+    return (all(r["wire_bytes"] == r["raw_bytes"] and r["compression"] == 1.0 for r in raw),
+            f"{len(raw)} raw runs ship exactly their payload bytes")
+
+
+def _codecs_compress(rows: Rows) -> tuple[bool, str]:
+    raw = {r["k"]: r["wire_bytes"] for r in rows if r["name"] == "raw"}
+    cut = min(raw[r["k"]] / r["wire_bytes"] for r in rows if r["name"] != "raw")
+    return cut > 1, f"smallest cut x{cut:.1f}"
+
+
+def _adaptive_tracks_best(rows: Rows) -> tuple[bool, str]:
+    cell = _cells(rows, "k", "name")
+    slack = max(
+        cell[k, "adaptive"]["wire_bytes"] - cell[k, "adaptive"]["messages"]
+        - min(cell[k, "delta-varint"]["wire_bytes"], cell[k, "bitmap"]["wire_bytes"])
+        for k in dict.fromkeys(r["k"] for r in rows)
+    )
+    return slack <= 0, f"worst adaptive - best fixed - one tag byte a message: {slack:.0f} B"
+
+
+def _bitmap_margin_grows(rows: Rows) -> tuple[bool, str]:
+    cell = _cells(rows, "k", "name")
+    lo, hi = rows[0]["k"], rows[-1]["k"]
+    margin = {k: cell[k, "delta-varint"]["wire_bytes"] / cell[k, "bitmap"]["wire_bytes"]
+              for k in (lo, hi)}
+    return (margin[hi] > margin[lo] > 1.0,
+            f"varint/bitmap x{margin[lo]:.2f} at k={lo:g}, x{margin[hi]:.2f} at k={hi:g}")
+
+
+def _ratio_grows(rows: Rows) -> tuple[bool, str]:
+    ratio = _col([r for r in rows if r["name"] == "adaptive"], "compression")
+    return ratio[-1] > ratio[0], f"adaptive x{ratio[0]:.1f} -> x{ratio[-1]:.1f}"
+
+
+def _fold_cut(rows: Rows, wire: str) -> float:
+    cell = _cells(rows, "workload", "name")
+    off, on = (cell["reference", f"{wire} {state}"]["fold_bytes"] for state in ("off", "on"))
+    return (off - on) / max(1, off)
+
+
+def _sieve_cuts_fold(rows: Rows) -> tuple[bool, str]:
+    cuts = {wire: _fold_cut(rows, wire) for wire in ("raw", "delta-varint", "adaptive")}
+    return (min(cuts.values()) >= 0.25,
+            ", ".join(f"{wire} -{cut:.1%}" for wire, cut in cuts.items()))
+
+
+def _sieve_cuts_bitmap(rows: Rows) -> tuple[bool, str]:
+    cut = _fold_cut(rows, "bitmap")
+    return cut > 0, f"bitmap -{cut:.1%}"
+
+
+def _sieve_fired(rows: Rows) -> tuple[bool, str]:
+    sieved = [r["sieved"] for r in rows if r["sieve"]]
+    return min(sieved) > 0, f"fewest sieved vertices in a run: {min(sieved)}"
+
+
+def _sieve_harmless(rows: Rows) -> tuple[bool, str]:
+    workloads = {r["workload"] for r in rows}
+    depths = {(r["workload"], r["levels"]) for r in rows}
+    return (all(r["same_levels"] for r in rows) and len(depths) == len(workloads),
+            f"{len(rows)} runs, one level array and level count per workload")
+
+
+def _edge_cut(rows: Rows, graph: str) -> float:
+    """Top-down over hybrid traversed edges on ``graph`` (kind-layout)."""
+    edges = {r["name"]: r["edges_scanned"] for r in rows if r["graph"] == graph}
+    return edges["top-down"] / max(1, edges["hybrid"])
+
+
+def _rmat_cut(rows: Rows) -> tuple[bool, str]:
+    cuts = {graph: _edge_cut(rows, graph) for graph in ("rmat-1d", "rmat-2d")}
+    return (min(cuts.values()) >= 2.0,
+            ", ".join(f"{graph} x{cut:.1f}" for graph, cut in cuts.items()))
+
+
+def _poisson_bounded(rows: Rows) -> tuple[bool, str]:
+    cut = _edge_cut(rows, "poisson-2d")
+    return cut > 0.5, f"top-down/hybrid edges x{cut:.2f}"
+
+
+def _rmat_switched(rows: Rows) -> tuple[bool, str]:
+    hybrid = [r["bottom_up_levels"] for r in rows if (r["kind"], r["name"]) == ("rmat", "hybrid")]
+    return min(hybrid) > 0, f"bottom-up levels {hybrid}"
+
+
+def _prefixed(rows: Rows, prefix: str) -> Rows:
+    return [r for r in rows if r["name"].startswith(prefix)]
+
+
+def _empty_schedule_free(rows: Rows) -> tuple[bool, str]:
+    zero = {r["name"]: r for r in rows}["drop=0.0"]
+    return (zero["overhead"] == 0.0 and zero["injected"] == 0,
+            f"overhead {zero['overhead']:.0%}, {zero['injected']} injected")
+
+
+def _faults_recover(rows: Rows) -> tuple[bool, str]:
+    costly = [r for r in rows if r["name"] not in ("fault-free", "drop=0.0")]
+    cheapest = min(_col(costly, "overhead"))
+    return (all(r["same_levels"] for r in rows) and cheapest > 0,
+            f"{len(costly)} faulted runs keep the levels, cheapest +{cheapest:.2%}")
+
+
+def _drops_graceful(rows: Rows) -> tuple[bool, str]:
+    drops = _col(_prefixed(rows, "drop="), "overhead")
+    return (drops[-1] == drops.max() and drops[-1] < 2.0,
+            f"harshest drop rate +{drops[-1]:.1%}")
+
+
+def _stragglers_ordered(rows: Rows) -> tuple[bool, str]:
+    mild, harsh = _col(_prefixed(rows, "straggler"), "overhead")
+    return harsh > mild > 0, f"+{mild:.1%} mild, +{harsh:.1%} harsh"
+
+
+def _crashes_recovered(rows: Rows) -> tuple[bool, str]:
+    crashes = _prefixed(rows, "crash-")
+    return (all(r["crashes"] > 0 and r["failovers"] == r["crashes"] and r["replayed_levels"] > 0
+                and r["checkpoint_bytes"] > 0 for r in crashes),
+            ", ".join(f"{r['name']}: {r['crashes']} crashes, {r['replayed_levels']} replays"
+                      for r in crashes))
+
+
+def _crashes_graceful(rows: Rows) -> tuple[bool, str]:
+    crashes = _prefixed(rows, "crash-")
+    cost = _named(crashes, "overhead")
+    return (cost["crash-harsh"] == max(cost.values()) and max(cost.values()) < 8.0,
+            f"crash-harsh +{cost['crash-harsh']:.0%}")
+
+
+def _no_invalid(rows: Rows) -> tuple[bool, str]:
+    outcomes = list(_col(rows, "outcome"))
+    return ("invalid" not in outcomes,
+            ", ".join(f"{outcomes.count(o)} {o}" for o in ("ok", "unrecoverable", "invalid")))
 
 
 # ---------------------------------------------------------------------- #
@@ -884,5 +1131,119 @@ FIGURES: dict[str, Figure] = {fig.id: fig for fig in (
                              and rows[0]["entries_max"] < 1.2 * rows[0]["entries_mean"],
                              f"{rows[0]['cells_max']} cells; max/mean entries "
                              f"{rows[0]['entries_max'] / rows[0]['entries_mean']:.2f}"))),
+    ),
+    Figure(
+        "compression", "arXiv:1208.5542", "wire codecs vs average degree: bytes on the wire",
+        "executed",
+        {"quick": dict(n=1_000, k=[4.0, 16.0], grid=(4, 4), seed=7),
+         "full": dict(n=20_000, k=[4.0, 8.0, 32.0, 64.0], grid=(4, 4), seed=7)},
+        _compression,
+        (("k", "k", "g"), ("codec", "name", ""), ("messages", "messages", ""),
+         ("raw bytes", "raw_bytes", ""), ("wire bytes", "wire_bytes", ".0f"),
+         ("ratio", "compression", ".3f"), ("time(s)", "mean_time_s", ".6f"),
+         ("same levels", "same_levels", "")),
+        (Claim("compression.raw-identity", "the raw codec ships exactly the payload bytes",
+               _raw_identity, ("quick", "full")),
+         Claim("compression.compresses", "every compressing codec ships fewer bytes than raw",
+               _codecs_compress, ("quick", "full")),
+         Claim("compression.adaptive", "adaptive ties the best fixed codec up to a tag byte",
+               _adaptive_tracks_best, ("quick", "full")),
+         Claim("compression.same-levels", "every codec returns the raw run's levels",
+               _same_levels, ("quick", "full")),
+         Claim("compression.bitmap-margin",
+               "the bitmap's margin over delta-varint grows with the degree",
+               _bitmap_margin_grows),
+         Claim("compression.ratio-grows", "compression improves as the frontier densifies",
+               _ratio_grows)),
+    ),
+    Figure(
+        "sieve", "arXiv:1208.5542", "cross-level sieve: fold bytes off and on, every codec",
+        "executed",
+        {"quick": dict(seed=7, workloads=[("smoke", 2_000, 8.0, (4, 4)),
+                                          ("reference", 20_000, 8.0, (8, 8))]),
+         "full": dict(seed=7, workloads=[("sparse", 20_000, 4.0, (8, 8)),
+                                         ("reference", 20_000, 8.0, (8, 8)),
+                                         ("dense", 20_000, 16.0, (8, 8))])},
+        _sieve,
+        (("workload", "workload", ""), ("codec / sieve", "name", ""),
+         ("fold bytes", "fold_bytes", ""), ("summary bytes", "summary_bytes", ""),
+         ("sieved", "sieved", ""), ("levels", "levels", ""), ("time(s)", "mean_time_s", ".6f"),
+         ("same levels", "same_levels", "")),
+        (Claim("sieve.harmless", "sieved runs keep the levels and the level schedule",
+               _sieve_harmless, ("quick", "full")),
+         Claim("sieve.fired", "the sieve drops candidates in every sieved run", _sieve_fired,
+               ("quick", "full")),
+         Claim("sieve.cuts-fold",
+               "at the reference point the sieve cuts fold bytes >= 25 % on raw, "
+               "delta-varint and adaptive", _sieve_cuts_fold, ("quick", "full")),
+         Claim("sieve.cuts-bitmap", "the span-priced bitmap's fold bytes still fall",
+               _sieve_cuts_bitmap, ("quick", "full"))),
+    ),
+    Figure(
+        "direction", "arXiv:1705.04590", "top-down, hybrid and bottom-up: traversed edges",
+        "executed",
+        {"quick": dict(seed=3, poisson=(2_000, 8.0), rmat=(10, 8),
+                       layouts={"1d": (4, 1), "2d": (2, 2)}),
+         "full": dict(seed=3, poisson=(8_000, 10.0), rmat=(12, 16),
+                      layouts={"1d": (4, 1), "2d": (4, 4)})},
+        _direction,
+        (("graph", "graph", ""), ("direction", "name", ""),
+         ("edges scanned", "edges_scanned", ".0f"), ("time(s)", "mean_time_s", ".6f"),
+         ("levels", "levels", ""), ("bottom-up levels", "bottom_up_levels", ""),
+         ("same levels", "same_levels", "")),
+        (Claim("direction.same-levels", "every direction returns the top-down levels",
+               _same_levels, ("quick", "full")),
+         Claim("direction.rmat-cut",
+               "on R-MAT the hybrid scans >= 2x fewer edges than top-down, 1D and 2D",
+               _rmat_cut, ("quick", "full")),
+         Claim("direction.poisson-bounded",
+               "on the Poisson graph the hybrid never scans 2x more than top-down (2D)",
+               _poisson_bounded, ("quick", "full")),
+         Claim("direction.rmat-switched", "the hybrid switches to bottom-up on R-MAT",
+               _rmat_switched, ("quick", "full"))),
+    ),
+    Figure(
+        "faults", "DESIGN §7", "fault overhead: message drops, rank crashes, stragglers",
+        "executed",
+        {tier: dict(graph=graph, grid=(4, 4), drops=[0.0, 0.01, 0.02, 0.05, 0.1],
+                    crashes=["crash-spare", "crash-shrink", "crash-harsh"],
+                    stragglers=[1.5, 3.0])
+         for tier, graph in (("quick", GraphSpec(n=2_000, k=8.0, seed=3)),
+                             ("full", GraphSpec(n=8_000, k=10, seed=3)))},
+        _faults,
+        (("schedule", "name", ""), ("drop", "drop_rate", "g"), ("crash", "crash_rate", "g"),
+         ("time(s)", "mean_time_s", ".6f"), ("overhead", "overhead", ".2%"),
+         ("injected", "injected", ""), ("retries", "retries", ""),
+         ("rollbacks", "rollbacks", ""), ("crashes", "crashes", ""),
+         ("spare failovers", "spare_failovers", ""),
+         ("shrink failovers", "shrink_failovers", ""), ("replays", "replayed_levels", ""),
+         ("checkpoint bytes", "checkpoint_bytes", ""),
+         ("same levels", "same_levels", "")),
+        (Claim("faults.empty-is-free", "a zero-rate schedule costs exactly nothing",
+               _empty_schedule_free),
+         Claim("faults.recover", "every faulted run keeps the levels and costs time",
+               _faults_recover, ("quick", "full")),
+         Claim("faults.drops-graceful", "the harshest drop rate costs most, under 2x",
+               _drops_graceful),
+         Claim("faults.stragglers", "slower stragglers stretch the level barrier further",
+               _stragglers_ordered),
+         Claim("faults.crashes-recovered",
+               "every crash fails over, replays its levels and was checkpointed",
+               _crashes_recovered),
+         Claim("faults.crashes-graceful", "the combined crash preset costs most, under 8x",
+               _crashes_graceful)),
+    ),
+    Figure(
+        "chaos", "DESIGN §7", "seeded random fault schedules: recover exactly or fail loudly",
+        "executed",
+        {"quick": dict(graph=GraphSpec(n=120, k=6.0, seed=11), grid=(2, 2), seeds=25),
+         "full": dict(graph=GraphSpec(n=400, k=8.0, seed=11), grid=(4, 4), seeds=100)},
+        _chaos,
+        (("schedule", "schedule", ""), ("outcome", "outcome", ""), ("problems", "problems", ""),
+         ("injected", "injected", ""), ("crashes", "crashes", ""),
+         ("failovers", "failovers", ""), ("replays", "replayed_levels", ""),
+         ("rollbacks", "rollbacks", ""), ("checkpoint bytes", "checkpoint_bytes", "")),
+        (Claim("chaos.no-invalid", "no schedule returns wrong levels or fails without a report",
+               _no_invalid, ("quick", "full")),),
     ),
 )}

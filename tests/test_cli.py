@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -156,5 +155,5 @@ class TestScorecard:
     def test_all_claims_pass(self, capsys):
         assert main(["scorecard"]) == 0
         out = capsys.readouterr().out
-        assert "9/9 claims reproduced" in out
+        assert "23/23 claims reproduced" in out
         assert "FAIL" not in out

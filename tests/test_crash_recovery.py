@@ -360,14 +360,18 @@ class TestObservabilityParity:
         assert row["checkpoint_bytes"] > 0
         assert row["faults"] == "custom"
 
-    def test_fault_sweep_table_has_crash_columns(self, small_graph):
-        from repro.harness.fault_sweep import fault_sweep, format_fault_sweep
+    def test_fault_sweep_table_has_crash_columns(self):
+        from repro.harness.figures import FIGURES
+        from repro.harness.views import render
 
-        points = fault_sweep(small_graph, (2, 2), 0, [_SPARE])
-        table = format_fault_sweep(points)
-        for column in ("crash", "crashes", "failovers", "replays"):
-            assert column in table
-        assert "NO" not in table  # levels matched
+        fig = FIGURES["faults"]
+        rows = fig.rows("quick")
+        header = render(fig, rows, "quick").splitlines()[1]
+        for column in ("crash", "crashes", "spare failovers", "shrink failovers", "replays",
+                       "checkpoint bytes", "same levels"):
+            assert column in header
+        assert sum(row["crashes"] > 0 for row in rows) == 3  # the three crash presets
+        assert all(row["same_levels"] for row in rows)  # levels matched
 
 
 class TestValidation:
@@ -406,6 +410,15 @@ class TestChaosHarness:
         assert counts["invalid"] == 0
         assert report.ok
         assert counts["ok"] >= 50  # most schedules must actually recover
+
+    def test_batched_schedules_verify(self):
+        # The serving path's invariant: one MS-BFS per schedule, every
+        # per-source row equal to its fault-free sequential baseline.
+        graph = poisson_random_graph(GraphSpec(n=120, k=6.0, seed=11))
+        report = run_chaos(graph, (2, 2), 0, range(5), batch_sources=[0, 30, 60, 90])
+        assert report.ok
+        assert report.counts["invalid"] == 0
+        assert report.counts["ok"] > 0
 
     def test_chaos_report_round_trips(self):
         graph = poisson_random_graph(GraphSpec(n=120, k=6.0, seed=11))

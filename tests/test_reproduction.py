@@ -33,13 +33,24 @@ class TestTable:
         claims = [claim for fig in FIGURES.values() for claim in fig.claims]
         assert len({claim.id for claim in claims}) == len(claims)
         assert all(set(claim.tiers) <= {"quick", "full"} and claim.tiers for claim in claims)
-        # the scorecard is the nine quick claims; every figure is asserted at full
-        assert sum("quick" in claim.tiers for claim in claims) == 9
+        # the scorecard is the 23 quick claims (nine on the paper's figures and
+        # analytic checks, 14 on the codec, sieve, direction, fault and chaos
+        # entries); every figure is asserted at full
+        assert sum("quick" in claim.tiers for claim in claims) == 23
         assert all(any("full" in c.tiers for c in fig.claims) for fig in FIGURES.values())
+
+    def test_results_dir_is_the_quick_tier_of_every_entry(self):
+        """``results/`` is ``repro-bfs reproduce --out results/``: three files per id,
+        and nothing no entry regenerates."""
+        results = Path(__file__).resolve().parent.parent / "results"
+        assert {path.name for path in results.iterdir()} == {
+            f"{name}{suffix}" for name in FIGURES for suffix in (".txt", ".csv", ".vl.json")
+        }
 
     @pytest.mark.parametrize("name", list(FIGURES))
     def test_quick_rows_match_parent(self, name, quick_rows):
-        """Bit for bit the rows the deleted builders produced on PR 18's parent."""
+        """Bit for bit the pinned rows: what the figure functions and scripts each entry
+        replaced produced before they were deleted."""
         pinned = PINNED[f"{name}/quick"]
         assert views.pin_rows(quick_rows[name], pinned) == pinned
 

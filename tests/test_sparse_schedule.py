@@ -28,8 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import bidirectional_bfs, build_engine, distributed_bfs
-from repro.bfs.level_sync import run_bfs
+from repro.api import bidirectional_bfs, distributed_bfs
 from repro.bfs.options import BfsOptions
 from repro.faults import FaultSpec
 from repro.graph.generators import build_graph
