@@ -16,7 +16,7 @@ the hub never deadlocks):
         ("xchg", {dst: buffer})  x fold rounds     # 1 direct / C-1 union-ring
         ("sum", (count, failed))  # termination allreduce + fault flag
     until the global sum is 0, then:
-        ("done", (owned_levels, drop_counters))
+        ("done", (owned_levels, fault_report, sieved))
 
 Supported collectives: ``expand_collective`` in {"direct", "ring"} and
 ``fold_collective`` in {"direct", "union-ring"} — the direct patterns and
@@ -25,25 +25,27 @@ every rank (R-1 / C-1), keeping the lockstep protocol trivially
 deadlock-free.
 
 Fault injection (``faults=``) mirrors the simulator's transient-drop
-semantics chunk for chunk.  Each worker owns a
-:class:`~repro.faults.crash.KeyedDropStream` seeded like the simulator's
-schedule; because draws are keyed by ``(src, dst, transmission-index)``,
-the per-link decision sequences agree across backends regardless of
-execution order.  Loss semantics follow the simulated collectives
-exactly: *direct* expand/fold chunks are inbox-driven there, so an
-unrecovered drop withholds the payload; *ring* and *union-ring* chunks
-only account the drop (the simulated schedules compute their data flow
-locally), so the payload is delivered anyway.  Either way the level is
-flagged, every worker rolls back to its level-entry snapshot, and the
-level replays with fresh draws — the hub counts the rollback and raises
-:class:`~repro.errors.FaultError` after ``max_level_retries`` failures
-of one level.  The level-entry snapshot covers every piece of mutable
-traversal state, including the sent-cache and the communication-sieve
-shadow, so the sieve composes with fault schedules exactly as in the
-simulated engines (the sieved tally accumulates across replayed
-attempts, mirroring ``CommStats.abort_level``).  Rank crashes
-(``crash_rate > 0``) are rejected: crash recovery needs the simulator's
-global clock and spare-rank model.
+semantics chunk for chunk.  Each worker asks its own
+:class:`~repro.faults.FaultSchedule` over the plan the parent sampled,
+with the destination rank as the pair id (every pair a worker sends on
+starts at its own rank); because draws are keyed by ``(src, dst,
+transmission-index)``, the per-link decision sequences agree across
+backends regardless of execution order.  Loss semantics follow the
+simulated collectives exactly: *direct* expand/fold chunks are
+inbox-driven there, so an unrecovered drop withholds the payload; *ring*
+and *union-ring* chunks only account the drop (the simulated schedules
+compute their data flow locally), so the payload is delivered anyway.
+Either way the level is flagged, every worker rolls back to its
+level-entry snapshot, and the level replays with fresh draws — the hub
+counts the rollback and raises :class:`~repro.errors.FaultError` after
+``max_level_retries`` failures of one level.  The level-entry snapshot
+covers every piece of mutable traversal state, including the sent-cache
+and the communication-sieve shadow, so the sieve composes with fault
+schedules exactly as in the simulated engines (the sieved tally
+accumulates across replayed attempts, mirroring
+``CommStats.abort_level``).  Rank crashes (``crash_rate > 0``) are
+rejected: crash recovery needs the simulator's global clock and
+spare-rank model.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ from repro.bfs.direction import BOTTOM_UP, TOP_DOWN, DirectionPolicy
 from repro.bfs.options import BfsOptions
 from repro.bfs.sent_cache import SentCache
 from repro.errors import CommunicationError, FaultError, SearchError
-from repro.faults import FaultReport, FaultSchedule, FaultSpec
-from repro.faults.crash import KeyedDropStream
+from repro.faults import FaultPlan, FaultReport, FaultSchedule, FaultSpec
 from repro.graph.csr import CsrGraph
 from repro.partition.two_d import TwoDPartition
 from repro.types import LEVEL_DTYPE, UNREACHED, VERTEX_DTYPE, GridShape
@@ -129,14 +130,15 @@ def spmd_bfs(
     codec = resolve_wire(wire)
     partition = TwoDPartition(graph, grid)
     nranks = grid.size
+    plan = FaultPlan.sample(faults, nranks) if faults is not None else None
 
     if nranks == 1:
         levels = _single_rank_bfs(partition, source)
         out: tuple = (levels,)
         if return_report:
             report = (
-                FaultSchedule(faults, 1).snapshot_report(0.0)
-                if faults is not None
+                FaultSchedule(faults, 1, plan).snapshot_report(0.0)
+                if plan is not None
                 else None
             )
             out = out + (report,)
@@ -150,7 +152,7 @@ def spmd_bfs(
     workers = [
         ctx.Process(
             target=_worker_main,
-            args=(rank, partition, source, opts, codec, faults, pipes[rank][1]),
+            args=(rank, partition, source, opts, codec, plan, pipes[rank][1]),
             daemon=True,
         )
         for rank in range(nranks)
@@ -159,9 +161,7 @@ def spmd_bfs(
         w.start()
     hub_ends = [p[0] for p in pipes]
     try:
-        levels, report, sieved = _run_hub(
-            hub_ends, workers, partition, timeout, faults
-        )
+        levels, report, sieved = _run_hub(hub_ends, workers, partition, timeout, plan)
         out: tuple = (levels,)
         if return_report:
             out = out + (report,)
@@ -186,21 +186,21 @@ def _run_hub(
     workers,
     partition: TwoDPartition,
     timeout: float,
-    spec: FaultSpec | None = None,
+    plan: FaultPlan | None = None,
 ) -> tuple[np.ndarray, FaultReport | None, int]:
     import time
 
     deadline = time.monotonic() + timeout
     nranks = len(conns)
     done_levels: dict[int, np.ndarray] = {}
-    done_counters: dict[int, tuple[int, int, int, int] | None] = {}
+    done_reports: dict[int, FaultReport | None] = {}
     total_sieved = 0
     # the hub plays the engine's role in the fault lifecycle: it counts
     # level rollbacks and enforces the per-level replay budget
     rollbacks = 0
     level = 0
     level_attempts = 0
-    max_level_retries = spec.max_level_retries if spec is not None else 0
+    max_level_retries = plan.spec.max_level_retries if plan is not None else 0
     while len(done_levels) < nranks:
         batch = [_recv(conns[r], workers[r], deadline, r) for r in range(nranks)]
         kinds = {kind for kind, _ in batch}
@@ -219,12 +219,10 @@ def _run_hub(
             if failed:
                 rollbacks += 1
                 level_attempts += 1
-                if spec is not None and level_attempts > max_level_retries:
-                    report = None
-                    if spec is not None:
-                        schedule = FaultSchedule(spec, nranks)
-                        schedule.report.rollbacks = rollbacks
-                        report = schedule.snapshot_report(0.0)
+                if plan is not None and level_attempts > max_level_retries:
+                    schedule = FaultSchedule(plan.spec, nranks, plan)
+                    schedule.report.rollbacks = rollbacks
+                    report = schedule.snapshot_report(0.0)
                     raise FaultError(
                         f"level {level} still failing after {max_level_retries} "
                         "replays; raise max_retries or max_level_retries",
@@ -236,9 +234,9 @@ def _run_hub(
             for rank in range(nranks):
                 conns[rank].send((total, int(failed)))
         elif kinds == {"done"}:
-            for rank, (_kind, (levels, counters, sieved)) in enumerate(batch):
+            for rank, (_kind, (levels, worker_report, sieved)) in enumerate(batch):
                 done_levels[rank] = levels
-                done_counters[rank] = counters
+                done_reports[rank] = worker_report
                 total_sieved += int(sieved)
         else:
             raise CommunicationError(f"workers desynchronised: saw kinds {sorted(kinds)}")
@@ -248,20 +246,19 @@ def _run_hub(
         global_levels[partition.owned_lo[rank] : partition.owned_hi[rank]] = done_levels[rank]
 
     report: FaultReport | None = None
-    if spec is not None:
-        # reconstruct the construction-sampled fields (degraded links,
-        # stragglers, the down link) exactly as the simulator does, then
-        # fold in the drop counters the workers tallied on the wire
-        schedule = FaultSchedule(spec, nranks)
+    if plan is not None:
+        # the construction-sampled fields (degraded links, stragglers, the
+        # down link) come from the plan, as in the simulator; then fold in
+        # the drop counters the workers tallied on the wire
+        schedule = FaultSchedule(plan.spec, nranks, plan)
         merged = schedule.report
-        for counters in done_counters.values():
-            if counters is None:
+        for worker in done_reports.values():
+            if worker is None:
                 continue
-            injected, retries, recovered, unrecovered = counters
-            merged.injected += injected
-            merged.retries += retries
-            merged.recovered += recovered
-            merged.unrecovered += unrecovered
+            merged.injected += worker.injected
+            merged.retries += worker.retries
+            merged.recovered += worker.recovered
+            merged.unrecovered += worker.unrecovered
         merged.rollbacks = rollbacks
         report = schedule.snapshot_report(0.0)
     return global_levels, report, total_sieved
@@ -281,51 +278,13 @@ def _recv(conn, worker, deadline: float, rank: int):
 # ---------------------------------------------------------------------- #
 # worker (one process per rank)
 # ---------------------------------------------------------------------- #
-class _WorkerFaults:
-    """Worker-side mirror of the schedule's transient-drop accounting.
-
-    Holds the same :class:`KeyedDropStream` the simulator's
-    :class:`FaultSchedule` would, plus the report counters this worker
-    contributes.  ``failed`` latches when a chunk exhausts its retries;
-    the flag rides the next ``("sum", ...)`` message so every worker
-    learns about the loss at the level's termination allreduce.
-    """
-
-    __slots__ = ("stream", "injected", "retries", "recovered", "unrecovered", "failed")
-
-    def __init__(self, spec: FaultSpec) -> None:
-        self.stream = KeyedDropStream(spec.seed, spec.drop_rate, spec.max_retries)
-        self.injected = 0
-        self.retries = 0
-        self.recovered = 0
-        self.unrecovered = 0
-        self.failed = False
-
-    def plan_send(self, src: int, dst: int) -> bool:
-        """Decide one chunk's fate; tallies mirror FaultSchedule.plan_round."""
-        transmissions, delivered = self.stream.plan(src, dst)
-        drops = transmissions - 1 if delivered else transmissions
-        if drops:
-            self.injected += drops
-            self.retries += transmissions - 1
-            if delivered:
-                self.recovered += 1
-            else:
-                self.unrecovered += 1
-                self.failed = True
-        return delivered
-
-    def counters(self) -> tuple[int, int, int, int]:
-        return (self.injected, self.retries, self.recovered, self.unrecovered)
-
-
 def _worker_main(
     rank: int,
     partition: TwoDPartition,
     source: int,
     opts: BfsOptions,
     codec: WireCodec,
-    spec: FaultSpec | None,
+    plan: FaultPlan | None,
     conn,
 ) -> None:
     grid = partition.grid
@@ -348,7 +307,9 @@ def _worker_main(
     R = grid.rows
     offsets = partition.dist.offsets
     col_bounds = offsets[::R]
-    faults = _WorkerFaults(spec) if spec is not None and spec.drop_rate > 0 else None
+    faults = None
+    if plan is not None and plan.spec.drop_rate > 0:
+        faults = FaultSchedule(plan.spec, plan.nranks, plan)
     # Direction policy inputs are the globally-allreduced totals every
     # worker already receives, so all ranks take the identical branch in
     # lockstep with no extra message (and with the simulated engines).
@@ -371,6 +332,8 @@ def _worker_main(
                 sent_cache.snapshot() if sent_cache is not None else None,
                 shadow.copy() if shadow is not None else None,
             )
+            # a chunk lost for good this level fails it
+            lost = faults.report.unrecovered
 
         direction = policy.decide(
             level, global_frontier, global_unvisited, partition.n, direction_prev
@@ -433,7 +396,7 @@ def _worker_main(
                 for _src, payload in inbox:
                     shadow[payload] = True
 
-        failed = int(faults.failed) if faults is not None else 0
+        failed = int(faults.report.unrecovered > lost) if faults is not None else 0
         conn.send(("sum", (int(fresh.size), failed)))
         total, level_failed = conn.recv()
         if level_failed:
@@ -446,7 +409,6 @@ def _worker_main(
                 sent_cache.restore(snapshot[2])
             if shadow is not None:
                 shadow[:] = snapshot[3]
-            faults.failed = False
             continue
         frontier = fresh
         direction_prev = direction
@@ -456,9 +418,7 @@ def _worker_main(
         if total == 0:
             break
 
-    conn.send(
-        ("done", (levels, faults.counters() if faults is not None else None, sieved))
-    )
+    conn.send(("done", (levels, faults.report if faults is not None else None, sieved)))
 
 
 def _bottom_up_level(
@@ -472,7 +432,7 @@ def _bottom_up_level(
     frontier: np.ndarray,
     level: int,
     codec: WireCodec,
-    faults: _WorkerFaults | None,
+    faults: FaultSchedule | None,
 ) -> np.ndarray:
     """One bottom-up level: exactly three lockstep ``xchg`` rounds.
 
@@ -545,7 +505,7 @@ def _exchange(
     rank: int,
     sends: dict[int, np.ndarray],
     codec: WireCodec,
-    faults: _WorkerFaults | None = None,
+    faults: FaultSchedule | None = None,
     lossy: bool = True,
 ) -> list[tuple[int, np.ndarray]]:
     """Round-trip one exchange through the hub with *real* encoded buffers.
@@ -555,20 +515,23 @@ def _exchange(
     thing that crosses the process boundary, so a codec bug cannot hide
     behind the simulator's byte accounting.
 
-    With ``faults`` attached every payload draws its transmission plan
-    from the keyed stream.  ``lossy=True`` (the direct collectives, whose
+    With ``faults`` attached the payloads' fates are decided and counted
+    by one :meth:`~repro.faults.FaultSchedule.plan_round`, pair id = the
+    destination rank.  ``lossy=True`` (the direct collectives, whose
     simulated counterparts are inbox-driven) withholds unrecovered chunks
     from the hub; ``lossy=False`` (ring / union-ring, where the simulated
     schedules compute data flow locally) delivers them anyway — the drop
     is accounting-only, exactly as in the simulator.
     """
-    encoded: dict[int, bytes] = {}
-    for dst, arr in sends.items():
-        delivered = True
-        if faults is not None:
-            delivered = faults.plan_send(rank, dst)
-        if delivered or not lossy:
-            encoded[dst] = codec.encode(arr)
+    delivered = [True] * len(sends)
+    if faults is not None and sends:
+        dst = np.fromiter(sends, dtype=np.int64, count=len(sends))
+        _, delivered = faults.plan_round(np.full(dst.size, rank), dst, dst)
+    encoded = {
+        dst: codec.encode(arr)
+        for (dst, arr), arrived in zip(sends.items(), delivered)
+        if arrived or not lossy
+    }
     conn.send(("xchg", encoded))
     return [(src, codec.decode(buf)) for src, buf in conn.recv()]
 
@@ -580,7 +543,7 @@ def _expand_phase(
     frontier: np.ndarray,
     mode: str,
     codec: WireCodec,
-    faults: _WorkerFaults | None = None,
+    faults: FaultSchedule | None = None,
 ) -> np.ndarray:
     """Column-group expand: direct personalized sends or an all-gather ring."""
     size = len(col_group)
@@ -611,7 +574,7 @@ def _fold_phase(
     contrib: dict[int, np.ndarray],
     mode: str,
     codec: WireCodec,
-    faults: _WorkerFaults | None = None,
+    faults: FaultSchedule | None = None,
 ) -> np.ndarray:
     """Row-group fold: direct personalized sends or the union reduce-scatter ring.
 

@@ -116,7 +116,9 @@ class Bfs2DEngine(LevelSyncEngine):
         self._row_slots = partition.row_slots
         #: pre-routed expand pair population (direct expand only):
         #: every (owner, holder) wire pair any expand round can use, keyed
-        #: like the direct step's messages so a searchsorted indexes it
+        #: like the direct step's messages — owned block (the dense
+        #: emission order) * R + destination mesh row, marked by
+        #: :meth:`_expand_targets` — so a searchsorted indexes it
         self._expand_pop_keys: np.ndarray | None = None
         self._expand_population = None
         if self._expand is None and opts.use_expand_filter:
@@ -137,7 +139,9 @@ class Bfs2DEngine(LevelSyncEngine):
         their per-level cost follows the frontier, not the P x C rank
         pairs.  With ``use_expand_filter`` off the owner knows nothing and
         every vertex lists all ``R - 1`` column peers.  ``_etarget_row``
-        is each target's mesh row, in the outbox key's dtype.
+        is each target's mesh row, in the outbox key's dtype.  With the
+        filter on, the targets' (owner block, mesh row) keys are marked
+        on the way into ``_expand_pop_keys``.
         """
         if self._etarget_indptr is None:
             n = self.n
@@ -156,12 +160,17 @@ class Bfs2DEngine(LevelSyncEngine):
                 )
                 v = self._col_keys - holder * n
                 d = holder
+                marked = np.zeros(nranks * R, dtype=bool)
                 if v.size:
                     block = self.partition.dist.part_of(v)
                     keep = holder != (block % R) * C + (block // R)
                     v, d = v[keep], d[keep]
-                    order = np.argsort(v * nranks + d, kind="stable")
+                    marked[block[keep] * R + d // C] = True
+                    del block, keep
+                    # (v, holder) keys are unique: any sort is the stable one
+                    order = np.argsort(v * nranks + d)
                     v, d = v[order], d[order]
+                self._expand_pop_keys = np.flatnonzero(marked)
                 indptr = np.zeros(n + 1, dtype=np.int64)
                 np.cumsum(np.bincount(v, minlength=n), out=indptr[1:])
             self._etarget_indptr = indptr
@@ -179,19 +188,12 @@ class Bfs2DEngine(LevelSyncEngine):
         level indexes the prepared population instead of resolving paths
         for whichever pair subset its frontier activates.
         """
-        indptr, target_dst = self._expand_targets()
-        if target_dst.size == 0:
+        self._expand_targets()
+        keys = self._expand_pop_keys
+        if keys.size == 0:
             return
         R, C = self.grid.rows, self.grid.cols
-        v = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(indptr)
-        )
-        block = self.partition.dist.part_of(v)
-        # Same key space as the direct step's messages: owned block (the
-        # dense emission order) then destination mesh row.
-        keys = np.unique(block * R + target_dst // C)
         blk, row = np.divmod(keys, R)
-        self._expand_pop_keys = keys
         self._expand_population = self.comm.network.prepare_pairs(
             (blk % R) * C + blk // R, row * C + blk // R
         )

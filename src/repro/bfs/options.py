@@ -44,9 +44,10 @@ class BfsOptions:
         destination's visited set before they are encoded, so vertices
         the owner already visited in an earlier level never hit the wire
         (:mod:`repro.bfs.sieve`).  Requires a CSR-capable fold collective
-        (``"union-ring"``) and is incompatible with fault injection.
-        Labelled levels are byte-identical with the sieve on or off —
-        only the fold traffic shrinks.
+        (``"union-ring"``).  It composes with fault injection: the
+        shadows are checkpointed and restored with the level.  Labelled
+        levels are byte-identical with the sieve on or off — only the
+        fold traffic shrinks.
     use_expand_filter:
         With the ``direct`` expand, only send a frontier vertex to column
         peers that hold non-empty partial edge lists for it (Section 2.2);

@@ -21,7 +21,7 @@ Layout (split from the original single module):
 * :mod:`repro.faults.report` — :class:`FaultReport`, the
   graceful-degradation summary attached to every faulted result.
 * :mod:`repro.faults.crash` — :class:`CrashEvent` and the keyed
-  order-independent drop stream shared with the SPMD backend.
+  order-independent drop stream, its counters a column by pair id.
 * :mod:`repro.faults.validate` — the end-to-end result validator
   (serial-BFS oracle, parent tree, message conservation, clock
   monotonicity).  Imported on demand; not re-exported here.
@@ -29,8 +29,10 @@ Layout (split from the original single module):
   chaos sweep behind the ``chaos`` entry of ``repro.harness.FIGURES``.
   Imported on demand.
 
-Semantics on the wire (implemented in
-:meth:`repro.runtime.comm.Communicator.exchange`):
+Semantics on the wire (implemented by every message round of
+:meth:`repro.runtime.comm.Communicator.exchange_arrays`, which asks
+:meth:`FaultSchedule.plan_round` and :meth:`FaultSchedule.link_multipliers`
+once per round, per chunk keyed by the network's pair id):
 
 * A *transient drop* loses one transmission of one message chunk.  The
   sender detects it by timeout (``retry_timeout * backoff**i`` simulated

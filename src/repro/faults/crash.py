@@ -1,18 +1,18 @@
 """Crash events and the keyed (order-independent) drop stream.
 
-Two building blocks shared by the simulator's
-:class:`repro.faults.FaultSchedule` and the SPMD backend's per-process
-workers:
+Two building blocks of :class:`repro.faults.FaultSchedule`, which both the
+simulator and every SPMD backend worker consult:
 
 * :class:`CrashEvent` — one scheduled rank crash (rank, level, phase),
   sampled at schedule construction.
 * :class:`KeyedDropStream` — per-transmission drop decisions drawn from a
   splitmix64 hash of ``(seed, src, dst, k)`` where ``k`` is the pair's
-  monotone transmission counter.  Unlike a shared sequential stream, the
-  draw for the k-th transmission on a link does not depend on the order
-  in which *other* links send — so P independent SPMD processes make
-  byte-identical decisions to the single-process simulator, and a
-  replayed level (whose counters have advanced) sees fresh draws.
+  monotone transmission counter, kept in a column indexed by pair id.
+  Unlike a shared sequential stream, the draw for the k-th transmission
+  on a link does not depend on the order in which *other* links send —
+  so P independent SPMD processes make byte-identical decisions to the
+  single-process simulator, and a replayed level (whose counters have
+  advanced) sees fresh draws.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ _DROP_TAG = 0x9E6B_1F2A_D7C3_5E81
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
-_11, _27, _30, _31, _32 = (np.uint64(n) for n in (11, 27, 30, 31, 32))
+_11, _27, _30, _31 = (np.uint64(n) for n in (11, 27, 30, 31))
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -60,14 +60,15 @@ class KeyedDropStream:
     Each ``(src, dst)`` pair carries a monotone counter of draws made, so
     the decision sequence on a link is a pure function of the spec seed
     and how many transmissions that link has attempted — independent of
-    every other link and of which process asks.  The counters live in one
-    key-sorted ``(src << 32 | dst, count)`` table that grows by the pairs
-    a round is first to use; beside each counter sits the pair's hash
-    state, so a draw only has to mix in the transmission index.
+    every other link and of which process asks.  The counters are a
+    column indexed by the caller's *pair id* (any dense numbering that
+    gives each pair one id: the simulator's network pair ids, or a
+    sending worker's destination ranks); beside each counter sits the
+    pair's hash state, so a draw only has to mix in the transmission
+    index.
     """
 
-    __slots__ = ("drop_rate", "max_retries", "_seeded", "_keys", "_counts",
-                 "_hashes", "_last")
+    __slots__ = ("drop_rate", "max_retries", "_seeded", "_counts", "_hashes", "_last")
 
     def __init__(self, seed: int, drop_rate: float, max_retries: int) -> None:
         self.drop_rate = float(drop_rate)
@@ -76,17 +77,16 @@ class KeyedDropStream:
         self._seeded = _mix64(
             np.array([(int(seed) ^ _DROP_TAG) & (2**64 - 1)], dtype=np.uint64)
         )
-        self._keys = np.empty(0, dtype=np.uint64)
         self._counts = np.empty(0, dtype=np.uint64)
         self._hashes = np.empty(0, dtype=np.uint64)
         #: scratch, one entry per pair: the last chunk of a round to use it
         self._last = np.empty(0, dtype=np.int64)
 
     def plan_many(
-        self, src: np.ndarray, dst: np.ndarray
+        self, src: np.ndarray, dst: np.ndarray, ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Fates of a round's chunks ``src[i] -> dst[i]``, in order:
-        ``(transmissions, delivered)``.
+        """Fates of a round's chunks ``src[i] -> dst[i]`` (pair ``ids[i]``),
+        in order: ``(transmissions, delivered)``.
 
         Each transmission is dropped independently with ``drop_rate``; a
         drop triggers a retransmission until the chunk arrives or
@@ -100,15 +100,25 @@ class KeyedDropStream:
         count = src.size
         drops = np.zeros(count, dtype=np.int64)
         if self.drop_rate > 0.0 and count:
-            slot = self._slots(src.astype(np.uint64), dst.astype(np.uint64))
+            self._counts = grown(self._counts, ids)
+            self._hashes = grown(self._hashes, ids)
+            if self._last.size < self._counts.size:
+                self._last = np.empty(self._counts.size, dtype=np.int64)
+            # a pair's hash state is set before its first draw
+            fresh = self._counts[ids] == 0
+            if fresh.any():
+                self._hashes[ids[fresh]] = _mix64(
+                    _mix64(self._seeded ^ src[fresh].astype(np.uint64))
+                    ^ dst[fresh].astype(np.uint64)
+                )
             chunk = np.arange(count)
-            self._last[slot] = chunk
-            if (self._last[slot] == chunk).all():
-                drops = self._draw(slot)
+            self._last[ids] = chunk
+            if (self._last[ids] == chunk).all():
+                drops = self._draw(ids)
             else:
                 # occurrence rank of each chunk among those of its pair
-                by_pair = np.argsort(slot, kind="stable")
-                ordered = slot[by_pair]
+                by_pair = np.argsort(ids, kind="stable")
+                ordered = ids[by_pair]
                 first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
                 rank = np.empty(count, dtype=np.int64)
                 rank[by_pair] = chunk - np.repeat(
@@ -116,48 +126,19 @@ class KeyedDropStream:
                 )
                 for r in range(int(rank.max()) + 1):
                     nth = np.flatnonzero(rank == r)
-                    drops[nth] = self._draw(slot[nth])
+                    drops[nth] = self._draw(ids[nth])
         delivered = drops <= self.max_retries
         return drops + delivered, delivered
 
-    def plan(self, src: int, dst: int) -> tuple[int, bool]:
-        """:meth:`plan_many` of the one chunk ``src -> dst``."""
-        transmissions, delivered = self.plan_many(
-            np.array([src], dtype=np.int64), np.array([dst], dtype=np.int64)
-        )
-        return int(transmissions[0]), bool(delivered[0])
-
-    def _slots(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Table position of each pair; unseen pairs join the table with a
-        zero counter."""
-        pairs = (src << _32) | dst
-        keys = self._keys
-        slot = np.searchsorted(keys, pairs)
-        unseen = np.ones(pairs.size, dtype=bool)
-        if keys.size:
-            unseen = keys[np.minimum(slot, keys.size - 1)] != pairs
-        if unseen.any():
-            # one chunk of each unseen pair, in key order
-            at = np.flatnonzero(unseen)
-            at = at[np.unique(pairs[at], return_index=True)[1]]
-            self._keys = np.insert(keys, slot[at], pairs[at])
-            self._counts = np.insert(self._counts, slot[at], 0)
-            self._hashes = np.insert(
-                self._hashes, slot[at], _mix64(_mix64(self._seeded ^ src[at]) ^ dst[at])
-            )
-            self._last = np.empty(self._keys.size, dtype=np.int64)
-            slot = np.searchsorted(self._keys, pairs)
-        return slot
-
-    def _draw(self, slot: np.ndarray) -> np.ndarray:
-        """Drops suffered by one chunk on each of the distinct pairs at
-        ``slot``: one vector draw per drop depth over the chunks still
+    def _draw(self, ids: np.ndarray) -> np.ndarray:
+        """Drops suffered by one chunk on each of the distinct pairs
+        ``ids``: one vector draw per drop depth over the chunks still
         being dropped.  Advances the pairs' counters by the transmissions
         made."""
-        first = self._counts[slot]
-        state = self._hashes[slot]
-        drops = np.zeros(slot.size, dtype=np.int64)
-        live = np.arange(slot.size)
+        first = self._counts[ids]
+        state = self._hashes[ids]
+        drops = np.zeros(ids.size, dtype=np.int64)
+        live = np.arange(ids.size)
         for depth in range(self.max_retries + 1):
             h = _mix64(state[live] ^ (first[live] + np.uint64(depth)))
             uniform = (h >> _11).astype(np.float64) * (1.0 / (1 << 53))
@@ -166,8 +147,18 @@ class KeyedDropStream:
                 break
             drops[live] += 1
         transmissions = drops + (drops <= self.max_retries)
-        self._counts[slot] = first + transmissions.astype(np.uint64)
+        self._counts[ids] = first + transmissions.astype(np.uint64)
         return drops
+
+
+def grown(column: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``column``, zero-padded (at least doubling) when it is too short
+    to index every id in ``ids``."""
+    need = int(ids.max()) + 1
+    if need <= column.size:
+        return column
+    pad = np.zeros(max(need, 2 * column.size) - column.size, dtype=column.dtype)
+    return np.concatenate((column, pad))
 
 
 __all__ = ["CrashEvent", "KeyedDropStream"]

@@ -1,8 +1,9 @@
 """Sampled fault decisions: :class:`FaultPlan` and the per-run :class:`FaultSchedule`.
 
 The schedule is the stateful object the communicator consults once per
-message round — every chunk's fate and link cost answered as arrays —
-and at every crash/recovery boundary.  Link degradation,
+message round — every chunk's fate and link cost answered as arrays,
+keyed by the chunk's *pair id* (the network's id of its directed rank
+pair) — and at every crash/recovery boundary.  Link degradation,
 stragglers, the dying link, and the crash plan are sampled once, into a
 :class:`FaultPlan`, from named streams (stable in ``spec.seed`` and
 ``nranks`` only).  Transient drops come from the keyed
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, FaultError
-from repro.faults.crash import CrashEvent, KeyedDropStream
+from repro.faults.crash import CrashEvent, KeyedDropStream, grown
 from repro.faults.report import FaultReport
 from repro.faults.spec import FaultSpec
 
@@ -31,17 +32,20 @@ _LINK_BLOCK = 1 << 20
 class FaultPlan:
     """What a spec's seed decides for ``nranks`` ranks, sampled once.
 
-    The retry penalties, the degraded links (sorted ``src * P + dst``
-    keys), the stragglers' compute multipliers, the dying link and the
-    crash plan never change during a run, so one plan serves every run of
-    the same ``(spec, nranks)``.  What a run changes (drop counters, fired
-    and dead ranks, hosts, report) lives in :class:`FaultSchedule`.
+    The retry penalties, the degraded links (a packed table of the P × P
+    directed pairs, bit ``src * P + dst`` little-endian within its byte,
+    and their count), the stragglers' compute multipliers, the dying link
+    and the crash plan never change during a run, so one plan serves every
+    run of the same ``(spec, nranks)``.  What a run changes (drop
+    counters, link costs, fired and dead ranks, hosts, report) lives in
+    :class:`FaultSchedule`.
     """
 
     spec: FaultSpec
     nranks: int
     retry_penalties: np.ndarray
     degraded: np.ndarray
+    degraded_links: int
     compute_multipliers: np.ndarray
     down_pair: tuple[int, int] | None
     crash_events: tuple[CrashEvent, ...]
@@ -61,21 +65,22 @@ class FaultPlan:
             for drops in range(spec.max_retries + 2)
         ])
 
-        degraded = np.empty(0, dtype=np.int64)
+        degraded, degraded_links = np.empty(0, dtype=np.uint8), 0
         if spec.degraded_link_rate > 0 and spec.degradation_factor > 1:
             # one uniform per ordered pair in (src, dst != src) order, drawn
             # a block of source rows at a time so that P**2 floats never
-            # exist at once
+            # exist at once; blocks are whole eights of rows, so each packs
+            # to whole bytes
             link_rng = factory.named("faults:links")
-            rows = max(1, _LINK_BLOCK // nranks)
+            rows = max(8, _LINK_BLOCK // nranks // 8 * 8)
             blocks = []
             for lo in range(0, nranks, rows):
-                hi = min(lo + rows, nranks)
-                src, col = np.nonzero(
-                    link_rng.random((hi - lo, nranks - 1)) < spec.degraded_link_rate
-                )
-                src += lo
-                blocks.append(src * nranks + col + (col >= src))
+                src = np.arange(lo, min(lo + rows, nranks))
+                hit = link_rng.random((src.size, nranks - 1)) < spec.degraded_link_rate
+                degraded_links += int(hit.sum())
+                # the diagonal pair src -> src goes in as a zero bit
+                bits = np.insert(hit.ravel(), (src - lo) * (nranks - 1) + src, False)
+                blocks.append(np.packbits(bits, bitorder="little"))
             degraded = np.concatenate(blocks)
 
         compute_multipliers = np.ones(nranks, dtype=np.float64)
@@ -106,16 +111,20 @@ class FaultPlan:
                         phase = "allreduce"
                     events.append(CrashEvent(rank=rank, level=level, phase=phase))
         return cls(
-            spec, int(nranks), retry_penalties, degraded, compute_multipliers,
-            down_pair, tuple(sorted(events, key=lambda e: (e.level, e.rank))),
+            spec, int(nranks), retry_penalties, degraded, degraded_links,
+            compute_multipliers, down_pair,
+            tuple(sorted(events, key=lambda e: (e.level, e.rank))),
         )
 
 
 class FaultSchedule:
     """Per-run fault state over a :class:`FaultPlan`, consulted by the
-    communicator."""
+    communicator.  Its per-pair columns are indexed by pair id, so every
+    round it answers must number pairs the same way: one network's
+    :meth:`~repro.runtime.network.Network.pair_ids` (or one SPMD worker's
+    destination ranks)."""
 
-    __slots__ = ("spec", "nranks", "report", "_drops", "_degraded",
+    __slots__ = ("spec", "nranks", "report", "_drops", "_degraded", "_costs", "_down_id",
                  "_retry_penalties", "_compute_multipliers", "_down_pair", "_level",
                  "_crash_events", "_crash_fired", "_dead", "_spares_used",
                  "_host", "_has_cohosting")
@@ -131,12 +140,16 @@ class FaultSchedule:
         self._drops = KeyedDropStream(spec.seed, spec.drop_rate, spec.max_retries)
         self._retry_penalties = plan.retry_penalties
         self._degraded = plan.degraded
+        #: wire-cost multiplier per pair id, 0.0 until the pair is priced
+        self._costs = np.empty(0, dtype=np.float64)
+        #: the down pair's id, once priced
+        self._down_id: int | None = None
         self._compute_multipliers = plan.compute_multipliers
         self._down_pair = plan.down_pair
         self._crash_events = plan.crash_events
         self._level = 0
         self.report = FaultReport(
-            degraded_links=int(plan.degraded.size),
+            degraded_links=plan.degraded_links,
             straggler_ranks=int((plan.compute_multipliers > 1).sum()),
             link_down=plan.down_pair,
         )
@@ -155,19 +168,32 @@ class FaultSchedule:
         """Tell the schedule which BFS level is executing (link-down gate)."""
         self._level = int(level)
 
-    def link_multipliers(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Wire-cost multiplier of each message ``src[i] -> dst[i]`` at the
-        current level (1.0 on a healthy link and for self-sends)."""
-        out = np.ones(src.size, dtype=np.float64)
-        degraded = self._degraded
-        if degraded.size and src.size:
-            keys = src * self.nranks + dst
-            pos = np.minimum(np.searchsorted(degraded, keys), degraded.size - 1)
-            out[degraded[pos] == keys] = self.spec.degradation_factor
+    def link_multipliers(
+        self, src: np.ndarray, dst: np.ndarray, ids: np.ndarray
+    ) -> np.ndarray:
+        """Wire-cost multiplier of each message ``src[i] -> dst[i]``, pair
+        ``ids[i]``, at the current level (1.0 on a healthy link and for
+        self-sends).  A pair's degradation is read from the plan's bit
+        table once, the first time the pair is priced."""
+        if not ids.size:
+            return np.ones(0, dtype=np.float64)
         spec = self.spec
-        if self._down_pair is not None and self._level >= spec.down_level:
-            down_src, down_dst = self._down_pair
-            out[(src == down_src) & (dst == down_dst)] = spec.down_detour_factor
+        costs = self._costs = grown(self._costs, ids)
+        fresh = np.flatnonzero(costs[ids] == 0.0)
+        if fresh.size:
+            src, dst, at = src[fresh], dst[fresh], ids[fresh]
+            costs[at] = 1.0
+            if self._degraded.size:
+                key = src * self.nranks + dst
+                hit = (self._degraded[key >> 3] >> (key & 7)) & 1
+                costs[at[hit == 1]] = spec.degradation_factor
+            if self._down_pair is not None:
+                down = (src == self._down_pair[0]) & (dst == self._down_pair[1])
+                if down.any():
+                    self._down_id = int(at[down][0])
+        out = costs[ids]
+        if self._down_id is not None and self._level >= spec.down_level:
+            out[ids == self._down_id] = spec.down_detour_factor
         return out
 
     def compute_multiplier(self, rank: int) -> float:
@@ -201,20 +227,22 @@ class FaultSchedule:
         return int(self._host[rank])
 
     def plan_round(
-        self, src: np.ndarray, dst: np.ndarray
+        self, src: np.ndarray, dst: np.ndarray, ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Decide the fate of every chunk ``src[i] -> dst[i]`` of a round.
+        """Decide the fate of every chunk ``src[i] -> dst[i]``, pair
+        ``ids[i]``, of a round.
 
         Returns per-chunk ``(transmissions, delivered)`` and tallies the
         report; the decisions come from the keyed drop stream (see the
         module docstring).  Self-sends are local hand-offs: they never
-        draw and always arrive.
+        draw and always arrive.  This is the one place a chunk's fate is
+        decided and counted, in the simulator and in every SPMD worker.
         """
         transmissions = np.ones(src.size, dtype=np.int64)
         delivered = np.ones(src.size, dtype=bool)
         wired = src != dst
         transmissions[wired], delivered[wired] = self._drops.plan_many(
-            src[wired], dst[wired]
+            src[wired], dst[wired], ids[wired]
         )
         drops = transmissions - delivered
         injected = int(drops.sum())

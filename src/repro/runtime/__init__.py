@@ -7,7 +7,6 @@ cost model charges simulated time for communication and computation.
 """
 
 from repro.runtime.clock import SimClock
-from repro.runtime.message import MessageBuffer, chunk_payload
 from repro.runtime.network import Network
 from repro.runtime.comm import Communicator
 from repro.runtime.stats import CommStats, LevelStats
@@ -15,8 +14,6 @@ from repro.runtime.trace import MessageEvent, TraceRecorder
 
 __all__ = [
     "SimClock",
-    "MessageBuffer",
-    "chunk_payload",
     "Network",
     "Communicator",
     "CommStats",

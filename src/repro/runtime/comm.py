@@ -162,7 +162,9 @@ class Communicator:
         ``population``/``pop_idx`` forward to
         :meth:`~repro.runtime.network.Network.round_times_arrays` — the
         prepared-pair-population contention shortcut (dropped for a call
-        the buffer cap splits: its chunks repeat pairs).
+        the buffer cap splits: its chunks repeat pairs) — and the
+        population's pair ids key the fault schedule's answers, where
+        other rounds ask :meth:`~repro.runtime.network.Network.pair_ids`.
         """
         msg, starts, stops, arrived = self._round(
             src, dst, flat, starts, stops, phase, participants,
@@ -240,12 +242,18 @@ class Communicator:
                 flat, starts[wired], stops[wired]
             )
 
-        # every wire chunk's fate: transmissions, final delivery, link cost
+        # every wire chunk's fate: transmissions, final delivery, link cost,
+        # keyed by pair id (a population's own ids need no search)
         faults = self.faults
         delivered = multipliers = None
         if faults is not None:
-            transmissions, delivered = faults.plan_round(src, dst)
-            multipliers = faults.link_multipliers(src, dst)
+            ids = (
+                self.network.pair_ids(src, dst)
+                if population is None
+                else population.ids[pop_idx]
+            )
+            transmissions, delivered = faults.plan_round(src, dst, ids)
+            multipliers = faults.link_multipliers(src, dst, ids)
             drops = transmissions - delivered
             self.stats.record_fault(int(drops.sum()), int((transmissions - 1).sum()))
             if not delivered.all():

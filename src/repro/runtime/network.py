@@ -7,14 +7,15 @@ count how many transfers cross each directed link, and slow each transfer
 down by the maximum load along its path — a first-order store-and-share
 contention model for the BlueGene/L torus.
 
-The analysis is fully vectorised: each (src, dst) pair's route is interned
-once as an array of small integer *link ids* (at most ``6 * num_nodes``
-directed links exist, so ids stay dense), a round's link loads come from a
-single ``bincount`` over every link the round crosses, and whole transfer
-*patterns* — the (src, dst) sequence of a round, which recurs every BFS
-level for a given collective — are memoised with their per-transfer hop
-counts and contention factors.  Only the byte counts change level to
-level, so a repeated pattern costs one fused array expression.
+The analysis is fully vectorised: each directed (src, dst) pair is
+interned once — given a *pair id* and routed as an array of small integer
+*link ids* (at most ``6 * num_nodes`` directed links exist, so ids stay
+dense) — a round's link loads come from a single ``bincount`` over every
+link the round crosses, and whole transfer *patterns* — the (src, dst)
+sequence of a round, which recurs every BFS level for a given collective
+— are memoised with their per-transfer hop counts and contention factors.
+Only the byte counts change level to level, so a repeated pattern costs
+one fused array expression.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ import numpy as np
 
 from repro.machine.bluegene import MachineModel
 from repro.machine.mapping import TaskMapping
+
+#: the most bytes the memoised round patterns may hold, so that a
+#: long-lived session's cache stays bounded (a 4 x 4 mesh's patterns take
+#: well under a megabyte; a 32 x 32 mesh fills it in about ten batches)
+_PATTERN_CACHE_BYTES = 64 << 20
 
 
 def _padded(row: np.ndarray, values: np.ndarray, nrows: int, pad: int) -> np.ndarray:
@@ -44,6 +50,8 @@ class PairPopulation:
     once and then charge each round by *indexing* into it, skipping the
     per-round route resolution entirely:
 
+    * ``ids[k]`` — input pair ``k``'s id in the preparing network
+      (:meth:`Network.pair_ids`), the key of its per-pair columns;
     * ``latency[k]`` — input pair ``k``'s time before its bytes count,
       ``alpha + hops * per_hop`` under the preparing network's model;
     * ``links[indptr[k]:indptr[k+1]]`` — pair ``k``'s link ids (CSR, so
@@ -63,6 +71,7 @@ class PairPopulation:
       the rows each pair is in as a row of ``sets_of`` (both padded).
     """
 
+    ids: np.ndarray
     latency: np.ndarray
     links: np.ndarray
     indptr: np.ndarray
@@ -135,25 +144,29 @@ class Network:
     """Charges simulated time for rounds of transfers over a mapped topology."""
 
     __slots__ = ("mapping", "model", "_num_links",
-                 "_pattern_cache", "_population_cache",
-                 "_pair_keys", "_pair_starts", "_pair_lens", "_pair_links")
+                 "_pattern_cache", "_pattern_bytes", "_population_cache",
+                 "_keys", "_key_ids", "_starts", "_lens", "_links")
 
     def __init__(self, mapping: TaskMapping, model: MachineModel) -> None:
         self.mapping = mapping
         self.model = model
         #: dense directed-link id space: ``node * 6 + dim * 2 + (step > 0)``
         self._num_links = 6 * mapping.torus.num_nodes
-        #: (src-seq, dst-seq) -> (hops, contention) per-transfer arrays
+        #: (src-seq, dst-seq) -> (hops, contention) per-transfer arrays,
+        #: least recently used first, and the bytes they hold
         self._pattern_cache: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray]] = {}
+        self._pattern_bytes = 0
         #: (src-seq, dst-seq) -> prepared PairPopulation (ring pair sets
         #: recur every level)
         self._population_cache: dict[tuple[bytes, bytes], PairPopulation] = {}
-        #: interned (src * P + dst) pair table: sorted keys with parallel
-        #: CSR (start, length) views into one concatenated link-id array
-        self._pair_keys = np.empty(0, dtype=np.int64)
-        self._pair_starts = np.empty(0, dtype=np.int64)
-        self._pair_lens = np.empty(0, dtype=np.int64)
-        self._pair_links = np.empty(0, dtype=np.int64)
+        #: the pair table: sorted ``src * P + dst`` keys and each one's pair
+        #: id, and per id the CSR (start, length) of its route in one
+        #: concatenated link-id array — all append-only but the sort
+        self._keys = np.empty(0, dtype=np.int64)
+        self._key_ids = np.empty(0, dtype=np.int64)
+        self._starts = np.empty(0, dtype=np.int64)
+        self._lens = np.empty(0, dtype=np.int64)
+        self._links = np.empty(0, dtype=np.int64)
 
     def hops(self, src: int, dst: int) -> int:
         """Physical hop distance between logical ranks."""
@@ -273,39 +286,25 @@ class Network:
         """Per-transfer (hops, contention) for one round's wire transfers.
 
         Contention depends only on the round's (src, dst) multiset, not on
-        message sizes, so the result is memoised on the pair sequence.
+        message sizes, so the result is memoised on the pair sequence, the
+        least recently used patterns giving way once the cache holds
+        :data:`_PATTERN_CACHE_BYTES`.
         """
         key = (wsrc.tobytes(), wdst.tobytes())
-        cached = self._pattern_cache.get(key)
-        if cached is not None:
-            return cached
-        # Resolve every pair against the interned pair table (one
-        # searchsorted), routing only pairs seen for the first time.
-        nranks = self.mapping.grid.size
-        pair_keys = wsrc * nranks + wdst
-        idx = np.searchsorted(self._pair_keys, pair_keys)
-        idx_c = np.minimum(idx, max(self._pair_keys.size - 1, 0))
-        known = (
-            self._pair_keys[idx_c] == pair_keys
-            if self._pair_keys.size
-            else np.zeros(pair_keys.shape, dtype=bool)
-        )
-        if not known.all():
-            self._intern_pairs(np.unique(pair_keys[~known]))
-            idx = np.searchsorted(self._pair_keys, pair_keys)
-        starts = self._pair_starts[idx]
-        lengths = self._pair_lens[idx]
-        # every route has at least one link: no two ranks share a node
-        row_starts = np.concatenate(([0], np.cumsum(lengths)))
-        gather = np.arange(row_starts[-1], dtype=np.int64)
-        gather += np.repeat(starts - row_starts[:-1], lengths)
-        all_links = self._pair_links[gather]
-        loads = np.bincount(all_links, minlength=self._num_links)
-        contention = np.maximum.reduceat(
-            loads[all_links], row_starts[:-1]
-        ).astype(np.float64)
-        cached = (lengths.astype(np.float64), contention)
-        self._pattern_cache[key] = cached
+        cache = self._pattern_cache
+        cached = cache.pop(key, None)
+        if cached is None:
+            # wire pairs only: every route has at least one link (no two
+            # ranks share a node), so no reduceat run is empty
+            links, indptr, lens = self._routes(self.pair_ids(wsrc, wdst))
+            loads = np.bincount(links, minlength=self._num_links)
+            contention = np.maximum.reduceat(loads[links], indptr[:-1])
+            cached = (lens.astype(np.float64), contention.astype(np.float64))
+            # an entry is four arrays of one 8-byte item per transfer
+            self._pattern_bytes += 4 * len(key[0])
+            while self._pattern_bytes > _PATTERN_CACHE_BYTES and cache:
+                self._pattern_bytes -= 4 * cache.pop(next(iter(cache)))[0].nbytes
+        cache[key] = cached
         return cached
 
     def prepare_pairs(self, src: np.ndarray, dst: np.ndarray) -> PairPopulation:
@@ -322,62 +321,62 @@ class Network:
         cached = self._population_cache.get(cache_key)
         if cached is not None:
             return cached
-        nranks = self.mapping.grid.size
-        keys = src * nranks + dst
-        sorted_new = np.unique(keys)
-        idx = np.searchsorted(self._pair_keys, sorted_new)
-        idx_c = np.minimum(idx, max(self._pair_keys.size - 1, 0))
-        known = (
-            self._pair_keys[idx_c] == sorted_new
-            if self._pair_keys.size
-            else np.zeros(sorted_new.shape, dtype=bool)
-        )
-        if not known.all():
-            self._intern_pairs(sorted_new[~known])
-        idx = np.searchsorted(self._pair_keys, keys)
-        starts = self._pair_starts[idx]
-        lens = self._pair_lens[idx]
-        indptr = np.concatenate(([0], np.cumsum(lens)))
-        gather = np.arange(indptr[-1], dtype=np.int64)
-        gather += np.repeat(starts - indptr[:-1], lens)
-        all_links = self._pair_links[gather]
-        loads = np.bincount(all_links)
-        disjoint = loads.size == 0 or int(loads.max()) <= 1
+        ids = self.pair_ids(src, dst)
+        links, indptr, lens = self._routes(ids)
+        loads = np.bincount(links)
         full_cont = np.empty(0, dtype=np.float64)
-        if keys.size:
-            full_cont = np.maximum.reduceat(
-                loads[all_links], indptr[:-1]
-            ).astype(np.float64)
+        if ids.size:
+            full_cont = np.maximum.reduceat(loads[links], indptr[:-1]).astype(np.float64)
         population = PairPopulation(
+            ids=ids,
             latency=self.model.alpha + lens.astype(np.float64) * self.model.per_hop,
-            links=all_links,
+            links=links,
             indptr=indptr,
             lens=lens,
             full_cont=full_cont,
-            disjoint=disjoint,
+            disjoint=loads.size == 0 or int(loads.max()) <= 1,
         )
         self._population_cache[cache_key] = population
         return population
 
-    def _intern_pairs(self, new_keys: np.ndarray) -> None:
-        """Route ``new_keys`` (sorted unique ``src * P + dst``, none interned
-        yet) with the batch router and rebuild the key-sorted pair table once."""
+    def pair_ids(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """The id of each directed rank pair ``src[i] -> dst[i]``.
+
+        A pair's id is fixed the first time any caller asks for it — new
+        pairs are routed then and numbered on from the last id, in
+        ``src * P + dst`` order — so ids index every per-pair column kept
+        beside the routes, here and in the fault layer.
+        """
         nranks = self.mapping.grid.size
-        nodes = self.mapping.rank_to_node
-        links, new_lens = self._batch_route(
-            nodes[new_keys // nranks], nodes[new_keys % nranks]
-        )
-        new_starts = self._pair_links.size + np.concatenate(
-            ([0], np.cumsum(new_lens)[:-1])
-        )
-        keys = np.concatenate((self._pair_keys, new_keys))
-        starts = np.concatenate((self._pair_starts, new_starts))
-        lens = np.concatenate((self._pair_lens, new_lens))
-        order = np.argsort(keys, kind="stable")
-        self._pair_keys = keys[order]
-        self._pair_starts = starts[order]
-        self._pair_lens = lens[order]
-        self._pair_links = np.concatenate((self._pair_links, links))
+        keys = src * nranks + dst
+        pos = np.searchsorted(self._keys, keys)
+        known = pos < self._keys.size
+        known[known] = self._keys[pos[known]] == keys[known]
+        if not known.all():
+            new = np.unique(keys[~known])
+            nodes = self.mapping.rank_to_node
+            links, lens = self._batch_route(nodes[new // nranks], nodes[new % nranks])
+            self._starts = np.concatenate(
+                (self._starts, self._links.size + np.cumsum(lens) - lens)
+            )
+            self._lens = np.concatenate((self._lens, lens))
+            self._links = np.concatenate((self._links, links))
+            at = np.searchsorted(self._keys, new)
+            self._key_ids = np.insert(
+                self._key_ids, at, np.arange(self._lens.size - new.size, self._lens.size)
+            )
+            self._keys = np.insert(self._keys, at, new)
+            pos = np.searchsorted(self._keys, keys)
+        return self._key_ids[pos]
+
+    def _routes(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The routes of pairs ``ids`` as CSR: ``(links, indptr, lens)``,
+        pair ``k``'s link ids being ``links[indptr[k]:indptr[k + 1]]``."""
+        lens = self._lens[ids]
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        gather = np.arange(indptr[-1], dtype=np.int64)
+        gather += np.repeat(self._starts[ids] - indptr[:-1], lens)
+        return self._links[gather], indptr, lens
 
     def _batch_route(
         self, a: np.ndarray, b: np.ndarray

@@ -125,9 +125,11 @@ class SystemSpec:
     as a preset name such as ``"bluegene-2d"`` — to
     :func:`repro.api.build_communicator`, :func:`repro.api.build_engine`,
     :func:`repro.api.distributed_bfs`, :func:`repro.api.bidirectional_bfs`,
-    and :class:`repro.session.BfsSession`.  The old keyword arguments
-    remain accepted everywhere and act as overrides on top of the spec
-    (see :func:`resolve_system`, the single shared resolver).
+    and :class:`repro.session.BfsSession`.  Those entry points take
+    ``wire=``/``faults=``/``observe=`` as overrides on top of the spec
+    (see :func:`resolve_system`, the single shared resolver); the old
+    ``machine=``/``mapping=``/``layout=`` keyword arguments are gone, and
+    only the CLI keeps them, as flags.
     """
 
     #: ``"bluegene"``, ``"mcr"``, or a custom :class:`MachineModel`
@@ -151,7 +153,7 @@ class SystemSpec:
     #: communication sieve (``repro.bfs.sieve``): filter fold candidates
     #: against a sender-side shadow of each destination's visited set so
     #: already-visited vertices never hit the wire; requires the
-    #: union-ring fold and no fault injection
+    #: union-ring fold, and composes with fault injection
     sieve: bool = False
 
     def __post_init__(self) -> None:

@@ -71,6 +71,12 @@ def ranks(values) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
+def degraded_keys(sched: FaultSchedule) -> np.ndarray:
+    """The ``src * P + dst`` keys set in the schedule's degraded-link bits
+    (the padding of the last byte included, so stray bits show)."""
+    return np.flatnonzero(np.unpackbits(sched._degraded, bitorder="little"))
+
+
 class TestFaultSchedule:
     def test_identical_seeds_identical_samples(self):
         a = FaultSchedule(FAULT_PRESETS["harsh"], 16)
@@ -94,7 +100,7 @@ class TestFaultSchedule:
         sched = FaultSchedule(spec, nranks)
         if not (spec.degraded_link_rate > 0 and spec.degradation_factor > 1):
             looped = []
-        assert sched._degraded.tolist() == looped
+        assert degraded_keys(sched).tolist() == looped
         assert sched.report.degraded_links == len(looped)
 
     def test_big_machine_constructs_fast(self):
@@ -107,8 +113,8 @@ class TestFaultSchedule:
         spec = FaultSpec(down_level=3, down_detour_factor=5.0)
         sched = FaultSchedule(spec, 4)
         src, dst = sched.report.link_down
-        # the down pair, its reverse, and a self-send
-        pairs = ranks([src, dst, src]), ranks([dst, src, src])
+        # the down pair, its reverse, and a self-send, under any pair ids
+        pairs = ranks([src, dst, src]), ranks([dst, src, src]), ranks([7, 0, 3])
         sched.begin_level(2)
         assert sched.link_multipliers(*pairs).tolist() == [1.0, 1.0, 1.0]
         sched.begin_level(3)
@@ -121,19 +127,23 @@ class TestFaultSchedule:
         )
         nranks = 6
         sched = FaultSchedule(spec, nranks)
-        degraded = {divmod(int(key), nranks) for key in sched._degraded}
+        degraded = {divmod(int(key), nranks) for key in degraded_keys(sched)}
         assert degraded and all(s != d for s, d in degraded)
         src, dst = (a.ravel() for a in np.indices((nranks, nranks)))
+        # pair ids in no particular order; a round names some pairs twice
+        ids = np.random.default_rng(5).permutation(src.size)
+        twice = np.r_[np.arange(src.size), np.arange(0, src.size, 3)]
         for level in (0, 1):
             sched.begin_level(level)
             expected = [
                 9.0 if level >= 1 and pair == sched.report.link_down
                 else 4.0 if pair in degraded else 1.0
-                for pair in zip(src.tolist(), dst.tolist())
+                for pair in zip(src[twice].tolist(), dst[twice].tolist())
             ]
-            assert sched.link_multipliers(src, dst).tolist() == expected
+            got = sched.link_multipliers(src[twice], dst[twice], ids[twice])
+            assert got.tolist() == expected
         none = ranks([])
-        assert sched.link_multipliers(none, none).size == 0
+        assert sched.link_multipliers(none, none, none).size == 0
 
     def test_retry_penalty_backoff(self):
         spec = FaultSpec(retry_timeout=1.0, backoff=2.0)
@@ -187,40 +197,49 @@ drawn_rounds = st.lists(
     st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40),
     min_size=1, max_size=5,
 )
+#: a pair id for each of the 25 pairs over 5 ranks: any numbering will do
+drawn_ids = st.permutations(range(25))
+
+
+def round_arrays(pairs, numbering):
+    """``(src, dst, ids)`` of a drawn round, pair ``(s, d)`` numbered
+    ``numbering[s * 5 + d]``."""
+    src, dst = ranks([s for s, _ in pairs]), ranks([d for _, d in pairs])
+    return src, dst, ranks(numbering)[src * 5 + dst]
 
 
 class TestDropStream:
     @pytest.mark.parametrize("max_retries", [0, 3])
     @pytest.mark.parametrize("drop_rate", [0.0, 0.01, 0.5, 1.0])
     @settings(max_examples=30, deadline=None)
-    @given(rounds=drawn_rounds, seed=st.integers(0, 2**63))
+    @given(rounds=drawn_rounds, numbering=drawn_ids, seed=st.integers(0, 2**63))
     def test_round_at_once_equals_chunk_by_chunk(
-        self, drop_rate, max_retries, rounds, seed
+        self, drop_rate, max_retries, rounds, numbering, seed
     ):
         stream = KeyedDropStream(seed, drop_rate, max_retries)
         reference = SequentialDrops(seed, drop_rate, max_retries)
         for pairs in rounds:
-            transmissions, delivered = stream.plan_many(
-                ranks([s for s, _ in pairs]), ranks([d for _, d in pairs])
-            )
+            transmissions, delivered = stream.plan_many(*round_arrays(pairs, numbering))
             assert transmissions.dtype == np.int64 and delivered.dtype == bool
             assert list(zip(transmissions.tolist(), delivered.tolist())) == [
                 reference.plan(s, d) for s, d in pairs
             ]
         # every transmission, successful or not, advanced its pair's counter
         # — and a stream that never drops keeps none
+        counts = stream._counts
         counters = {
-            (int(key) >> 32, int(key) & 0xFFFFFFFF): int(count)
-            for key, count in zip(stream._keys, stream._counts)
+            divmod(key, 5): int(counts[i])
+            for key, i in enumerate(numbering)
+            if i < counts.size and counts[i]
         }
         assert counters == reference.counters
-        assert drop_rate > 0.0 or not counters
+        assert drop_rate > 0.0 or not counts.size
 
     @pytest.mark.parametrize("max_retries", [0, 3])
     @settings(max_examples=30, deadline=None)
-    @given(rounds=drawn_rounds, seed=st.integers(0, 2**63))
+    @given(rounds=drawn_rounds, numbering=drawn_ids, seed=st.integers(0, 2**63))
     def test_schedule_skips_self_sends_and_tallies_sums(
-        self, max_retries, rounds, seed
+        self, max_retries, rounds, numbering, seed
     ):
         spec = FaultSpec(seed=seed, drop_rate=0.5, max_retries=max_retries)
         sched = FaultSchedule(spec, 5)
@@ -235,18 +254,22 @@ class TestDropStream:
                 tally.retries += transmissions - 1
                 tally.recovered += delivered and transmissions > 1
                 tally.unrecovered += not delivered
-            transmissions, delivered = sched.plan_round(
-                ranks([s for s, _ in pairs]), ranks([d for _, d in pairs])
-            )
+            transmissions, delivered = sched.plan_round(*round_arrays(pairs, numbering))
             assert list(zip(transmissions.tolist(), delivered.tolist())) == fates
             assert sched.report == tally
 
-    def test_one_chunk_is_the_one_pair_round(self):
+    def test_worker_ids_draw_the_simulator_fates(self):
+        """An SPMD worker numbers its pairs by destination rank, one chunk
+        at a time; the simulator numbers every pair at once.  Same fates."""
         spec = FAULT_PRESETS["harsh"]
-        a, b = FaultSchedule(spec, 4)._drops, FaultSchedule(spec, 4)._drops
+        worker, simulator = FaultSchedule(spec, 4), FaultSchedule(spec, 4)
+        src, dst = ranks([2, 2, 2]), ranks([1, 0, 3])
         for _ in range(50):
-            transmissions, delivered = a.plan_many(ranks([2]), ranks([1]))
-            assert b.plan(2, 1) == (int(transmissions[0]), bool(delivered[0]))
+            fates = simulator.plan_round(src, dst, ranks([9, 4, 6]))
+            for k in range(3):
+                one = worker.plan_round(src[k:k + 1], dst[k:k + 1], dst[k:k + 1])
+                assert (one[0][0], one[1][0]) == (fates[0][k], fates[1][k])
+        assert worker.report == simulator.report
 
 
 class TestFaultedRuns:

@@ -12,7 +12,6 @@ from repro.errors import PartitionError
 from repro.harness.runner import PAPER_OPTS, Run, draw_pairs, execute
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.clock import SimClock
-from repro.runtime.message import chunk_payload
 from repro.session import BfsSession
 from repro.types import GraphSpec, GridShape
 
@@ -42,10 +41,6 @@ class TestSmallPieces:
         horizon = clock.sync([])
         assert horizon == 0.0  # nothing synced
         assert clock.time[1] == 0.0
-
-    def test_chunk_payload_exact_multiple(self):
-        chunks = chunk_payload(np.arange(8), 4)
-        assert [len(c) for c in chunks] == [4, 4]
 
     def test_session_on_mcr(self, small_graph):
         session = BfsSession(small_graph, (2, 2), system="mcr-2d")

@@ -9,20 +9,26 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.runtime.network as network_module
+from repro.bfs.serial import serial_bfs
+from repro.collectives import get_fold
 from repro.errors import BufferOverflowError, CommunicationError
 from repro.faults import FaultSchedule, FaultSpec, KeyedDropStream
+from repro.graph import build_graph
 from repro.machine.bluegene import BLUEGENE_L, bluegene_l_torus_for
 from repro.machine.cluster import flat_network_for
 from repro.machine.mapping import TaskMapping, planar_mapping, row_major_mapping
 from repro.machine.torus import Torus3D
 from repro.runtime.clock import SimClock
 from repro.runtime.comm import Communicator
-from repro.runtime.message import MessageBuffer, chunk_payload
 from repro.runtime.network import Network
 from repro.runtime.stats import CommStats
 from repro.runtime.trace import TraceRecorder
-from repro.types import GridShape
+from repro.session import BfsSession
+from repro.types import GraphSpec, GridShape
 from repro.wire import WIRE_CODECS, get_codec
 
 
@@ -83,35 +89,6 @@ class TestSimClock:
     def test_advance_many_shape_checked(self):
         with pytest.raises(ValueError):
             SimClock(3).advance_many(np.array([1.0, 2.0]))
-
-
-class TestMessageBuffers:
-    def test_chunking(self):
-        chunks = chunk_payload(np.arange(10), 4)
-        assert [c.tolist() for c in chunks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_no_cap_single_chunk(self):
-        assert len(chunk_payload(np.arange(10), None)) == 1
-
-    def test_empty_payload_no_chunks(self):
-        assert chunk_payload(np.array([], dtype=np.int64), 4) == []
-
-    def test_bad_capacity(self):
-        with pytest.raises(BufferOverflowError):
-            chunk_payload(np.arange(3), 0)
-
-    def test_buffer_append_drain(self):
-        buf = MessageBuffer(5)
-        buf.append(np.array([1, 2]))
-        buf.append(np.array([3]))
-        assert len(buf) == 3 and buf.remaining == 2
-        assert buf.drain().tolist() == [1, 2, 3]
-        assert len(buf) == 0
-
-    def test_buffer_overflow(self):
-        buf = MessageBuffer(2)
-        with pytest.raises(BufferOverflowError):
-            buf.append(np.array([1, 2, 3]))
 
 
 def round_times(net: Network, *transfers: tuple[int, int, int]):
@@ -177,6 +154,37 @@ class TestNetwork:
         nodes = mapping.rank_to_node
         _, lens = net._batch_route(nodes[ranks], nodes[np.roll(ranks, 7)])
         assert lens.min() >= 1
+
+    def test_pair_ids_are_append_only(self):
+        """A pair keeps the id it was first given; unseen pairs number on
+        from the last id, in ``src * P + dst`` order, each with its route."""
+        grid = GridShape(2, 4)
+        net = Network(row_major_mapping(grid, Torus3D(2, 2, 2)), BLUEGENE_L)
+        assert net.pair_ids(np.array([3, 0, 3]), np.array([1, 2, 1])).tolist() == [1, 0, 1]
+        assert net.pair_ids(np.array([1, 3, 0]), np.array([1, 1, 2])).tolist() == [2, 1, 0]
+        for src, dst, pair in ((0, 2, 0), (3, 1, 1), (1, 1, 2)):
+            assert net._lens[pair] == net.hops(src, dst)
+
+    def test_pattern_cache_is_bounded(self, monkeypatch):
+        """A long batch loop keeps the memoised round patterns under the
+        byte cap — least recently used out first — and every traversal
+        and simulated time as the unbounded cache gives them."""
+        graph = build_graph(GraphSpec(n=2000, k=8, seed=3))
+        batches = np.random.default_rng(3).choice(graph.n, (12, 64)).tolist()
+        unbounded = BfsSession(graph, (4, 4))
+        expected = [unbounded.bfs_many(batch) for batch in batches]
+        cap = 4 << 10
+        assert unbounded._network._pattern_bytes > 4 * cap
+        monkeypatch.setattr(network_module, "_PATTERN_CACHE_BYTES", cap)
+        session = BfsSession(graph, (4, 4))
+        net = session._network
+        for batch, want in zip(batches, expected):
+            got = session.bfs_many(batch)
+            assert np.array_equal(got.levels, want.levels)
+            assert got.elapsed == want.elapsed
+            held = sum(4 * len(key[0]) for key in net._pattern_cache)
+            assert held == net._pattern_bytes <= cap
+        assert np.array_equal(got.levels[0], serial_bfs(graph, batches[-1][0]))
 
 
 class TestCommunicator:
@@ -260,6 +268,17 @@ def as_arrays(messages):
     return src, dst, flat, bounds[:-1], bounds[1:]
 
 
+#: the processor-rows of :func:`torus_comm`'s 2 x 4 mesh
+ROWS = [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+
+def fold_input(rng):
+    """``(csizes, cflat)`` of one fold over :data:`ROWS`: every member
+    sends every row peer (itself included) a few vertex ids."""
+    csizes = rng.integers(1, 6, size=32)
+    return csizes, rng.integers(0, 400, size=int(csizes.sum()))
+
+
 def stats_fields(stats: CommStats) -> dict:
     fields = {k: v for k, v in vars(stats).items() if k != "recv_by_rank"}
     fields["recv_by_rank"] = {k: v.tolist() for k, v in stats.recv_by_rank.items()}
@@ -340,6 +359,70 @@ class TestOneRound:
                 sum(e.encoded_bytes for e in events) + mask_bytes
                 == comm.stats.total_encoded_bytes
             )
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capacity=st.sampled_from([None, 7]))
+    def test_fates_do_not_depend_on_pair_ids(self, seed, capacity):
+        """Pair ids follow the order a network first met its pairs in.  A
+        network that met them shuffled numbers them otherwise, and every
+        fate, link cost and clock — of plain rounds and of a union-ring
+        fold's population rounds alike — stays bit for bit."""
+        spec = FaultSpec.parse(DROP_HEAVY + ",down=1")
+        rng = np.random.default_rng(seed)
+        rounds = [random_round(rng) for _ in range(3)]
+        folds = [fold_input(rng) for _ in range(3)]
+        comm, twin = (torus_comm(faults=spec, buffer_capacity=capacity) for _ in "ab")
+        pairs = np.indices((8, 8)).reshape(2, -1)[:, rng.permutation(64)]
+        for pair in pairs.T:  # one at a time, so in shuffled order
+            twin.network.pair_ids(pair[:1], pair[1:])
+        for level, (messages, (csizes, cflat)) in enumerate(zip(rounds, folds)):
+            for c in (comm, twin):
+                c.begin_level(level)
+            arrived = [c.exchange_arrays(*as_arrays(messages), "fold") for c in (comm, twin)]
+            assert (arrived[0] is None) == (arrived[1] is None)
+            if arrived[0] is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(*arrived))
+            folded = [
+                get_fold("union-ring").fold(c, ROWS, csizes, cflat) for c in (comm, twin)
+            ]
+            assert all(np.array_equal(a, b) for a, b in zip(*(f[:2] for f in folded)))
+            for c in (comm, twin):
+                c.stats.end_level(0)
+        ids = [c.network.pair_ids(*pairs) for c in (comm, twin)]
+        assert not np.array_equal(*ids)
+        assert comm.fault_report() == twin.fault_report()
+        assert comm.fault_report().injected > 0
+        for bucket in ("time", "comm_time", "fault_time"):
+            a, b = getattr(comm.clock, bucket), getattr(twin.clock, bucket)
+            assert a.tobytes() == b.tobytes(), bucket
+
+    def test_faulted_union_ring_fold_asks_no_pair_id(self, monkeypatch):
+        """A union-ring fold's rounds are a prepared population.  Once it
+        is prepared, faulted folds — on a fresh schedule too — key fates
+        and link costs by the population's ids and never ask the network
+        for a pair id."""
+        comm = torus_comm(faults=FaultSpec.parse(DROP_HEAVY))
+        rng = np.random.default_rng(4)
+
+        def fold(c):
+            c.begin_level(0)
+            get_fold("union-ring").fold(c, ROWS, *fold_input(rng))
+            c.stats.end_level(0)
+
+        fold(comm)  # prepares the population
+        calls = []
+        pair_ids = Network.pair_ids
+        monkeypatch.setattr(
+            Network, "pair_ids", lambda net, *a: calls.append(a) or pair_ids(net, *a)
+        )
+        twin = Communicator(
+            comm.mapping, comm.model, faults=FaultSpec.parse(DROP_HEAVY),
+            network=comm.network,
+        )
+        for c in (comm, twin, twin, twin):
+            fold(c)
+        assert not calls
+        assert twin.stats.total_drops > 0
 
     @pytest.mark.parametrize("capacity", [None, 7])
     @pytest.mark.parametrize("name", ["delta-varint", "adaptive"])

@@ -137,15 +137,15 @@ class TestHubProtocol:
 
     def test_level_retry_budget_exhaustion_raises(self):
         from repro.errors import FaultError
-        from repro.faults import FaultSpec
+        from repro.faults import FaultPlan, FaultSpec
 
         part = tiny_partition(2)
-        spec = FaultSpec(drop_rate=0.5, max_level_retries=2)
+        plan = FaultPlan.sample(FaultSpec(drop_rate=0.5, max_level_retries=2), 2)
         # every termination allreduce reports a failure: the hub must give
         # up after max_level_retries replays with a structured report
         failing = [("sum", (1, 1))] * 4
         conns = [FakeConn(list(failing)), FakeConn(list(failing))]
         with pytest.raises(FaultError, match="still failing") as excinfo:
-            _run_hub(conns, [FakeWorker(), FakeWorker()], part, timeout=5, spec=spec)
+            _run_hub(conns, [FakeWorker(), FakeWorker()], part, timeout=5, plan=plan)
         assert excinfo.value.report is not None
         assert excinfo.value.report.rollbacks == 3

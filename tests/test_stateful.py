@@ -1,5 +1,5 @@
 """Stateful property tests (hypothesis RuleBasedStateMachine) for the
-mutable runtime structures: message buffers, sent caches, simulated clocks.
+mutable runtime structures: sent caches and simulated clocks.
 Each machine mirrors the real structure against a trivial Python model and
 asserts they never diverge under arbitrary operation sequences.
 """
@@ -11,45 +11,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.errors import BufferOverflowError
 from repro.bfs.sent_cache import SentCache
 from repro.partition.indexing import VertexIndexMap
 from repro.runtime.clock import SimClock
-from repro.runtime.message import MessageBuffer
 
-CAPACITY = 16
 UNIVERSE = list(range(0, 100, 7))
-
-
-class MessageBufferMachine(RuleBasedStateMachine):
-    def __init__(self):
-        super().__init__()
-        self.buffer = MessageBuffer(CAPACITY)
-        self.model: list[int] = []
-
-    @rule(vertices=st.lists(st.integers(0, 1000), max_size=8))
-    def append(self, vertices):
-        arr = np.array(vertices, dtype=np.int64)
-        if arr.size == 0:
-            return
-        if arr.size > self.buffer.remaining:
-            try:
-                self.buffer.append(arr)
-            except BufferOverflowError:
-                return
-            raise AssertionError("overflow not raised")
-        self.buffer.append(arr)
-        self.model.extend(vertices)
-
-    @rule()
-    def drain(self):
-        assert self.buffer.drain().tolist() == self.model
-        self.model = []
-
-    @invariant()
-    def lengths_agree(self):
-        assert len(self.buffer) == len(self.model)
-        assert self.buffer.remaining == CAPACITY - len(self.model)
 
 
 class SentCacheMachine(RuleBasedStateMachine):
@@ -112,9 +78,8 @@ class SimClockMachine(RuleBasedStateMachine):
         assert np.allclose(self.clock.time, self.clock.comm_time + self.clock.compute_time)
 
 
-TestMessageBufferMachine = MessageBufferMachine.TestCase
 TestSentCacheMachine = SentCacheMachine.TestCase
 TestSimClockMachine = SimClockMachine.TestCase
 
-for case in (TestMessageBufferMachine, TestSentCacheMachine, TestSimClockMachine):
+for case in (TestSentCacheMachine, TestSimClockMachine):
     case.settings = settings(max_examples=25, stateful_step_count=30, deadline=None)
