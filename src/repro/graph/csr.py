@@ -14,6 +14,43 @@ import numpy as np
 from repro.types import VERTEX_DTYPE, as_vertex_array
 
 
+def sorted_edge_keys(
+    n: int, src: np.ndarray, dst: np.ndarray, *, symmetrize: bool = False
+) -> np.ndarray:
+    """The sorted, distinct ``int64`` keys ``src · n + dst`` of an edge set.
+
+    Self-loops are dropped; with ``symmetrize`` both orientations of every
+    edge are keyed.  The keys are written into one array, sorted in place
+    and deduplicated by adjacent difference, so key order is ``(src, dst)``
+    order: the one canonicalisation behind every graph builder.  Raises
+    ``ValueError`` before allocating anything when ``n * n`` does not fit
+    an ``int64``.
+    """
+    n = int(n)  # a NumPy integer's n * n would wrap
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    if n * n > np.iinfo(np.int64).max:
+        raise ValueError(f"n**2 = {n * n} overflows the int64 edge key")
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    keep = src != dst
+    if not keep.all():
+        src, dst = src[keep], dst[keep]
+    m = src.size
+    keys = np.empty(2 * m if symmetrize else m, dtype=np.int64)
+    np.multiply(src, n, out=keys[:m])
+    keys[:m] += dst
+    if symmetrize:
+        np.multiply(dst, n, out=keys[m:])
+        keys[m:] += src
+    keys.sort()
+    if keys.size > 1:
+        fresh = keys[1:] != keys[:-1]
+        if not fresh.all():
+            keys = keys[np.concatenate(([True], fresh))]
+    return keys
+
+
 class CsrGraph:
     """An undirected graph in CSR form.
 
@@ -59,7 +96,9 @@ class CsrGraph:
 
         Duplicate edges and self-loops are dropped.  With ``symmetrize``
         (the default; the paper considers undirected graphs only), each
-        edge ``(u, v)`` is stored in both rows.
+        edge ``(u, v)`` is stored in both rows.  Raises ``ValueError`` when
+        ``n * n`` overflows the ``int64`` edge key (see
+        :func:`sorted_edge_keys`).
         """
         edges = np.asarray(edges, dtype=VERTEX_DTYPE)
         if edges.size == 0:
@@ -68,27 +107,22 @@ class CsrGraph:
             raise ValueError(f"edges must have shape (m, 2), got {edges.shape}")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoints out of range")
+        return cls.from_sorted_keys(
+            n, sorted_edge_keys(n, edges[:, 0], edges[:, 1], symmetrize=symmetrize)
+        )
 
-        u, v = edges[:, 0], edges[:, 1]
-        keep = u != v
-        u, v = u[keep], v[keep]
-        if symmetrize:
-            src = np.concatenate([u, v])
-            dst = np.concatenate([v, u])
-        else:
-            src, dst = u, v
-        # Sort by (src, dst) then unique to drop duplicate edges.
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if src.size:
-            uniq = np.empty(src.size, dtype=bool)
-            uniq[0] = True
-            np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=uniq[1:])
-            src, dst = src[uniq], dst[uniq]
+    @classmethod
+    def from_sorted_keys(cls, n: int, keys: np.ndarray) -> "CsrGraph":
+        """Build CSR from the sorted, distinct ``src · n + dst`` keys of its
+        stored entries (what :func:`sorted_edge_keys` returns).
+
+        ``keys`` is consumed: its buffer becomes the ``indices`` array.
+        """
+        rows = keys // n
+        np.remainder(keys, n, out=keys)
         indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n, indptr, dst)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(n, indptr, keys)
 
     @classmethod
     def empty(cls, n: int) -> "CsrGraph":

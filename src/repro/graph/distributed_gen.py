@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CsrGraph
+from repro.graph.generators import dedup_undirected_edges, rmat_edges
 from repro.partition.base import BlockDistribution
 from repro.partition.two_d import TwoDPartition
 from repro.types import VERTEX_DTYPE, GraphSpec, GridShape
@@ -131,26 +132,21 @@ class DistributedGraphBuilder:
 
     def _bucket_rmat_cells(self, spec: GraphSpec) -> dict[tuple[int, int], np.ndarray]:
         """Canonical undirected R-MAT edges, grouped by (bu, bv) cell."""
-        from repro.graph.generators import rmat_edges
-        from repro.utils.rng import RngFactory as _RngFactory
-
-        rng = _RngFactory(spec.seed).named("rmat-graph")
-        dirty = rmat_edges(spec.scale, spec.edge_factor, rng, a=spec.a, b=spec.b, c=spec.c)
-        u = np.minimum(dirty[:, 0], dirty[:, 1])
-        v = np.maximum(dirty[:, 0], dirty[:, 1])
-        keep = u != v  # drop self-loops
-        u, v = u[keep], v[keep]
-        edges = np.unique(np.column_stack([u, v]), axis=0)
-        bu = self.dist.part_of(edges[:, 0])
-        bv = self.dist.part_of(edges[:, 1])
-        order = np.lexsort((bv, bu))
-        edges, bu, bv = edges[order], bu[order], bv[order]
-        cuts = np.flatnonzero(np.diff(bu * self.grid.size + bv)) + 1
+        rng = RngFactory(spec.seed).named("rmat-graph")
+        edges = dedup_undirected_edges(
+            rmat_edges(spec.scale, spec.edge_factor, rng, a=spec.a, b=spec.b, c=spec.c)
+        )
+        # edges ascend in (u, v) order, which a stable sort by cell keeps
+        # within each cell
+        cell = self.dist.part_of(edges[:, 0]) * self.grid.size + self.dist.part_of(edges[:, 1])
+        order = np.argsort(cell, kind="stable")
+        edges, cell = edges[order], cell[order]
+        cuts = np.flatnonzero(np.diff(cell)) + 1
         bounds = np.concatenate(([0], cuts, [edges.shape[0]]))
         return {
-            (int(bu[bounds[i]]), int(bv[bounds[i]])): edges[bounds[i] : bounds[i + 1]]
-            for i in range(bounds.size - 1)
-            if bounds[i + 1] > bounds[i]
+            divmod(int(cell[lo]), self.grid.size): edges[lo:hi]
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+            if hi > lo
         }
 
     def _cell_edges(self, bu: int, bv: int) -> np.ndarray:

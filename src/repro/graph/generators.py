@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CsrGraph
+from repro.graph.csr import CsrGraph, sorted_edge_keys
 from repro.types import VERTEX_DTYPE, GraphSpec
 from repro.utils.rng import RngFactory
 from repro.utils.validation import check_probability
@@ -147,22 +147,19 @@ def rmat_edges(
 
 
 def dedup_undirected_edges(edges: np.ndarray) -> np.ndarray:
-    """Canonicalise an edge array: drop self-loops, sort endpoints, dedupe."""
+    """Canonicalise an edge array: drop self-loops, sort endpoints, dedupe.
+
+    Rows come out as ``(lo, hi)`` with ``lo < hi``, in ascending order.
+    """
     edges = np.asarray(edges, dtype=VERTEX_DTYPE)
     if edges.size == 0:
         return edges.reshape(0, 2)
     lo = np.minimum(edges[:, 0], edges[:, 1])
+    if lo.min() < 0:
+        raise ValueError("vertex ids must be non-negative")
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    keep = lo != hi
-    lo, hi = lo[keep], hi[keep]
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    if lo.size:
-        uniq = np.empty(lo.size, dtype=bool)
-        uniq[0] = True
-        np.logical_or(lo[1:] != lo[:-1], hi[1:] != hi[:-1], out=uniq[1:])
-        lo, hi = lo[uniq], hi[uniq]
-    return np.column_stack([lo, hi])
+    n = int(hi.max()) + 1
+    return np.column_stack(np.divmod(sorted_edge_keys(n, lo, hi), n))
 
 
 def _pair_ids_to_edges(pair_ids: np.ndarray, n: int) -> np.ndarray:

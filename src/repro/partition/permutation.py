@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.csr import CsrGraph
+from repro.graph.csr import CsrGraph, sorted_edge_keys
 from repro.types import LEVEL_DTYPE, VERTEX_DTYPE, as_vertex_array
 from repro.utils.rng import RngFactory
 
@@ -69,10 +69,14 @@ class VertexRelabeling:
         """Return ``graph`` with every vertex renamed through the bijection."""
         if graph.n != self.n:
             raise PartitionError(f"graph has {graph.n} vertices, relabeling covers {self.n}")
-        edges = graph.edge_array()
-        if edges.size:
-            edges = self.to_new[edges]
-        return CsrGraph.from_edges(graph.n, edges)
+        # every stored entry (both orientations) renamed: a simple graph
+        # stays simple, so the keys only need sorting
+        keys = sorted_edge_keys(
+            graph.n,
+            np.repeat(self.to_new, np.diff(graph.indptr)),
+            self.to_new[graph.indices],
+        )
+        return CsrGraph.from_sorted_keys(graph.n, keys)
 
     def restore_levels(self, levels_new: np.ndarray) -> np.ndarray:
         """Map a level array computed on the relabeled graph back to original ids."""

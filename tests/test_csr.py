@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.graph.csr import CsrGraph
+from repro.graph.csr import CsrGraph, sorted_edge_keys
 from repro.types import VERTEX_DTYPE
 
 
@@ -55,6 +58,76 @@ class TestConstruction:
     def test_no_edges_input(self):
         g = CsrGraph.from_edges(4, np.empty((0, 2)))
         assert g.num_edges == 0
+
+
+@st.composite
+def edge_lists(draw, max_n: int = 12):
+    """``(n, pairs)``: ``n`` in ``0 .. max_n`` and endpoint pairs over it,
+    with self-loops, duplicates and both orientations of some edges."""
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    flipped = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    return n, pairs + [(v, u) for u, v in flipped]
+
+
+def reference_rows(n: int, pairs, *, symmetrize: bool = True) -> list[list[int]]:
+    """Sorted adjacency rows of the entry set, built from a Python set."""
+    entries = {(u, v) for u, v in pairs if u != v}
+    if symmetrize:
+        entries |= {(v, u) for u, v in entries}
+    return [sorted(v for u, v in entries if u == row) for row in range(n)]
+
+
+def rows_of(g: CsrGraph) -> list[list[int]]:
+    """The graph's rows, after checking the CSR arrays' form."""
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    assert g.indptr.shape == (g.n + 1,) and g.indptr[0] == 0
+    assert np.all(np.diff(g.indptr) >= 0)
+    rows = [g.indices[g.indptr[u] : g.indptr[u + 1]].tolist() for u in range(g.n)]
+    assert all(row == sorted(set(row)) for row in rows)
+    return rows
+
+
+class TestOneKeyBuild:
+    @given(edge_lists(), st.booleans())
+    def test_from_edges_matches_a_set_reference(self, graph, symmetrize):
+        n, pairs = graph
+        edges = np.array(pairs, dtype=VERTEX_DTYPE).reshape(-1, 2)
+        g = CsrGraph.from_edges(n, edges, symmetrize=symmetrize)
+        assert rows_of(g) == reference_rows(n, pairs, symmetrize=symmetrize)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_empty_edge_arrays(self, n):
+        for edges in (np.empty((0, 2), dtype=np.int64), np.empty(0), []):
+            g = CsrGraph.from_edges(n, edges)
+            assert rows_of(g) == [[]] * n
+
+    def test_keys_are_sorted_and_distinct(self):
+        keys = sorted_edge_keys(4, np.array([3, 1, 1, 2, 0]), np.array([0, 2, 2, 2, 3]),
+                                symmetrize=True)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [0 * 4 + 3, 1 * 4 + 2, 2 * 4 + 1, 3 * 4 + 0]
+
+    @pytest.mark.parametrize("n", [2**32, np.int64(2**32)], ids=["int", "np.int64"])
+    def test_n_squared_overflow_raises_before_allocating(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="overflows the int64 edge key"):
+                CsrGraph.from_edges(n, np.array([[0, 1]]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_largest_n_whose_keys_fit(self):
+        n = math.isqrt(2**63 - 1)
+        keys = sorted_edge_keys(n, np.array([n - 1]), np.array([n - 2]), symmetrize=True)
+        assert keys.tolist() == [(n - 2) * n + n - 1, (n - 1) * n + n - 2]
+        with pytest.raises(ValueError):
+            sorted_edge_keys(n + 1, np.array([0]), np.array([1]))
 
 
 class TestQueries:

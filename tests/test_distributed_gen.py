@@ -12,6 +12,7 @@ from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.level_sync import run_bfs
 from repro.bfs.serial import serial_bfs
 from repro.graph.distributed_gen import DistributedGraphBuilder, _sample_cell
+from repro.graph.generators import build_graph
 from repro.partition.base import BlockDistribution
 from repro.partition.two_d import TwoDPartition
 from repro.errors import PartitionError
@@ -79,6 +80,24 @@ class TestBuilderEquivalence:
         builder = DistributedGraphBuilder(spec, grid)
         central = TwoDPartition(builder.reference_graph(), grid)
         assert_pooled_equal(central, builder.build_partition())
+
+    @pytest.mark.parametrize("grid", [GridShape(2, 2), GridShape(3, 4), GridShape(1, 6)],
+                             ids=str)
+    def test_rmat_matches_the_central_build(self, grid):
+        """R-MAT's cells come from the same one-key dedup as the central
+        graph: the assembled graph and the partition are the central ones."""
+        spec = GraphSpec.rmat(9, edge_factor=8, seed=5)
+        central = build_graph(spec)
+        builder = DistributedGraphBuilder(spec, grid)
+        reference = builder.reference_graph()
+        assert np.array_equal(reference.indptr, central.indptr)
+        assert np.array_equal(reference.indices, central.indices)
+        for (bu, bv), edges in builder._rmat_cells.items():
+            u, v = edges[:, 0], edges[:, 1]
+            assert bu <= bv and np.all(u < v)
+            assert np.all(builder.dist.part_of(u) == bu) and np.all(builder.dist.part_of(v) == bv)
+            assert np.all(np.diff(u * spec.n + v) > 0)
+        assert_pooled_equal(TwoDPartition(central, grid), builder.build_partition())
 
     def test_build_rank_returns_the_ranks_entries(self):
         spec = GraphSpec(n=500, k=6, seed=3)

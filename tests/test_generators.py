@@ -185,4 +185,13 @@ class TestDedup:
         arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         out = dedup_undirected_edges(arr)
         expected = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        assert out.dtype == np.int64 and out.shape == (len(expected), 2)
         assert list(map(tuple, out.tolist())) == expected
+
+    def test_only_self_loops(self):
+        out = dedup_undirected_edges(np.array([[3, 3], [0, 0]]))
+        assert out.dtype == np.int64 and out.shape == (0, 2)
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(ValueError):
+            dedup_undirected_edges(np.array([[-1, 2]]))

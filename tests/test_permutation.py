@@ -18,6 +18,8 @@ from repro.partition.two_d import TwoDPartition
 from repro.types import GridShape
 from repro.utils.rng import RngFactory
 
+from tests.test_csr import edge_lists, reference_rows, rows_of
+
 
 def rmat_graph(scale=10, ef=8, seed=4) -> CsrGraph:
     rng = RngFactory(seed).named("test-rmat")
@@ -69,6 +71,16 @@ class TestVertexRelabeling:
         source_new = int(relab.new_id(np.array([source_old]))[0])
         restored = relab.restore_levels(serial_bfs(relabeled, source_new))
         assert np.array_equal(restored, serial_bfs(small_graph, source_old))
+
+    @given(edge_lists(), st.randoms(use_true_random=False))
+    def test_apply_matches_a_set_reference(self, graph, random):
+        n, pairs = graph
+        graph = CsrGraph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        to_new = list(range(n))
+        random.shuffle(to_new)
+        relabeled = VertexRelabeling(np.array(to_new, dtype=np.int64)).apply(graph)
+        renamed = [(to_new[u], to_new[v]) for u, v in pairs]
+        assert rows_of(relabeled) == reference_rows(n, renamed)
 
     @given(st.integers(0, 1000), st.integers(1, 60))
     @settings(max_examples=25)
