@@ -24,7 +24,7 @@ import numpy as np
 from repro.api import distributed_bfs
 from repro.backends.spmd import spmd_bfs
 from repro.bfs.options import BfsOptions
-from repro.bfs.tree import build_parent_tree, validate_bfs_result
+from repro.bfs.tree import ValidationReport, build_parent_tree, validate_bfs_result
 from repro.graph.csr import CsrGraph
 from repro.graph.generators import rmat_edges
 from repro.partition.balance import balance_report
@@ -39,33 +39,39 @@ GRID = GridShape(4, 4)
 NUM_ROOTS = 4
 
 
-def main() -> None:
+def main(
+    scale: int = SCALE, grid: GridShape = GRID, num_roots: int = NUM_ROOTS
+) -> list[ValidationReport]:
+    """Run the pipeline at R-MAT ``scale`` on ``grid`` from ``num_roots``
+    random roots; returns each root's validation report."""
     rng = RngFactory(21).named("graph500")
-    edges = rmat_edges(SCALE, EDGE_FACTOR, rng)
-    raw = CsrGraph.from_edges(1 << SCALE, edges)
-    print(f"R-MAT scale={SCALE} ef={EDGE_FACTOR}: n={raw.n}, m={raw.num_edges}")
+    edges = rmat_edges(scale, EDGE_FACTOR, rng)
+    raw = CsrGraph.from_edges(1 << scale, edges)
+    print(f"R-MAT scale={scale} ef={EDGE_FACTOR}: n={raw.n}, m={raw.num_edges}")
 
     # Load balance: blocks of an R-MAT graph are badly skewed; relabel.
-    before = balance_report(TwoDPartition(raw, GRID), "edge_entries")
+    before = balance_report(TwoDPartition(raw, grid), "edge_entries")
     graph, relabeling = relabel_graph(raw, seed=22)
-    after = balance_report(TwoDPartition(graph, GRID), "edge_entries")
+    after = balance_report(TwoDPartition(graph, grid), "edge_entries")
     print(f"edge imbalance: raw {before.imbalance:.2f} -> relabeled {after.imbalance:.2f}")
 
     opts = BfsOptions(expand_collective="two-phase", fold_collective="two-phase")
     degrees = graph.degree()
     candidates = np.where(degrees > 0)[0]
-    roots = [int(candidates[rng.integers(candidates.size)]) for _ in range(NUM_ROOTS)]
+    roots = [int(candidates[rng.integers(candidates.size)]) for _ in range(num_roots)]
+    reports = []
 
     print(f"\n{'root':>6}  {'reached':>8}  {'levels':>6}  {'time':>10}  {'TEPS':>10}  checks")
     for root in roots:
-        result = distributed_bfs(graph, GRID, root, opts=opts)
+        result = distributed_bfs(graph, grid, root, opts=opts)
 
         # Graph500-style validation (structural, oracle-free).
         parents = build_parent_tree(graph, result.levels)
         report = validate_bfs_result(graph, root, result.levels, parents)
+        reports.append(report)
 
         # Real-parallel backend must agree exactly.
-        spmd_levels = spmd_bfs(graph, GRID, root, timeout=120)
+        spmd_levels = spmd_bfs(graph, grid, root, timeout=120)
         assert np.array_equal(spmd_levels, result.levels), "SPMD backend deviates"
 
         # TEPS against the modelled machine time: edges in the traversed
@@ -83,6 +89,7 @@ def main() -> None:
         "\n(The TEPS figures are against *modelled* BlueGene/L time; the "
         "paper's machine would report its own — shapes, not seconds.)"
     )
+    return reports
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ process, NumPy int64 buffers as the only payload (the mpi4py "fast path"
 idiom).  The message pattern is identical to the simulated engine's direct
 collectives — expand along processor-columns, fold along processor-rows —
 so this backend doubles as an executable specification of what a real MPI
-port performs each level.
+port performs each level.  A worker holds one rank's view of the
+partition's pooled tables: it reads its ``*_bounds`` slices and the
+direct index the simulated engine reads, and keeps its sent flags over
+its own slots of the row universe.
 
 Protocol (every rank sends the same message kinds in the same order, so
 the hub never deadlocks):
@@ -57,12 +60,12 @@ import numpy as np
 from repro.bfs.bottom_up import _first_hit_scan
 from repro.bfs.direction import BOTTOM_UP, TOP_DOWN, DirectionPolicy
 from repro.bfs.options import BfsOptions
-from repro.bfs.sent_cache import SentCache
 from repro.errors import CommunicationError, FaultError, SearchError
 from repro.faults import FaultPlan, FaultReport, FaultSchedule, FaultSpec
 from repro.graph.csr import CsrGraph
 from repro.partition.two_d import TwoDPartition
 from repro.types import LEVEL_DTYPE, UNREACHED, VERTEX_DTYPE, GridShape
+from repro.utils.segmented import range_indices
 from repro.wire import WireCodec, resolve_wire
 
 _POLL_INTERVAL = 0.05
@@ -95,7 +98,11 @@ def spmd_bfs(
     sieved fold candidates to the return tuple so tests can assert exact
     cross-backend parity.  ``timeout`` bounds the whole run; a hung or
     dead worker raises :class:`CommunicationError` instead of
-    deadlocking.
+    deadlocking, as does an option the workers cannot honour (a
+    collective outside the supported pairs, ``opts.buffer_capacity``,
+    ``opts.checkpoint=False`` under faults, rank crashes, or bottom-up
+    levels under faults).  Every mesh, ``P = 1`` included, runs the same
+    forked workers.
     """
     if not isinstance(grid, GridShape):
         grid = GridShape(*grid)
@@ -120,6 +127,19 @@ def spmd_bfs(
             f"spmd backend supports fold in {{'direct', 'union-ring'}}, "
             f"got {opts.fold_collective!r}"
         )
+    if opts.buffer_capacity is not None:
+        raise CommunicationError(
+            "spmd backend sends every payload whole, so buffer_capacity="
+            f"{opts.buffer_capacity} would chunk no message (and, under "
+            "faults, change no drop); use the simulated engine for fixed "
+            "message buffers"
+        )
+    if faults is not None and opts.checkpoint is False:
+        raise CommunicationError(
+            "spmd backend always rolls a failed level back to its entry "
+            "snapshot, so checkpoint=False cannot be honoured under faults; "
+            "use the simulated engine to run without checkpoints"
+        )
     policy = DirectionPolicy.coerce(opts.direction)
     if policy.may_go_bottom_up and faults is not None:
         raise CommunicationError(
@@ -131,21 +151,6 @@ def spmd_bfs(
     partition = TwoDPartition(graph, grid)
     nranks = grid.size
     plan = FaultPlan.sample(faults, nranks) if faults is not None else None
-
-    if nranks == 1:
-        levels = _single_rank_bfs(partition, source)
-        out: tuple = (levels,)
-        if return_report:
-            report = (
-                FaultSchedule(faults, 1, plan).snapshot_report(0.0)
-                if plan is not None
-                else None
-            )
-            out = out + (report,)
-        if return_sieved:
-            # a single rank has no fold peers, so nothing is ever sieved
-            out = out + (0,)
-        return out if len(out) > 1 else levels
 
     ctx = mp.get_context("fork")
     pipes = [ctx.Pipe(duplex=True) for _ in range(nranks)]
@@ -288,25 +293,31 @@ def _worker_main(
     conn,
 ) -> None:
     grid = partition.grid
-    loc = partition.local(rank)
-    levels = np.full(loc.num_owned, UNREACHED, dtype=LEVEL_DTYPE)
+    lo = int(partition.owned_lo[rank])
+    levels = np.full(int(partition.owned_hi[rank]) - lo, UNREACHED, dtype=LEVEL_DTYPE)
     frontier = np.empty(0, dtype=VERTEX_DTYPE)
-    if loc.vertex_lo <= source < loc.vertex_hi:
-        levels[source - loc.vertex_lo] = 0
+    if lo <= source < lo + levels.size:
+        levels[source - lo] = 0
         frontier = np.array([source], dtype=VERTEX_DTYPE)
 
-    col_group = grid.col_members(loc.mesh_col)
-    row_group = grid.row_members(loc.mesh_row)
-    sent_cache = SentCache(loc.row_map) if opts.use_sent_cache else None
+    mesh_row, mesh_col = grid.coords_of(rank)
+    col_group = grid.col_members(mesh_col)
+    row_group = grid.row_members(mesh_row)
+    # Sent-neighbours flags (Section 2.4.3): one per slot of this rank's
+    # row universe, the pooled slots row_bounds[rank]:row_bounds[rank + 1].
+    row_lo = int(partition.row_bounds[rank])
+    sent = (
+        np.zeros(int(partition.row_bounds[rank + 1]) - row_lo, dtype=bool)
+        if opts.use_sent_cache
+        else None
+    )
     # Communication sieve: this worker's shadow of its row peers' visited
     # sets, fed by their end-of-level summary broadcasts.  Own vertices
     # are never received, so self-addressed fold contributions always
     # pass — exactly the simulated PooledSieve semantics.
     shadow = np.zeros(partition.n, dtype=bool) if opts.use_sieve else None
     sieved = 0
-    R = grid.rows
-    offsets = partition.dist.offsets
-    col_bounds = offsets[::R]
+    member_bounds = partition.dist.offsets[:: grid.rows]
     faults = None
     if plan is not None and plan.spec.drop_rate > 0:
         faults = FaultSchedule(plan.spec, plan.nranks, plan)
@@ -322,14 +333,14 @@ def _worker_main(
     while True:
         if faults is not None:
             # level-entry snapshot: frontier arrays are never mutated in
-            # place, so only the level labels, the sent-cache, and the
+            # place, so only the level labels, the sent flags, and the
             # sieve shadow need copies (the sieved tally is deliberately
             # left out — like CommStats.abort_level it accumulates across
             # replayed attempts)
             snapshot = (
                 levels.copy(),
                 frontier,
-                sent_cache.snapshot() if sent_cache is not None else None,
+                sent.copy() if sent is not None else None,
                 shadow.copy() if shadow is not None else None,
             )
             # a chunk lost for good this level fails it
@@ -340,7 +351,7 @@ def _worker_main(
         )
         if direction == BOTTOM_UP:
             fresh = _bottom_up_level(
-                conn, rank, partition, loc, row_group, col_group,
+                conn, rank, partition, row_group, col_group,
                 levels, frontier, level, codec, faults,
             )
         else:
@@ -349,10 +360,14 @@ def _worker_main(
                 conn, rank, col_group, frontier, opts.expand_collective, codec, faults
             )
 
-            # --- local discovery on partial edge lists --- #
-            neighbors = np.unique(loc.partial_neighbors(fbar))
-            if sent_cache is not None:
-                neighbors = sent_cache.filter_unsent(neighbors)
+            # --- local discovery on partial edge lists: the distinct row
+            # slots they hold, ascending, are the ascending neighbour set --- #
+            gather, _ = range_indices(*_stored_lists(partition, rank, fbar))
+            slots = np.unique(partition.row_slots[gather])
+            if sent is not None:
+                slots = slots[~sent[slots - row_lo]]
+                sent[slots - row_lo] = True
+            neighbors = partition.row_ids[slots]
             if shadow is not None:
                 # the sieve: candidates whose owner is already known to
                 # have visited them never enter a fold contribution
@@ -361,7 +376,7 @@ def _worker_main(
                 neighbors = neighbors[keep]
 
             # --- fold: route neighbours to their owners along the row --- #
-            bounds = np.searchsorted(neighbors, col_bounds)
+            bounds = np.searchsorted(neighbors, member_bounds)
             contrib = {
                 m: neighbors[bounds[m] : bounds[m + 1]]
                 for m in range(grid.cols)
@@ -372,13 +387,8 @@ def _worker_main(
             )
 
             # --- label fresh vertices --- #
-            if candidates.size:
-                local = candidates - loc.vertex_lo
-                fresh = candidates[levels[local] == UNREACHED]
-            else:
-                fresh = candidates
-            if fresh.size:
-                levels[fresh - loc.vertex_lo] = level + 1
+            fresh = candidates[levels[candidates - lo] == UNREACHED]
+            levels[fresh - lo] = level + 1
 
             if shadow is not None:
                 # --- sieve summaries: broadcast the freshly labelled
@@ -405,8 +415,8 @@ def _worker_main(
             # counters advanced, so the retry sees new coin flips)
             levels[:] = snapshot[0]
             frontier = snapshot[1]
-            if sent_cache is not None:
-                sent_cache.restore(snapshot[2])
+            if sent is not None:
+                sent[:] = snapshot[2]
             if shadow is not None:
                 shadow[:] = snapshot[3]
             continue
@@ -421,11 +431,22 @@ def _worker_main(
     conn.send(("done", (levels, faults.report if faults is not None else None, sieved)))
 
 
+def _stored_lists(
+    partition: TwoDPartition, rank: int, vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, lengths)`` of ``rank``'s partial edge lists of ``vertices``
+    in the pooled ``rows``, by direct index: every vertex lies in the
+    rank's column chunk, so its list is slot ``slot_shift[rank] + v`` of
+    ``slot_indptr`` (empty where the rank stores none)."""
+    slot = vertices + partition.slot_shift[rank]
+    starts = partition.slot_indptr[slot]
+    return starts, partition.slot_indptr[slot + 1] - starts
+
+
 def _bottom_up_level(
     conn,
     rank: int,
     partition: TwoDPartition,
-    loc,
     row_group: list[int],
     col_group: list[int],
     levels: np.ndarray,
@@ -445,8 +466,8 @@ def _bottom_up_level(
     column for de-duplication and labelling.  Mirrors
     :func:`repro.bfs.bottom_up.bottom_up_level_2d` message for message.
     """
-    empty = np.empty(0, dtype=VERTEX_DTYPE)
     n = partition.n
+    lo = int(partition.owned_lo[rank])
 
     def merge(own: np.ndarray, inbox) -> np.ndarray:
         pieces = [own, *(payload for _src, payload in inbox)]
@@ -458,9 +479,7 @@ def _bottom_up_level(
     frontier_rows = merge(frontier, inbox)
 
     # round 2: unvisited state of the column chunk
-    owned_unvisited = (
-        np.flatnonzero(levels == UNREACHED).astype(VERTEX_DTYPE) + loc.vertex_lo
-    )
+    owned_unvisited = np.flatnonzero(levels == UNREACHED).astype(VERTEX_DTYPE) + lo
     sends = {
         peer: owned_unvisited
         for peer in col_group
@@ -474,29 +493,24 @@ def _bottom_up_level(
     frontier_mask[frontier_rows] = True
     unvisited_mask = np.zeros(n, dtype=bool)
     unvisited_mask[unvisited_chunk] = True
-    col_ids = loc.col_map.ids
-    scan_cols = np.flatnonzero(unvisited_mask[col_ids])
-    starts = loc.col_indptr[scan_cols].astype(np.int64)
-    lengths = loc.col_indptr[scan_cols + 1].astype(np.int64) - starts
-    found, _ = _first_hit_scan(starts, lengths, loc.rows, frontier_mask)
-    found_v = col_ids[scan_cols[found]]
+    stored = partition.col_keys[partition.col_bounds[rank] : partition.col_bounds[rank + 1]]
+    stored = stored - rank * n
+    scan = stored[unvisited_mask[stored]]
+    starts, lengths = _stored_lists(partition, rank, scan)
+    found, _ = _first_hit_scan(starts, lengths, partition.rows, frontier_mask)
+    found_v = scan[found]
 
     # round 3: finds travel to their owners (within the processor column)
-    owners = partition.owner_of(found_v) if found_v.size else found_v
+    owners = partition.owner_of(found_v)
     sends = {
         int(o): found_v[owners == o]
         for o in np.unique(owners)
         if int(o) != rank
     }
-    own = found_v[owners == rank] if found_v.size else empty
     inbox = _exchange(conn, rank, sends, codec, faults, lossy=True)
-    merged = merge(own, inbox)
-    if merged.size:
-        local = merged - loc.vertex_lo
-        fresh = merged[levels[local] == UNREACHED]
-        levels[fresh - loc.vertex_lo] = level + 1
-    else:
-        fresh = merged
+    merged = merge(found_v[owners == rank], inbox)
+    fresh = merged[levels[merged - lo] == UNREACHED]
+    levels[fresh - lo] = level + 1
     return fresh
 
 
@@ -622,18 +636,3 @@ def _fold_phase(
             chunk = merged
     return result
 
-
-def _single_rank_bfs(partition: TwoDPartition, source: int) -> np.ndarray:
-    """Degenerate P=1 case: run the worker loop inline without processes."""
-    loc = partition.local(0)
-    levels = np.full(loc.num_owned, UNREACHED, dtype=LEVEL_DTYPE)
-    levels[source - loc.vertex_lo] = 0
-    frontier = np.array([source], dtype=VERTEX_DTYPE)
-    level = 0
-    while frontier.size:
-        neighbors = np.unique(loc.partial_neighbors(frontier))
-        fresh = neighbors[levels[neighbors - loc.vertex_lo] == UNREACHED]
-        levels[fresh - loc.vertex_lo] = level + 1
-        frontier = fresh
-        level += 1
-    return levels

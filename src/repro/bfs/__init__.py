@@ -14,7 +14,6 @@ from repro.bfs.options import BfsOptions
 from repro.bfs.direction import DIRECTION_MODES, DirectionPolicy
 from repro.bfs.result import BfsResult, BidirectionalResult, QueryResult
 from repro.bfs.serial import serial_bfs
-from repro.bfs.sent_cache import SentCache
 from repro.bfs.level_sync import LevelSyncEngine, run_bfs
 from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.bidirectional import run_bidirectional_bfs
@@ -31,7 +30,6 @@ __all__ = [
     "MsBfsResult",
     "run_ms_bfs",
     "serial_bfs",
-    "SentCache",
     "LevelSyncEngine",
     "run_bfs",
     "Bfs2DEngine",

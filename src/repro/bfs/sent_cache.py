@@ -18,66 +18,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.partition.indexing import VertexIndexMap
-from repro.types import as_vertex_array
-
-
-class SentCache:
-    """Per-rank already-sent filter over a fixed vertex universe."""
-
-    __slots__ = ("index", "_sent")
-
-    def __init__(self, universe: VertexIndexMap) -> None:
-        self.index = universe
-        self._sent = np.zeros(len(universe), dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    @property
-    def num_sent(self) -> int:
-        """How many distinct vertices have been marked sent so far."""
-        return int(self._sent.sum())
-
-    def filter_unsent(self, vertices: np.ndarray) -> np.ndarray:
-        """Return the not-yet-sent subset of ``vertices`` and mark it sent.
-
-        ``vertices`` must be duplicate-free and drawn from the universe
-        (every fold candidate appears in some local edge list by
-        construction).
-        """
-        vertices = as_vertex_array(vertices)
-        if vertices.size == 0:
-            return vertices
-        local = self.index.to_local(vertices)
-        fresh_mask = ~self._sent[local]
-        self._sent[local[fresh_mask]] = True
-        return vertices[fresh_mask]
-
-    def reset(self) -> None:
-        """Forget all sent marks (for reusing a cache across runs)."""
-        self._sent[:] = False
-
-    def snapshot(self) -> np.ndarray:
-        """Copy of the sent flags (level-boundary checkpointing)."""
-        return self._sent.copy()
-
-    def restore(self, snapshot: np.ndarray) -> None:
-        """Reinstate flags captured by :meth:`snapshot` (level rollback)."""
-        self._sent[:] = snapshot
-
 
 class PooledSentCache:
     """All P ranks' sent filters in one flat bitset over pooled universes.
 
-    Semantically identical to a list of per-rank :class:`SentCache`
-    objects, but the flags live in a single array whose index — the
-    *slot* — is the address space of discovery (Section 2.4.2's local
-    index).  Slots are ordered by ``(rank, vertex)``, so the distinct
-    slots a level touches, read off a flag array in index order, *are*
-    every rank's sorted duplicate-free neighbour set: :meth:`discover`
-    needs no sort and no search, and costs O(edges gathered + slots).
-    The universes are the partition's pooled row universe
+    The flags live in a single array whose index — the *slot* — is the
+    address space of discovery (Section 2.4.2's local index).  Slots are
+    ordered by ``(rank, vertex)``, so the distinct slots a level touches,
+    read off a flag array in index order, *are* every rank's sorted
+    duplicate-free neighbour set: :meth:`discover` needs no sort and no
+    search, and costs O(edges gathered + slots).  The universes are the
+    partition's pooled row universe
     (:attr:`~repro.partition.two_d.TwoDPartition.row_ids`, cut by
     ``row_bounds``), shared, not copied; they are immutable, so one pool
     serves every search of an engine's lifetime; :meth:`reset` rewinds it
@@ -95,14 +46,6 @@ class PooledSentCache:
         # scratch of the discover kernel; all-clear between calls
         self._mark = np.zeros(vertex.size, dtype=bool)
         self._acc: np.ndarray | None = None
-
-    def view(self, rank: int) -> SentCache:
-        """A :class:`SentCache` aliasing rank ``rank``'s slice of the pool."""
-        lo, hi = self.bounds[rank], self.bounds[rank + 1]
-        cache = SentCache.__new__(SentCache)
-        cache.index = VertexIndexMap.of_sorted(self.vertex[lo:hi])
-        cache._sent = self._sent[lo:hi]
-        return cache
 
     def _distinct(self, slots: np.ndarray) -> np.ndarray:
         """The distinct values of ``slots``, ascending."""
@@ -123,8 +66,8 @@ class PooledSentCache:
         counts)``: rank ``r``'s sorted duplicate-free neighbours are
         ``flat[bounds[r]:bounds[r+1]]`` — with ``filter_sent`` only the
         not-yet-sent ones, which are then marked sent, element-for-element
-        what per-rank ``np.unique`` + :meth:`SentCache.filter_unsent`
-        produce — each carrying the OR of its occurrences' mask words
+        what per-rank ``np.unique`` and a per-rank flag array produce —
+        each carrying the OR of its occurrences' mask words
         (``None`` without a column), and ``counts[r]`` is the size of
         rank ``r``'s neighbour set *before* the filter (the lookups the
         filter is charged for).  Sent flags are per vertex, not per mask

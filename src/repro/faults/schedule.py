@@ -196,15 +196,6 @@ class FaultSchedule:
             out[ids == self._down_id] = spec.down_detour_factor
         return out
 
-    def compute_multiplier(self, rank: int) -> float:
-        """Compute-time multiplier of ``rank`` (> 1 for stragglers)."""
-        return float(self._compute_multipliers[rank])
-
-    @property
-    def compute_multipliers(self) -> np.ndarray:
-        """Per-rank compute-time multipliers (read-only view for bulk charging)."""
-        return self._compute_multipliers
-
     def compute_fault_extra(self, seconds: np.ndarray) -> np.ndarray:
         """Per-rank fault seconds riding on a bulk compute charge.
 
@@ -221,10 +212,6 @@ class FaultSchedule:
                 np.add.at(hosted, self._host[absorbed], seconds[absorbed])
                 extra = extra + hosted
         return extra
-
-    def host_of(self, rank: int) -> int:
-        """Physical host of logical ``rank`` (differs after shrink recovery)."""
-        return int(self._host[rank])
 
     def plan_round(
         self, src: np.ndarray, dst: np.ndarray, ids: np.ndarray

@@ -85,22 +85,6 @@ class MachineModel:
             raise ValueError("message size must be non-negative")
         return self.alpha + hops * self.per_hop + contention * nbytes / self.bandwidth
 
-    # ------------------------------------------------------------------ #
-    # computation costs
-    # ------------------------------------------------------------------ #
-    def compute_time(
-        self,
-        edges_scanned: int = 0,
-        hash_lookups: int = 0,
-        updates: int = 0,
-    ) -> float:
-        """Time for local BFS work: edge-list scans, hash lookups, label updates."""
-        return (
-            edges_scanned * self.edge_scan_cost
-            + hash_lookups * self.hash_lookup_cost
-            + updates * self.update_cost
-        )
-
     def with_overrides(self, **kwargs) -> "MachineModel":
         """Copy with some parameters replaced (for sensitivity ablations)."""
         return replace(self, **kwargs)

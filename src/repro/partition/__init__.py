@@ -1,9 +1,8 @@
 """Graph partitioning: the paper's 2D edge partitioning (1D is its ``1 x P`` case)."""
 
-from repro.partition.base import BlockDistribution, Partition
-from repro.partition.indexing import VertexIndexMap
+from repro.partition.base import BlockDistribution
 from repro.partition.one_d import OneDPartition
-from repro.partition.two_d import TwoDPartition, RankLocal2D
+from repro.partition.two_d import TwoDPartition
 from repro.partition.balance import balance_report, BalanceReport
 from repro.partition.degree_aware import degree_aware_relabeling
 from repro.partition.permutation import VertexRelabeling, relabel_graph
@@ -13,11 +12,8 @@ __all__ = [
     "VertexRelabeling",
     "relabel_graph",
     "BlockDistribution",
-    "Partition",
-    "VertexIndexMap",
     "OneDPartition",
     "TwoDPartition",
-    "RankLocal2D",
     "balance_report",
     "BalanceReport",
 ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.partition.base import Partition
+from repro.partition.two_d import TwoDPartition
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,7 +31,7 @@ class BalanceReport:
         )
 
 
-def balance_report(partition: Partition, metric: str = "edge_entries") -> BalanceReport:
+def balance_report(partition: TwoDPartition, metric: str = "edge_entries") -> BalanceReport:
     """Compute the balance of ``metric`` (a :meth:`memory_footprints` key)."""
     counts = partition.memory_footprints()[metric].astype(np.float64)
     mean = float(counts.mean()) if counts.size else 0.0

@@ -15,83 +15,21 @@ whose owners all sit in processor-row ``i`` — which is why the *fold* runs
 across processor rows.
 
 Every rank's storage lives in one set of pooled tables, built once from
-one sort of the stored entries by (rank, column, row); a rank's
-:class:`RankLocal2D` is a view sliced from them on demand.
+one sort of the stored entries by (rank, column, row); the simulated
+engine and each SPMD worker read a rank's part of them in place.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.csr import CsrGraph
-from repro.partition.base import BlockDistribution, Partition
-from repro.partition.indexing import VertexIndexMap
+from repro.partition.base import BlockDistribution
 from repro.types import VERTEX_DTYPE, GridShape, as_vertex_array
 
 
-@dataclass(frozen=True, slots=True)
-class RankLocal2D:
-    """One rank's view of the pooled 2D storage.
-
-    The stored blocks are kept as *column edge lists* in CSR-of-columns
-    form: ``col_map.ids[c]`` is a global vertex id with a non-empty partial
-    edge list on this rank, and ``rows[col_indptr[c]:col_indptr[c+1]]`` are
-    the (global) row ids adjacent to it here.  Only non-empty columns are
-    indexed — the Section 2.4.1 memory optimisation that keeps storage
-    O(n/P) in expectation.  ``rows`` and ``row_map.ids`` are slices of the
-    partition's pooled arrays; ``col_map`` and ``col_indptr`` are read off
-    its column keys and direct index.
-    """
-
-    rank: int
-    mesh_row: int
-    mesh_col: int
-    vertex_lo: int
-    vertex_hi: int
-    col_map: VertexIndexMap
-    col_indptr: np.ndarray
-    rows: np.ndarray
-    row_map: VertexIndexMap
-
-    @property
-    def num_owned(self) -> int:
-        """Number of vertices owned by this rank."""
-        return self.vertex_hi - self.vertex_lo
-
-    @property
-    def num_stored_entries(self) -> int:
-        """Number of adjacency-matrix entries stored on this rank."""
-        return int(self.rows.shape[0])
-
-    def partial_neighbors(self, frontier_global: np.ndarray) -> np.ndarray:
-        """Merge the stored partial edge lists of the given frontier vertices.
-
-        ``frontier_global`` is the column-expanded frontier ``F-bar``
-        (Algorithm 2, step 12); vertices without a partial list here are
-        skipped.  Returns global row ids, duplicates included.
-        """
-        frontier_global = as_vertex_array(frontier_global)
-        if frontier_global.size == 0:
-            return np.empty(0, dtype=VERTEX_DTYPE)
-        _, local_cols = self.col_map.to_local_partial(frontier_global)
-        if local_cols.size == 0:
-            return np.empty(0, dtype=VERTEX_DTYPE)
-        starts = self.col_indptr[local_cols]
-        stops = self.col_indptr[local_cols + 1]
-        lengths = stops - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=VERTEX_DTYPE)
-        out_offsets = np.concatenate(([0], np.cumsum(lengths)))
-        gather = np.arange(total, dtype=VERTEX_DTYPE)
-        gather += np.repeat(starts - out_offsets[:-1], lengths)
-        return self.rows[gather]
-
-
-class TwoDPartition(Partition):
+class TwoDPartition:
     """An ``R x C`` 2D edge partitioning of an undirected graph.
 
     The stored entries of all ranks are held once, pooled in rank order
@@ -115,8 +53,12 @@ class TwoDPartition(Partition):
     """
 
     def __init__(self, graph: CsrGraph, grid: GridShape) -> None:
-        rows = np.repeat(np.arange(graph.n, dtype=VERTEX_DTYPE), np.diff(graph.indptr))
-        self._build(graph.n, grid, rows, graph.indices)
+        self._build(
+            graph.n,
+            grid,
+            np.repeat(np.arange(graph.n, dtype=VERTEX_DTYPE), np.diff(graph.indptr)),
+            graph.indices,
+        )
 
     @classmethod
     def from_entries(cls, n: int, grid: GridShape, rows, cols) -> "TwoDPartition":
@@ -154,30 +96,45 @@ class TwoDPartition(Partition):
         # row) order is (i, v, u) order: one sort of (i * n + v) * n + u.
         if R * n * n > np.iinfo(np.int64).max:
             raise PartitionError(f"R * n**2 = {R * n * n} overflows the int64 entry key")
-        mesh_row = self.dist.part_of(rows) % R
-        order = np.argsort((mesh_row * n + cols) * n + rows)
-        rank = (mesh_row * C + self.dist.part_of(cols) // R)[order]
-        rows = rows[order]
-        col_key = rank * n + cols[order]
-        # Entry-sized temporaries are dropped once used: they, not the
-        # tables kept, set the build's peak memory.
-        del order, mesh_row
-        self.rows = rows
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise PartitionError("item ids out of range for this distribution")
+        # The key is built, sorted and decoded in one array: entry-sized
+        # temporaries, not the tables kept, set the build's peak memory.
+        key = self.dist.part_of(rows)
+        key %= R
+        key *= n
+        key += cols
+        key *= n
+        key += rows
+        del rows, cols
+        key.sort()
+        self.rows = rows = key % n
+        key //= n
+        # (i, v) runs are (rank, column) runs: every non-empty partial edge
+        # list starts one
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        cols = key % n
+        key //= n
+        # what is left of the key is the mesh row: turned into the rank in place
+        rank = key
+        rank *= C
+        chunk = self.dist.part_of(cols)
+        chunk //= R
+        rank += chunk
+        del chunk
         self.entry_bounds = np.searchsorted(rank, np.arange(nranks + 1))
-        # cols are sorted per rank, so the distinct column keys and their
-        # list lengths fall out of the run boundaries
         key_bounds = np.arange(nranks + 1, dtype=np.int64) * n
-        starts = np.flatnonzero(np.diff(col_key, prepend=-1))
-        self.col_keys = col_key[starts]
+        col_rank, col_ids = rank[starts], cols[starts]
+        del cols
+        self.col_keys = col_rank * n + col_ids
         self.col_bounds = np.searchsorted(self.col_keys, key_bounds)
-        col_rank = rank[starts]
         # Slots of the row universe are ordered by (rank, vertex), so every
         # entry's slot is the rank of its rank * n + row key among the
         # distinct keys.
-        row_key = rank * n + rows
-        del rank, col_key
-        row_keys, self.row_slots = np.unique(row_key, return_inverse=True)
-        del row_key
+        rank *= n
+        rank += rows
+        row_keys, self.row_slots = np.unique(rank, return_inverse=True)
+        del rank, key
         self.row_bounds = np.searchsorted(row_keys, key_bounds)
         self.row_ids = row_keys - np.repeat(key_bounds[:-1], np.diff(self.row_bounds))
         # Rank (i, j) stores partial edge lists only for column chunk j,
@@ -190,7 +147,7 @@ class TwoDPartition(Partition):
         indptr = np.zeros(
             R * n + 1, dtype=np.int32 if rows.size <= np.iinfo(np.int32).max else np.int64
         )
-        indptr[self.col_keys - col_rank * n + self.slot_shift[col_rank] + 1] = np.diff(
+        indptr[col_ids + self.slot_shift[col_rank] + 1] = np.diff(
             np.append(starts, rows.size)
         )
         np.cumsum(indptr, dtype=indptr.dtype, out=indptr)
@@ -205,42 +162,14 @@ class TwoDPartition(Partition):
         g = self.dist.part_of(vertices)
         return (g % R) * C + (g // R)
 
-    def owned_vertices(self, rank: int) -> np.ndarray:
-        self._check_rank(rank)
-        return np.arange(self.owned_lo[rank], self.owned_hi[rank], dtype=VERTEX_DTYPE)
-
-    def column_chunk_range(self, mesh_col: int) -> tuple[int, int]:
-        """Global vertex range whose edge lists live on processor-column ``mesh_col``."""
-        R = self.grid.rows
-        if not (0 <= mesh_col < self.grid.cols):
-            raise PartitionError(f"mesh column {mesh_col} out of range")
-        lo = int(self.dist.offsets[mesh_col * R])
-        hi = int(self.dist.offsets[(mesh_col + 1) * R])
-        return lo, hi
-
-    def local(self, rank: int) -> RankLocal2D:
-        """Rank ``rank``'s view of the pooled storage, built on demand."""
-        self._check_rank(rank)
-        lo, hi = self.entry_bounds[rank], self.entry_bounds[rank + 1]
-        col_ids = self.col_keys[self.col_bounds[rank] : self.col_bounds[rank + 1]]
-        col_ids = col_ids - rank * self.n
-        col_indptr = np.append(self.slot_indptr[self.slot_shift[rank] + col_ids], hi) - lo
-        i, j = self.grid.coords_of(rank)
-        return RankLocal2D(
-            rank=rank,
-            mesh_row=i,
-            mesh_col=j,
-            vertex_lo=int(self.owned_lo[rank]),
-            vertex_hi=int(self.owned_hi[rank]),
-            col_map=VertexIndexMap.of_sorted(col_ids),
-            col_indptr=col_indptr.astype(VERTEX_DTYPE),
-            rows=self.rows[lo:hi],
-            row_map=VertexIndexMap.of_sorted(
-                self.row_ids[self.row_bounds[rank] : self.row_bounds[rank + 1]]
-            ),
-        )
+    @property
+    def nranks(self) -> int:
+        """Total number of ranks ``P``."""
+        return self.grid.size
 
     def memory_footprints(self) -> dict[str, np.ndarray]:
+        """Per-structure element counts of every rank, one array per structure
+        (Section 2.4.1's O(n/P) storage)."""
         return {
             "owned_vertices": self.owned_hi - self.owned_lo,
             "edge_entries": np.diff(self.entry_bounds),

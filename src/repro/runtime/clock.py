@@ -38,13 +38,6 @@ class SimClock:
             return self.fault_time
         raise ValueError(f"unknown work kind {kind!r}")
 
-    def advance(self, rank: int, seconds: float, kind: str = "compute") -> None:
-        """Advance ``rank``'s clock by ``seconds`` of ``kind`` work."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance a clock by {seconds} s")
-        self.time[rank] += seconds
-        self._bucket(kind)[rank] += seconds
-
     def advance_many(self, seconds: np.ndarray, kind: str = "compute") -> None:
         """Advance every rank by its entry in ``seconds`` (vectorised)."""
         seconds = np.asarray(seconds, dtype=np.float64)

@@ -10,7 +10,7 @@ collective algorithms talk to it exclusively through:
   same code,
 * :meth:`Communicator.allreduce_sum` / :meth:`allreduce_flag` — the global
   termination check of the level-synchronous loop,
-* :meth:`Communicator.charge_compute` — local-work cost accounting.
+* :meth:`Communicator.charge_compute_many` — local-work cost accounting.
 
 Time is charged through the :class:`~repro.runtime.network.Network`
 contention model and the per-rank :class:`~repro.runtime.clock.SimClock`.
@@ -610,36 +610,6 @@ class Communicator:
     # ------------------------------------------------------------------ #
     # compute-side accounting
     # ------------------------------------------------------------------ #
-    def charge_compute(
-        self,
-        rank: int,
-        *,
-        edges_scanned: int = 0,
-        hash_lookups: int = 0,
-        updates: int = 0,
-    ) -> None:
-        """Charge local BFS work on ``rank`` through the machine model.
-
-        Straggler ranks (fault layer) pay their slowdown multiplier; the
-        excess over the fault-free cost is booked as fault time.
-        """
-        self._check_rank(rank)
-        if edges_scanned:
-            self.stats.record_edges_scanned(edges_scanned)
-        seconds = self.model.compute_time(
-            edges_scanned=edges_scanned, hash_lookups=hash_lookups, updates=updates
-        )
-        self.clock.advance(rank, seconds, kind="compute")
-        if self.faults is not None:
-            extra = seconds * (self.faults.compute_multiplier(rank) - 1.0)
-            if extra > 0.0:
-                self.clock.advance(rank, extra, kind="fault")
-            host = self.faults.host_of(rank)
-            if host != rank and seconds > 0.0:
-                # shrink cohosting: the surviving host serializes the
-                # absorbed rank's compute on its own node
-                self.clock.advance(host, seconds, kind="fault")
-
     def charge_compute_many(
         self,
         *,
@@ -647,13 +617,15 @@ class Communicator:
         hash_lookups: np.ndarray | None = None,
         updates: np.ndarray | None = None,
     ) -> None:
-        """Per-rank vector form of :meth:`charge_compute`.
+        """Charge every rank's local BFS work through the machine model.
 
-        Each argument is one value per rank (``None`` means all zeros).
+        Each argument is one value per rank (``None`` means all zeros),
+        priced at the model's edge-scan, hash-lookup and update costs.
         Every rank receives exactly one compute advance (zero-work ranks
-        advance by 0.0, which leaves their clocks bit-identical), so one
-        bulk call replaces a loop of per-rank :meth:`charge_compute` calls
-        without changing any simulated time.
+        advance by 0.0, which leaves their clocks bit-identical).
+        Straggler ranks (fault layer) pay their slowdown multiplier, and a
+        shrink host serializes the compute of the rank it absorbed; that
+        excess is booked as fault time.
         """
         model = self.model
         zeros = np.zeros(self.nranks, dtype=np.int64)
@@ -662,7 +634,6 @@ class Communicator:
         u = zeros if updates is None else np.asarray(updates)
         if edges_scanned is not None:
             self.stats.record_edges_scanned(int(e.sum()))
-        # Mirrors MachineModel.compute_time term by term (float identity).
         seconds = (
             e * model.edge_scan_cost
             + h * model.hash_lookup_cost
@@ -674,6 +645,3 @@ class Communicator:
                 self.faults.compute_fault_extra(seconds), kind="fault"
             )
 
-    def _check_rank(self, rank: int) -> None:
-        if not (0 <= rank < self.nranks):
-            raise CommunicationError(f"rank {rank} out of range [0, {self.nranks})")

@@ -147,37 +147,6 @@ class CommStats:
     # ------------------------------------------------------------------ #
     # recording
     # ------------------------------------------------------------------ #
-    def record_message(
-        self,
-        dst: int,
-        num_vertices: int,
-        nbytes: int,
-        phase: str,
-        encoded_nbytes: int | None = None,
-    ) -> None:
-        """Record one wire message (called by the communicator on every hop).
-
-        ``nbytes`` is the raw payload size; ``encoded_nbytes`` is what the
-        wire codec actually shipped (defaults to ``nbytes`` — the raw
-        codec and legacy callers).
-        """
-        encoded = int(nbytes) if encoded_nbytes is None else int(encoded_nbytes)
-        self.total_messages += 1
-        self.total_bytes += int(nbytes)
-        self.total_encoded_bytes += encoded
-        self.total_processed += int(num_vertices)
-        self.raw_bytes_by_phase[phase] = (
-            self.raw_bytes_by_phase.get(phase, 0) + int(nbytes)
-        )
-        self.encoded_bytes_by_phase[phase] = (
-            self.encoded_bytes_by_phase.get(phase, 0) + encoded
-        )
-        if self._current is not None:
-            self._current.messages += 1
-            self._current.raw_bytes += int(nbytes)
-            self._current.encoded_bytes += encoded
-            self._current.processed += int(num_vertices)
-
     def record_message_bulk(
         self,
         count: int,
@@ -189,10 +158,9 @@ class CommStats:
     ) -> None:
         """Record ``count`` wire messages' totals in one call.
 
-        Integer-sum equivalent of ``count`` :meth:`record_message` calls
-        (the communicator's batched accounting path).  When ``phase`` is
-        given the bytes also land in the per-phase splits; legacy callers
-        that never cared about the split keep the positional signature.
+        ``nbytes`` is the raw payload size and ``encoded_nbytes`` what the
+        wire codec actually shipped.  When ``phase`` is given the bytes
+        also land in the per-phase splits.
         """
         self.total_messages += int(count)
         self.total_bytes += int(nbytes)
@@ -211,16 +179,6 @@ class CommStats:
             self._current.encoded_bytes += int(encoded_nbytes)
             self._current.processed += int(num_vertices)
 
-    def record_delivery(self, dst: int, num_vertices: int, phase: str) -> None:
-        """Record vertices arriving at their final consumer (called by collectives)."""
-        per_rank = self.recv_by_rank.setdefault(phase, np.zeros(self.nranks, dtype=np.int64))
-        per_rank[dst] += num_vertices
-        if self._current is not None:
-            if phase == "expand":
-                self._current.expand_received += int(num_vertices)
-            elif phase == "fold":
-                self._current.fold_received += int(num_vertices)
-
     def record_delivery_bulk(
         self, dsts: np.ndarray, counts: np.ndarray, phase: str
     ) -> None:
@@ -235,7 +193,7 @@ class CommStats:
                 self._current.fold_received += total
 
     def record_edges_scanned(self, count: int) -> None:
-        """Record ``count`` edge examinations (fed by ``charge_compute``).
+        """Record ``count`` edge examinations (fed by ``charge_compute_many``).
 
         Both directions report through this: top-down counts edges out of
         the frontier, bottom-up counts the (early-exited) scans of

@@ -25,6 +25,7 @@ from repro.machine.mapping import TaskMapping
 from repro.observability import result_digests
 from repro.partition.two_d import TwoDPartition
 from repro.types import GraphSpec, GridShape, SystemSpec
+from tests.test_pooled_partition import column_chunk, stored_columns, stored_rows
 
 P = 8
 REQUESTS = (GridShape(1, P), GridShape(P, 1))
@@ -69,14 +70,14 @@ def test_per_rank_storage_identical(graph):
     edge list of each vertex it owns — Algorithm 1's rank-local CSR."""
     part = TwoDPartition(graph, GridShape(1, 6))
     for rank in range(6):
-        loc = part.local(rank)
-        lo, hi = loc.vertex_lo, loc.vertex_hi
-        assert part.column_chunk_range(rank) == (lo, hi)
+        lo, hi = int(part.owned_lo[rank]), int(part.owned_hi[rank])
+        assert column_chunk(part, rank) == (lo, hi)
         own = graph.indices[graph.indptr[lo] : graph.indptr[hi]]
-        assert loc.num_stored_entries == own.size
-        assert np.array_equal(np.sort(loc.rows), np.sort(own))
+        rows = stored_rows(part, rank)
+        assert rows.size == own.size
+        assert np.array_equal(np.sort(rows), np.sort(own))
         has_edges = np.flatnonzero(np.diff(graph.indptr[lo : hi + 1])) + lo
-        assert np.array_equal(loc.col_map.ids, has_edges)
+        assert np.array_equal(stored_columns(part, rank), has_edges)
 
 
 def test_simulated_times_close(graph):

@@ -104,10 +104,17 @@ def _discover_charges(graph, grid, layout, source, use_sent_cache):
                 fbar = [
                     fbar_flat[fbar_bounds[r]: fbar_bounds[r + 1]] for r in range(nranks)
                 ]
-                raw = [
-                    engine.partition.local(r).partial_neighbors(fbar[r])
-                    for r in range(nranks)
-                ]
+                # rank (i, j) stores the entries of fbar[r]'s edge lists
+                # whose row falls in a block row s * R + i
+                R, C = engine.grid.rows, engine.grid.cols
+                row_block = engine.partition.dist.part_of(np.arange(graph.n))
+                raw = []
+                for r in range(nranks):
+                    lists = np.concatenate(
+                        [graph.indices[graph.indptr[v]: graph.indptr[v + 1]] for v in fbar[r]]
+                        + [np.empty(0, dtype=VERTEX_DTYPE)]
+                    )
+                    raw.append(lists[row_block[lists] % R == r // C])
                 looked_up = np.diff(fbar_bounds)
             raw_sizes = np.array([x.size for x in raw], dtype=np.int64)
             before = events[at - 1][1]

@@ -14,6 +14,7 @@ from repro.errors import ConfigurationError, SearchError
 from repro.graph.csr import CsrGraph
 from repro.partition.two_d import TwoDPartition
 from repro.types import GridShape, UNREACHED
+from tests.test_pooled_partition import column_chunk, stored_columns, stored_rows
 
 
 def run_and_compare(graph, grid, system=None, source=0, opts=None):
@@ -129,15 +130,16 @@ class TestBfs2D:
         filtered = build_engine(small_graph, grid)
         indptr, dst = dense._expand_targets()
         f_indptr, f_dst = filtered._expand_targets()
+        stored = [
+            set(stored_columns(filtered.partition, r).tolist()) for r in range(grid.size)
+        ]
         for v in range(small_graph.n):
             owner = dense.owner_rank(v)
             peers = [
                 r for r in dense.grid.col_members(owner % grid.cols) if r != owner
             ]
             assert dst[indptr[v] : indptr[v + 1]].tolist() == peers
-            holders = [
-                r for r in peers if v in filtered.partition.local(r).col_map.ids
-            ]
+            holders = [r for r in peers if v in stored[r]]
             assert f_dst[f_indptr[v] : f_indptr[v + 1]].tolist() == holders
 
     def test_expand_merge_never_sees_a_duplicate(self, small_graph):
@@ -177,7 +179,7 @@ class TestBfs2D:
                 for r in range(nranks):
                     fbar = flat[bounds[r] : bounds[r + 1]]
                     own = fflat[fbounds[r] : fbounds[r + 1]]
-                    holds = engine.partition.local(r).col_map.ids
+                    holds = stored_columns(engine.partition, r)
                     sent = [
                         v
                         for p in engine.grid.col_members(r % grid.cols)
@@ -210,8 +212,10 @@ class TestBfs2D:
     )
     def test_direct_index_lookup_matches_a_searched_one(self, n, grid, edges):
         """``_gather_slots``' direct index returns what a per-rank search of
-        the stored column ids returns, for every vertex of every rank's
-        column chunk — stored or not."""
+        the graph's edge lists returns, for every vertex of every rank's
+        column chunk — stored or not: rank ``(i, j)``'s list of ``v`` is
+        ``v``'s neighbours in block rows ``s * R + i``, ascending, and
+        their slots are their positions in the rank's row universe."""
         rng = np.random.default_rng(5)
         span = n if edges == "poisson" else 6
         pairs = rng.integers(0, span, size=(3 * span, 2))
@@ -219,32 +223,24 @@ class TestBfs2D:
         engine = build_engine(graph, grid)
         part, nranks = engine.partition, engine.comm.nranks
         if edges == "corner":
-            assert any(part.local(r).num_stored_entries == 0 for r in range(nranks))
+            assert any(stored_rows(part, r).size == 0 for r in range(nranks))
+        row_block = part.dist.part_of(np.arange(n))
         fbar, bounds, want_slots, want_lengths = [], [0], [], []
-        rows_base = 0
         for r in range(nranks):
-            loc = part.local(r)
-            lo, hi = part.column_chunk_range(loc.mesh_col)
-            ids, indptr = loc.col_map.ids, loc.col_indptr
+            lo, hi = column_chunk(part, r % grid.cols)
+            universe = part.row_ids[part.row_bounds[r] : part.row_bounds[r + 1]]
             for v in range(lo, hi):
-                pos = int(np.searchsorted(ids, v))
-                length = 0
-                if pos < ids.size and ids[pos] == v:
-                    start, length = int(indptr[pos]), int(indptr[pos + 1] - indptr[pos])
-                    want_slots.append(
-                        engine._row_slots[rows_base + start : rows_base + start + length]
-                    )
+                rows = graph.neighbors(v)
+                rows = rows[row_block[rows] % grid.rows == r // grid.cols]
+                want_slots.append(part.row_bounds[r] + np.searchsorted(universe, rows))
                 fbar.append(v)
-                want_lengths.append(length)
-            rows_base += loc.num_stored_entries
+                want_lengths.append(rows.size)
             bounds.append(len(fbar))
         slots, lengths = engine._gather_slots(
             np.array(fbar, dtype=np.int64), np.array(bounds, dtype=np.int64)
         )
         assert lengths.tolist() == want_lengths
-        assert np.array_equal(
-            slots, np.concatenate(want_slots) if want_slots else slots[:0]
-        )
+        assert np.array_equal(slots, np.concatenate(want_slots))
 
     def test_engine_restartable(self, small_graph):
         engine = build_engine(small_graph, GridShape(2, 2))

@@ -236,6 +236,15 @@ class TestSpmdHybrid:
         levels = spmd_bfs(rmat_graph, (2, 2), 0, opts=opts, timeout=120)
         assert np.array_equal(levels, serial_bfs(rmat_graph, 0))
 
+    @pytest.mark.parametrize("grid", [(1, 4), (4, 1)], ids=["1x4", "4x1"])
+    @pytest.mark.parametrize("direction", ["hybrid", "bottom-up"])
+    def test_degenerate_meshes_match_serial_on_rmat(self, rmat_graph, direction, grid):
+        """R = 1 and C = 1 are the edge cases of the worker's pooled column
+        lookup: one stored-column slice per rank, or one column chunk for all."""
+        opts = BfsOptions(direction=direction)
+        levels = spmd_bfs(rmat_graph, grid, 0, opts=opts, timeout=120)
+        assert np.array_equal(levels, serial_bfs(rmat_graph, 0))
+
     def test_hybrid_with_codec_matches_serial(self, poisson_graph):
         opts = BfsOptions(direction="hybrid")
         levels = spmd_bfs(

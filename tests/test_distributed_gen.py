@@ -17,6 +17,7 @@ from repro.partition.base import BlockDistribution
 from repro.partition.two_d import TwoDPartition
 from repro.errors import PartitionError
 from repro.types import GraphSpec, GridShape
+from tests.test_pooled_partition import partial_neighbors, stored_columns
 
 
 #: every pooled table of a TwoDPartition (its whole storage)
@@ -106,11 +107,10 @@ class TestBuilderEquivalence:
         central = TwoDPartition(builder.reference_graph(), grid)
         for rank in range(grid.size):
             rows, cols = builder.build_rank(rank)
-            loc = central.local(rank)
             want = sorted(
                 (int(u), int(v))
-                for c, v in enumerate(loc.col_map.ids)
-                for u in loc.rows[loc.col_indptr[c] : loc.col_indptr[c + 1]]
+                for v in stored_columns(central, rank)
+                for u in partial_neighbors(central, rank, [v])
             )
             assert sorted(zip(rows.tolist(), cols.tolist())) == want
 
@@ -143,7 +143,9 @@ class TestBuilderEquivalence:
 
     def test_from_entries_rejects_bad_entries(self):
         grid = GridShape(2, 2)
-        for rows, cols in (([0, 300], [1, 2]), ([0, 1], [-1, 2]), ([0, 1], [2])):
+        for rows, cols in (
+            ([0, 300], [1, 2]), ([0, 1], [-1, 2]), ([0, 1], [2, 300]), ([0, 1], [2])
+        ):
             with pytest.raises(PartitionError):
                 TwoDPartition.from_entries(300, grid, rows, cols)
 

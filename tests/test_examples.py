@@ -1,7 +1,7 @@
 """Smoke tests for the runnable examples.
 
-The quickstart and the distributed-generation example (at a small spec)
-run end-to-end; the heavier examples are compile-checked and
+The quickstart, the distributed-generation example and the Graph500-style
+run (at small specs) run end-to-end; the heavier examples are compile-checked and
 import-checked so that a broken API surface fails the suite immediately
 without multi-minute runs.
 """
@@ -60,3 +60,21 @@ def test_distributed_generation_runs(capsys):
     graph = DistributedGraphBuilder(spec, grid).reference_graph()
     assert (result.levels == serial_bfs(graph, 0)).all()
     assert "adjacency entries" in capsys.readouterr().out
+
+
+def test_graph500_style_runs(capsys):
+    """The Graph500-style pipeline end to end at scale 9 on 2 x 2: every
+    root's levels pass the structural checks, and the SPMD backend (one
+    process per rank) reproduces the simulated engine's levels exactly."""
+    import importlib.util
+
+    from repro.types import GridShape
+
+    path = EXAMPLES_DIR / "graph500_style.py"
+    module_spec = importlib.util.spec_from_file_location("graph500_style", path)
+    example = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(example)
+    reports = example.main(9, GridShape(2, 2), 2)
+    assert len(reports) == 2 and all(report.ok for report in reports)
+    out = capsys.readouterr().out
+    assert out.count("OK + spmd-match") == 2

@@ -10,6 +10,7 @@ from repro.machine.bluegene import BLUEGENE_L, MachineModel, bluegene_l_torus_fo
 from repro.machine.cluster import MCR_CLUSTER, FlatNetwork, flat_network_for
 from repro.machine.mapping import TaskMapping, planar_mapping, row_major_mapping
 from repro.machine.torus import Torus3D
+from repro.runtime.comm import Communicator
 from repro.types import GridShape
 
 
@@ -28,13 +29,19 @@ class TestMachineModel:
         assert congested > base
 
     def test_compute_time(self):
-        t = BLUEGENE_L.compute_time(edges_scanned=10, hash_lookups=5, updates=2)
+        comm = Communicator(flat_network_for(GridShape(1, 2)), BLUEGENE_L)
+        comm.charge_compute_many(
+            edges_scanned=np.array([10, 0]), hash_lookups=np.array([5, 1]),
+            updates=np.array([2, 0]),
+        )
         expected = (
             10 * BLUEGENE_L.edge_scan_cost
             + 5 * BLUEGENE_L.hash_lookup_cost
             + 2 * BLUEGENE_L.update_cost
         )
-        assert t == pytest.approx(expected)
+        assert comm.clock.compute_time.tolist() == pytest.approx(
+            [expected, BLUEGENE_L.hash_lookup_cost]
+        )
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):

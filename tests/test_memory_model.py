@@ -107,15 +107,10 @@ class TestModelAgainstMeasuredFootprints:
         graph = poisson_random_graph(GraphSpec(n=n, k=k, seed=5))
         part = TwoDPartition(graph, grid)
         model = MemoryModel(n=n, k=k, grid=grid)
-        measured_entries = np.mean(
-            [part.memory_footprint(r)["edge_entries"] for r in range(grid.size)]
-        )
-        measured_cols = np.mean(
-            [part.memory_footprint(r)["nonempty_columns"] for r in range(grid.size)]
-        )
-        measured_rows = np.mean(
-            [part.memory_footprint(r)["unique_row_vertices"] for r in range(grid.size)]
-        )
+        footprints = part.memory_footprints()
+        measured_entries = np.mean(footprints["edge_entries"])
+        measured_cols = np.mean(footprints["nonempty_columns"])
+        measured_rows = np.mean(footprints["unique_row_vertices"])
         assert measured_entries == pytest.approx(model.expected_edge_entries, rel=0.15)
         assert measured_cols == pytest.approx(model.expected_nonempty_columns, rel=0.15)
         assert measured_rows == pytest.approx(model.expected_unique_rows, rel=0.15)

@@ -8,7 +8,6 @@ import pytest
 from repro.backends.spmd import spmd_bfs
 from repro.bfs.options import BfsOptions
 from repro.bfs.serial import serial_bfs
-from repro.errors import PartitionError
 from repro.harness.runner import PAPER_OPTS, Run, draw_pairs, execute
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.clock import SimClock
@@ -32,12 +31,12 @@ class TestFiguresStMode:
 class TestSmallPieces:
     def test_column_chunk_range_invalid(self, small_graph):
         part = TwoDPartition(small_graph, GridShape(2, 3))
-        with pytest.raises(PartitionError):
-            part.column_chunk_range(3)
+        with pytest.raises(IndexError):
+            part.grid.col_members(3)
 
     def test_clock_sync_empty_selection(self):
         clock = SimClock(3)
-        clock.advance(0, 1.0)
+        clock.advance_many(np.array([1.0, 0.0, 0.0]))
         horizon = clock.sync([])
         assert horizon == 0.0  # nothing synced
         assert clock.time[1] == 0.0

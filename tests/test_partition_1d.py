@@ -11,11 +11,17 @@ import numpy as np
 import pytest
 
 from repro.api import engine_mesh
-from repro.errors import PartitionError
 from repro.partition.balance import balance_report
 from repro.partition.one_d import OneDPartition
 from repro.partition.two_d import TwoDPartition
 from repro.types import GridShape, VERTEX_DTYPE, resolve_system
+from tests.test_pooled_partition import (
+    column_chunk,
+    owned,
+    partial_neighbors,
+    stored_columns,
+    stored_rows,
+)
 
 
 def one_d(graph, nranks: int) -> TwoDPartition:
@@ -38,55 +44,55 @@ class TestOneDPartition:
 
     def test_total_edges_preserved(self, small_graph):
         part = one_d(small_graph, 8)
-        total = sum(part.local(r).num_stored_entries for r in range(8))
+        total = sum(stored_rows(part, r).size for r in range(8))
         assert total == small_graph.num_directed_edges
 
     def test_owned_vertices_partition_the_graph(self, small_graph):
         part = one_d(small_graph, 5)
-        owned = np.concatenate([part.owned_vertices(r) for r in range(5)])
-        assert np.array_equal(owned, np.arange(small_graph.n))
+        owned_ids = np.concatenate([owned(part, r) for r in range(5)])
+        assert np.array_equal(owned_ids, np.arange(small_graph.n))
 
     def test_owner_of_matches_owned(self, small_graph):
         part = one_d(small_graph, 5)
         for r in range(5):
-            assert (part.owner_of(part.owned_vertices(r)) == r).all()
+            assert (part.owner_of(owned(part, r)) == r).all()
 
     def test_local_edge_lists_match_graph(self, small_graph):
         """At R = 1 every partial edge list is the vertex's full list."""
         part = one_d(small_graph, 6)
         for r in range(6):
-            loc = part.local(r)
-            assert part.column_chunk_range(r) == (loc.vertex_lo, loc.vertex_hi)
-            for v in range(loc.vertex_lo, loc.vertex_hi):
-                local_row = loc.partial_neighbors(np.array([v]))
+            assert column_chunk(part, r) == (part.owned_lo[r], part.owned_hi[r])
+            for v in owned(part, r).tolist():
+                local_row = partial_neighbors(part, r, [v])
                 assert np.array_equal(np.sort(local_row), np.sort(small_graph.neighbors(v)))
 
     def test_neighbors_of_frontier(self, small_graph):
         part = one_d(small_graph, 4)
-        frontier = part.owned_vertices(1)[:5]
-        merged = part.local(1).partial_neighbors(frontier)
+        frontier = owned(part, 1)[:5]
+        merged = partial_neighbors(part, 1, frontier)
         assert np.array_equal(np.sort(merged), sorted_neighbors(small_graph, frontier))
 
     def test_neighbors_of_frontier_empty(self, small_graph):
-        loc = one_d(small_graph, 4).local(0)
-        assert loc.partial_neighbors(np.empty(0, dtype=VERTEX_DTYPE)).size == 0
+        part = one_d(small_graph, 4)
+        assert partial_neighbors(part, 0, np.empty(0, dtype=VERTEX_DTYPE)).size == 0
 
     def test_non_owned_frontier_rejected(self, small_graph):
         """A vertex's list lives on its owner alone: another rank's lookup
         finds nothing for it."""
         part = one_d(small_graph, 4)
-        foreign = part.owned_vertices(2)[:1]
+        foreign = owned(part, 2)[:1]
         assert small_graph.degree(int(foreign[0])) > 0
-        assert part.local(0).partial_neighbors(foreign).size == 0
+        assert foreign[0] not in stored_columns(part, 0)
+        assert partial_neighbors(part, 0, foreign).size == 0
 
     def test_single_rank(self, small_graph):
         part = one_d(small_graph, 1)
-        assert part.local(0).num_owned == small_graph.n
-        assert part.local(0).num_stored_entries == small_graph.num_directed_edges
+        assert part.owned_hi[0] - part.owned_lo[0] == small_graph.n
+        assert stored_rows(part, 0).size == small_graph.num_directed_edges
 
     def test_more_ranks_than_vertices(self, path_graph):
         part = one_d(path_graph, 16)
-        total = sum(part.local(r).num_stored_entries for r in range(16))
+        total = sum(stored_rows(part, r).size for r in range(16))
         assert total == path_graph.num_directed_edges
 
     def test_zero_ranks_rejected(self, small_graph):
@@ -94,16 +100,16 @@ class TestOneDPartition:
             one_d(small_graph, 0)
 
     def test_bad_rank_rejected(self, small_graph):
-        with pytest.raises(PartitionError):
-            one_d(small_graph, 4).local(4)
+        with pytest.raises(IndexError):
+            one_d(small_graph, 4).grid.coords_of(4)
 
     def test_memory_footprint_keys(self, small_graph):
         part = one_d(small_graph, 4)
-        fp = part.memory_footprint(0)
+        fp = part.memory_footprints()
         assert set(fp) == {
             "owned_vertices", "edge_entries", "nonempty_columns", "unique_row_vertices"
         }
-        assert fp["edge_entries"] == sorted_neighbors(small_graph, part.owned_vertices(0)).size
+        assert fp["edge_entries"][0] == sorted_neighbors(small_graph, owned(part, 0)).size
 
     def test_balance(self, small_graph):
         report = balance_report(one_d(small_graph, 8), "owned_vertices")

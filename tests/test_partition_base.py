@@ -1,4 +1,4 @@
-"""Tests for repro.partition.base (BlockDistribution) and indexing (VertexIndexMap)."""
+"""Tests for repro.partition.base (BlockDistribution)."""
 
 from __future__ import annotations
 
@@ -9,21 +9,24 @@ from hypothesis import strategies as st
 
 from repro.errors import PartitionError
 from repro.partition.base import BlockDistribution
-from repro.partition.indexing import VertexIndexMap
+
+
+def sizes_of(dist: BlockDistribution) -> list[int]:
+    return np.diff(dist.offsets).tolist()
 
 
 class TestBlockDistribution:
     def test_even_split(self):
         dist = BlockDistribution(12, 4)
-        assert [dist.size_of(p) for p in range(4)] == [3, 3, 3, 3]
+        assert sizes_of(dist) == [3, 3, 3, 3]
 
     def test_remainder_goes_to_first_parts(self):
         dist = BlockDistribution(10, 4)
-        assert [dist.size_of(p) for p in range(4)] == [3, 3, 2, 2]
+        assert sizes_of(dist) == [3, 3, 2, 2]
 
     def test_more_parts_than_items(self):
         dist = BlockDistribution(2, 5)
-        assert [dist.size_of(p) for p in range(5)] == [1, 1, 0, 0, 0]
+        assert sizes_of(dist) == [1, 1, 0, 0, 0]
 
     def test_ranges_cover_everything(self):
         dist = BlockDistribution(17, 5)
@@ -40,11 +43,12 @@ class TestBlockDistribution:
 
     def test_part_of_scalar(self):
         dist = BlockDistribution(10, 3)
-        assert dist.part_of_scalar(5) == 1
+        assert dist.part_of(5).tolist() == [1]
 
     def test_local_index(self):
         dist = BlockDistribution(10, 3)
-        local = dist.local_index(np.array([0, 4, 9]))
+        items = np.array([0, 4, 9])
+        local = items - dist.offsets[dist.part_of(items)]
         assert local.tolist() == [0, 0, 2]
 
     def test_out_of_range_rejected(self):
@@ -61,7 +65,7 @@ class TestBlockDistribution:
     @given(st.integers(0, 500), st.integers(1, 32))
     def test_balance_invariant(self, n, parts):
         dist = BlockDistribution(n, parts)
-        sizes = [dist.size_of(p) for p in range(parts)]
+        sizes = sizes_of(dist)
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
 
@@ -69,50 +73,7 @@ class TestBlockDistribution:
     def test_ownership_consistent(self, n, parts, data):
         dist = BlockDistribution(n, parts)
         item = data.draw(st.integers(0, n - 1))
-        part = dist.part_of_scalar(item)
+        (part,) = dist.part_of(item).tolist()
         lo, hi = dist.range_of(part)
         assert lo <= item < hi
 
-
-class TestVertexIndexMap:
-    def test_roundtrip(self):
-        vmap = VertexIndexMap([30, 10, 20])
-        local = vmap.to_local(np.array([10, 20, 30]))
-        assert local.tolist() == [0, 1, 2]
-        assert vmap.to_global(local).tolist() == [10, 20, 30]
-
-    def test_duplicates_collapsed(self):
-        assert len(VertexIndexMap([5, 5, 5])) == 1
-
-    def test_missing_id_raises(self):
-        vmap = VertexIndexMap([1, 2, 3])
-        with pytest.raises(PartitionError):
-            vmap.to_local(np.array([4]))
-
-    def test_partial_lookup(self):
-        vmap = VertexIndexMap([10, 20, 30])
-        mask, local = vmap.to_local_partial(np.array([5, 20, 35, 10]))
-        assert mask.tolist() == [False, True, False, True]
-        assert local.tolist() == [1, 0]
-
-    def test_partial_lookup_empty_map(self):
-        vmap = VertexIndexMap(np.array([], dtype=np.int64))
-        mask, local = vmap.to_local_partial(np.array([1, 2]))
-        assert not mask.any() and local.size == 0
-
-    def test_contains(self):
-        vmap = VertexIndexMap([7, 9])
-        assert vmap.contains(np.array([7, 8, 9])).tolist() == [True, False, True]
-
-    def test_to_global_out_of_range(self):
-        vmap = VertexIndexMap([7, 9])
-        with pytest.raises(PartitionError):
-            vmap.to_global(np.array([2]))
-
-    @given(st.lists(st.integers(0, 1000), min_size=1, max_size=80), st.data())
-    def test_roundtrip_property(self, ids, data):
-        vmap = VertexIndexMap(ids)
-        unique = sorted(set(ids))
-        probe = data.draw(st.lists(st.sampled_from(unique), max_size=40))
-        probe_arr = np.array(probe, dtype=np.int64) if probe else np.empty(0, np.int64)
-        assert vmap.to_global(vmap.to_local(probe_arr)).tolist() == probe

@@ -120,10 +120,7 @@ class TestDistributedRmatGeneration:
         spec = GraphSpec.rmat(9, edge_factor=8, seed=11)
         builder = DistributedGraphBuilder(spec, GridShape(2, 2))
         partition = builder.build_partition()
-        entries = sum(
-            partition.memory_footprint(r)["edge_entries"]
-            for r in range(partition.nranks)
-        )
+        entries = partition.memory_footprints()["edge_entries"].sum()
         # the 2D layout stores each undirected edge twice (both orientations)
         assert entries == 2 * build_graph(spec).num_edges
 

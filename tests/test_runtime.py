@@ -40,23 +40,23 @@ def make_comm(p: int = 4, **knobs) -> Communicator:
 class TestSimClock:
     def test_advance_kinds(self):
         clock = SimClock(2)
-        clock.advance(0, 1.0, "compute")
-        clock.advance(0, 0.5, "comm")
+        clock.advance_many(np.array([1.0, 0.0]), "compute")
+        clock.advance_many(np.array([0.5, 0.0]), "comm")
         assert clock.time[0] == 1.5
         assert clock.compute_time[0] == 1.0
         assert clock.comm_time[0] == 0.5
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            SimClock(1).advance(0, -1)
+            SimClock(1).advance_many(np.array([-1.0]))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            SimClock(1).advance(0, 1, "waiting")
+            SimClock(1).advance_many(np.array([1.0]), "waiting")
 
     def test_sync_books_wait_as_comm(self):
         clock = SimClock(3)
-        clock.advance(1, 2.0)
+        clock.advance_many(np.array([0.0, 2.0, 0.0]))
         horizon = clock.sync()
         assert horizon == 2.0
         assert (clock.time == 2.0).all()
@@ -64,7 +64,7 @@ class TestSimClock:
 
     def test_sync_subset(self):
         clock = SimClock(3)
-        clock.advance(0, 5.0)
+        clock.advance_many(np.array([5.0, 0.0, 0.0]))
         clock.sync([1, 2])
         assert clock.time[1] == 0.0  # untouched by rank 0
 
@@ -72,7 +72,7 @@ class TestSimClock:
         # Fancy-index += applies each duplicate's (identical) wait once, so
         # a rank listed twice behaves exactly like a rank listed once.
         clock = SimClock(3)
-        clock.advance(1, 4.0)
+        clock.advance_many(np.array([0.0, 4.0, 0.0]))
         horizon = clock.sync([0, 0, 1])
         assert horizon == 4.0
         assert clock.time[0] == 4.0 and clock.time[1] == 4.0
@@ -211,7 +211,7 @@ class TestCommunicator:
 
     def test_barrier_syncs(self):
         comm = make_comm(2)
-        comm.charge_compute(0, hash_lookups=1_000_000)
+        comm.charge_compute_many(hash_lookups=np.array([1_000_000, 0]))
         comm.barrier()
         assert comm.clock.time[1] == comm.clock.time[0]
 
@@ -237,8 +237,9 @@ class TestCommunicator:
 
     def test_bad_rank_rejected(self):
         comm = make_comm(2)
-        with pytest.raises(CommunicationError):
-            comm.charge_compute(5, hash_lookups=1)
+        work = np.ones(5, dtype=np.int64)
+        with pytest.raises(ValueError, match="per-rank vector of length 2"):
+            comm.charge_compute_many(edges_scanned=work, hash_lookups=work, updates=work)
 
 
 DROP_HEAVY = "drop=0.45,retries=1,degrade=0.3x3,seed=5"
@@ -512,8 +513,8 @@ class TestCommStats:
     def test_level_lifecycle(self):
         stats = CommStats(2)
         stats.begin_level(0)
-        stats.record_message(1, 10, 80, "fold")
-        stats.record_delivery(1, 10, "fold")
+        stats.record_message_bulk(1, 10, 80, 80, phase="fold")
+        stats.record_delivery_bulk(np.array([1]), np.array([10]), "fold")
         stats.record_duplicates(3)
         done = stats.end_level(frontier_size=5)
         assert done.fold_received == 10
@@ -535,8 +536,8 @@ class TestCommStats:
         stats = CommStats(2)
         for lvl, (e, f) in enumerate([(5, 10), (2, 20)]):
             stats.begin_level(lvl)
-            stats.record_delivery(0, e, "expand")
-            stats.record_delivery(0, f, "fold")
+            stats.record_delivery_bulk(np.array([0]), np.array([e]), "expand")
+            stats.record_delivery_bulk(np.array([0]), np.array([f]), "fold")
             stats.end_level(0)
         assert stats.volume_per_level("expand").tolist() == [5, 2]
         assert stats.volume_per_level("fold").tolist() == [10, 20]
@@ -545,7 +546,7 @@ class TestCommStats:
     def test_mean_message_length(self):
         stats = CommStats(4)
         stats.begin_level(0)
-        stats.record_delivery(0, 100, "fold")
+        stats.record_delivery_bulk(np.array([0]), np.array([100]), "fold")
         stats.end_level(0)
         assert stats.mean_message_length_per_level("fold", 4) == 25.0
         assert stats.mean_message_length_per_level("fold", 0) == 0.0
@@ -553,7 +554,7 @@ class TestCommStats:
     def test_redundancy_ratio(self):
         stats = CommStats(2)
         stats.begin_level(0)
-        stats.record_message(0, 60, 480, "fold")
+        stats.record_message_bulk(1, 60, 480, 480, phase="fold")
         stats.record_duplicates(40)
         stats.end_level(0)
         assert stats.redundancy_ratio == pytest.approx(0.4)
@@ -563,6 +564,6 @@ class TestCommStats:
 
     def test_messages_outside_levels_still_counted_globally(self):
         stats = CommStats(2)
-        stats.record_message(0, 5, 40, "fold")
+        stats.record_message_bulk(1, 5, 40, 40, phase="fold")
         assert stats.total_messages == 1
         assert stats.levels == []

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from repro.api import build_engine
 from repro.bfs.level_sync import run_bfs
 from repro.bfs.options import BfsOptions
-from repro.bfs.sent_cache import PooledSentCache, SentCache
-from repro.partition.indexing import VertexIndexMap
+from repro.bfs.sent_cache import PooledSentCache
 from repro.types import GridShape
 
 
@@ -31,61 +30,75 @@ def entry_slots(pool: PooledSentCache, edges) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def send(pool: PooledSentCache, rank: int, vertices) -> np.ndarray:
+    """The not-yet-sent ones of ``rank``'s ``vertices``, which are then marked
+    sent: one filtered discover with every other rank idle."""
+    edges = [[] for _ in range(pool.bounds.size - 1)]
+    edges[rank] = vertices
+    flat, bounds, _, _ = pool.discover(entry_slots(pool, edges), filter_sent=True)
+    assert bounds[rank + 1] - bounds[rank] == flat.size
+    return flat
+
+
+def num_sent(pool: PooledSentCache) -> int:
+    return int(pool.snapshot().sum())
+
+
 class TestSentCache:
+    """One rank's filter: a one-rank pool."""
+
     def test_first_pass_all_fresh(self):
-        cache = SentCache(VertexIndexMap([10, 20, 30]))
-        out = cache.filter_unsent(np.array([10, 30]))
-        assert out.tolist() == [10, 30]
-        assert cache.num_sent == 2
+        pool = pool_of([[10, 20, 30]])
+        assert send(pool, 0, [10, 30]).tolist() == [10, 30]
+        assert num_sent(pool) == 2
 
     def test_second_pass_filtered(self):
-        cache = SentCache(VertexIndexMap([10, 20, 30]))
-        cache.filter_unsent(np.array([10, 30]))
-        out = cache.filter_unsent(np.array([10, 20, 30]))
-        assert out.tolist() == [20]
+        pool = pool_of([[10, 20, 30]])
+        send(pool, 0, [10, 30])
+        assert send(pool, 0, [10, 20, 30]).tolist() == [20]
 
     def test_empty_input(self):
-        cache = SentCache(VertexIndexMap([1]))
-        assert cache.filter_unsent(np.array([], dtype=np.int64)).size == 0
+        pool = pool_of([[1]])
+        assert send(pool, 0, []).size == 0
 
     def test_reset(self):
-        cache = SentCache(VertexIndexMap([1, 2]))
-        cache.filter_unsent(np.array([1, 2]))
-        cache.reset()
-        assert cache.num_sent == 0
-        assert cache.filter_unsent(np.array([1])).tolist() == [1]
+        pool = pool_of([[1, 2]])
+        send(pool, 0, [1, 2])
+        pool.reset()
+        assert num_sent(pool) == 0
+        assert send(pool, 0, [1]).tolist() == [1]
 
     def test_unknown_vertex_rejected(self):
-        cache = SentCache(VertexIndexMap([1, 2]))
-        from repro.errors import PartitionError
-
-        with pytest.raises(PartitionError):
-            cache.filter_unsent(np.array([3]))
+        """A slot outside the universe is refused, not wrapped."""
+        pool = pool_of([[1, 2]])
+        with pytest.raises(IndexError):
+            pool.discover(np.array([2]), filter_sent=True)
 
     def test_len_is_universe_size(self):
-        assert len(SentCache(VertexIndexMap([5, 6, 7]))) == 3
+        pool = pool_of([[5, 6, 7]])
+        assert np.diff(pool.bounds).tolist() == [3]
+        assert pool.snapshot().size == 3
 
     def test_full_universe_saturation(self):
         """Once every vertex is marked, every further call filters to empty."""
-        cache = SentCache(VertexIndexMap([1, 2, 3]))
-        cache.filter_unsent(np.array([1, 2, 3]))
-        assert cache.num_sent == len(cache)
-        assert cache.filter_unsent(np.array([1, 2, 3])).size == 0
-        assert cache.filter_unsent(np.array([2])).size == 0
-        assert cache.num_sent == len(cache)
+        pool = pool_of([[1, 2, 3]])
+        send(pool, 0, [1, 2, 3])
+        assert num_sent(pool) == 3
+        assert send(pool, 0, [1, 2, 3]).size == 0
+        assert send(pool, 0, [2]).size == 0
+        assert num_sent(pool) == 3
 
     def test_num_sent_monotone(self):
-        """num_sent never decreases under filter calls, only under reset."""
-        cache = SentCache(VertexIndexMap(list(range(10))))
+        """The sent count never decreases under filter calls, only under reset."""
+        pool = pool_of([range(10)])
         rng = np.random.default_rng(0)
         seen = 0
         for _ in range(8):
-            batch = np.unique(rng.integers(0, 10, size=4))
-            cache.filter_unsent(batch)
-            assert cache.num_sent >= seen
-            seen = cache.num_sent
-        cache.reset()
-        assert cache.num_sent == 0
+            send(pool, 0, rng.integers(0, 10, size=4))
+            assert num_sent(pool) >= seen
+            seen = num_sent(pool)
+        pool.reset()
+        assert num_sent(pool) == 0
 
 
 class TestPooledSentCache:
@@ -144,7 +157,7 @@ class TestPooledSentCache:
     def test_unfiltered_discover_leaves_flags_alone(self):
         """``filter_sent=False`` is the dedup alone: nothing read, nothing marked."""
         pool = self._pool()
-        pool.view(0).filter_unsent(np.array([2]))
+        send(pool, 0, [2])
         before = pool.snapshot()
         flat, bounds, _, counts = pool.discover(
             entry_slots(pool, [[2, 0, 2], [3]]), filter_sent=False
@@ -155,13 +168,15 @@ class TestPooledSentCache:
         assert np.array_equal(pool.snapshot(), before)
 
     def test_views_share_pool_flags(self):
-        """Marks through a per-rank view are visible to the kernel."""
+        """A rank's marks live in its own slice of the pooled flags: the
+        kernel sees them, and no other rank does."""
         pool = self._pool()
-        pool.view(0).filter_unsent(np.array([2]))
+        send(pool, 0, [2])
+        assert pool.snapshot().tolist() == [False, True, False, False, False, False]
         flat, _, _, _ = pool.discover(entry_slots(pool, [[0, 2], []]), filter_sent=True)
         assert flat.tolist() == [0]
         # rank 1's own vertex 2 is a different flag
-        assert pool.view(1).filter_unsent(np.array([2])).tolist() == [2]
+        assert send(pool, 1, [2]).tolist() == [2]
 
     def test_snapshot_restore_round_trip(self):
         pool = self._pool()
@@ -169,9 +184,9 @@ class TestPooledSentCache:
         pool.discover(entry_slots(pool, [[0, 4], []]), filter_sent=True)
         after = pool.snapshot()
         pool.restore(before)
-        assert pool.view(0).filter_unsent(np.array([0])).tolist() == [0]
+        assert send(pool, 0, [0]).tolist() == [0]
         pool.restore(after)
-        assert pool.view(0).filter_unsent(np.array([4])).size == 0
+        assert send(pool, 0, [4]).size == 0
 
     def test_one_edge_level_on_a_large_pool(self):
         """Far fewer edges than slots, then every slot at once."""
@@ -227,7 +242,7 @@ def _pool_histories(draw):
 
 
 class TestDiscoverAgainstPerRankOracle:
-    """The kernel vs. ``np.unique`` + :meth:`SentCache.filter_unsent` per rank.
+    """The kernel vs. ``np.unique`` and a Python set of sent vertices per rank.
 
     Histories include ranks with no edges (or an empty universe), levels
     where everything is already sent, one-edge levels on a large pool
@@ -238,37 +253,36 @@ class TestDiscoverAgainstPerRankOracle:
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle(self, history, filter_sent):
         _, universes, steps = history
-        maps = [VertexIndexMap(u) for u in universes]
         pool = pool_of(universes)
-        oracle = [SentCache(m) for m in maps]
+        oracle: list[set[int]] = [set() for _ in universes]
         saved = None
         for kind, edges in steps:
             if kind == "snapshot":
-                saved = (pool.snapshot(), [c.snapshot() for c in oracle])
+                saved = (pool.snapshot(), [set(sent) for sent in oracle])
                 continue
             if kind == "restore":
                 if saved is not None:
                     pool.restore(saved[0])
-                    for cache, snap in zip(oracle, saved[1]):
-                        cache.restore(snap)
+                    oracle = [set(sent) for sent in saved[1]]
                 continue
             edges = [np.array(e, dtype=np.int64) for e in edges]
-            uniq = [np.unique(e) for e in edges]
-            want = [
-                c.filter_unsent(u) if filter_sent else u
-                for c, u in zip(oracle, uniq)
-            ]
+            uniq = [sorted(set(e.tolist())) for e in edges]
+            want = [[v for v in u if v not in sent] if filter_sent else u
+                    for sent, u in zip(oracle, uniq)]
+            if filter_sent:
+                for sent, w in zip(oracle, want):
+                    sent.update(w)
             flat, bounds, _, counts = pool.discover(
                 entry_slots(pool, edges), filter_sent=filter_sent
             )
-            assert counts.tolist() == [u.size for u in uniq]
+            assert counts.tolist() == [len(u) for u in uniq]
             assert bounds.tolist() == np.concatenate(
-                ([0], np.cumsum([w.size for w in want]))
+                ([0], np.cumsum([len(w) for w in want]))
             ).tolist()
-            assert flat.tolist() == np.concatenate(want).tolist()
-            assert np.array_equal(
-                pool.snapshot(), np.concatenate([c.snapshot() for c in oracle])
-            )
+            assert flat.tolist() == [v for w in want for v in w]
+            assert pool.snapshot().tolist() == [
+                v in sent for sent, u in zip(oracle, universes) for v in u
+            ]
 
     @given(history=_pool_histories(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -317,7 +331,7 @@ class TestCacheEffectOnTraffic:
         Section 2.4.1/2.4.3 O(n/P) expectation."""
         engine = build_engine(small_graph, GridShape(2, 4))
         engine.start(0)
-        for rank in range(8):
-            cache = engine._sent_pool.view(rank)
-            fp = engine.partition.memory_footprint(rank)
-            assert len(cache) == fp["unique_row_vertices"]
+        per_rank = np.diff(engine._sent_pool.bounds)
+        fp = engine.partition.memory_footprints()
+        assert per_rank.tolist() == fp["unique_row_vertices"].tolist()
+        assert engine._sent_pool.snapshot().size == per_rank.sum()

@@ -8,7 +8,8 @@ import pytest
 from repro.backends.spmd import spmd_bfs
 from repro.bfs.options import BfsOptions
 from repro.bfs.serial import serial_bfs
-from repro.errors import SearchError
+from repro.errors import CommunicationError, SearchError
+from repro.faults import FaultSpec
 from repro.graph.csr import CsrGraph
 from repro.graph.generators import poisson_random_graph
 from repro.types import GraphSpec, GridShape, UNREACHED
@@ -67,9 +68,43 @@ class TestSpmdCollectives:
         assert np.array_equal(levels, serial_bfs(small_graph, 7))
 
     def test_unsupported_collectives_rejected(self, small_graph):
-        from repro.errors import CommunicationError
-
         with pytest.raises(CommunicationError, match="expand"):
             spmd_bfs(small_graph, (2, 2), 0, opts=BfsOptions(expand_collective="two-phase"))
         with pytest.raises(CommunicationError, match="fold"):
             spmd_bfs(small_graph, (2, 2), 0, opts=BfsOptions(fold_collective="bruck"))
+
+
+class TestSpmdRejectsInertOptions:
+    """Options the workers cannot honour are refused, never ignored."""
+
+    def test_buffer_capacity_rejected(self, small_graph):
+        # the simulator chunks at the capacity, and chunk counts set the
+        # fault fates; the workers send every payload whole
+        for faults in (None, FaultSpec(drop_rate=0.05, seed=3)):
+            with pytest.raises(CommunicationError, match="buffer_capacity"):
+                spmd_bfs(
+                    small_graph, (2, 2), 0, opts=BfsOptions(buffer_capacity=4),
+                    faults=faults,
+                )
+
+    def test_checkpoint_off_rejected_under_faults(self, small_graph):
+        off = BfsOptions(checkpoint=False)
+        with pytest.raises(CommunicationError, match="checkpoint=False"):
+            spmd_bfs(small_graph, (2, 2), 0, opts=off, faults=FaultSpec(drop_rate=0.05))
+        # without faults there is nothing to roll back: the option is inert
+        # on both backends
+        levels = spmd_bfs(small_graph, (2, 2), 0, opts=off, timeout=60)
+        assert np.array_equal(levels, serial_bfs(small_graph, 0))
+
+
+def test_single_rank_runs_the_forked_worker(small_graph):
+    """P = 1 takes the same worker and hub as every other mesh: its fault
+    report is the plan's, with nothing on the wire, and nothing is sieved."""
+    levels, report, sieved = spmd_bfs(
+        small_graph, (1, 1), 0, opts=BfsOptions(use_sieve=True),
+        faults=FaultSpec(drop_rate=0.05, seed=3), return_report=True,
+        return_sieved=True, timeout=60,
+    )
+    assert np.array_equal(levels, serial_bfs(small_graph, 0))
+    assert (report.injected, report.retries, report.rollbacks) == (0, 0, 0)
+    assert sieved == 0

@@ -9,37 +9,62 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.bfs.sent_cache import SentCache
-from repro.partition.indexing import VertexIndexMap
+from repro.bfs.sent_cache import PooledSentCache
 from repro.runtime.clock import SimClock
 
-UNIVERSE = list(range(0, 100, 7))
+#: per-rank sorted universes, laid out as a partition's row universe (one
+#: rank stores nothing)
+UNIVERSES = [list(range(0, 100, 7)), [], list(range(3, 60, 5))]
+BOUNDS = np.cumsum([0] + [len(u) for u in UNIVERSES])
 
 
 class SentCacheMachine(RuleBasedStateMachine):
+    """Every rank's sent filter, run level by level through one pooled
+    discover, against a Python set per rank."""
+
     def __init__(self):
         super().__init__()
-        self.cache = SentCache(VertexIndexMap(UNIVERSE))
-        self.model: set[int] = set()
+        self.pool = PooledSentCache(BOUNDS, np.array(sum(UNIVERSES, []), dtype=np.int64))
+        self.model: list[set[int]] = [set() for _ in UNIVERSES]
+        self.saved = None
 
-    @rule(vertices=st.lists(st.sampled_from(UNIVERSE), max_size=6, unique=True))
-    def filter_unsent(self, vertices):
-        arr = np.array(sorted(vertices), dtype=np.int64)
-        fresh = self.cache.filter_unsent(arr)
-        expected = sorted(set(vertices) - self.model)
-        assert fresh.tolist() == expected
-        self.model.update(vertices)
+    @rule(edges=st.tuples(*(
+        st.lists(st.sampled_from(u), max_size=8) if u else st.just([]) for u in UNIVERSES
+    )))
+    def discover(self, edges):
+        slots = np.concatenate([
+            BOUNDS[r] + np.searchsorted(UNIVERSES[r], np.array(e, dtype=np.int64))
+            for r, e in enumerate(edges)
+        ])
+        flat, bounds, _, counts = self.pool.discover(slots, filter_sent=True)
+        for r, e in enumerate(edges):
+            assert counts[r] == len(set(e))
+            fresh = sorted(set(e) - self.model[r])
+            assert flat[bounds[r] : bounds[r + 1]].tolist() == fresh
+            self.model[r].update(fresh)
+
+    @rule()
+    def snapshot(self):
+        self.saved = (self.pool.snapshot(), [set(sent) for sent in self.model])
+
+    @precondition(lambda self: self.saved is not None)
+    @rule()
+    def restore(self):
+        self.pool.restore(self.saved[0])
+        self.model = [set(sent) for sent in self.saved[1]]
 
     @rule()
     def reset(self):
-        self.cache.reset()
-        self.model = set()
+        self.pool.reset()
+        self.model = [set() for _ in UNIVERSES]
 
     @invariant()
-    def counts_agree(self):
-        assert self.cache.num_sent == len(self.model)
+    def flags_agree(self):
+        assert self.pool.snapshot().tolist() == [
+            v in sent for sent, u in zip(self.model, UNIVERSES) for v in u
+        ]
 
 
 class SimClockMachine(RuleBasedStateMachine):
@@ -53,14 +78,15 @@ class SimClockMachine(RuleBasedStateMachine):
         self.model_compute = np.zeros(self.RANKS)
 
     @rule(
-        rank=st.integers(0, RANKS - 1),
-        seconds=st.floats(0, 10, allow_nan=False),
+        seconds=st.lists(
+            st.floats(0, 10, allow_nan=False), min_size=RANKS, max_size=RANKS
+        ),
         kind=st.sampled_from(["comm", "compute"]),
     )
-    def advance(self, rank, seconds, kind):
-        self.clock.advance(rank, seconds, kind)
-        self.model[rank] += seconds
-        (self.model_comm if kind == "comm" else self.model_compute)[rank] += seconds
+    def advance(self, seconds, kind):
+        self.clock.advance_many(np.array(seconds), kind)
+        self.model += seconds
+        (self.model_comm if kind == "comm" else self.model_compute)[:] += seconds
 
     @rule(ranks=st.lists(st.integers(0, RANKS - 1), min_size=1, max_size=4, unique=True))
     def sync(self, ranks):
