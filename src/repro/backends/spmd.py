@@ -7,9 +7,9 @@ idiom).  The message pattern is identical to the simulated engine's direct
 collectives — expand along processor-columns, fold along processor-rows —
 so this backend doubles as an executable specification of what a real MPI
 port performs each level.  A worker holds one rank's view of the
-partition's pooled tables: it reads its ``*_bounds`` slices and the
-direct index the simulated engine reads, and keeps its sent flags over
-its own slots of the row universe.
+partition's pooled tables: it reads its ``*_bounds`` slices and its
+partial edge lists through ``stored_lists``, as the simulated engine
+does, and keeps its sent flags over its own slots of the row universe.
 
 Protocol (every rank sends the same message kinds in the same order, so
 the hub never deadlocks):
@@ -57,7 +57,7 @@ import multiprocessing as mp
 
 import numpy as np
 
-from repro.bfs.bottom_up import _first_hit_scan
+from repro.bfs.bottom_up import _scan_stored_columns
 from repro.bfs.direction import BOTTOM_UP, TOP_DOWN, DirectionPolicy
 from repro.bfs.options import BfsOptions
 from repro.errors import CommunicationError, FaultError, SearchError
@@ -362,7 +362,7 @@ def _worker_main(
 
             # --- local discovery on partial edge lists: the distinct row
             # slots they hold, ascending, are the ascending neighbour set --- #
-            gather, _ = range_indices(*_stored_lists(partition, rank, fbar))
+            gather, _ = range_indices(*partition.stored_lists(fbar, rank))
             slots = np.unique(partition.row_slots[gather])
             if sent is not None:
                 slots = slots[~sent[slots - row_lo]]
@@ -431,18 +431,6 @@ def _worker_main(
     conn.send(("done", (levels, faults.report if faults is not None else None, sieved)))
 
 
-def _stored_lists(
-    partition: TwoDPartition, rank: int, vertices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(starts, lengths)`` of ``rank``'s partial edge lists of ``vertices``
-    in the pooled ``rows``, by direct index: every vertex lies in the
-    rank's column chunk, so its list is slot ``slot_shift[rank] + v`` of
-    ``slot_indptr`` (empty where the rank stores none)."""
-    slot = vertices + partition.slot_shift[rank]
-    starts = partition.slot_indptr[slot]
-    return starts, partition.slot_indptr[slot + 1] - starts
-
-
 def _bottom_up_level(
     conn,
     rank: int,
@@ -493,11 +481,9 @@ def _bottom_up_level(
     frontier_mask[frontier_rows] = True
     unvisited_mask = np.zeros(n, dtype=bool)
     unvisited_mask[unvisited_chunk] = True
-    stored = partition.col_keys[partition.col_bounds[rank] : partition.col_bounds[rank + 1]]
-    stored = stored - rank * n
-    scan = stored[unvisited_mask[stored]]
-    starts, lengths = _stored_lists(partition, rank, scan)
-    found, _ = _first_hit_scan(starts, lengths, partition.rows, frontier_mask)
+    scan, _, found, _ = _scan_stored_columns(
+        partition, rank, rank + 1, frontier_mask, unvisited_mask
+    )
     found_v = scan[found]
 
     # round 3: finds travel to their owners (within the processor column)

@@ -95,25 +95,13 @@ class Bfs2DEngine(LevelSyncEngine):
         #: the expand outbox key, sender block * R + destination mesh row,
         #: in the narrowest dtype that holds it (a radix sort up to 16 bits)
         self._outbox_key_dtype = np.min_scalar_type(partition.nranks * self.grid.rows - 1)
-        self._owned_lo, self._owned_hi = partition.owned_lo, partition.owned_hi
-        self._owned_spans = self._owned_hi - self._owned_lo
+        self._owned_spans = partition.owned_hi - partition.owned_lo
         #: pooled sent-neighbours cache over every rank's row universe
         self._sent_pool = PooledSentCache(partition.row_bounds, partition.row_ids)
         if opts.use_sieve:
             # Fold candidates only ever travel along processor-rows, so
             # each rank shadows exactly its row peers' owned blocks.
             self._sieve = PooledSieve(self._row_groups, self._owned_spans, partition.n)
-        # The partition's pooled tables, read in place: the stored rows in
-        # (rank, column, row) order, the stored-column keys rank * n + id,
-        # the direct index (rank r's partial edge list of v is slot
-        # ``_slot_shift[r] + v`` of the CSR ``_slot_indptr`` into
-        # ``_rows_cat``), and every entry's sent-pool slot — discovery
-        # dedups and filters in slot space, never on global ids.
-        self._rows_cat = partition.rows
-        self._col_keys = partition.col_keys
-        self._slot_shift = partition.slot_shift
-        self._slot_indptr = partition.slot_indptr
-        self._row_slots = partition.row_slots
         #: pre-routed expand pair population (direct expand only):
         #: every (owner, holder) wire pair any expand round can use, keyed
         #: like the direct step's messages — owned block (the dense
@@ -158,7 +146,7 @@ class Bfs2DEngine(LevelSyncEngine):
                 holder = np.repeat(
                     np.arange(nranks, dtype=np.int64), np.diff(self.partition.col_bounds)
                 )
-                v = self._col_keys - holder * n
+                v = self.partition.col_ids
                 d = holder
                 marked = np.zeros(nranks * R, dtype=bool)
                 if v.size:
@@ -358,23 +346,23 @@ class Bfs2DEngine(LevelSyncEngine):
         """Step 12's lookup: the partial edge lists of F-bar, as pool slots.
 
         Every F-bar vertex of rank ``r`` lies in ``r``'s column chunk, so
-        its partial edge list is found by direct index — slot
-        ``_slot_shift[r] + v`` of ``_slot_indptr`` — with no search; one
-        gather reads the lists' entries' slots.  Each rank is charged its
-        edge count in scans, and that plus — with column peers — one
+        the partition finds its partial edge list by direct index
+        (:meth:`~repro.partition.two_d.TwoDPartition.stored_lists`), and
+        one gather reads the lists' entries' slots — discovery dedups and
+        filters in slot space, never on global ids.  Each rank is charged
+        its edge count in scans, and that plus — with column peers — one
         Section 2.4.1 probe per F-bar vertex in hash lookups.  Returns
         ``(slots, lengths)``: ``lengths`` is how many of ``slots`` each
         F-bar entry contributed — zero where this rank holds no partial
         list for it.
         """
-        slot = np.repeat(self._slot_shift, np.diff(fbar_bounds))
-        slot += fbar_flat
-        starts = self._slot_indptr[slot]
-        lengths = self._slot_indptr[1:][slot] - starts
+        part = self.partition
+        ranks = np.repeat(np.arange(part.nranks), np.diff(fbar_bounds))
+        starts, lengths = part.stored_lists(fbar_flat, ranks)
         gather, out_offsets = range_indices(starts, lengths)
         # Per-rank edge counts: the running sum of lengths cut at the
         # F-bar's rank bounds.
         edges = np.diff(out_offsets[fbar_bounds])
         probes = edges + np.diff(fbar_bounds) if self._column_peers else edges
         self.comm.charge_compute_many(edges_scanned=edges, hash_lookups=probes)
-        return self._row_slots[gather], lengths
+        return part.row_slots[gather], lengths

@@ -49,39 +49,37 @@ __all__ = ["bottom_up_level_2d"]
 _NO_HIT = np.iinfo(np.int64).max
 
 
-def _first_hit_scan(
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    adjacency: np.ndarray,
-    frontier_mask: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Early-exit scan of CSR segments against a frontier bitmap.
+def _scan_stored_columns(
+    part, lo: int, hi: int, frontier_mask: np.ndarray, unvisited_mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ranks ``lo .. hi - 1``'s bottom-up scan, in slot space.
 
-    Segment ``s`` is ``adjacency[starts[s] : starts[s] + lengths[s]]``.
-    Returns ``(found, edges_scanned)`` per segment: whether any entry is
-    in the frontier, and how many entries a sequential scan would touch
-    before stopping (first hit position + 1, or the whole segment on a
-    miss) — the quantity that makes bottom-up cheap.
+    Every stored column still unvisited (``unvisited_mask``, over vertex
+    ids) scans its partial edge list — found by direct index, as in the
+    top-down lookup — for a row in the frontier (``frontier_mask``, over
+    vertex ids), and stops at the first hit.  The stored entries are
+    slots, so the frontier bitmap is first gathered onto the ranks' row
+    universes, once.  Returns ``(vertex, rank, found, edges_scanned)`` per
+    scanned column, ranks ascending, vertices ascending within each:
+    ``edges_scanned`` is what a sequential scan touches (first hit
+    position + 1, or the whole list on a miss) — the quantity that makes
+    bottom-up cheap.
     """
-    nseg = starts.size
-    found = np.zeros(nseg, dtype=bool)
-    edges = np.zeros(nseg, dtype=np.int64)
-    nz = np.flatnonzero(lengths)
-    if nz.size == 0:
-        return found, edges
-    nz_starts = starts[nz]
-    nz_lengths = lengths[nz]
-    gather, out_offsets = range_indices(nz_starts, nz_lengths)
-    hits = frontier_mask[adjacency[gather]]
-    pos = np.arange(gather.size, dtype=np.int64) - np.repeat(
-        out_offsets[:-1], nz_lengths
-    )
-    score = np.where(hits, pos, _NO_HIT)
-    first = np.minimum.reduceat(score, out_offsets[:-1])
-    nz_found = first < _NO_HIT
-    found[nz] = nz_found
-    edges[nz] = np.where(nz_found, first + 1, nz_lengths)
-    return found, edges
+    row_lo, row_hi = part.row_bounds[lo], part.row_bounds[hi]
+    frontier_slots = frontier_mask[part.row_ids[row_lo:row_hi]]
+    col_bounds = part.col_bounds[lo : hi + 1]
+    stored = part.col_ids[col_bounds[0] : col_bounds[-1]]
+    scan_idx = np.flatnonzero(unvisited_mask[stored])
+    scan_rank = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(col_bounds))[scan_idx]
+    scan_v = stored[scan_idx]
+    # a stored list is never empty, so every list starts its own segment
+    starts, lengths = part.stored_lists(scan_v, scan_rank)
+    gather, offsets = range_indices(starts, lengths)
+    hits = frontier_slots[part.row_slots[gather] - row_lo]
+    pos = np.arange(gather.size, dtype=np.int64) - np.repeat(offsets[:-1], lengths)
+    first = np.minimum.reduceat(np.where(hits, pos, _NO_HIT), offsets[:-1])
+    found = first < _NO_HIT
+    return scan_v, scan_rank, found, np.where(found, first + 1, lengths)
 
 
 def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +92,6 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
     """
     comm = engine.comm
     nranks = comm.nranks
-    n = engine.n
     obs = comm.obs
     levels = engine._levels_flat
     part = engine.partition
@@ -127,29 +124,17 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
         )
 
     with obs.span("bottom-up-scan", cat="phase"):
-        frontier_mask = levels == engine.level
-        # stored columns, tagged by holder rank (the stored-column keys
-        # are sorted by rank then vertex id); their partial edge lists
-        # come from the direct-index table, as in the top-down lookup
-        cols_per_rank = np.diff(part.col_bounds)
-        col_rank = np.repeat(np.arange(nranks, dtype=np.int64), cols_per_rank)
-        col_vertex = engine._col_keys - col_rank * n
-        scan_idx = np.flatnonzero(levels[col_vertex] == UNREACHED)
-        scan_rank = col_rank[scan_idx]
-        slot = col_vertex[scan_idx] + engine._slot_shift[scan_rank]
-        starts = engine._slot_indptr[slot]
-        lengths = engine._slot_indptr[1:][slot] - starts
-        found, edges = _first_hit_scan(
-            starts, lengths, engine._rows_cat, frontier_mask
+        scan_v, scan_rank, found, edges = _scan_stored_columns(
+            part, 0, nranks, levels == engine.level, levels == UNREACHED
         )
         per_rank_edges = np.zeros(nranks, dtype=np.int64)
         np.add.at(per_rank_edges, scan_rank, edges)
         # one frontier probe per scanned edge, plus — with column peers —
         # one unvisited-bitmap probe per stored column
+        cols_per_rank = np.diff(part.col_bounds)
         probes = per_rank_edges + cols_per_rank if engine._column_peers else per_rank_edges
         comm.charge_compute_many(edges_scanned=per_rank_edges, hash_lookups=probes)
-        found_v = col_vertex[scan_idx[found]]
-        finder = scan_rank[found]
+        found_v, finder = scan_v[found], scan_rank[found]
         owner = part.owner_of(found_v) if found_v.size else found_v
 
     # Found vertices go to their owners (always within the finder's

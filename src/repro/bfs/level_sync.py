@@ -34,6 +34,7 @@ from repro.bfs.options import BfsOptions
 from repro.bfs.result import BfsResult
 from repro.errors import ConfigurationError, FaultError, SearchError
 from repro.observability.artifacts import collect_observability
+from repro.partition.two_d import TwoDPartition
 from repro.runtime.comm import Communicator
 from repro.types import LEVEL_DTYPE, UNREACHED, VERTEX_DTYPE
 from repro.utils.logging import get_logger
@@ -86,10 +87,9 @@ class LevelSyncEngine(abc.ABC):
     #: fold segment ``s`` is rank ``s``) — the processor-rows, the whole
     #: machine on a ``1 x P`` mesh
     _fold_groups: list[list[int]]
-    #: the layout's owned vertex ranges: rank ``r`` owns
-    #: ``[_owned_lo[r], _owned_hi[r])``, ``_owned_spans[r]`` vertices
-    _owned_lo: np.ndarray
-    _owned_hi: np.ndarray
+    #: the layout's partition: rank ``r`` owns the ``_owned_spans[r]``
+    #: vertices ``[partition.owned_lo[r], partition.owned_hi[r])``
+    partition: TwoDPartition
     _owned_spans: np.ndarray
 
     @abc.abstractmethod
@@ -252,8 +252,9 @@ class LevelSyncEngine(abc.ABC):
             flat = np.flatnonzero(self._mask_or)
             words = self._mask_or[flat]
             self._mask_or[flat] = 0
-        starts = np.searchsorted(flat, self._owned_lo)
-        idx, bounds = range_indices(starts, np.searchsorted(flat, self._owned_hi) - starts)
+        part = self.partition
+        starts = np.searchsorted(flat, part.owned_lo)
+        idx, bounds = range_indices(starts, np.searchsorted(flat, part.owned_hi) - starts)
         return flat[idx], bounds, None if words is None else words[idx]
 
     def _label(

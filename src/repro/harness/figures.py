@@ -550,9 +550,15 @@ def _distgen(pt: dict, seed: int) -> Rows:
     builder = DistributedGraphBuilder(pt["graph"], grid)
     built = builder.build_partition()
     central = TwoDPartition(builder.reference_graph(), grid)
+    ranks = np.repeat(np.arange(grid.size), np.diff(central.col_bounds))
     exact = all(
         np.array_equal(getattr(central, name), getattr(built, name))
-        for name in ("entry_bounds", "rows", "col_keys")
+        for name in ("entry_bounds", "col_ids", "col_bounds", "row_ids", "row_bounds",
+                     "row_slots")
+    ) and all(
+        np.array_equal(a, b)
+        for a, b in zip(central.stored_lists(central.col_ids, ranks),
+                        built.stored_lists(central.col_ids, ranks))
     )
     entries = built.memory_footprints()["edge_entries"]
     cells = [len(builder.cells_for_rank(rank)) for rank in range(grid.size)]

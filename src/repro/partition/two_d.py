@@ -34,22 +34,20 @@ class TwoDPartition:
 
     The stored entries of all ranks are held once, pooled in rank order
     (rank ``r``'s part of a pooled array is cut by the matching
-    ``*_bounds[r]:*_bounds[r+1]``):
+    ``*_bounds[r]:*_bounds[r+1]``), one id per entry (Section 2.4.2):
 
-    * ``rows`` — every stored entry's row id, in (rank, column, row)
-      order; ``entry_bounds`` cuts it per rank;
-    * ``col_keys`` — ``rank * n + id`` of every non-empty partial edge
-      list, ascending; ``col_bounds`` cuts it per rank;
-    * ``slot_shift`` / ``slot_indptr`` — the direct index: rank ``r``'s
-      partial edge list of vertex ``v`` (in its column chunk) is
-      ``rows[slot_indptr[s]:slot_indptr[s+1]]`` with ``s = slot_shift[r]
-      + v``, the ranks' chunks back to back, ``R * n`` slots in all
-      (int32 unless the entries overflow it);
     * ``row_ids`` — each rank's sorted distinct row ids (its
       sent-neighbours universe, Section 2.4.3), cut by ``row_bounds``;
-      ``row_slots`` is every entry's index into it;
+    * ``row_slots`` — every stored entry, as its slot in ``row_ids``, in
+      (rank, column, row) order; ``entry_bounds`` cuts it per rank, and
+      entry ``e``'s row id is ``row_ids[row_slots[e]]``;
+    * ``col_ids`` — the vertex id of every non-empty partial edge list,
+      ascending within each rank; ``col_bounds`` cuts it per rank;
     * ``owned_lo`` / ``owned_hi`` — rank ``(i, j)`` owns block row
       ``j * R + i``: vertices ``[owned_lo[r], owned_hi[r])``.
+
+    A rank's partial edge lists are found by :meth:`stored_lists`, the one
+    reader of the index behind it.
     """
 
     def __init__(self, graph: CsrGraph, grid: GridShape) -> None:
@@ -108,7 +106,7 @@ class TwoDPartition:
         key += rows
         del rows, cols
         key.sort()
-        self.rows = rows = key % n
+        rows = key % n
         key //= n
         # (i, v) runs are (rank, column) runs: every non-empty partial edge
         # list starts one
@@ -123,35 +121,54 @@ class TwoDPartition:
         rank += chunk
         del chunk
         self.entry_bounds = np.searchsorted(rank, np.arange(nranks + 1))
-        key_bounds = np.arange(nranks + 1, dtype=np.int64) * n
-        col_rank, col_ids = rank[starts], cols[starts]
+        col_rank, self.col_ids = rank[starts], cols[starts]
         del cols
-        self.col_keys = col_rank * n + col_ids
-        self.col_bounds = np.searchsorted(self.col_keys, key_bounds)
+        self.col_bounds = np.searchsorted(col_rank, np.arange(nranks + 1))
         # Slots of the row universe are ordered by (rank, vertex), so every
         # entry's slot is the rank of its rank * n + row key among the
         # distinct keys.
         rank *= n
         rank += rows
         row_keys, self.row_slots = np.unique(rank, return_inverse=True)
-        del rank, key
+        del rank, key, rows
+        key_bounds = np.arange(nranks + 1, dtype=np.int64) * n
         self.row_bounds = np.searchsorted(row_keys, key_bounds)
         self.row_ids = row_keys - np.repeat(key_bounds[:-1], np.diff(self.row_bounds))
-        # Rank (i, j) stores partial edge lists only for column chunk j,
-        # whose span is that of mesh column j's R block rows.
+        # The direct index: rank (i, j) stores partial edge lists only for
+        # column chunk j, whose span is that of mesh column j's R block
+        # rows, so rank r's list of v is slot ``_slot_shift[r] + v`` of the
+        # CSR ``_slot_indptr`` into ``row_slots``, the ranks' chunks back to
+        # back, R * n slots in all.
         member_bounds = self.dist.offsets[::R]
         chunk_spans = np.diff(member_bounds)[ranks % C]
-        self.slot_shift = np.cumsum(chunk_spans) - chunk_spans - member_bounds[ranks % C]
+        self._slot_shift = np.cumsum(chunk_spans) - chunk_spans - member_bounds[ranks % C]
         # Built in place, in int32 unless the stored entries overflow it:
         # no int64 copy of an R * n table.
         indptr = np.zeros(
-            R * n + 1, dtype=np.int32 if rows.size <= np.iinfo(np.int32).max else np.int64
+            R * n + 1,
+            dtype=np.int32 if self.row_slots.size <= np.iinfo(np.int32).max else np.int64,
         )
-        indptr[col_ids + self.slot_shift[col_rank] + 1] = np.diff(
-            np.append(starts, rows.size)
+        indptr[self.col_ids + self._slot_shift[col_rank] + 1] = np.diff(
+            np.append(starts, self.row_slots.size)
         )
         np.cumsum(indptr, dtype=indptr.dtype, out=indptr)
-        self.slot_indptr = indptr
+        self._slot_indptr = indptr
+
+    # ------------------------------------------------------------------ #
+    # lookup
+    # ------------------------------------------------------------------ #
+    def stored_lists(self, vertices, ranks) -> tuple[np.ndarray, np.ndarray]:
+        """Where each rank's partial edge list of each vertex lies in ``row_slots``.
+
+        ``ranks`` is one rank per vertex, or one rank for all of them, and
+        every vertex must lie in its rank's column chunk.  Returns
+        ``(starts, lengths)``: the list of ``vertices[k]`` is
+        ``row_slots[starts[k] : starts[k] + lengths[k]]``, of length zero
+        where the rank stores none.  A direct index, no search.
+        """
+        slot = self._slot_shift[ranks] + vertices
+        starts = self._slot_indptr[slot]
+        return starts, self._slot_indptr[1:][slot] - starts
 
     # ------------------------------------------------------------------ #
     # ownership

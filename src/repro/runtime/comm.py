@@ -620,8 +620,9 @@ class Communicator:
         """Charge every rank's local BFS work through the machine model.
 
         Each argument is one value per rank (``None`` means all zeros),
-        priced at the model's edge-scan, hash-lookup and update costs.
-        Every rank receives exactly one compute advance (zero-work ranks
+        priced at the model's edge-scan, hash-lookup and update costs (a
+        vector of any other shape raises :class:`CommunicationError`
+        naming the argument).  Every rank receives exactly one compute advance (zero-work ranks
         advance by 0.0, which leaves their clocks bit-identical).
         Straggler ranks (fault layer) pay their slowdown multiplier, and a
         shrink host serializes the compute of the rank it absorbed; that
@@ -632,6 +633,12 @@ class Communicator:
         e = zeros if edges_scanned is None else np.asarray(edges_scanned)
         h = zeros if hash_lookups is None else np.asarray(hash_lookups)
         u = zeros if updates is None else np.asarray(updates)
+        for name, work in zip(("edges_scanned", "hash_lookups", "updates"), (e, h, u)):
+            if work.shape != (self.nranks,):
+                raise CommunicationError(
+                    f"{name} must be a per-rank vector of shape ({self.nranks},), "
+                    f"got shape {work.shape}"
+                )
         if edges_scanned is not None:
             self.stats.record_edges_scanned(int(e.sum()))
         seconds = (

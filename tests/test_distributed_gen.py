@@ -17,18 +17,24 @@ from repro.partition.base import BlockDistribution
 from repro.partition.two_d import TwoDPartition
 from repro.errors import PartitionError
 from repro.types import GraphSpec, GridShape
-from tests.test_pooled_partition import partial_neighbors, stored_columns
+from tests.test_pooled_partition import column_chunk, partial_neighbors, stored_columns
 
 
-#: every pooled table of a TwoDPartition (its whole storage)
-POOLED = ("owned_lo", "owned_hi", "entry_bounds", "rows", "col_keys", "col_bounds",
-          "slot_shift", "slot_indptr", "row_ids", "row_bounds", "row_slots")
+#: every pooled table of a TwoDPartition (its whole storage, with the
+#: index behind ``stored_lists``)
+POOLED = ("owned_lo", "owned_hi", "entry_bounds", "col_ids", "col_bounds",
+          "row_ids", "row_bounds", "row_slots")
 
 
 def assert_pooled_equal(a, b):
     for name in POOLED:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+    # the index, read for every vertex of every rank's column chunk
+    for rank in range(a.nranks):
+        chunk = np.arange(*column_chunk(a, rank % a.grid.cols))
+        for x, y in zip(a.stored_lists(chunk, rank), b.stored_lists(chunk, rank)):
+            assert x.dtype == y.dtype and np.array_equal(x, y), rank
 
 
 class TestCellSampling:

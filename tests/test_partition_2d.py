@@ -136,8 +136,8 @@ class TestPartialNeighbors:
         # and a vertex of the chunk without a stored list has an empty slot
         lo, hi = column_chunk(part, 0)
         absent = np.setdiff1d(np.arange(lo, hi), stored_columns(part, 0))
-        slots = absent + part.slot_shift[0]
-        assert (part.slot_indptr[slots] == part.slot_indptr[slots + 1]).all()
+        _, lengths = part.stored_lists(absent, 0)
+        assert absent.size and (lengths == 0).all()
 
     def test_empty_frontier(self, small_graph):
         part = TwoDPartition(small_graph, GridShape(2, 2))

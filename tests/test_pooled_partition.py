@@ -6,8 +6,12 @@ import bisect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import build_engine
+from repro.bfs.bottom_up import _scan_stored_columns
+from repro.graph.csr import CsrGraph
 from repro.errors import PartitionError
 from repro.partition.balance import balance_report
 from repro.partition.two_d import TwoDPartition
@@ -31,43 +35,55 @@ def column_chunk(part: TwoDPartition, mesh_col: int) -> tuple[int, int]:
 
 def stored_rows(part: TwoDPartition, rank: int) -> np.ndarray:
     """Row ids of ``rank``'s stored entries, in (column, row) order."""
-    return part.rows[part.entry_bounds[rank] : part.entry_bounds[rank + 1]]
+    return part.row_ids[part.row_slots[part.entry_bounds[rank] : part.entry_bounds[rank + 1]]]
 
 
 def stored_columns(part: TwoDPartition, rank: int) -> np.ndarray:
     """The vertices ``rank`` stores a non-empty partial edge list of, ascending."""
-    return part.col_keys[part.col_bounds[rank] : part.col_bounds[rank + 1]] - rank * part.n
+    return part.col_ids[part.col_bounds[rank] : part.col_bounds[rank + 1]]
 
 
 def partial_neighbors(part: TwoDPartition, rank: int, vertices) -> np.ndarray:
     """``rank``'s partial edge lists of ``vertices`` merged, duplicates
-    included, read through the direct index; vertices outside the rank's
+    included, read through ``stored_lists``; vertices outside the rank's
     column chunk are skipped."""
     lo, hi = column_chunk(part, rank % part.grid.cols)
     vertices = np.asarray(vertices, dtype=np.int64)
-    slots = vertices[(vertices >= lo) & (vertices < hi)] + part.slot_shift[rank]
-    lists = [np.arange(part.slot_indptr[s], part.slot_indptr[s + 1]) for s in slots]
-    return part.rows[np.concatenate([np.empty(0, np.int64), *lists])]
+    starts, lengths = part.stored_lists(vertices[(vertices >= lo) & (vertices < hi)], rank)
+    lists = [np.arange(s, s + k) for s, k in zip(starts.tolist(), lengths.tolist())]
+    return part.row_ids[part.row_slots[np.concatenate([np.empty(0, np.int64), *lists])]]
 
 
 def mesh_id(grid: GridShape) -> str:
     return f"{grid.rows}x{grid.cols}"
 
 
-def recount(graph, grid: GridShape) -> dict[str, list[int]]:
-    """Section 2.4.1's per-rank counts, from the graph's entries with Python sets.
+def block_starts(n: int, parts: int) -> list[int]:
+    """The balanced contiguous split of ``n`` vertices over ``parts`` block rows."""
+    return [b * (n // parts) + min(b, n % parts) for b in range(parts + 1)]
 
-    Block rows are the balanced contiguous split of the vertices over
-    ``R * C`` parts; entry ``A[u, v]`` is stored on rank ``(i, j)`` when
-    ``block(u) % R == i`` and ``block(v) // R == j``.
+
+def recount_entries(graph, grid: GridShape) -> list[list[tuple[int, int]]]:
+    """Each rank's stored entries ``(u, v)``, from the graph's edge lists.
+
+    Entry ``A[u, v]`` is stored on rank ``(i, j)`` when ``block(u) % R == i``
+    and ``block(v) // R == j``.
     """
     n, R, C, P = graph.n, grid.rows, grid.cols, grid.size
-    starts = [b * (n // P) + min(b, n % P) for b in range(P + 1)]
+    starts = block_starts(n, P)
     block = [bisect.bisect_right(starts, u) - 1 for u in range(n)]
     entries: list[list[tuple[int, int]]] = [[] for _ in range(P)]
     for u in range(n):
         for v in graph.indices[graph.indptr[u] : graph.indptr[u + 1]].tolist():
             entries[(block[u] % R) * C + block[v] // R].append((u, v))
+    return entries
+
+
+def recount(graph, grid: GridShape) -> dict[str, list[int]]:
+    """Section 2.4.1's per-rank counts, from the graph's entries with Python sets."""
+    R, C, P = grid.rows, grid.cols, grid.size
+    starts = block_starts(graph.n, P)
+    entries = recount_entries(graph, grid)
     return {
         "owned_vertices": [
             starts[(r % C) * R + r // C + 1] - starts[(r % C) * R + r // C] for r in range(P)
@@ -92,30 +108,91 @@ def test_footprints_recount_from_the_graph(small_graph, grid):
 @pytest.mark.parametrize("grid", MESHES, ids=mesh_id)
 def test_row_slots_follow_rank_then_vertex(small_graph, grid):
     """Each rank's row universe is its sorted distinct stored rows, ranks in
-    order, and every entry's slot points at its own row there."""
+    order, and every entry's slot points at its own row there: read back
+    as ``row_ids[row_slots]`` with the columns of ``stored_lists``, a
+    rank's entries are its entries of the graph in (column, row) order."""
     part = TwoDPartition(small_graph, grid)
+    entries = recount_entries(small_graph, grid)
     for rank in range(grid.size):
         lo, hi = part.entry_bounds[rank], part.entry_bounds[rank + 1]
         universe = part.row_ids[part.row_bounds[rank] : part.row_bounds[rank + 1]]
-        assert universe.tolist() == sorted(set(part.rows[lo:hi].tolist()))
+        assert universe.tolist() == sorted({u for u, _ in entries[rank]})
         slots = part.row_slots[lo:hi]
         assert ((slots >= part.row_bounds[rank]) & (slots < part.row_bounds[rank + 1])).all()
-    assert np.array_equal(part.row_ids[part.row_slots], part.rows)
+        columns = stored_columns(part, rank)
+        starts, lengths = part.stored_lists(columns, rank)
+        # the rank's lists lie back to back over its entries
+        assert np.array_equal(starts, lo + np.cumsum(lengths) - lengths)
+        assert lengths.sum() == hi - lo
+        got = list(zip(np.repeat(columns, lengths).tolist(), stored_rows(part, rank).tolist()))
+        assert got == sorted((v, u) for u, v in entries[rank])
 
 
 @pytest.mark.parametrize(
     "grid", [GridShape(1, 4), GridShape(2, 2), GridShape(3, 2)], ids=mesh_id
 )
 def test_engine_keeps_no_copy(small_graph, grid):
-    """The engine reads the partition's tables in place: every stored entry
-    is held once."""
+    """The engine reads the partition's tables in place through
+    ``engine.partition``: every stored entry is held once, as its slot."""
     engine = build_engine(small_graph, grid)
     part = engine.partition
-    assert engine._rows_cat is part.rows
-    assert engine._col_keys is part.col_keys
-    assert engine._slot_indptr is part.slot_indptr
-    assert engine._row_slots is part.row_slots
+    for name in ("rows", "col_keys", "slot_shift", "slot_indptr"):
+        assert not hasattr(part, name)
+    tables = [value for value in vars(part).values() if isinstance(value, np.ndarray)]
+    for name, value in vars(engine).items():
+        if isinstance(value, np.ndarray):
+            assert not any(np.shares_memory(value, t) for t in tables), name
     assert engine._sent_pool.vertex is part.row_ids
+def scan_reference(graph, grid: GridShape, frontier: set, visited: set) -> list[tuple]:
+    """Bottom-up's scan from Python sets: ``(vertex, rank, found, edges)`` of
+    every unvisited stored column, ranks ascending, vertices within; a
+    column's rows are scanned ascending and the scan stops at the first
+    frontier row."""
+    out = []
+    for rank, entries in enumerate(recount_entries(graph, grid)):
+        lists: dict[int, list[int]] = {}
+        for u, v in entries:
+            lists.setdefault(v, []).append(u)
+        for v in sorted(set(lists) - visited):
+            rows = sorted(lists[v])
+            hit = next((k for k, u in enumerate(rows) if u in frontier), None)
+            out.append((v, rank, hit is not None, len(rows) if hit is None else hit + 1))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.sampled_from(
+        [GridShape(1, 4), GridShape(4, 1), GridShape(1, 1), GridShape(2, 3), GridShape(3, 2)]
+    ),
+    n=st.integers(1, 30),
+    data=st.data(),
+)
+def test_slot_space_scan_matches_a_set_reference(grid, n, data):
+    """The bottom-up kernel tests stored slots against the frontier gathered
+    onto the row universe; per unvisited stored column it finds what a scan
+    of the graph's edge lists over Python sets finds, at the same edge —
+    over all ranks at once (the engine) and one rank at a time (the SPMD
+    worker)."""
+    pairs = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n)
+    )
+    graph = CsrGraph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    visited = data.draw(st.sets(st.integers(0, n - 1)))
+    frontier = data.draw(st.sets(st.sampled_from(sorted(visited)))) if visited else set()
+    part = TwoDPartition(graph, grid)
+    frontier_mask = np.isin(np.arange(n), list(frontier))
+    unvisited_mask = ~np.isin(np.arange(n), list(visited))
+    want = scan_reference(graph, grid, frontier, visited)
+
+    def scanned(lo: int, hi: int) -> list[tuple]:
+        v, rank, found, edges = _scan_stored_columns(
+            part, lo, hi, frontier_mask, unvisited_mask
+        )
+        return list(zip(v.tolist(), rank.tolist(), found.tolist(), edges.tolist()))
+
+    assert scanned(0, grid.size) == want
+    assert [row for r in range(grid.size) for row in scanned(r, r + 1)] == want
 
 
 def test_entry_key_overflow_is_refused():

@@ -238,8 +238,20 @@ class TestCommunicator:
     def test_bad_rank_rejected(self):
         comm = make_comm(2)
         work = np.ones(5, dtype=np.int64)
-        with pytest.raises(ValueError, match="per-rank vector of length 2"):
+        with pytest.raises(CommunicationError, match=r"edges_scanned .* shape \(2,\)"):
             comm.charge_compute_many(edges_scanned=work, hash_lookups=work, updates=work)
+
+    @pytest.mark.parametrize("size", [1, 5], ids=["one-element", "P+1"])
+    @pytest.mark.parametrize("name", ["edges_scanned", "hash_lookups", "updates"])
+    def test_compute_vector_of_wrong_length_rejected(self, name, size):
+        """A vector that is not one value per rank is refused, naming the
+        argument, before any clock moves: a one-element vector would
+        otherwise broadcast one rank's work onto every clock."""
+        comm = make_comm(4)
+        with pytest.raises(CommunicationError, match=rf"{name} must be a per-rank vector"):
+            comm.charge_compute_many(**{name: np.full(size, 1000, dtype=np.int64)})
+        assert not comm.clock.time.any()
+        assert comm.stats.total_edges_scanned == 0
 
 
 DROP_HEAVY = "drop=0.45,retries=1,degrade=0.3x3,seed=5"
