@@ -65,6 +65,7 @@ from repro.faults import FaultPlan, FaultReport, FaultSchedule, FaultSpec
 from repro.graph.csr import CsrGraph
 from repro.partition.two_d import TwoDPartition
 from repro.types import LEVEL_DTYPE, UNREACHED, VERTEX_DTYPE, GridShape
+from repro.utils.arrays import in_sorted
 from repro.utils.segmented import range_indices
 from repro.wire import WireCodec, resolve_wire
 
@@ -454,7 +455,6 @@ def _bottom_up_level(
     column for de-duplication and labelling.  Mirrors
     :func:`repro.bfs.bottom_up.bottom_up_level_2d` message for message.
     """
-    n = partition.n
     lo = int(partition.owned_lo[rank])
 
     def merge(own: np.ndarray, inbox) -> np.ndarray:
@@ -476,13 +476,13 @@ def _bottom_up_level(
     inbox = _exchange(conn, rank, sends, codec, faults, lossy=True)
     unvisited_chunk = merge(owned_unvisited, inbox)
 
-    # scan: stored columns still unvisited probe their partial row lists
-    frontier_mask = np.zeros(n, dtype=bool)
-    frontier_mask[frontier_rows] = True
-    unvisited_mask = np.zeros(n, dtype=bool)
-    unvisited_mask[unvisited_chunk] = True
+    # scan: stored columns still unvisited probe their partial row lists;
+    # membership is tested over this rank's own tables, never an n-bitmap
+    rows = partition.row_ids[partition.row_bounds[rank] : partition.row_bounds[rank + 1]]
+    cols = partition.col_ids[partition.col_bounds[rank] : partition.col_bounds[rank + 1]]
     scan, _, found, _ = _scan_stored_columns(
-        partition, rank, rank + 1, frontier_mask, unvisited_mask
+        partition, rank, rank + 1,
+        in_sorted(rows, frontier_rows), in_sorted(cols, unvisited_chunk),
     )
     found_v = scan[found]
 

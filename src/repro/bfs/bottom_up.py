@@ -50,32 +50,33 @@ _NO_HIT = np.iinfo(np.int64).max
 
 
 def _scan_stored_columns(
-    part, lo: int, hi: int, frontier_mask: np.ndarray, unvisited_mask: np.ndarray
+    part, lo: int, hi: int, frontier_rows: np.ndarray, unvisited_cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Ranks ``lo .. hi - 1``'s bottom-up scan, in slot space.
 
-    Every stored column still unvisited (``unvisited_mask``, over vertex
-    ids) scans its partial edge list — found by direct index, as in the
-    top-down lookup — for a row in the frontier (``frontier_mask``, over
-    vertex ids), and stops at the first hit.  The stored entries are
-    slots, so the frontier bitmap is first gathered onto the ranks' row
-    universes, once.  Returns ``(vertex, rank, found, edges_scanned)`` per
-    scanned column, ranks ascending, vertices ascending within each:
-    ``edges_scanned`` is what a sequential scan touches (first hit
-    position + 1, or the whole list on a miss) — the quantity that makes
-    bottom-up cheap.
+    Every stored column still unvisited (``unvisited_cols``: one flag per
+    entry of the ranks' ``col_ids``) scans its partial edge list — found
+    by direct index, as in the top-down lookup — for a row in the
+    frontier (``frontier_rows``: one flag per entry of the ranks'
+    ``row_ids``, i.e. per slot), and stops at the first hit.  Flags over
+    the ranks' own tables keep one rank's scan O(its tables), not O(n):
+    the engine gathers them from its global bitmaps, an SPMD worker tests
+    membership in the sorted lists its peers sent.  Returns ``(vertex,
+    rank, found, edges_scanned)`` per scanned column, ranks ascending,
+    vertices ascending within each: ``edges_scanned`` is what a
+    sequential scan touches (first hit position + 1, or the whole list on
+    a miss) — the quantity that makes bottom-up cheap.
     """
-    row_lo, row_hi = part.row_bounds[lo], part.row_bounds[hi]
-    frontier_slots = frontier_mask[part.row_ids[row_lo:row_hi]]
+    row_lo = part.row_bounds[lo]
     col_bounds = part.col_bounds[lo : hi + 1]
     stored = part.col_ids[col_bounds[0] : col_bounds[-1]]
-    scan_idx = np.flatnonzero(unvisited_mask[stored])
+    scan_idx = np.flatnonzero(unvisited_cols)
     scan_rank = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(col_bounds))[scan_idx]
     scan_v = stored[scan_idx]
     # a stored list is never empty, so every list starts its own segment
     starts, lengths = part.stored_lists(scan_v, scan_rank)
     gather, offsets = range_indices(starts, lengths)
-    hits = frontier_slots[part.row_slots[gather] - row_lo]
+    hits = frontier_rows[part.row_slots[gather] - row_lo]
     pos = np.arange(gather.size, dtype=np.int64) - np.repeat(offsets[:-1], lengths)
     first = np.minimum.reduceat(np.where(hits, pos, _NO_HIT), offsets[:-1])
     found = first < _NO_HIT
@@ -125,7 +126,8 @@ def bottom_up_level_2d(engine) -> tuple[np.ndarray, np.ndarray]:
 
     with obs.span("bottom-up-scan", cat="phase"):
         scan_v, scan_rank, found, edges = _scan_stored_columns(
-            part, 0, nranks, levels == engine.level, levels == UNREACHED
+            part, 0, nranks,
+            (levels == engine.level)[part.row_ids], (levels == UNREACHED)[part.col_ids],
         )
         per_rank_edges = np.zeros(nranks, dtype=np.int64)
         np.add.at(per_rank_edges, scan_rank, edges)

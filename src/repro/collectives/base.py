@@ -136,9 +136,27 @@ def _regroup(
     return flat[idx], bounds, None if masks is None else masks[idx]
 
 
+def _ring_key_bits(nchunk: int, cflat: np.ndarray, b: int) -> tuple[int, int]:
+    """Widths ``(rbits, vbits)`` of the union rings' round and vertex fields.
+
+    A contribution's key is ``(chunk << (vbits + rbits)) | (vertex <<
+    rbits) | round`` (:func:`_union_rings`), which must fit a non-negative
+    ``int64``; a fold it would not fit is refused here, before anything
+    is charged.
+    """
+    domain = int(cflat.max()) + 1 if cflat.size else 1
+    rbits, vbits = (b - 1).bit_length(), (domain - 1).bit_length()
+    if (nchunk - 1).bit_length() + vbits + rbits > 63:
+        raise CommunicationError(
+            f"union-ring keys need more than 63 bits: nchunk={nchunk}, "
+            f"domain={domain}, b={b}"
+        )
+    return rbits, vbits
+
+
 def _union_rings(
     lock: _Lockstep, shape: tuple[int, int], csizes: np.ndarray, cflat: np.ndarray,
-    deliver: bool,
+    bits: tuple[int, int], deliver: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reduce-scatter over rings with set-union as the reduction.
 
@@ -155,43 +173,52 @@ def _union_rings(
     (``deliver``).
 
     Routing is data-independent and a bundle only grows, so the rings run
-    in one pass: one segmented unique keyed by (final chunk, vertex) gives
-    the union and each vertex's *first arrival* round, round ``t``'s
-    bundle sizes are cumulative counts of those, and all ``b - 1`` rounds
-    are one stacked exchange.
+    in one pass.  Every contribution is one packed ``int64`` key, ``bits =
+    (rbits, vbits)`` wide in its low fields (:func:`_ring_key_bits`)::
+
+        (chunk << (vbits + rbits)) | (vertex << rbits) | round
+
+    One segmented unique keeps the first key of each (chunk, vertex):
+    the union in chunk-then-vertex order, each vertex tagged with its
+    *first arrival* round.  Shifts and masks decode it; round ``t``'s
+    bundle sizes are cumulative counts of first arrivals, and all ``b -
+    1`` rounds are one stacked exchange.
     """
     a, b = shape
     comm, size, nseg, ranks = lock.comm, lock.size, lock.nseg, lock.ranks
     nchunk = nseg * a
-    domain = int(cflat.max()) + 1 if cflat.size else 1
-    # Slot seg * a * b + r' * b + k of member (r, c) joins the bundle for
-    # (r', k) in round rk = (c - k - 1) % b (0 = priming, t + 1 = ring round
-    # t), and member (r, k) ends up holding it.
+    rbits, vbits = bits
+    shift = vbits + rbits
+    # Slot seg * size + dest of member (r, c) joins the bundle for (r', k)
+    # (dest = r' * b + k) in round (c - k - 1) % b (0 = priming, t + 1 =
+    # ring round t), and member (r, k) ends up holding it: one key head
+    # per non-empty slot, the vertex field filled in per contribution.
     used = np.flatnonzero(csizes > 0)  # a mask's nonzero is the fast one
     seg = used // size  # with a product, not divmod: NumPy's divmod is slower
     dest = used - seg * size
     col, k = seg % b, dest % b
-    counts = csizes[used]
-    rk = np.repeat((col - k - 1) % b, counts)
-    final = np.repeat((seg - col + k) * a + dest // b, counts)
+    head = ((seg - col + k) * a + dest // b) << shift | (col - k - 1) % b
+    keys = np.repeat(head, csizes[used])
+    keys |= cflat << rbits
     with comm.obs.span("union", cat="phase"):
-        keyed, chunk_of = segmented_unique(cflat * b + rk, final, domain * b)
-        vertex = keyed // b
-        joined = keyed - vertex * b
-        first = np.ones(keyed.size, dtype=bool)
-        first[1:] = (vertex[1:] != vertex[:-1]) | (chunk_of[1:] != chunk_of[:-1])
-        flat, chunk_of, joined = vertex[first], chunk_of[first], joined[first]
+        keys = segmented_unique(keys, rbits)
+        joined = keys & ((1 << rbits) - 1)
+        flat = (keys >> rbits) & ((1 << vbits) - 1)
+        chunk_of = keys >> shift
+    del keys
+    counts = np.bincount(chunk_of, minlength=nchunk)
     bounds = np.zeros(nchunk + 1, dtype=np.int64)
-    np.cumsum(np.bincount(chunk_of, minlength=nchunk), out=bounds[1:])
+    np.cumsum(counts, out=bounds[1:])
     comm.stats.record_duplicates(cflat.size - flat.size)
     if b == 1:
         return flat, bounds
-    # Bundle F (the one member F ends up holding) carries in round t what
-    # joined by round t.  Bundles with content land in a round-major table
-    # of (round, holder) cells; its non-empty cells are the messages.
-    holder_of = chunk_of // a
-    moving = np.flatnonzero(np.bincount(holder_of, minlength=nseg))
-    bundle = np.searchsorted(moving, holder_of)
+    # Bundle F (the a chunks member F ends up holding) carries in round t
+    # what joined by round t.  Bundles with content are numbered by a
+    # per-chunk lookup and land in a round-major table of (round, holder)
+    # cells; its non-empty cells are the messages.
+    present = counts.reshape(nseg, a).any(axis=1)
+    moving = np.flatnonzero(present)
+    bundle = np.repeat(np.cumsum(present) - 1, a)[chunk_of]
     joined_by = np.bincount(bundle * b + joined, minlength=moving.size * b)
     sent = np.zeros((b - 1) * nseg, dtype=np.int64)
     sent[_ring_cells(nseg, b)[moving].ravel()] = np.cumsum(
@@ -199,7 +226,7 @@ def _union_rings(
     ).ravel()
     carried = np.flatnonzero(sent > 0)
     sizes = sent[carried]
-    del joined_by, sent
+    del bundle, joined_by, sent
     rounds = np.searchsorted(carried, np.arange(b, dtype=np.int64) * nseg)
     payload = flat
     if comm.wire.name != "raw":
@@ -318,6 +345,9 @@ class FoldCollective(_Program):
                 f"the {self.name!r} fold cannot carry a mask column"
                 + (" through a sieve" if sieve is not None else "")
             )
+        if shape is not None:
+            # before the sieve charges: it only drops contributions
+            bits = _ring_key_bits(nseg * shape[0], cflat, shape[1])
         if sieve is not None and cflat.size:
             slot_all = np.repeat(np.arange(nseg * size, dtype=np.int64), csizes)
             senders = lock.ranks[slot_all // size]
@@ -332,7 +362,9 @@ class FoldCollective(_Program):
         first_round = 0
         if shape is not None:
             a, b = shape
-            cflat, bounds = _union_rings(lock, shape, csizes, cflat, deliver=not rounds)
+            cflat, bounds = _union_rings(
+                lock, shape, csizes, cflat, bits, deliver=not rounds
+            )
             if not rounds:
                 return cflat, bounds, None
             # member (r, c) now holds lane r': its block for (r', c)

@@ -165,7 +165,15 @@ class Communicator:
         the buffer cap splits: its chunks repeat pairs) — and the
         population's pair ids key the fault schedule's answers, where
         other rounds ask :meth:`~repro.runtime.network.Network.pair_ids`.
+
+        The arguments' shapes are checked first, in O(1) plus O(rounds):
+        ``src``, ``dst``, ``starts``, ``stops`` and ``pop_idx`` hold one
+        entry per message, ``masks`` one per entry of ``flat``, and
+        ``rounds`` is a CSR over the messages.  A violation raises
+        :class:`CommunicationError` naming the argument, before anything
+        is counted or charged.
         """
+        _check_messages(src, dst, flat, starts, stops, pop_idx, masks, rounds)
         msg, starts, stops, arrived = self._round(
             src, dst, flat, starts, stops, phase, participants,
             population, pop_idx, masks, rounds,
@@ -652,3 +660,31 @@ class Communicator:
                 self.faults.compute_fault_extra(seconds), kind="fault"
             )
 
+
+def _check_messages(src, dst, flat, starts, stops, pop_idx, masks, rounds) -> None:
+    """:meth:`Communicator.exchange_arrays`' argument contract (see there)."""
+    if np.ndim(src) != 1:
+        raise CommunicationError(f"src must be 1-D, got shape {np.shape(src)}")
+    count = len(src)
+    for name, column in (("dst", dst), ("starts", starts), ("stops", stops), ("pop_idx", pop_idx)):
+        if column is not None and np.shape(column) != (count,):
+            raise CommunicationError(
+                f"{name} must hold one entry per message, shape ({count},), "
+                f"got shape {np.shape(column)}"
+            )
+    if masks is not None and np.shape(masks) != np.shape(flat):
+        raise CommunicationError(
+            f"masks must be parallel to flat, shape {np.shape(flat)}, "
+            f"got shape {np.shape(masks)}"
+        )
+    if rounds is not None and not (
+        np.ndim(rounds) == 1
+        and len(rounds) > 0
+        and rounds[0] == 0
+        and rounds[-1] == count
+        and (np.diff(rounds) >= 0).all()
+    ):
+        raise CommunicationError(
+            f"rounds must be CSR bounds over the {count} messages (1-D, from 0, "
+            f"non-decreasing, ending at {count}), got {np.asarray(rounds).tolist()}"
+        )

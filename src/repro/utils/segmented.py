@@ -4,14 +4,21 @@ The simulator advances P virtual ranks in one process, so per-rank work
 is done as single fused array operations over *concatenated* per-rank
 data.  :func:`segmented_unique` is the per-segment sorted unique for
 segments whose values may overlap — the fold's set-union rings, where one
-bundle carries many destinations' lanes: each element is tagged with its
-segment id, and a segment-offset key (``seg * domain + value``) makes one
-global sort equivalent to a per-segment ``np.unique``, byte for byte.
-Where every segment's values fall in a range of their own — a rank's
-owned block, its column chunk — the engines need no sort at all and use
-index arithmetic instead (``LevelSyncEngine._owned_union``, the 2D
-engine's direct-index lookup and F-bar splice).  :func:`range_indices` is
-the gather behind every CSR lookup.
+bundle carries many destinations' lanes.  The caller packs every element
+into one non-negative ``int64`` key, most significant field first::
+
+    key = (segment << (value_bits + tie_bits)) | (value << tie_bits) | tie
+
+so one sort orders by segment, then value, then tie, and a run of equal
+``key >> tie_bits`` is one ``(segment, value)`` pair whose first key holds
+its smallest tie.  Decoding is shifts and masks, never a division.  The
+union rings pack (final chunk, vertex, joining round); with ``tie_bits =
+0`` the kernel is a plain sorted unique.  Where every segment's values
+fall in a range of their own — a rank's owned block, its column chunk —
+the engines need no sort at all and use index arithmetic instead
+(``LevelSyncEngine._owned_union``, the 2D engine's direct-index lookup
+and F-bar splice).  :func:`range_indices` is the gather behind every CSR
+lookup.
 """
 
 from __future__ import annotations
@@ -19,27 +26,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def segmented_unique(
-    values: np.ndarray, segs: np.ndarray, domain: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment sorted unique of ``values`` tagged with segment ids.
+def segmented_unique(keys: np.ndarray, tie_bits: int) -> np.ndarray:
+    """The first key of every run of equal ``keys >> tie_bits``, in order.
 
-    ``values`` must be non-negative and < ``domain``; ``segs`` is parallel
-    to ``values``.  Returns ``(flat, seg_of)``: the distinct ``(segment,
-    value)`` pairs sorted by segment, then value — segment ``s``'s run of
-    ``flat`` equals ``np.unique`` of that segment's values — with
-    ``seg_of`` tagging each element of ``flat`` with its segment id.
+    ``keys`` are non-negative packed keys (module docstring); they are
+    sorted *in place*.  Returns the sorted keys that survive: one per
+    distinct ``key >> tie_bits``, the one with the smallest low
+    ``tie_bits`` bits.  ``tie_bits = 0`` makes it a sorted unique —
+    segment ``s``'s run of values equals ``np.unique`` of its values.
     """
-    keys = segs * domain + values
-    # Sorted-unique via sort + mask: identical output to np.unique.  Keys
-    # carry no payload, so NumPy's default (vectorised) sort gives the
+    # Keys carry no payload, so NumPy's default (vectorised) sort gives the
     # same bytes as any other, several times faster than timsort here.
     keys.sort()
-    mask = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=mask[1:])
-    uk = keys[mask]
-    seg_of = uk // domain  # floor division is NumPy's fast one (not divmod)
-    return uk - seg_of * domain, seg_of
+    head = keys >> tie_bits if tie_bits else keys
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(head[1:], head[:-1], out=first[1:])
+    return keys[first]
 
 
 def range_indices(

@@ -403,6 +403,34 @@ def test_union_rings_run_in_one_pass(monkeypatch):
     assert rounds_of(comm) == size - 1
 
 
+@pytest.mark.parametrize("name, shape", [("union-ring", None), ("two-phase", (2, 3))])
+def test_union_ring_keys_that_overflow_63_bits_are_refused(name, shape):
+    """A contribution's key packs (chunk, vertex, round) into one int64.
+    With 6 chunks on 6-member rings (3 + 3 bits), or 12 chunks on rings of
+    3 (4 + 2 bits), vertex ids below 2**57 fill the 63 bits exactly and
+    fold as sets say; 2**57 needs a 64th bit, and is refused before anything
+    is counted or charged."""
+    size = 6
+    kwargs = {} if shape is None else {"shape": shape}
+    top = (1 << 57) - 1
+    outboxes = [
+        {d: np.array([top - d, top - g], dtype=VERTEX_DTYPE) for d in range(size)}
+        for g in range(size)
+    ]
+    comm = torus_comm(size)
+    received = run_fold(name, comm, [list(range(size))], [outboxes], **kwargs)
+    for d, got in enumerate(received):
+        want = sorted({top - d} | {top - g for g in range(size)})
+        # two-phase: each row's reduced lane, rows in order
+        assert (got.tolist() if shape is None else sorted(set(got.tolist()))) == want
+    outboxes[4][1] = np.array([1 << 57], dtype=VERTEX_DTYPE)
+    comm = torus_comm(size)
+    with pytest.raises(CommunicationError, match=r"nchunk=(6|12), domain=\d+, b=(6|3)$"):
+        run_fold(name, comm, [list(range(size))], [outboxes], **kwargs)
+    assert not comm.clock.time.any()
+    assert comm.stats.total_messages == comm.stats.total_duplicates == 0
+
+
 class TestLockstep:
     def test_lockstep_groups_contend(self):
         """Two groups whose routes share torus links must be slower when run

@@ -186,8 +186,10 @@ def test_slot_space_scan_matches_a_set_reference(grid, n, data):
     want = scan_reference(graph, grid, frontier, visited)
 
     def scanned(lo: int, hi: int) -> list[tuple]:
+        rows = part.row_ids[part.row_bounds[lo] : part.row_bounds[hi]]
+        cols = part.col_ids[part.col_bounds[lo] : part.col_bounds[hi]]
         v, rank, found, edges = _scan_stored_columns(
-            part, lo, hi, frontier_mask, unvisited_mask
+            part, lo, hi, frontier_mask[rows], unvisited_mask[cols]
         )
         return list(zip(v.tolist(), rank.tolist(), found.tolist(), edges.tolist()))
 

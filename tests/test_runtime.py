@@ -253,6 +253,44 @@ class TestCommunicator:
         assert not comm.clock.time.any()
         assert comm.stats.total_edges_scanned == 0
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("src", lambda a: {"src": a["src"][:, None]}),
+            ("dst", lambda a: {"dst": a["dst"][:1]}),
+            ("starts", lambda a: {"starts": a["starts"][:1]}),
+            ("stops", lambda a: {"stops": np.append(a["stops"], 6)}),
+            ("masks", lambda a: {"masks": np.ones(4, dtype=np.uint64)}),
+            ("pop_idx", lambda a: {"pop_idx": np.zeros(3, dtype=np.int64)}),
+            ("rounds", lambda a: {"rounds": np.array([1, 2])}),
+            ("rounds", lambda a: {"rounds": np.array([0, 2, 1, 2])}),
+            ("rounds", lambda a: {"rounds": np.array([0, 1])}),
+            ("rounds", lambda a: {"rounds": np.array([[0, 2]])}),
+        ],
+        ids=[
+            "src-2d", "dst-short", "starts-short", "stops-long", "masks-short",
+            "pop_idx-long", "rounds-from-1", "rounds-decreasing", "rounds-short-end",
+            "rounds-2d",
+        ],
+    )
+    def test_exchange_argument_contract(self, name, bad):
+        """A column of the wrong shape is refused, naming the argument,
+        before anything is counted or charged: no NumPy broadcast error
+        after the statistics moved, no mask column silently priced."""
+        messages = [(0, 1, np.array([1, 2, 3])), (2, 3, np.array([4, 5, 6]))]
+        src, dst, flat, starts, stops = as_arrays(messages)
+        args = {"src": src, "dst": dst, "flat": flat, "starts": starts, "stops": stops}
+        comm = make_comm(4)
+        with pytest.raises(CommunicationError, match=rf"^{name} must"):
+            comm.exchange_arrays(**{**args, **bad(args)}, phase="fold")
+        assert not comm.clock.time.any()
+        assert stats_fields(comm.stats) == stats_fields(make_comm(4).stats)
+        # the same messages, well formed, go through
+        comm.exchange_arrays(
+            **args, phase="fold", masks=np.ones(6, dtype=np.uint64), rounds=np.array([0, 1, 2])
+        )
+        assert comm.stats.total_messages == 2 and comm.clock.time.any()
+
 
 DROP_HEAVY = "drop=0.45,retries=1,degrade=0.3x3,seed=5"
 

@@ -63,31 +63,59 @@ def reference(outboxes, a: int, b: int):
     return [sorted(messages) for messages in rounds] + [delivery], lanes
 
 
-def random_outboxes(size: int, rng: np.random.Generator, empty: bool):
-    """Dict outboxes over a small vertex range (plenty of duplicates);
-    some members address nobody."""
+def random_outboxes(size: int, rng: np.random.Generator, empty: bool, pool=np.arange(30)):
+    """Dict outboxes drawn from a small ``pool`` of vertex ids (plenty of
+    duplicates); some members address nobody."""
     outboxes = []
     for _ in range(size):
         per_dest = {}
         if not empty and rng.random() < 0.8:
             for d in range(size):
                 if rng.random() < 0.7:
-                    per_dest[d] = sorted(set(rng.integers(0, 30, rng.integers(0, 9)).tolist()))
+                    per_dest[d] = sorted(set(rng.choice(pool, rng.integers(0, 9)).tolist()))
         outboxes.append(per_dest)
     return outboxes
+
+
+def scattered(ngroups: int, size: int, rng: np.random.Generator):
+    """Groups over a shuffled rank set with two ranks left out."""
+    nranks = ngroups * size + 2
+    return nranks, rng.permutation(nranks)[: ngroups * size].reshape(ngroups, size).tolist()
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @given(seed=st.integers(0, 10**6), ngroups=st.integers(1, 3), empty=st.booleans())
 @settings(max_examples=6, deadline=None)
 def test_rings_match_the_set_reference(shape, seed, ngroups, empty):
+    rng = np.random.default_rng(seed)
+    nranks, groups = scattered(ngroups, shape[0] * shape[1], rng)
+    outboxes = [random_outboxes(shape[0] * shape[1], rng, empty) for _ in groups]
+    assert_matches_reference(shape, nranks, groups, outboxes)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (3, 5), (2, 6), (2, 7)])
+@given(
+    seed=st.integers(0, 10**6),
+    ngroups=st.integers(1, 2),
+    pool=st.lists(st.integers(0, 2**40), min_size=1, max_size=12, unique=True),
+)
+@settings(max_examples=6, deadline=None)
+def test_wide_vertex_ids_match_the_set_reference(shape, seed, ngroups, pool):
+    """Vertex ids up to 2**40 on rings whose round field is not a power of
+    two wide (b = 3, 5, 6, 7): the packed (chunk, vertex, round) key
+    decodes to what the sets say."""
+    rng = np.random.default_rng(seed)
+    nranks, groups = scattered(ngroups, shape[0] * shape[1], rng)
+    pool = np.array(pool, dtype=np.int64)
+    outboxes = [random_outboxes(shape[0] * shape[1], rng, False, pool) for _ in groups]
+    assert_matches_reference(shape, nranks, groups, outboxes)
+
+
+def assert_matches_reference(shape, nranks, groups, outboxes):
+    """Fold ``outboxes`` (one list per group) over ``groups`` and hold the
+    message trace, the unions and the counters to :func:`reference`."""
     a, b = shape
     size = a * b
-    rng = np.random.default_rng(seed)
-    # scattered groups: a shuffled rank set, two ranks left out
-    nranks = ngroups * size + 2
-    groups = rng.permutation(nranks)[: ngroups * size].reshape(ngroups, size).tolist()
-    outboxes = [random_outboxes(size, rng, empty) for _ in groups]
     comm = torus_comm(nranks, observe="messages")
     comm.stats.begin_level(0)
     fold = get_fold("union-ring") if a == 1 else get_fold("two-phase", shape=shape)
@@ -126,5 +154,5 @@ def test_rings_match_the_set_reference(shape, seed, ngroups, empty):
             assert got == want
             held += len(want)
     assert level.duplicates_eliminated == contributed - held
-    if empty:
+    if contributed == 0:
         assert expected == [] and level.duplicates_eliminated == 0

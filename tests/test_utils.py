@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.utils.arrays import in_sorted, intersect_sorted
 from repro.utils.rng import RngFactory, spawn_rank_rngs
+from repro.utils.segmented import segmented_unique
 from repro.utils.timer import PhaseTimer, Timer
 from repro.utils.validation import check_in_range, check_positive, check_probability
 
@@ -131,3 +132,44 @@ class TestInSorted:
         mask = in_sorted(needles_arr, haystack_arr)
         expected = [x in set(haystack) for x in sorted(needles)]
         assert mask.tolist() == expected
+
+
+def pack_keys(segments, values, ties, value_bits: int, tie_bits: int) -> np.ndarray:
+    """``(segment << (value_bits + tie_bits)) | (value << tie_bits) | tie``."""
+    segments, values, ties = (np.asarray(x, dtype=np.int64) for x in (segments, values, ties))
+    return segments << (value_bits + tie_bits) | values << tie_bits | ties
+
+
+class TestSegmentedUnique:
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2**40)), max_size=60))
+    def test_no_tie_bits_is_a_per_segment_unique(self, pairs):
+        keys = pack_keys([s for s, _ in pairs], [v for _, v in pairs], [0] * len(pairs), 41, 0)
+        out = segmented_unique(keys, 0)
+        assert (np.diff(out) > 0).all()  # segments ascending, then values
+        for seg in range(6):
+            values = np.array([v for s, v in pairs if s == seg], dtype=np.int64)
+            assert np.array_equal(out[out >> 41 == seg] & ((1 << 41) - 1), np.unique(values))
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50), st.integers(0, 6)),
+                 max_size=80),
+        st.integers(3, 5),
+    )
+    def test_tie_bits_keep_the_smallest_tie(self, triples, tie_bits):
+        segments, values, ties = ([x[i] for x in triples] for i in range(3))
+        out = segmented_unique(pack_keys(segments, values, ties, 6, tie_bits), tie_bits)
+        smallest = {}
+        for s, v, t in triples:
+            smallest[s, v] = min(t, smallest.get((s, v), t))
+        want = [(s, v, smallest[s, v]) for s, v in sorted(smallest)]
+        got = list(zip(
+            (out >> (6 + tie_bits)).tolist(),
+            (out >> tie_bits & 63).tolist(),
+            (out & ((1 << tie_bits) - 1)).tolist(),
+        ))
+        assert got == want
+
+    def test_sorts_in_place(self):
+        keys = np.array([9, 3, 3, 7, 1], dtype=np.int64)
+        assert segmented_unique(keys, 0).tolist() == [1, 3, 7, 9]
+        assert keys.tolist() == [1, 3, 3, 7, 9]
