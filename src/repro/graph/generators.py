@@ -20,6 +20,10 @@ from repro.types import VERTEX_DTYPE, GraphSpec
 from repro.utils.rng import RngFactory
 from repro.utils.validation import check_probability
 
+#: pair ids drawn and inverted per array call by the G(n, p) sampler: its
+#: working set beyond the output is a few arrays of this length
+_WINDOW = 1 << 16
+
 
 def build_graph(spec: GraphSpec) -> CsrGraph:
     """Materialise the graph described by ``spec``, dispatching on ``kind``.
@@ -59,32 +63,48 @@ def gnp_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 
     Each of the ``n*(n-1)/2`` unordered pairs is included independently with
     probability ``p``.  Implemented by geometric gap-skipping through the
-    linearised pair index space, vectorised in blocks.
+    linearised pair index space, ``_WINDOW`` pair ids per array call: one
+    pass counts the edges, a second, from the same generator state, inverts
+    them into the preallocated output, so the peak is the output plus
+    O(window).  Windows of one generator draw what one call would, so the
+    edges and the generator's final state do not depend on the window.
     """
     check_probability("p", p)
     if n < 2 or p == 0.0:
         return np.empty((0, 2), dtype=VERTEX_DTYPE)
     total_pairs = n * (n - 1) // 2
     if p == 1.0:
-        pair_ids = np.arange(total_pairs, dtype=np.int64)
-        return _pair_ids_to_edges(pair_ids, n)
+        windows = (
+            np.arange(lo, min(lo + _WINDOW, total_pairs), dtype=np.int64)
+            for lo in range(0, total_pairs, _WINDOW)
+        )
+        return _edges_of_windows(windows, total_pairs, n)
+    state = rng.bit_generator.state
+    m = sum(ids.size for ids in _gnp_pair_windows(rng, p, total_pairs))
+    rng.bit_generator.state = state
+    return _edges_of_windows(_gnp_pair_windows(rng, p, total_pairs), m, n)
 
-    # Geometric skipping: gaps between successive selected pair indices are
-    # iid Geometric(p).  Draw blocks of gaps until the cumulative index
-    # passes total_pairs.
-    expected = max(16, int(total_pairs * p * 1.1) + 4)
-    selected: list[np.ndarray] = []
+
+def _gnp_pair_windows(rng: np.random.Generator, p: float, total_pairs: int):
+    """Yield the pair ids G(n, p) selects, ascending, a window at a time.
+
+    Gaps between successive selected pair ids are iid Geometric(p), drawn
+    in blocks of ``block`` gaps until a block passes the last pair.  Every
+    block is drawn in full, its tail past the last pair included, so the
+    generator ends where one ``geometric(p, size=block)`` call per block
+    leaves it.
+    """
+    block = max(16, int(total_pairs * p * 1.1) + 4)
     position = -1  # index of the last selected pair
     while position < total_pairs - 1:
-        gaps = rng.geometric(p, size=expected)
-        ids = position + np.cumsum(gaps)
-        inside = ids < total_pairs
-        selected.append(ids[inside])
-        if not inside.all():
-            break
-        position = int(ids[-1])
-    pair_ids = np.concatenate(selected) if selected else np.empty(0, dtype=np.int64)
-    return _pair_ids_to_edges(pair_ids.astype(np.int64, copy=False), n)
+        for lo in range(0, block, _WINDOW):
+            gaps = rng.geometric(p, size=min(_WINDOW, block - lo))
+            if position >= total_pairs:
+                continue  # the tail of the last block: drawn, not used
+            ids = np.cumsum(gaps)
+            ids += position
+            position = int(ids[-1])
+            yield ids[: np.searchsorted(ids, total_pairs)]
 
 
 def gnm_edges(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -166,11 +186,29 @@ def _pair_ids_to_edges(pair_ids: np.ndarray, n: int) -> np.ndarray:
     """Map linear strict-upper-triangle pair ids to ``(u, v)`` with u < v.
 
     Pairs are enumerated row-major: id 0 is (0,1), id n-2 is (0,n-1),
-    id n-1 is (1,2), ...  Inverted in closed form (vectorised) via the
-    quadratic formula on the row-start offsets.
+    id n-1 is (1,2), ...  Inverted ``_WINDOW`` ids at a time.
     """
-    if pair_ids.size == 0:
-        return np.empty((0, 2), dtype=VERTEX_DTYPE)
+    pair_ids = np.asarray(pair_ids, dtype=np.int64)
+    windows = (pair_ids[lo : lo + _WINDOW] for lo in range(0, pair_ids.size, _WINDOW))
+    return _edges_of_windows(windows, pair_ids.size, n)
+
+
+def _edges_of_windows(windows, m: int, n: int) -> np.ndarray:
+    """The ``(m, 2)`` edges of ``m`` pair ids arriving in ``windows``."""
+    edges = np.empty((m, 2), dtype=VERTEX_DTYPE)
+    at = 0
+    for ids in windows:
+        _invert_pair_ids(ids, n, edges[at : at + ids.size])
+        at += ids.size
+    return edges
+
+
+def _invert_pair_ids(pair_ids: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Write the ``(u, v)`` of each pair id into the rows of ``out``.
+
+    Closed form (vectorised) via the quadratic formula on the row-start
+    offsets, then a one-step correction of the float rounding.
+    """
     ids = pair_ids.astype(np.float64)
     nf = float(n)
     # Row u starts at offset S(u) = u*n - u*(u+1)/2.  Solve S(u) <= id.
@@ -183,8 +221,8 @@ def _pair_ids_to_edges(pair_ids: np.ndarray, n: int) -> np.ndarray:
     too_small = pair_ids - row_start >= (n - 1 - u)
     u[too_small] += 1
     row_start = u * n - u * (u + 1) // 2
-    v = u + 1 + (pair_ids - row_start)
-    return np.column_stack([u, v]).astype(VERTEX_DTYPE)
+    out[:, 0] = u
+    out[:, 1] = u + 1 + (pair_ids - row_start)
 
 
 def lattice_edges(width: int, height: int, *, periodic: bool = False) -> np.ndarray:

@@ -51,12 +51,8 @@ class TwoDPartition:
     """
 
     def __init__(self, graph: CsrGraph, grid: GridShape) -> None:
-        self._build(
-            graph.n,
-            grid,
-            np.repeat(np.arange(graph.n, dtype=VERTEX_DTYPE), np.diff(graph.indptr)),
-            graph.indices,
-        )
+        _check_entry_key(graph.n, grid)
+        self._build(graph.n, grid, graph.indptr, graph.indices)
 
     @classmethod
     def from_entries(cls, n: int, grid: GridShape, rows, cols) -> "TwoDPartition":
@@ -71,14 +67,26 @@ class TwoDPartition:
         rows, cols = as_vertex_array(rows), as_vertex_array(cols)
         if rows.shape != cols.shape:
             raise PartitionError(f"{rows.size} row ids for {cols.size} column ids")
+        n = int(n)
+        _check_entry_key(n, grid)
+        for ids in (rows, cols):
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise PartitionError("item ids out of range for this distribution")
         partition = cls.__new__(cls)
-        partition._build(n, grid, rows, cols)
+        partition._build(n, grid, *_csr_of_entries(n, rows, cols))
         return partition
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def _build(self, n: int, grid: GridShape, rows: np.ndarray, cols: np.ndarray) -> None:
+    def _build(self, n: int, grid: GridShape, indptr: np.ndarray, cols: np.ndarray) -> None:
+        """Build the tables from entries in CSR order.
+
+        Row ``u``'s stored columns are ``cols[indptr[u]:indptr[u+1]]``,
+        ascending (other orders are sorted first).  Beside the one sort
+        of the entry keys, work and memory are O(entries + n); no
+        transient grows with the mesh.
+        """
         self.n = n = int(n)
         self.grid = grid
         #: block-row distribution: n vertices over R*C contiguous block rows
@@ -89,51 +97,76 @@ class TwoDPartition:
         self.owned_lo = self.dist.offsets[own_block]
         self.owned_hi = self.dist.offsets[own_block + 1]
         # Owning rank of entry (u, v): mesh row i = blockrow(u) mod R, mesh
-        # col j = column chunk of v = blockrow(v) div R.  Ranks are numbered
-        # row-major and the column chunks ascend with v, so (rank, column,
-        # row) order is (i, v, u) order: one sort of (i * n + v) * n + u.
-        if R * n * n > np.iinfo(np.int64).max:
-            raise PartitionError(f"R * n**2 = {R * n * n} overflows the int64 entry key")
-        if cols.size and (cols.min() < 0 or cols.max() >= n):
-            raise PartitionError("item ids out of range for this distribution")
-        # The key is built, sorted and decoded in one array: entry-sized
-        # temporaries, not the tables kept, set the build's peak memory.
-        key = self.dist.part_of(rows)
-        key %= R
-        key *= n
+        # col j = column chunk of v = blockrow(v) div R.
+        block = np.repeat(np.arange(nranks, dtype=np.int64), np.diff(self.dist.offsets))
+        mesh_row = block % R
+        chunk = (block // R).astype(np.min_scalar_type(C - 1))
+        del block
+        nnz = cols.size
+        # A rank's row slots number its distinct rows, ascending.  Row u is
+        # stored by rank (i, j) once for the run of its CSR entries in chunk
+        # j, so every (row, chunk) run is one slot, and the runs listed
+        # row by row are each rank's slots in order: a stable regroup by
+        # rank numbers them (on rank ids of up to 16 bits NumPy's stable
+        # argsort is a radix sort), no sort of the entries.
+        j = chunk[cols]
+        starts = _run_starts(j, indptr)
+        if starts is None:  # a row's columns out of order: sort them first
+            indptr, cols = _csr_of_entries(n, np.repeat(np.arange(n), np.diff(indptr)), cols)
+            j = chunk[cols]
+            starts = _run_starts(j, indptr)
+        run_row = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(np.searchsorted(starts, indptr))
+        )
+        run_rank = mesh_row[run_row]
+        run_rank *= C
+        run_rank += j[starts]
+        del j
+        order = np.argsort(run_rank.astype(np.min_scalar_type(nranks - 1)), kind="stable")
+        self.row_ids = run_row[order]
+        del run_row
+        counts = np.bincount(run_rank, minlength=nranks)
+        del run_rank
+        self.row_bounds = np.zeros(nranks + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.row_bounds[1:])
+        local = np.arange(starts.size, dtype=np.int64)
+        local -= np.repeat(self.row_bounds[:-1], counts)
+        slot = np.empty(local.size, dtype=np.min_scalar_type(n))
+        slot[order] = local
+        del order, local
+        # Ranks are numbered row-major and the column chunks ascend with v,
+        # so (rank, column, row) order is (i, v, u) order, and within a
+        # rank u's order is its slot's: one in-place sort of
+        # (i * n + v) * n + slot - row_bounds[rank].
+        key = np.repeat(mesh_row * n, np.diff(indptr))
         key += cols
+        del cols
         key *= n
-        key += rows
-        del rows, cols
+        key += np.repeat(slot, np.diff(starts, append=nnz))
+        del slot, starts
         key.sort()
-        rows = key % n
+        self.row_slots = key % n
         key //= n
         # (i, v) runs are (rank, column) runs: every non-empty partial edge
         # list starts one
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        cols = key % n
-        key //= n
-        # what is left of the key is the mesh row: turned into the rank in place
-        rank = key
-        rank *= C
-        chunk = self.dist.part_of(cols)
-        chunk //= R
-        rank += chunk
-        del chunk
-        self.entry_bounds = np.searchsorted(rank, np.arange(nranks + 1))
-        col_rank, self.col_ids = rank[starts], cols[starts]
-        del cols
+        new = np.empty(nnz, dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        del new
+        head = key[starts]
+        del key
+        self.col_ids = head % n
+        col_rank = head // n
+        del head
+        col_rank *= C
+        col_rank += chunk[self.col_ids]
         self.col_bounds = np.searchsorted(col_rank, np.arange(nranks + 1))
-        # Slots of the row universe are ordered by (rank, vertex), so every
-        # entry's slot is the rank of its rank * n + row key among the
-        # distinct keys.
-        rank *= n
-        rank += rows
-        row_keys, self.row_slots = np.unique(rank, return_inverse=True)
-        del rank, key, rows
-        key_bounds = np.arange(nranks + 1, dtype=np.int64) * n
-        self.row_bounds = np.searchsorted(row_keys, key_bounds)
-        self.row_ids = row_keys - np.repeat(key_bounds[:-1], np.diff(self.row_bounds))
+        self.entry_bounds = np.append(starts, nnz)[self.col_bounds]
+        self.row_slots += np.repeat(
+            self.row_bounds[:-1].astype(np.min_scalar_type(self.row_bounds[-1])),
+            np.diff(self.entry_bounds),
+        )
         # The direct index: rank (i, j) stores partial edge lists only for
         # column chunk j, whose span is that of mesh column j's R block
         # rows, so rank r's list of v is slot ``_slot_shift[r] + v`` of the
@@ -146,11 +179,9 @@ class TwoDPartition:
         # no int64 copy of an R * n table.
         indptr = np.zeros(
             R * n + 1,
-            dtype=np.int32 if self.row_slots.size <= np.iinfo(np.int32).max else np.int64,
+            dtype=np.int32 if nnz <= np.iinfo(np.int32).max else np.int64,
         )
-        indptr[self.col_ids + self._slot_shift[col_rank] + 1] = np.diff(
-            np.append(starts, self.row_slots.size)
-        )
+        indptr[self.col_ids + self._slot_shift[col_rank] + 1] = np.diff(starts, append=nnz)
         np.cumsum(indptr, dtype=indptr.dtype, out=indptr)
         self._slot_indptr = indptr
 
@@ -193,3 +224,35 @@ class TwoDPartition:
             "nonempty_columns": np.diff(self.col_bounds),
             "unique_row_vertices": np.diff(self.row_bounds),
         }
+
+
+def _check_entry_key(n: int, grid: GridShape) -> None:
+    """Refuse a mesh whose ``(i * n + v) * n + slot`` entry key overflows int64."""
+    if grid.rows * n * n > np.iinfo(np.int64).max:
+        raise PartitionError(f"R * n**2 = {grid.rows * n * n} overflows the int64 entry key")
+
+
+def _csr_of_entries(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries ``(rows[e], cols[e])`` in CSR order: ``(indptr, cols)``, one
+    in-place sort of ``row * n + col`` keys."""
+    key = rows * n
+    key += cols
+    key.sort()
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    key %= n
+    return indptr, key
+
+
+def _run_starts(chunks: np.ndarray, indptr: np.ndarray) -> np.ndarray | None:
+    """Where each (row, chunk) run of CSR entries starts, or ``None`` when
+    some row's chunks are not ascending."""
+    step = np.empty(chunks.size, dtype=bool)
+    np.less(chunks[1:], chunks[:-1], out=step[1:])
+    row_starts = indptr[:-1][np.diff(indptr) > 0]
+    step[row_starts] = False
+    if step[1:].any():
+        return None
+    step[:1] = True
+    np.not_equal(chunks[1:], chunks[:-1], out=step[1:])
+    step[row_starts] = True
+    return np.flatnonzero(step)

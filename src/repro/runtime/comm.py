@@ -54,7 +54,7 @@ from repro.machine.mapping import TaskMapping
 from repro.observability.spans import NULL_RECORDER, ObserveSpec, SpanRecorder
 from repro.runtime.clock import SimClock
 from repro.runtime.network import Network
-from repro.runtime.stats import CommStats
+from repro.runtime.stats import CommStats, check_message_columns
 from repro.wire import WireCodec, resolve_wire
 
 
@@ -401,7 +401,12 @@ class Communicator:
         schedules never drop them, and because the exchange runs inside
         the retried level body, a rollback replays the broadcast against
         the restored shadows deterministically.
+
+        ``src``, ``dst`` and ``nbytes`` hold one entry per message and the
+        ranks lie in ``[0, nranks)``, else :class:`CommunicationError`
+        names the argument before anything is counted or charged.
         """
+        check_message_columns(self.nranks, {"src": src, "dst": dst}, {"nbytes": nbytes})
         obs = self.obs
         span = obs.begin("exchange", cat="exchange", phase=phase) if obs.enabled else None
         total = int(nbytes.sum())

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import CommunicationError
+
 
 @dataclass(slots=True)
 class LevelStats:
@@ -182,7 +184,14 @@ class CommStats:
     def record_delivery_bulk(
         self, dsts: np.ndarray, counts: np.ndarray, phase: str
     ) -> None:
-        """Record many final-consumer arrivals at once (batched collectives)."""
+        """Record many final-consumer arrivals at once (batched collectives).
+
+        ``counts[k]`` vertices arrive at rank ``dsts[k]``.  Both hold one
+        entry per arrival and every rank lies in ``[0, nranks)``, else
+        :class:`~repro.errors.CommunicationError` names the argument
+        before anything is booked.
+        """
+        check_message_columns(self.nranks, {"dsts": dsts}, {"counts": counts})
         per_rank = self.recv_by_rank.setdefault(phase, np.zeros(self.nranks, dtype=np.int64))
         np.add.at(per_rank, dsts, counts)
         if self._current is not None:
@@ -301,3 +310,34 @@ class CommStats:
         processed = sum(s.processed for s in self.levels)
         total = processed + eliminated
         return eliminated / total if total else 0.0
+
+
+def check_message_columns(
+    nranks: int, ranks: dict[str, np.ndarray], values: dict[str, np.ndarray]
+) -> None:
+    """Refuse per-message columns that disagree in length or name a rank
+    outside ``[0, nranks)``.
+
+    ``ranks`` and ``values`` map argument names to columns; the first rank
+    column sets the message count.  A one-element column would otherwise
+    broadcast over every message, and rank ``-1`` land on the last rank.
+    A violation raises :class:`~repro.errors.CommunicationError` naming
+    the argument.
+    """
+    first, column = next(iter(ranks.items()))
+    if np.ndim(column) != 1:
+        raise CommunicationError(f"{first} must be 1-D, got shape {np.shape(column)}")
+    count = len(column)
+    for name, column in (*ranks.items(), *values.items()):
+        if np.shape(column) != (count,):
+            raise CommunicationError(
+                f"{name} must hold one entry per message, shape ({count},), "
+                f"got shape {np.shape(column)}"
+            )
+    if count:
+        for name, column in ranks.items():
+            lo, hi = int(np.min(column)), int(np.max(column))
+            if lo < 0 or hi >= nranks:
+                raise CommunicationError(
+                    f"{name} must hold ranks in [0, {nranks}), got {lo}..{hi}"
+                )

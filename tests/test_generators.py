@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import generators
 from repro.graph.generators import (
     _pair_ids_to_edges,
     dedup_undirected_edges,
@@ -98,6 +102,98 @@ class TestGnp:
 
     def test_tiny_graph(self):
         assert gnp_edges(1, 0.5, _rng()).shape == (0, 2)
+
+
+def _stream_digests(n, p, seed):
+    """``(edge count, sha256 of the edges, sha256 of the generator's final
+    state)`` of one ``gnp_edges`` call on the Poisson graph's stream."""
+    rng = RngFactory(seed).named("poisson-graph")
+    edges = gnp_edges(n, p, rng)
+    head = f"{edges.dtype.str}{edges.shape}".encode()
+    state = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
+    return (
+        edges.shape[0],
+        hashlib.sha256(head + edges.tobytes()).hexdigest(),
+        hashlib.sha256(state).hexdigest(),
+    )
+
+
+# Captured from the unwindowed sampler (one geometric call per block, one
+# inversion of all pair ids); the windowed sampler must reproduce them.
+STREAMS = {
+    "one-window": (
+        (2000, 8 / 1999, 1),
+        8122,
+        "573752a55d56260e43752a1ea79f1e62defa8c2255681991009859517808dc3c",
+        "545281c3ef649e6b67508894e763db2b7b91a94c006c290dd8c25db6bb99d7fc",
+    ),
+    "many-windows": (
+        (100_000, 16 / 99_999, 7),
+        797435,
+        "25be85c77bb23537a6a1e5a0a81d074d0db51bbcce5e53fa10dc694bbb69769c",
+        "1be6aa2ffa8a147cb4766bbb3fae1953c9c3444a8ab7323c174e059c3d5da013",
+    ),
+    "second-block": (
+        (30, 0.05, 4),
+        27,
+        "953a3a64dd91fc4c79e4a5e1c1601c533b33b76765fdfd49a7397846328424b3",
+        "2be4d95c86400a7f95adf790220bb4bb40f8b97926de6c458b5bfef739dd22eb",
+    ),
+    "second-block-search": (
+        (12, 0.4, 56),
+        36,
+        "22343397f4aeaabc519b1cc6daebf1ef70efa71b5f6f19b6ff7447e11a9ffd44",
+        "0cb1935ad0e78020c3b67113bbd0960c101f35fb8758a21e3a5a1c39fe5cb8b1",
+    ),
+    "complete": (
+        (50, 1.0, 0),
+        1225,
+        "e07dddc1a46a740a0a8b354efbffd85124cf5962c42a3ee91007406f3d05c703",
+        "21a9a73c6cc6e2566de15bca5fd761cb4147c69dd2e84c912d96cf5dd1ce9237",
+    ),
+    "two-vertices": (
+        (2, 0.5, 3),
+        1,
+        "7b29175914f14d24d7cb628ec3bcb9799b887c2833df0f0c1fc696d547c3b6d1",
+        "345a96a3b1be4eaea60c1943ae0058403da12dc562f8d1c0aa623942f8dfea7b",
+    ),
+    "three-vertices": (
+        (3, 0.9, 0),
+        1,
+        "e7ac85af49a258cd81b75b61e04cebdf11c45501eae5e6c7524f4d51996bb5aa",
+        "b8f8250212cf74a57943d780b912272a60b35470432f1d8cd5af0b1afaca8bbf",
+    ),
+}
+SMALL_STREAMS = [name for name in STREAMS if name != "many-windows"]
+
+
+class TestGnpStream:
+    """The sampler's edges and its generator's final state are pinned:
+    drawing and inverting in windows changes neither."""
+
+    @pytest.mark.parametrize("name", list(STREAMS))
+    def test_stream_pinned(self, name):
+        args, count, edges, state = STREAMS[name]
+        assert _stream_digests(*args) == (count, edges, state)
+
+    @pytest.mark.parametrize("window", [1, 3, 7, 64])
+    @pytest.mark.parametrize("name", SMALL_STREAMS)
+    def test_any_window_draws_the_same_stream(self, monkeypatch, name, window):
+        monkeypatch.setattr(generators, "_WINDOW", window)
+        args, count, edges, state = STREAMS[name]
+        assert _stream_digests(*args) == (count, edges, state)
+
+    def test_cases_cover_what_they_name(self):
+        """``many-windows`` spans many windows; the ``second-block`` cases
+        draw past one block of gaps, by inversion (p < 1/3) and by search."""
+        (n, p, _), count, _, _ = STREAMS["many-windows"]
+        assert count > 8 * generators._WINDOW
+        for name in ("second-block", "second-block-search"):
+            (n, p, seed), _, _, _ = STREAMS[name]
+            total = n * (n - 1) // 2
+            block = max(16, int(total * p * 1.1) + 4)
+            rng = RngFactory(seed).named("poisson-graph")
+            assert rng.geometric(p, size=block).sum() < total, name
 
 
 class TestGnm:

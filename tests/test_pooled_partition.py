@@ -64,18 +64,27 @@ def block_starts(n: int, parts: int) -> list[int]:
 
 
 def recount_entries(graph, grid: GridShape) -> list[list[tuple[int, int]]]:
-    """Each rank's stored entries ``(u, v)``, from the graph's edge lists.
+    """Each rank's stored entries ``(u, v)``, from the graph's edge lists."""
+    pairs = [
+        (u, v)
+        for u in range(graph.n)
+        for v in graph.indices[graph.indptr[u] : graph.indptr[u + 1]].tolist()
+    ]
+    return entries_by_rank(graph.n, grid, pairs)
+
+
+def entries_by_rank(n: int, grid: GridShape, pairs) -> list[list[tuple[int, int]]]:
+    """Each rank's share of the entries ``(u, v)``, in the order given.
 
     Entry ``A[u, v]`` is stored on rank ``(i, j)`` when ``block(u) % R == i``
     and ``block(v) // R == j``.
     """
-    n, R, C, P = graph.n, grid.rows, grid.cols, grid.size
+    R, C, P = grid.rows, grid.cols, grid.size
     starts = block_starts(n, P)
     block = [bisect.bisect_right(starts, u) - 1 for u in range(n)]
     entries: list[list[tuple[int, int]]] = [[] for _ in range(P)]
-    for u in range(n):
-        for v in graph.indices[graph.indptr[u] : graph.indptr[u + 1]].tolist():
-            entries[(block[u] % R) * C + block[v] // R].append((u, v))
+    for u, v in pairs:
+        entries[(block[u] % R) * C + block[v] // R].append((u, v))
     return entries
 
 
@@ -105,27 +114,34 @@ def test_footprints_recount_from_the_graph(small_graph, grid):
     assert report.minimum == min(want["edge_entries"])
 
 
+def assert_slots_match(part: TwoDPartition, entries: list[list[tuple[int, int]]]) -> None:
+    """Each rank's ``row_ids`` are its sorted distinct rows, its slots index
+    them, and read back through ``stored_lists`` its entries are the given
+    ones (duplicates included) in (column, row) order."""
+    P = part.grid.size
+    assert part.row_bounds[0] == 0 and part.row_bounds[-1] == part.row_ids.size
+    assert part.entry_bounds[-1] == part.row_slots.size == sum(map(len, entries))
+    for rank in range(P):
+        universe = part.row_ids[part.row_bounds[rank] : part.row_bounds[rank + 1]]
+        assert universe.tolist() == sorted({u for u, _ in entries[rank]})
+        slots = part.row_slots[part.entry_bounds[rank] : part.entry_bounds[rank + 1]]
+        assert ((slots >= part.row_bounds[rank]) & (slots < part.row_bounds[rank + 1])).all()
+        columns = stored_columns(part, rank)
+        assert columns.tolist() == sorted({v for _, v in entries[rank]})
+        starts, lengths = part.stored_lists(columns, rank)
+        # the rank's lists lie back to back over its entries
+        assert np.array_equal(starts, part.entry_bounds[rank] + np.cumsum(lengths) - lengths)
+        got = list(zip(np.repeat(columns, lengths).tolist(), stored_rows(part, rank).tolist()))
+        assert got == sorted((v, u) for u, v in entries[rank])
+
+
 @pytest.mark.parametrize("grid", MESHES, ids=mesh_id)
 def test_row_slots_follow_rank_then_vertex(small_graph, grid):
     """Each rank's row universe is its sorted distinct stored rows, ranks in
     order, and every entry's slot points at its own row there: read back
     as ``row_ids[row_slots]`` with the columns of ``stored_lists``, a
     rank's entries are its entries of the graph in (column, row) order."""
-    part = TwoDPartition(small_graph, grid)
-    entries = recount_entries(small_graph, grid)
-    for rank in range(grid.size):
-        lo, hi = part.entry_bounds[rank], part.entry_bounds[rank + 1]
-        universe = part.row_ids[part.row_bounds[rank] : part.row_bounds[rank + 1]]
-        assert universe.tolist() == sorted({u for u, _ in entries[rank]})
-        slots = part.row_slots[lo:hi]
-        assert ((slots >= part.row_bounds[rank]) & (slots < part.row_bounds[rank + 1])).all()
-        columns = stored_columns(part, rank)
-        starts, lengths = part.stored_lists(columns, rank)
-        # the rank's lists lie back to back over its entries
-        assert np.array_equal(starts, lo + np.cumsum(lengths) - lengths)
-        assert lengths.sum() == hi - lo
-        got = list(zip(np.repeat(columns, lengths).tolist(), stored_rows(part, rank).tolist()))
-        assert got == sorted((v, u) for u, v in entries[rank])
+    assert_slots_match(TwoDPartition(small_graph, grid), recount_entries(small_graph, grid))
 
 
 @pytest.mark.parametrize(
@@ -200,3 +216,39 @@ def test_slot_space_scan_matches_a_set_reference(grid, n, data):
 def test_entry_key_overflow_is_refused():
     with pytest.raises(PartitionError, match="overflows"):
         TwoDPartition.from_entries(2**32, GridShape(1, 1), [], [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 5), (5, 1), (7, 7), (2, 3), (3, 2), (1, 1)]),
+    n=st.integers(1, 40),
+    data=st.data(),
+)
+def test_slot_numbering_matches_a_set_reference(shape, n, data):
+    """Slots numbered by the (row, chunk) runs of the CSR order are the
+    slots of each rank's sorted distinct rows: from a graph, from its
+    entries shuffled, from arbitrary entries with duplicates, and from a
+    graph whose rows hold their neighbours out of order.  A 7 x 7 mesh
+    on a few vertices leaves block rows, and whole ranks, empty."""
+    grid = GridShape(*shape)
+    n = data.draw(st.sampled_from([n, 9])) if shape == (7, 7) else n
+    vertex = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    graph = CsrGraph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    entries = recount_entries(graph, grid)
+    assert_slots_match(TwoDPartition(graph, grid), entries)
+    stored = [(u, v) for rank in entries for u, v in rank]
+    shuffled = data.draw(st.permutations(stored))
+    rows, cols = np.array(shuffled, dtype=np.int64).reshape(-1, 2).T
+    assert_slots_match(TwoDPartition.from_entries(n, grid, rows, cols), entries)
+    raw = data.draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    rows, cols = np.array(raw, dtype=np.int64).reshape(-1, 2).T
+    part = TwoDPartition.from_entries(n, grid, rows, cols)
+    assert_slots_match(part, entries_by_rank(n, grid, raw))
+    rows_permuted = [
+        np.array(data.draw(st.permutations(range(lo, hi))), dtype=np.int64)
+        for lo, hi in zip(graph.indptr[:-1].tolist(), graph.indptr[1:].tolist())
+    ]
+    order = np.concatenate([np.empty(0, np.int64), *rows_permuted])
+    unsorted = CsrGraph(n, graph.indptr, graph.indices[order])
+    assert_slots_match(TwoDPartition(unsorted, grid), entries)

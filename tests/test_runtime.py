@@ -235,6 +235,26 @@ class TestCommunicator:
         with pytest.raises(CommunicationError):
             comm.allreduce_sum(np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "src, dst, nbytes, name",
+        [
+            ([0, 1, 2], [1, 2, 3], [1000], "nbytes"),
+            ([0, 1, 2], [1, 2], [8, 8, 8], "dst"),
+            ([0, 1, 2], [1, 2, -1], [8, 8, 8], "dst"),
+            ([0, 4], [1, 2], [8, 8], "src"),
+        ],
+        ids=["one-size-broadcast", "short-dst", "rank-minus-one", "rank-P"],
+    )
+    def test_summary_arguments_checked(self, src, dst, nbytes, name):
+        """Three messages with ``nbytes=[1000]`` would be priced as 3 x 1000
+        bytes and booked as 1000: refused, naming the argument, before
+        anything is counted or charged."""
+        comm = make_comm(4)
+        with pytest.raises(CommunicationError, match=rf"^{name} "):
+            comm.exchange_summaries(np.array(src), np.array(dst), np.array(nbytes))
+        assert comm.stats.total_messages == comm.stats.total_bytes == 0
+        assert not comm.clock.time.any()
+
     def test_bad_rank_rejected(self):
         comm = make_comm(2)
         work = np.ones(5, dtype=np.int64)
@@ -600,6 +620,29 @@ class TestCommStats:
         stats.end_level(0)
         assert stats.mean_message_length_per_level("fold", 4) == 25.0
         assert stats.mean_message_length_per_level("fold", 0) == 0.0
+
+    @pytest.mark.parametrize(
+        "dsts, counts, name",
+        [
+            ([0, 1, 2, 3], [5], "counts"),
+            ([0], [5, 5, 5, 5], "counts"),
+            ([[0, 1]], [5, 5], "dsts"),
+            ([0, -1], [5, 5], "dsts"),
+            ([0, 4], [5, 5], "dsts"),
+        ],
+        ids=["one-count-broadcast", "one-rank", "2-D", "rank-minus-one", "rank-P"],
+    )
+    def test_delivery_arguments_checked(self, dsts, counts, name):
+        """A one-element column would broadcast over every destination
+        (``recv_by_rank`` booking 20 where ``fold_received`` books 5) and
+        rank -1 would land on the last rank: both are refused, naming the
+        argument, before anything is booked."""
+        stats = CommStats(4)
+        stats.begin_level(0)
+        with pytest.raises(CommunicationError, match=rf"^{name} "):
+            stats.record_delivery_bulk(np.array(dsts), np.array(counts), "fold")
+        assert "fold" not in stats.recv_by_rank
+        assert stats.end_level(0).fold_received == 0
 
     def test_redundancy_ratio(self):
         stats = CommStats(2)
