@@ -163,9 +163,10 @@ class TwoDPartition:
         col_rank += chunk[self.col_ids]
         self.col_bounds = np.searchsorted(col_rank, np.arange(nranks + 1))
         self.entry_bounds = np.append(starts, nnz)[self.col_bounds]
+        # the rank offsets, repeated per entry in int32 while they fit
+        offset_dtype = np.int32 if self.row_bounds[-1] <= np.iinfo(np.int32).max else np.int64
         self.row_slots += np.repeat(
-            self.row_bounds[:-1].astype(np.min_scalar_type(self.row_bounds[-1])),
-            np.diff(self.entry_bounds),
+            self.row_bounds[:-1].astype(offset_dtype), np.diff(self.entry_bounds)
         )
         # The direct index: rank (i, j) stores partial edge lists only for
         # column chunk j, whose span is that of mesh column j's R block

@@ -173,7 +173,7 @@ class Communicator:
         :class:`CommunicationError` naming the argument, before anything
         is counted or charged.
         """
-        _check_messages(src, dst, flat, starts, stops, pop_idx, masks, rounds)
+        _check_messages(self.nranks, src, dst, flat, starts, stops, pop_idx, masks, rounds)
         msg, starts, stops, arrived = self._round(
             src, dst, flat, starts, stops, phase, participants,
             population, pop_idx, masks, rounds,
@@ -666,17 +666,15 @@ class Communicator:
             )
 
 
-def _check_messages(src, dst, flat, starts, stops, pop_idx, masks, rounds) -> None:
+def _check_messages(nranks, src, dst, flat, starts, stops, pop_idx, masks, rounds) -> None:
     """:meth:`Communicator.exchange_arrays`' argument contract (see there)."""
-    if np.ndim(src) != 1:
-        raise CommunicationError(f"src must be 1-D, got shape {np.shape(src)}")
+    check_message_columns(
+        nranks,
+        {"src": src, "dst": dst},
+        {"starts": starts, "stops": stops, "pop_idx": pop_idx},
+        rank_range=False,
+    )
     count = len(src)
-    for name, column in (("dst", dst), ("starts", starts), ("stops", stops), ("pop_idx", pop_idx)):
-        if column is not None and np.shape(column) != (count,):
-            raise CommunicationError(
-                f"{name} must hold one entry per message, shape ({count},), "
-                f"got shape {np.shape(column)}"
-            )
     if masks is not None and np.shape(masks) != np.shape(flat):
         raise CommunicationError(
             f"masks must be parallel to flat, shape {np.shape(flat)}, "

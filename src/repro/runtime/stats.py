@@ -313,30 +313,36 @@ class CommStats:
 
 
 def check_message_columns(
-    nranks: int, ranks: dict[str, np.ndarray], values: dict[str, np.ndarray]
+    nranks: int,
+    ranks: dict[str, np.ndarray],
+    values: dict[str, np.ndarray | None],
+    *,
+    rank_range: bool = True,
 ) -> None:
     """Refuse per-message columns that disagree in length or name a rank
     outside ``[0, nranks)``.
 
-    ``ranks`` and ``values`` map argument names to columns; the first rank
-    column sets the message count.  A one-element column would otherwise
-    broadcast over every message, and rank ``-1`` land on the last rank.
-    A violation raises :class:`~repro.errors.CommunicationError` naming
-    the argument.
+    ``ranks`` and ``values`` map argument names to columns (a ``None``
+    value is an absent optional column); the first rank column sets the
+    message count.  A one-element column would otherwise broadcast over
+    every message, and rank ``-1`` land on the last rank.  The shapes
+    cost O(1); the rank range, one ``min`` and ``max`` per rank column,
+    is skipped with ``rank_range=False``.  A violation raises
+    :class:`~repro.errors.CommunicationError` naming the argument.
     """
     first, column = next(iter(ranks.items()))
     if np.ndim(column) != 1:
         raise CommunicationError(f"{first} must be 1-D, got shape {np.shape(column)}")
-    count = len(column)
+    shape = (len(column),)
     for name, column in (*ranks.items(), *values.items()):
-        if np.shape(column) != (count,):
+        if column is not None and np.shape(column) != shape:
             raise CommunicationError(
-                f"{name} must hold one entry per message, shape ({count},), "
+                f"{name} must hold one entry per message, shape {shape}, "
                 f"got shape {np.shape(column)}"
             )
-    if count:
+    if rank_range and shape[0]:
         for name, column in ranks.items():
-            lo, hi = int(np.min(column)), int(np.max(column))
+            lo, hi = column.min(), column.max()
             if lo < 0 or hi >= nranks:
                 raise CommunicationError(
                     f"{name} must hold ranks in [0, {nranks}), got {lo}..{hi}"

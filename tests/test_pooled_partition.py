@@ -131,6 +131,7 @@ def assert_slots_match(part: TwoDPartition, entries: list[list[tuple[int, int]]]
         starts, lengths = part.stored_lists(columns, rank)
         # the rank's lists lie back to back over its entries
         assert np.array_equal(starts, part.entry_bounds[rank] + np.cumsum(lengths) - lengths)
+        assert lengths.sum() == part.entry_bounds[rank + 1] - part.entry_bounds[rank]
         got = list(zip(np.repeat(columns, lengths).tolist(), stored_rows(part, rank).tolist()))
         assert got == sorted((v, u) for u, v in entries[rank])
 
