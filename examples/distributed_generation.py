@@ -21,8 +21,7 @@ import time
 
 from repro.analysis.memory import MemoryModel
 from repro.api import build_communicator
-from repro.bfs.bfs_2d import Bfs2DEngine
-from repro.bfs.level_sync import run_bfs
+from repro.bfs.level_sync import LevelSyncEngine, run_bfs
 from repro.graph.distributed_gen import DistributedGraphBuilder
 from repro.types import GraphSpec, GridShape
 
@@ -54,7 +53,7 @@ def main(spec: GraphSpec, grid: GridShape):
     )
 
     comm = build_communicator(grid)
-    result = run_bfs(Bfs2DEngine(partition, comm), source=0)
+    result = run_bfs(LevelSyncEngine(partition, comm), source=0)
     print(result.summary())
     print(
         f"simulated {result.elapsed * 1e3:.1f} ms "

@@ -51,7 +51,7 @@ from repro.bfs import (
     BfsOptions,
     BfsResult,
     BidirectionalResult,
-    Bfs2DEngine,
+    LevelSyncEngine,
     run_bfs,
     run_bidirectional_bfs,
     serial_bfs,
@@ -104,7 +104,7 @@ __all__ = [
     "BfsOptions",
     "BfsResult",
     "BidirectionalResult",
-    "Bfs2DEngine",
+    "LevelSyncEngine",
     "run_bfs",
     "run_bidirectional_bfs",
     "serial_bfs",

@@ -14,9 +14,6 @@ through :func:`repro.types.resolve_system`, with ``wire=`` / ``faults=`` /
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.bidirectional import run_bidirectional_bfs
 from repro.bfs.level_sync import LevelSyncEngine, run_bfs
 from repro.bfs.options import BfsOptions
@@ -30,6 +27,7 @@ from repro.machine.mapping import TaskMapping, planar_mapping, row_major_mapping
 from repro.partition.two_d import TwoDPartition
 from repro.runtime.comm import Communicator
 from repro.types import GridShape, SystemSpec, resolve_system
+
 
 def resolve_machine_model(spec: SystemSpec) -> MachineModel:
     """The :class:`MachineModel` a resolved spec simulates."""
@@ -91,7 +89,7 @@ def resolve_task_mapping(
 
 
 def build_communicator(
-    grid: GridShape,
+    grid: GridShape | tuple[int, int],
     *,
     system: SystemSpec | str | None = None,
     buffer_capacity: int | None = None,
@@ -111,6 +109,8 @@ def build_communicator(
     preset (``"off"``, ``"spans"``, ``"messages"``, ``"full"``).  The MCR
     machine always uses its flat network.
     """
+    if not isinstance(grid, GridShape):
+        grid = GridShape(*grid)
     spec = resolve_system(system, wire=wire, faults=faults, observe=observe)
     model = resolve_machine_model(spec)
     task_mapping = resolve_task_mapping(grid, spec, model)
@@ -138,20 +138,17 @@ def build_engine(
     :func:`engine_mesh`: ``grid`` itself for ``"2d"`` (the default), and
     ``1 x P`` for ``"1d"`` (the grid must then be ``P x 1`` or ``1 x P``).
     A prebuilt ``comm`` wins over the spec's machine/mapping/wire/faults;
-    its grid must be the engine mesh.
+    its grid must be the engine mesh and its buffer capacity
+    ``opts.buffer_capacity``.
     """
     if not isinstance(grid, GridShape):
         grid = GridShape(*grid)
     spec = resolve_system(system, wire=wire, faults=faults, observe=observe)
     opts = opts or BfsOptions()
-    if spec.sieve and not opts.use_sieve:
-        # The spec's sieve axis is the system-level switch; the engines
-        # only read BfsOptions, so fold the axis into the options here.
-        opts = replace(opts, use_sieve=True)
     mesh = engine_mesh(grid, spec)
     if comm is None:
         comm = build_communicator(grid, system=spec, buffer_capacity=opts.buffer_capacity)
-    return Bfs2DEngine(TwoDPartition(graph, mesh), comm, opts)
+    return LevelSyncEngine(TwoDPartition(graph, mesh), comm, opts)
 
 
 def distributed_bfs(

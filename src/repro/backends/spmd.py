@@ -453,7 +453,8 @@ def _bottom_up_level(
     stored column still unvisited scans its partial row list for a
     frontier parent, and the finds travel to their owners within the
     column for de-duplication and labelling.  Mirrors
-    :func:`repro.bfs.bottom_up.bottom_up_level_2d` message for message.
+    :meth:`repro.bfs.level_sync.LevelSyncEngine._bottom_up` message for
+    message.
     """
     lo = int(partition.owned_lo[rank])
 

@@ -3,9 +3,9 @@
 Public entry points:
 
 * :func:`repro.bfs.serial.serial_bfs` — single-process oracle.
-* :class:`repro.bfs.bfs_2d.Bfs2DEngine` — Algorithm 2 (2D edge partitioning);
-  Algorithm 1 (1D) is its ``1 x P`` mesh (Section 2.2).
-* :func:`repro.bfs.level_sync.run_bfs` — run any engine to completion.
+* :class:`repro.bfs.level_sync.LevelSyncEngine` — Algorithm 2 (2D edge
+  partitioning); Algorithm 1 (1D) is its ``1 x P`` mesh (Section 2.2).
+* :func:`repro.bfs.level_sync.run_bfs` — run the engine to completion.
 * :func:`repro.bfs.bidirectional.run_bidirectional_bfs` — Section 2.3.
 * :func:`repro.bfs.msbfs.run_ms_bfs` — batched multi-source traversal.
 """
@@ -15,7 +15,6 @@ from repro.bfs.direction import DIRECTION_MODES, DirectionPolicy
 from repro.bfs.result import BfsResult, BidirectionalResult, QueryResult
 from repro.bfs.serial import serial_bfs
 from repro.bfs.level_sync import LevelSyncEngine, run_bfs
-from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.bidirectional import run_bidirectional_bfs
 from repro.bfs.msbfs import MAX_BATCH, MsBfsResult, run_ms_bfs
 
@@ -32,6 +31,5 @@ __all__ = [
     "serial_bfs",
     "LevelSyncEngine",
     "run_bfs",
-    "Bfs2DEngine",
     "run_bidirectional_bfs",
 ]

@@ -11,8 +11,8 @@ edges by an order of magnitude.
 
 :class:`DirectionPolicy` decides the direction of each level from three
 *global counts only* — frontier size, unvisited count, and ``n``.  This is
-deliberate: the simulator's engines and the SPMD backend can all compute
-these identically (the engines from their global arrays, the workers from
+deliberate: the simulator's engine and the SPMD backend can all compute
+these identically (the engine from its global arrays, the workers from
 allreduced totals), so every rank takes the same branch in lockstep and
 the hybrid traversal stays deterministic across backends.
 

@@ -1,15 +1,28 @@
-"""Shared scaffolding of the level-synchronized BFS loop.
+"""The level-synchronized distributed BFS engine (Algorithms 1 and 2).
 
 Algorithm 2 proceeds level by level — build the frontier, communicate,
-discover neighbours, communicate, label — and Algorithm 1 is the same
-loop on a ``1 x P`` mesh (Section 2.2).  The :class:`LevelSyncEngine`
-base class owns the loop bookkeeping (level counter, per-level
-statistics, global termination reduction) and the one top-down level
-body (:meth:`LevelSyncEngine._top_down`);
-:class:`~repro.bfs.bfs_2d.Bfs2DEngine` supplies the layout hooks — expand
-peers, partial-edge-list lookup, fold groups, the bottom-up level.
-Keeping ``step()`` public is what lets the bi-directional driver
-(Section 2.3) interleave two searches.
+discover neighbours, communicate, label — with two communication steps:
+
+* **expand** (steps 7-11): frontier owners inform their processor-*column*
+  peers, which hold the frontier vertices' partial edge lists;
+* **fold** (steps 13-18): discovered neighbours travel across the
+  processor-*row* to their owners.
+
+Only ``R`` (resp. ``C``) ranks take part in each collective instead of all
+``P`` — the paper's key communication-scalability argument.  Algorithm 1
+(1D) is the same engine on a ``1 x P`` mesh (Section 2.2): one
+processor-row folds across the machine, and with no column peers the
+expand is empty.
+
+:class:`LevelSyncEngine` holds one search over a :class:`TwoDPartition`:
+the loop bookkeeping (level counter, per-level statistics, global
+termination reduction), the one top-down level body
+(:meth:`LevelSyncEngine._top_down`) and the bottom-up level
+(:meth:`LevelSyncEngine._bottom_up`) — all batched NumPy kernels over
+pooled per-rank state, with per-level cost proportional to active ranks
+plus touched data, not to P, and no per-level sort or search over an
+owner range.  Keeping ``step()`` public is what lets the bi-directional
+driver (Section 2.3) interleave two searches.
 
 A top-down level runs over a ``(vertex[, mask])`` frontier, the
 linear-algebraic form of Buluç & Madduri (arXiv:1104.4518): a batch of W
@@ -18,20 +31,22 @@ W = 1 with the mask column left out — the same expand, merge, discover,
 fold and label, not a second function.
 
 :func:`run_level` is the one level loop: the checkpoint / retry /
-rollback / crash-replay protocol around a level body.  The engines'
+rollback / crash-replay protocol around a level body.  The engine's
 ``step()`` and the batched traversal (:mod:`repro.bfs.msbfs`) both run
 their levels through it.
 """
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
+from repro.bfs.bottom_up import _scan_stored_columns
 from repro.bfs.direction import BOTTOM_UP, TOP_DOWN, DirectionPolicy
 from repro.bfs.options import BfsOptions
 from repro.bfs.result import BfsResult
+from repro.bfs.sent_cache import PooledSentCache
+from repro.bfs.sieve import PooledSieve
+from repro.collectives.base import get_expand, get_fold
 from repro.errors import ConfigurationError, FaultError, SearchError
 from repro.observability.artifacts import collect_observability
 from repro.partition.two_d import TwoDPartition
@@ -43,13 +58,22 @@ from repro.utils.segmented import range_indices
 logger = get_logger("bfs")
 
 
-class LevelSyncEngine(abc.ABC):
-    """A restartable level-synchronous distributed BFS over P virtual ranks."""
+class LevelSyncEngine:
+    """A restartable level-synchronous BFS over a :class:`TwoDPartition` (R x C mesh)."""
 
-    def __init__(self, comm: Communicator, n: int, opts: BfsOptions) -> None:
-        self.comm = comm
-        self.n = int(n)
+    def __init__(
+        self,
+        partition: TwoDPartition,
+        comm: Communicator,
+        opts: BfsOptions | None = None,
+    ) -> None:
+        opts = opts or BfsOptions()
+        self.partition = partition
+        self.grid = partition.grid
+        self.n = int(partition.n)
         self.opts = opts
+        self._check_comm(comm)
+        self.comm = comm
         self.level = 0
         #: global level array indexed by vertex id (backing storage)
         self._levels_flat: np.ndarray = np.empty(0, dtype=LEVEL_DTYPE)
@@ -68,9 +92,6 @@ class LevelSyncEngine(abc.ABC):
         self._mark: np.ndarray | None = None
         self._mask_or: np.ndarray | None = None
         self._started = False
-        #: communication sieve (``repro.bfs.sieve``): a layout engine that
-        #: supports it installs a PooledSieve here when opts.use_sieve
-        self._sieve = None
         #: resolved per-level direction policy (opts coerces bare names)
         self._direction_policy: DirectionPolicy = DirectionPolicy.coerce(opts.direction)
         #: direction of the level being run, else of the last one run (the
@@ -79,88 +100,336 @@ class LevelSyncEngine(abc.ABC):
         #: global count of still-unreached vertices (a policy input; every
         #: backend derives the same value from allreduced frontier totals)
         self._unvisited = 0
+        shape = opts.collective_shape
+        #: the forwarding expand program; ``None`` is the direct expand,
+        #: one personalized round built by :meth:`_expand_messages`
+        self._expand = (
+            None
+            if opts.expand_collective == "direct"
+            else get_expand(
+                opts.expand_collective,
+                **({"shape": shape} if opts.expand_collective == "two-phase" else {}),
+            )
+        )
+        self._fold = get_fold(
+            opts.fold_collective,
+            **({"shape": shape} if opts.fold_collective == "two-phase" else {}),
+        )
+        self._col_groups = [self.grid.col_members(j) for j in range(self.grid.cols)]
+        #: the fold groups, the processor-rows (the whole machine on a
+        #: ``1 x P`` mesh): equal-size and tiling the ranks in order, so
+        #: fold segment ``s`` is rank ``s``
+        self._row_groups = [self.grid.row_members(i) for i in range(self.grid.rows)]
+        #: whether a processor-column has peers (R > 1).  At R = 1 — the
+        #: 1D layout (Section 2.2) — a rank's column chunk is its own
+        #: block: no Section 2.4.1 global-to-local probe per F-bar vertex,
+        #: no unvisited bitmap from column peers, no second finder to
+        #: de-duplicate, so none of the three is charged.
+        self._column_peers = self.grid.rows > 1
+        #: fold buckets within a processor-row are contiguous vertex ranges:
+        #: row member m (mesh column m) owns block rows [m*R, (m+1)*R)
+        self._member_bounds = partition.dist.offsets[:: self.grid.rows]
+        #: per-vertex expand-target CSR (lazy): the column-group peers
+        #: holding a non-empty partial edge list for each vertex
+        self._etarget_indptr: np.ndarray | None = None
+        self._etarget_dst: np.ndarray | None = None
+        self._etarget_row: np.ndarray | None = None
+        #: the expand outbox key, sender block * R + destination mesh row,
+        #: in the narrowest dtype that holds it (a radix sort up to 16 bits)
+        self._outbox_key_dtype = np.min_scalar_type(partition.nranks * self.grid.rows - 1)
+        #: rank ``r`` owns the ``_owned_spans[r]`` vertices
+        #: ``[partition.owned_lo[r], partition.owned_hi[r])``
+        self._owned_spans = partition.owned_hi - partition.owned_lo
+        #: pooled sent-neighbours cache over every rank's row universe
+        self._sent_pool = PooledSentCache(partition.row_bounds, partition.row_ids)
+        #: communication sieve (``repro.bfs.sieve``), on with
+        #: ``opts.use_sieve``.  Fold candidates only ever travel along
+        #: processor-rows, so each rank shadows exactly its row peers'
+        #: owned blocks.
+        self._sieve = (
+            PooledSieve(self._row_groups, self._owned_spans, partition.n)
+            if opts.use_sieve
+            else None
+        )
+        #: pre-routed expand pair population (direct expand only):
+        #: every (owner, holder) wire pair any expand round can use, keyed
+        #: like the direct step's messages — owned block (the dense
+        #: emission order) * R + destination mesh row, marked by
+        #: :meth:`_expand_targets` — so a searchsorted indexes it
+        self._expand_pop_keys: np.ndarray | None = None
+        self._expand_population = None
+        if self._expand is None and opts.use_expand_filter:
+            self._prime_expand_population()
+
+    def _check_comm(self, comm: Communicator) -> None:
+        """Reject a communicator that cannot drive this engine.
+
+        Its ranks and grid must be the partition's, and it must chunk
+        messages at ``opts.buffer_capacity``: the communicator does the
+        chunking, so a mismatch would silently run the search at another
+        capacity than its options name.
+        """
+        part = self.partition
+        if comm.nranks != part.nranks:
+            raise ConfigurationError(
+                f"communicator has {comm.nranks} ranks but partition has {part.nranks}"
+            )
+        if comm.grid != part.grid:
+            raise ConfigurationError(
+                f"communicator grid {comm.grid} != partition grid {part.grid}"
+            )
+        if comm.buffer_capacity != self.opts.buffer_capacity:
+            raise ConfigurationError(
+                f"communicator buffer_capacity {comm.buffer_capacity} != "
+                f"opts.buffer_capacity {self.opts.buffer_capacity}"
+            )
 
     # ------------------------------------------------------------------ #
-    # abstract per-layout hooks
+    # expand-side lookup structures
     # ------------------------------------------------------------------ #
-    #: the layout's fold groups: equal-size, tiling the ranks in order (so
-    #: fold segment ``s`` is rank ``s``) — the processor-rows, the whole
-    #: machine on a ``1 x P`` mesh
-    _fold_groups: list[list[int]]
-    #: the layout's partition: rank ``r`` owns the ``_owned_spans[r]``
-    #: vertices ``[partition.owned_lo[r], partition.owned_hi[r])``
-    partition: TwoDPartition
-    _owned_spans: np.ndarray
+    def _expand_targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-vertex expand destinations as a CSR over global vertex ids.
 
-    @abc.abstractmethod
+        ``_etarget_dst[_etarget_indptr[v]:_etarget_indptr[v+1]]`` lists, in
+        ascending rank order, the column-group peers of ``v``'s owner that
+        hold a non-empty partial edge list for ``v`` (owner excluded) —
+        the owner-side knowledge the paper stores (Section 2.2), kept per
+        vertex and built once from the stored-column list.  Expand messages
+        gather each frontier vertex's targets straight from this table, so
+        their per-level cost follows the frontier, not the P x C rank
+        pairs.  With ``use_expand_filter`` off the owner knows nothing and
+        every vertex lists all ``R - 1`` column peers.  ``_etarget_row``
+        is each target's mesh row, in the outbox key's dtype.  With the
+        filter on, the targets' (owner block, mesh row) keys are marked
+        on the way into ``_expand_pop_keys``.
+        """
+        if self._etarget_indptr is None:
+            n = self.n
+            nranks = self.comm.nranks
+            R, C = self.grid.rows, self.grid.cols
+            if not self.opts.use_expand_filter:
+                block = self.partition.dist.part_of(np.arange(n, dtype=np.int64))
+                peer_row = np.arange(R - 1, dtype=np.int64)
+                # rows of the owner's column, skipping the owner's own
+                peer_row = peer_row + (peer_row >= (block % R)[:, None])
+                indptr = np.arange(n + 1, dtype=np.int64) * (R - 1)
+                d = (peer_row * C + (block // R)[:, None]).ravel()
+            else:
+                holder = np.repeat(
+                    np.arange(nranks, dtype=np.int64), np.diff(self.partition.col_bounds)
+                )
+                v = self.partition.col_ids
+                d = holder
+                marked = np.zeros(nranks * R, dtype=bool)
+                if v.size:
+                    block = self.partition.dist.part_of(v)
+                    keep = holder != (block % R) * C + (block // R)
+                    v, d = v[keep], d[keep]
+                    marked[block[keep] * R + d // C] = True
+                    del block, keep
+                    # (v, holder) keys are unique: any sort is the stable one
+                    order = np.argsort(v * nranks + d)
+                    v, d = v[order], d[order]
+                self._expand_pop_keys = np.flatnonzero(marked)
+                indptr = np.zeros(n + 1, dtype=np.int64)
+                np.cumsum(np.bincount(v, minlength=n), out=indptr[1:])
+            self._etarget_indptr = indptr
+            self._etarget_dst = d
+            self._etarget_row = (d // C).astype(self._outbox_key_dtype)
+        return self._etarget_indptr, self._etarget_dst
+
+    def _prime_expand_population(self) -> None:
+        """Route every possible expand wire pair once, at build time.
+
+        A direct-expand message always travels from a vertex's owner to a
+        column peer holding a partial edge list for it — exactly the
+        rank-level aggregation of the expand-target CSR.  Pre-analysing
+        those routes keeps route interning out of the level loop: each
+        level indexes the prepared population instead of resolving paths
+        for whichever pair subset its frontier activates.
+        """
+        self._expand_targets()
+        keys = self._expand_pop_keys
+        if keys.size == 0:
+            return
+        R, C = self.grid.rows, self.grid.cols
+        blk, row = np.divmod(keys, R)
+        self._expand_population = self.comm.network.prepare_pairs(
+            (blk % R) * C + blk // R, row * C + blk // R
+        )
+
     def owner_rank(self, vertex: int) -> int:
         """Owning rank of a single vertex."""
+        return int(self.partition.owner_of(np.array([vertex]))[0])
 
-    @abc.abstractmethod
-    def _expand_level_bottom_up(self) -> tuple[np.ndarray, np.ndarray]:
-        """Run one *bottom-up* level (unvisited vertices probe the frontier;
-        :mod:`repro.bfs.bottom_up`).  Returns the next frontier as pooled
-        CSR ``(flat, bounds)`` and writes the new labels into
-        ``_levels_flat``."""
+    # ------------------------------------------------------------------ #
+    # one top-down level (Algorithm 2, steps 7-18), at every width
+    # ------------------------------------------------------------------ #
+    def _expand_messages(
+        self, fflat: np.ndarray, fbounds: np.ndarray, fmasks: np.ndarray | None = None
+    ):
+        """One expand round's messages for a pooled frontier.
 
-    @abc.abstractmethod
-    def _expand_step(
-        self, flat: np.ndarray, bounds: np.ndarray, masks: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The expand: every rank's frontier merged with what its expand
-        peers hold of theirs (F-bar)."""
-
-    @abc.abstractmethod
-    def _gather_slots(
-        self, flat: np.ndarray, bounds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Discovery's lookup: the (partial) edge lists of a pooled
-        frontier as sent-pool slots, charged to each rank.  Returns
-        ``(slots, lengths)``, ``lengths[k]`` the entries ``flat[k]`` gave."""
-
-    @abc.abstractmethod
-    def _fold_member(self, vertices: np.ndarray) -> np.ndarray:
-        """In-group fold destination of each candidate vertex: the member
-        of the sender's fold group that labels it: the processor-row
-        member standing in the owner's mesh column (on a ``1 x P`` mesh,
-        the owner)."""
-
-    def _reset_layout_state(self) -> None:
-        """Clear the per-run caches (sent-neighbours cache, sieve shadows)."""
-        self._sent_pool.reset()
-        if self._sieve is not None:
-            self._sieve.reset()
-
-    def _snapshot_layout_state(self):
-        """Capture the per-run caches for a level checkpoint."""
-        if self._sieve is not None:
-            return self._sent_pool.snapshot(), self._sieve.snapshot()
-        return self._sent_pool.snapshot()
-
-    def _restore_layout_state(self, snapshot) -> None:
-        """Reinstate state captured by :meth:`_snapshot_layout_state`."""
-        if self._sieve is not None:
-            sent, shadows = snapshot
-            self._sent_pool.restore(sent)
-            self._sieve.restore(shadows)
-        else:
-            self._sent_pool.restore(snapshot)
-
-    def _layout_checkpoint_nbytes(self) -> np.ndarray:
-        """Per-rank checkpoint bytes of the per-run caches.
-
-        The sent-neighbours cache travels in the buddy checkpoint as a
-        bitset over each rank's sent universe (plus the sieve's shadow
-        bitsets when it is enabled).
+        One gather of the expand-target CSR resolves every frontier
+        vertex's destinations; one stable sort puts the entries in the
+        lockstep driver's merged outbox order: column groups ascending,
+        sources ascending within each group — i.e. ascending owned block
+        — then destination, then vertex (the sort is stable, so payloads
+        stay ascending).  A destination always sits in its sender's mesh
+        column, so the sort key is ``sender block * R + destination mesh
+        row`` in the narrowest dtype that holds it — the same order as a
+        ``block * P + destination`` key, and a radix sort up to 16 bits.
+        Returns ``(payload, words, src, dst, bounds, population,
+        pop_idx)``: ``payload`` is the vertex payload and ``words`` the
+        mask column ``fmasks`` routed alongside it (``None`` without one),
+        message ``m`` carries entries ``bounds[m]:bounds[m+1]`` from
+        ``src[m]`` to ``dst[m]``, and ``population`` / ``pop_idx`` index
+        the pre-routed pairs for
+        :meth:`~repro.runtime.comm.Communicator.exchange_arrays`.
         """
-        nbytes = self._sent_pool.checkpoint_nbytes()
-        if self._sieve is not None:
-            nbytes = nbytes + self._sieve.checkpoint_nbytes()
-        return nbytes
+        nranks = self.comm.nranks
+        R, C = self.grid.rows, self.grid.cols
+        indptr, _ = self._expand_targets()
+        starts = indptr[fflat]
+        lengths = indptr[fflat + 1] - starts
+        gather, _ = range_indices(starts, lengths)
+        if gather.size == 0:
+            none = np.empty(0, dtype=np.int64)
+            words = None if fmasks is None else fmasks[:0]
+            return fflat[:0], words, none, none, np.zeros(1, dtype=np.int64), None, None
+        ranks = np.arange(nranks, dtype=np.int64)
+        rank_key = (((ranks % C) * R + ranks // C) * R).astype(self._outbox_key_dtype)
+        key = np.repeat(np.repeat(rank_key, np.diff(fbounds)), lengths)
+        key += self._etarget_row[gather]
+        order = np.argsort(key, kind="stable")
+        skey = key[order]
+        cut = np.flatnonzero(skey[1:] != skey[:-1]) + 1
+        msg_bounds = np.concatenate(([0], cut, [skey.size]))
+        msg_key = skey[msg_bounds[:-1]].astype(np.int64)
+        msg_block, msg_row = np.divmod(msg_key, R)
+        population = self._expand_population
+        pop_idx = (
+            np.searchsorted(self._expand_pop_keys, msg_key)
+            if population is not None
+            else None
+        )
+        return (
+            np.repeat(fflat, lengths)[order],
+            None if fmasks is None else np.repeat(fmasks, lengths)[order],
+            (msg_block % R) * C + msg_block // R,
+            msg_row * C + msg_block // R,
+            msg_bounds,
+            population,
+            pop_idx,
+        )
 
-    # ------------------------------------------------------------------ #
-    # one top-down level, at every width
-    # ------------------------------------------------------------------ #
+    def _expand_step(
+        self, fflat: np.ndarray, fbounds: np.ndarray, fmasks: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Steps 7-11: every rank's frontier reaches its column peers; F-bar as CSR.
+
+        All processor-columns run in lockstep, so their messages contend
+        for the torus in the same simulated round — as they would on the
+        real machine.  The direct expand is one batched exchange built
+        from :meth:`_expand_messages` (chunks a fault withheld are dropped
+        before the merge); a forwarding program runs through the expand
+        driver.  Either way the mask column, when there is one, rides
+        beside the vertex ids.
+
+        F-bar is a splice, not a union: column peers own disjoint blocks,
+        and what a rank receives comes in sender order — ascending mesh
+        row, so ascending block and vertex.  Each rank's own frontier goes
+        in at its own row, between the arrivals from the peers above and
+        below it, and one gather reads every rank's F-bar, masks alike.
+        """
+        comm = self.comm
+        nranks = comm.nranks
+        R, C = self.grid.rows, self.grid.cols
+        fsizes = np.diff(fbounds)
+        with comm.obs.span("expand", cat="phase"):
+            if self._expand is not None:
+                payload, inc_bounds, words = self._expand.expand(
+                    comm, self._col_groups, fflat, fbounds, "expand", masks=fmasks
+                )
+                inc_sizes = np.diff(inc_bounds)
+                # every column peer's block arrives, peers in row order: the
+                # rank's own frontier follows the blocks of the rows above it
+                grid_sizes = fsizes.reshape(R, C)
+                above = (np.cumsum(grid_sizes, axis=0) - grid_sizes).ravel()
+                starts = np.stack(
+                    (inc_bounds[:-1], payload.size + fbounds[:-1], inc_bounds[:-1] + above),
+                    axis=1,
+                ).ravel()
+                sizes = np.stack((above, fsizes, inc_sizes - above), axis=1).ravel()
+            else:
+                payload, words, msg_src, msg_dst, msg_bounds, population, pop_idx = (
+                    self._expand_messages(fflat, fbounds, fmasks)
+                )
+                starts, stops = msg_bounds[:-1], msg_bounds[1:]
+                arrived = comm.exchange_arrays(
+                    msg_src,
+                    msg_dst,
+                    payload,
+                    starts,
+                    stops,
+                    "expand",
+                    population=population,
+                    pop_idx=pop_idx,
+                    masks=words,
+                )
+                if arrived is not None:
+                    msg, starts, stops = arrived
+                    msg_src, msg_dst = msg_src[msg], msg_dst[msg]
+                sizes = stops - starts
+                comm.stats.record_delivery_bulk(msg_dst, sizes, "expand")
+                inc_sizes = np.bincount(
+                    msg_dst, weights=sizes, minlength=nranks
+                ).astype(np.int64)
+                # Messages leave in ascending sender block; a stable regroup
+                # by destination keeps the senders in row order, and one
+                # search per rank finds where its own row goes.
+                order = np.argsort(msg_dst, kind="stable")
+                row_key = msg_dst[order] * R + msg_src[order] // C
+                ranks = np.arange(nranks, dtype=np.int64)
+                at = np.searchsorted(row_key, ranks * R + ranks // C)
+                starts = np.insert(starts[order], at, payload.size + fbounds[:-1])
+                sizes = np.insert(sizes[order], at, fsizes)
+            comm.charge_compute_many(hash_lookups=inc_sizes)
+            if not inc_sizes.any():
+                return fflat, fbounds, fmasks
+            idx, _ = range_indices(starts, sizes)
+            out_bounds = np.zeros(nranks + 1, dtype=np.int64)
+            np.cumsum(fsizes + inc_sizes, out=out_bounds[1:])
+            out_masks = None if fmasks is None else np.concatenate((words, fmasks))[idx]
+            return np.concatenate((payload, fflat))[idx], out_bounds, out_masks
+
+    def _gather_slots(
+        self, fbar_flat: np.ndarray, fbar_bounds: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Step 12's lookup: the partial edge lists of F-bar, as pool slots.
+
+        Every F-bar vertex of rank ``r`` lies in ``r``'s column chunk, so
+        the partition finds its partial edge list by direct index
+        (:meth:`~repro.partition.two_d.TwoDPartition.stored_lists`), and
+        one gather reads the lists' entries' slots — discovery dedups and
+        filters in slot space, never on global ids.  Each rank is charged
+        its edge count in scans, and that plus — with column peers — one
+        Section 2.4.1 probe per F-bar vertex in hash lookups.  Returns
+        ``(slots, lengths)``: ``lengths`` is how many of ``slots`` each
+        F-bar entry contributed — zero where this rank holds no partial
+        list for it.
+        """
+        part = self.partition
+        ranks = np.repeat(np.arange(part.nranks), np.diff(fbar_bounds))
+        starts, lengths = part.stored_lists(fbar_flat, ranks)
+        gather, out_offsets = range_indices(starts, lengths)
+        # Per-rank edge counts: the running sum of lengths cut at the
+        # F-bar's rank bounds.
+        edges = np.diff(out_offsets[fbar_bounds])
+        probes = edges + np.diff(fbar_bounds) if self._column_peers else edges
+        self.comm.charge_compute_many(edges_scanned=edges, hash_lookups=probes)
+        return part.row_slots[gather], lengths
+
     def _top_down(
         self,
         flat: np.ndarray,
@@ -200,15 +469,17 @@ class LevelSyncEngine(abc.ABC):
             del slots
             if filter_sent:
                 comm.charge_compute_many(hash_lookups=counts)
-            # A sender's candidates are sorted and its fold peers own
-            # ascending vertex ranges, so ``flat`` is already in slot order
-            # (sender, then in-group destination).
-            size = len(self._fold_groups[0])
-            slot = np.repeat(ranks, np.diff(bounds)) * size + self._fold_member(flat)
+            # A sender's candidates are sorted and its fold peers — its
+            # processor-row, each member owning one contiguous vertex range
+            # in mesh-column order — own ascending ranges, so ``flat`` is
+            # already in slot order (sender, then in-group destination).
+            size = self.grid.cols
+            member = np.searchsorted(self._member_bounds, flat, side="right") - 1
+            slot = np.repeat(ranks, np.diff(bounds)) * size + member
             csizes = np.bincount(slot, minlength=nranks * size)
         with obs.span("fold", cat="phase"):
             flat, bounds, masks = fold.fold(
-                comm, self._fold_groups, csizes, flat, "fold", sieve=sieve, masks=masks
+                comm, self._row_groups, csizes, flat, "fold", sieve=sieve, masks=masks
             )
         with obs.span("compute", cat="phase"):
             # owner side: one probe per delivered candidate, dedup, label
@@ -292,12 +563,127 @@ class LevelSyncEngine(abc.ABC):
             obs.end(span)
 
     # ------------------------------------------------------------------ #
+    # one bottom-up level
+    # ------------------------------------------------------------------ #
+    def _bottom_up(self) -> tuple[np.ndarray, np.ndarray, None]:
+        """One *bottom-up* level: unvisited vertices probe the frontier.
+
+        Rank ``(i, j)`` stores partial *column* edge lists for the column
+        chunk of mesh column ``j``, whose rows are vertices owned by
+        processor row ``i``.  Three steps: the frontier bitmaps are
+        allgathered around each processor **row**'s ring (so each rank
+        can test its stored rows; arXiv:1705.04590 §4), unvisited bitmaps
+        travel along processor **columns** (so each rank knows which
+        stored columns still need a parent), then the early-exit scan
+        (:func:`~repro.bfs.bottom_up._scan_stored_columns`) runs and every
+        found vertex is sent to its owner *within the processor column* —
+        a real :meth:`~repro.runtime.comm.Communicator.exchange_arrays`,
+        so wire codecs, chunking, and contention pricing all apply — where
+        owners de-duplicate multi-finder hits with one mark pass and
+        label.  On a ``1 x P`` mesh — the 1D layout — processor columns
+        are single ranks: the row ring is the whole exchange and every
+        rank labels its own finds.
+
+        The bitmap exchanges are charged as raw byte transfers on the
+        routed network
+        (:meth:`~repro.runtime.comm.Communicator.exchange_summaries`, the
+        sieve-summary pattern); because they bypass the droppable-message
+        path, :meth:`start` rejects direction policies that can reach
+        bottom-up when a fault schedule is attached.  The level labels
+        exactly the vertices a top-down level would, so hybrid runs return
+        byte-identical ``levels``; only the traversed-edge counts and
+        simulated times differ.  Returns the next frontier as pooled
+        ``(flat, bounds, None)`` and writes the new labels into
+        ``_levels_flat``.
+        """
+        comm = self.comm
+        nranks = comm.nranks
+        obs = comm.obs
+        levels = self._levels_flat
+        part = self.partition
+
+        span_bytes = (self._owned_spans + 7) // 8
+        R, C = self.grid.rows, self.grid.cols
+
+        # Frontier state of the stored rows lives on processor-row peers;
+        # unvisited state of the column chunk lives on processor-column peers.
+        with obs.span("bitmap-broadcast", cat="phase"):
+            # Row ring allgather, its C - 1 rounds aggregated as one transfer
+            # per member: each sends its successor every block of the row but
+            # the successor's own.
+            member = np.arange(nranks if C > 1 else 0, dtype=np.int64)
+            succ = member - member % C + (member + 1) % C
+            row_total = span_bytes.reshape(R, C).sum(axis=1)
+            ring_bytes = row_total[member // C] - span_bytes[succ]
+            # Column pairs, column by column: row i sends its block to every
+            # other row k of the column.
+            i = np.repeat(np.arange(R, dtype=np.int64), R - 1)
+            k = np.tile(np.arange(R - 1, dtype=np.int64), R)
+            j = np.arange(C, dtype=np.int64)[:, None]
+            col_src = (i * C + j).ravel()
+            col_dst = ((k + (k >= i)) * C + j).ravel()
+            comm.exchange_summaries(
+                np.concatenate([member, col_src]),
+                np.concatenate([succ, col_dst]),
+                np.concatenate([ring_bytes, span_bytes[col_src]]),
+                phase=None,
+            )
+
+        with obs.span("bottom-up-scan", cat="phase"):
+            scan_v, scan_rank, found, edges = _scan_stored_columns(
+                part, 0, nranks,
+                (levels == self.level)[part.row_ids], (levels == UNREACHED)[part.col_ids],
+            )
+            per_rank_edges = np.zeros(nranks, dtype=np.int64)
+            np.add.at(per_rank_edges, scan_rank, edges)
+            # one frontier probe per scanned edge, plus — with column peers —
+            # one unvisited-bitmap probe per stored column
+            cols_per_rank = np.diff(part.col_bounds)
+            probes = per_rank_edges + cols_per_rank if self._column_peers else per_rank_edges
+            comm.charge_compute_many(edges_scanned=per_rank_edges, hash_lookups=probes)
+            found_v, finder = scan_v[found], scan_rank[found]
+            owner = part.owner_of(found_v) if found_v.size else found_v
+
+        # Found vertices go to their owners (always within the finder's
+        # processor column).  Real messages: codec, chunking, contention.
+        with obs.span("bottom-up-fold", cat="phase"):
+            # Sorted by (finder, owner), the found vertices are the round's
+            # messages back to back, in outbox order; self-addressed segments
+            # are local hand-offs and stay off the wire.  Every chunk arrives:
+            # bottom-up is rejected under a fault schedule.
+            pair = finder * nranks + owner
+            order = np.argsort(pair, kind="stable")
+            values, vsegs, sender = found_v[order], owner[order], finder[order]
+            _, starts = np.unique(pair[order], return_index=True)
+            stops = np.append(starts[1:], values.size)
+            wire = sender[starts] != vsegs[starts]
+            starts, stops = starts[wire], stops[wire]
+            comm.exchange_arrays(
+                sender[starts], vsegs[starts], values, starts, stops, "fold"
+            )
+            if starts.size:
+                comm.stats.record_delivery_bulk(vsegs[starts], stops - starts, "fold")
+            # Owner-side dedup (several column peers can find the same
+            # vertex) and labelling — one mark pass over every owner's
+            # arrivals at once.
+            flat, fresh_bounds, _ = self._owned_union(values)
+            incoming_counts = np.bincount(vsegs, minlength=nranks)
+            fresh_counts = np.diff(fresh_bounds)
+            levels[flat] = self.level + 1
+            comm.stats.record_duplicates(values.size - flat.size)
+            comm.charge_compute_many(
+                hash_lookups=incoming_counts if self._column_peers else None,
+                updates=fresh_counts,
+            )
+        return flat, fresh_bounds, None
+
+    # ------------------------------------------------------------------ #
     # re-entrant serving
     # ------------------------------------------------------------------ #
     def rebind(self, comm: Communicator) -> None:
         """Attach a fresh communicator for the next search.
 
-        Everything an engine builds at construction (partition views,
+        Everything the engine builds at construction (partition views,
         concatenated CSR tables, expand filters) depends only on the
         *immutable* partition, so a long-lived engine can serve many
         queries by rebinding a fresh communicator per query — each run
@@ -305,15 +691,7 @@ class LevelSyncEngine(abc.ABC):
         construction cost again.  The engine's in-flight search state is
         invalidated: call :meth:`start` before :meth:`step`.
         """
-        if comm.nranks != self.comm.nranks:
-            raise ConfigurationError(
-                f"communicator has {comm.nranks} ranks but engine was built "
-                f"for {self.comm.nranks}"
-            )
-        if getattr(comm, "grid", None) != self.comm.grid:
-            raise ConfigurationError(
-                f"communicator grid {comm.grid} != engine grid {self.comm.grid}"
-            )
+        self._check_comm(comm)
         self.comm = comm
         self._started = False
 
@@ -347,7 +725,9 @@ class LevelSyncEngine(abc.ABC):
             )
         self._direction = TOP_DOWN
         self._unvisited = self.n - 1
-        self._reset_layout_state()
+        self._sent_pool.reset()
+        if self._sieve is not None:
+            self._sieve.reset()
         self._started = True
 
     def step(self) -> int:
@@ -399,7 +779,7 @@ class LevelSyncEngine(abc.ABC):
     def _attempt(self) -> tuple[np.ndarray, np.ndarray, None]:
         """One attempt at the current level, in the decided direction."""
         if self._direction == BOTTOM_UP:
-            return (*self._expand_level_bottom_up(), None)
+            return self._bottom_up()
         return self._top_down(
             self._frontier_flat,
             self._frontier_bounds,
@@ -418,18 +798,19 @@ class LevelSyncEngine(abc.ABC):
         The O(n/P) state a partner must hold to resurrect a rank: the
         owned level slice (one level word per vertex), the current
         frontier (vertex ids), a visited bitmap over the owned span, and
-        whatever layout-specific cache the engine carries (the
-        sent-neighbours cache, via :meth:`_layout_checkpoint_nbytes`).
+        the per-run caches — the sent-neighbours cache as a bitset over
+        the rank's sent universe, plus the sieve's shadow bitsets when it
+        is on.
         """
         spans = self._owned_spans
         frontier_sizes = np.diff(self._frontier_bounds)
         levels_bytes = spans * self._levels_flat.dtype.itemsize
         frontier_bytes = frontier_sizes * np.dtype(VERTEX_DTYPE).itemsize
         bitmap_bytes = (spans + 7) // 8
-        return (
-            levels_bytes + frontier_bytes + bitmap_bytes
-            + self._layout_checkpoint_nbytes()
-        )
+        cache_bytes = self._sent_pool.checkpoint_nbytes()
+        if self._sieve is not None:
+            cache_bytes = cache_bytes + self._sieve.checkpoint_nbytes()
+        return levels_bytes + frontier_bytes + bitmap_bytes + cache_bytes
 
     def _checkpoint(self):
         """Snapshot every mutable per-search structure at a level boundary."""
@@ -437,7 +818,8 @@ class LevelSyncEngine(abc.ABC):
             self._levels_flat.copy(),
             self._frontier_flat.copy(),
             self._frontier_bounds.copy(),
-            self._snapshot_layout_state(),
+            self._sent_pool.snapshot(),
+            None if self._sieve is None else self._sieve.snapshot(),
         )
 
     def _restore(self, snapshot) -> None:
@@ -446,11 +828,13 @@ class LevelSyncEngine(abc.ABC):
         The flat level array is restored *in place* so any outstanding
         views of it stay valid.
         """
-        levels_flat, frontier_flat, frontier_bounds, layout = snapshot
+        levels_flat, frontier_flat, frontier_bounds, sent, shadows = snapshot
         self._levels_flat[:] = levels_flat
         self._frontier_flat = frontier_flat
         self._frontier_bounds = frontier_bounds
-        self._restore_layout_state(layout)
+        self._sent_pool.restore(sent)
+        if self._sieve is not None:
+            self._sieve.restore(shadows)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -480,8 +864,8 @@ def run_level(
     ``(flat, bounds, masks)`` — the entry frontier is left untouched),
     ``_checkpoint()`` / ``_restore(snapshot)`` (every
     structure an attempt mutates) and ``_checkpoint_nbytes()`` (per-rank
-    size of that state plus the entry frontier): a layout engine at
-    width 1, the batched traversal at width W.
+    size of that state plus the entry frontier): the engine at width 1,
+    the batched traversal at width W.
 
     Under fault injection with checkpointing enabled, a level in which a
     message chunk was lost for good (retry budget exhausted) is rolled

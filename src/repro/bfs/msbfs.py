@@ -12,8 +12,8 @@ once — a natural extension of the existing visited-bitmap machinery, with
 the visited bit widened to a visited *word*.
 
 The traversal rides the existing engine: :func:`run_ms_bfs` wraps a
-constructed :class:`~repro.bfs.bfs_2d.Bfs2DEngine` (on any mesh, the
-1D ``1 x P`` included), and a batch level is the
+constructed :class:`~repro.bfs.level_sync.LevelSyncEngine` (on any
+mesh, the 1D ``1 x P`` included), and a batch level is the
 engine's *one* top-down body
 (:meth:`~repro.bfs.level_sync.LevelSyncEngine._top_down`) — expand,
 merge, discover, fold — over a pooled ``(flat, bounds, masks)`` frontier:
@@ -342,7 +342,7 @@ class _MsBfsRun:
         del self.reached[depth:]
 
     # ------------------------------------------------------------------ #
-    # one batch level: the engines' top-down body, labelled word-wide
+    # one batch level: the engine's top-down body, labelled word-wide
     # ------------------------------------------------------------------ #
     def _attempt(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One batch level from the entry frontier; returns the next one.

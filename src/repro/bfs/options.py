@@ -47,7 +47,8 @@ class BfsOptions:
         (``"union-ring"``).  It composes with fault injection: the
         shadows are checkpointed and restored with the level.  Labelled
         levels are byte-identical with the sieve on or off — only the
-        fold traffic shrinks.
+        fold traffic shrinks.  This is the sieve's only switch (the CLI's
+        ``--sieve`` sets it).
     use_expand_filter:
         With the ``direct`` expand, only send a frontier vertex to column
         peers that hold non-empty partial edge lists for it (Section 2.2);

@@ -189,7 +189,6 @@ def _system_from(args, observe: str | None) -> SystemSpec:
         wire=args.wire_codec,
         faults=_faults_from(args),
         observe=observe,
-        sieve=args.sieve or None,
     )
 
 

@@ -50,7 +50,7 @@ class _Lockstep:
                 f"lockstep groups must hold distinct ranks in [0, {comm.nranks})"
             )
         #: barrier set of a round — ``None`` (no participant indexing)
-        #: when the groups cover the whole machine, as the engines' do
+        #: when the groups cover the whole machine, as the engine's do
         self.participants = None if self.nseg == comm.nranks else ordered
 
 
@@ -401,9 +401,9 @@ class ExpandCollective(_Program):
 
     Every member contributes one block — the ``block`` a round names is
     the origin member index — and ends up with every peer's.  (The
-    engines' *direct* expand, one personalized round filtered per
+    engine's *direct* expand, one personalized round filtered per
     destination, is not a forwarding program; it lives in
-    ``Bfs2DEngine._expand_messages``.)
+    ``LevelSyncEngine._expand_messages``.)
     """
 
     def expand(
@@ -418,7 +418,7 @@ class ExpandCollective(_Program):
         """Run the collective on equal-size disjoint ``groups`` in lockstep.
 
         ``(flat, bounds)`` is a CSR over the communicator's *ranks* (the
-        engines' pooled frontier): rank ``r`` contributes
+        engine's pooled frontier): rank ``r`` contributes
         ``flat[bounds[r]:bounds[r + 1]]``, with the optional mask-word
         column ``masks`` beside it.  Returns, as CSR ``(flat, bounds,
         masks)`` over ranks again, what every rank received — each group

@@ -40,7 +40,7 @@ once per round, per chunk keyed by the network's pair id):
   times; every wasted transmission and timeout is charged to the clocks
   as fault time.  A chunk that exhausts its retries is *unrecovered*:
   the data is lost and the BFS level must roll back to its checkpoint
-  (see :class:`repro.bfs.level_sync.LevelSyncEngine`).
+  (see :func:`repro.bfs.level_sync.run_level`).
 * A *degraded link* multiplies the wire cost of every message between
   one directed rank pair.
 * A *permanent link-down* (from level ``down_level`` on) does not lose

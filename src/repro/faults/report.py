@@ -1,7 +1,7 @@
 """The graceful-degradation summary: :class:`FaultReport`.
 
 One report per run, filled in by :class:`repro.faults.FaultSchedule`
-while the communicator and the BFS engines consult it, and snapshotted
+while the communicator and the BFS engine consult it, and snapshotted
 into :class:`repro.bfs.result.BfsResult` when the search finishes.
 """
 

@@ -318,7 +318,7 @@ class FaultSchedule:
         return "shrink"
 
     # ------------------------------------------------------------------ #
-    # bookkeeping shared with the engines
+    # bookkeeping shared with the engine
     # ------------------------------------------------------------------ #
     def record_rollback(self, wasted_seconds: float) -> None:
         """Count one level rollback that threw away ``wasted_seconds``."""

@@ -152,18 +152,36 @@ def rmat_edges(
         raise ValueError("R-MAT probabilities must be non-negative and sum to <= 1")
     n = 1 << scale
     m = n * edge_factor
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
     ab = a + b
     a_norm = a / ab if ab > 0 else 0.5
     c_norm = c / (c + d) if (c + d) > 0 else 0.5
+    # One output, filled in place: each bit step shifts both columns and
+    # ORs in the new bits, drawing twice into one reused float buffer
+    # (the same ``rng.random(m)`` stream, so the edges and the generator's
+    # final state do not depend on the buffering).
+    edges = np.zeros((m, 2), dtype=VERTEX_DTYPE)
+    src, dst = edges[:, 0], edges[:, 1]
+    draw = np.empty(m, dtype=np.float64)
+    r_bit = np.empty(m, dtype=bool)
+    c_bit = np.empty(m, dtype=bool)
+    top_hit = np.empty(m, dtype=bool)
     for _ in range(scale):
-        r_bit = rng.random(m) > ab  # 1 => bottom half (row bit set)
-        thresh = np.where(r_bit, c_norm, a_norm)
-        c_bit = rng.random(m) > thresh  # 1 => right half (col bit set)
-        src = (src << 1) | r_bit.astype(np.int64)
-        dst = (dst << 1) | c_bit.astype(np.int64)
-    return np.column_stack([src, dst]).astype(VERTEX_DTYPE)
+        rng.random(out=draw)
+        np.greater(draw, ab, out=r_bit)  # 1 => bottom half (row bit set)
+        src <<= 1
+        src |= r_bit
+        rng.random(out=draw)
+        # 1 => right half (col bit set): the draw beats c_norm in the
+        # bottom half, a_norm in the top
+        np.greater(draw, c_norm, out=c_bit)
+        c_bit &= r_bit
+        np.greater(draw, a_norm, out=top_hit)
+        np.logical_not(r_bit, out=r_bit)
+        top_hit &= r_bit
+        c_bit |= top_hit
+        dst <<= 1
+        dst |= c_bit
+    return edges
 
 
 def dedup_undirected_edges(edges: np.ndarray) -> np.ndarray:

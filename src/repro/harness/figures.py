@@ -686,7 +686,8 @@ def _sieve(pt: dict, seed: int) -> Rows:
         for name, n, k, grid in pt["workloads"]
         for row in _variants(
             {"graph": GraphSpec(n=n, k=k, seed=pt["seed"]), "grid": grid},
-            [(f"{wire} {'on' if on else 'off'}", {"system": SystemSpec(wire=wire, sieve=on)})
+            [(f"{wire} {'on' if on else 'off'}",
+              {"system": SystemSpec(wire=wire), "opts": BfsOptions(use_sieve=on)})
              for wire in WIRES for on in (False, True)],
             counters=True,
         )

@@ -73,7 +73,8 @@ class Run:
     """One cell: a graph on a grid on a system, and the searches to run on it.
 
     ``system`` is the only description of machine / mapping / layout /
-    wire / faults / observe / sieve.  ``pairs`` are the searches (a
+    wire / faults / observe; ``opts`` holds the engine's switches (the
+    sieve among them).  ``pairs`` are the searches (a
     ``None`` target traverses the whole component); a row's ``searches``
     is their count and its ``seed`` is ``graph.seed``.
     """

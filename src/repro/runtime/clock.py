@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import CommunicationError
+
 
 class SimClock:
     """Vector of per-rank simulated times with comm/compute attribution."""
@@ -39,10 +41,18 @@ class SimClock:
         raise ValueError(f"unknown work kind {kind!r}")
 
     def advance_many(self, seconds: np.ndarray, kind: str = "compute") -> None:
-        """Advance every rank by its entry in ``seconds`` (vectorised)."""
+        """Advance every rank by its entry in ``seconds`` (vectorised).
+
+        ``seconds`` must be a per-rank vector of shape ``(nranks,)``; any
+        other shape raises :class:`CommunicationError`, as the
+        communicator's per-rank charges do.
+        """
         seconds = np.asarray(seconds, dtype=np.float64)
         if seconds.shape != (self.nranks,):
-            raise ValueError(f"expected per-rank vector of length {self.nranks}")
+            raise CommunicationError(
+                f"seconds must be a per-rank vector of shape ({self.nranks},), "
+                f"got shape {seconds.shape}"
+            )
         if (seconds < 0).any():
             raise ValueError("cannot advance clocks by negative time")
         self.time += seconds

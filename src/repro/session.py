@@ -30,9 +30,8 @@ from dataclasses import replace
 import numpy as np
 
 from repro.api import engine_mesh, resolve_machine_model, resolve_task_mapping
-from repro.bfs.bfs_2d import Bfs2DEngine
 from repro.bfs.bidirectional import run_bidirectional_bfs
-from repro.bfs.level_sync import run_bfs
+from repro.bfs.level_sync import LevelSyncEngine, run_bfs
 from repro.bfs.msbfs import MsBfsResult, run_ms_bfs
 from repro.bfs.options import BfsOptions
 from repro.bfs.result import BfsResult, BidirectionalResult
@@ -92,10 +91,6 @@ class BfsSession:
         )
         #: the resolved system description this session simulates
         self.system = resolve_system(system, wire=wire, faults=faults, observe=observe)
-        if self.system.sieve and not self.opts.use_sieve:
-            # The spec's sieve axis is the system-level switch; engines
-            # only read BfsOptions (mirrors repro.api.build_engine).
-            self.opts = replace(self.opts, use_sieve=True)
         self.machine = self.system.machine
         self.mapping = self.system.mapping
         self.layout = self.system.layout
@@ -149,7 +144,7 @@ class BfsSession:
     # engines
     # ------------------------------------------------------------------ #
     def _build_engine(self):
-        return Bfs2DEngine(self.partition, self._new_comm(), self.opts)
+        return LevelSyncEngine(self.partition, self._new_comm(), self.opts)
 
     def _new_engine(self, comm):
         """The session's long-lived engine, rebound to a fresh communicator."""

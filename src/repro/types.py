@@ -150,11 +150,6 @@ class SystemSpec:
     #: observability capture (``repro.observability``): ``"off"`` (default),
     #: ``"spans"``, ``"messages"``, ``"full"``, or an ``ObserveSpec``
     observe: str | Any = "off"
-    #: communication sieve (``repro.bfs.sieve``): filter fold candidates
-    #: against a sender-side shadow of each destination's visited set so
-    #: already-visited vertices never hit the wire; requires the
-    #: union-ring fold, and composes with fault injection
-    sieve: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.machine, str) and self.machine not in _KNOWN_MACHINES:
@@ -197,10 +192,6 @@ class SystemSpec:
                 f"observe must be a preset name or an ObserveSpec, "
                 f"got {type(self.observe).__name__}"
             )
-        if not isinstance(self.sieve, bool):
-            raise ConfigurationError(
-                f"sieve must be a bool, got {type(self.sieve).__name__}"
-            )
         if isinstance(self.faults, str):
             # preset name ("none", "mild", "harsh") or a key=value,...
             # string; frozen dataclass, so assign via object.__setattr__
@@ -223,7 +214,6 @@ SYSTEM_PRESETS: dict[str, SystemSpec] = {
     "bluegene-2d-bitmap": SystemSpec(wire="bitmap"),
     "bluegene-2d-adaptive": SystemSpec(wire="adaptive"),
     "bluegene-2d-observed": SystemSpec(observe="full"),
-    "bluegene-2d-sieve": SystemSpec(sieve=True),
 }
 
 
@@ -236,7 +226,6 @@ def resolve_system(
     wire: str | Any | None = None,
     faults: FaultSpec | str | None = None,
     observe: str | Any | None = None,
-    sieve: bool | None = None,
 ) -> SystemSpec:
     """The single shared resolver behind every ``system=`` entry point.
 
@@ -268,7 +257,7 @@ def resolve_system(
         for key, value in (
             ("machine", machine), ("mapping", mapping),
             ("layout", layout), ("wire", wire), ("faults", faults),
-            ("observe", observe), ("sieve", sieve),
+            ("observe", observe),
         )
         if value is not None
     }

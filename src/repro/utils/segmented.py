@@ -15,9 +15,9 @@ its smallest tie.  Decoding is shifts and masks, never a division.  The
 union rings pack (final chunk, vertex, joining round); with ``tie_bits =
 0`` the kernel is a plain sorted unique.  Where every segment's values
 fall in a range of their own — a rank's owned block, its column chunk —
-the engines need no sort at all and use index arithmetic instead
-(``LevelSyncEngine._owned_union``, the 2D engine's direct-index lookup
-and F-bar splice).  :func:`range_indices` is the gather behind every CSR
+the engine needs no sort at all and uses index arithmetic instead
+(``LevelSyncEngine._owned_union``, its direct-index lookup and F-bar
+splice).  :func:`range_indices` is the gather behind every CSR
 lookup.
 """
 
@@ -49,7 +49,7 @@ def range_indices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the concatenated ranges ``[starts[k], starts[k] + lengths[k])``.
 
-    The gather behind every CSR lookup in the engines: ``values[idx]``
+    The gather behind every CSR lookup in the engine: ``values[idx]``
     is the ranges' contents back to back, and any column parallel to
     ``values`` rides the same ``idx``.  Returns ``(idx, offsets)`` where
     range ``k`` occupies ``idx[offsets[k]:offsets[k+1]]``; zero-length

@@ -7,7 +7,8 @@ import pytest
 
 import repro
 from repro.api import bidirectional_bfs, build_communicator, build_engine, distributed_bfs
-from repro.bfs.bfs_2d import Bfs2DEngine
+from repro.bfs.level_sync import LevelSyncEngine
+from repro.bfs.options import BfsOptions
 from repro.bfs.serial import serial_bfs
 from repro.errors import ConfigurationError
 from repro.faults.chaos import run_chaos
@@ -48,16 +49,21 @@ class TestBuildCommunicator:
         comm = build_communicator(GridShape(2, 2), buffer_capacity=64)
         assert comm.buffer_capacity == 64
 
+    def test_tuple_grid_accepted(self):
+        """A tuple grid is coerced, as every other entry point does."""
+        comm = build_communicator((2, 3))
+        assert comm.grid == GridShape(2, 3) and comm.nranks == 6
+
 
 class TestBuildEngine:
     def test_2d_default(self, small_graph):
         engine = build_engine(small_graph, (2, 2))
-        assert isinstance(engine, Bfs2DEngine)
+        assert isinstance(engine, LevelSyncEngine)
 
     def test_1d(self, small_graph):
         """Algorithm 2 on 1 x P, placed as the requested 4 x 1 grid is."""
         engine = build_engine(small_graph, (4, 1), system="bluegene-1d")
-        assert isinstance(engine, Bfs2DEngine)
+        assert isinstance(engine, LevelSyncEngine)
         assert engine.partition.grid == engine.comm.grid == GridShape(1, 4)
         placed = build_communicator(GridShape(4, 1)).mapping.rank_to_node
         assert np.array_equal(engine.comm.mapping.rank_to_node, placed)
@@ -65,6 +71,26 @@ class TestBuildEngine:
     def test_tuple_grid_accepted(self, small_graph):
         engine = build_engine(small_graph, (2, 3))
         assert engine.comm.nranks == 6
+
+    def test_prebuilt_comm_must_chunk_at_the_options_capacity(self, small_graph):
+        """The engine reads the capacity from its communicator only, so a
+        communicator that would not chunk as ``opts`` say is rejected."""
+        comm = build_communicator(GridShape(2, 2))
+        with pytest.raises(ConfigurationError, match="buffer_capacity"):
+            build_engine(small_graph, (2, 2), opts=BfsOptions(buffer_capacity=4), comm=comm)
+        capped = build_communicator(GridShape(2, 2), buffer_capacity=4)
+        with pytest.raises(ConfigurationError, match="buffer_capacity"):
+            build_engine(small_graph, (2, 2), comm=capped)
+        engine = build_engine(
+            small_graph, (2, 2), opts=BfsOptions(buffer_capacity=4), comm=capped
+        )
+        assert engine.comm is capped
+
+    def test_rebind_checks_the_capacity_too(self, small_graph):
+        engine = build_engine(small_graph, (2, 2), opts=BfsOptions(buffer_capacity=4))
+        with pytest.raises(ConfigurationError, match="buffer_capacity"):
+            engine.rebind(build_communicator(GridShape(2, 2)))
+        engine.rebind(build_communicator(GridShape(2, 2), buffer_capacity=4))
 
     def test_1d_needs_degenerate_grid(self, small_graph):
         with pytest.raises(ConfigurationError):

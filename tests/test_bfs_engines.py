@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import build_communicator, build_engine
-from repro.bfs.bfs_2d import Bfs2DEngine
-from repro.bfs.level_sync import run_bfs
+from repro.bfs.level_sync import LevelSyncEngine, run_bfs
 from repro.bfs.options import BfsOptions
 from repro.bfs.serial import serial_bfs
 from repro.errors import ConfigurationError, SearchError
@@ -55,7 +54,7 @@ class TestBfs1D:
         part = TwoDPartition(small_graph, GridShape(1, 4))
         comm = build_communicator(GridShape(8, 1))
         with pytest.raises(ConfigurationError):
-            Bfs2DEngine(part, comm)
+            LevelSyncEngine(part, comm)
 
     def test_step_before_start_rejected(self, small_graph):
         engine = build_engine(small_graph, GridShape(4, 1), system="bluegene-1d")
@@ -118,7 +117,7 @@ class TestBfs2D:
         part = TwoDPartition(small_graph, GridShape(2, 2))
         comm = build_communicator(GridShape(4, 1))
         with pytest.raises(ConfigurationError):
-            Bfs2DEngine(part, comm)
+            LevelSyncEngine(part, comm)
 
     @pytest.mark.parametrize("grid", [GridShape(4, 4), GridShape(3, 2), GridShape(1, 4)], ids=str)
     def test_expand_targets_follow_the_filter(self, small_graph, grid):

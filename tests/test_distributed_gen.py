@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import build_communicator
-from repro.bfs.bfs_2d import Bfs2DEngine
-from repro.bfs.level_sync import run_bfs
+from repro.bfs.level_sync import LevelSyncEngine, run_bfs
 from repro.bfs.serial import serial_bfs
 from repro.graph.distributed_gen import DistributedGraphBuilder, _sample_cell
 from repro.graph.generators import build_graph
@@ -144,7 +143,7 @@ class TestBuilderEquivalence:
         builder = DistributedGraphBuilder(spec, grid)
         partition = builder.build_partition()
         comm = build_communicator(grid)
-        result = run_bfs(Bfs2DEngine(partition, comm), 0)
+        result = run_bfs(LevelSyncEngine(partition, comm), 0)
         assert np.array_equal(result.levels, serial_bfs(builder.reference_graph(), 0))
 
     def test_from_entries_rejects_bad_entries(self):

@@ -104,18 +104,22 @@ class TestGnp:
         assert gnp_edges(1, 0.5, _rng()).shape == (0, 2)
 
 
-def _stream_digests(n, p, seed):
-    """``(edge count, sha256 of the edges, sha256 of the generator's final
-    state)`` of one ``gnp_edges`` call on the Poisson graph's stream."""
-    rng = RngFactory(seed).named("poisson-graph")
-    edges = gnp_edges(n, p, rng)
+def _digests(edges, rng):
+    """``(sha256 of the edges, sha256 of the generator's final state)``."""
     head = f"{edges.dtype.str}{edges.shape}".encode()
     state = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
     return (
-        edges.shape[0],
         hashlib.sha256(head + edges.tobytes()).hexdigest(),
         hashlib.sha256(state).hexdigest(),
     )
+
+
+def _stream_digests(n, p, seed):
+    """``(edge count, *_digests)`` of one ``gnp_edges`` call on the Poisson
+    graph's stream."""
+    rng = RngFactory(seed).named("poisson-graph")
+    edges = gnp_edges(n, p, rng)
+    return (edges.shape[0], *_digests(edges, rng))
 
 
 # Captured from the unwindowed sampler (one geometric call per block, one
@@ -263,6 +267,43 @@ class TestRmat:
     def test_invalid_probabilities(self):
         with pytest.raises(ValueError):
             rmat_edges(4, 4, _rng(), a=0.6, b=0.3, c=0.2)
+
+
+def _rmat_digests(scale, edge_factor, seed, **probs):
+    """:func:`_digests` of one ``rmat_edges`` call on the R-MAT graph's stream."""
+    rng = RngFactory(seed).named("rmat-graph")
+    return _digests(rmat_edges(scale, edge_factor, rng, **probs), rng)
+
+
+# Captured from the sampler that built fresh src/dst arrays every bit step
+# and stacked them at the end; the in-place sampler must reproduce them.
+RMAT_STREAMS = {
+    "scale-3": (
+        (3, 4, 1, {}),
+        "979b11ae620a0e59abbe27644574dad6b8a706ca6f540b58c044c8530ca31e47",
+        "836e974f6c68284f934bfd6740b1c58cd72720ea42e6456cfa0c6b6d54e78007",
+    ),
+    "scale-12-custom-probs": (
+        (12, 8, 2, {"a": 0.45, "b": 0.15, "c": 0.15}),
+        "b494728d06a1ba6ed82cef86dcda7e61d75b74c55d82335a5df1c9a514af3d2b",
+        "08896aea659b08446a23418eb42fc55e200f8ddf30bc9db0faa68810e693dd48",
+    ),
+    "scale-16": (
+        (16, 16, 3, {}),
+        "d8eb8e72685d14309203130c26aa0f5e34d54abe1a1cd58b5ad5864fa0d59ee9",
+        "be1fd6448588b020cb20016c05c1d509f2bd49ad23d8c6157edab251875c7cb2",
+    ),
+}
+
+
+class TestRmatStream:
+    """The edges and the generator's final state are pinned: filling one
+    output in place changes neither."""
+
+    @pytest.mark.parametrize("name", list(RMAT_STREAMS))
+    def test_stream_pinned(self, name):
+        (scale, edge_factor, seed, probs), edges, state = RMAT_STREAMS[name]
+        assert _rmat_digests(scale, edge_factor, seed, **probs) == (edges, state)
 
 
 class TestDedup:

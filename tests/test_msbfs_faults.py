@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bfs.bfs_2d import Bfs2DEngine
+from repro.bfs.level_sync import LevelSyncEngine
 from repro.bfs.msbfs import _MsBfsRun
 from repro.bfs.options import BfsOptions
 from repro.collectives.base import FoldCollective
@@ -115,7 +115,7 @@ def test_withheld_middle_chunk_keeps_masks_paired(
         seg = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
         return sorted(zip(seg.tolist(), flat.tolist(), masks.tolist()))
 
-    real_expand = Bfs2DEngine._expand_step
+    real_expand = LevelSyncEngine._expand_step
 
     def checked_expand(self, fflat, fbounds, fmasks):
         del rounds[:]
@@ -147,7 +147,7 @@ def test_withheld_middle_chunk_keeps_masks_paired(
         return got
 
     monkeypatch.setattr(Communicator, "exchange_arrays", spy_round)
-    monkeypatch.setattr(Bfs2DEngine, "_expand_step", checked_expand)
+    monkeypatch.setattr(LevelSyncEngine, "_expand_step", checked_expand)
     monkeypatch.setattr(FoldCollective, "fold", checked_fold)
     faulted = BfsSession(
         small_graph, grid, opts=BfsOptions(buffer_capacity=8),

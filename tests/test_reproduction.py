@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bfs.options import BfsOptions
 from repro.harness import views
 from repro.harness.figures import FIGURES
 from repro.harness.runner import Run, execute
@@ -79,8 +80,14 @@ class TestSystemColumns:
         assert row["mapping"] == spec.mapping
         assert row["wire"] == spec.wire
         assert row["observe"] == spec.observe
-        assert row["sieve"] is spec.sieve
+        assert row["sieve"] is False
         assert row["faults"] == "none"
+
+    def test_sieve_column_reads_the_options(self):
+        """The sieve is an engine switch: the row reports ``opts.use_sieve``."""
+        run = Run("s", GraphSpec(n=120, k=5, seed=1), GridShape(2, 2),
+                  opts=BfsOptions(use_sieve=True))
+        assert execute(run).row()["sieve"] is True
 
     def test_faults_column_names_the_preset(self):
         run = Run("f", GraphSpec(n=120, k=5, seed=1), GridShape(2, 2),

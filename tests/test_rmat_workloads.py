@@ -125,15 +125,14 @@ class TestDistributedRmatGeneration:
         assert entries == 2 * build_graph(spec).num_edges
 
     def test_partition_runs_bfs_identically(self):
-        from repro.bfs.bfs_2d import Bfs2DEngine
-        from repro.bfs.level_sync import run_bfs
+        from repro.bfs.level_sync import LevelSyncEngine, run_bfs
 
         spec = GraphSpec.rmat(9, edge_factor=8, seed=11)
         central = build_graph(spec)
         session = BfsSession(central, (2, 2))
         expected = session.bfs(3).levels
         partition = DistributedGraphBuilder(spec, GridShape(2, 2)).build_partition()
-        engine = Bfs2DEngine(partition, session._new_comm())
+        engine = LevelSyncEngine(partition, session._new_comm())
         assert np.array_equal(run_bfs(engine, 3).levels, expected)
 
 

@@ -87,8 +87,11 @@ class TestSimClock:
         assert clock.max_comm_time == 3.0
 
     def test_advance_many_shape_checked(self):
-        with pytest.raises(ValueError):
+        """A wrong-shape vector names the expected and the actual shape."""
+        with pytest.raises(CommunicationError, match=r"shape \(3,\), got shape \(2,\)"):
             SimClock(3).advance_many(np.array([1.0, 2.0]))
+        with pytest.raises(CommunicationError, match=r"got shape \(1, 3\)"):
+            SimClock(3).advance_many(np.ones((1, 3)))
 
 
 def round_times(net: Network, *transfers: tuple[int, int, int]):

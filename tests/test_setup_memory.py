@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 
 from repro.graph import generators
-from repro.graph.generators import build_graph, gnp_edges
+from repro.graph.generators import build_graph, gnp_edges, rmat_edges
 from repro.partition.two_d import TwoDPartition
 from repro.types import GraphSpec, GridShape
 from repro.utils.rng import RngFactory
@@ -40,6 +40,17 @@ def test_sampler_peaks_at_its_output_plus_a_few_windows():
     window_bytes = generators._WINDOW * np.dtype(np.int64).itemsize
     assert edges.nbytes > 4 * window_bytes  # several windows, so the bound bites
     assert peak <= edges.nbytes + 12 * window_bytes
+
+
+def test_rmat_sampler_fills_its_output_in_place():
+    """Scale 16, edge factor 16: ``rmat_edges`` shifts and ORs the bits
+    into one ``(m, 2)`` output and draws into reused buffers, so the peak
+    stays within 2.5 x the 16 MB output (fresh per-step arrays and a final
+    stack peaked at 3.6 x)."""
+    rng = RngFactory(0).named("rmat-graph")
+    edges, peak = traced_peak(lambda: rmat_edges(16, 16, rng))
+    assert edges.shape == (1 << 20, 2) and edges.flags.c_contiguous
+    assert peak <= 2.5 * edges.nbytes
 
 
 def test_partition_build_peaks_within_four_slot_tables():

@@ -20,7 +20,7 @@ from repro.analysis.bounds import (
     predicted_level_traffic_bytes,
     predicted_sieved_level_traffic_bytes,
 )
-from repro.api import build_engine, distributed_bfs
+from repro.api import distributed_bfs
 from repro.backends.spmd import spmd_bfs
 from repro.bfs.options import BfsOptions
 from repro.bfs.sieve import PooledSieve
@@ -29,7 +29,7 @@ from repro.faults import FaultSpec
 from repro.graph.generators import build_graph
 from repro.machine.bluegene import BLUEGENE_L
 from repro.observability.digest import stats_digest
-from repro.types import SYSTEM_PRESETS, GraphSpec, GridShape, SystemSpec
+from repro.types import SYSTEM_PRESETS, GraphSpec, GridShape, SystemSpec, resolve_system
 
 SPEC = GraphSpec(n=1_500, k=8.0, seed=11)
 
@@ -39,9 +39,12 @@ def graph():
     return build_graph(SPEC)
 
 
-def _pair(graph, grid, system=SystemSpec(), opts=None):
+SIEVE = BfsOptions(use_sieve=True)
+
+
+def _pair(graph, grid, system=SystemSpec(), opts=BfsOptions()):
     off = distributed_bfs(graph, grid, 0, opts=opts, system=system)
-    on = distributed_bfs(graph, grid, 0, opts=opts, system=replace(system, sieve=True))
+    on = distributed_bfs(graph, grid, 0, opts=replace(opts, use_sieve=True), system=system)
     return off, on
 
 
@@ -64,8 +67,8 @@ class TestLevelsIdentity:
         assert on.stats.total_sieved > 0
 
     def test_spmd_levels_match_simulator(self, graph):
-        sim = distributed_bfs(graph, (2, 2), 0, system=SystemSpec(sieve=True))
-        spmd = spmd_bfs(graph, (2, 2), 0, opts=BfsOptions(use_sieve=True))
+        sim = distributed_bfs(graph, (2, 2), 0, opts=SIEVE)
+        spmd = spmd_bfs(graph, (2, 2), 0, opts=SIEVE)
         assert np.array_equal(sim.levels, spmd)
 
 
@@ -96,11 +99,9 @@ class TestTrafficReduction:
 class TestBackendParity:
     @pytest.mark.parametrize("wire", ["raw", "adaptive"])
     def test_sieved_counts_match_simulator(self, graph, wire):
-        sim = distributed_bfs(
-            graph, (2, 2), 0, system=SystemSpec(wire=wire, sieve=True)
-        )
+        sim = distributed_bfs(graph, (2, 2), 0, opts=SIEVE, wire=wire)
         levels, sieved = spmd_bfs(
-            graph, (2, 2), 0, opts=BfsOptions(use_sieve=True), wire=wire,
+            graph, (2, 2), 0, opts=SIEVE, wire=wire,
             return_sieved=True,
         )
         assert np.array_equal(sim.levels, levels)
@@ -108,11 +109,10 @@ class TestBackendParity:
 
     def test_single_rank_sieves_nothing(self, graph):
         levels, sieved = spmd_bfs(
-            graph, (1, 1), 0, opts=BfsOptions(use_sieve=True),
-            return_sieved=True,
+            graph, (1, 1), 0, opts=SIEVE, return_sieved=True,
         )
         assert sieved == 0
-        sim = distributed_bfs(graph, (1, 1), 0, system=SystemSpec(sieve=True))
+        sim = distributed_bfs(graph, (1, 1), 0, opts=SIEVE)
         assert sim.stats.total_sieved == 0
         assert np.array_equal(sim.levels, levels)
 
@@ -130,31 +130,23 @@ class TestFaultComposition:
     def test_faulted_sieved_levels_match_fault_free(
         self, graph, grid, layout, faults
     ):
-        clean = distributed_bfs(
-            graph, grid, 0, system=SystemSpec(layout=layout, sieve=True)
-        )
+        clean = distributed_bfs(graph, grid, 0, opts=SIEVE, system=SystemSpec(layout=layout))
         faulted = distributed_bfs(
-            graph, grid, 0,
-            system=SystemSpec(layout=layout, sieve=True, faults=faults),
+            graph, grid, 0, opts=SIEVE, system=SystemSpec(layout=layout, faults=faults),
         )
         assert np.array_equal(clean.levels, faulted.levels)
         assert faulted.stats.total_sieved > 0
 
     def test_rollbacks_fire_and_sieved_counts_deterministic(self, graph):
         def run():
-            r = distributed_bfs(
-                graph, (4, 4), 0,
-                system=SystemSpec(layout="2d", sieve=True, faults=self.HEAVY),
-            )
+            r = distributed_bfs(graph, (4, 4), 0, opts=SIEVE, faults=self.HEAVY)
             return r.stats.total_sieved, r.faults.rollbacks, r.levels.tobytes()
 
         sieved, rollbacks, _ = run()
         assert rollbacks > 0
         # replayed attempts re-count their sieved candidates (run totals
         # survive abort_level), so the faulted tally exceeds fault-free
-        clean = distributed_bfs(
-            graph, (4, 4), 0, system=SystemSpec(layout="2d", sieve=True)
-        )
+        clean = distributed_bfs(graph, (4, 4), 0, opts=SIEVE)
         assert sieved > clean.stats.total_sieved
         assert run() == (sieved, rollbacks, clean.levels.tobytes())
 
@@ -163,10 +155,7 @@ class TestFaultComposition:
         # comparisons pin use_expand_filter=False (the SPMD convention)
         opts = BfsOptions(use_sieve=True, use_expand_filter=False)
         spec = FaultSpec(seed=0, drop_rate=0.18, max_retries=1)
-        sim = distributed_bfs(
-            graph, (2, 2), 0, opts=opts,
-            system=SystemSpec(sieve=True, faults=spec),
-        )
+        sim = distributed_bfs(graph, (2, 2), 0, opts=opts, faults=spec)
         levels, report, sieved = spmd_bfs(
             graph, (2, 2), 0, opts=opts, faults=spec,
             return_report=True, return_sieved=True,
@@ -179,28 +168,21 @@ class TestFaultComposition:
 
 class TestRejections:
     @pytest.mark.parametrize("fold", ["direct", "ring", "two-phase", "bruck"])
-    def test_non_union_ring_fold_rejected(self, graph, fold):
-        """One place rejects sieve x fold — the options, for every backend
-        and however the sieve was switched on."""
+    def test_non_union_ring_fold_rejected(self, fold):
+        """One place rejects sieve x fold — the options, for every backend."""
         with pytest.raises(ConfigurationError, match="union-ring"):
             BfsOptions(use_sieve=True, fold_collective=fold)
-        with pytest.raises(ConfigurationError, match="union-ring"):
-            build_engine(
-                graph, (2, 2), opts=BfsOptions(fold_collective=fold),
-                system=SystemSpec(sieve=True),
-            )
 
-    def test_system_spec_validates_sieve(self):
-        with pytest.raises(Exception, match="sieve must be a bool"):
-            SystemSpec(sieve="yes")
+    def test_options_are_the_only_sieve_switch(self):
+        """The system description has no sieve axis to OR with the options."""
+        with pytest.raises(TypeError):
+            SystemSpec(sieve=True)
+        with pytest.raises(TypeError):
+            resolve_system(sieve=True)
+        assert not any("sieve" in name for name in SYSTEM_PRESETS)
 
 
 class TestConfiguration:
-    def test_preset_enables_sieve(self, graph):
-        assert SYSTEM_PRESETS["bluegene-2d-sieve"].sieve is True
-        result = distributed_bfs(graph, (2, 2), 0, system="bluegene-2d-sieve")
-        assert result.stats.total_sieved > 0
-
     def test_cli_flag_enables_sieve(self, capsys):
         from repro.cli import main
 

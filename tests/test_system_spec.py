@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.api import build_communicator, build_engine, distributed_bfs
-from repro.bfs.bfs_2d import Bfs2DEngine
+from repro.bfs.level_sync import LevelSyncEngine
 from repro.errors import ConfigurationError
 from repro.faults import FaultSpec
 from repro.machine.bluegene import BLUEGENE_L
@@ -24,7 +24,7 @@ from repro.types import SYSTEM_PRESETS, GridShape, SystemSpec, resolve_system
 
 def assert_1d(engine, grid: GridShape, placement_system: str) -> None:
     """A "1d" engine: Algorithm 2 on ``1 x P``, placed as ``grid`` is."""
-    assert isinstance(engine, Bfs2DEngine)
+    assert isinstance(engine, LevelSyncEngine)
     assert engine.partition.grid == engine.comm.grid == GridShape(1, grid.size)
     placed = build_communicator(grid, system=placement_system).mapping.rank_to_node
     assert np.array_equal(engine.comm.mapping.rank_to_node, placed)
@@ -135,7 +135,7 @@ class TestEntryPoints:
         engine = build_engine(small_graph, (4, 1), system="bluegene-1d")
         assert_1d(engine, GridShape(4, 1), "bluegene-2d")
         engine = build_engine(small_graph, (2, 2), system="bluegene-2d")
-        assert isinstance(engine, Bfs2DEngine)
+        assert isinstance(engine, LevelSyncEngine)
 
     def test_distributed_bfs_faults_preset_string(self, small_graph):
         from repro.faults import FAULT_PRESETS
