@@ -189,5 +189,6 @@ def bidirectional_bfs(
     opts = opts or BfsOptions()
     comm = build_communicator(grid, system=spec, buffer_capacity=opts.buffer_capacity)
     forward = build_engine(graph, grid, opts=opts, system=spec, comm=comm)
-    backward = build_engine(graph, grid, opts=opts, system=spec, comm=comm)
+    # one partition serves both directions, as in BfsSession
+    backward = LevelSyncEngine(forward.partition, comm, opts)
     return run_bidirectional_bfs(forward, backward, source, target)

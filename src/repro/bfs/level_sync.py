@@ -126,9 +126,6 @@ class LevelSyncEngine:
         #: no unvisited bitmap from column peers, no second finder to
         #: de-duplicate, so none of the three is charged.
         self._column_peers = self.grid.rows > 1
-        #: fold buckets within a processor-row are contiguous vertex ranges:
-        #: row member m (mesh column m) owns block rows [m*R, (m+1)*R)
-        self._member_bounds = partition.dist.offsets[:: self.grid.rows]
         #: per-vertex expand-target CSR (lazy): the column-group peers
         #: holding a non-empty partial edge list for each vertex
         self._etarget_indptr: np.ndarray | None = None
@@ -474,7 +471,8 @@ class LevelSyncEngine:
             # in mesh-column order — own ascending ranges, so ``flat`` is
             # already in slot order (sender, then in-group destination).
             size = self.grid.cols
-            member = np.searchsorted(self._member_bounds, flat, side="right") - 1
+            # row member m (mesh column m) owns blocks [m*R, (m+1)*R)
+            member = self.partition.dist.part_of(flat) // self.grid.rows
             slot = np.repeat(ranks, np.diff(bounds)) * size + member
             csizes = np.bincount(slot, minlength=nranks * size)
         with obs.span("fold", cat="phase"):

@@ -215,7 +215,7 @@ def _union_rings(
     # Bundle F (the a chunks member F ends up holding) carries in round t
     # what joined by round t.  Bundles with content are numbered by a
     # per-chunk lookup and land in a round-major table of (round, holder)
-    # cells; its non-empty cells are the messages.
+    # cells: the rounds' messages, handed over as the table they are.
     present = counts.reshape(nseg, a).any(axis=1)
     moving = np.flatnonzero(present)
     bundle = np.repeat(np.cumsum(present) - 1, a)[chunk_of]
@@ -224,14 +224,13 @@ def _union_rings(
     sent[_ring_cells(nseg, b)[moving].ravel()] = np.cumsum(
         joined_by.reshape(-1, b)[:, :-1], axis=1
     ).ravel()
-    carried = np.flatnonzero(sent > 0)
-    sizes = sent[carried]
-    del bundle, joined_by, sent
-    rounds = np.searchsorted(carried, np.arange(b, dtype=np.int64) * nseg)
-    payload = flat
+    del bundle, joined_by
+    # the raw codec reads sizes only, so the cells index no buffer
+    payload, starts = flat, np.broadcast_to(np.int64(0), (b - 1, nseg))
     if comm.wire.name != "raw":
         # a content-pricing codec reads every round's bundles: each lane
         # of the union holds what had joined by that round, in order
+        carried = np.flatnonzero(sent)
         round_of = carried // nseg
         member = carried - round_of * nseg
         col = member % b
@@ -239,21 +238,20 @@ def _union_rings(
         lengths = np.diff(bounds)[lane]
         idx, _ = range_indices(bounds[lane].ravel(), lengths.ravel())
         payload = flat[idx[joined[idx] <= np.repeat(round_of, lengths.sum(axis=1))]]
-    # else: the raw codec reads sizes only, so the offsets index no buffer
-    holder = np.subtract(carried, carried // nseg * nseg, out=carried)  # carried % nseg
+        starts = np.zeros(sent.size, dtype=np.int64)
+        starts[carried] = np.cumsum(sent[carried]) - sent[carried]
+        starts = starts.reshape(b - 1, nseg)
+    sent = sent.reshape(b - 1, nseg)
     col = np.arange(nseg, dtype=np.int64) % b
     succ_rank = ranks[np.arange(nseg) - col + (col + 1) % b]
     if deliver:
         # the last round hands every member its own chunk
-        last = slice(rounds[b - 2], None)
-        comm.stats.record_delivery_bulk(succ_rank[holder[last]], sizes[last], lock.phase)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    del sizes
+        comm.stats.record_delivery_bulk(succ_rank, sent[-1], lock.phase)
     comm.exchange_arrays(
-        ranks[holder], succ_rank[holder], payload, offsets[:-1], offsets[1:], lock.phase,
+        ranks, succ_rank, payload, starts, sent if payload is flat else starts + sent,
+        lock.phase,
         participants=lock.participants,
         population=comm.network.prepare_pairs(ranks, succ_rank),
-        pop_idx=holder, rounds=rounds,
     )
     return flat, bounds
 

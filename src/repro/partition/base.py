@@ -45,7 +45,10 @@ class BlockDistribution:
         items = as_vertex_array(items)
         if items.size and (items.min() < 0 or items.max() >= self.n):
             raise PartitionError("item ids out of range for this distribution")
-        return np.searchsorted(self.offsets, items, side="right") - 1
+        # the first n % parts parts hold one item more than the rest
+        base, rem = divmod(self.n, self.parts)
+        big = rem * (base + 1)
+        return np.where(items < big, items // (base + 1), rem + (items - big) // max(base, 1))
 
     def _check_part(self, part: int) -> None:
         if not (0 <= part < self.parts):

@@ -77,6 +77,65 @@ class SimClock:
         self.time[idx] = horizon
         return horizon
 
+    def replay(
+        self,
+        charges: list[tuple[np.ndarray, str]],
+        participants: list[int] | np.ndarray | None = None,
+        ranks: np.ndarray | None = None,
+        each=None,
+    ) -> None:
+        """Replay rounds of charges, one barrier each.
+
+        Every ``(seconds, kind)`` charge is an ``(R, m)`` matrix over the
+        same ``R`` rounds, column ``j`` charging rank ``ranks[j]`` (``None``:
+        ``m = nranks``, column ``j`` is rank ``j``).  Round ``t`` advances
+        the ranks by row ``t`` of each charge in order, booking it to
+        ``kind``, then synchronises ``participants`` (``None``: every rank)
+        — bit for bit :meth:`advance_many` per charge and :meth:`sync` per
+        round, the ranks outside ``ranks`` advancing by zero.  ``each(t)``,
+        when given, runs before round ``t`` moves a clock; a callable it
+        returns runs after the round's barrier.
+
+        The matrices are checked once, before any clock moves: a shape
+        other than the first matrix's ``(R, m)`` raises
+        :class:`CommunicationError`, a negative entry :class:`ValueError`.
+        Then each round is in-place vector work.
+        """
+        width = self.nranks if ranks is None else len(ranks)
+        nrounds = np.shape(charges[0][0])[0] if charges and np.ndim(charges[0][0]) == 2 else 0
+        rows = []
+        for seconds, kind in charges:
+            if np.shape(seconds) != (nrounds, width):
+                raise CommunicationError(
+                    f"charges must be (rounds, {width}) matrices of one shape, "
+                    f"got shape {np.shape(seconds)}"
+                )
+            if (seconds < 0).any():
+                raise ValueError("cannot advance clocks by negative time")
+            rows.append((np.asarray(seconds, dtype=np.float64), self._bucket(kind)))
+        time, comm = self.time, self.comm_time
+        idx = None if participants is None else np.asarray(participants, dtype=np.int64)
+        wait = np.empty(self.nranks, dtype=np.float64)
+        for t in range(nrounds):
+            after = None if each is None else each(t)
+            for seconds, bucket in rows:
+                if ranks is None:
+                    time += seconds[t]
+                    bucket += seconds[t]
+                else:
+                    time[ranks] += seconds[t]
+                    bucket[ranks] += seconds[t]
+            if idx is None:
+                horizon = time.max()
+                comm += np.subtract(horizon, time, out=wait)
+                time.fill(horizon)
+            elif idx.size:
+                horizon = time[idx].max()
+                comm[idx] += horizon - time[idx]
+                time[idx] = horizon
+            if after is not None:
+                after()
+
     @property
     def elapsed(self) -> float:
         """Simulated makespan: the slowest rank's clock."""

@@ -129,7 +129,6 @@ class Communicator:
         population=None,
         pop_idx: np.ndarray | None = None,
         masks: np.ndarray | None = None,
-        rounds: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Execute synchronous rounds of point-to-point messages.
 
@@ -140,9 +139,21 @@ class Communicator:
         chunked to ``buffer_capacity`` (each chunk is a separate message
         paying its own latency — the cost of the paper's fixed-length
         buffers) and participants are barrier-synchronised after each
-        round.  ``rounds`` (CSR bounds over the messages) runs several
-        rounds back to back, each in its own ``round t`` span, with every
-        float the single-round calls would give; ``None``: one round.
+        round.
+
+        *A ring's rounds* come as a table: ``starts`` and ``stops`` of
+        shape ``(R, n)`` over ``n`` pairs ``src[k] -> dst[k]`` whose
+        destinations are their sources, each once (a ring's member ->
+        successor pairs).  Cell ``(t, k)`` is pair ``k``'s message of
+        round ``t`` — none where ``starts == stops`` — so every rank sends
+        and receives at most one message a round.  The rounds run back to
+        back, each in its own ``round t`` span, and are priced as a table
+        (:meth:`~repro.runtime.network.Network.round_times_table`) in
+        slabs of at most 64 rounds; codecs, fault schedules and recorders
+        read the cells round-major, pairs ascending.  ``population`` is
+        the pairs' prepared population (prepared here when ``None``).  A
+        buffer cap that splits a cell runs the cells as message rows
+        instead, one generic load analysis a round.
 
         ``masks``, a batched traversal's mask-word column parallel to
         ``flat``, rides the same messages uncompressed (dense bitmasks
@@ -151,32 +162,54 @@ class Communicator:
         charged before the barrier and counted in the byte totals only —
         no messages, vertices or phase split.  The words re-join their
         vertices by position: the chunk bounds returned index both
-        columns.
+        columns.  A table carries no mask column.
 
         With a fault schedule attached, each chunk may be dropped and
         retried (see the module docstring); a chunk lost for good flags
         the current level as failed.  Returns ``None`` when every chunk
         arrived, else ``(msg, starts, stops)`` of the chunks that did:
-        chunk ``j`` is ``flat[starts[j]:stops[j]]`` of message ``msg[j]``.
+        chunk ``j`` is ``flat[starts[j]:stops[j]]`` of message ``msg[j]``
+        (of cell ``msg[j] = t * n + k`` for a table).
 
-        ``population``/``pop_idx`` forward to
+        ``population``/``pop_idx`` (one round of message rows) forward to
         :meth:`~repro.runtime.network.Network.round_times_arrays` — the
         prepared-pair-population contention shortcut (dropped for a call
         the buffer cap splits: its chunks repeat pairs) — and the
         population's pair ids key the fault schedule's answers, where
         other rounds ask :meth:`~repro.runtime.network.Network.pair_ids`.
 
-        The arguments' shapes are checked first, in O(1) plus O(rounds):
-        ``src``, ``dst``, ``starts``, ``stops`` and ``pop_idx`` hold one
-        entry per message, ``masks`` one per entry of ``flat``, and
-        ``rounds`` is a CSR over the messages.  A violation raises
+        The arguments' shapes are checked first, in O(1): ``src``,
+        ``dst``, ``pop_idx`` and the rows of ``starts`` and ``stops`` hold
+        one entry per message (per pair for a table), and ``masks`` one
+        per entry of ``flat``.  A violation raises
         :class:`CommunicationError` naming the argument, before anything
         is counted or charged.
         """
-        _check_messages(self.nranks, src, dst, flat, starts, stops, pop_idx, masks, rounds)
+        _check_messages(self.nranks, src, dst, flat, starts, stops, pop_idx, masks)
+        capacity = self.buffer_capacity
+        if capacity is not None and capacity < 1:
+            raise BufferOverflowError(f"buffer capacity must be positive, got {capacity}")
+        if np.ndim(starts) == 2:
+            sizes = stops - starts
+            if capacity is None or sizes.max(initial=0) <= capacity:
+                if population is None:
+                    population = self.network.prepare_pairs(src, dst)
+                return self._table_rounds(
+                    src, dst, flat, starts, stops, sizes, phase, participants, population
+                )
+            # split cells repeat pairs in a round: message rows, round-major
+            cells = np.flatnonzero(sizes)
+            pair = cells % src.size
+            msg, starts, stops, arrived = self._round(
+                src[pair], dst[pair], flat, starts.ravel()[cells], stops.ravel()[cells],
+                phase, participants,
+                rounds=np.searchsorted(cells, np.arange(sizes.shape[0] + 1) * src.size),
+            )
+            if arrived is None:
+                return None
+            return cells[msg[arrived]], starts[arrived], stops[arrived]
         msg, starts, stops, arrived = self._round(
-            src, dst, flat, starts, stops, phase, participants,
-            population, pop_idx, masks, rounds,
+            src, dst, flat, starts, stops, phase, participants, population, pop_idx, masks
         )
         if arrived is None:
             return None
@@ -197,16 +230,18 @@ class Communicator:
         pop_idx: np.ndarray | None = None,
         masks: np.ndarray | None = None,
         rounds: np.ndarray | None = None,
-    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
-        """The message rounds behind :meth:`exchange_arrays`.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """The message rows behind :meth:`exchange_arrays`.
 
-        Each knob is a step that does nothing when the knob is off and
-        runs once over all rounds; :meth:`_advance_rounds` then replays
-        them on the clocks.  Returns the chunks as ``(msg, starts, stops,
-        arrived)``: ``msg[k]`` is the message chunk ``k`` was cut from
-        (``None``: no message was split, chunk ``k`` is message ``k``) and
-        ``arrived`` masks the chunks that reached their destination
-        (``None``: all).
+        ``rounds`` (CSR bounds over the messages) runs several rounds back
+        to back, each in its own ``round t`` span — a table whose cells
+        the buffer cap splits; ``None``: one round.  Each knob is a step
+        that does nothing when the knob is off and runs once over all
+        rounds; :meth:`SimClock.replay` then replays them on the clocks.
+        Returns the chunks as ``(msg, starts, stops, arrived)``:
+        ``msg[k]`` is the message chunk ``k`` was cut from (``None``: no
+        message was split, chunk ``k`` is message ``k``) and ``arrived``
+        masks the chunks that reached their destination (``None``: all).
         """
         nranks = self.nranks
         bounds = np.array([0, src.size]) if rounds is None else rounds
@@ -218,10 +253,6 @@ class Communicator:
         chunk_bounds = bounds
         capacity = self.buffer_capacity
         if capacity is not None:
-            if capacity < 1:
-                raise BufferOverflowError(
-                    f"buffer capacity must be positive, got {capacity}"
-                )
             nchunks = -((starts - stops) // capacity)
             if nchunks.sum() != src.size:
                 msg = np.repeat(np.arange(src.size), nchunks)
@@ -318,8 +349,8 @@ class Communicator:
             )
             charges.append((codec_seconds.reshape(nrows, nranks), "compute"))
         if side is not None and side[0].size:
-            send_time, recv_time, _ = self.network.round_times_arrays(*side, rounds=rounds)
-            charges.append((np.maximum(send_time, recv_time).reshape(-1, nranks), "comm"))
+            send_time, recv_time, _ = self.network.round_times_arrays(*side)
+            charges.append((np.maximum(send_time, recv_time)[None], "comm"))
             total = int(side[2].sum())
             self.stats.record_message_bulk(0, 0, total, total)
 
@@ -328,8 +359,10 @@ class Communicator:
             columns = np.vstack((np.ones(count, dtype=np.int64), stops - starts, raw_nbytes, nbytes))
             summed = np.cumsum(np.hstack((np.zeros((4, 1), dtype=np.int64), columns)), axis=1)
             summaries = np.diff(summed[:, chunk_bounds], axis=1).T.tolist()
-        stamps = self._advance_rounds(
-            phase, senders, bounds, charges, participants, summaries, rounds is not None
+        stamps = np.empty(senders.size, dtype=np.float64) if self.recorders else None
+        self.clock.replay(
+            charges, participants,
+            each=self._round_hook(phase, rounds is not None, bounds, senders, stamps, summaries),
         )
 
         arrived = delivered
@@ -346,22 +379,142 @@ class Communicator:
             )
         return msg, starts, stops, arrived
 
-    def _advance_rounds(
-        self, phase: str, senders: np.ndarray, bounds: np.ndarray, charges: list,
-        participants: list[int] | None, summaries: list | None, named: bool,
-    ) -> np.ndarray | None:
-        """Replay priced rounds on the clocks, one barrier each.
+    def _table_rounds(
+        self, src, dst, flat, starts, stops, sizes, phase, participants, population,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """A ring's ``(round, pair)`` table of messages (see
+        :meth:`exchange_arrays`), priced and replayed as a table.
 
-        Round ``t`` (messages ``bounds[t]:bounds[t + 1]``) advances every
-        rank by row ``t`` of each ``(seconds, kind)`` charge in order and
-        synchronises ``participants``, in its ``exchange`` span (inside a
-        ``round t`` span when ``named``).  Scheduled crashes fire in round
-        0, once its messages are stamped.  Returns the senders' clock
-        stamps (``None`` without recorders).
+        The cells a codec, a fault schedule or a recorder reads are the
+        non-empty ones round-major, pairs ascending — the order of the
+        trace and of the fault fates — and their answers go back into
+        table form.  Pricing and the replay run in slabs of at most 64
+        rounds, so beside the size table they hold O(64 n) bytes.
         """
-        obs, clock = self.obs, self.clock
-        stamps = np.empty(senders.size, dtype=np.float64) if self.recorders else None
-        for t in range(bounds.size - 1):
+        nrounds, width = sizes.shape
+        active = sizes > 0
+        count = int(np.count_nonzero(active))
+        vertices = int(sizes.sum())
+        bytes_per_vertex = self.model.bytes_per_vertex
+        raw_nbytes = sizes  # the table is ours: scaled in place
+        raw_nbytes *= bytes_per_vertex
+        wire, faults, recorders = self.wire, self.faults, self.recorders
+        cells = pair = None
+        if wire.name != "raw" or faults is not None or recorders:
+            cells = np.flatnonzero(active)
+            pair = cells % width
+        nbytes = raw_nbytes
+        encode_s = decode_s = None
+        if wire.name != "raw":
+            nbytes = raw_nbytes.copy()
+            encode_s = np.zeros(active.shape, dtype=np.float64)
+            decode_s = np.zeros(active.shape, dtype=np.float64)
+            (
+                nbytes.ravel()[cells], encode_s.ravel()[cells], decode_s.ravel()[cells]
+            ) = wire.price_many(flat, starts.ravel()[cells], stops.ravel()[cells])
+        delivered = multipliers = faulty = None
+        if faults is not None:
+            rows = src[pair], dst[pair], population.ids[pair]
+            transmissions, delivered = faults.plan_round(*rows)
+            multipliers = np.ones(active.shape, dtype=np.float64)
+            multipliers.ravel()[cells] = faults.link_multipliers(*rows)
+            drops = transmissions - delivered
+            self.stats.record_fault(int(drops.sum()), int((transmissions - 1).sum()))
+            if not delivered.all():
+                self._level_failed = True
+                # decode only where the message was delivered
+                if decode_s is not None:
+                    decode_s.ravel()[cells[~delivered]] = 0.0
+            faulty = np.flatnonzero(drops)
+            retries = transmissions[faulty] - 1
+            penalty = faults.retry_penalty(drops[faulty])
+            faulty = cells[faulty]
+
+        total_raw = vertices * bytes_per_vertex
+        total_enc = total_raw if nbytes is raw_nbytes else int(nbytes.sum())
+        self.stats.record_message_bulk(count, vertices, total_raw, total_enc, phase=phase)
+        summaries = bounds = senders = stamps = None
+        if self.obs.enabled:  # each round's messages, vertices and bytes
+            raw_sums = raw_nbytes.sum(axis=1)
+            summaries = np.column_stack((
+                np.count_nonzero(active, axis=1), raw_sums // bytes_per_vertex,
+                raw_sums, nbytes.sum(axis=1),
+            )).tolist()
+        if recorders:
+            bounds = np.searchsorted(cells, np.arange(nrounds + 1) * width)
+            senders = src[pair]
+            stamps = np.empty(cells.size, dtype=np.float64)
+        # the charges' columns are the pairs' sources
+        ranks = None
+        if width != self.nranks or (src != np.arange(width)).any():
+            ranks = src
+        pred = population.pred
+        for lo in range(0, nrounds, 64):
+            hi = min(lo + 64, nrounds)
+            send, recv = self.network.round_times_table(
+                population, active[lo:hi], nbytes[lo:hi],
+                None if multipliers is None else multipliers[lo:hi],
+            )
+            # each rank sends and receives at most one message a round
+            base = np.maximum(send, recv, out=recv if faults is None else None)
+            charges = [(base, "comm")]
+            if faults is not None:
+                # wasted retransmissions plus the backoff timeouts that
+                # detected each loss, on both ends of the message
+                at = (faulty >= lo * width) & (faulty < hi * width)
+                cell = faulty[at] - lo * width
+                extra = np.zeros(send.shape, dtype=np.float64)
+                extra.ravel()[cell] = retries[at] * send.ravel()[cell] + penalty[at]
+                total = np.maximum(send + extra, recv + extra[:, pred])
+                charges.append((total - base, "fault"))
+            if encode_s is not None:
+                # a rank's own encode plus its decode of what it received
+                charges.append(
+                    (encode_s[lo:hi] + decode_s[lo:hi][:, pred], "compute")
+                )
+            self.clock.replay(
+                charges, participants, ranks,
+                self._round_hook(phase, True, bounds, senders, stamps, summaries, lo),
+            )
+
+        arrived = delivered
+        if faults is not None:
+            if faults.dead_ranks:
+                dead = np.fromiter(faults.dead_ranks, dtype=np.int64)
+                arrived = delivered & ~(
+                    np.isin(src[pair], dead) | np.isin(dst[pair], dead)
+                )
+            if arrived.all():
+                arrived = None
+        if recorders:
+            raw_cells = raw_nbytes.ravel()[cells]
+            rows = src[pair], dst[pair], raw_cells // bytes_per_vertex, raw_cells
+            for recorder in recorders:
+                recorder.record_round(stamps, *rows, nbytes.ravel()[cells], phase)
+        if arrived is None:
+            return None
+        cells = cells[arrived]
+        return cells, starts.ravel()[cells], stops.ravel()[cells]
+
+    def _round_hook(
+        self, phase: str, named: bool, bounds, senders, stamps, summaries, first: int = 0,
+    ):
+        """What a replayed round does besides its charges, as
+        :meth:`SimClock.replay`'s ``each`` (``None``: nothing).
+
+        Round ``first + t`` (messages ``bounds[.]:bounds[. + 1]``) opens its
+        ``exchange`` span (inside a ``round t`` span when ``named``),
+        stamps its messages with their senders' clocks into ``stamps``
+        (when recording) and, in round 0, fires the scheduled crashes;
+        after the barrier its spans close with the round's ``summaries``.
+        """
+        obs, clock, faults = self.obs, self.clock, self.faults
+        if not obs.enabled and stamps is None and faults is None:
+            return None
+        names = ("messages", "vertices", "raw_bytes", "encoded_bytes")
+
+        def each(t: int):
+            t += first
             outer = span = None
             if obs.enabled:
                 if named:
@@ -370,17 +523,19 @@ class Communicator:
             if stamps is not None:
                 lo, hi = bounds[t], bounds[t + 1]
                 stamps[lo:hi] = clock.time[senders[lo:hi]]
-            if t == 0 and self.faults is not None:
+            if t == 0 and faults is not None:
                 self._fire_crashes("exchange")
-            for seconds, kind in charges:
-                clock.advance_many(seconds[t], kind=kind)
-            self.barrier(participants)
-            if span is not None:
-                names = ("messages", "vertices", "raw_bytes", "encoded_bytes")
+            if span is None:
+                return None
+
+            def close() -> None:
                 obs.end(span, **dict(zip(names, summaries[t])))
-            if outer is not None:
-                obs.end(outer)
-        return stamps
+                if outer is not None:
+                    obs.end(outer)
+
+            return close
+
+        return each
 
     def exchange_summaries(
         self,
@@ -666,28 +821,28 @@ class Communicator:
             )
 
 
-def _check_messages(nranks, src, dst, flat, starts, stops, pop_idx, masks, rounds) -> None:
+def _check_messages(nranks, src, dst, flat, starts, stops, pop_idx, masks) -> None:
     """:meth:`Communicator.exchange_arrays`' argument contract (see there)."""
+    table = np.ndim(starts) == 2
     check_message_columns(
         nranks,
         {"src": src, "dst": dst},
-        {"starts": starts, "stops": stops, "pop_idx": pop_idx},
+        {} if table else {"starts": starts, "stops": stops, "pop_idx": pop_idx},
         rank_range=False,
     )
-    count = len(src)
+    if table:
+        shape = (np.shape(starts)[0], len(src))
+        for name, column in (("starts", starts), ("stops", stops)):
+            if np.shape(column) != shape:
+                raise CommunicationError(
+                    f"{name} must be a (rounds, pairs) table of shape {shape}, "
+                    f"got shape {np.shape(column)}"
+                )
+        for name, column in (("pop_idx", pop_idx), ("masks", masks)):
+            if column is not None:
+                raise CommunicationError(f"{name} must be None for a table of rounds")
     if masks is not None and np.shape(masks) != np.shape(flat):
         raise CommunicationError(
             f"masks must be parallel to flat, shape {np.shape(flat)}, "
             f"got shape {np.shape(masks)}"
-        )
-    if rounds is not None and not (
-        np.ndim(rounds) == 1
-        and len(rounds) > 0
-        and rounds[0] == 0
-        and rounds[-1] == count
-        and (np.diff(rounds) >= 0).all()
-    ):
-        raise CommunicationError(
-            f"rounds must be CSR bounds over the {count} messages (1-D, from 0, "
-            f"non-decreasing, ending at {count}), got {np.asarray(rounds).tolist()}"
         )

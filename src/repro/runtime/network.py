@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import CommunicationError
 from repro.machine.bluegene import MachineModel
 from repro.machine.mapping import TaskMapping
 
@@ -66,7 +67,10 @@ class PairPopulation:
       population.  Then *any* subset of pairs in flight together sees a
       per-link load of at most 1, i.e. contention is identically 1.0 and
       no load analysis is needed at all;
-    * ``sets`` — built on the first multi-round call: ``(users, sets_of)``,
+    * ``pred`` — for a population whose destinations are its sources,
+      each once (a ring's member -> successor pairs), ``pred[k]`` is the
+      pair that delivers to pair ``k``'s source; ``None`` otherwise;
+    * ``sets`` — built on the first table pricing: ``(users, sets_of)``,
       each distinct set of pairs sharing a link as a row of ``users``, and
       the rows each pair is in as a row of ``sets_of`` (both padded).
     """
@@ -78,19 +82,25 @@ class PairPopulation:
     lens: np.ndarray
     full_cont: np.ndarray
     disjoint: bool
+    pred: np.ndarray | None = None
     sets: tuple[np.ndarray, np.ndarray] | None = None
 
-    def stacked_contention(self, pop_idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Contention of transfer ``j``, pair ``pop_idx[j]``, where the
-        transfers are ``len(counts)`` rounds back to back, ``counts[t]`` in
-        round ``t`` (no pair twice in a round).
+    def table_contention(self, active: np.ndarray, pairs) -> np.ndarray | float:
+        """Contention of pairs ``pairs`` (an index array, or a slice over
+        all of them) over at most 64 rounds in flight back to back:
+        ``active[t, j]`` marks pair ``pairs[j]`` in flight in round ``t``,
+        and no pair outside ``pairs`` is.  Returns an ``(R, m)`` table
+        (``1.0`` for a link-disjoint population).
 
         A pair's contention is the most transfers any link of its route
         carries in its round: 1 on a link only it uses, and on a shared
-        link the number of that link's users in flight.  Rounds are bits,
-        so the sets' in-flight counts are thresholds — "at least ``c``
-        users" — built by one OR/AND pass per user column over every round.
+        link the number of that link's users in flight.  Round ``t`` is
+        bit ``t`` of a pair's word, so the sets' in-flight counts are
+        thresholds — "at least ``c`` users" — built by one OR/AND pass per
+        user column over every set, and read back only for ``pairs``.
         """
+        if self.disjoint:
+            return 1.0
         npairs = self.lens.size
         if self.sets is None:
             pair = np.repeat(np.arange(npairs), self.lens)
@@ -102,17 +112,19 @@ class PairPopulation:
             order = np.argsort(users[row, col], kind="stable")
             self.sets = users, _padded(users[row, col][order], row[order], npairs, len(users))
         users, sets_of = self.sets
-        # round t of pair k is bit t of row k, 64 rounds a word
-        span = 64 * -(-counts.size // 64)
-        key = pop_idx * span
-        key += np.repeat(np.arange(counts.size, dtype=np.min_scalar_type(span)), counts)
-        active = np.zeros((npairs + 1) * span, dtype=bool)
-        active[key] = True
-        bits = np.packbits(active.reshape(-1, span), axis=1, bitorder="little").view(np.uint64)
+        nrounds, width = active.shape
+        # byte j of a pair's word holds rounds 8j .. 8j + 7, bit i round 8j + i
+        packed = np.zeros((8, width), dtype=np.uint8)
+        flags = active.view(np.uint8)
+        for i in range(min(8, nrounds)):
+            rows = flags[i::8]
+            packed[: rows.shape[0]] |= rows << i
+        bits = np.zeros(npairs + 1, dtype=np.uint64)  # the last: sets' padding
+        bits[:-1][pairs] = np.ascontiguousarray(packed.T).view(np.uint64).ravel()
         # at_least[c]: the rounds in which a set has more than c users in
         # flight, with one more row never reached (the padding of sets_of)
         nusers = users.shape[1]
-        at_least = np.zeros((nusers, len(users) + 1, bits.shape[1]), dtype=np.uint64)
+        at_least = np.zeros((nusers, len(users) + 1), dtype=np.uint64)
         for i in range(nusers):
             x = bits[users[:, i]]
             for c in range(i, 0, -1):
@@ -120,13 +132,17 @@ class PairPopulation:
             at_least[0, :-1] |= x
         # a pair's contention is 1 plus the thresholds above 1 that one of
         # its sets reached
-        contention = np.ones((npairs, span), dtype=np.min_scalar_type(nusers))
+        sets_of = sets_of[pairs]
+        contention = np.ones((sets_of.shape[0], nrounds), dtype=np.min_scalar_type(nusers))
         for c in range(1, nusers):
             reached = at_least[c][sets_of[:, 0]]
             for j in range(1, sets_of.shape[1]):
                 reached |= at_least[c][sets_of[:, j]]
-            contention += np.unpackbits(reached.view(np.uint8), axis=1, bitorder="little")
-        return contention.ravel()[key]
+            contention += np.unpackbits(
+                reached.view(np.uint8).reshape(-1, 8), axis=1, count=nrounds,
+                bitorder="little",
+            )
+        return contention.T
 
 
 def _dim_steps(
@@ -190,23 +206,24 @@ class Network:
 
         ``rounds``: CSR bounds over the transfers for a call that prices
         ``R`` rounds at once — round ``t`` is transfers ``rounds[t]:rounds[t
-        + 1]``, in flight together.  The per-rank times then come back as
-        ``(R, P)`` matrices whose row ``t`` is, bit for bit, what pricing
-        round ``t`` alone returns.  ``None``: one round, per-rank vectors.
+        + 1]``, in flight together, each with its own load analysis (the
+        chunks of split messages, which may repeat a pair in a round).
+        The per-rank times then come back as ``(R, P)`` matrices whose row
+        ``t`` is, bit for bit, what pricing round ``t`` alone returns.
+        ``None``: one round, per-rank vectors.  A ring's unsplit rounds are
+        priced as a table instead (:meth:`round_times_table`).
 
-        ``population``/``pop_idx``: transfer ``k`` is pair ``pop_idx[k]``
-        of a prepared :class:`PairPopulation` (no self-sends allowed) —
-        latencies come from the population table, and contention from one
-        load count over the round's links, from the population's
-        shared-link sets when several rounds are priced at once, or is
+        ``population``/``pop_idx`` (one round only): transfer ``k`` is pair
+        ``pop_idx[k]`` of a prepared :class:`PairPopulation` (no self-sends
+        allowed) — latencies come from the population table, and
+        contention from one load count over the round's links, or is
         identically 1.0 for a link-disjoint population.  Same floats as
         the generic analysis.
         """
         nranks = self.mapping.grid.size
-        counts = None if rounds is None else np.diff(rounds)
         wire = None
         if population is not None:
-            contention = self._population_contention(population, pop_idx, counts)
+            contention = self._population_contention(population, pop_idx)
         else:
             wire = src != dst
             if rounds is None and wire.all():  # one round, no hand-offs
@@ -247,6 +264,7 @@ class Network:
         if rounds is None:
             send_time = np.bincount(src, weights=seconds, minlength=nranks)
             return send_time, np.bincount(dst, weights=seconds, minlength=nranks), seconds
+        counts = np.diff(rounds)
         size = counts.size * nranks
         key = np.repeat(np.arange(0, size, nranks), counts)
         key += src
@@ -255,15 +273,72 @@ class Network:
         recv_time = np.bincount(key, weights=seconds, minlength=size).reshape(-1, nranks)
         return send_time, recv_time, seconds
 
+    def round_times_table(
+        self,
+        population: PairPopulation,
+        active: np.ndarray,
+        nbytes: np.ndarray,
+        multipliers: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A ring's rounds priced as a ``(round, pair)`` table.
+
+        Cell ``(t, k)`` is pair ``k``'s message in round ``t`` of at most
+        64 rounds in flight back to back — ``active[t, k]`` marks the
+        cells that carry one, ``nbytes[t, k]`` its on-wire bytes and
+        ``multipliers[t, k]`` (when given) its link multiplier.  The
+        population must be a ring's (``pred`` set): every rank then sends
+        and receives at most one message a round.  Returns ``(send,
+        recv)`` tables: ``send[t, k]`` is pair ``k``'s seconds — what its
+        source spends sending in round ``t`` — and ``recv[t, k]`` what that
+        rank spends receiving, the seconds of pair ``pred[k]``; empty cells
+        are 0.0.  Round ``t``'s rows are, bit for bit, the per-rank times
+        :meth:`round_times_arrays` gives that round's messages alone.
+
+        Only the pairs that carry something in some round are priced:
+        contention from the population's shared-link bit sets, then
+        ``contention * bytes / bandwidth + latency`` (times the
+        multiplier), the term order of the per-message analysis.
+        """
+        if population.pred is None:
+            raise CommunicationError(
+                "table pricing needs a ring population: every destination one "
+                "pair's source"
+            )
+        if active.shape[0] > 64:
+            raise CommunicationError(
+                f"a priced table holds at most 64 rounds, got {active.shape[0]}"
+            )
+        # column gathers cost more than they save once an eighth carries
+        pairs = np.flatnonzero(active.any(axis=0))
+        if 8 * pairs.size > active.shape[1]:
+            pairs = slice(None)
+        flags = active[:, pairs]
+        seconds = np.multiply(
+            population.table_contention(flags, pairs), nbytes[:, pairs], dtype=np.float64
+        )
+        seconds /= self.model.bandwidth
+        # an empty cell's seconds stay 0.0: no latency, and 0.0 * multiplier
+        np.add(seconds, population.latency[pairs], out=seconds, where=flags)
+        if multipliers is not None:
+            seconds *= multipliers[:, pairs]
+        if isinstance(pairs, slice):
+            return seconds, seconds[:, population.pred]
+        # pair k receives from pred[k]: the carrying pairs' successors
+        succ = np.empty_like(population.pred)
+        succ[population.pred] = np.arange(succ.size)
+        send = np.zeros(active.shape, dtype=np.float64)
+        recv = np.zeros(active.shape, dtype=np.float64)
+        send[:, pairs] = seconds
+        recv[:, succ[pairs]] = seconds
+        return send, recv
+
     @staticmethod
     def _population_contention(
-        population: PairPopulation, pop_idx: np.ndarray, counts
+        population: PairPopulation, pop_idx: np.ndarray
     ) -> np.ndarray | float:
-        """Per-transfer contention of population transfers."""
+        """Per-transfer contention of one round's population transfers."""
         if population.disjoint or pop_idx.size == 0:
             return 1.0
-        if counts is not None and counts.size > 1:
-            return population.stacked_contention(pop_idx, counts)
         if pop_idx.size == population.lens.size:
             # The whole population is in flight: the load analysis was
             # done at preparation time.
@@ -327,6 +402,12 @@ class Network:
         full_cont = np.empty(0, dtype=np.float64)
         if ids.size:
             full_cont = np.maximum.reduceat(loads[links], indptr[:-1]).astype(np.float64)
+        # a ring's pairs: each rank sends once and receives once
+        order = np.argsort(dst)
+        ends = dst[order]
+        pred = None
+        if np.array_equal(np.sort(src), ends) and (ends[1:] != ends[:-1]).all():
+            pred = order[np.searchsorted(ends, src)]
         population = PairPopulation(
             ids=ids,
             latency=self.model.alpha + lens.astype(np.float64) * self.model.per_hop,
@@ -335,6 +416,7 @@ class Network:
             lens=lens,
             full_cont=full_cont,
             disjoint=loads.size == 0 or int(loads.max()) <= 1,
+            pred=pred,
         )
         self._population_cache[cache_key] = population
         return population

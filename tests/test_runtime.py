@@ -285,15 +285,21 @@ class TestCommunicator:
             ("stops", lambda a: {"stops": np.append(a["stops"], 6)}),
             ("masks", lambda a: {"masks": np.ones(4, dtype=np.uint64)}),
             ("pop_idx", lambda a: {"pop_idx": np.zeros(3, dtype=np.int64)}),
-            ("rounds", lambda a: {"rounds": np.array([1, 2])}),
-            ("rounds", lambda a: {"rounds": np.array([0, 2, 1, 2])}),
-            ("rounds", lambda a: {"rounds": np.array([0, 1])}),
-            ("rounds", lambda a: {"rounds": np.array([[0, 2]])}),
+            ("starts", lambda a: {"starts": np.zeros((3, 1), int), "stops": np.ones((3, 2), int)}),
+            ("stops", lambda a: {"starts": np.zeros((3, 2), int), "stops": np.ones((3, 3), int)}),
+            ("pop_idx", lambda a: {
+                "starts": np.zeros((3, 2), int), "stops": np.ones((3, 2), int),
+                "pop_idx": np.arange(2),
+            }),
+            ("masks", lambda a: {
+                "starts": np.zeros((3, 2), int), "stops": np.ones((3, 2), int),
+                "masks": np.ones(6, dtype=np.uint64),
+            }),
         ],
         ids=[
             "src-2d", "dst-short", "starts-short", "stops-long", "masks-short",
-            "pop_idx-long", "rounds-from-1", "rounds-decreasing", "rounds-short-end",
-            "rounds-2d",
+            "pop_idx-long", "table-starts-narrow", "table-stops-wide", "table-pop_idx",
+            "table-masks",
         ],
     )
     def test_exchange_argument_contract(self, name, bad):
@@ -309,9 +315,7 @@ class TestCommunicator:
         assert not comm.clock.time.any()
         assert stats_fields(comm.stats) == stats_fields(make_comm(4).stats)
         # the same messages, well formed, go through
-        comm.exchange_arrays(
-            **args, phase="fold", masks=np.ones(6, dtype=np.uint64), rounds=np.array([0, 1, 2])
-        )
+        comm.exchange_arrays(**args, phase="fold", masks=np.ones(6, dtype=np.uint64))
         assert comm.stats.total_messages == 2 and comm.clock.time.any()
 
 
@@ -551,13 +555,14 @@ class TestOneRound:
 
     def test_rounds_walked_once_each(self):
         """A call's rounds are walked in one place, a P-vector step each:
-        the replay's loops run over rounds and the round's charges only."""
-        tree = ast.parse(textwrap.dedent(inspect.getsource(Communicator._advance_rounds)))
+        the replay checks its charges once, then its loops run over rounds
+        and the round's charges only."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(SimClock.replay)))
         loops = [
             ast.unparse(node.iter) for node in ast.walk(tree)
             if isinstance(node, (ast.For, ast.While, ast.comprehension))
         ]
-        assert loops == ["range(bounds.size - 1)", "charges"]
+        assert loops == ["charges", "range(nrounds)", "rows"]
 
     def test_recorder_registers_without_patching(self):
         comm = torus_comm()

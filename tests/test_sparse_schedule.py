@@ -23,23 +23,30 @@ The last one runs a long union ring (15 rounds a fold) with every knob on.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import bidirectional_bfs, distributed_bfs
 from repro.bfs.options import BfsOptions
+from repro.collectives import get_fold
 from repro.faults import FaultSpec
 from repro.graph.generators import build_graph
+from repro.machine.bluegene import BLUEGENE_L
+from repro.machine.mapping import row_major_mapping
+from repro.machine.torus import Torus3D
 from repro.observability.digest import (
     levels_digest,
     result_digests,
     stats_digest,
     trace_digest,
 )
+from repro.runtime.comm import Communicator
 from repro.session import BfsSession
-from repro.types import GraphSpec, resolve_system
+from repro.types import GraphSpec, GridShape, resolve_system
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "schedule_digests.json"
 
@@ -162,6 +169,43 @@ def _run_msbfs(
         row["trace"] = trace_digest(trace.events)
     row.update(_report_counters(result.faults))
     return row
+
+
+def _run_scattered_folds() -> dict:
+    """Union-ring folds over rank groups scattered across a 64-rank torus.
+
+    Three groups of six members cover 18 of the 64 ranks, so every
+    round's barrier names its participants (the engine's groups cover the
+    whole machine and never do).  The same seeded contributions run
+    through the union ring (one 6-member ring) and the two-phase fold (a
+    2 x 3 subgrid: two rings of three, then the column delivery) on a raw
+    communicator and on one with the adaptive codec, ``mild`` faults and
+    every observation on; clocks start uneven.  The row pins each fold's
+    union, the four clock buckets, the statistics and the message trace.
+    """
+    rng = np.random.default_rng(11)
+    mapping = row_major_mapping(GridShape(8, 8), Torus3D(4, 4, 4))
+    groups = rng.permutation(64)[:18].reshape(3, 6).tolist()
+    h = hashlib.sha256()
+    for knobs in ({}, {"wire": "adaptive", "faults": FaultSpec.parse("mild"),
+                       "observe": "full"}):
+        comm = Communicator(mapping, BLUEGENE_L, **knobs)
+        comm.clock.advance_many(rng.random(64) * 1e-5, kind="compute")
+        for level in range(4):
+            comm.begin_level(level)
+            for name in ("union-ring", "two-phase"):
+                fold = get_fold(name) if name == "union-ring" else get_fold(name, shape=(2, 3))
+                csizes = rng.integers(0, 40, 18 * 6) * (rng.random(18 * 6) < 0.7)
+                cflat = rng.integers(0, 3000, int(csizes.sum()))
+                flat, bounds, _ = fold.fold(comm, groups, csizes, cflat)
+                h.update(flat.tobytes() + bounds.tobytes())
+            comm.stats.end_level(level)
+        for bucket in ("time", "comm_time", "compute_time", "fault_time"):
+            h.update(getattr(comm.clock, bucket).tobytes())
+        h.update(stats_digest(comm.stats).encode())
+        if comm.obs_trace is not None:
+            h.update(trace_digest(comm.obs_trace.events).encode())
+    return {"folds": h.hexdigest()}
 
 
 _ROLLBACK_HEAVY = FaultSpec(seed=0, drop_rate=0.3, max_retries=3)
@@ -335,6 +379,15 @@ CONFIGS = {
         REFERENCE, (16, 16), wire="adaptive", faults="mild", observe="messages",
         opts=BfsOptions(buffer_capacity=64),
     ),
+    # the benchmark's 64 x 64 mesh with the codec, faults and the trace
+    # on, unsplit: 63-round union rings whose every round is priced from
+    # the ring's (round x member) table; captured on the commit before
+    # the ring stopped handing the communicator message rows
+    "reference-64x64-knobs": lambda: _run(
+        REFERENCE, (64, 64), wire="adaptive", faults="mild", observe="messages"
+    ),
+    # union rings whose barriers name their participants
+    "union-ring-scattered-groups": _run_scattered_folds,
 }
 
 

@@ -1,9 +1,10 @@
 """Several rounds in one call are bit for bit those rounds one at a time.
 
-``Network.round_times_arrays`` and ``Communicator.exchange_arrays`` take
-the rounds of a call as CSR bounds over its transfers.  Nothing about a
-round may depend on whether it was priced alone or stacked with others:
-the per-rank times, the per-transfer seconds, every clock bucket, the
+A ring's rounds reach ``Communicator.exchange_arrays`` as a ``(round,
+pair)`` table and are priced by ``Network.round_times_table``; split
+chunks reach ``Network.round_times_arrays`` as CSR bounds over their
+transfers.  Nothing about a round may depend on whether it was priced
+alone or stacked with others: the per-rank times, every clock bucket, the
 statistics, the fault fates, the trace and the exchange spans must equal
 what the same rounds give one call at a time — and, for a prepared pair
 population, what the generic per-round analysis gives.
@@ -64,41 +65,55 @@ def assert_rows_equal(stacked, singles, bounds):
         assert seconds[bounds[t] : bounds[t + 1]].tobytes() == sec.tobytes()
 
 
+def ring_pairs(rng, nrings: int) -> tuple[np.ndarray, np.ndarray]:
+    """``nrings`` disjoint rings of 2 to 6 random ranks: each member sends
+    to its successor, so every destination is one pair's source."""
+    sizes = rng.integers(2, 7, nrings)
+    while sizes.sum() > GRID.size:
+        sizes = sizes[:-1]
+    members = rng.permutation(GRID.size)[: sizes.sum()]
+    ring = np.repeat(np.arange(sizes.size), sizes)
+    first = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    within = np.arange(members.size) - first[ring]
+    succ = first[ring] + (within + 1) % sizes[ring]
+    return members, members[succ]
+
+
+def random_table(rng, npairs: int, nrounds: int) -> np.ndarray:
+    """Per round, a random subset of the pairs in flight — empty and full
+    rounds among them."""
+    share = rng.choice([0.0, 0.3, 0.8, 1.0], (nrounds, 1))
+    return rng.random((nrounds, npairs)) < share
+
+
 @pytest.mark.parametrize("kind", ["row-major", "shuffled"])
 @given(
     seed=st.integers(0, 10**6),
-    nrounds=st.integers(1, 70),
-    npairs=st.integers(1, 60),
+    nrounds=st.integers(1, 64),
+    nrings=st.integers(1, 8),
     faulted=st.booleans(),
 )
 @settings(max_examples=20, deadline=None)
-def test_population_pricing_is_per_round_pricing(kind, seed, nrounds, npairs, faulted):
-    """Stacked population pricing = per-round population pricing = the
-    generic per-round analysis, for any pair set and any occupancy."""
+def test_population_pricing_is_per_round_pricing(kind, seed, nrounds, nrings, faulted):
+    """Table pricing of a ring population = per-round population pricing
+    = the generic per-round analysis, for any rings and any occupancy."""
     rng = np.random.default_rng(seed)
     net = Network(mapping(kind), BLUEGENE_L)
-    keys = rng.choice(GRID.size * (GRID.size - 1), npairs, replace=False)
-    src, col = np.divmod(keys, GRID.size - 1)
-    pairs = np.column_stack((src, col + (col >= src)))
-    population = net.prepare_pairs(pairs[:, 0].copy(), pairs[:, 1].copy())
-    idx, bounds = stack(random_rounds(rng, pairs, nrounds, repeats=False))
-    src, dst = pairs[idx, 0], pairs[idx, 1]
-    nbytes = rng.integers(1, 5000, idx.size)
-    mult = rng.choice([1.0, 2.0, 3.5], idx.size) if faulted else None
-    stacked = net.round_times_arrays(
-        src, dst, nbytes, mult, population=population, pop_idx=idx, rounds=bounds
-    )
-    cut = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    part = [None if mult is None else mult[c] for c in cut]
-    assert_rows_equal(stacked, [
-        net.round_times_arrays(
-            src[c], dst[c], nbytes[c], m, population=population, pop_idx=idx[c]
-        )
-        for c, m in zip(cut, part)
-    ], bounds)
-    assert_rows_equal(stacked, [
-        net.round_times_arrays(src[c], dst[c], nbytes[c], m) for c, m in zip(cut, part)
-    ], bounds)
+    src, dst = ring_pairs(rng, nrings)
+    population = net.prepare_pairs(src, dst)
+    active = random_table(rng, src.size, nrounds)
+    nbytes = rng.integers(1, 5000, active.shape) * active
+    mult = rng.choice([1.0, 2.0, 3.5], active.shape) if faulted else None
+    send, recv = net.round_times_table(population, active, nbytes, mult)
+    for t in range(nrounds):
+        idx = np.flatnonzero(active[t])
+        m = None if mult is None else mult[t, idx]
+        for kwargs in ({"population": population, "pop_idx": idx}, {}):
+            want_send, want_recv, _ = net.round_times_arrays(
+                src[idx], dst[idx], nbytes[t, idx], m, **kwargs
+            )
+            assert send[t].tobytes() == want_send[src].tobytes()
+            assert recv[t].tobytes() == want_recv[src].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["row-major", "shuffled"])
@@ -136,56 +151,58 @@ FAULTS = {
 @pytest.mark.parametrize("faults", list(FAULTS))
 @pytest.mark.parametrize("wire", ["raw", "adaptive"])
 @pytest.mark.parametrize("capacity", [None, 5])
-@given(seed=st.integers(0, 10**6), masks=st.booleans())
+@given(seed=st.integers(0, 10**6))
 @settings(max_examples=4, deadline=None)
-def test_stacked_exchange_is_one_exchange_per_round(kind, faults, wire, capacity, seed, masks):
+def test_stacked_exchange_is_one_exchange_per_round(kind, faults, wire, capacity, seed):
     """Under every knob — codec, drops, degraded links, crashes, buffer
-    splits, a mask column, spans and the trace — one call carrying R
-    rounds is R calls: same chunks delivered, clocks, statistics, fault
-    report, crashes, trace and exchange spans, plus one ``round t`` span
-    per round."""
+    splits, spans and the trace — one call carrying a ring's R rounds as
+    a table is R calls of message rows: same chunks delivered, clocks,
+    statistics, fault report, crashes, trace and exchange spans, plus one
+    ``round t`` span per round."""
     rng = np.random.default_rng(seed)
     knobs = dict(
         wire=wire, faults=FAULTS[faults], buffer_capacity=capacity, observe="full"
     )
     stacked, single = comm_for(kind, **knobs), comm_for(kind, **knobs)
-    pairs = np.array([(s, d) for s in range(GRID.size) for d in range(GRID.size) if s != d])
-    pairs = pairs[rng.choice(pairs.shape[0], 50, replace=False)]
-    population = stacked.network.prepare_pairs(pairs[:, 0].copy(), pairs[:, 1].copy())
-    idx, bounds = stack(random_rounds(rng, pairs, int(rng.integers(1, 9)), repeats=False))
-    src, dst = pairs[idx, 0], pairs[idx, 1]
-    sizes = rng.integers(1, 30, idx.size)
+    src, dst = ring_pairs(rng, 6)
+    population = stacked.network.prepare_pairs(src, dst)
+    active = random_table(rng, src.size, int(rng.integers(1, 9)))
+    sizes = rng.integers(1, 30, active.shape) * active
     offsets = np.concatenate(([0], np.cumsum(sizes)))
+    starts = offsets[:-1].reshape(sizes.shape)
     flat = np.concatenate(
-        [np.sort(rng.choice(500, n, replace=False)) for n in sizes] + [np.empty(0, int)]
+        [np.sort(rng.choice(500, n, replace=False)) for n in sizes.ravel()]
+        + [np.empty(0, int)]
     )
-    words = np.arange(flat.size, dtype=np.uint64) if masks else None
     for comm in (stacked, single):
         comm.begin_level(0)
     got = stacked.exchange_arrays(
-        src, dst, flat, offsets[:-1], offsets[1:], "fold",
-        population=population, pop_idx=idx, masks=words, rounds=bounds,
+        src, dst, flat, starts, starts + sizes, "fold", population=population
     )
     step = capacity or flat.size or 1
+    cells = np.flatnonzero(active)
 
-    def chunks(arrived, lo, hi):
-        """The arrived chunks as (message, start, stop), all of them for None."""
+    def chunks(arrived, msgs):
+        """The arrived chunks as (cell, start, stop), all of them for None."""
         if arrived is None:
             return [
-                (m, a, min(a + step, offsets[m + 1]))
-                for m in range(lo, hi)
-                for a in range(offsets[m], offsets[m + 1], step)
+                (c, a, min(a + step, offsets[c + 1]))
+                for c in msgs
+                for a in range(offsets[c], offsets[c + 1], step)
             ]
-        return [(m + lo, a, b) for m, a, b in zip(*(col.tolist() for col in arrived))]
+        return [(msgs[m], a, b) for m, a, b in zip(*(col.tolist() for col in arrived))]
 
     want = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for t in range(active.shape[0]):
+        idx = np.flatnonzero(active[t])
+        cell = t * src.size + idx
         part = single.exchange_arrays(
-            src[lo:hi], dst[lo:hi], flat, offsets[lo:hi], offsets[lo + 1 : hi + 1], "fold",
-            population=population, pop_idx=idx[lo:hi], masks=words,
+            src[idx], dst[idx], flat, offsets[cell], offsets[cell + 1], "fold",
+            population=population, pop_idx=idx,
         )
-        want += chunks(part, lo, hi)
-    assert chunks(got, 0, idx.size) == want
+        want += chunks(part, cell)
+    got = chunks(got, np.arange(active.size)) if got is not None else chunks(None, cells)
+    assert got == want
     for bucket in ("time", "comm_time", "compute_time", "fault_time"):
         a, b = getattr(stacked.clock, bucket), getattr(single.clock, bucket)
         assert a.tobytes() == b.tobytes(), bucket
@@ -204,5 +221,5 @@ def test_stacked_exchange_is_one_exchange_per_round(kind, faults, wire, capacity
 
     assert exchanges(stacked) == exchanges(single)
     rounds = stacked.obs.by_cat("round")
-    assert [s.name for s in rounds] == [f"round {t}" for t in range(bounds.size - 1)]
+    assert [s.name for s in rounds] == [f"round {t}" for t in range(active.shape[0])]
     assert single.obs.by_cat("round") == []
