@@ -45,10 +45,12 @@ class BlockDistribution:
         items = as_vertex_array(items)
         if items.size and (items.min() < 0 or items.max() >= self.n):
             raise PartitionError("item ids out of range for this distribution")
-        # the first n % parts parts hold one item more than the rest
+        # The first n % parts parts hold base + 1 items, the rest base.  An
+        # item in a big part is never past its part by the second quotient,
+        # and one in a small part never past it by the first: the larger
+        # quotient is its part.
         base, rem = divmod(self.n, self.parts)
-        big = rem * (base + 1)
-        return np.where(items < big, items // (base + 1), rem + (items - big) // max(base, 1))
+        return np.maximum(items // (base + 1), (items - rem) // max(base, 1))
 
     def _check_part(self, part: int) -> None:
         if not (0 <= part < self.parts):

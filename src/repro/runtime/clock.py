@@ -99,7 +99,8 @@ class SimClock:
         The matrices are checked once, before any clock moves: a shape
         other than the first matrix's ``(R, m)`` raises
         :class:`CommunicationError`, a negative entry :class:`ValueError`.
-        Then each round is in-place vector work.
+        Then each round is in-place vector work; with no ``each`` and no
+        ``ranks``, once every rank has synchronised, from one common clock.
         """
         width = self.nranks if ranks is None else len(ranks)
         nrounds = np.shape(charges[0][0])[0] if charges and np.ndim(charges[0][0]) == 2 else 0
@@ -116,7 +117,9 @@ class SimClock:
         time, comm = self.time, self.comm_time
         idx = None if participants is None else np.asarray(participants, dtype=np.int64)
         wait = np.empty(self.nranks, dtype=np.float64)
-        for t in range(nrounds):
+        level = None
+        t = 0
+        while t < nrounds and level is None:
             after = None if each is None else each(t)
             for seconds, bucket in rows:
                 if ranks is None:
@@ -129,12 +132,35 @@ class SimClock:
                 horizon = time.max()
                 comm += np.subtract(horizon, time, out=wait)
                 time.fill(horizon)
+                if each is None and ranks is None:
+                    level = float(horizon)
             elif idx.size:
                 horizon = time[idx].max()
                 comm[idx] += horizon - time[idx]
                 time[idx] = horizon
             if after is not None:
                 after()
+            t += 1
+        if level is None or t == nrounds:
+            return
+        # Every rank has synchronised and no hook reads the clocks: they
+        # all read ``level``, so a round's clocks are that level plus its
+        # charges (in ``wait``) and — rounding being monotone — a lone
+        # charge's horizon is the level plus its largest entry.  The clock
+        # vector is written back once, at the end.
+        (seconds, bucket), *others = rows
+        peaks = None if others else seconds.max(axis=1).tolist()
+        for t in range(t, nrounds):
+            row = seconds[t]
+            np.add(level, row, out=wait)
+            bucket += row
+            for more, more_bucket in others:
+                wait += more[t]
+                more_bucket += more[t]
+            horizon = level + peaks[t] if peaks else float(wait.max())
+            comm += np.subtract(horizon, wait, out=wait)
+            level = horizon
+        time.fill(level)
 
     @property
     def elapsed(self) -> float:

@@ -181,7 +181,9 @@ class Communicator:
         The arguments' shapes are checked first, in O(1): ``src``,
         ``dst``, ``pop_idx`` and the rows of ``starts`` and ``stops`` hold
         one entry per message (per pair for a table), and ``masks`` one
-        per entry of ``flat``.  A violation raises
+        per entry of ``flat``; a table's pairs must be a ring's
+        (:meth:`~repro.runtime.network.PairPopulation.ring_pred`, worked
+        out once per population).  A violation raises
         :class:`CommunicationError` naming the argument, before anything
         is counted or charged.
         """
@@ -190,10 +192,15 @@ class Communicator:
         if capacity is not None and capacity < 1:
             raise BufferOverflowError(f"buffer capacity must be positive, got {capacity}")
         if np.ndim(starts) == 2:
+            if population is None:
+                population = self.network.prepare_pairs(src, dst)
+            if population.ring_pred(src, dst) is None:
+                raise CommunicationError(
+                    "dst must hold each rank of src once for a table of rounds "
+                    "(a ring's member -> successor pairs)"
+                )
             sizes = stops - starts
             if capacity is None or sizes.max(initial=0) <= capacity:
-                if population is None:
-                    population = self.network.prepare_pairs(src, dst)
                 return self._table_rounds(
                     src, dst, flat, starts, stops, sizes, phase, participants, population
                 )
@@ -268,44 +275,27 @@ class Communicator:
         raw_nbytes = stops - starts
         raw_nbytes *= bytes_per_vertex
 
-        # one pricing call; self-sends are local hand-offs — never encoded
-        nbytes = raw_nbytes
-        wire = self.wire
-        encode_s = decode_s = None
-        if wire.name != "raw":
-            nbytes = raw_nbytes.copy()
-            encode_s = np.zeros(count, dtype=np.float64)
-            decode_s = np.zeros(count, dtype=np.float64)
-            wired = src != dst
-            nbytes[wired], encode_s[wired], decode_s[wired] = wire.price_many(
-                flat, starts[wired], stops[wired]
+        # self-sends are local hand-offs: never encoded
+        nbytes, encode_s, decode_s = raw_nbytes, None, None
+        if self.wire.name != "raw":
+            nbytes, encode_s, decode_s = self._price_codec(
+                flat, starts, stops, raw_nbytes, np.flatnonzero(src != dst)
             )
-
-        # every wire chunk's fate: transmissions, final delivery, link cost,
-        # keyed by pair id (a population's own ids need no search)
+        # a population's own ids key the fates with no search
         faults = self.faults
         delivered = multipliers = None
         if faults is not None:
-            ids = (
-                self.network.pair_ids(src, dst)
-                if population is None
-                else population.ids[pop_idx]
-            )
-            transmissions, delivered = faults.plan_round(src, dst, ids)
-            multipliers = faults.link_multipliers(src, dst, ids)
-            drops = transmissions - delivered
-            self.stats.record_fault(int(drops.sum()), int((transmissions - 1).sum()))
-            if not delivered.all():
-                self._level_failed = True
+            ids = self.network.pair_ids(src, dst) if population is None else population.ids[pop_idx]
+            delivered, multipliers, faulty, retries, penalty = self._plan_faults(src, dst, ids)
 
         total_raw = int(raw_nbytes.sum())
-        vertices = total_raw // bytes_per_vertex
         total_enc = total_raw if nbytes is raw_nbytes else int(nbytes.sum())
         self.stats.record_message_bulk(
-            count, vertices, total_raw, total_enc, phase=phase
+            count, total_raw // bytes_per_vertex, total_raw, total_enc, phase=phase
         )
         send_time, recv_time, per_transfer = self.network.round_times_arrays(
-            src, dst, nbytes, multipliers, population=population, pop_idx=pop_idx,
+            src, dst, nbytes, multipliers,
+            population=population, pop_idx=pop_idx,
             rounds=None if rounds is None else chunk_bounds,
         )
         send_time, recv_time = send_time.reshape(-1, nranks), recv_time.reshape(-1, nranks)
@@ -324,10 +314,7 @@ class Communicator:
             # base round times
             fault_send = np.zeros(base.size, dtype=np.float64)
             fault_recv = np.zeros(base.size, dtype=np.float64)
-            faulty = np.flatnonzero(drops)
-            extra = (transmissions[faulty] - 1) * per_transfer[faulty] + (
-                faults.retry_penalty(drops[faulty])
-            )
+            extra = retries * per_transfer[faulty] + penalty
             np.add.at(fault_send, key_src[faulty], extra)
             np.add.at(fault_recv, key_dst[faulty], extra)
             total = np.maximum(
@@ -355,28 +342,18 @@ class Communicator:
             self.stats.record_message_bulk(0, 0, total, total)
 
         summaries = None
-        if self.obs.enabled:  # each round's messages, vertices and bytes
-            columns = np.vstack((np.ones(count, dtype=np.int64), stops - starts, raw_nbytes, nbytes))
-            summed = np.cumsum(np.hstack((np.zeros((4, 1), dtype=np.int64), columns)), axis=1)
-            summaries = np.diff(summed[:, chunk_bounds], axis=1).T.tolist()
+        if self.obs.enabled:
+            summaries = _round_summaries(chunk_bounds, stops - starts, raw_nbytes, nbytes)
         stamps = np.empty(senders.size, dtype=np.float64) if self.recorders else None
         self.clock.replay(
             charges, participants,
             each=self._round_hook(phase, rounds is not None, bounds, senders, stamps, summaries),
         )
-
-        arrived = delivered
-        if faults is not None:
-            if faults.dead_ranks:
-                dead = np.fromiter(faults.dead_ranks, dtype=np.int64)
-                arrived = delivered & ~(np.isin(src, dead) | np.isin(dst, dead))
-            if arrived.all():
-                arrived = None
-        for recorder in self.recorders:
-            recorder.record_round(
-                stamps if msg is None else stamps[msg],
-                src, dst, stops - starts, raw_nbytes, nbytes, phase,
-            )
+        if stamps is not None and msg is not None:
+            stamps = stamps[msg]
+        arrived = self._deliver(
+            phase, stamps, src, dst, stops - starts, raw_nbytes, nbytes, delivered
+        )
         return msg, starts, stops, arrived
 
     def _table_rounds(
@@ -385,78 +362,64 @@ class Communicator:
         """A ring's ``(round, pair)`` table of messages (see
         :meth:`exchange_arrays`), priced and replayed as a table.
 
-        The cells a codec, a fault schedule or a recorder reads are the
-        non-empty ones round-major, pairs ascending — the order of the
-        trace and of the fault fates — and their answers go back into
-        table form.  Pricing and the replay run in slabs of at most 64
-        rounds, so beside the size table they hold O(64 n) bytes.
+        The codec, the fault schedule, the span summaries and the
+        recorders see the non-empty cells as message rows, round-major and
+        pairs ascending — the order of the trace and of the fault fates —
+        through the steps :meth:`_round` uses, and their answers go back
+        into table form.  Only the pricing and the charges are the
+        table's own.  They run in slabs of at most 64 rounds, so beside
+        the size table they hold O(64 n) bytes.
         """
         nrounds, width = sizes.shape
         active = sizes > 0
-        count = int(np.count_nonzero(active))
-        vertices = int(sizes.sum())
         bytes_per_vertex = self.model.bytes_per_vertex
+        vertices = int(sizes.sum())
         raw_nbytes = sizes  # the table is ours: scaled in place
         raw_nbytes *= bytes_per_vertex
-        wire, faults, recorders = self.wire, self.faults, self.recorders
-        cells = pair = None
-        if wire.name != "raw" or faults is not None or recorders:
+        faults = self.faults
+        cells = bounds = senders = rows = None
+        if self.wire.name != "raw" or faults is not None or self.obs.enabled or self.recorders:
             cells = np.flatnonzero(active)
             pair = cells % width
-        nbytes = raw_nbytes
-        encode_s = decode_s = None
-        if wire.name != "raw":
-            nbytes = raw_nbytes.copy()
-            encode_s = np.zeros(active.shape, dtype=np.float64)
-            decode_s = np.zeros(active.shape, dtype=np.float64)
-            (
-                nbytes.ravel()[cells], encode_s.ravel()[cells], decode_s.ravel()[cells]
-            ) = wire.price_many(flat, starts.ravel()[cells], stops.ravel()[cells])
-        delivered = multipliers = faulty = None
+            senders, receivers = src[pair], dst[pair]
+            bounds = np.searchsorted(cells, np.arange(nrounds + 1) * width)
+            count = cells.size
+        else:
+            count = int(np.count_nonzero(active))
+
+        nbytes, encode_s, decode_s = raw_nbytes, None, None
+        if self.wire.name != "raw":
+            nbytes, encode_s, decode_s = self._price_codec(flat, starts, stops, raw_nbytes, cells)
+        delivered = multipliers = None
         if faults is not None:
-            rows = src[pair], dst[pair], population.ids[pair]
-            transmissions, delivered = faults.plan_round(*rows)
+            delivered, cell_multipliers, faulty, retries, penalty = self._plan_faults(
+                senders, receivers, population.ids[pair]
+            )
             multipliers = np.ones(active.shape, dtype=np.float64)
-            multipliers.ravel()[cells] = faults.link_multipliers(*rows)
-            drops = transmissions - delivered
-            self.stats.record_fault(int(drops.sum()), int((transmissions - 1).sum()))
-            if not delivered.all():
-                self._level_failed = True
-                # decode only where the message was delivered
-                if decode_s is not None:
-                    decode_s.ravel()[cells[~delivered]] = 0.0
-            faulty = np.flatnonzero(drops)
-            retries = transmissions[faulty] - 1
-            penalty = faults.retry_penalty(drops[faulty])
+            multipliers.ravel()[cells] = cell_multipliers
+            if decode_s is not None:  # decode only where the message was delivered
+                decode_s.ravel()[cells[~delivered]] = 0.0
             faulty = cells[faulty]
 
         total_raw = vertices * bytes_per_vertex
         total_enc = total_raw if nbytes is raw_nbytes else int(nbytes.sum())
         self.stats.record_message_bulk(count, vertices, total_raw, total_enc, phase=phase)
-        summaries = bounds = senders = stamps = None
-        if self.obs.enabled:  # each round's messages, vertices and bytes
-            raw_sums = raw_nbytes.sum(axis=1)
-            summaries = np.column_stack((
-                np.count_nonzero(active, axis=1), raw_sums // bytes_per_vertex,
-                raw_sums, nbytes.sum(axis=1),
-            )).tolist()
-        if recorders:
-            bounds = np.searchsorted(cells, np.arange(nrounds + 1) * width)
-            senders = src[pair]
-            stamps = np.empty(cells.size, dtype=np.float64)
+        if cells is not None:
+            raw_rows = raw_nbytes.ravel()[cells]
+            rows = raw_rows // bytes_per_vertex, raw_rows, nbytes.ravel()[cells]
+        summaries = _round_summaries(bounds, *rows) if self.obs.enabled else None
+        stamps = np.empty(count, dtype=np.float64) if self.recorders else None
         # the charges' columns are the pairs' sources
         ranks = None
         if width != self.nranks or (src != np.arange(width)).any():
             ranks = src
-        pred = population.pred
+        pred = population.ring[0]
         for lo in range(0, nrounds, 64):
             hi = min(lo + 64, nrounds)
-            send, recv = self.network.round_times_table(
+            send, base = self.network.round_times_table(
                 population, active[lo:hi], nbytes[lo:hi],
                 None if multipliers is None else multipliers[lo:hi],
             )
-            # each rank sends and receives at most one message a round
-            base = np.maximum(send, recv, out=recv if faults is None else None)
             charges = [(base, "comm")]
             if faults is not None:
                 # wasted retransmissions plus the backoff timeouts that
@@ -465,7 +428,8 @@ class Communicator:
                 cell = faulty[at] - lo * width
                 extra = np.zeros(send.shape, dtype=np.float64)
                 extra.ravel()[cell] = retries[at] * send.ravel()[cell] + penalty[at]
-                total = np.maximum(send + extra, recv + extra[:, pred])
+                extra += send
+                total = np.maximum(extra, extra[:, pred])
                 charges.append((total - base, "fault"))
             if encode_s is not None:
                 # a rank's own encode plus its decode of what it received
@@ -477,24 +441,61 @@ class Communicator:
                 self._round_hook(phase, True, bounds, senders, stamps, summaries, lo),
             )
 
-        arrived = delivered
-        if faults is not None:
-            if faults.dead_ranks:
-                dead = np.fromiter(faults.dead_ranks, dtype=np.int64)
-                arrived = delivered & ~(
-                    np.isin(src[pair], dead) | np.isin(dst[pair], dead)
-                )
-            if arrived.all():
-                arrived = None
-        if recorders:
-            raw_cells = raw_nbytes.ravel()[cells]
-            rows = src[pair], dst[pair], raw_cells // bytes_per_vertex, raw_cells
-            for recorder in recorders:
-                recorder.record_round(stamps, *rows, nbytes.ravel()[cells], phase)
+        if cells is None:  # no schedule and no recorder: every message arrived
+            return None
+        arrived = self._deliver(phase, stamps, senders, receivers, *rows, delivered)
         if arrived is None:
             return None
         cells = cells[arrived]
         return cells, starts.ravel()[cells], stops.ravel()[cells]
+
+    def _price_codec(self, flat, starts, stops, raw_nbytes, rows):
+        """Encoded bytes and encode / decode seconds of messages — the
+        entries ``rows`` of the flattened message arrays, in the codec's
+        order — as arrays shaped like ``raw_nbytes`` (the other entries:
+        their raw bytes and 0.0 seconds)."""
+        nbytes = raw_nbytes.copy()
+        encode_s = np.zeros(raw_nbytes.shape, dtype=np.float64)
+        decode_s = np.zeros(raw_nbytes.shape, dtype=np.float64)
+        (
+            nbytes.ravel()[rows], encode_s.ravel()[rows], decode_s.ravel()[rows]
+        ) = self.wire.price_many(flat, starts.ravel()[rows], stops.ravel()[rows])
+        return nbytes, encode_s, decode_s
+
+    def _plan_faults(self, src, dst, ids):
+        """Every message's fate under the fault schedule, counted in the
+        statistics (a message lost for good flags the level failed).
+
+        Returns ``(delivered, multipliers, faulty, retries, penalty)``: the
+        delivered mask and link multipliers per message, the messages that
+        lost a transmission, their retransmissions and the timeout seconds
+        that detected their losses."""
+        faults = self.faults
+        transmissions, delivered = faults.plan_round(src, dst, ids)
+        multipliers = faults.link_multipliers(src, dst, ids)
+        drops = transmissions - delivered
+        self.stats.record_fault(int(drops.sum()), int((transmissions - 1).sum()))
+        if not delivered.all():
+            self._level_failed = True
+        faulty = np.flatnonzero(drops)
+        return (
+            delivered, multipliers, faulty, transmissions[faulty] - 1,
+            faults.retry_penalty(drops[faulty]),
+        )
+
+    def _deliver(self, phase, stamps, src, dst, vertices, raw_nbytes, nbytes, delivered):
+        """Hand the rounds' messages to the recorders and return which
+        arrived: ``delivered`` less the messages to or from a crashed
+        rank (``None``: all, or no fault schedule)."""
+        for recorder in self.recorders:
+            recorder.record_round(stamps, src, dst, vertices, raw_nbytes, nbytes, phase)
+        if delivered is None:
+            return None
+        arrived = delivered
+        if self.faults.dead_ranks:
+            dead = np.fromiter(self.faults.dead_ranks, dtype=np.int64)
+            arrived = delivered & ~(np.isin(src, dead) | np.isin(dst, dead))
+        return None if arrived.all() else arrived
 
     def _round_hook(
         self, phase: str, named: bool, bounds, senders, stamps, summaries, first: int = 0,
@@ -819,6 +820,14 @@ class Communicator:
             self.clock.advance_many(
                 self.faults.compute_fault_extra(seconds), kind="fault"
             )
+
+
+def _round_summaries(bounds, vertices, raw_nbytes, nbytes) -> list:
+    """Each round's ``[messages, vertices, raw bytes, encoded bytes]``, the
+    sums over its messages ``bounds[t]:bounds[t + 1]``."""
+    columns = np.vstack((np.ones(vertices.size, dtype=np.int64), vertices, raw_nbytes, nbytes))
+    summed = np.cumsum(np.hstack((np.zeros((4, 1), dtype=np.int64), columns)), axis=1)
+    return np.diff(summed[:, bounds], axis=1).T.tolist()
 
 
 def _check_messages(nranks, src, dst, flat, starts, stops, pop_idx, masks) -> None:

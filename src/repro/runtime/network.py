@@ -67,9 +67,9 @@ class PairPopulation:
       population.  Then *any* subset of pairs in flight together sees a
       per-link load of at most 1, i.e. contention is identically 1.0 and
       no load analysis is needed at all;
-    * ``pred`` — for a population whose destinations are its sources,
-      each once (a ring's member -> successor pairs), ``pred[k]`` is the
-      pair that delivers to pair ``k``'s source; ``None`` otherwise;
+    * ``ring`` — ``(pred, succ)`` once :meth:`ring_pred` has found the
+      population to be a ring's member -> successor pairs, ``(None,
+      None)`` once it has found it not to be; ``None`` before it is asked;
     * ``sets`` — built on the first table pricing: ``(users, sets_of)``,
       each distinct set of pairs sharing a link as a row of ``users``, and
       the rows each pair is in as a row of ``sets_of`` (both padded).
@@ -82,14 +82,34 @@ class PairPopulation:
     lens: np.ndarray
     full_cont: np.ndarray
     disjoint: bool
-    pred: np.ndarray | None = None
+    ring: tuple[np.ndarray | None, np.ndarray | None] | None = None
     sets: tuple[np.ndarray, np.ndarray] | None = None
 
-    def table_contention(self, active: np.ndarray, pairs) -> np.ndarray | float:
-        """Contention of pairs ``pairs`` (an index array, or a slice over
-        all of them) over at most 64 rounds in flight back to back:
-        ``active[t, j]`` marks pair ``pairs[j]`` in flight in round ``t``,
-        and no pair outside ``pairs`` is.  Returns an ``(R, m)`` table
+    def ring_pred(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
+        """For pairs ``src[k] -> dst[k]`` (the arrays the population was
+        prepared from) whose destinations are their sources, each once —
+        a ring's member -> successor pairs — ``pred[k]``, the pair that
+        delivers to pair ``k``'s source; ``None`` for any other population.
+        Worked out on the first call only: no other population pays for it.
+        """
+        if self.ring is None:
+            order = np.argsort(dst)
+            ends = dst[order]
+            self.ring = None, None
+            if np.array_equal(np.sort(src), ends) and (ends[1:] != ends[:-1]).all():
+                pred = order[np.searchsorted(ends, src)]
+                succ = np.empty_like(pred)
+                succ[pred] = np.arange(pred.size)
+                self.ring = pred, succ
+        return self.ring[0]
+
+    def table_contention(
+        self, active: np.ndarray, cells: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> np.ndarray | float:
+        """Contention of the pairs over at most 64 rounds in flight back to
+        back, ``active[t, k]`` marking pair ``k`` in flight in round ``t``:
+        the ``(R, P)`` table, or with ``cells = (rounds, pairs)`` (index
+        arrays of active cells) the contention of those cells only
         (``1.0`` for a link-disjoint population).
 
         A pair's contention is the most transfers any link of its route
@@ -97,7 +117,8 @@ class PairPopulation:
         link the number of that link's users in flight.  Round ``t`` is
         bit ``t`` of a pair's word, so the sets' in-flight counts are
         thresholds — "at least ``c`` users" — built by one OR/AND pass per
-        user column over every set, and read back only for ``pairs``.
+        user column over every set; a pair's contention is 1 plus the
+        thresholds above 1 that one of its sets reached.
         """
         if self.disjoint:
             return 1.0
@@ -112,15 +133,15 @@ class PairPopulation:
             order = np.argsort(users[row, col], kind="stable")
             self.sets = users, _padded(users[row, col][order], row[order], npairs, len(users))
         users, sets_of = self.sets
-        nrounds, width = active.shape
+        nrounds = active.shape[0]
         # byte j of a pair's word holds rounds 8j .. 8j + 7, bit i round 8j + i
-        packed = np.zeros((8, width), dtype=np.uint8)
+        packed = np.zeros((8, npairs), dtype=np.uint8)
         flags = active.view(np.uint8)
         for i in range(min(8, nrounds)):
             rows = flags[i::8]
             packed[: rows.shape[0]] |= rows << i
         bits = np.zeros(npairs + 1, dtype=np.uint64)  # the last: sets' padding
-        bits[:-1][pairs] = np.ascontiguousarray(packed.T).view(np.uint64).ravel()
+        bits[:-1] = np.ascontiguousarray(packed.T).view(np.uint64).ravel()
         # at_least[c]: the rounds in which a set has more than c users in
         # flight, with one more row never reached (the padding of sets_of)
         nusers = users.shape[1]
@@ -130,19 +151,34 @@ class PairPopulation:
             for c in range(i, 0, -1):
                 at_least[c, :-1] |= at_least[c - 1, :-1] & x
             at_least[0, :-1] |= x
-        # a pair's contention is 1 plus the thresholds above 1 that one of
-        # its sets reached
-        sets_of = sets_of[pairs]
-        contention = np.ones((sets_of.shape[0], nrounds), dtype=np.min_scalar_type(nusers))
+        if cells is None:
+            contention = np.ones((npairs, nrounds), dtype=np.min_scalar_type(nusers))
+        else:
+            # only the pairs in flight are read back, each cell a bit of its
+            # pair's word
+            carrying = np.flatnonzero(bits[:-1])
+            if 2 * carrying.size > npairs:
+                carrying = slice(None)  # most pairs carry: read every pair back
+            sets_of = sets_of[carrying]
+            words = np.zeros(npairs, dtype=np.uint64)
+            shift, pair = cells
+            shift = shift.astype(np.uint64)
+            contention = np.ones(pair.size, dtype=np.uint64)
         for c in range(1, nusers):
+            if not at_least[c].any():  # no set has more than c users in flight
+                break
             reached = at_least[c][sets_of[:, 0]]
             for j in range(1, sets_of.shape[1]):
                 reached |= at_least[c][sets_of[:, j]]
-            contention += np.unpackbits(
-                reached.view(np.uint8).reshape(-1, 8), axis=1, count=nrounds,
-                bitorder="little",
-            )
-        return contention.T
+            if cells is None:
+                contention += np.unpackbits(
+                    reached.view(np.uint8).reshape(-1, 8), axis=1, count=nrounds,
+                    bitorder="little",
+                )
+            else:
+                words[carrying] = reached
+                contention += (words[pair] >> shift) & np.uint64(1)
+        return contention.T if cells is None else contention
 
 
 def _dim_steps(
@@ -286,51 +322,62 @@ class Network:
         64 rounds in flight back to back — ``active[t, k]`` marks the
         cells that carry one, ``nbytes[t, k]`` its on-wire bytes and
         ``multipliers[t, k]`` (when given) its link multiplier.  The
-        population must be a ring's (``pred`` set): every rank then sends
-        and receives at most one message a round.  Returns ``(send,
-        recv)`` tables: ``send[t, k]`` is pair ``k``'s seconds — what its
-        source spends sending in round ``t`` — and ``recv[t, k]`` what that
-        rank spends receiving, the seconds of pair ``pred[k]``; empty cells
-        are 0.0.  Round ``t``'s rows are, bit for bit, the per-rank times
+        population must be a ring's (:meth:`PairPopulation.ring_pred`
+        found its ``pred``): every rank then sends and receives at most one
+        message a round.  Returns ``(send, base)`` tables: ``send[t, k]``
+        is pair ``k``'s seconds, what its source spends sending in round
+        ``t`` (0.0 for an empty cell), and ``base[t, k]`` that rank's round
+        time, the larger of its sending and its receiving — pair
+        ``pred[k]``'s seconds.  Round ``t``'s rows are, bit for bit, the
+        per-rank send times and the larger of the send and receive times
         :meth:`round_times_arrays` gives that round's messages alone.
 
-        Only the pairs that carry something in some round are priced:
-        contention from the population's shared-link bit sets, then
-        ``contention * bytes / bandwidth + latency`` (times the
-        multiplier), the term order of the per-message analysis.
+        Each carrying cell costs ``contention * bytes / bandwidth +
+        latency`` (times the multiplier), the term order of the
+        per-message analysis, with contention from the population's
+        shared-link bit sets.  A table more than an eighth full is priced
+        whole; a sparser one cell by cell, then scattered into zeroed
+        tables.
         """
-        if population.pred is None:
+        pred, succ = population.ring or (None, None)
+        if pred is None:
             raise CommunicationError(
                 "table pricing needs a ring population: every destination one "
-                "pair's source"
+                "pair's source (PairPopulation.ring_pred)"
             )
         if active.shape[0] > 64:
             raise CommunicationError(
                 f"a priced table holds at most 64 rounds, got {active.shape[0]}"
             )
-        # column gathers cost more than they save once an eighth carries
-        pairs = np.flatnonzero(active.any(axis=0))
-        if 8 * pairs.size > active.shape[1]:
-            pairs = slice(None)
-        flags = active[:, pairs]
+        bandwidth = self.model.bandwidth
+        if 8 * np.count_nonzero(active) > active.size:
+            send = np.multiply(population.table_contention(active), nbytes, dtype=np.float64)
+            send /= bandwidth
+            send += population.latency
+            send *= active  # an empty cell's seconds stay 0.0: no latency
+            if multipliers is not None:
+                send *= multipliers
+            base = np.take(send, pred, axis=1)
+            return send, np.maximum(send, base, out=base)
+        cells = np.flatnonzero(active)
+        width = active.shape[1]
+        rnd = cells // width
+        pair = cells - rnd * width
         seconds = np.multiply(
-            population.table_contention(flags, pairs), nbytes[:, pairs], dtype=np.float64
+            population.table_contention(active, (rnd, pair)), nbytes.ravel()[cells],
+            dtype=np.float64,
         )
-        seconds /= self.model.bandwidth
-        # an empty cell's seconds stay 0.0: no latency, and 0.0 * multiplier
-        np.add(seconds, population.latency[pairs], out=seconds, where=flags)
+        seconds /= bandwidth
+        seconds += population.latency[pair]
         if multipliers is not None:
-            seconds *= multipliers[:, pairs]
-        if isinstance(pairs, slice):
-            return seconds, seconds[:, population.pred]
-        # pair k receives from pred[k]: the carrying pairs' successors
-        succ = np.empty_like(population.pred)
-        succ[population.pred] = np.arange(succ.size)
+            seconds *= multipliers.ravel()[cells]
         send = np.zeros(active.shape, dtype=np.float64)
-        recv = np.zeros(active.shape, dtype=np.float64)
-        send[:, pairs] = seconds
-        recv[:, succ[pairs]] = seconds
-        return send, recv
+        send.ravel()[cells] = seconds
+        base = send.copy()
+        # pair k's message is what its successor's source receives
+        cells += succ[pair] - pair
+        base.ravel()[cells] = np.maximum(base.ravel()[cells], seconds)
+        return send, base
 
     @staticmethod
     def _population_contention(
@@ -402,12 +449,6 @@ class Network:
         full_cont = np.empty(0, dtype=np.float64)
         if ids.size:
             full_cont = np.maximum.reduceat(loads[links], indptr[:-1]).astype(np.float64)
-        # a ring's pairs: each rank sends once and receives once
-        order = np.argsort(dst)
-        ends = dst[order]
-        pred = None
-        if np.array_equal(np.sort(src), ends) and (ends[1:] != ends[:-1]).all():
-            pred = order[np.searchsorted(ends, src)]
         population = PairPopulation(
             ids=ids,
             latency=self.model.alpha + lens.astype(np.float64) * self.model.per_hop,
@@ -416,7 +457,6 @@ class Network:
             lens=lens,
             full_cont=full_cont,
             disjoint=loads.size == 0 or int(loads.max()) <= 1,
-            pred=pred,
         )
         self._population_cache[cache_key] = population
         return population

@@ -295,11 +295,12 @@ class TestCommunicator:
                 "starts": np.zeros((3, 2), int), "stops": np.ones((3, 2), int),
                 "masks": np.ones(6, dtype=np.uint64),
             }),
+            ("dst", lambda a: {"starts": np.zeros((3, 2), int), "stops": np.ones((3, 2), int)}),
         ],
         ids=[
             "src-2d", "dst-short", "starts-short", "stops-long", "masks-short",
             "pop_idx-long", "table-starts-narrow", "table-stops-wide", "table-pop_idx",
-            "table-masks",
+            "table-masks", "table-not-a-ring",
         ],
     )
     def test_exchange_argument_contract(self, name, bad):
@@ -545,10 +546,15 @@ class TestOneRound:
         )
 
     def test_round_has_no_loop_over_chunks(self):
-        """The only loop left in the round's source is over recorders."""
-        tree = ast.parse(textwrap.dedent(inspect.getsource(Communicator._round)))
+        """The only loop left in the round's source, and in the per-message
+        steps it shares with a ring's table, is over recorders."""
+        steps = ("_round", "_price_codec", "_plan_faults", "_deliver")
         loops = [
-            node for node in ast.walk(tree)
+            node
+            for step in steps
+            for node in ast.walk(ast.parse(textwrap.dedent(
+                inspect.getsource(getattr(Communicator, step))
+            )))
             if isinstance(node, (ast.For, ast.While, ast.comprehension))
         ]
         assert [ast.unparse(loop.iter) for loop in loops] == ["self.recorders"]
@@ -559,10 +565,14 @@ class TestOneRound:
         and the round's charges only."""
         tree = ast.parse(textwrap.dedent(inspect.getsource(SimClock.replay)))
         loops = [
-            ast.unparse(node.iter) for node in ast.walk(tree)
+            ast.unparse(node.test if isinstance(node, ast.While) else node.iter)
+            for node in ast.walk(tree)
             if isinstance(node, (ast.For, ast.While, ast.comprehension))
         ]
-        assert loops == ["charges", "range(nrounds)", "rows"]
+        # the rounds up to the first barrier of every rank, then the rest
+        rounds = [loop for loop in loops if "nrounds" in loop]
+        assert rounds == ["t < nrounds and level is None", "range(t, nrounds)"]
+        assert set(loops) - set(rounds) == {"charges", "rows", "others"}
 
     def test_recorder_registers_without_patching(self):
         comm = torus_comm()

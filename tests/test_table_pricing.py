@@ -78,14 +78,16 @@ def bincount_reference(net: Network, src, dst, active, nbytes, mult):
 )
 @settings(max_examples=40, deadline=None)
 def test_table_pricing_is_the_bincount_formulation(seed, shape, nrounds, occupancy, faulted):
-    """For any (a, b) ring shape, random, empty, full and sparse tables:
-    the table's send and receive rows, placed at their ranks, are the
-    per-message ``bincount`` matrices bit for bit."""
+    """For any (a, b) ring shape, random, empty, full and sparse tables
+    (both the whole-table and the cell-by-cell form): the table's send and
+    round-time rows, placed at their ranks, are the per-message
+    ``bincount`` matrices bit for bit."""
     rng = np.random.default_rng(seed)
     a, b = shape
     net = Network(shuffled_mapping(seed % 7), BLUEGENE_L)
     src, dst = subgrid_rings(a, b, GRID.size // (a * b), rng.permutation(GRID.size))
     population = net.prepare_pairs(src, dst)
+    assert population.ring_pred(src, dst) is not None
     if occupancy == "random":
         active = rng.random((nrounds, src.size)) < rng.choice([0.0, 0.5, 1.0], (nrounds, 1))
     elif occupancy == "sparse":
@@ -94,20 +96,23 @@ def test_table_pricing_is_the_bincount_formulation(seed, shape, nrounds, occupan
         active = np.full((nrounds, src.size), occupancy == "full")
     nbytes = rng.integers(1, 5000, active.shape) * active
     mult = rng.choice([1.0, 2.0, 3.5], active.shape) if faulted else None
-    send, recv = net.round_times_table(population, active, nbytes, mult)
+    send, base = net.round_times_table(population, active, nbytes, mult)
     want_send, want_recv = bincount_reference(net, src, dst, active, nbytes, mult)
     assert send.tobytes() == want_send[:, src].tobytes()
-    assert recv.tobytes() == want_recv[:, src].tobytes()
+    assert base.tobytes() == np.maximum(want_send, want_recv)[:, src].tobytes()
     assert not want_send[:, np.setdiff1d(np.arange(GRID.size), src)].any()
 
 
 def test_table_pricing_needs_a_ring_and_a_slab():
     net = Network(shuffled_mapping(0), BLUEGENE_L)
     chain = net.prepare_pairs(np.array([0, 1]), np.array([1, 2]))
-    assert chain.pred is None
+    assert chain.ring_pred(np.array([0, 1]), np.array([1, 2])) is None
     with pytest.raises(CommunicationError, match="ring population"):
         net.round_times_table(chain, np.ones((1, 2), bool), np.ones((1, 2), int))
     ring = net.prepare_pairs(np.array([0, 1]), np.array([1, 0]))
+    with pytest.raises(CommunicationError, match="ring population"):  # not yet asked
+        net.round_times_table(ring, np.ones((1, 2), bool), np.ones((1, 2), int))
+    assert ring.ring_pred(np.array([0, 1]), np.array([1, 0])).tolist() == [1, 0]
     with pytest.raises(CommunicationError, match="at most 64 rounds"):
         net.round_times_table(ring, np.ones((65, 2), bool), np.ones((65, 2), int))
 
@@ -121,12 +126,15 @@ KINDS = ("comm", "fault", "compute")
     nkinds=st.integers(1, 3),
     subset=st.booleans(),
     columns=st.booleans(),
+    hooked=st.booleans(),
 )
-@settings(max_examples=60, deadline=None)
-def test_replay_is_advance_and_sync_per_round(seed, nrounds, nkinds, subset, columns):
+@settings(max_examples=80, deadline=None)
+def test_replay_is_advance_and_sync_per_round(seed, nrounds, nkinds, subset, columns, hooked):
     """From uneven start clocks, with 1-3 charge kinds, participants all
-    or a subset and charges over all ranks or a column subset: the replay
-    is one ``advance_many`` per charge and one ``sync`` per round."""
+    or a subset, charges over all ranks or a column subset, and with or
+    without a per-round hook (without one, rounds after a barrier of every
+    rank run from one common clock): the replay is one ``advance_many``
+    per charge and one ``sync`` per round."""
     rng = np.random.default_rng(seed)
     nranks = 9
     ranks = rng.permutation(nranks)[: rng.integers(1, nranks + 1)] if columns else None
@@ -141,7 +149,8 @@ def test_replay_is_advance_and_sync_per_round(seed, nrounds, nkinds, subset, col
     for clock in (replayed, looped):
         clock.advance_many(start, kind="compute")
     seen = []
-    replayed.replay(charges, participants, ranks, each=lambda t: seen.append(t) or (lambda: seen.append(-t - 1)))
+    each = (lambda t: seen.append(t) or (lambda: seen.append(-t - 1))) if hooked else None
+    replayed.replay(charges, participants, ranks, each=each)
     for t in range(nrounds):
         for seconds, kind in charges:
             row = seconds[t]
@@ -152,7 +161,7 @@ def test_replay_is_advance_and_sync_per_round(seed, nrounds, nkinds, subset, col
         looped.sync(participants)
     for bucket in ("time", "comm_time", "compute_time", "fault_time"):
         assert getattr(replayed, bucket).tobytes() == getattr(looped, bucket).tobytes()
-    assert seen == [x for t in range(nrounds) for x in (t, -t - 1)]
+    assert seen == [x for t in range(nrounds) if hooked for x in (t, -t - 1)]
 
 
 @pytest.mark.parametrize(
